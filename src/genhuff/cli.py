@@ -5,7 +5,9 @@ brackets follow the endpoint tags ('[' attained, '(' approached), and all
 randomness flows from an explicit seed, so identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +46,8 @@ from .core import (
 from .oracle import brute_force_optimal, enumerate_kraft_lengths
 
 __all__ = ["ParseError", "RunConfig", "main"]
+
+EXIT_BROKEN_PIPE = 141
 
 
 class ParseError(CodingError):
@@ -695,10 +700,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, not at exit, so that a reader that went away shows up
+        # as the BrokenPipeError below
+        sys.stdout.flush()
+        return code
     except CodingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (`genhuff ... | head`): send what is
+        # still buffered to devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -16,15 +16,30 @@ stay linear.
 The merge order is made deterministic by a (weight, creation sequence)
 priority: input symbols get sequence numbers by nondecreasing weight and
 merged items get fresh, higher numbers, so a merged item queues behind
-input items of equal weight.  Codeword bits are always assigned
-canonically from the lengths, shortest first, stable on symbol index.
+input items of equal weight.
+
+Sum, max pointwise redundancy, d > 0 and q > 1 satisfy f(a, b) >= max(a, b).
+Under such a rule each merge takes two items no lighter than the last
+merge's, so merged weights come out nondecreasing (Parker, SIAM J. Comput.
+1980) and two FIFO queues, the sorted inputs and the merged items, replace
+the heap (van Leeuwen, ICALP 1976): linear time after the sort, with the
+heap's tie-break.  Should rounding ever pop a key below the one before it,
+the call falls back to the heap, so both paths always give the same code.
+For d in (-1, 0) and q in (0, 1), f can fall below max(a, b); those rules
+keep the heap.
+
+Both paths record each merge as its two children.  Depths then come from
+one pass from the root down, and the Kraft check sums integers, so
+everything after the merges is linear in n as well.  The merge trace is
+built only on request.  Codeword bits are always assigned canonically
+from the lengths, shortest first, stable on symbol index.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,8 +49,6 @@ from .core import (
     Objective,
     Pmf,
     ceil_neg_lg,
-    lg,
-    lg_sum_exp2,
 )
 
 __all__ = [
@@ -126,6 +139,15 @@ class CombineRule:
         """Whether engine weights for this rule live in the base-2 log domain."""
         return self.kind in (RuleKind.MAX_DOUBLE, RuleKind.DTH_EXP)
 
+    @property
+    def _monotone(self) -> bool:
+        """f(a, b) >= max(a, b): sum, max doubling, d > 0 and q > 1."""
+        if self.kind is RuleKind.DTH_EXP:
+            return self.param > 0.0
+        if self.kind is RuleKind.EXP_BASE:
+            return self.param > 1.0
+        return True
+
     def combine(self, a: float, b: float) -> float:
         """f(a, b) on linear-domain weights (reference form, not the engine's)."""
         if self.kind is RuleKind.SUM:
@@ -137,18 +159,32 @@ class CombineRule:
         d = self.param
         return (2.0 ** d * a ** (1.0 + d) + 2.0 ** d * b ** (1.0 + d)) ** (1.0 / (1.0 + d))
 
-    def _leaf_key(self, p: float) -> float:
-        return lg(p) if self.log_domain else p
+    def _leaf_keys(self, p: Pmf) -> list[float]:
+        return list(map(math.log2, p.probs)) if self.log_domain else list(p.probs)
 
-    def _combine_key(self, a: float, b: float) -> float:
-        if self.kind is RuleKind.MAX_DOUBLE:
-            return 1.0 + max(a, b)
-        if self.kind is RuleKind.DTH_EXP:
-            d = self.param
-            return (d + lg_sum_exp2(((1.0 + d) * a, (1.0 + d) * b))) / (1.0 + d)
+    def _combiner(self):
+        """f on engine weights (base-2 logs where ``log_domain``), as a two-argument callable."""
         if self.kind is RuleKind.SUM:
-            return a + b
-        return self.param * (a + b)
+            return operator.add
+        if self.kind is RuleKind.MAX_DOUBLE:
+            return lambda a, b: 1.0 + (a if a >= b else b)
+        if self.kind is RuleKind.EXP_BASE:
+            q = self.param
+            return lambda a, b: q * (a + b)
+        d = self.param
+        c = 1.0 + d
+        log2 = math.log2
+
+        def dth(a: float, b: float) -> float:
+            # (d + lg(2^(c a) + 2^(c b))) / c, the larger exponent shifted out
+            x = c * a
+            y = c * b
+            hi, lo = (x, y) if x >= y else (y, x)
+            if math.isinf(hi):
+                return (d + hi) / c
+            return (d + (hi + log2(1.0 + 2.0 ** (lo - hi)))) / c
+
+        return dth
 
 
 @dataclass(frozen=True)
@@ -180,100 +216,108 @@ class CodeResult:
     trace: MergeTrace | None = None
 
 
-def _depths_from_parents(n_symbols: int, parent: dict[int, int]) -> list[int]:
-    depths = []
-    for i in range(n_symbols):
-        d = 0
-        node = i
-        while node in parent:
-            node = parent[node]
-            d += 1
-        depths.append(d)
-    return depths
+# Node ids: symbol i is node i, and the k-th merge (k = 0, 1, ...) creates
+# node n + k.  Both merge loops take the leaf keys by symbol, nonincreasing,
+# append each merged key to that list (so keys[v] is node v's weight and the
+# root's comes last) and return the children as one flat list: the k-th
+# merge joined kids[2k] and kids[2k + 1], popped in that order.
+
+def _merge_heap(keys: list[float], combine) -> list[int]:
+    """Merge by a (weight, sequence) heap; symbol i has sequence n-1-i."""
+    n = len(keys)
+    heap = [(keys[i], n - 1 - i, i) for i in range(n)]
+    heapq.heapify(heap)
+    kids: list[int] = []
+    for new in range(n, 2 * n - 1):
+        ka, _, a = heapq.heappop(heap)
+        kb, _, b = heap[0]
+        k = combine(ka, kb)
+        heapq.heapreplace(heap, (k, new, new))
+        keys.append(k)
+        kids += (a, b)
+    return kids
 
 
-def _finish(p: Pmf, rule: CombineRule, parent: dict[int, int],
-            events: list[MergeEvent], root_key: float) -> CodeResult:
-    lengths = LengthVector(tuple(_depths_from_parents(p.n, parent)))
-    trace = MergeTrace(tuple(events), root_key, rule.log_domain)
-    value = rule.objective().evaluate(p, lengths)
-    return CodeResult(lengths, canonical_codewords(lengths), value, trace)
+def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
+    """Merge by two FIFO queues, or return None if the heap would differ.
+
+    One queue holds the inputs from symbol n-1 down, the other the merged
+    nodes in creation order.  Every input has a lower sequence number than
+    every merged node, so an input wins a tie, as in the heap.  The result
+    equals the heap's as long as the popped keys come out nondecreasing,
+    which f(a, b) >= max(a, b) guarantees in exact arithmetic; if rounding
+    ever breaks that, this returns None and the caller merges by the heap
+    instead.
+    """
+    n = len(keys)
+    i = n - 1  # next input symbol
+    j = n      # next merged node; the merged queue is empty when j == new
+    last = -math.inf
+    kids: list[int] = []
+    for new in range(n, 2 * n - 1):
+        if i >= 0 and (j == new or keys[i] <= keys[j]):
+            a = i
+            i -= 1
+        else:
+            a = j
+            j += 1
+        if i >= 0 and (j == new or keys[i] <= keys[j]):
+            b = i
+            i -= 1
+        else:
+            b = j
+            j += 1
+        ka = keys[a]
+        kb = keys[b]
+        if ka < last or kb < ka:
+            return None
+        last = kb
+        keys.append(combine(ka, kb))
+        kids += (a, b)
+    return kids
 
 
-def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
+def _leaf_depths(n: int, kids: list[int]) -> list[int]:
+    """Leaf depths by one pass over the merges from the root down.
+
+    Both children of a merge sit one level below the node it created, and
+    every node is created after its children, so a node's depth is known
+    before its children's.
+    """
+    depth = [0] * (2 * n - 1)
+    for new, a, b in zip(range(2 * n - 2, n - 1, -1), reversed(kids[0::2]),
+                         reversed(kids[1::2])):
+        depth[a] = depth[b] = depth[new] + 1
+    return depth[:n]
+
+
+def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> CodeResult:
     """Build an objective-optimal code for ``p`` under ``rule``.
 
-    Returns per-symbol lengths (Kraft sum exactly 1), canonical codewords,
-    the achieved objective value, and the full merge trace.
+    Returns per-symbol lengths (Kraft sum exactly 1), canonical codewords
+    and the achieved objective value; with ``trace``, also the merge trace
+    (otherwise ``trace`` is None).
     """
     n = p.n
-    if n == 1:
-        return _finish(p, rule, {}, [], rule._leaf_key(p.probs[0]))
-
-    # Symbols are sorted by nonincreasing probability, so symbol i gets
-    # sequence number n-1-i: nondecreasing in weight, ties resolved toward
-    # the later symbol.
-    heap = [(rule._leaf_key(p.probs[i]), n - 1 - i, i) for i in range(n)]
-    heapq.heapify(heap)
-    next_seq = n
-    next_id = n
-    parent: dict[int, int] = {}
-    events: list[MergeEvent] = []
-
-    while len(heap) > 1:
-        ka, _, ia = heapq.heappop(heap)
-        kb, _, ib = heapq.heappop(heap)
-        knew = rule._combine_key(ka, kb)
-        parent[ia] = next_id
-        parent[ib] = next_id
-        events.append(MergeEvent(ka, kb, knew, ia, ib, next_id))
-        heapq.heappush(heap, (knew, next_seq, next_id))
-        next_seq += 1
-        next_id += 1
-
-    return _finish(p, rule, parent, events, heap[0][0])
+    keys = rule._leaf_keys(p)
+    combine = rule._combiner()
+    kids = _merge_two_queues(keys, combine) if rule._monotone else None
+    if kids is None:
+        del keys[n:]
+        kids = _merge_heap(keys, combine)
+    lengths = LengthVector(tuple(_leaf_depths(n, kids)))
+    merge_trace = None
+    if trace:
+        events = tuple(MergeEvent(keys[a], keys[b], keys[new], a, b, new)
+                       for new, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
+        merge_trace = MergeTrace(events, keys[-1], rule.log_domain)
+    value = rule.objective().evaluate(p, lengths)
+    return CodeResult(lengths, canonical_codewords(lengths), value, merge_trace)
 
 
-def two_queue_mmpr(p: Pmf) -> CodeResult:
-    """Max-pointwise-redundancy coder in linear time after the initial sort.
-
-    Merged weights under the doubling rule come out nondecreasing, so a
-    FIFO of merged items replaces the heap.  Output matches
-    ``generalized_huffman`` with the doubling rule exactly, tie-break
-    policy included.
-    """
-    rule = CombineRule.max_double()
-    n = p.n
-    if n == 1:
-        return _finish(p, rule, {}, [], lg(p.probs[0]))
-
-    # Input queue holds (log weight, sequence, node id) by nondecreasing
-    # weight; sequence numbers of merged items are always higher, so a
-    # plain tuple comparison reproduces the heap's tie-break.
-    inputs = deque((lg(p.probs[i]), n - 1 - i, i) for i in range(n - 1, -1, -1))
-    merged: deque[tuple[float, int, int]] = deque()
-    next_seq = n
-    next_id = n
-    parent: dict[int, int] = {}
-    events: list[MergeEvent] = []
-
-    def pop_min() -> tuple[float, int, int]:
-        if not merged or (inputs and inputs[0][:2] < merged[0][:2]):
-            return inputs.popleft()
-        return merged.popleft()
-
-    for _ in range(n - 1):
-        ka, _, ia = pop_min()
-        kb, _, ib = pop_min()
-        knew = 1.0 + max(ka, kb)
-        parent[ia] = next_id
-        parent[ib] = next_id
-        events.append(MergeEvent(ka, kb, knew, ia, ib, next_id))
-        merged.append((knew, next_seq, next_id))
-        next_seq += 1
-        next_id += 1
-
-    return _finish(p, rule, parent, events, merged[0][0])
+def two_queue_mmpr(p: Pmf, *, trace: bool = False) -> CodeResult:
+    """``generalized_huffman`` under the doubling rule, which takes the two-queue path."""
+    return generalized_huffman(p, CombineRule.max_double(), trace=trace)
 
 
 def shannon_code(p: Pmf) -> LengthVector:
@@ -319,14 +363,14 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     """
     if not l.is_valid:
         raise KraftViolation(f"Kraft sum {l.kraft_sum} exceeds 1 for {l.lengths}")
-    order = sorted(range(l.n), key=lambda i: (l.lengths[i], i))
+    lengths = l.lengths
     codes: list[str] = [""] * l.n
-    value = 0
-    prev_len = None
-    for idx in order:
-        li = l.lengths[idx]
-        if prev_len is not None:
-            value = (value + 1) << (li - prev_len)
+    value = -1  # so that the first codeword is all zeros
+    prev_len = 0
+    # a stable sort on length alone keeps equal lengths in symbol order
+    for idx in sorted(range(l.n), key=lengths.__getitem__):
+        li = lengths[idx]
+        value = (value + 1) << (li - prev_len)
         if li > 0:
             bits = format(value, "b").zfill(li)
             assert len(bits) == li

@@ -15,6 +15,7 @@ that extreme parameters (d up to 1e4, lengths up to 64) stay finite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -126,8 +127,9 @@ class Pmf:
     def __post_init__(self):
         if not self.probs:
             raise EmptyInput("pmf needs at least one symbol")
-        if any(p <= 0.0 for p in self.probs):
-            raise NonPositiveProbability(f"all probabilities must be > 0: {self.probs}")
+        if any(not (0.0 < p < math.inf) for p in self.probs):
+            raise NonPositiveProbability(
+                f"all probabilities must be finite and > 0: {self.probs}")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise SumNotOne(f"probabilities sum to {total!r}, not 1")
@@ -156,8 +158,8 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     vals = [float(x) for x in raw]
     if not vals:
         raise EmptyInput("no probabilities given")
-    if any(v <= 0.0 for v in vals):
-        raise NonPositiveProbability(f"all probabilities must be > 0: {vals}")
+    if any(not (0.0 < v < math.inf) for v in vals):
+        raise NonPositiveProbability(f"all probabilities must be finite and > 0: {vals}")
     if normalize:
         total = math.fsum(vals)
         vals = [v / total for v in vals]
@@ -188,19 +190,26 @@ class LengthVector:
     def n(self) -> int:
         return len(self.lengths)
 
+    def _kraft_scaled(self) -> tuple[int, int]:
+        """(sum_i 2^(L - l_i), 2^L) with L = max_i l_i: the Kraft sum as a ratio of integers."""
+        top = max(self.lengths)
+        return sum(c << (top - l) for l, c in Counter(self.lengths).items()), 1 << top
+
     @property
     def kraft_sum(self) -> Fraction:
-        return sum(Fraction(1, 2 ** l) for l in self.lengths)
+        return Fraction(*self._kraft_scaled())
 
     @property
     def is_valid(self) -> bool:
         """Kraft inequality: sum_i 2^-l_i <= 1 (exact comparison)."""
-        return self.kraft_sum <= 1
+        total, whole = self._kraft_scaled()
+        return total <= whole
 
     @property
     def is_complete(self) -> bool:
         """Kraft equality, i.e. the code tree is full."""
-        return self.kraft_sum == 1
+        total, whole = self._kraft_scaled()
+        return total == whole
 
     def __iter__(self):
         return iter(self.lengths)

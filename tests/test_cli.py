@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from genhuff.cli import main
+from genhuff.cli import EXIT_BROKEN_PIPE, main
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -82,6 +85,16 @@ class TestCode:
         code, _, err = run(capsys, "code", str(path))
         assert code == 2
         assert ":2:" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_line_is_input_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0.5\n{bad}\n0.5\n")
+        for extra in ((), ("--normalize",)):
+            code, out, err = run(capsys, "code", *extra, str(path))
+            assert code == 2
+            assert out == ""
+            assert "finite" in err
 
     def test_unary_regime_bounds_are_exact(self, capsys, three_file):
         code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", "0.4",
@@ -280,3 +293,19 @@ class TestUsage:
         code, _, err = run(capsys, "code", "no-such-file.txt")
         assert code == 2
         assert "error" in err
+
+    def test_closed_pipe_exits_quietly(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "genhuff", "benford"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE

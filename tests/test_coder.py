@@ -1,5 +1,6 @@
 """Merge engine, Shannon-style constructions, and codeword assignment."""
 
+import heapq
 import math
 
 import numpy as np
@@ -18,12 +19,14 @@ from genhuff import (
     enumerate_kraft_lengths,
     generalized_huffman,
     j_shannon_code,
+    lg_sum_exp2,
     max_pointwise_redundancy,
     shannon_code,
     two_queue_mmpr,
     unary_code,
     validate_pmf,
 )
+from genhuff.coder import _merge_heap, _merge_two_queues
 
 RULES = (
     CombineRule.sum(),
@@ -43,6 +46,66 @@ def random_pmf(rng, n):
         raw = rng.dirichlet(np.ones(n))
         if raw.min() > 1e-9:
             return validate_pmf([float(x) for x in raw])
+
+
+# The reference below is the textbook construction: a (weight, sequence)
+# heap, a parent map and a walk up from every leaf, O(n * depth).  Its
+# merge formulas are written out here, not taken from the engine.
+
+def reference_merge_rule(rule):
+    """(leaf key, combine) for ``rule``; mmpr and d-th keys are base-2 logs."""
+    kind, param = rule.kind.value, rule.param
+    if kind == "sum":
+        return float, lambda a, b: a + b
+    if kind == "exp_base":
+        return float, lambda a, b: param * (a + b)
+    if kind == "max_double":
+        return math.log2, lambda a, b: 1.0 + max(a, b)
+    c = 1.0 + param
+    return math.log2, lambda a, b: (param + lg_sum_exp2((c * a, c * b))) / c
+
+
+def reference_lengths(p, rule):
+    leaf, combine = reference_merge_rule(rule)
+    n = p.n
+    heap = [(leaf(x), n - 1 - i, i) for i, x in enumerate(p.probs)]
+    heapq.heapify(heap)
+    parent = {}
+    node = n
+    while len(heap) > 1:
+        ka, _, a = heapq.heappop(heap)
+        kb, _, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (combine(ka, kb), node, node))
+        node += 1
+    lengths = []
+    for i in range(n):
+        depth, v = 0, i
+        while v in parent:
+            v = parent[v]
+            depth += 1
+        lengths.append(depth)
+    return tuple(lengths)
+
+
+def root_weight_value(p, rule):
+    """The optimal objective value from a merge that keeps root weights only."""
+    leaf, combine = reference_merge_rule(rule)
+    heap = [leaf(x) for x in p.probs]
+    heapq.heapify(heap)
+    merged = []
+    while len(heap) > 1:
+        merged.append(combine(heapq.heappop(heap), heapq.heappop(heap)))
+        heapq.heappush(heap, merged[-1])
+    root = heap[0]
+    kind, param = rule.kind.value, rule.param
+    if kind == "sum":
+        return math.fsum(merged) + math.fsum(x * math.log2(x) for x in p.probs)
+    if kind == "max_double":
+        return root
+    if kind == "dth_exp":
+        return (1.0 + param) / param * root
+    return math.log(root) / math.log(param)
 
 
 class TestCombineRule:
@@ -82,7 +145,8 @@ class TestCombineRule:
 
 class TestGeneralizedHuffman:
     def test_mmpr_worked_example(self):
-        r = generalized_huffman(validate_pmf([0.5, 0.3, 0.2]), CombineRule.max_double())
+        r = generalized_huffman(validate_pmf([0.5, 0.3, 0.2]), CombineRule.max_double(),
+                                trace=True)
         assert r.lengths.lengths == (1, 2, 2)
         # root weight is carried as a base-2 log and pins the optimum value
         assert r.trace.log_domain
@@ -98,11 +162,22 @@ class TestGeneralizedHuffman:
 
     def test_single_symbol(self):
         for rule in RULES:
-            r = generalized_huffman(validate_pmf([1.0]), rule)
+            r = generalized_huffman(validate_pmf([1.0]), rule, trace=True)
             assert r.lengths.lengths == (0,)
             assert r.codewords == ("",)
             assert r.objective_value == pytest.approx(0.0)
             assert r.trace.events == ()
+
+    def test_trace_only_on_request(self):
+        p = validate_pmf([0.5, 0.3, 0.2])
+        for rule in RULES:
+            plain = generalized_huffman(p, rule)
+            traced = generalized_huffman(p, rule, trace=True)
+            assert plain.trace is None
+            assert len(traced.trace.events) == p.n - 1
+            assert traced.lengths == plain.lengths
+            assert traced.codewords == plain.codewords
+            assert traced.objective_value == plain.objective_value
 
     def test_kraft_equality_and_prefix_freedom(self):
         rng = np.random.default_rng(21)
@@ -127,14 +202,14 @@ class TestGeneralizedHuffman:
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 11)))
             rule = monotone_rules[int(rng.integers(len(monotone_rules)))]
-            r = generalized_huffman(p, rule)
+            r = generalized_huffman(p, rule, trace=True)
             assert len(r.trace.events) == p.n - 1
             mins = [min(e.weight_a, e.weight_b) for e in r.trace.events]
             assert all(a <= b + 1e-12 for a, b in zip(mins, mins[1:]))
 
     def test_unary_mechanism_merges_below_previous_min(self):
         p = validate_pmf([0.4, 0.2, 0.2, 0.2])
-        r = generalized_huffman(p, CombineRule.exp_base(0.4))
+        r = generalized_huffman(p, CombineRule.exp_base(0.4), trace=True)
         mins = [min(e.weight_a, e.weight_b) for e in r.trace.events]
         assert any(b < a for a, b in zip(mins, mins[1:]))
         assert r.lengths.lengths == unary_code(4).lengths
@@ -143,7 +218,7 @@ class TestGeneralizedHuffman:
         rng = np.random.default_rng(23)
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 11)))
-            r = generalized_huffman(p, CombineRule.max_double())
+            r = generalized_huffman(p, CombineRule.max_double(), trace=True)
             mass = {i: p.probs[i] for i in range(p.n)}
             for e in r.trace.events:
                 mass[e.node_out] = mass[e.node_a] + mass[e.node_b]
@@ -193,27 +268,76 @@ class TestTwoQueue:
         assert r.lengths.is_complete
 
     def test_equals_heap_engine_everywhere(self):
+        # both merge loops called directly, so the heap stays the reference
+        rules = [CombineRule.sum(), CombineRule.max_double()] \
+            + [CombineRule.dth_exp(d) for d in (0.5, 1e-12, 1e6)] \
+            + [CombineRule.exp_base(q) for q in (2.0, 1 + 1e-12, 1e200)]
         rng = np.random.default_rng(27)
-        rule = CombineRule.max_double()
         for _ in range(300):
-            n = int(rng.integers(1, 14))
-            if rng.uniform() < 0.3:
-                # tie-heavy inputs: uniform or dyadic blocks
+            n = int(rng.integers(1, 40))
+            u = rng.uniform()
+            if u < 0.3:
                 p = validate_pmf([1.0 / n] * n)
+            elif u < 0.6:
+                # dyadic blocks: runs of equal powers of two
+                p = validate_pmf([2.0 ** -int(k) for k in rng.integers(1, 6, n)],
+                                 normalize=True)
             else:
                 p = random_pmf(rng, n)
-            a = two_queue_mmpr(p)
-            b = generalized_huffman(p, rule)
-            assert a.lengths.lengths == b.lengths.lengths
-            assert a.trace.root_weight == pytest.approx(b.trace.root_weight, abs=1e-12)
+            for rule in rules:
+                assert rule._monotone
+                two_keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
+                two = _merge_two_queues(two_keys, rule._combiner())
+                heap = _merge_heap(heap_keys, rule._combiner())
+                assert two == heap
+                assert two_keys == heap_keys
+                merged = two_keys[p.n:]
+                assert all(a <= b for a, b in zip(merged, merged[1:]))
+                assert generalized_huffman(p, rule).lengths.lengths \
+                    == reference_lengths(p, rule)
+
+    def test_out_of_order_pops_fall_back_to_heap(self, monkeypatch):
+        # q = 0.4 merges below the last merge, which the queue loop must refuse
+        p = validate_pmf([0.4, 0.2, 0.2, 0.2])
+        rule = CombineRule.exp_base(0.4)
+        assert _merge_two_queues(rule._leaf_keys(p), rule._combiner()) is None
+        monkeypatch.setattr(CombineRule, "_monotone", property(lambda self: True))
+        assert generalized_huffman(p, rule).lengths.lengths == unary_code(4).lengths
 
     def test_root_weight_matches_objective(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 12)))
-            r = two_queue_mmpr(p)
+            r = two_queue_mmpr(p, trace=True)
             assert r.trace.root_weight == pytest.approx(
                 max_pointwise_redundancy(p, r.lengths), abs=1e-9)
+
+
+# the benchmark's six rules: the first four take the two-queue path
+SIX_RULES = (CombineRule.sum(), CombineRule.max_double(), CombineRule.dth_exp(0.5),
+             CombineRule.exp_base(2.0), CombineRule.dth_exp(-0.5), CombineRule.exp_base(0.9))
+
+
+@pytest.fixture(scope="module")
+def large_pmfs():
+    geometric = validate_pmf([2.0 ** (-i / 5) for i in range(1, 5001)], normalize=True)
+    return {"geometric": geometric,
+            "dirichlet": random_pmf(np.random.default_rng(41), 2000)}
+
+
+class TestLargeAlphabet:
+    """n = 5000 at depth up to ~1250 and n = 2000 Dirichlet, against the reference."""
+
+    @pytest.mark.parametrize("rule", SIX_RULES,
+                             ids=lambda r: f"{r.kind.value}{'' if r.param is None else r.param}")
+    @pytest.mark.parametrize("name", ["geometric", "dirichlet"])
+    def test_matches_reference(self, large_pmfs, name, rule):
+        p = large_pmfs[name]
+        r = generalized_huffman(p, rule)
+        assert r.lengths.lengths == reference_lengths(p, rule)
+        assert r.lengths.is_complete
+        assert r.objective_value == pytest.approx(root_weight_value(p, rule),
+                                                  rel=1e-9, abs=1e-9)
 
 
 class TestShannonCodes:

@@ -1,6 +1,7 @@
 """Core types and objective evaluators."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,17 @@ class TestValidatePmf:
         with pytest.raises(SumNotOne):
             validate_pmf([0.5, 0.5 + 2e-9])
 
+    def test_rejects_non_finite(self):
+        nan, inf = math.nan, math.inf
+        for raw in ([1.0, nan], [nan], [inf, 0.5], [0.5, 0.5, -inf]):
+            with pytest.raises(NonPositiveProbability):
+                validate_pmf(raw)
+            with pytest.raises(NonPositiveProbability):
+                validate_pmf(raw, normalize=True)
+        for probs in ((1.0, nan), (nan,), (inf, 0.5)):
+            with pytest.raises(NonPositiveProbability):
+                Pmf(probs)
+
     def test_assume_sorted_verifies(self):
         with pytest.raises(Exception):
             validate_pmf([0.2, 0.8], assume_sorted=True)
@@ -103,6 +115,17 @@ class TestLengthVector:
     def test_exactness_at_depth_64(self):
         deep = lv(*([1] + [64]))
         assert not deep.is_complete and deep.is_valid
+
+    def test_exactness_past_float_range(self):
+        # 2^-1100 underflows a float; the integer sum still sees it
+        lengths = list(range(1, 1100)) + [1100, 1100]
+        assert lv(*lengths).is_complete
+        assert lv(*lengths).kraft_sum == 1
+        over = lv(*(lengths + [1100]))
+        assert not over.is_valid
+        assert over.kraft_sum == 1 + Fraction(1, 2 ** 1100)
+        under = lv(*lengths[:-1])
+        assert under.is_valid and not under.is_complete
 
     def test_rejects_negative_and_non_integer(self):
         with pytest.raises(Exception):
