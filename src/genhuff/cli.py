@@ -1,9 +1,13 @@
 """Command-line surface: encode, query bounds, sweep figures, verify, Benford demo.
 
-Numbers are printed with 12 significant digits (round half even), interval
-brackets follow the endpoint tags ('[' attained, '(' approached), and all
-randomness flows from an explicit seed, so identical invocations produce
-byte-identical output.
+Numbers are printed with 12 significant digits (round half even), and
+interval brackets follow the endpoint tags ('[' attained, '(' approached).
+The only randomness, the pmfs and length vectors the ``verify`` campaign
+samples, comes from ``random.Random(seed)``, so identical invocations
+produce byte-identical output on one Python version.  Each subcommand
+accepts only the ``--format`` values it honours, and only ``verify`` takes
+``--seed``.  The package imports nothing outside the standard library, so
+a call's start-up is the interpreter's and genhuff's own.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports a
@@ -16,10 +20,8 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import bounds as bnd
 from . import witness as wit
@@ -45,32 +47,13 @@ from .core import (
 )
 from .oracle import brute_force_optimal, enumerate_kraft_lengths
 
-__all__ = ["ParseError", "RunConfig", "main"]
+__all__ = ["ParseError", "main"]
 
 EXIT_BROKEN_PIPE = 141
 
 
 class ParseError(CodingError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized invocation parameters shared by the subcommands."""
-
-    command: str
-    objective: Objective | None = None
-    input_path: str | None = None
-    output_format: str = "plain"
-    seed: int = 42
-    grid_step: float = 0.01
-    trials: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.grid_step <= 0.1:
-            raise CodingError(f"step must lie in (0, 0.1], got {self.grid_step}")
-        if self.trials < 1:
-            raise CodingError(f"trials must be >= 1, got {self.trials}")
 
 
 def fmt(x: float) -> str:
@@ -183,8 +166,6 @@ def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> BoundReport:
 
 def cmd_code(args) -> int:
     obj = _objective_from_args(args)
-    cfg = RunConfig("code", objective=obj, input_path=args.input,
-                    output_format=args.format, seed=args.seed)
     p = load_pmf(args.input, assume_sorted=args.assume_sorted, normalize=args.normalize)
     result = generalized_huffman(p, CombineRule.for_objective(obj))
     entropy = _entropy_for(p, obj)
@@ -200,9 +181,9 @@ def cmd_code(args) -> int:
         "entropy_bits": _round12(entropy),
         "bounds": _report_dict(report),
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(json.dumps(doc, indent=2), args.out)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         rows = ["symbol,probability,length,codeword"]
         rows += [f"{i + 1},{fmt(pi)},{li},{w}" for i, (pi, li, w) in
                  enumerate(zip(p, result.lengths, result.codewords))]
@@ -269,8 +250,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig("sweep", grid_step=args.step, output_format="csv")
-    step = cfg.grid_step
+    step = args.step
+    if not 0.0 < step <= 0.1:
+        raise CodingError(f"step must lie in (0, 0.1], got {step}")
     rows: list[str] = []
     if args.figure == "mmpr":
         rows.append("p,lower,upper,lower_kind,upper_kind,exact")
@@ -308,16 +290,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _random_pmf(rng: np.random.Generator, n: int) -> Pmf:
+def _random_pmf(rng: random.Random, n: int) -> Pmf:
+    """A Dirichlet(1) draw: n Gamma(1, 1) variates over their sum, redrawn
+    until every entry exceeds 1e-9."""
     while True:
-        raw = rng.dirichlet(np.ones(n))
-        if raw.min() > 1e-9:
-            return validate_pmf([float(x) for x in raw])
+        raw = [rng.gammavariate(1.0, 1.0) for _ in range(n)]
+        total = math.fsum(raw)
+        probs = [x / total for x in raw]
+        if min(probs) > 1e-9:
+            return validate_pmf(probs)
 
 
-def _random_lengths(rng: np.random.Generator, n: int) -> LengthVector:
+def _random_lengths(rng: random.Random, n: int) -> LengthVector:
     options = list(enumerate_kraft_lengths(n))
-    return options[int(rng.integers(len(options)))]
+    return options[rng.randrange(len(options))]
 
 
 OBJECTIVE_PANEL = (
@@ -422,13 +408,13 @@ def _verify_family(v: _Verifier, args) -> None:
 
 
 def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     worst = 0.0
     bad = None
     for name, obj in OBJECTIVE_PANEL:
         for _ in range(trials):
-            p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+            p = _random_pmf(rng, rng.randint(2, nmax))
             engine = generalized_huffman(p, CombineRule.for_objective(obj))
             res = brute_force_optimal(p, obj)
             gap = abs(engine.objective_value - res.min_value)
@@ -445,7 +431,7 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     ok = True
     detail = "oracle optimum inside the bound interval for every symbol"
     for _ in range(trials):
-        p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+        p = _random_pmf(rng, rng.randint(2, nmax))
         star = brute_force_optimal(p, Objective.max_pointwise()).min_value
         for idx, pj in enumerate(p):
             if not bnd.mmpr_bounds(pj, is_p1=(idx == 0)).contains(star):
@@ -460,7 +446,7 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     detail = "oracle optimum inside the interval for d in {0.25, 1, 4, -0.5}"
     for d in (0.25, 1.0, 4.0, -0.5):
         for _ in range(max(1, trials // 4)):
-            p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+            p = _random_pmf(rng, rng.randint(2, nmax))
             rd = brute_force_optimal(p, Objective.dth_exp(d)).min_value
             for idx, pj in enumerate(p):
                 if not bnd.dth_bounds(pj, d, is_p1=(idx == 0)).contains(rd):
@@ -476,7 +462,7 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     detail = "oracle optimum inside unit and per-symbol intervals for q in {0.6, 0.9, 1.5, 2}"
     for q in (0.6, 0.9, 1.5, 2.0):
         for _ in range(max(1, trials // 4)):
-            p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+            p = _random_pmf(rng, rng.randint(2, nmax))
             cost = brute_force_optimal(p, Objective.exp_average(q)).min_value
             if not bnd.exp_avg_unit_bounds(p, q).contains(cost):
                 ok, detail = False, f"unit bounds violated at q={q}"
@@ -494,7 +480,7 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     ok = True
     detail = "every optimum satisfies l_j <= ceil(-lg p_j)"
     for _ in range(trials):
-        p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+        p = _random_pmf(rng, rng.randint(2, nmax))
         res = brute_force_optimal(p, Objective.max_pointwise())
         for lv in res.argmin:
             for pj, lj in zip(p, lv):
@@ -507,7 +493,7 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     ok = True
     detail = "redundancy chain avg <= R^0.5 <= R^2 <= max held with slack >= -1e-12"
     for _ in range(trials):
-        p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+        p = _random_pmf(rng, rng.randint(2, nmax))
         lv = _random_lengths(rng, p.n)
         chain = (avg_redundancy(p, lv), dth_exp_redundancy(p, lv, 0.5),
                  dth_exp_redundancy(p, lv, 2.0), max_pointwise_redundancy(p, lv))
@@ -523,7 +509,7 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     detail = "power-transform identity held to 1e-9"
     for q in (0.6, 0.9, 1.5, 2.0):
         for _ in range(max(1, trials // 4)):
-            p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
+            p = _random_pmf(rng, rng.randint(2, nmax))
             lv = _random_lengths(rng, p.n)
             lhs = dth_exp_redundancy(bnd.hat_transform(p, q), lv, math.log2(q))
             rhs = exp_average_cost(p, lv, q) - renyi_entropy(p, alpha_of_q(q))
@@ -535,8 +521,8 @@ def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
     ok = True
     detail = "coder output equals the unary code for q <= 0.5"
     for _ in range(100):
-        p = _random_pmf(rng, int(rng.integers(2, nmax + 1)))
-        q = float(rng.uniform(0.05, 0.5))
+        p = _random_pmf(rng, rng.randint(2, nmax))
+        q = rng.uniform(0.05, 0.5)
         got = generalized_huffman(p, CombineRule.exp_base(q)).lengths
         if got.lengths != unary_code(p.n).lengths:
             ok, detail = False, f"q={fmt(q)} pmf=" + " ".join(fmt(x) for x in p)
@@ -568,8 +554,11 @@ def cmd_verify(args) -> int:
     if args.family:
         _verify_family(v, args)
     else:
-        cfg = RunConfig("verify", seed=args.seed, trials=args.trials)
-        _verify_campaign(v, args.n, cfg.trials, cfg.seed)
+        if args.trials < 1:
+            raise CodingError(f"trials must be >= 1, got {args.trials}")
+        if args.n < 2:
+            raise CodingError(f"n must be >= 2, got {args.n}")
+        _verify_campaign(v, args.n, args.trials, args.seed)
     lines.append("result: " + ("ok" if v.failures == 0 else f"{v.failures} failure(s)"))
     _emit("\n".join(lines), args.out)
     return 0 if v.failures == 0 else 1
@@ -641,10 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "objectives, with redundancy bounds and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_input):
-        sp.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+    def add_common(sp, formats, needs_input):
+        # each subcommand lists only the formats it writes; the last is the default
+        sp.add_argument("--format", choices=formats, default=formats[-1])
         sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument("--seed", type=int, default=42)
         if needs_input:
             sp.add_argument("--normalize", action="store_true",
                             help="rescale input to sum to 1 instead of rejecting")
@@ -656,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--objective", choices=("avg", "mmpr", "dexp", "expavg"), default="avg")
     sp.add_argument("--d", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
-    add_common(sp, needs_input=True)
+    add_common(sp, ("json", "csv", "plain"), needs_input=True)
     sp.set_defaults(func=cmd_code)
 
     sp = sub.add_parser("bounds", help="closed-form bounds on the optimal value")
@@ -669,13 +658,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="1-based symbol index the probability belongs to")
     sp.add_argument("--d", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
-    add_common(sp, needs_input=True)
+    add_common(sp, ("json", "plain"), needs_input=True)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("sweep", help="emit bound curves as CSV")
     sp.add_argument("--figure", choices=("mmpr", "dexp", "l1region"), required=True)
     sp.add_argument("--step", type=float, default=0.01)
-    add_common(sp, needs_input=False)
+    add_common(sp, ("csv",), needs_input=False)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the oracle-backed invariant battery")
@@ -686,11 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p1", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
-    add_common(sp, needs_input=False)
+    sp.add_argument("--seed", type=int, default=42)
+    add_common(sp, ("plain",), needs_input=False)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("benford", help="full worked example on the Benford distribution")
-    add_common(sp, needs_input=False)
+    add_common(sp, ("json", "plain"), needs_input=False)
     sp.set_defaults(func=cmd_benford)
 
     return parser

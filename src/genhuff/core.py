@@ -118,6 +118,16 @@ def ceil_neg_lg(p: float) -> int:
     return k
 
 
+def _first_non_positive(vals: Sequence[float]) -> str:
+    """Error text naming n and the first entry that is not finite and > 0.
+
+    Only the offending entry is quoted, so the message stays short at any n.
+    """
+    k = next(i for i, v in enumerate(vals) if not (0.0 < v < math.inf))
+    return (f"all probabilities must be finite and > 0: "
+            f"entry {k + 1} of {len(vals)} is {vals[k]!r}")
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function, strictly positive and sorted nonincreasing."""
@@ -128,13 +138,15 @@ class Pmf:
         if not self.probs:
             raise EmptyInput("pmf needs at least one symbol")
         if any(not (0.0 < p < math.inf) for p in self.probs):
-            raise NonPositiveProbability(
-                f"all probabilities must be finite and > 0: {self.probs}")
+            raise NonPositiveProbability(_first_non_positive(self.probs))
         total = math.fsum(self.probs)
         if abs(total - 1.0) > PMF_SUM_TOL:
-            raise SumNotOne(f"probabilities sum to {total!r}, not 1")
+            raise SumNotOne(f"{self.n} probabilities sum to {total!r}, not 1")
         if any(a < b for a, b in zip(self.probs, self.probs[1:])):
-            raise CodingError("probabilities must be sorted nonincreasing")
+            k = next(i for i in range(1, self.n) if self.probs[i - 1] < self.probs[i])
+            raise CodingError(
+                f"probabilities must be sorted nonincreasing: of {self.n}, entry {k} "
+                f"({self.probs[k - 1]!r}) < entry {k + 1} ({self.probs[k]!r})")
 
     @property
     def n(self) -> int:
@@ -153,16 +165,33 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
 
     Sorts into nonincreasing order unless ``assume_sorted`` (then the order
     is verified instead).  ``normalize=False`` means an off-by-more-than-1e-9
-    total raises SumNotOne; renormalization never happens silently.
+    total raises SumNotOne; renormalization never happens silently.  With
+    ``normalize=True``, values whose sum passes the float range are first
+    divided by the largest, and an entry that underflows to 0 on the way
+    raises NonPositiveProbability.  Error messages quote n and the first
+    offending entry, never the whole vector.
     """
     vals = [float(x) for x in raw]
     if not vals:
         raise EmptyInput("no probabilities given")
     if any(not (0.0 < v < math.inf) for v in vals):
-        raise NonPositiveProbability(f"all probabilities must be finite and > 0: {vals}")
+        raise NonPositiveProbability(_first_non_positive(vals))
     if normalize:
-        total = math.fsum(vals)
-        vals = [v / total for v in vals]
+        scaled = vals
+        try:
+            total = math.fsum(vals)
+        except OverflowError:
+            # finite values summing past the float range: scale by the largest first
+            top = max(vals)
+            scaled = [v / top for v in vals]
+            total = math.fsum(scaled)
+        normed = [v / total for v in scaled]
+        if 0.0 in normed:
+            k = normed.index(0.0)
+            raise NonPositiveProbability(
+                f"entry {k + 1} of {len(vals)} ({vals[k]!r}) underflows to 0 "
+                f"when normalised")
+        vals = normed
     if not assume_sorted:
         vals = sorted(vals, reverse=True)
     return Pmf(tuple(vals))
@@ -184,7 +213,10 @@ class LengthVector:
             raise EmptyInput("length vector needs at least one entry")
         for l in self.lengths:
             if not isinstance(l, int) or l < 0:
-                raise CodingError(f"lengths must be nonnegative integers: {self.lengths}")
+                # any earlier entry that is this very object would have failed first
+                k = next(i for i, x in enumerate(self.lengths) if x is l)
+                raise CodingError(f"lengths must be nonnegative integers: "
+                                  f"entry {k + 1} of {self.n} is {l!r}")
 
     @property
     def n(self) -> int:

@@ -34,6 +34,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env():
+    """The environment for a child interpreter that imports genhuff from this tree."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+
+
+def usage_error(capsys, *argv):
+    """(exit code, stderr) of an invocation argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
 class TestCode:
     def test_expavg_benford(self, capsys, benford_file):
         code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", "0.6",
@@ -95,6 +108,28 @@ class TestCode:
             assert code == 2
             assert out == ""
             assert "finite" in err
+
+    def test_normalize_past_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1e308\n1e308\n")
+        code, out, err = run(capsys, "code", "--normalize", str(path))
+        assert code == 0 and err == ""
+        assert "lengths: 1 1" in out
+        path.write_text("1e308\n1e308\n1e-300\n")
+        code, out, err = run(capsys, "code", "--normalize", str(path))
+        assert code == 2 and out == ""
+        assert "entry 3 of 3" in err
+
+    def test_bad_entry_message_is_bounded(self, capsys, tmp_path):
+        n = 100_000
+        lines = [repr(1.0 / n)] * n
+        lines[40_000] = "nan"
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "code", str(path))
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 1024
+        assert "entry 40001 of 100000 is nan" in err
 
     def test_unary_regime_bounds_are_exact(self, capsys, three_file):
         code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", "0.4",
@@ -234,6 +269,15 @@ class TestVerify:
         assert code == 0
         assert "upper bound attained" in out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "0", "trials must be >= 1"),
+        ("--n", "1", "n must be >= 2"),
+    ])
+    def test_campaign_domain(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "verify", flag, value)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_family_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mmpr-upper-high",
                            "--p1", "0.3")
@@ -294,18 +338,61 @@ class TestUsage:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--format", "json"),
+        ("verify", "--format", "csv"),
+        ("benford", "--format", "csv"),
+        ("bounds", "--p", "0.3", "--format", "csv"),
+        ("sweep", "--figure", "mmpr", "--format", "json"),
+        ("sweep", "--figure", "mmpr", "--format", "plain"),
+    ])
+    def test_unsupported_format_is_refused(self, capsys, argv):
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert "--format" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("code", "--seed", "1", "x.txt"),
+        ("bounds", "--p", "0.3", "--seed", "1"),
+        ("sweep", "--figure", "mmpr", "--seed", "1"),
+        ("benford", "--seed", "1"),
+    ])
+    def test_seed_only_where_randomness_is_used(self, capsys, argv):
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert "--seed" in err
+
     def test_closed_pipe_exits_quietly(self):
         # the read end is closed before the child starts, so its first
         # write to stdout fails with EPIPE
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run([sys.executable, "-m", "genhuff", "benford"],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
-                                  timeout=60)
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=child_env(), timeout=60)
         finally:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == EXIT_BROKEN_PIPE
+
+
+class TestStartup:
+    """genhuff needs nothing outside the standard library: numpy, which only
+    the test suite uses, must never be imported on the way to an answer."""
+
+    def test_cli_import_leaves_numpy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import genhuff.cli, sys; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_code_run_imports_no_numpy(self, three_file):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "genhuff", "code", three_file],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "lengths: 1 2 2" in proc.stdout
+        assert "genhuff.cli" in proc.stderr
+        assert "numpy" not in proc.stderr

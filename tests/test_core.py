@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from genhuff import (
     AlphaOutOfRange,
+    CodingError,
     DimensionMismatch,
     DOutOfRange,
     EmptyInput,
@@ -95,6 +96,36 @@ class TestValidatePmf:
         p = validate_pmf([2.0, 1.0, 1.0], normalize=True)
         assert p.probs == pytest.approx((0.5, 0.25, 0.25))
 
+    def test_normalize_past_float_range(self):
+        assert validate_pmf([1e308, 1e308], normalize=True).probs == (0.5, 0.5)
+        p = validate_pmf([1e308, 5e307, 5e307], normalize=True)
+        assert p.probs == pytest.approx((0.5, 0.25, 0.25))
+        with pytest.raises(NonPositiveProbability, match="entry 3 of 3"):
+            validate_pmf([1e308, 1e308, 1e-300], normalize=True)
+        with pytest.raises(NonPositiveProbability, match="entry 1 of 2"):
+            validate_pmf([5e-324, 4.0], normalize=True)
+
+    def test_messages_name_the_entry_not_the_vector(self):
+        n = 100_000
+        raw = [1.0 / n] * n
+        raw[50_000] = math.nan
+        for build in (validate_pmf, lambda r: Pmf(tuple(r))):
+            with pytest.raises(NonPositiveProbability) as exc:
+                build(raw)
+            msg = str(exc.value)
+            assert "entry 50001 of 100000 is nan" in msg
+            assert len(msg) < 200
+        with pytest.raises(SumNotOne) as exc:
+            Pmf(tuple([0.5 / n] * n))
+        assert str(exc.value).startswith(f"{n} probabilities sum to")
+        assert len(str(exc.value)) < 200
+        rising = [1.0 / n] * n
+        rising[7], rising[8] = 0.5 / n, 1.5 / n
+        with pytest.raises(CodingError) as exc:
+            validate_pmf(rising, assume_sorted=True)
+        assert "entry 8" in str(exc.value) and "entry 9" in str(exc.value)
+        assert len(str(exc.value)) < 200
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
     @settings(max_examples=100)
     def test_normalized_input_always_validates(self, raw):
@@ -132,6 +163,8 @@ class TestLengthVector:
             lv(1, -1)
         with pytest.raises(Exception):
             LengthVector((1.0, 2.0))
+        with pytest.raises(CodingError, match="entry 2 of 2 is 1.0"):
+            LengthVector((1, 1.0))
 
 
 class TestCeilNegLg:
