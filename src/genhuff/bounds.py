@@ -27,6 +27,7 @@ from .core import (
     alpha_of_q,
     binary_entropy,
     ceil_neg_lg,
+    cmp_ratio,
     lg,
     lg_sum_exp2,
     renyi_entropy,
@@ -73,12 +74,11 @@ def lambda_j(p_j: float) -> int:
     return ceil_neg_lg(p_j)
 
 
-def mmpr_bounds(p_j: float, is_p1: bool = False) -> BoundReport:
+def mmpr_bounds(p_j: float) -> BoundReport:
     """Tight bounds on minimized max pointwise redundancy given one p_j.
 
-    The bounds coincide for a general symbol and for the most probable
-    one (``is_p1`` is accepted for interface symmetry).  With
-    lam = ceil(-lg p_j):
+    The bounds are the same for a general symbol and for the most probable
+    one.  With lam = ceil(-lg p_j):
 
     * p_j = 1: the alphabet is a single symbol, redundancy exactly 0
     * p_j >= 2/3: exactly 1 + lg p_j
@@ -91,14 +91,14 @@ def mmpr_bounds(p_j: float, is_p1: bool = False) -> BoundReport:
         [lg((1-p_j)/(1-2^(1-lam))), lam + lg p_j]   (both ends attained)
 
     Half-open rows have an approachable upper endpoint; all lower
-    endpoints and the last row's upper endpoint are achievable.
+    endpoints and the last row's upper endpoint are achievable.  Rows
+    are chosen by exact comparison with their rational ends.
     """
-    del is_p1
     if not 0.0 < p_j <= 1.0:
         raise POutOfRange(f"probability must be in (0, 1], got {p_j}")
     if p_j == 1.0:
         return BoundReport(0.0, 0.0, BoundKind.EXACT, BoundKind.EXACT, exact=0.0)
-    if p_j >= 2.0 / 3.0:
+    if cmp_ratio(p_j, 2, 3) >= 0:
         v = 1.0 + lg(p_j)
         return BoundReport(v, v, BoundKind.EXACT, BoundKind.EXACT, exact=v)
     if p_j >= 0.5:
@@ -107,10 +107,10 @@ def mmpr_bounds(p_j: float, is_p1: bool = False) -> BoundReport:
     lam = ceil_neg_lg(p_j)
     upper_open = 1.0 + lg((1.0 - p_j) / (1.0 - 2.0 ** -lam))
     lower_late = lg((1.0 - p_j) / (1.0 - 2.0 ** (1 - lam)))
-    if p_j * (2 ** lam - 1) < 1.0:
+    if cmp_ratio(p_j, 1, 2 ** lam - 1) < 0:
         return BoundReport(lam + lg(p_j), upper_open,
                            BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
-    if p_j * (2 ** lam + 1) < 2.0:
+    if cmp_ratio(p_j, 2, 2 ** lam + 1) < 0:
         return BoundReport(lower_late, upper_open,
                            BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
     return BoundReport(lower_late, lam + lg(p_j),
@@ -128,7 +128,7 @@ def mmpr_length_bounds(p_j: float) -> tuple[int, int]:
         raise POutOfRange(f"probability must be in (0, 1), got {p_j}")
     nu_upper = ceil_neg_lg(p_j)
     nu_lower = 1
-    while p_j * (2 ** (nu_lower + 1) - 1) <= 1.0:
+    while cmp_ratio(p_j, 1, 2 ** (nu_lower + 1) - 1) <= 0:
         nu_lower += 1
     return nu_upper, nu_lower
 
@@ -175,7 +175,7 @@ def dth_bounds(p_j: float, d: float, is_p1: bool = False) -> BoundReport:
     """
     if not (-1.0 < d and d != 0.0):
         raise DOutOfRange(f"d must lie in (-1,0) or (0,inf), got {d}")
-    m = mmpr_bounds(p_j, is_p1)
+    m = mmpr_bounds(p_j)
     m_upper_kind = BoundKind.ACHIEVABLE if m.exact is not None else m.upper_kind
     if d > 0.0:
         return BoundReport(avg_redundancy_lower(p_j), m.upper,

@@ -4,10 +4,18 @@ Numbers are printed with 12 significant digits (round half even), and
 interval brackets follow the endpoint tags ('[' attained, '(' approached).
 The only randomness, the pmfs and length vectors the ``verify`` campaign
 samples, comes from ``random.Random(seed)``, so identical invocations
-produce byte-identical output on one Python version.  Each subcommand
-accepts only the ``--format`` values it honours, and only ``verify`` takes
-``--seed``.  The package imports nothing outside the standard library, so
-a call's start-up is the interpreter's and genhuff's own.
+produce byte-identical output on one Python version.  The package imports
+nothing outside the standard library, so a call's start-up is the
+interpreter's and genhuff's own.
+
+A flag that would have no effect is refused (exit 2).  ``code`` and
+``bounds`` take ``--d`` only under ``--objective dexp`` and ``--q`` only
+under ``expavg``; ``bounds`` takes the input file, ``--normalize`` and
+``--assume-sorted`` only under ``expavg``, and ``--p`` everywhere else.
+``verify`` without ``--family`` runs the campaign, a table of checks on
+random pmfs, and takes ``--n``, ``--trials`` and ``--seed``; with
+``--family`` it checks one witness pmf built from ``--p1``, ``--eps`` and
+``--q``.  Each subcommand takes only the ``--format`` values it honours.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports a
@@ -50,6 +58,10 @@ from .oracle import brute_force_optimal, enumerate_kraft_lengths
 __all__ = ["ParseError", "main"]
 
 EXIT_BROKEN_PIPE = 141
+
+CAMPAIGN_N = 6
+CAMPAIGN_TRIALS = 200
+CAMPAIGN_SEED = 42
 
 
 class ParseError(CodingError):
@@ -121,19 +133,23 @@ def load_pmf(path: str, assume_sorted: bool = False, normalize: bool = False) ->
     return validate_pmf(vals, assume_sorted=assume_sorted, normalize=normalize)
 
 
+def _refuse(args, context: str, *flags: str) -> None:
+    """Refuse the first of ``flags`` given (unset is None, or a switch's False; 0 is given)."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and value is not False:
+            raise CodingError(f"{flag} has no effect {context}")
+
+
 def _objective_from_args(args) -> Objective:
+    """The --objective with its parameter; another objective's parameter flag is refused."""
     name = args.objective
-    if name == "avg":
-        return Objective.avg()
-    if name == "mmpr":
-        return Objective.max_pointwise()
-    if name == "dexp":
-        if args.d is None:
-            raise CodingError("--objective dexp requires --d")
-        return Objective.dth_exp(args.d)
-    if args.q is None:
-        raise CodingError("--objective expavg requires --q")
-    return Objective.exp_average(args.q)
+    for owner, flag in (("dexp", "--d"), ("expavg", "--q")):
+        if owner != name:
+            _refuse(args, f"under --objective {name}", flag)
+        elif getattr(args, flag[2:]) is None:
+            raise CodingError(f"--objective {name} requires {flag}")
+    return Objective(ObjectiveKind(name), args.d if name == "dexp" else args.q)
 
 
 def _entropy_for(p: Pmf, obj: Objective) -> float:
@@ -156,7 +172,7 @@ def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> BoundReport:
                            bnd.avg_redundancy_upper_gallager(p1),
                            BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
     if obj.kind is ObjectiveKind.MAX_POINTWISE:
-        return bnd.mmpr_bounds(p1, is_p1=True)
+        return bnd.mmpr_bounds(p1)
     if obj.kind is ObjectiveKind.DTH_EXP:
         return bnd.dth_bounds(p1, obj.param, is_p1=True)
     if obj.param <= 0.5:
@@ -208,28 +224,29 @@ def cmd_code(args) -> int:
 def cmd_bounds(args) -> int:
     obj_name = args.objective
     j = args.j
+    if j < 1:
+        raise CodingError(f"--j must be >= 1, got {j}")
+    obj = _objective_from_args(args)
     doc: dict = {"objective": obj_name, "j": j}
     if obj_name == "expavg":
-        if args.q is None:
-            raise CodingError("--objective expavg requires --q")
+        _refuse(args, "under --objective expavg", "--p")
         if args.input is None:
             raise CodingError("expavg bounds need an input distribution file")
         p = load_pmf(args.input, assume_sorted=args.assume_sorted,
                      normalize=args.normalize)
-        report = bnd.exp_avg_bounds(p, args.q, j)
-        doc.update(param=_round12(args.q), n=p.n)
+        report = bnd.exp_avg_bounds(p, obj.param, j)
+        doc.update(param=_round12(obj.param), n=p.n)
     else:
+        _refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
         if args.p is None:
             raise CodingError(f"--objective {obj_name} bounds need --p")
         pj = args.p
         if obj_name == "mmpr":
-            report = bnd.mmpr_bounds(pj, is_p1=(j == 1))
+            report = bnd.mmpr_bounds(pj)
             doc.update(param=None, p_j=_round12(pj))
         elif obj_name == "dexp":
-            if args.d is None:
-                raise CodingError("--objective dexp requires --d")
-            report = bnd.dth_bounds(pj, args.d, is_p1=(j == 1))
-            doc.update(param=_round12(args.d), p_j=_round12(pj))
+            report = bnd.dth_bounds(pj, obj.param, is_p1=(j == 1))
+            doc.update(param=_round12(obj.param), p_j=_round12(pj))
         else:
             lo = bnd.avg_redundancy_lower(pj)
             if j == 1:
@@ -306,6 +323,10 @@ def _random_lengths(rng: random.Random, n: int) -> LengthVector:
     return options[rng.randrange(len(options))]
 
 
+def _pmf_str(p: Pmf) -> str:
+    return " ".join(fmt(x) for x in p)
+
+
 OBJECTIVE_PANEL = (
     ("avg", Objective.avg()),
     ("mmpr", Objective.max_pointwise()),
@@ -316,6 +337,13 @@ OBJECTIVE_PANEL = (
     ("expavg q=0.9", Objective.exp_average(0.9)),
     ("expavg q=1.5", Objective.exp_average(1.5)),
     ("expavg q=2", Objective.exp_average(2.0)),
+)
+
+WITNESS_PANEL = (
+    wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_HIGH, p1=0.7),
+    wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_MID, p1=0.45),
+    wit.WitnessFamily(wit.FamilyKind.MMPR_LOWER_A, p1=0.4),
+    wit.WitnessFamily(wit.FamilyKind.MMPR_LOWER_B, p1=0.3),
 )
 
 
@@ -331,237 +359,206 @@ def one_bit_l1_cost_bound(q: float, p1: float) -> float:
     return math.log(q * p1 + (1.0 - p1) * q ** (3 + m), q)
 
 
-class _Verifier:
-    def __init__(self, emit):
-        self.emit = emit
-        self.failures = 0
-
-    def check(self, name: str, ok: bool, detail: str) -> None:
-        if ok:
-            self.emit(f"PASS {name}: {detail}")
-        else:
-            self.failures += 1
-            self.emit(f"FAIL {name}: {detail}")
-
-
-def _verify_family(v: _Verifier, args) -> None:
-    kind = wit.FamilyKind(args.family)
-    fam = wit.WitnessFamily(kind, p1=args.p1, eps=args.eps, q=args.q)
-    p = wit.generate(fam)
-    v.emit("pmf: " + " ".join(fmt(x) for x in p))
-
+def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) for each claim that p, the pmf of ``fam``, backs."""
+    kind, p1 = fam.kind, p.probs[0]
     if kind is wit.FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1:
-        obj = Objective.exp_average(args.q)
+        obj = Objective.exp_average(fam.q)
         engine = generalized_huffman(p, CombineRule.for_objective(obj))
-        best_l1 = one_bit_l1_cost_bound(args.q, args.p1)
+        best_l1 = one_bit_l1_cost_bound(fam.q, fam.p1)
+        checks = []
         if p.n <= 18:
             res = brute_force_optimal(p, obj, max_n=18)
-            ok = all(lv.lengths[0] >= 2 for lv in res.argmin)
-            v.check("l1-counter oracle", ok,
-                    f"n={p.n}, every optimum has l_1 >= 2, min={fmt(res.min_value)}")
-        ok = engine.objective_value < best_l1 - 1e-9
-        v.check("l1-counter dominance", ok,
-                f"engine cost {fmt(engine.objective_value)} beats best one-bit-l_1 "
-                f"cost {fmt(best_l1)}, so l_1 >= 2 in every optimum")
-        return
-
+            checks.append(("l1-counter oracle", all(lv.lengths[0] >= 2 for lv in res.argmin),
+                           f"n={p.n}, every optimum has l_1 >= 2, min={fmt(res.min_value)}"))
+        checks.append(("l1-counter dominance", engine.objective_value < best_l1 - 1e-9,
+                       f"engine cost {fmt(engine.objective_value)} beats best one-bit-l_1 "
+                       f"cost {fmt(best_l1)}, so l_1 >= 2 in every optimum"))
+        return checks
     if kind is wit.FamilyKind.L1_ALWAYS_ONE_Q_LT_1:
-        engine = generalized_huffman(p, CombineRule.exp_base(args.q))
-        v.check("l1-always-one", engine.lengths.lengths[0] == 1,
-                f"engine l_1 = {engine.lengths.lengths[0]}")
-        return
-
+        l1 = generalized_huffman(p, CombineRule.exp_base(fam.q)).lengths.lengths[0]
+        return [("l1-always-one", l1 == 1, f"engine l_1 = {l1}")]
     if kind is wit.FamilyKind.L1_BOUNDARY_Q_LE_1:
-        obj = Objective.avg() if args.q == 1.0 else Objective.exp_average(args.q)
-        res = brute_force_optimal(p, obj)
-        ok = res.argmin_lengths() == ((2, 2, 2, 2),)
-        v.check("l1-boundary", ok, f"unique optimum {res.argmin_lengths()}")
-        return
+        obj = Objective.avg() if fam.q == 1.0 else Objective.exp_average(fam.q)
+        optima = brute_force_optimal(p, obj).argmin_lengths()
+        return [("l1-boundary", optima == ((2, 2, 2, 2),), f"unique optimum {optima}")]
 
     res = brute_force_optimal(p, Objective.max_pointwise())
-    r = bnd.mmpr_bounds(p.probs[0], is_p1=True)
-    lam = bnd.lambda_j(p.probs[0])
-    if kind in (wit.FamilyKind.MMPR_UPPER_HIGH, wit.FamilyKind.MMPR_UPPER_MID):
-        target, name = r.upper, "upper bound attained"
-        ok = abs(res.min_value - target) <= 1e-9
-    elif kind is wit.FamilyKind.MMPR_UPPER_LOW:
-        target, name = r.upper, "upper bound approached"
-        ok = 0.0 <= target - res.min_value < 0.01
-    elif kind in (wit.FamilyKind.MMPR_LOWER_A, wit.FamilyKind.MMPR_LOWER_B):
-        target, name = r.lower, "lower bound attained"
-        ok = abs(res.min_value - target) <= 1e-9
-    elif kind is wit.FamilyKind.LEN_UPPER_TIGHT:
-        ok = all(lv.lengths[0] >= lam for lv in res.argmin)
-        v.check("len-upper-tight", ok,
-                f"every optimum has l_1 >= {lam} although ceil(-lg p_1) = {lam}")
-        return
+    firsts = [lv.lengths[0] for lv in res.argmin]
+    lam = bnd.lambda_j(p1)
+    if kind is wit.FamilyKind.LEN_UPPER_TIGHT:
+        return [("len-upper-tight", min(firsts) >= lam,
+                 f"every optimum has l_1 >= {lam} although ceil(-lg p_1) = {lam}")]
+    if kind is wit.FamilyKind.LEN_LOWER_TIGHT:
+        expected = lam + math.log2((1.0 - p1) / (2 ** lam - 2))
+        ok = max(firsts) == lam - 1 and abs(res.min_value - expected) <= 1e-9
+        return [("len-lower-tight", ok, f"optimal l_1 = {lam - 1}, value {fmt(res.min_value)}")]
+
+    # an MMPR endpoint family: the bound's own tag says attained or approached
+    r = bnd.mmpr_bounds(p1)
+    end = "upper" if kind.value.startswith("mmpr-upper") else "lower"
+    target, tag = (r.upper, r.upper_kind) if end == "upper" else (r.lower, r.lower_kind)
+    if tag is BoundKind.APPROACHABLE:
+        how, ok = "approached", 0.0 <= target - res.min_value < 0.01
     else:
-        nu = lam
-        expected = nu + math.log2((1.0 - p.probs[0]) / (2 ** nu - 2))
-        ok = (any(lv.lengths[0] == nu - 1 for lv in res.argmin)
-              and all(lv.lengths[0] <= nu - 1 for lv in res.argmin)
-              and abs(res.min_value - expected) <= 1e-9)
-        v.check("len-lower-tight", ok,
-                f"optimal l_1 = {nu - 1}, value {fmt(res.min_value)}")
-        return
-    v.check(kind.value, ok, f"{name}: oracle {fmt(res.min_value)} vs {fmt(target)}")
+        how, ok = "attained", abs(res.min_value - target) <= 1e-9
+    return [(kind.value, ok, f"{end} bound {how}: oracle {fmt(res.min_value)} vs {fmt(target)}")]
 
 
-def _verify_campaign(v: _Verifier, nmax: int, trials: int, seed: int) -> None:
+class _EngineOracle:
+    """The engine-oracle case; str() is its PASS detail, with the largest gap."""
+
+    def __init__(self, trials: int):
+        self.trials = trials
+        self.worst = 0.0
+
+    def __str__(self) -> str:
+        return (f"max |engine - oracle| = {self.worst:.3g} over {self.trials} pmfs x "
+                f"{len(OBJECTIVE_PANEL)} objectives")
+
+    def __call__(self, rng, named, p):
+        name, obj = named
+        engine = generalized_huffman(p, CombineRule.for_objective(obj))
+        gap = abs(engine.objective_value - brute_force_optimal(p, obj).min_value)
+        self.worst = max(self.worst, gap)
+        if gap > 1e-9:
+            return f"{self}; counterexample {name} pmf=" + _pmf_str(p)
+        return None
+
+
+def _mmpr_sandwich(rng, _, p):
+    star = brute_force_optimal(p, Objective.max_pointwise()).min_value
+    for pj in p:
+        if not bnd.mmpr_bounds(pj).contains(star):
+            return f"violated at p_j={fmt(pj)} pmf=" + _pmf_str(p)
+    return None
+
+
+def _dth_sandwich(rng, d, p):
+    rd = brute_force_optimal(p, Objective.dth_exp(d)).min_value
+    for idx, pj in enumerate(p):
+        if not bnd.dth_bounds(pj, d, is_p1=(idx == 0)).contains(rd):
+            return f"violated at d={d} p_j={fmt(pj)} pmf=" + _pmf_str(p)
+    return None
+
+
+def _exp_avg_sandwich(rng, q, p):
+    cost = brute_force_optimal(p, Objective.exp_average(q)).min_value
+    if not bnd.exp_avg_unit_bounds(p, q).contains(cost):
+        return f"unit bounds violated at q={q}"
+    for j in range(1, p.n + 1):
+        if not bnd.exp_avg_bounds(p, q, j).contains(cost):
+            return f"violated at q={q} j={j} pmf=" + _pmf_str(p)
+    return None
+
+
+def _length_conformance(rng, _, p):
+    for lv in brute_force_optimal(p, Objective.max_pointwise()).argmin:
+        if any(lj > bnd.lambda_j(pj) for pj, lj in zip(p, lv)):
+            return f"l={lv.lengths} pmf=" + _pmf_str(p)
+    return None
+
+
+def _moment_ordering(rng, _, p):
+    lv = _random_lengths(rng, p.n)
+    chain = (avg_redundancy(p, lv), dth_exp_redundancy(p, lv, 0.5),
+             dth_exp_redundancy(p, lv, 2.0), max_pointwise_redundancy(p, lv))
+    neg = dth_exp_redundancy(p, lv, -0.5)
+    if any(a > b + 1e-12 for a, b in zip(chain, chain[1:])) \
+            or not -1e-12 <= neg <= chain[0] + 1e-12:
+        return "violated for pmf=" + _pmf_str(p)
+    return None
+
+
+def _transform_identity(rng, q, p):
+    lv = _random_lengths(rng, p.n)
+    lhs = dth_exp_redundancy(bnd.hat_transform(p, q), lv, math.log2(q))
+    rhs = exp_average_cost(p, lv, q) - renyi_entropy(p, alpha_of_q(q))
+    return f"q={q} pmf=" + _pmf_str(p) if abs(lhs - rhs) > 1e-9 else None
+
+
+def _unary_regime(rng, _, p):
+    q = rng.uniform(0.05, 0.5)
+    got = generalized_huffman(p, CombineRule.exp_base(q)).lengths
+    return f"q={fmt(q)} pmf=" + _pmf_str(p) if got != unary_code(p.n) else None
+
+
+def _witness_tightness(rng, fam, p):
+    return next((f"{name}: {detail}" for name, ok, detail in _witness_checks(fam, p)
+                 if not ok), None)
+
+
+def _case_pmf(rng: random.Random, nmax: int, param) -> Pmf:
+    """A witness family brings its own pmf; every other case draws one."""
+    if isinstance(param, wit.WitnessFamily):
+        return wit.generate(param)
+    return _random_pmf(rng, rng.randint(2, nmax))
+
+
+def _campaign(trials: int) -> tuple:
+    """The campaign's checks in run order, one row each: (name, PASS detail,
+    parameters, cases per parameter, case function).  A case function takes
+    (rng, parameter, pmf) and returns None or a failure detail."""
+    quarter = max(1, trials // 4)
+    qs = (0.6, 0.9, 1.5, 2.0)
+    engine_oracle = _EngineOracle(trials)
+    return (
+        ("engine-oracle equivalence", engine_oracle, OBJECTIVE_PANEL, trials, engine_oracle),
+        ("mmpr sandwich", "oracle optimum inside the bound interval for every symbol",
+         (None,), trials, _mmpr_sandwich),
+        ("dth sandwich", "oracle optimum inside the interval for d in {0.25, 1, 4, -0.5}",
+         (0.25, 1.0, 4.0, -0.5), quarter, _dth_sandwich),
+        ("exp-average sandwich",
+         "oracle optimum inside unit and per-symbol intervals for q in {0.6, 0.9, 1.5, 2}",
+         qs, quarter, _exp_avg_sandwich),
+        ("length conformance", "every optimum satisfies l_j <= ceil(-lg p_j)",
+         (None,), trials, _length_conformance),
+        ("moment ordering",
+         "redundancy chain avg <= R^0.5 <= R^2 <= max held with slack >= -1e-12",
+         (None,), trials, _moment_ordering),
+        ("transform identity", "power-transform identity held to 1e-9",
+         qs, quarter, _transform_identity),
+        ("unary regime", "coder output equals the unary code for q <= 0.5",
+         (None,), 100, _unary_regime),
+        ("witness tightness", "witness distributions attain their bound endpoints to 1e-9",
+         WITNESS_PANEL, 1, _witness_tightness),
+    )
+
+
+def _run_campaign(nmax: int, trials: int, seed: int) -> list[tuple[str, bool, str]]:
+    """Run each check, until its first failure, on pmfs from one ``random.Random(seed)``."""
     rng = random.Random(seed)
-
-    worst = 0.0
-    bad = None
-    for name, obj in OBJECTIVE_PANEL:
-        for _ in range(trials):
-            p = _random_pmf(rng, rng.randint(2, nmax))
-            engine = generalized_huffman(p, CombineRule.for_objective(obj))
-            res = brute_force_optimal(p, obj)
-            gap = abs(engine.objective_value - res.min_value)
-            if gap > worst:
-                worst, bad = gap, (name, p)
-            if gap > 1e-9:
-                break
-    v.check("engine-oracle equivalence", worst <= 1e-9,
-            f"max |engine - oracle| = {worst:.3g} over {trials} pmfs x "
-            f"{len(OBJECTIVE_PANEL)} objectives"
-            + ("" if worst <= 1e-9 else f"; counterexample {bad[0]} pmf="
-               + " ".join(fmt(x) for x in bad[1])))
-
-    ok = True
-    detail = "oracle optimum inside the bound interval for every symbol"
-    for _ in range(trials):
-        p = _random_pmf(rng, rng.randint(2, nmax))
-        star = brute_force_optimal(p, Objective.max_pointwise()).min_value
-        for idx, pj in enumerate(p):
-            if not bnd.mmpr_bounds(pj, is_p1=(idx == 0)).contains(star):
-                ok = False
-                detail = f"violated at p_j={fmt(pj)} pmf=" + " ".join(fmt(x) for x in p)
-                break
-        if not ok:
-            break
-    v.check("mmpr sandwich", ok, detail)
-
-    ok = True
-    detail = "oracle optimum inside the interval for d in {0.25, 1, 4, -0.5}"
-    for d in (0.25, 1.0, 4.0, -0.5):
-        for _ in range(max(1, trials // 4)):
-            p = _random_pmf(rng, rng.randint(2, nmax))
-            rd = brute_force_optimal(p, Objective.dth_exp(d)).min_value
-            for idx, pj in enumerate(p):
-                if not bnd.dth_bounds(pj, d, is_p1=(idx == 0)).contains(rd):
-                    ok = False
-                    detail = (f"violated at d={d} p_j={fmt(pj)} pmf="
-                              + " ".join(fmt(x) for x in p))
-                    break
-            if not ok:
-                break
-    v.check("dth sandwich", ok, detail)
-
-    ok = True
-    detail = "oracle optimum inside unit and per-symbol intervals for q in {0.6, 0.9, 1.5, 2}"
-    for q in (0.6, 0.9, 1.5, 2.0):
-        for _ in range(max(1, trials // 4)):
-            p = _random_pmf(rng, rng.randint(2, nmax))
-            cost = brute_force_optimal(p, Objective.exp_average(q)).min_value
-            if not bnd.exp_avg_unit_bounds(p, q).contains(cost):
-                ok, detail = False, f"unit bounds violated at q={q}"
-                break
-            for j in range(1, p.n + 1):
-                if not bnd.exp_avg_bounds(p, q, j).contains(cost):
-                    ok = False
-                    detail = (f"violated at q={q} j={j} pmf="
-                              + " ".join(fmt(x) for x in p))
-                    break
-            if not ok:
-                break
-    v.check("exp-average sandwich", ok, detail)
-
-    ok = True
-    detail = "every optimum satisfies l_j <= ceil(-lg p_j)"
-    for _ in range(trials):
-        p = _random_pmf(rng, rng.randint(2, nmax))
-        res = brute_force_optimal(p, Objective.max_pointwise())
-        for lv in res.argmin:
-            for pj, lj in zip(p, lv):
-                if lj > bnd.lambda_j(pj):
-                    ok = False
-                    detail = f"l={lv.lengths} pmf=" + " ".join(fmt(x) for x in p)
-                    break
-    v.check("length conformance", ok, detail)
-
-    ok = True
-    detail = "redundancy chain avg <= R^0.5 <= R^2 <= max held with slack >= -1e-12"
-    for _ in range(trials):
-        p = _random_pmf(rng, rng.randint(2, nmax))
-        lv = _random_lengths(rng, p.n)
-        chain = (avg_redundancy(p, lv), dth_exp_redundancy(p, lv, 0.5),
-                 dth_exp_redundancy(p, lv, 2.0), max_pointwise_redundancy(p, lv))
-        neg = dth_exp_redundancy(p, lv, -0.5)
-        if any(a > b + 1e-12 for a, b in zip(chain, chain[1:])) \
-                or not -1e-12 <= neg <= chain[0] + 1e-12:
-            ok = False
-            detail = f"violated for pmf=" + " ".join(fmt(x) for x in p)
-            break
-    v.check("moment ordering", ok, detail)
-
-    ok = True
-    detail = "power-transform identity held to 1e-9"
-    for q in (0.6, 0.9, 1.5, 2.0):
-        for _ in range(max(1, trials // 4)):
-            p = _random_pmf(rng, rng.randint(2, nmax))
-            lv = _random_lengths(rng, p.n)
-            lhs = dth_exp_redundancy(bnd.hat_transform(p, q), lv, math.log2(q))
-            rhs = exp_average_cost(p, lv, q) - renyi_entropy(p, alpha_of_q(q))
-            if abs(lhs - rhs) > 1e-9:
-                ok, detail = False, f"q={q} pmf=" + " ".join(fmt(x) for x in p)
-                break
-    v.check("transform identity", ok, detail)
-
-    ok = True
-    detail = "coder output equals the unary code for q <= 0.5"
-    for _ in range(100):
-        p = _random_pmf(rng, rng.randint(2, nmax))
-        q = rng.uniform(0.05, 0.5)
-        got = generalized_huffman(p, CombineRule.exp_base(q)).lengths
-        if got.lengths != unary_code(p.n).lengths:
-            ok, detail = False, f"q={fmt(q)} pmf=" + " ".join(fmt(x) for x in p)
-            break
-    v.check("unary regime", ok, detail)
-
-    panel = [
-        ("mmpr-upper-high", wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_HIGH, p1=0.7)),
-        ("mmpr-upper-mid", wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_MID, p1=0.45)),
-        ("mmpr-lower-a", wit.WitnessFamily(wit.FamilyKind.MMPR_LOWER_A, p1=0.4)),
-        ("mmpr-lower-b", wit.WitnessFamily(wit.FamilyKind.MMPR_LOWER_B, p1=0.3)),
-    ]
-    ok = True
-    detail = "witness distributions attain their bound endpoints to 1e-9"
-    for name, fam in panel:
-        p = wit.generate(fam)
-        res = brute_force_optimal(p, Objective.max_pointwise())
-        r = bnd.mmpr_bounds(p.probs[0], is_p1=True)
-        target = r.upper if "upper" in name else r.lower
-        if abs(res.min_value - target) > 1e-9:
-            ok, detail = False, f"{name}: oracle {fmt(res.min_value)} vs {fmt(target)}"
-            break
-    v.check("witness tightness", ok, detail)
+    results = []
+    for name, passed, params, cases, case in _campaign(trials):
+        outcomes = (case(rng, param, _case_pmf(rng, nmax, param))
+                    for param in params for _ in range(cases))
+        failure = next((f for f in outcomes if f is not None), None)
+        results.append((name, failure is None, str(passed) if failure is None else failure))
+    return results
 
 
 def cmd_verify(args) -> int:
-    lines: list[str] = []
-    v = _Verifier(lines.append)
     if args.family:
-        _verify_family(v, args)
+        _refuse(args, "with --family", "--n", "--trials", "--seed")
+        fam = wit.WitnessFamily(wit.FamilyKind(args.family), p1=args.p1, eps=args.eps, q=args.q)
+        p = wit.generate(fam)
+        lines = ["pmf: " + _pmf_str(p)]
+        results = _witness_checks(fam, p)
     else:
-        if args.trials < 1:
-            raise CodingError(f"trials must be >= 1, got {args.trials}")
-        if args.n < 2:
-            raise CodingError(f"n must be >= 2, got {args.n}")
-        _verify_campaign(v, args.n, args.trials, args.seed)
-    lines.append("result: " + ("ok" if v.failures == 0 else f"{v.failures} failure(s)"))
+        _refuse(args, "without --family", "--p1", "--eps", "--q")
+        nmax = CAMPAIGN_N if args.n is None else args.n
+        trials = CAMPAIGN_TRIALS if args.trials is None else args.trials
+        if trials < 1:
+            raise CodingError(f"trials must be >= 1, got {trials}")
+        if nmax < 2:
+            raise CodingError(f"n must be >= 2, got {nmax}")
+        lines = []
+        results = _run_campaign(nmax, trials, CAMPAIGN_SEED if args.seed is None else args.seed)
+    failures = sum(not ok for _, ok, _ in results)
+    lines += [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
+    lines.append("result: " + ("ok" if failures == 0 else f"{failures} failure(s)"))
     _emit("\n".join(lines), args.out)
-    return 0 if v.failures == 0 else 1
+    return 0 if failures == 0 else 1
 
 
 def _benford_block(p: Pmf, q: float) -> dict:
@@ -643,21 +640,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("code", help="construct an optimal code for a distribution")
     sp.add_argument("input", help="probabilities, one per line or a JSON array; '-' for stdin")
     sp.add_argument("--objective", choices=("avg", "mmpr", "dexp", "expavg"), default="avg")
-    sp.add_argument("--d", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
+    sp.add_argument("--d", type=float, default=None, help="dexp only: the order d")
+    sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
     add_common(sp, ("json", "csv", "plain"), needs_input=True)
     sp.set_defaults(func=cmd_code)
 
     sp = sub.add_parser("bounds", help="closed-form bounds on the optimal value")
     sp.add_argument("input", nargs="?", default=None,
-                    help="distribution file (required for expavg)")
+                    help="expavg only (and required there): distribution file")
     sp.add_argument("--objective", choices=("avg", "mmpr", "dexp", "expavg"),
                     default="mmpr")
-    sp.add_argument("--p", type=float, default=None, help="known symbol probability")
+    sp.add_argument("--p", type=float, default=None,
+                    help="all but expavg: known symbol probability")
     sp.add_argument("--j", type=int, default=1,
                     help="1-based symbol index the probability belongs to")
-    sp.add_argument("--d", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
+    sp.add_argument("--d", type=float, default=None, help="dexp only: the order d")
+    sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
     add_common(sp, ("json", "plain"), needs_input=True)
     sp.set_defaults(func=cmd_bounds)
 
@@ -668,14 +666,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the oracle-backed invariant battery")
-    sp.add_argument("--n", type=int, default=6, help="largest random alphabet size")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--n", type=int, default=None,
+                    help=f"campaign only: largest random alphabet size (default {CAMPAIGN_N})")
+    sp.add_argument("--trials", type=int, default=None,
+                    help=f"campaign only: random pmfs per check (default {CAMPAIGN_TRIALS})")
+    sp.add_argument("--seed", type=int, default=None,
+                    help=f"campaign only: seed of the random pmfs (default {CAMPAIGN_SEED})")
     sp.add_argument("--family", choices=[k.value for k in wit.FamilyKind], default=None,
                     help="check one witness family instead of the full campaign")
-    sp.add_argument("--p1", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--p1", type=float, default=None, help="--family only: top probability")
+    sp.add_argument("--eps", type=float, default=None, help="--family only: free tail mass")
+    sp.add_argument("--q", type=float, default=None, help="--family only: exponential base")
     add_common(sp, ("plain",), needs_input=False)
     sp.set_defaults(func=cmd_verify)
 

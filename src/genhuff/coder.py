@@ -47,6 +47,7 @@ from .core import (
     CodingError,
     LengthVector,
     Objective,
+    ObjectiveKind,
     Pmf,
     ceil_neg_lg,
 )
@@ -78,24 +79,27 @@ class RuleKind(Enum):
     EXP_BASE = "exp_base"
 
 
+_RULE_OF = {
+    ObjectiveKind.AVG_REDUNDANCY: RuleKind.SUM,
+    ObjectiveKind.MAX_POINTWISE: RuleKind.MAX_DOUBLE,
+    ObjectiveKind.DTH_EXP: RuleKind.DTH_EXP,
+    ObjectiveKind.EXP_AVERAGE: RuleKind.EXP_BASE,
+}
+_OBJECTIVE_OF = {rule: objective for objective, rule in _RULE_OF.items()}
+
+
 @dataclass(frozen=True)
 class CombineRule:
-    """Weight-combining rule f(a, b), strictly increasing in each argument."""
+    """Weight-combining rule f(a, b), strictly increasing in each argument.
+
+    The parameter is validated by the ``Objective`` the rule minimizes.
+    """
 
     kind: RuleKind
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind is RuleKind.DTH_EXP:
-            d = self.param
-            if d is None or not (-1.0 < d and d != 0.0):
-                raise CodingError(f"d must lie in (-1,0) or (0,inf), got {d}")
-        elif self.kind is RuleKind.EXP_BASE:
-            q = self.param
-            if q is None or not (q > 0.0 and q != 1.0):
-                raise CodingError(f"q must lie in (0,inf) excluding 1, got {q}")
-        elif self.param is not None:
-            raise CodingError(f"{self.kind.value} rule takes no parameter")
+        self.objective()
 
     @staticmethod
     def sum() -> "CombineRule":
@@ -115,24 +119,10 @@ class CombineRule:
 
     @staticmethod
     def for_objective(obj: Objective) -> "CombineRule":
-        from .core import ObjectiveKind
-
-        table = {
-            ObjectiveKind.AVG_REDUNDANCY: RuleKind.SUM,
-            ObjectiveKind.MAX_POINTWISE: RuleKind.MAX_DOUBLE,
-            ObjectiveKind.DTH_EXP: RuleKind.DTH_EXP,
-            ObjectiveKind.EXP_AVERAGE: RuleKind.EXP_BASE,
-        }
-        return CombineRule(table[obj.kind], obj.param)
+        return CombineRule(_RULE_OF[obj.kind], obj.param)
 
     def objective(self) -> Objective:
-        if self.kind is RuleKind.SUM:
-            return Objective.avg()
-        if self.kind is RuleKind.MAX_DOUBLE:
-            return Objective.max_pointwise()
-        if self.kind is RuleKind.DTH_EXP:
-            return Objective.dth_exp(self.param)
-        return Objective.exp_average(self.param)
+        return Objective(_OBJECTIVE_OF[self.kind], self.param)
 
     @property
     def log_domain(self) -> bool:

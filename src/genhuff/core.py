@@ -41,6 +41,7 @@ __all__ = [
     "lg",
     "lg_sum_exp2",
     "ceil_neg_lg",
+    "cmp_ratio",
     "shannon_entropy",
     "binary_entropy",
     "renyi_entropy",
@@ -116,6 +117,13 @@ def ceil_neg_lg(p: float) -> int:
         v *= 2.0
         k += 1
     return k
+
+
+def cmp_ratio(p: float, num: int, den: int) -> int:
+    """Sign of p - num/den (-1, 0 or 1), exact where a float product such
+    as p * (2^lam - 1) rounds the float nearest 1/(2^lam - 1) across it."""
+    diff = Fraction(p) * den - num
+    return (diff > 0) - (diff < 0)
 
 
 def _first_non_positive(vals: Sequence[float]) -> str:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import CodingError, Pmf, ceil_neg_lg, lg
+from .core import CodingError, Pmf, ceil_neg_lg, cmp_ratio, lg
 
 __all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate"]
 
@@ -84,7 +84,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # attaining lam + lg p_1 on [2/(2^lam+1), 2^(1-lam))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
         lam = _lam_at_least_2(p1)
-        _need(p1 * (2 ** lam + 1) >= 2.0,
+        _need(cmp_ratio(p1, 2, 2 ** lam + 1) >= 0,
               f"p_1={p1} below 2/(2^{lam}+1), outside the attainment range")
         width = 1.0 - p1 * 2.0 ** (lam - 1)
         e = _default_eps(width) if eps is None else eps
@@ -97,7 +97,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # 1 + lg((1-p_1)/(1-2^-lam)) as eps -> 0 on [2^-lam, 2/(2^lam+1))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
         lam = _lam_at_least_2(p1)
-        _need(p1 * (2 ** lam + 1) < 2.0,
+        _need(cmp_ratio(p1, 2, 2 ** lam + 1) < 0,
               f"p_1={p1} at or above 2/(2^{lam}+1), outside the approach range")
         width = min((1.0 - p1) / 2 ** lam, 1.0 - p1 * (2 ** lam + 1) / 2.0)
         e = _default_eps(width) if eps is None else eps
@@ -111,7 +111,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # p_1 in [1/(2^lam - 1), 2^(1-lam))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
         lam = _lam_at_least_2(p1)
-        _need(p1 * (2 ** lam - 1) >= 1.0,
+        _need(cmp_ratio(p1, 1, 2 ** lam - 1) >= 0,
               f"p_1={p1} below 1/(2^{lam}-1), outside the attainment range")
         mid = (1.0 - p1) / (2 ** lam - 2)
         return Pmf((p1,) + (mid,) * (2 ** lam - 2))
@@ -121,7 +121,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # tree attaining lam + lg p_1 for p_1 in [2^-lam, 1/(2^lam - 1))
         _need(p1 is not None and 0.0 < p1 < 1.0, f"needs p_1 in (0, 1), got {p1}")
         lam = ceil_neg_lg(p1)
-        _need(p1 * (2 ** lam - 1) < 1.0,
+        _need(cmp_ratio(p1, 1, 2 ** lam - 1) < 0,
               f"p_1={p1} at or above 1/(2^{lam}-1), outside the attainment range")
         mid = 2.0 ** -lam
         last = 2.0 ** (1 - lam) - p1
@@ -142,7 +142,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # optimal l_1 = nu - 1, unachievable with any longer first codeword
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
         nu = _lam_at_least_2(p1)
-        _need(p1 * (2 ** nu - 1) > 1.0,
+        _need(cmp_ratio(p1, 1, 2 ** nu - 1) > 0,
               f"p_1={p1} at or below 1/(2^{nu}-1), outside the sharpness range")
         mid = (1.0 - p1) / (2 ** nu - 2)
         return Pmf((p1,) + (mid,) * (2 ** nu - 2))

@@ -154,8 +154,8 @@ def test_criterion_06():
     for _ in range(10_000):
         p = random_pmf(rng, int(rng.integers(2, 9)))
         star = brute_force_optimal(p, Objective.max_pointwise()).min_value
-        for idx, pj in enumerate(p):
-            r = mmpr_bounds(pj, is_p1=(idx == 0))
+        for pj in p:
+            r = mmpr_bounds(pj)
             assert r.lower - 1e-9 <= star <= r.upper + 1e-9, (pj, p.probs)
 
     def oracle_star(fam):

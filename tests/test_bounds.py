@@ -1,6 +1,7 @@
 """Closed-form bound formulas, their sandwich property, and the transform."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from genhuff import (
     exp_avg_bounds,
     exp_avg_bounds_l1,
     exp_avg_unit_bounds,
+    FamilyKind,
+    ParamsOutOfProofRange,
+    WitnessFamily,
+    generate,
     generalized_huffman,
     hat_transform,
     l1_region,
@@ -125,8 +130,8 @@ class TestMmprBounds:
         for _ in range(400):
             p = random_pmf(rng, int(rng.integers(2, 9)))
             star = brute_force_optimal(p, Objective.max_pointwise()).min_value
-            for idx, pj in enumerate(p):
-                r = mmpr_bounds(pj, is_p1=(idx == 0))
+            for pj in p:
+                r = mmpr_bounds(pj)
                 assert r.lower - 1e-9 <= star <= r.upper + 1e-9
                 if r.upper_kind is BoundKind.APPROACHABLE:
                     assert star <= r.upper + 1e-12
@@ -154,6 +159,77 @@ class TestMmprLengthBounds:
         for bad in (0.0, 1.0):
             with pytest.raises(POutOfRange):
                 mmpr_length_bounds(bad)
+
+
+def boundary_floats():
+    """(num, den, p): each float within 3 ulp of a rational row end num/den
+    of the MMPR table, 1/(2^lam - 1) and 2/(2^lam + 1) for lam = 2..11."""
+    for lam in range(2, 12):
+        for num, den in ((1, 2 ** lam - 1), (2, 2 ** lam + 1)):
+            below = above = num / den
+            points = [below]
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                points += [below, above]
+            for p in points:
+                yield num, den, p
+
+
+def reference_mmpr_row(p):
+    """mmpr_bounds' table row for p in (0, 1/2), chosen in exact arithmetic."""
+    exact, lam = Fraction(p), lambda_j(p)
+    upper_open = 1.0 + math.log2((1.0 - p) / (1.0 - 2.0 ** -lam))
+    lower_late = math.log2((1.0 - p) / (1.0 - 2.0 ** (1 - lam)))
+    if exact < Fraction(1, 2 ** lam - 1):
+        return lam + math.log2(p), upper_open, BoundKind.APPROACHABLE
+    if exact < Fraction(2, 2 ** lam + 1):
+        return lower_late, upper_open, BoundKind.APPROACHABLE
+    return lower_late, lam + math.log2(p), BoundKind.ACHIEVABLE
+
+
+class TestExactRowBoundaries:
+    """Floats next to the table's rational row ends are classified by their
+    exact value, never by a rounded product such as p * (2^lam - 1)."""
+
+    def test_mmpr_bounds_rows(self):
+        for _, _, p in boundary_floats():
+            r = mmpr_bounds(p)
+            assert (r.lower, r.upper, r.upper_kind) == reference_mmpr_row(p), p
+
+    def test_two_thirds(self):
+        below = 2 / 3  # the float nearest 2/3 lies below it
+        assert Fraction(below) < Fraction(2, 3)
+        assert mmpr_bounds(below).exact is None
+        above = math.nextafter(below, 1.0)
+        assert mmpr_bounds(above).exact == pytest.approx(1 + math.log2(above))
+
+    def test_length_bounds(self):
+        for _, _, p in boundary_floats():
+            exact = Fraction(p)
+            nu_lower = max(k for k in range(1, 64) if exact * (2 ** k - 1) <= 1)
+            assert mmpr_length_bounds(p)[1] == nu_lower, p
+
+    def test_witness_ranges(self):
+        # the families whose proof range ends at num/den, and whether p lies
+        # inside it, from c, the sign of p - num/den
+        families = {
+            2: ((FamilyKind.MMPR_UPPER_MID, lambda c: c >= 0),
+                (FamilyKind.MMPR_UPPER_LOW, lambda c: c < 0)),
+            1: ((FamilyKind.MMPR_LOWER_A, lambda c: c >= 0),
+                (FamilyKind.MMPR_LOWER_B, lambda c: c < 0),
+                (FamilyKind.LEN_LOWER_TIGHT, lambda c: c > 0)),
+        }
+        for num, den, p in boundary_floats():
+            diff = Fraction(p) - Fraction(num, den)
+            c = (diff > 0) - (diff < 0)
+            for kind, inside in families[num]:
+                try:
+                    generate(WitnessFamily(kind, p1=p))
+                    refused = False
+                except ParamsOutOfProofRange as e:
+                    # a range refusal, not the eps window inside the range
+                    refused = "outside" in str(e)
+                assert refused is not inside(c), (kind, p)
 
 
 class TestAvgRedundancyBounds:

@@ -269,6 +269,37 @@ class TestVerify:
         assert code == 0
         assert "upper bound attained" in out
 
+    @pytest.mark.parametrize("family,params,claim", [
+        ("mmpr-upper-high", ("--p1", "0.7"), "upper bound attained"),
+        ("mmpr-upper-high", ("--p1", "0.55"), "upper bound approached"),
+        ("mmpr-upper-mid", ("--p1", "0.45"), "upper bound attained"),
+        ("mmpr-upper-low", ("--p1", "0.3"), "upper bound approached"),
+        ("mmpr-lower-a", ("--p1", "0.4"), "lower bound attained"),
+        ("mmpr-lower-b", ("--p1", "0.3"), "lower bound attained"),
+        ("len-upper-tight", ("--p1", "0.3"), "every optimum has l_1 >= 2"),
+        ("len-lower-tight", ("--p1", "0.4"), "optimal l_1 = 1"),
+        ("l1-boundary", ("--q", "0.9"), "unique optimum ((2, 2, 2, 2),)"),
+        ("l1-counter", ("--q", "2", "--p1", "0.5"), "so l_1 >= 2 in every optimum"),
+        ("l1-always-one", ("--q", "0.8", "--p1", "0.5"), "engine l_1 = 1"),
+    ])
+    def test_every_family_passes(self, capsys, family, params, claim):
+        code, out, err = run(capsys, "verify", "--family", family, *params)
+        assert (code, err) == (0, "")
+        assert out.startswith("pmf: ")
+        assert claim in out and "FAIL" not in out
+        assert out.endswith("result: ok\n")
+
+    def test_default_campaign_runs_every_check_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        names = [line.split(":")[0] for line in out.splitlines()]
+        assert names == ["PASS engine-oracle equivalence", "PASS mmpr sandwich",
+                         "PASS dth sandwich", "PASS exp-average sandwich",
+                         "PASS length conformance", "PASS moment ordering",
+                         "PASS transform identity", "PASS unary regime",
+                         "PASS witness tightness", "result"]
+        assert "over 200 pmfs x 9 objectives" in out
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "0", "trials must be >= 1"),
         ("--n", "1", "n must be >= 2"),
@@ -361,6 +392,33 @@ class TestUsage:
         code, err = usage_error(capsys, *argv)
         assert code == 2
         assert "--seed" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("verify", "--family", "mmpr-upper-high", "--p1", "0.7", "--n", "5"), "--n"),
+        (("verify", "--family", "mmpr-upper-high", "--p1", "0.7", "--trials", "0"), "--trials"),
+        (("verify", "--family", "mmpr-upper-high", "--p1", "0.7", "--seed", "1"), "--seed"),
+        (("verify", "--p1", "0.7"), "--p1"),
+        (("verify", "--eps", "0.01"), "--eps"),
+        (("verify", "--q", "2"), "--q"),
+        (("code", "--d", "2", "{file}"), "--d"),
+        (("code", "--objective", "mmpr", "--q", "2", "{file}"), "--q"),
+        (("code", "--objective", "dexp", "--d", "1", "--q", "2", "{file}"), "--q"),
+        (("code", "--objective", "expavg", "--q", "2", "--d", "1", "{file}"), "--d"),
+        (("bounds", "--objective", "mmpr", "--p", "0.3", "--d", "2"), "--d"),
+        (("bounds", "--objective", "mmpr", "--p", "0.3", "--q", "5"), "--q"),
+        (("bounds", "--objective", "dexp", "--d", "1", "--p", "0.3", "--q", "5"), "--q"),
+        (("bounds", "--objective", "expavg", "--q", "2", "--p", "0.3", "{file}"), "--p"),
+        (("bounds", "--objective", "mmpr", "--p", "0.3", "{file}"), "input"),
+        (("bounds", "--objective", "avg", "--p", "0.3", "--normalize"), "--normalize"),
+        (("bounds", "--objective", "dexp", "--d", "1", "--p", "0.3", "--assume-sorted"),
+         "--assume-sorted"),
+        (("bounds", "--p", "0.3", "--j", "0"), "--j"),
+    ])
+    def test_flag_without_effect_is_refused(self, capsys, three_file, argv, flag):
+        argv = [three_file if a == "{file}" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err
 
     def test_closed_pipe_exits_quietly(self):
         # the read end is closed before the child starts, so its first

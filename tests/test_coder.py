@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genhuff import (
+    CodingError,
     CombineRule,
+    DOutOfRange,
     KraftViolation,
     LengthVector,
     Objective,
@@ -21,6 +23,8 @@ from genhuff import (
     j_shannon_code,
     lg_sum_exp2,
     max_pointwise_redundancy,
+    QOutOfRange,
+    RuleKind,
     shannon_code,
     two_queue_mmpr,
     unary_code,
@@ -133,10 +137,17 @@ class TestCombineRule:
             assert up_a > base and up_b > base
 
     def test_param_domains(self):
-        with pytest.raises(Exception):
+        # the rule's parameter is checked by the Objective it minimizes
+        with pytest.raises(DOutOfRange):
             CombineRule.dth_exp(0.0)
-        with pytest.raises(Exception):
+        with pytest.raises(DOutOfRange):
+            CombineRule(RuleKind.DTH_EXP)
+        with pytest.raises(QOutOfRange):
             CombineRule.exp_base(1.0)
+        with pytest.raises(QOutOfRange):
+            CombineRule(RuleKind.EXP_BASE, -2.0)
+        with pytest.raises(CodingError, match="takes no parameter"):
+            CombineRule(RuleKind.SUM, 1.0)
 
     def test_objective_round_trip(self):
         for rule in RULES:

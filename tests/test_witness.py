@@ -63,6 +63,8 @@ class TestConstructions:
             WitnessFamily(FamilyKind.MMPR_UPPER_MID, p1=0.3),
             WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.45),
             WitnessFamily(FamilyKind.MMPR_LOWER_A, p1=0.3),
+            # float(1/3) lies just below 1/3, outside [1/3, 1/2)
+            WitnessFamily(FamilyKind.MMPR_LOWER_A, p1=1 / 3),
             WitnessFamily(FamilyKind.MMPR_LOWER_B, p1=0.4),
             WitnessFamily(FamilyKind.LEN_LOWER_TIGHT, p1=0.3),
             WitnessFamily(FamilyKind.L1_BOUNDARY_Q_LE_1, q=1.2),
