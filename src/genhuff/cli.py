@@ -11,11 +11,13 @@ interpreter's and genhuff's own.
 A flag that would have no effect is refused (exit 2).  ``code`` and
 ``bounds`` take ``--d`` only under ``--objective dexp`` and ``--q`` only
 under ``expavg``; ``bounds`` takes the input file, ``--normalize`` and
-``--assume-sorted`` only under ``expavg``, and ``--p`` everywhere else.
-``verify`` without ``--family`` runs the campaign, a table of checks on
-random pmfs, and takes ``--n``, ``--trials`` and ``--seed``; with
-``--family`` it checks one witness pmf built from ``--p1``, ``--eps`` and
-``--q``.  Each subcommand takes only the ``--format`` values it honours.
+``--assume-sorted`` only under ``expavg``, ``--p`` everywhere else, and
+``--j`` everywhere but ``mmpr``.  ``verify`` without ``--family`` runs the
+campaign, a table of checks on random pmfs, and takes ``--n`` (up to the
+oracle's cap), ``--trials`` and ``--seed``; with ``--family`` it checks one
+witness pmf built from those of ``--p1``, ``--eps`` and ``--q`` that the
+family reads (``FAMILY_FLAGS``).  Each subcommand takes only the
+``--format`` values it honours.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports a
@@ -53,7 +55,7 @@ from .core import (
     success_probability,
     validate_pmf,
 )
-from .oracle import brute_force_optimal, enumerate_kraft_lengths
+from .oracle import DEFAULT_MAX_N, brute_force_optimal, kraft_length_tuples
 
 __all__ = ["ParseError", "main"]
 
@@ -223,7 +225,10 @@ def cmd_code(args) -> int:
 
 def cmd_bounds(args) -> int:
     obj_name = args.objective
-    j = args.j
+    if obj_name == "mmpr":
+        # the MMPR bounds are the same for every symbol
+        _refuse(args, "under --objective mmpr", "--j")
+    j = 1 if args.j is None else args.j
     if j < 1:
         raise CodingError(f"--j must be >= 1, got {j}")
     obj = _objective_from_args(args)
@@ -319,8 +324,8 @@ def _random_pmf(rng: random.Random, n: int) -> Pmf:
 
 
 def _random_lengths(rng: random.Random, n: int) -> LengthVector:
-    options = list(enumerate_kraft_lengths(n))
-    return options[rng.randrange(len(options))]
+    options = list(kraft_length_tuples(n))
+    return LengthVector(options[rng.randrange(len(options))])
 
 
 def _pmf_str(p: Pmf) -> str:
@@ -537,10 +542,28 @@ def _run_campaign(nmax: int, trials: int, seed: int) -> list[tuple[str, bool, st
     return results
 
 
+# the WitnessFamily fields that witness.generate reads for each family
+FAMILY_FLAGS = {
+    wit.FamilyKind.MMPR_UPPER_HIGH: ("--p1", "--eps"),
+    wit.FamilyKind.MMPR_UPPER_MID: ("--p1", "--eps"),
+    wit.FamilyKind.MMPR_UPPER_LOW: ("--p1", "--eps"),
+    wit.FamilyKind.MMPR_LOWER_A: ("--p1",),
+    wit.FamilyKind.MMPR_LOWER_B: ("--p1",),
+    wit.FamilyKind.LEN_UPPER_TIGHT: ("--p1",),
+    wit.FamilyKind.LEN_LOWER_TIGHT: ("--p1",),
+    wit.FamilyKind.L1_BOUNDARY_Q_LE_1: ("--q", "--eps"),
+    wit.FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1: ("--q", "--p1"),
+    wit.FamilyKind.L1_ALWAYS_ONE_Q_LT_1: ("--q", "--p1"),
+}
+
+
 def cmd_verify(args) -> int:
     if args.family:
         _refuse(args, "with --family", "--n", "--trials", "--seed")
-        fam = wit.WitnessFamily(wit.FamilyKind(args.family), p1=args.p1, eps=args.eps, q=args.q)
+        kind = wit.FamilyKind(args.family)
+        _refuse(args, f"with --family {args.family}",
+                *(f for f in ("--p1", "--eps", "--q") if f not in FAMILY_FLAGS[kind]))
+        fam = wit.WitnessFamily(kind, p1=args.p1, eps=args.eps, q=args.q)
         p = wit.generate(fam)
         lines = ["pmf: " + _pmf_str(p)]
         results = _witness_checks(fam, p)
@@ -550,8 +573,9 @@ def cmd_verify(args) -> int:
         trials = CAMPAIGN_TRIALS if args.trials is None else args.trials
         if trials < 1:
             raise CodingError(f"trials must be >= 1, got {trials}")
-        if nmax < 2:
-            raise CodingError(f"n must be >= 2, got {nmax}")
+        if not 2 <= nmax <= DEFAULT_MAX_N:
+            raise CodingError(f"n must be >= 2 and <= {DEFAULT_MAX_N} (the oracle's cap), "
+                              f"got {nmax}")
         lines = []
         results = _run_campaign(nmax, trials, CAMPAIGN_SEED if args.seed is None else args.seed)
     failures = sum(not ok for _, ok, _ in results)
@@ -652,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="mmpr")
     sp.add_argument("--p", type=float, default=None,
                     help="all but expavg: known symbol probability")
-    sp.add_argument("--j", type=int, default=1,
-                    help="1-based symbol index the probability belongs to")
+    sp.add_argument("--j", type=int, default=None,
+                    help="all but mmpr: 1-based symbol index the probability belongs to "
+                         "(default 1)")
     sp.add_argument("--d", type=float, default=None, help="dexp only: the order d")
     sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
     add_common(sp, ("json", "plain"), needs_input=True)
@@ -667,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the oracle-backed invariant battery")
     sp.add_argument("--n", type=int, default=None,
-                    help=f"campaign only: largest random alphabet size (default {CAMPAIGN_N})")
+                    help=f"campaign only: largest random alphabet size, 2..{DEFAULT_MAX_N} "
+                         f"(default {CAMPAIGN_N})")
     sp.add_argument("--trials", type=int, default=None,
                     help=f"campaign only: random pmfs per check (default {CAMPAIGN_TRIALS})")
     sp.add_argument("--seed", type=int, default=None,

@@ -303,6 +303,7 @@ class TestVerify:
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "0", "trials must be >= 1"),
         ("--n", "1", "n must be >= 2"),
+        ("--n", "17", "<= 16 (the oracle's cap)"),
     ])
     def test_campaign_domain(self, capsys, flag, value, message):
         code, out, err = run(capsys, "verify", flag, value)
@@ -413,12 +414,31 @@ class TestUsage:
         (("bounds", "--objective", "dexp", "--d", "1", "--p", "0.3", "--assume-sorted"),
          "--assume-sorted"),
         (("bounds", "--p", "0.3", "--j", "0"), "--j"),
+        (("bounds", "--objective", "avg", "--p", "0.3", "--j", "0"), "--j must be >= 1"),
+        (("bounds", "--objective", "mmpr", "--p", "0.3", "--j", "7"), "--j has no effect"),
     ])
     def test_flag_without_effect_is_refused(self, capsys, three_file, argv, flag):
         argv = [three_file if a == "{file}" else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("family,argv,flag", [
+        ("mmpr-upper-high", ("--p1", "0.7", "--q", "2"), "--q"),
+        ("mmpr-upper-mid", ("--p1", "0.45", "--q", "2"), "--q"),
+        ("mmpr-upper-low", ("--p1", "0.3", "--q", "2"), "--q"),
+        ("mmpr-lower-a", ("--p1", "0.4", "--eps", "0.2"), "--eps"),
+        ("mmpr-lower-b", ("--p1", "0.3", "--q", "7"), "--q"),
+        ("len-upper-tight", ("--p1", "0.3", "--eps", "0.01"), "--eps"),
+        ("len-lower-tight", ("--p1", "0.4", "--q", "2"), "--q"),
+        ("l1-boundary", ("--q", "0.9", "--p1", "0.3"), "--p1"),
+        ("l1-counter", ("--q", "2", "--p1", "0.5", "--eps", "0.01"), "--eps"),
+        ("l1-always-one", ("--q", "0.8", "--p1", "0.5", "--eps", "0.01"), "--eps"),
+    ])
+    def test_family_flag_the_family_ignores_is_refused(self, capsys, family, argv, flag):
+        code, out, err = run(capsys, "verify", "--family", family, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} has no effect with --family {family}\n"
 
     def test_closed_pipe_exits_quietly(self):
         # the read end is closed before the child starts, so its first

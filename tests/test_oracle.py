@@ -17,8 +17,8 @@ from genhuff import (
     validate_pmf,
 )
 
-# number of full binary tree shapes with n leaves, n = 1..12
-TREE_SHAPE_COUNTS = [1, 1, 1, 2, 3, 5, 9, 16, 28, 50, 89, 159]
+# number of full binary tree shapes with n leaves, n = 1..16
+TREE_SHAPE_COUNTS = [1, 1, 1, 2, 3, 5, 9, 16, 28, 50, 89, 159, 285, 510, 914, 1639]
 
 OBJECTIVES = (
     Objective.avg(),
@@ -28,6 +28,12 @@ OBJECTIVES = (
     Objective.dth_exp(2.0),
     Objective.exp_average(0.6),
     Objective.exp_average(1.5),
+)
+
+# the extreme parameters engine and oracle were checked at
+EXTREME_OBJECTIVES = (
+    *(Objective.exp_average(q) for q in (1e200, 1e10, 0.5 + 1e-7, 1 + 1e-12, 1 - 1e-12)),
+    *(Objective.dth_exp(d) for d in (1e6, 1e4, -1 + 1e-9, 1e-12, -1e-12)),
 )
 
 
@@ -82,6 +88,17 @@ class TestEnumeration:
         with pytest.raises(InfeasibleMaxLen):
             list(enumerate_kraft_lengths(5, max_len=2))
 
+    def test_matches_filtered_product_in_level_profile_order(self):
+        # every nondecreasing vector of lengths <= max_len with Kraft sum 1,
+        # ordered by leaves at depth 0, then depth 1, ...: the walk's order
+        for n in range(1, 9):
+            for max_len in range((n - 1).bit_length(), n + 1):
+                expected = [l for l in itertools.combinations_with_replacement(
+                                range(max_len + 1), n)
+                            if sum(1 << (max_len - x) for x in l) == 1 << max_len]
+                expected.sort(key=lambda l: [l.count(d) for d in range(max_len + 1)])
+                assert [lv.lengths for lv in enumerate_kraft_lengths(n, max_len)] == expected
+
     def test_infeasible_zero_length(self):
         assert [lv.lengths for lv in enumerate_kraft_lengths(1, max_len=0)] == [(0,)]
 
@@ -106,10 +123,15 @@ class TestBruteForce:
         assert (1, 2, 3, 3) in res.argmin_lengths()
 
     def test_alphabet_cap(self):
-        p = validate_pmf([1.0 / 13] * 13)
+        p = validate_pmf([1.0 / 17] * 17)
         with pytest.raises(AlphabetTooLarge):
             brute_force_optimal(p, Objective.avg())
-        brute_force_optimal(p, Objective.avg(), max_n=13)
+        brute_force_optimal(p, Objective.avg(), max_n=17)
+
+    def test_evaluated_count_is_tree_shape_count(self):
+        for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
+            p = validate_pmf([1.0 / n] * n)
+            assert brute_force_optimal(p, Objective.max_pointwise()).evaluated_count == expected
 
     def test_argmin_multiplicity(self):
         # two optimal shapes for the uniform distribution over 4 at q -> unary
@@ -118,6 +140,30 @@ class TestBruteForce:
         res2 = brute_force_optimal(validate_pmf([0.4, 0.3, 0.2, 0.1]),
                                    Objective.max_pointwise())
         assert all(lv.is_complete for lv in res2.argmin)
+
+
+def reference_optimum(p, obj, max_len=None):
+    """The oracle as it was: a LengthVector and an Objective.evaluate per vector."""
+    scored = [(obj.evaluate(p, lv), lv.lengths)
+              for lv in enumerate_kraft_lengths(p.n, max_len)]
+    best = min(v for v, _ in scored)
+    return best, tuple(sorted(l for v, l in scored if v <= best + 1e-12)), len(scored)
+
+
+class TestAgainstReference:
+    """The walk with its term table against one evaluate call per vector: equal floats."""
+
+    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
+                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical(self, obj):
+        rng = np.random.default_rng(45)
+        for n in range(1, 14):
+            p = random_pmf(rng, n)
+            caps = (None,) if n < 4 else (None, (n - 1).bit_length(), (n - 1).bit_length() + 1)
+            for max_len in caps:
+                res = brute_force_optimal(p, obj, max_len=max_len)
+                assert (res.min_value, res.argmin_lengths(), res.evaluated_count) \
+                    == reference_optimum(p, obj, max_len)
 
 
 class TestSoundnessArguments:
