@@ -46,7 +46,6 @@ from .coder import (
     generalized_huffman,
     j_shannon_code,
     shannon_code,
-    two_queue_mmpr,
     unary_code,
 )
 from .bounds import (

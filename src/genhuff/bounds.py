@@ -204,7 +204,7 @@ def hat_transform(p: Pmf, q: float) -> Pmf:
     Renyi entropy.
     """
     alpha = alpha_of_q(q)
-    lg_norm = lg_sum_exp2(alpha * lg(pi) for pi in p)
+    lg_norm = lg_sum_exp2([alpha * lg(pi) for pi in p])
     vals = [2.0 ** (alpha * lg(pi) - lg_norm) for pi in p]
     total = math.fsum(vals)
     # stable re-sort only irons out 1-ulp inversions; powers preserve order

@@ -18,15 +18,19 @@ priority: input symbols get sequence numbers by nondecreasing weight and
 merged items get fresh, higher numbers, so a merged item queues behind
 input items of equal weight.
 
-Sum, max pointwise redundancy, d > 0 and q > 1 satisfy f(a, b) >= max(a, b).
-Under such a rule each merge takes two items no lighter than the last
-merge's, so merged weights come out nondecreasing (Parker, SIAM J. Comput.
-1980) and two FIFO queues, the sorted inputs and the merged items, replace
-the heap (van Leeuwen, ICALP 1976): linear time after the sort, with the
-heap's tie-break.  Should rounding ever pop a key below the one before it,
-the call falls back to the heap, so both paths always give the same code.
-For d in (-1, 0) and q in (0, 1), f can fall below max(a, b); those rules
-keep the heap.
+Two FIFO queues, the sorted inputs and the merged items, replace the
+heap (van Leeuwen, ICALP 1976) as long as the merged queue stays sorted:
+linear time after the sort, with the heap's tie-break.  That holds
+whenever f(a, b) >= min(a, b) (Parker, SIAM J. Comput. 1980).  Let a <= b
+be the two lightest items; every other item is >= b, so the next pair has
+a' >= a and b' >= b, and f, nondecreasing in each argument, makes the
+merged weights come out nondecreasing.  Sum, max doubling, d > 0 and q > 1
+give f >= max(a, b); d in (-1, 0) gives f >= 2a; q >= 1/2 gives
+f >= 2qa >= a.  For q < 1/2, f < b, so each merged item is the lightest
+and is popped by the very next merge: the merged queue never holds more
+than one item.  So every rule takes the queues.  Should rounding ever
+append a merged weight below the merged queue's tail, the call falls back
+to the heap, so both paths always give the same code.
 
 Both paths record each merge as its two children.  Depths then come from
 one pass from the root down, and the Kraft check sums integers, so
@@ -60,7 +64,6 @@ __all__ = [
     "MergeTrace",
     "CodeResult",
     "generalized_huffman",
-    "two_queue_mmpr",
     "shannon_code",
     "j_shannon_code",
     "unary_code",
@@ -128,15 +131,6 @@ class CombineRule:
     def log_domain(self) -> bool:
         """Whether engine weights for this rule live in the base-2 log domain."""
         return self.kind in (RuleKind.MAX_DOUBLE, RuleKind.DTH_EXP)
-
-    @property
-    def _monotone(self) -> bool:
-        """f(a, b) >= max(a, b): sum, max doubling, d > 0 and q > 1."""
-        if self.kind is RuleKind.DTH_EXP:
-            return self.param > 0.0
-        if self.kind is RuleKind.EXP_BASE:
-            return self.param > 1.0
-        return True
 
     def combine(self, a: float, b: float) -> float:
         """f(a, b) on linear-domain weights (reference form, not the engine's)."""
@@ -234,15 +228,15 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
     One queue holds the inputs from symbol n-1 down, the other the merged
     nodes in creation order.  Every input has a lower sequence number than
     every merged node, so an input wins a tie, as in the heap.  The result
-    equals the heap's as long as the popped keys come out nondecreasing,
-    which f(a, b) >= max(a, b) guarantees in exact arithmetic; if rounding
-    ever breaks that, this returns None and the caller merges by the heap
-    instead.
+    equals the heap's as long as the merged queue stays sorted, which every
+    rule guarantees in exact arithmetic (see the module docstring); if
+    rounding ever appends a key below the merged queue's tail, this returns
+    None and the caller merges by the heap instead.
     """
     n = len(keys)
     i = n - 1  # next input symbol
     j = n      # next merged node; the merged queue is empty when j == new
-    last = -math.inf
+    last = -math.inf  # the merged queue's tail while it is non-empty
     kids: list[int] = []
     for new in range(n, 2 * n - 1):
         if i >= 0 and (j == new or keys[i] <= keys[j]):
@@ -257,12 +251,11 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
         else:
             b = j
             j += 1
-        ka = keys[a]
-        kb = keys[b]
-        if ka < last or kb < ka:
+        k = combine(keys[a], keys[b])
+        if k < last and j < new:
             return None
-        last = kb
-        keys.append(combine(ka, kb))
+        last = k
+        keys.append(k)
         kids += (a, b)
     return kids
 
@@ -291,7 +284,7 @@ def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> Co
     n = p.n
     keys = rule._leaf_keys(p)
     combine = rule._combiner()
-    kids = _merge_two_queues(keys, combine) if rule._monotone else None
+    kids = _merge_two_queues(keys, combine)
     if kids is None:
         del keys[n:]
         kids = _merge_heap(keys, combine)
@@ -303,11 +296,6 @@ def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> Co
         merge_trace = MergeTrace(events, keys[-1], rule.log_domain)
     value = rule.objective().evaluate(p, lengths)
     return CodeResult(lengths, canonical_codewords(lengths), value, merge_trace)
-
-
-def two_queue_mmpr(p: Pmf, *, trace: bool = False) -> CodeResult:
-    """``generalized_huffman`` under the doubling rule, which takes the two-queue path."""
-    return generalized_huffman(p, CombineRule.max_double(), trace=trace)
 
 
 def shannon_code(p: Pmf) -> LengthVector:

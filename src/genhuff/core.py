@@ -15,11 +15,13 @@ that extreme parameters (d up to 1e4, lengths up to 64) stay finite.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Sequence
 
 __all__ = [
     "CodingError",
@@ -93,13 +95,12 @@ def lg(x: float) -> float:
     return math.log2(x)
 
 
-def lg_sum_exp2(exponents: Iterable[float]) -> float:
+def lg_sum_exp2(exponents: Sequence[float]) -> float:
     """lg(sum_i 2^x_i), max-shifted so huge or tiny exponents stay finite."""
-    xs = list(exponents)
-    m = max(xs)
+    m = max(exponents)
     if math.isinf(m):
         return m
-    return m + math.log2(math.fsum(2.0 ** (x - m) for x in xs))
+    return m + math.log2(math.fsum([2.0 ** (x - m) for x in exponents]))
 
 
 def ceil_neg_lg(p: float) -> int:
@@ -126,14 +127,15 @@ def cmp_ratio(p: float, num: int, den: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _first_non_positive(vals: Sequence[float]) -> str:
-    """Error text naming n and the first entry that is not finite and > 0.
-
-    Only the offending entry is quoted, so the message stays short at any n.
-    """
+def _check_positive(vals: Sequence[float]) -> None:
+    """Raise NonPositiveProbability, quoting n and the first bad entry only,
+    unless every entry is finite and > 0.  ``min`` and ``max`` skip a NaN
+    past the first entry; the sum, which any NaN makes NaN, catches it."""
+    if 0.0 < min(vals) and max(vals) < math.inf and not math.isnan(sum(vals)):
+        return
     k = next(i for i, v in enumerate(vals) if not (0.0 < v < math.inf))
-    return (f"all probabilities must be finite and > 0: "
-            f"entry {k + 1} of {len(vals)} is {vals[k]!r}")
+    raise NonPositiveProbability(f"all probabilities must be finite and > 0: "
+                                 f"entry {k + 1} of {len(vals)} is {vals[k]!r}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,11 @@ class Pmf:
     def __post_init__(self):
         if not self.probs:
             raise EmptyInput("pmf needs at least one symbol")
-        if any(not (0.0 < p < math.inf) for p in self.probs):
-            raise NonPositiveProbability(_first_non_positive(self.probs))
+        _check_positive(self.probs)
         total = math.fsum(self.probs)
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise SumNotOne(f"{self.n} probabilities sum to {total!r}, not 1")
-        if any(a < b for a, b in zip(self.probs, self.probs[1:])):
+        if any(map(operator.lt, self.probs, islice(self.probs, 1, None))):
             k = next(i for i in range(1, self.n) if self.probs[i - 1] < self.probs[i])
             raise CodingError(
                 f"probabilities must be sorted nonincreasing: of {self.n}, entry {k} "
@@ -179,11 +180,10 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     raises NonPositiveProbability.  Error messages quote n and the first
     offending entry, never the whole vector.
     """
-    vals = [float(x) for x in raw]
+    vals = list(map(float, raw))
     if not vals:
         raise EmptyInput("no probabilities given")
-    if any(not (0.0 < v < math.inf) for v in vals):
-        raise NonPositiveProbability(_first_non_positive(vals))
+    _check_positive(vals)
     if normalize:
         scaled = vals
         try:
@@ -201,7 +201,7 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
                 f"when normalised")
         vals = normed
     if not assume_sorted:
-        vals = sorted(vals, reverse=True)
+        vals.sort(reverse=True)
     return Pmf(tuple(vals))
 
 
@@ -372,7 +372,7 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
     """
     if not (alpha > 0.0 and alpha != 1.0):
         raise AlphaOutOfRange(f"alpha must be positive and not 1, got {alpha}")
-    return lg_sum_exp2(alpha * lg(pi) for pi in p) / (1.0 - alpha)
+    return lg_sum_exp2([alpha * math.log2(pi) for pi in p]) / (1.0 - alpha)
 
 
 def alpha_of_q(q: float) -> float:
@@ -385,13 +385,13 @@ def alpha_of_q(q: float) -> float:
 def avg_redundancy(p: Pmf, l: LengthVector) -> float:
     """Expected codeword length minus entropy: sum p_i (l_i + lg p_i)."""
     _check_dims(p, l)
-    return math.fsum(pi * (li + lg(pi)) for pi, li in zip(p, l))
+    return math.fsum([pi * (li + math.log2(pi)) for pi, li in zip(p, l)])
 
 
 def max_pointwise_redundancy(p: Pmf, l: LengthVector) -> float:
     """Worst-case pointwise redundancy max_i (l_i + lg p_i)."""
     _check_dims(p, l)
-    return max(li + lg(pi) for pi, li in zip(p, l))
+    return max([li + math.log2(pi) for pi, li in zip(p, l)])
 
 
 def dth_exp_redundancy(p: Pmf, l: LengthVector, d: float) -> float:
@@ -403,7 +403,7 @@ def dth_exp_redundancy(p: Pmf, l: LengthVector, d: float) -> float:
     _check_dims(p, l)
     if not (-1.0 < d and d != 0.0):
         raise DOutOfRange(f"d must lie in (-1,0) or (0,inf), got {d}")
-    return lg_sum_exp2((1.0 + d) * lg(pi) + d * li for pi, li in zip(p, l)) / d
+    return lg_sum_exp2([(1.0 + d) * math.log2(pi) + d * li for pi, li in zip(p, l)]) / d
 
 
 def exp_average_cost(p: Pmf, l: LengthVector, q: float) -> float:
@@ -411,8 +411,8 @@ def exp_average_cost(p: Pmf, l: LengthVector, q: float) -> float:
     _check_dims(p, l)
     if not (q > 0.0 and q != 1.0):
         raise QOutOfRange(f"q must lie in (0,inf) excluding 1, got {q}")
-    lgq = lg(q)
-    return lg_sum_exp2(lg(pi) + li * lgq for pi, li in zip(p, l)) / lgq
+    lgq = math.log2(q)
+    return lg_sum_exp2([math.log2(pi) + li * lgq for pi, li in zip(p, l)]) / lgq
 
 
 def success_probability(p: Pmf, l: LengthVector, q: float) -> float:

@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .core import CodingError, Pmf, ceil_neg_lg, cmp_ratio, lg
 
 __all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate"]
 
 DEFAULT_EPS = 1e-4
+MAX_SYMBOLS_LG = 16  # refuse a family whose uniform block would pass 2^16 symbols
 
 
 class ParamsOutOfProofRange(CodingError):
@@ -99,9 +101,10 @@ def generate(family: WitnessFamily) -> Pmf:
         lam = _lam_at_least_2(p1)
         _need(cmp_ratio(p1, 2, 2 ** lam + 1) < 0,
               f"p_1={p1} at or above 2/(2^{lam}+1), outside the approach range")
-        width = min((1.0 - p1) / 2 ** lam, 1.0 - p1 * (2 ** lam + 1) / 2.0)
-        e = _default_eps(width) if eps is None else eps
-        _need(0.0 < e < width, f"needs eps in (0, {width}), got {e}")
+        # in Fractions: in floats 1 - p_1 (2^lam+1)/2 is 0.0 at p_1 = float(2/9)
+        width = min((1 - Fraction(p1)) / 2 ** lam, 1 - Fraction(p1) * (2 ** lam + 1) / 2)
+        e = float(_default_eps(width)) if eps is None else eps
+        _need(0.0 < e < width, f"needs eps in (0, {float(width)}), got {e}")
         mid = (1.0 - p1 - e) / (2 ** lam - 1)
         return Pmf((p1,) + (mid,) * (2 ** lam - 1) + (e,))
 
@@ -164,6 +167,8 @@ def generate(family: WitnessFamily) -> Pmf:
         _need(p1 is not None and 0.2 < p1 < 1.0, f"needs p_1 in (0.2, 1), got {p1}")
         m = math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
         _need(m >= 0, f"derived level count m={m} is negative")
+        _need(2 + m <= MAX_SYMBOLS_LG, f"q={q}, p_1={p1} give 2^{2 + m} tail symbols, "
+                                       f"past the cap of 2^{MAX_SYMBOLS_LG}")
         tail = 2 ** (2 + m)
         return Pmf((p1,) + ((1.0 - p1) / tail,) * tail)
 

@@ -281,6 +281,9 @@ class TestVerify:
         ("l1-boundary", ("--q", "0.9"), "unique optimum ((2, 2, 2, 2),)"),
         ("l1-counter", ("--q", "2", "--p1", "0.5"), "so l_1 >= 2 in every optimum"),
         ("l1-always-one", ("--q", "0.8", "--p1", "0.5"), "engine l_1 = 1"),
+        # eps windows narrower than an ulp of p_1, just below 2/(2^lam + 1)
+        ("mmpr-upper-low", ("--p1", repr(2 / 9)), "upper bound approached"),
+        ("mmpr-upper-low", ("--p1", repr(2 / 17)), "upper bound approached"),
     ])
     def test_every_family_passes(self, capsys, family, params, claim):
         code, out, err = run(capsys, "verify", "--family", family, *params)
@@ -314,6 +317,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--family", "mmpr-upper-high",
                            "--p1", "0.3")
         assert code == 2
+
+    def test_oversized_witness_is_refused_before_it_is_built(self, capsys):
+        # m = 37 here: 2^39 tail symbols would end in a MemoryError
+        code, out, err = run(capsys, "verify", "--family", "l1-counter",
+                             "--q", "1.1", "--p1", "0.9")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "2^39" in err and "cap of 2^16" in err
 
 
 class TestBenford:

@@ -26,10 +26,10 @@ from genhuff import (
     QOutOfRange,
     RuleKind,
     shannon_code,
-    two_queue_mmpr,
     unary_code,
     validate_pmf,
 )
+import genhuff.coder as coder
 from genhuff.coder import _merge_heap, _merge_two_queues
 
 RULES = (
@@ -270,19 +270,22 @@ class TestGeneralizedHuffman:
 
 class TestTwoQueue:
     def test_worked_example(self):
-        r = two_queue_mmpr(validate_pmf([0.5, 0.3, 0.2]))
+        r = generalized_huffman(validate_pmf([0.5, 0.3, 0.2]), CombineRule.max_double())
         assert r.lengths.lengths == (1, 2, 2)
 
     def test_uniform_six_is_complete(self):
-        r = two_queue_mmpr(validate_pmf([1 / 6] * 6))
+        r = generalized_huffman(validate_pmf([1 / 6] * 6), CombineRule.max_double())
         assert r.lengths.lengths == (2, 2, 3, 3, 3, 3)
         assert r.lengths.is_complete
 
     def test_equals_heap_engine_everywhere(self):
         # both merge loops called directly, so the heap stays the reference
         rules = [CombineRule.sum(), CombineRule.max_double()] \
-            + [CombineRule.dth_exp(d) for d in (0.5, 1e-12, 1e6)] \
-            + [CombineRule.exp_base(q) for q in (2.0, 1 + 1e-12, 1e200)]
+            + [CombineRule.dth_exp(d) for d in (0.5, 1e-12, 1e6,
+                                                -0.5, -0.99, -1e-9, -0.999999)] \
+            + [CombineRule.exp_base(q) for q in (2.0, 1 + 1e-12, 1e200,
+                                                 0.1, 0.3, 0.49, 0.5, 0.5 + 1e-7,
+                                                 0.6, 0.9, 1 - 1e-12)]
         rng = np.random.default_rng(27)
         for _ in range(300):
             n = int(rng.integers(1, 40))
@@ -296,35 +299,59 @@ class TestTwoQueue:
             else:
                 p = random_pmf(rng, n)
             for rule in rules:
-                assert rule._monotone
                 two_keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
                 two = _merge_two_queues(two_keys, rule._combiner())
                 heap = _merge_heap(heap_keys, rule._combiner())
                 assert two == heap
                 assert two_keys == heap_keys
-                merged = two_keys[p.n:]
-                assert all(a <= b for a, b in zip(merged, merged[1:]))
+                if rule.kind is RuleKind.EXP_BASE and rule.param < 0.5:
+                    # each merged node is popped by the next merge, so the
+                    # merged queue never holds more than one item
+                    assert all(new in two[2 * k + 2:2 * k + 4]
+                               for k, new in enumerate(range(p.n, 2 * p.n - 2)))
+                else:
+                    merged = two_keys[p.n:]
+                    assert all(a <= b for a, b in zip(merged, merged[1:]))
                 assert generalized_huffman(p, rule).lengths.lengths \
                     == reference_lengths(p, rule)
 
     def test_out_of_order_pops_fall_back_to_heap(self, monkeypatch):
-        # q = 0.4 merges below the last merge, which the queue loop must refuse
+        # q = 0.4 merges below the last merge's keys, yet the merged queue
+        # never holds two items, so the queues accept it
+        q04 = CombineRule.exp_base(0.4)
         p = validate_pmf([0.4, 0.2, 0.2, 0.2])
-        rule = CombineRule.exp_base(0.4)
-        assert _merge_two_queues(rule._leaf_keys(p), rule._combiner()) is None
-        monkeypatch.setattr(CombineRule, "_monotone", property(lambda self: True))
-        assert generalized_huffman(p, rule).lengths.lengths == unary_code(4).lengths
+        assert _merge_two_queues(q04._leaf_keys(p), q04._combiner()) is not None
+        # 1/(a + b) decreases in both arguments: uniform inputs merge to three
+        # equal keys of 3, and merging two of those appends 1/6 behind a 3
+        p = validate_pmf([1 / 6] * 6)
+        rule = CombineRule.sum()
+
+        def combiner(self):
+            return lambda a, b: 1.0 / (a + b)
+
+        assert _merge_two_queues(rule._leaf_keys(p), combiner(rule)) is None
+        heap_keys = rule._leaf_keys(p)
+        heap_kids = _merge_heap(heap_keys, combiner(rule))
+        calls = []
+        monkeypatch.setattr(CombineRule, "_combiner", combiner)
+        monkeypatch.setattr(coder, "_merge_heap",
+                            lambda keys, combine: calls.append(1) or _merge_heap(keys, combine))
+        r = generalized_huffman(p, rule, trace=True)
+        assert calls == [1]
+        assert [v for e in r.trace.events for v in (e.node_a, e.node_b)] == heap_kids
+        assert [e.weight_out for e in r.trace.events] == heap_keys[p.n:]
+        assert r.lengths.is_complete
 
     def test_root_weight_matches_objective(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 12)))
-            r = two_queue_mmpr(p, trace=True)
+            r = generalized_huffman(p, CombineRule.max_double(), trace=True)
             assert r.trace.root_weight == pytest.approx(
                 max_pointwise_redundancy(p, r.lengths), abs=1e-9)
 
 
-# the benchmark's six rules: the first four take the two-queue path
+# the benchmark's six rules, every one of which takes the two-queue path
 SIX_RULES = (CombineRule.sum(), CombineRule.max_double(), CombineRule.dth_exp(0.5),
              CombineRule.exp_base(2.0), CombineRule.dth_exp(-0.5), CombineRule.exp_base(0.9))
 
@@ -344,6 +371,8 @@ class TestLargeAlphabet:
     @pytest.mark.parametrize("name", ["geometric", "dirichlet"])
     def test_matches_reference(self, large_pmfs, name, rule):
         p = large_pmfs[name]
+        # a silent fall back to the heap would cost ~3x on large inputs
+        assert _merge_two_queues(rule._leaf_keys(p), rule._combiner()) is not None
         r = generalized_huffman(p, rule)
         assert r.lengths.lengths == reference_lengths(p, rule)
         assert r.lengths.is_complete

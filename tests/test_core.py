@@ -86,6 +86,17 @@ class TestValidatePmf:
         for probs in ((1.0, nan), (nan,), (inf, 0.5)):
             with pytest.raises(NonPositiveProbability):
                 Pmf(probs)
+        # min and max alone miss a NaN past the first entry
+        for k in (1, 2, 3):
+            probs = [0.5, 0.25, 0.25]
+            probs[k - 1] = nan
+            match = f"entry {k} of 3 is nan"
+            with pytest.raises(NonPositiveProbability, match=match):
+                validate_pmf(probs)
+            with pytest.raises(NonPositiveProbability, match=match):
+                validate_pmf(probs, normalize=True)
+            with pytest.raises(NonPositiveProbability, match=match):
+                Pmf(tuple(probs))
 
     def test_assume_sorted_verifies(self):
         with pytest.raises(Exception):
