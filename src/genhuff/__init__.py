@@ -67,10 +67,9 @@ from .bounds import (
 from .witness import FamilyKind, ParamsOutOfProofRange, WitnessFamily, generate
 from .oracle import (
     AlphabetTooLarge,
-    InfeasibleMaxLen,
     OracleResult,
     brute_force_optimal,
-    enumerate_kraft_lengths,
+    kraft_length_tuples,
 )
 
 __version__ = "0.1.0"

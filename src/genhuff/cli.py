@@ -64,6 +64,7 @@ EXIT_BROKEN_PIPE = 141
 CAMPAIGN_N = 6
 CAMPAIGN_TRIALS = 200
 CAMPAIGN_SEED = 42
+SWEEP_MIN_STEP = 1e-5  # a sweep holds every row until it writes: at most ~2e5 here
 
 
 class ParseError(CodingError):
@@ -165,18 +166,25 @@ def _exact_report(value: float, note: str | None = None) -> BoundReport:
                        exact=value, note=note)
 
 
+def _symbol_bounds(obj: Objective, pj: float, j: int) -> BoundReport:
+    """The avg, mmpr or dexp bounds on the optimum from p_j, the probability of symbol j."""
+    if obj.kind is ObjectiveKind.MAX_POINTWISE:
+        return bnd.mmpr_bounds(pj)
+    if obj.kind is ObjectiveKind.DTH_EXP:
+        return bnd.dth_bounds(pj, obj.param, is_p1=(j == 1))
+    lo = bnd.avg_redundancy_lower(pj)
+    if j == 1:
+        return BoundReport(lo, bnd.avg_redundancy_upper_gallager(pj),
+                           BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+    return BoundReport(lo, 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE,
+                       note="unit upper bound: top-probability form needs j=1")
+
+
 def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> BoundReport:
     if p.n == 1:
         return _exact_report(0.0, note="single symbol, null codeword")
-    p1 = p.probs[0]
-    if obj.kind is ObjectiveKind.AVG_REDUNDANCY:
-        return BoundReport(bnd.avg_redundancy_lower(p1),
-                           bnd.avg_redundancy_upper_gallager(p1),
-                           BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
-    if obj.kind is ObjectiveKind.MAX_POINTWISE:
-        return bnd.mmpr_bounds(p1)
-    if obj.kind is ObjectiveKind.DTH_EXP:
-        return bnd.dth_bounds(p1, obj.param, is_p1=True)
+    if obj.kind is not ObjectiveKind.EXP_AVERAGE:
+        return _symbol_bounds(obj, p.probs[0], 1)
     if obj.param <= 0.5:
         return _exact_report(value, note="unary-optimal regime (q <= 0.5)")
     return bnd.exp_avg_bounds(p, obj.param, 1)
@@ -232,7 +240,8 @@ def cmd_bounds(args) -> int:
     if j < 1:
         raise CodingError(f"--j must be >= 1, got {j}")
     obj = _objective_from_args(args)
-    doc: dict = {"objective": obj_name, "j": j}
+    doc: dict = {"objective": obj_name, "j": j,
+                 "param": None if obj.param is None else _round12(obj.param)}
     if obj_name == "expavg":
         _refuse(args, "under --objective expavg", "--p")
         if args.input is None:
@@ -240,28 +249,13 @@ def cmd_bounds(args) -> int:
         p = load_pmf(args.input, assume_sorted=args.assume_sorted,
                      normalize=args.normalize)
         report = bnd.exp_avg_bounds(p, obj.param, j)
-        doc.update(param=_round12(obj.param), n=p.n)
+        doc["n"] = p.n
     else:
         _refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
         if args.p is None:
             raise CodingError(f"--objective {obj_name} bounds need --p")
-        pj = args.p
-        if obj_name == "mmpr":
-            report = bnd.mmpr_bounds(pj)
-            doc.update(param=None, p_j=_round12(pj))
-        elif obj_name == "dexp":
-            report = bnd.dth_bounds(pj, obj.param, is_p1=(j == 1))
-            doc.update(param=_round12(obj.param), p_j=_round12(pj))
-        else:
-            lo = bnd.avg_redundancy_lower(pj)
-            if j == 1:
-                report = BoundReport(lo, bnd.avg_redundancy_upper_gallager(pj),
-                                     BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
-            else:
-                report = BoundReport(lo, 1.0, BoundKind.ACHIEVABLE,
-                                     BoundKind.APPROACHABLE,
-                                     note="unit upper bound: top-probability form needs j=1")
-            doc.update(param=None, p_j=_round12(pj))
+        report = _symbol_bounds(obj, args.p, j)
+        doc["p_j"] = _round12(args.p)
     doc["bounds"] = _report_dict(report)
     if args.format == "json":
         _emit(json.dumps(doc, indent=2), args.out)
@@ -273,8 +267,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_sweep(args) -> int:
     step = args.step
-    if not 0.0 < step <= 0.1:
-        raise CodingError(f"step must lie in (0, 0.1], got {step}")
+    if not SWEEP_MIN_STEP <= step <= 0.1:
+        raise CodingError(f"step must lie in [{SWEEP_MIN_STEP:g}, 0.1], got {step}")
     rows: list[str] = []
     if args.figure == "mmpr":
         rows.append("p,lower,upper,lower_kind,upper_kind,exact")
@@ -690,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="emit bound curves as CSV")
     sp.add_argument("--figure", choices=("mmpr", "dexp", "l1region"), required=True)
-    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--step", type=float, default=0.01,
+                    help=f"grid spacing, {SWEEP_MIN_STEP:g} to 0.1 (default 0.01)")
     add_common(sp, ("csv",), needs_input=False)
     sp.set_defaults(func=cmd_sweep)
 

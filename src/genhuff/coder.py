@@ -132,17 +132,6 @@ class CombineRule:
         """Whether engine weights for this rule live in the base-2 log domain."""
         return self.kind in (RuleKind.MAX_DOUBLE, RuleKind.DTH_EXP)
 
-    def combine(self, a: float, b: float) -> float:
-        """f(a, b) on linear-domain weights (reference form, not the engine's)."""
-        if self.kind is RuleKind.SUM:
-            return a + b
-        if self.kind is RuleKind.MAX_DOUBLE:
-            return 2.0 * max(a, b)
-        if self.kind is RuleKind.EXP_BASE:
-            return self.param * a + self.param * b
-        d = self.param
-        return (2.0 ** d * a ** (1.0 + d) + 2.0 ** d * b ** (1.0 + d)) ** (1.0 / (1.0 + d))
-
     def _leaf_keys(self, p: Pmf) -> list[float]:
         return list(map(math.log2, p.probs)) if self.log_domain else list(p.probs)
 

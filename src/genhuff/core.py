@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "CodingError",
@@ -304,14 +304,32 @@ class Objective:
     def exp_average(q: float) -> "Objective":
         return Objective(ObjectiveKind.EXP_AVERAGE, float(q))
 
-    def evaluate(self, p: Pmf, l: LengthVector) -> float:
+    def terms(self, probs: Iterable[float], lgps: Iterable[float],
+              lengths: Iterable[int]) -> list[float]:
+        """Each symbol's term, from p_i, lg p_i and l_i; ``reducer()`` makes them the value."""
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:
-            return avg_redundancy(p, l)
+            return [pi * (li + g) for pi, g, li in zip(probs, lgps, lengths)]
         if self.kind is ObjectiveKind.MAX_POINTWISE:
-            return max_pointwise_redundancy(p, l)
+            return [li + g for g, li in zip(lgps, lengths)]
         if self.kind is ObjectiveKind.DTH_EXP:
-            return dth_exp_redundancy(p, l, self.param)
-        return exp_average_cost(p, l, self.param)
+            d = self.param
+            return [(1.0 + d) * g + d * li for g, li in zip(lgps, lengths)]
+        lgq = math.log2(self.param)
+        return [g + li * lgq for g, li in zip(lgps, lengths)]
+
+    def reducer(self) -> Callable[[list[float]], float]:
+        """The map from the list of ``terms`` to the objective's value."""
+        if self.kind is ObjectiveKind.AVG_REDUNDANCY:
+            return math.fsum
+        if self.kind is ObjectiveKind.MAX_POINTWISE:
+            return max
+        scale = self.param if self.kind is ObjectiveKind.DTH_EXP else math.log2(self.param)
+        return lambda terms: lg_sum_exp2(terms) / scale
+
+    def evaluate(self, p: Pmf, l: LengthVector) -> float:
+        if p.n != l.n:
+            raise DimensionMismatch(f"pmf has {p.n} symbols, length vector has {l.n}")
+        return self.reducer()(self.terms(p.probs, map(math.log2, p.probs), l.lengths))
 
 
 class BoundKind(Enum):
@@ -343,11 +361,6 @@ class BoundReport:
 
     def contains(self, value: float, tol: float = 1e-9) -> bool:
         return self.lower - tol <= value <= self.upper + tol
-
-
-def _check_dims(p: Pmf, l: LengthVector) -> None:
-    if p.n != l.n:
-        raise DimensionMismatch(f"pmf has {p.n} symbols, length vector has {l.n}")
 
 
 def shannon_entropy(p: Pmf) -> float:
@@ -384,14 +397,12 @@ def alpha_of_q(q: float) -> float:
 
 def avg_redundancy(p: Pmf, l: LengthVector) -> float:
     """Expected codeword length minus entropy: sum p_i (l_i + lg p_i)."""
-    _check_dims(p, l)
-    return math.fsum([pi * (li + math.log2(pi)) for pi, li in zip(p, l)])
+    return Objective(ObjectiveKind.AVG_REDUNDANCY).evaluate(p, l)
 
 
 def max_pointwise_redundancy(p: Pmf, l: LengthVector) -> float:
     """Worst-case pointwise redundancy max_i (l_i + lg p_i)."""
-    _check_dims(p, l)
-    return max([li + math.log2(pi) for pi, li in zip(p, l)])
+    return Objective(ObjectiveKind.MAX_POINTWISE).evaluate(p, l)
 
 
 def dth_exp_redundancy(p: Pmf, l: LengthVector, d: float) -> float:
@@ -400,19 +411,12 @@ def dth_exp_redundancy(p: Pmf, l: LengthVector, d: float) -> float:
     Interpolates between average redundancy (d -> 0) and max pointwise
     redundancy (d -> inf).
     """
-    _check_dims(p, l)
-    if not (-1.0 < d and d != 0.0):
-        raise DOutOfRange(f"d must lie in (-1,0) or (0,inf), got {d}")
-    return lg_sum_exp2([(1.0 + d) * math.log2(pi) + d * li for pi, li in zip(p, l)]) / d
+    return Objective(ObjectiveKind.DTH_EXP, d).evaluate(p, l)
 
 
 def exp_average_cost(p: Pmf, l: LengthVector, q: float) -> float:
     """log_q sum_i p_i q^l_i for q in (0,inf), q != 1."""
-    _check_dims(p, l)
-    if not (q > 0.0 and q != 1.0):
-        raise QOutOfRange(f"q must lie in (0,inf) excluding 1, got {q}")
-    lgq = math.log2(q)
-    return lg_sum_exp2([math.log2(pi) + li * lgq for pi, li in zip(p, l)]) / lgq
+    return Objective(ObjectiveKind.EXP_AVERAGE, q).evaluate(p, l)
 
 
 def success_probability(p: Pmf, l: LengthVector, q: float) -> float:

@@ -16,42 +16,33 @@ either descends a level or finishes a vector.  The lengths of one vector
 and of the next share the prefix above the deepest level that changed,
 and the walk rewrites only the rest.
 
-The minimizer tables each symbol's term at each depth once per call, with
-the expression the objective's evaluator in ``core`` uses (``lg p_i`` is
-taken once per symbol), and the walk keeps the term list of the current
-vector the same way it keeps its lengths.  Each vector is then reduced by
-the evaluator's own reducer: ``math.fsum``, ``max``, or ``lg_sum_exp2``
-divided by d or by lg q.  Every term is the float the evaluator computes
-for that symbol and length, and the reducer sees the same list in the
-same order (``fsum`` is correctly rounded, so its sum would not depend on
-the order anyway).  So minimum, argmin set and count are bit for bit
-those of calling ``Objective.evaluate`` on each ``LengthVector``, and a
-``LengthVector`` is built only for the minimizers.
+The minimizer tables each symbol's term at each depth once per call with
+``Objective.terms``, the code ``Objective.evaluate`` runs, and binds the
+objective's reducer once.  The walk keeps the term list of the current
+vector the same way it keeps its lengths, and each vector's value is the
+reducer applied to that list.  So minimum, argmin set and count are those
+of calling ``Objective.evaluate`` on each ``LengthVector``, because the code
+is the same, and a ``LengthVector`` is built only for the minimizers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
-from .core import CodingError, LengthVector, Objective, ObjectiveKind, Pmf, lg, lg_sum_exp2
+from .core import CodingError, LengthVector, Objective, Pmf
 
 __all__ = [
-    "InfeasibleMaxLen",
     "AlphabetTooLarge",
     "OracleResult",
     "kraft_length_tuples",
-    "enumerate_kraft_lengths",
     "brute_force_optimal",
 ]
 
 DEFAULT_MAX_N = 16
 ARGMIN_TOL = 1e-12
-
-
-class InfeasibleMaxLen(CodingError):
-    pass
 
 
 class AlphabetTooLarge(CodingError):
@@ -70,25 +61,7 @@ class OracleResult:
         return tuple(lv.lengths for lv in self.argmin)
 
 
-def _depth_cap(n: int, max_len: int | None) -> int:
-    """The deepest level the walk may use: ``max_len``, default and at most n - 1.
-
-    No full binary tree with n leaves is deeper than n - 1, so a larger cap
-    admits the same vectors.
-    """
-    if n < 1:
-        raise CodingError(f"alphabet size must be >= 1, got {n}")
-    deepest = max(n - 1, 0 if n == 1 else 1)
-    if max_len is None:
-        return deepest
-    min_depth = (n - 1).bit_length()
-    if max_len < min_depth:
-        raise InfeasibleMaxLen(f"max_len {max_len} cannot hold {n} leaves "
-                               f"(needs >= {min_depth})")
-    return min(max_len, deepest)
-
-
-def _walk(n: int, max_len: int, rows: Sequence[Sequence] | None = None
+def _walk(n: int, rows: Sequence[Sequence] | None = None
           ) -> Iterator[tuple[list[int], list | None]]:
     """Yield ``(lengths, values)`` once per complete nondecreasing length vector.
 
@@ -96,15 +69,16 @@ def _walk(n: int, max_len: int, rows: Sequence[Sequence] | None = None
     ``values[i]`` is ``rows[lengths[i]][i]``; without ``rows`` it is None.
     At each depth the walk places ``k`` of the ``left`` unplaced symbols on
     the ``nodes`` open nodes, k ascending, and leaves the other ``nodes - k``
-    as internal nodes with two children each.
+    as internal nodes with two children each.  No full binary tree with n
+    leaves is deeper than n - 1, so depths run from 0 to n - 1.
     """
     lengths = [0] * n
     values = None if rows is None else [None] * n
     out = (lengths, values)
     # per depth on the current path: open nodes, unplaced symbols, leaves placed
-    nodes_at = [0] * (max_len + 1)
-    left_at = [0] * (max_len + 1)
-    k_at = [0] * (max_len + 1)
+    nodes_at = [0] * n
+    left_at = [0] * n
+    k_at = [0] * n
     depth, nodes, left = 0, 1, n
     while True:
         # descend with the fewest leaves that leave every open node two
@@ -133,11 +107,10 @@ def _walk(n: int, max_len: int, rows: Sequence[Sequence] | None = None
                 return
             nodes, left = nodes_at[depth], left_at[depth]
             k = k_at[depth] + 1
-            # the pruning rule: the symbols still unplaced must fit under
-            # the internal nodes without passing max_len.  Each extra leaf
-            # lowers that capacity by at least as much as it lowers the
-            # count, so the first k that fails ends this level.
-            if k <= min(nodes, left) and left - k <= (nodes - k) << (max_len - depth):
+            # the pruning rule: a level is recorded only where nodes < left,
+            # so k = nodes would strand symbols; any k < nodes leaves an
+            # internal node, and with no depth limit the symbols left fit
+            if k < nodes:
                 break
         k_at[depth] = k
         i = n - left + k - 1
@@ -148,44 +121,19 @@ def _walk(n: int, max_len: int, rows: Sequence[Sequence] | None = None
         depth += 1
 
 
-def kraft_length_tuples(n: int, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The vectors of ``enumerate_kraft_lengths`` as plain tuples, in the same order."""
-    cap = _depth_cap(n, max_len)
-    for lengths, _ in _walk(n, cap):
-        yield tuple(lengths)
-
-
-def enumerate_kraft_lengths(n: int, max_len: int | None = None) -> Iterator[LengthVector]:
+def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """Yield each nondecreasing length vector with Kraft sum 1, once.
 
     Vectors are generated by choosing how many leaves sit at each depth of
-    a full binary tree.  ``max_len`` defaults to n - 1, the deepest any
-    optimal tree can be.
+    a full binary tree, fewest first.
     """
-    for lengths in kraft_length_tuples(n, max_len):
-        yield LengthVector(lengths)
+    if n < 1:
+        raise CodingError(f"alphabet size must be >= 1, got {n}")
+    for lengths, _ in _walk(n):
+        yield tuple(lengths)
 
 
-def _term_table(p: Pmf, obj: Objective, max_len: int
-                ) -> tuple[list[list[float]], Callable[[list[float]], float]]:
-    """Per-depth rows of each symbol's term, and the reducer that turns a vector's terms
-    into its value; both as ``core``'s evaluator for ``obj`` computes them."""
-    lgp = [lg(pi) for pi in p]
-    depths = range(max_len + 1)
-    if obj.kind is ObjectiveKind.AVG_REDUNDANCY:
-        return [[pi * (li + g) for pi, g in zip(p, lgp)] for li in depths], math.fsum
-    if obj.kind is ObjectiveKind.MAX_POINTWISE:
-        return [[li + g for g in lgp] for li in depths], max
-    if obj.kind is ObjectiveKind.DTH_EXP:
-        d = obj.param
-        return ([[(1.0 + d) * g + d * li for g in lgp] for li in depths],
-                lambda terms: lg_sum_exp2(terms) / d)
-    lgq = lg(obj.param)
-    return [[g + li * lgq for g in lgp] for li in depths], lambda terms: lg_sum_exp2(terms) / lgq
-
-
-def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N,
-                        max_len: int | None = None) -> OracleResult:
+def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> OracleResult:
     """Minimize ``obj`` over every Kraft-tight monotone length vector.
 
     Returns the full set of minimizers (values within 1e-12 of the
@@ -194,12 +142,13 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N,
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
-    cap = _depth_cap(p.n, max_len)
-    rows, reduce = _term_table(p, obj, cap)
+    lgp = list(map(math.log2, p.probs))
+    rows = [obj.terms(p.probs, lgp, repeat(li)) for li in range(p.n)]
+    reduce = obj.reducer()
     best = float("inf")
     candidates: list[tuple[float, tuple[int, ...]]] = []
     count = 0
-    for lengths, terms in _walk(p.n, cap, rows):
+    for lengths, terms in _walk(p.n, rows):
         count += 1
         v = reduce(terms)
         if v < best - ARGMIN_TOL:

@@ -4,7 +4,8 @@ Each family is the explicit construction used to show that a bound endpoint
 is attained (or approached as eps shrinks) or that a codeword-length
 guarantee cannot be improved.  Generators refuse parameters outside the
 range where the construction is a valid distribution with the claimed
-property, rather than emit something misleading.
+property, rather than emit something misleading, and parameters that
+would make a uniform block of more than 2^MAX_SYMBOLS_LG symbols.
 
 Where a construction leaves eps free, the default is min(1e-4, half the
 admissible interval); pass eps explicitly for limit studies.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import CodingError, Pmf, ceil_neg_lg, cmp_ratio, lg
+from .core import CodingError, Pmf, ceil_neg_lg, cmp_ratio
 
 __all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate"]
 
@@ -61,10 +62,22 @@ def _need(cond: bool, msg: str) -> None:
         raise ParamsOutOfProofRange(msg)
 
 
-def _lam_at_least_2(p1: float) -> int:
-    lam = ceil_neg_lg(p1)
-    _need(lam >= 2, f"construction needs p_1 < 1/2, got {p1}")
-    return lam
+def _block_lg(e: int, what: str) -> int:
+    """Refuse a uniform block of about 2^e symbols past 2^MAX_SYMBOLS_LG, before it is built."""
+    _need(e <= MAX_SYMBOLS_LG,
+          f"{what}: a block of 2^{e} symbols passes the cap of 2^{MAX_SYMBOLS_LG}")
+    return e
+
+
+def _lam(p1: float) -> int:
+    """lam = ceil(-lg p_1), exactly, for a family with a block of about 2^lam symbols."""
+    return _block_lg(ceil_neg_lg(p1), f"p_1={p1}")
+
+
+def _floor_lg(x: Fraction) -> int:
+    """floor(lg x) for a rational x > 0, exactly."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return k if x >= Fraction(2) ** k else k - 1
 
 
 def generate(family: WitnessFamily) -> Pmf:
@@ -85,7 +98,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # (p_1, uniform x (2^lam - 2), eps): complete fixed-depth tree
         # attaining lam + lg p_1 on [2/(2^lam+1), 2^(1-lam))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam_at_least_2(p1)
+        lam = _lam(p1)
         _need(cmp_ratio(p1, 2, 2 ** lam + 1) >= 0,
               f"p_1={p1} below 2/(2^{lam}+1), outside the attainment range")
         width = 1.0 - p1 * 2.0 ** (lam - 1)
@@ -98,7 +111,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # (p_1, uniform x (2^lam - 1), eps): approaches
         # 1 + lg((1-p_1)/(1-2^-lam)) as eps -> 0 on [2^-lam, 2/(2^lam+1))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam_at_least_2(p1)
+        lam = _lam(p1)
         _need(cmp_ratio(p1, 2, 2 ** lam + 1) < 0,
               f"p_1={p1} at or above 2/(2^{lam}+1), outside the approach range")
         # in Fractions: in floats 1 - p_1 (2^lam+1)/2 is 0.0 at p_1 = float(2/9)
@@ -113,7 +126,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # one bit shorter; attains lg((1-p_1)/(1-2^(1-lam))) for
         # p_1 in [1/(2^lam - 1), 2^(1-lam))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam_at_least_2(p1)
+        lam = _lam(p1)
         _need(cmp_ratio(p1, 1, 2 ** lam - 1) >= 0,
               f"p_1={p1} below 1/(2^{lam}-1), outside the attainment range")
         mid = (1.0 - p1) / (2 ** lam - 2)
@@ -123,7 +136,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # (p_1, 2^-lam x (2^lam - 2), 2^(1-lam) - p_1): fixed-length optimal
         # tree attaining lam + lg p_1 for p_1 in [2^-lam, 1/(2^lam - 1))
         _need(p1 is not None and 0.0 < p1 < 1.0, f"needs p_1 in (0, 1), got {p1}")
-        lam = ceil_neg_lg(p1)
+        lam = _lam(p1)
         _need(cmp_ratio(p1, 1, 2 ** lam - 1) < 0,
               f"p_1={p1} at or above 1/(2^{lam}-1), outside the attainment range")
         mid = 2.0 ** -lam
@@ -134,7 +147,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # same construction as MMPR_LOWER_B restated for nu = lam - 1:
         # every optimal code is forced to l_1 = nu + 1 > nu
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam_at_least_2(p1)
+        lam = _lam(p1)
         mid = 2.0 ** -lam
         last = 2.0 ** (1 - lam) - p1
         probs = (p1,) + (mid,) * (2 ** lam - 2) + (last,)
@@ -144,7 +157,7 @@ def generate(family: WitnessFamily) -> Pmf:
         # (p_1, uniform x (2^nu - 2)) for p_1 in (1/(2^nu - 1), 2^(1-nu)):
         # optimal l_1 = nu - 1, unachievable with any longer first codeword
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        nu = _lam_at_least_2(p1)
+        nu = _lam(p1)
         _need(cmp_ratio(p1, 1, 2 ** nu - 1) > 0,
               f"p_1={p1} at or below 1/(2^{nu}-1), outside the sharpness range")
         mid = (1.0 - p1) / (2 ** nu - 2)
@@ -167,9 +180,7 @@ def generate(family: WitnessFamily) -> Pmf:
         _need(p1 is not None and 0.2 < p1 < 1.0, f"needs p_1 in (0.2, 1), got {p1}")
         m = math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
         _need(m >= 0, f"derived level count m={m} is negative")
-        _need(2 + m <= MAX_SYMBOLS_LG, f"q={q}, p_1={p1} give 2^{2 + m} tail symbols, "
-                                       f"past the cap of 2^{MAX_SYMBOLS_LG}")
-        tail = 2 ** (2 + m)
+        tail = 2 ** _block_lg(2 + m, f"q={q}, p_1={p1}")
         return Pmf((p1,) + ((1.0 - p1) / tail,) * tail)
 
     if k is FamilyKind.L1_ALWAYS_ONE_Q_LT_1:
@@ -179,10 +190,10 @@ def generate(family: WitnessFamily) -> Pmf:
         _need(p1 is not None and 0.0 < p1 < 1.0, f"needs p_1 in (0, 1), got {p1}")
         terms = [0]
         terms.append(math.floor(math.log(2.0 * q * p1 / (1.0 - p1), q)))
-        if 1.0 - 2.0 * p1 > 0.0:
-            terms.append(math.floor(lg((1.0 - 2.0 * p1) / p1)))
-        g = max(terms)
-        tail = 2 ** (1 + g)
+        if p1 < 0.5:
+            # exact: in floats (1 - 2 p_1) / p_1 overflows for subnormal p_1
+            terms.append(_floor_lg((1 - 2 * Fraction(p1)) / Fraction(p1)))
+        tail = 2 ** _block_lg(1 + max(terms), f"q={q}, p_1={p1}")
         probs = sorted((p1,) + ((1.0 - p1) / tail,) * tail, reverse=True)
         return Pmf(tuple(probs))
 

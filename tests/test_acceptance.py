@@ -22,7 +22,6 @@ from genhuff import (
     benford,
     brute_force_optimal,
     dth_exp_redundancy,
-    enumerate_kraft_lengths,
     exp_average_cost,
     exp_avg_bounds,
     exp_avg_bounds_l1,
@@ -30,6 +29,7 @@ from genhuff import (
     generalized_huffman,
     generate,
     hat_transform,
+    kraft_length_tuples,
     lambda_j,
     max_pointwise_redundancy,
     mmpr_bounds,
@@ -64,8 +64,8 @@ def random_pmf(rng, n):
 
 
 def random_code(rng, n):
-    options = list(enumerate_kraft_lengths(n))
-    return options[int(rng.integers(len(options)))]
+    options = list(kraft_length_tuples(n))
+    return LengthVector(options[int(rng.integers(len(options)))])
 
 
 @criterion(1, "Benford q=0.6 code, cost, success, unit bounds")
@@ -227,8 +227,8 @@ def test_criterion_08():
                 assert all(lv.lengths[0] >= 2 for lv in res.argmin), (q, p1)
                 # the closed form matches exhaustive search over l_1 = 1 codes
                 constrained = min(
-                    obj.evaluate(p, lv) for lv in enumerate_kraft_lengths(p.n)
-                    if lv.lengths[0] == 1)
+                    obj.evaluate(p, LengthVector(l)) for l in kraft_length_tuples(p.n)
+                    if l[0] == 1)
                 assert best_one_bit == pytest.approx(constrained, abs=1e-9)
                 assert res.min_value < best_one_bit - 1e-9
             else:

@@ -10,6 +10,7 @@ from genhuff import (
     BoundKind,
     CombineRule,
     L1Region,
+    LengthVector,
     Objective,
     POutOfRange,
     PreconditionUnmet,
@@ -30,13 +31,13 @@ from genhuff import (
     generate,
     generalized_huffman,
     hat_transform,
+    kraft_length_tuples,
     l1_region,
     lambda_j,
     mmpr_bounds,
     mmpr_length_bounds,
     renyi_entropy,
     alpha_of_q,
-    enumerate_kraft_lengths,
     unary_code,
     validate_pmf,
 )
@@ -356,8 +357,8 @@ class TestHatTransform:
         rng = np.random.default_rng(55)
         for _ in range(150):
             p = random_pmf(rng, int(rng.integers(2, 9)))
-            options = list(enumerate_kraft_lengths(p.n))
-            code = options[int(rng.integers(len(options)))]
+            options = list(kraft_length_tuples(p.n))
+            code = LengthVector(options[int(rng.integers(len(options)))])
             q = float(rng.choice((0.6, 0.9, 1.5, 2.0)))
             lhs = dth_exp_redundancy(hat_transform(p, q), code, math.log2(q))
             rhs = exp_average_cost(p, code, q) - renyi_entropy(p, alpha_of_q(q))

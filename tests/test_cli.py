@@ -247,6 +247,10 @@ class TestSweep:
     def test_step_domain(self, capsys):
         code, _, err = run(capsys, "sweep", "--figure", "mmpr", "--step", "0.5")
         assert code == 2
+        # refused before any row is built: this step would make ~1e12 rows
+        code, out, err = run(capsys, "sweep", "--figure", "mmpr", "--step", "1e-12")
+        assert (code, out) == (2, "")
+        assert "step must lie in [1e-05, 0.1]" in err
 
 
 class TestVerify:
@@ -324,6 +328,20 @@ class TestVerify:
                              "--q", "1.1", "--p1", "0.9")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "2^39" in err and "cap of 2^16" in err
+
+    @pytest.mark.parametrize("family,params", [
+        # the smallest p_1 each family admits: lam = 1074
+        *((family, ("--p1", "5e-324")) for family in (
+            "mmpr-upper-mid", "mmpr-upper-low", "mmpr-lower-a", "mmpr-lower-b",
+            "len-upper-tight", "len-lower-tight")),
+        ("l1-always-one", ("--q", "0.9", "--p1", "5e-324")),
+        # 2^213 symbols, which ended in an OverflowError
+        ("l1-always-one", ("--q", "0.9", "--p1", "1e-10")),
+    ])
+    def test_unbounded_family_is_refused_before_it_is_built(self, capsys, family, params):
+        code, out, err = run(capsys, "verify", "--family", family, *params)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "passes the cap of 2^16" in err
 
 
 class TestBenford:

@@ -18,9 +18,9 @@ from genhuff import (
     benford,
     brute_force_optimal,
     canonical_codewords,
-    enumerate_kraft_lengths,
     generalized_huffman,
     j_shannon_code,
+    kraft_length_tuples,
     lg_sum_exp2,
     max_pointwise_redundancy,
     QOutOfRange,
@@ -112,12 +112,25 @@ def root_weight_value(p, rule):
     return math.log(root) / math.log(param)
 
 
+def linear_combine(rule, a, b):
+    """f(a, b) on linear-domain weights: the paper's form, not the engine's."""
+    kind, param = rule.kind.value, rule.param
+    if kind == "sum":
+        return a + b
+    if kind == "max_double":
+        return 2.0 * max(a, b)
+    if kind == "exp_base":
+        return param * a + param * b
+    d = param
+    return (2.0 ** d * a ** (1.0 + d) + 2.0 ** d * b ** (1.0 + d)) ** (1.0 / (1.0 + d))
+
+
 class TestCombineRule:
     def test_formulas(self):
-        assert CombineRule.sum().combine(0.3, 0.2) == pytest.approx(0.5)
-        assert CombineRule.max_double().combine(0.3, 0.2) == pytest.approx(0.6)
-        assert CombineRule.exp_base(0.6).combine(0.3, 0.2) == pytest.approx(0.3)
-        f = CombineRule.dth_exp(1.0).combine(0.3, 0.2)
+        assert linear_combine(CombineRule.sum(), 0.3, 0.2) == pytest.approx(0.5)
+        assert linear_combine(CombineRule.max_double(), 0.3, 0.2) == pytest.approx(0.6)
+        assert linear_combine(CombineRule.exp_base(0.6), 0.3, 0.2) == pytest.approx(0.3)
+        f = linear_combine(CombineRule.dth_exp(1.0), 0.3, 0.2)
         assert f == pytest.approx(math.sqrt(2 * 0.09 + 2 * 0.04))
 
     @given(st.sampled_from(range(len(RULES))),
@@ -127,12 +140,12 @@ class TestCombineRule:
         # max-doubling is only nondecreasing in the smaller argument; every
         # other rule is strictly increasing in both
         rule = RULES[ri]
-        up_a = rule.combine(a + delta, b)
-        up_b = rule.combine(a, b + delta)
-        base = rule.combine(a, b)
+        up_a = linear_combine(rule, a + delta, b)
+        up_b = linear_combine(rule, a, b + delta)
+        base = linear_combine(rule, a, b)
         if rule.kind.value == "max_double":
             assert up_a >= base and up_b >= base
-            assert rule.combine(a + delta, b + delta) > base
+            assert linear_combine(rule, a + delta, b + delta) > base
         else:
             assert up_a > base and up_b > base
 
@@ -472,7 +485,7 @@ class TestCanonicalCodewords:
 
     def test_prefix_free_exhaustive_small(self):
         for n in range(1, 11):
-            for lv in enumerate_kraft_lengths(n):
+            for lv in map(LengthVector, kraft_length_tuples(n)):
                 words = canonical_codewords(lv)
                 assert len(set(words)) == n
                 for w in words:

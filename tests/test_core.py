@@ -326,15 +326,15 @@ class TestEvaluators:
 def _random_pair(rng, n):
     import numpy as np
 
-    from genhuff import enumerate_kraft_lengths
+    from genhuff import kraft_length_tuples
 
     while True:
         raw = rng.dirichlet(np.ones(n))
         if raw.min() > 1e-9:
             break
     p = validate_pmf([float(x) for x in raw])
-    options = list(enumerate_kraft_lengths(n))
-    return p, options[int(rng.integers(len(options)))]
+    options = list(kraft_length_tuples(n))
+    return p, LengthVector(options[int(rng.integers(len(options)))])
 
 
 class TestCrossObjectiveProperties:
@@ -386,3 +386,9 @@ class TestCrossObjectiveProperties:
                            - avg_redundancy(p, code)) < 1e-4
             assert abs(dth_exp_redundancy(p, code, 1e4)
                        - max_pointwise_redundancy(p, code)) < 1e-3
+
+
+@pytest.mark.parametrize("module", ["core", "coder", "bounds", "oracle", "witness"])
+def test_star_import(module):
+    # fails on an __all__ entry whose name was deleted from the module
+    exec(f"from genhuff.{module} import *", {})

@@ -8,12 +8,11 @@ import pytest
 
 from genhuff import (
     AlphabetTooLarge,
-    InfeasibleMaxLen,
     LengthVector,
     Objective,
     benford,
     brute_force_optimal,
-    enumerate_kraft_lengths,
+    kraft_length_tuples,
     validate_pmf,
 )
 
@@ -61,46 +60,36 @@ def direct_value(obj, probs, lengths):
 
 class TestEnumeration:
     def test_small_alphabets(self):
-        assert [lv.lengths for lv in enumerate_kraft_lengths(1)] == [(0,)]
-        assert [lv.lengths for lv in enumerate_kraft_lengths(2)] == [(1, 1)]
-        assert [lv.lengths for lv in enumerate_kraft_lengths(3)] == [(1, 2, 2)]
-        assert sorted(lv.lengths for lv in enumerate_kraft_lengths(4)) \
-            == [(1, 2, 3, 3), (2, 2, 2, 2)]
+        assert list(kraft_length_tuples(1)) == [(0,)]
+        assert list(kraft_length_tuples(2)) == [(1, 1)]
+        assert list(kraft_length_tuples(3)) == [(1, 2, 2)]
+        assert sorted(kraft_length_tuples(4)) == [(1, 2, 3, 3), (2, 2, 2, 2)]
 
     def test_counts_match_tree_shape_numbers(self):
         for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
-            assert sum(1 for _ in enumerate_kraft_lengths(n)) == expected
+            assert sum(1 for _ in kraft_length_tuples(n)) == expected
 
     def test_every_vector_complete_sorted_unique(self):
         for n in range(1, 11):
             seen = set()
-            for lv in enumerate_kraft_lengths(n):
+            for lv in map(LengthVector, kraft_length_tuples(n)):
                 assert lv.n == n
                 assert lv.is_complete
                 assert lv.lengths == tuple(sorted(lv.lengths))
                 assert lv.lengths not in seen
                 seen.add(lv.lengths)
 
-    def test_max_len_cap(self):
-        capped = [lv.lengths for lv in enumerate_kraft_lengths(5, max_len=3)]
-        assert all(max(l) <= 3 for l in capped)
-        assert (1, 2, 3, 4, 4) not in capped
-        with pytest.raises(InfeasibleMaxLen):
-            list(enumerate_kraft_lengths(5, max_len=2))
-
     def test_matches_filtered_product_in_level_profile_order(self):
-        # every nondecreasing vector of lengths <= max_len with Kraft sum 1,
-        # ordered by leaves at depth 0, then depth 1, ...: the walk's order
+        # every nondecreasing vector of lengths <= n - 1, the deepest a full
+        # tree with n leaves reaches, with Kraft sum 1, ordered by leaves at
+        # depth 0, then depth 1, ...: the walk's order
         for n in range(1, 9):
-            for max_len in range((n - 1).bit_length(), n + 1):
-                expected = [l for l in itertools.combinations_with_replacement(
-                                range(max_len + 1), n)
-                            if sum(1 << (max_len - x) for x in l) == 1 << max_len]
-                expected.sort(key=lambda l: [l.count(d) for d in range(max_len + 1)])
-                assert [lv.lengths for lv in enumerate_kraft_lengths(n, max_len)] == expected
-
-    def test_infeasible_zero_length(self):
-        assert [lv.lengths for lv in enumerate_kraft_lengths(1, max_len=0)] == [(0,)]
+            deepest = n - 1
+            expected = [l for l in itertools.combinations_with_replacement(
+                            range(deepest + 1), n)
+                        if sum(1 << (deepest - x) for x in l) == 1 << deepest]
+            expected.sort(key=lambda l: [l.count(d) for d in range(deepest + 1)])
+            assert list(kraft_length_tuples(n)) == expected
 
 
 class TestBruteForce:
@@ -142,10 +131,9 @@ class TestBruteForce:
         assert all(lv.is_complete for lv in res2.argmin)
 
 
-def reference_optimum(p, obj, max_len=None):
+def reference_optimum(p, obj):
     """The oracle as it was: a LengthVector and an Objective.evaluate per vector."""
-    scored = [(obj.evaluate(p, lv), lv.lengths)
-              for lv in enumerate_kraft_lengths(p.n, max_len)]
+    scored = [(obj.evaluate(p, LengthVector(l)), l) for l in kraft_length_tuples(p.n)]
     best = min(v for v, _ in scored)
     return best, tuple(sorted(l for v, l in scored if v <= best + 1e-12)), len(scored)
 
@@ -159,11 +147,9 @@ class TestAgainstReference:
         rng = np.random.default_rng(45)
         for n in range(1, 14):
             p = random_pmf(rng, n)
-            caps = (None,) if n < 4 else (None, (n - 1).bit_length(), (n - 1).bit_length() + 1)
-            for max_len in caps:
-                res = brute_force_optimal(p, obj, max_len=max_len)
-                assert (res.min_value, res.argmin_lengths(), res.evaluated_count) \
-                    == reference_optimum(p, obj, max_len)
+            res = brute_force_optimal(p, obj)
+            assert (res.min_value, res.argmin_lengths(), res.evaluated_count) \
+                == reference_optimum(p, obj)
 
 
 class TestSoundnessArguments:
@@ -177,8 +163,8 @@ class TestSoundnessArguments:
                 mono = brute_force_optimal(p, obj).min_value
                 best = min(
                     obj.evaluate(p, LengthVector(perm))
-                    for lv in enumerate_kraft_lengths(n)
-                    for perm in set(itertools.permutations(lv.lengths)))
+                    for lengths in kraft_length_tuples(n)
+                    for perm in set(itertools.permutations(lengths)))
                 assert mono == pytest.approx(best, abs=1e-12)
 
     def test_kraft_slack_never_helps(self):
@@ -208,7 +194,7 @@ class TestSoundnessArguments:
         for _ in range(40):
             n = int(rng.integers(2, 7))
             p = random_pmf(rng, n)
-            for lv in enumerate_kraft_lengths(n):
+            for lv in map(LengthVector, kraft_length_tuples(n)):
                 for obj in OBJECTIVES:
                     assert obj.evaluate(p, lv) == pytest.approx(
                         direct_value(obj, p.probs, lv.lengths), abs=1e-10)
