@@ -35,8 +35,13 @@ to the heap, so both paths always give the same code.
 Both paths record each merge as its two children.  Depths then come from
 one pass from the root down, and the Kraft check sums integers, so
 everything after the merges is linear in n as well.  The merge trace is
-built only on request.  Codeword bits are always assigned canonically
-from the lengths, shortest first, stable on symbol index.
+built only on request.
+
+Codeword bits are assigned canonically from the lengths, shortest first,
+stable on symbol index.  That needs no sort: the words of one length are
+consecutive integers from a first code that one count per length fixes,
+so each length's words are built as one block, and each symbol takes the
+next word of its length's block in index order.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -321,26 +327,55 @@ def unary_code(n: int) -> LengthVector:
     return LengthVector(tuple(range(1, n)) + (n - 1,))
 
 
+# _WORDS[k] holds every k-bit string in increasing order, k = 0..8: 511
+# strings in all.  A longer codeword is its formatted high k - 8 bits
+# followed by one of the 256 entries of _WORDS[8].
+_LOW_BITS = 8
+_WORDS = tuple(tuple(format(v, "b").zfill(k) for v in range(1 << k)) if k else ("",)
+               for k in range(_LOW_BITS + 1))
+
+
+def _length_block(first: int, count: int, k: int) -> list[str] | tuple[str, ...]:
+    """The k-bit strings of the integers first, first + 1, ..., first + count - 1."""
+    if k <= _LOW_BITS:
+        return _WORDS[k][first:first + count]
+    low = _WORDS[_LOW_BITS]
+    high_bits = k - _LOW_BITS
+    end = first + count
+    block: list[str] = []
+    # one formatted high part per run of up to 256 codes sharing it
+    for high in range(first >> _LOW_BITS, ((end - 1) >> _LOW_BITS) + 1):
+        base = high << _LOW_BITS
+        prefix = bin(high)[2:].zfill(high_bits)
+        block += map(prefix.__add__, low[max(first - base, 0):min(end - base, len(low))])
+    return block
+
+
 def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     """Assign lexicographically increasing codewords for the given lengths.
 
-    Codewords are handed out shortest first (stable on symbol index), each
-    the previous value plus one, shifted to the new length.  The result is
-    prefix-free for every Kraft-valid input.
+    Codewords are handed out shortest first, stable on symbol index.  The
+    words of one length k are the consecutive integers from next_code[k]:
+    the previous length's first code plus its count, shifted left by the
+    difference in length (RFC 1951, section 3.2.2).  So each length's words
+    are built as one block, with no sort, and the symbols of that length
+    take them in index order.  The result is prefix-free for every
+    Kraft-valid input; KraftViolation is raised for any other.
     """
-    if not l.is_valid:
-        raise KraftViolation(f"Kraft sum {l.kraft_sum} exceeds 1 for {l.lengths}")
     lengths = l.lengths
-    codes: list[str] = [""] * l.n
-    value = -1  # so that the first codeword is all zeros
-    prev_len = 0
-    # a stable sort on length alone keeps equal lengths in symbol order
-    for idx in sorted(range(l.n), key=lengths.__getitem__):
-        li = lengths[idx]
-        value = (value + 1) << (li - prev_len)
-        if li > 0:
-            bits = format(value, "b").zfill(li)
-            assert len(bits) == li
-            codes[idx] = bits
-        prev_len = li
-    return tuple(codes)
+    counts = Counter(lengths)
+    top = max(counts)
+    total = sum(c << (top - k) for k, c in counts.items())
+    excess = total - (1 << top)
+    if excess > 0:
+        # the float sum reads 1.0 when the excess is below its precision
+        raise KraftViolation(f"Kraft sum {total / (1 << top)!r} of {l.n} lengths exceeds 1 "
+                             f"by at least 2^{excess.bit_length() - 1 - top}")
+    blocks: list = [None] * (top + 1)
+    code = prev = 0
+    for k in sorted(counts):
+        code <<= k - prev
+        blocks[k] = iter(_length_block(code, counts[k], k))
+        code += counts[k]
+        prev = k
+    return tuple(map(next, map(blocks.__getitem__, lengths)))

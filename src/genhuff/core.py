@@ -138,6 +138,13 @@ def _check_positive(vals: Sequence[float]) -> None:
                                  f"entry {k + 1} of {len(vals)} is {vals[k]!r}")
 
 
+def _check_sum(vals: Sequence[float]) -> None:
+    """Raise SumNotOne unless the exact sum of ``vals`` is within PMF_SUM_TOL of 1."""
+    total = math.fsum(vals)
+    if abs(total - 1.0) > PMF_SUM_TOL:
+        raise SumNotOne(f"{len(vals)} probabilities sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function, strictly positive and sorted nonincreasing."""
@@ -148,14 +155,20 @@ class Pmf:
         if not self.probs:
             raise EmptyInput("pmf needs at least one symbol")
         _check_positive(self.probs)
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PMF_SUM_TOL:
-            raise SumNotOne(f"{self.n} probabilities sum to {total!r}, not 1")
+        _check_sum(self.probs)
         if any(map(operator.lt, self.probs, islice(self.probs, 1, None))):
             k = next(i for i in range(1, self.n) if self.probs[i - 1] < self.probs[i])
             raise CodingError(
                 f"probabilities must be sorted nonincreasing: of {self.n}, entry {k} "
                 f"({self.probs[k - 1]!r}) < entry {k + 1} ({self.probs[k]!r})")
+
+    @classmethod
+    def _checked(cls, probs: tuple[float, ...]) -> "Pmf":
+        """A Pmf from ``probs`` that the caller has already found nonempty,
+        finite, positive, sorted nonincreasing and summing to 1."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "probs", probs)
+        return p
 
     @property
     def n(self) -> int:
@@ -179,6 +192,10 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     divided by the largest, and an entry that underflows to 0 on the way
     raises NonPositiveProbability.  Error messages quote n and the first
     offending entry, never the whole vector.
+
+    Each check runs once: the list this function has checked and sorted
+    itself is not handed to ``Pmf``'s own checks again.  An
+    ``assume_sorted`` list goes through them, as a direct ``Pmf(...)`` does.
     """
     vals = list(map(float, raw))
     if not vals:
@@ -200,9 +217,11 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
                 f"entry {k + 1} of {len(vals)} ({vals[k]!r}) underflows to 0 "
                 f"when normalised")
         vals = normed
-    if not assume_sorted:
-        vals.sort(reverse=True)
-    return Pmf(tuple(vals))
+    if assume_sorted:
+        return Pmf(tuple(vals))
+    vals.sort(reverse=True)
+    _check_sum(vals)
+    return Pmf._checked(tuple(vals))
 
 
 def benford() -> Pmf:

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import random
 
 import numpy as np
 import pytest
@@ -470,6 +471,37 @@ class TestUnary:
                 == pytest.approx(best.min_value, abs=1e-12)
 
 
+def sorted_canonical_codewords(lengths):
+    """Canonical codewords by a stable sort on length: the reference for
+    ``canonical_codewords``, which builds them per length block instead."""
+    codes = [""] * len(lengths)
+    value = -1  # so that the first codeword is all zeros
+    prev_len = 0
+    for idx in sorted(range(len(lengths)), key=lengths.__getitem__):
+        li = lengths[idx]
+        value = (value + 1) << (li - prev_len)
+        if li > 0:
+            bits = format(value, "b").zfill(li)
+            assert len(bits) == li
+            codes[idx] = bits
+        prev_len = li
+    return tuple(codes)
+
+
+@st.composite
+def incomplete_kraft_lengths(draw):
+    """Shuffled lengths 1..24 with Kraft sum below 1, in runs of up to 700
+    equal lengths, so that blocks cross the 8-bit table and 256-code edges."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 700)),
+                         min_size=1, max_size=6))
+    lengths = sorted(k for k, c in runs for _ in range(c))
+    total = sum(1 << (24 - k) for k in lengths)
+    while total >= 1 << 24:  # one length >= 1 is always below
+        total -= 1 << (24 - lengths.pop(0))
+    random.Random(draw(st.integers(0, 2 ** 32))).shuffle(lengths)
+    return tuple(lengths)
+
+
 class TestCanonicalCodewords:
     def test_examples(self):
         assert canonical_codewords(LengthVector((1, 2, 2))) == ("0", "10", "11")
@@ -483,10 +515,47 @@ class TestCanonicalCodewords:
         with pytest.raises(KraftViolation):
             canonical_codewords(LengthVector((1, 1, 2)))
 
+    def test_kraft_violation_message_is_short(self):
+        n = 100_000
+        lengths = (16,) * n  # Kraft sum n / 2^16
+        with pytest.raises(KraftViolation) as exc:
+            canonical_codewords(LengthVector(lengths))
+        msg = str(exc.value)
+        assert msg == f"Kraft sum {n / 65536!r} of {n} lengths exceeds 1 by at least 2^-1"
+        assert len(msg) < 200
+        over = tuple(range(1, 1101)) + (1100, 1100)  # Kraft sum 1 + 2^-1100
+        with pytest.raises(KraftViolation, match=r"^Kraft sum 1\.0 of 1102 lengths exceeds 1 "
+                                                 r"by at least 2\^-1100$"):
+            canonical_codewords(LengthVector(over))
+
+    def test_equals_sort_reference_at_block_edges(self):
+        assert canonical_codewords(LengthVector((0,))) == sorted_canonical_codewords((0,)) == ("",)
+        # length 10 starts at code 10 and crosses code 256; length 20 spans 20
+        # runs of 256 codes; the symbols are interleaved out of length order
+        lengths = (9,) * 5 + (10,) * 300 + (12,) * 3 + (20,) * 5000
+        lengths = lengths[1::2] + lengths[0::2]
+        got = canonical_codewords(LengthVector(lengths))
+        assert got == sorted_canonical_codewords(lengths)
+
+    @given(incomplete_kraft_lengths())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sort_reference_random_incomplete(self, lengths):
+        assert canonical_codewords(LengthVector(lengths)) == sorted_canonical_codewords(lengths)
+
+    def test_equals_sort_reference_on_deep_engine_codes(self, large_pmfs):
+        p = large_pmfs["geometric"]
+        for rule in SIX_RULES:
+            lengths = generalized_huffman(p, rule).lengths
+            assert canonical_codewords(lengths) == sorted_canonical_codewords(lengths.lengths)
+        assert max(lengths) > 1000
+
     def test_prefix_free_exhaustive_small(self):
         for n in range(1, 11):
-            for lv in map(LengthVector, kraft_length_tuples(n)):
-                words = canonical_codewords(lv)
+            for lengths in kraft_length_tuples(n):
+                assert canonical_codewords(LengthVector(lengths[::-1])) \
+                    == sorted_canonical_codewords(lengths[::-1])
+                words = canonical_codewords(LengthVector(lengths))
+                assert words == sorted_canonical_codewords(lengths)
                 assert len(set(words)) == n
                 for w in words:
                     for v in words:

@@ -137,6 +137,57 @@ class TestValidatePmf:
         assert "entry 8" in str(exc.value) and "entry 9" in str(exc.value)
         assert len(str(exc.value)) < 200
 
+    def test_sorting_path_equals_direct_construction(self):
+        weights = [float((i * 7919) % 101 + 1) for i in range(1000)]  # many ties
+        total = math.fsum(weights)
+        for raw in ([1.0], [0.25, 0.5, 0.25], [w / total for w in weights]):
+            for normalize in (False, True):
+                p = validate_pmf(raw, normalize=normalize)
+                direct = Pmf(tuple(sorted(p.probs, reverse=True)))
+                assert p == direct and hash(p) == hash(direct)
+            assert validate_pmf(raw) == Pmf(tuple(sorted(raw, reverse=True)))
+
+    @pytest.mark.parametrize("raw, normalize, error, message", [
+        ([0.5, 0.4], False, SumNotOne, "2 probabilities sum to 0.9, not 1"),
+        ([0.5, 0.5 + 2e-9], False, SumNotOne,
+         "2 probabilities sum to 1.0000000020000002, not 1"),
+        ([0.1] * 9, False, SumNotOne, "9 probabilities sum to 0.9, not 1"),
+        ([0.25, 0.5, 0.3], False, SumNotOne, "3 probabilities sum to 1.05, not 1"),
+        ([0.5, 0.5, 0.0], False, NonPositiveProbability,
+         "all probabilities must be finite and > 0: entry 3 of 3 is 0.0"),
+        ([0.5, -0.25, 0.75], False, NonPositiveProbability,
+         "all probabilities must be finite and > 0: entry 2 of 3 is -0.25"),
+        ([math.inf, 0.5], False, NonPositiveProbability,
+         "all probabilities must be finite and > 0: entry 1 of 2 is inf"),
+        ([0.5, 0.5, 0.0], True, NonPositiveProbability,
+         "all probabilities must be finite and > 0: entry 3 of 3 is 0.0"),
+        ([2.0, -1.0], True, NonPositiveProbability,
+         "all probabilities must be finite and > 0: entry 2 of 2 is -1.0"),
+        ([1.0, math.nan], True, NonPositiveProbability,
+         "all probabilities must be finite and > 0: entry 2 of 2 is nan"),
+        ([1e308, 1e308, 1e-300], True, NonPositiveProbability,
+         "entry 3 of 3 (1e-300) underflows to 0 when normalised"),
+        ([5e-324, 4.0], True, NonPositiveProbability,
+         "entry 1 of 2 (5e-324) underflows to 0 when normalised"),
+    ])
+    def test_exact_messages(self, raw, normalize, error, message):
+        with pytest.raises(error) as exc:
+            validate_pmf(raw, normalize=normalize)
+        assert str(exc.value) == message
+
+    def test_assume_sorted_and_direct_construction_keep_every_check(self):
+        unsorted = "probabilities must be sorted nonincreasing: of 2, entry 1 (0.2) < entry 2 (0.8)"
+        for build in (lambda r: validate_pmf(r, assume_sorted=True), lambda r: Pmf(tuple(r))):
+            with pytest.raises(CodingError) as exc:
+                build([0.2, 0.8])
+            assert str(exc.value) == unsorted
+            with pytest.raises(SumNotOne, match=r"^2 probabilities sum to 0\.9, not 1$"):
+                build([0.5, 0.4])
+        with pytest.raises(NonPositiveProbability, match="entry 3 of 3 is 0.0$"):
+            Pmf((0.5, 0.5, 0.0))
+        with pytest.raises(EmptyInput):
+            Pmf(())
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
     @settings(max_examples=100)
     def test_normalized_input_always_validates(self, raw):
