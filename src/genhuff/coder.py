@@ -46,7 +46,6 @@ next word of its length's block in index order.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from collections import Counter
@@ -203,6 +202,7 @@ class CodeResult:
 
 def _merge_heap(keys: list[float], combine) -> list[int]:
     """Merge by a (weight, sequence) heap; symbol i has sequence n-1-i."""
+    import heapq
     n = len(keys)
     heap = [(keys[i], n - 1 - i, i) for i in range(n)]
     heapq.heapify(heap)

@@ -19,9 +19,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CodingError",
@@ -122,8 +124,10 @@ def ceil_neg_lg(p: float) -> int:
 
 def cmp_ratio(p: float, num: int, den: int) -> int:
     """Sign of p - num/den (-1, 0 or 1), exact where a float product such
-    as p * (2^lam - 1) rounds the float nearest 1/(2^lam - 1) across it."""
-    diff = Fraction(p) * den - num
+    as p * (2^lam - 1) rounds the float nearest 1/(2^lam - 1) across it.
+    p = a/b exactly with b > 0, so p - num/den has the sign of a den - num b."""
+    a, b = p.as_integer_ratio()
+    diff = a * den - num * b
     return (diff > 0) - (diff < 0)
 
 
@@ -256,6 +260,7 @@ class LengthVector:
 
     @property
     def kraft_sum(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(*self._kraft_scaled())
 
     @property

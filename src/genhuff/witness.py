@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .core import CodingError, Pmf, ceil_neg_lg, cmp_ratio
 
-__all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate"]
+__all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate",
+           "one_bit_l1_cost_bound"]
 
 DEFAULT_EPS = 1e-4
 MAX_SYMBOLS_LG = 16  # refuse a family whose uniform block would pass 2^16 symbols
@@ -198,3 +199,15 @@ def generate(family: WitnessFamily) -> Pmf:
         return Pmf(tuple(probs))
 
     raise CodingError(f"unknown witness family {k!r}")
+
+
+def one_bit_l1_cost_bound(q: float, p1: float) -> float:
+    """Exact optimal cost among codes with l_1 = 1 for the q>1 witness.
+
+    The 2^(2+m) equal tail symbols of the counterexample family optimally
+    fill a complete subtree of depth 3+m under the root's other branch, so
+    the best one-bit-l_1 cost is log_q(q p_1 + (1-p_1) q^(3+m)).
+    Cross-checked against exhaustive enumeration in the test suite.
+    """
+    m = math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
+    return math.log(q * p1 + (1.0 - p1) * q ** (3 + m), q)

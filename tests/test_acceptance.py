@@ -38,7 +38,7 @@ from genhuff import (
     unary_code,
     validate_pmf,
 )
-from genhuff.cli import one_bit_l1_cost_bound
+from genhuff.witness import one_bit_l1_cost_bound
 
 
 def criterion(num, name):

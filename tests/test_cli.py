@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, determinism, exit codes, worked example."""
 
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from genhuff.cli import EXIT_BROKEN_PIPE, main
+from genhuff.cli import EXIT_BROKEN_PIPE, ORACLE_MAX_N, build_parser, main
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -38,6 +39,19 @@ def child_env():
     """The environment for a child interpreter that imports genhuff from this tree."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     return {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+
+
+VERIFY_MODULES = ("genhuff.verify", "genhuff.oracle", "genhuff.witness")
+UNUSED = VERIFY_MODULES + ("json",)  # what no subcommand but verify or a JSON run needs
+
+# a cold interpreter runs cli.main on its argv, then lists sys.modules on stderr
+COLD_RUN = """
+import sys
+from genhuff import cli
+code = cli.main(sys.argv[1:])
+sys.stderr.write(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
 
 
 def usage_error(capsys, *argv):
@@ -344,6 +358,31 @@ class TestVerify:
         assert err.startswith("error: ") and "passes the cap of 2^16" in err
 
 
+    @pytest.mark.parametrize("family,p1,message", [
+        ("len-upper-tight", "1.6e-5", "needs 65536 symbols"),
+        ("mmpr-upper-mid", "0.061", "needs 32 symbols"),
+        ("mmpr-upper-low", "0.05", "needs 33 symbols"),
+    ])
+    def test_witness_past_the_oracle_cap_is_refused_before_it_is_built(
+            self, capsys, monkeypatch, family, p1, message):
+        import genhuff.witness
+
+        def unbuilt(family):
+            raise AssertionError("generate was called")
+
+        monkeypatch.setattr(genhuff.witness, "generate", unbuilt)
+        code, out, err = run(capsys, "verify", "--family", family, "--p1", p1)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --family {family} at p_1={float(p1)} {message}, past the oracle "
+                       f"cap 18: the oracle checks p_1 >= 2^-4 = 0.0625 only\n")
+
+    def test_largest_witness_the_oracle_checks_passes(self, capsys):
+        # lam = 4 at p_1 = 1/16: 2^4 + 1 = 17 symbols
+        code, out, err = run(capsys, "verify", "--family", "mmpr-upper-low", "--p1", "0.0625")
+        assert (code, err) == (0, "")
+        assert out.endswith("result: ok\n")
+
+
 class TestBenford:
     def test_json_blocks(self, capsys):
         code, out, _ = run(capsys, "benford", "--format", "json")
@@ -502,3 +541,57 @@ class TestStartup:
         assert "lengths: 1 2 2" in proc.stdout
         assert "genhuff.cli" in proc.stderr
         assert "numpy" not in proc.stderr
+
+    @pytest.mark.parametrize("argv,loaded,absent", [
+        (("code", "{file}", "--format", "plain"), (), UNUSED + ("fractions",)),
+        (("code", "{file}", "--format", "csv"), (), UNUSED + ("fractions",)),
+        (("benford", "--format", "plain"), (), UNUSED),
+        (("bounds", "--objective", "avg", "--p", "0.3"), (), UNUSED),
+        (("sweep", "--figure", "mmpr"), (), UNUSED),
+        # the other side of the guard: a run that needs them loads them
+        (("code", "{file}", "--format", "json"), ("json",), VERIFY_MODULES),
+        (("verify", "--n", "3", "--trials", "1"), VERIFY_MODULES, ("json",)),
+    ])
+    def test_cold_run_imports_only_what_it_runs(self, three_file, argv, loaded, absent):
+        argv = [three_file if a == "{file}" else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_RUN, *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stderr.split())
+        assert {"genhuff.cli", *loaded} <= modules
+        assert not modules & set(absent)
+
+    def test_package_import_loads_core_and_coder_only(self):
+        # then every exported name resolves, the lazy ones included
+        child = ("import genhuff, sys; print(*sorted(sys.modules)); "
+                 "[getattr(genhuff, name) for name in genhuff.__all__]")
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.split())
+        assert {m for m in modules if m.startswith("genhuff")} == {
+            "genhuff", "genhuff.core", "genhuff.coder"}
+        assert "fractions" not in modules and "heapq" not in modules
+
+
+class TestParserSources:
+    """The parser holds copies of what it must not import the witness or oracle for."""
+
+    @staticmethod
+    def verify_option(flag):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return next(a for a in sub.choices["verify"]._actions if flag in a.option_strings)
+
+    def test_family_names_are_the_witness_families(self):
+        from genhuff.witness import FamilyKind
+
+        assert list(self.verify_option("--family").choices) == [k.value for k in FamilyKind]
+
+    def test_n_cap_is_the_oracle_cap(self):
+        from genhuff.oracle import DEFAULT_MAX_N
+
+        assert ORACLE_MAX_N == DEFAULT_MAX_N
+        assert f"2..{DEFAULT_MAX_N} " in self.verify_option("--n").help

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genhuff
 from genhuff import (
     AlphaOutOfRange,
     CodingError,
@@ -31,6 +32,7 @@ from genhuff import (
     success_probability,
     validate_pmf,
 )
+from genhuff.core import cmp_ratio
 
 # frozen by direct 40-digit evaluation of the defining formulas
 BENFORD = (0.3010299956639812, 0.17609125905568124, 0.12493873660829995,
@@ -246,6 +248,44 @@ class TestCeilNegLg:
             ceil_neg_lg(1.5)
 
 
+def fraction_cmp_ratio(p, num, den):
+    """The sign of p - num/den taken in Fraction, the form cmp_ratio replaced."""
+    diff = Fraction(p) * den - num
+    return (diff > 0) - (diff < 0)
+
+
+class TestCmpRatio:
+    def test_matches_fraction_form_at_row_ends(self):
+        # the floats nearest 1/(2^lam - 1) and 2/(2^lam + 1), +-3 ulp
+        for lam in range(2, 17):
+            for num, den in ((1, 2 ** lam - 1), (2, 2 ** lam + 1)):
+                xs = [num / den]
+                for _ in range(3):
+                    xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], 1.0)]
+                signs = [cmp_ratio(x, num, den) for x in xs]
+                assert signs == [fraction_cmp_ratio(x, num, den) for x in xs]
+                assert signs == sorted(signs) and signs[0] == -1 and signs[-1] == 1
+
+    def test_exact_ratio_is_zero(self):
+        assert cmp_ratio(0.25, 1, 4) == 0
+        assert cmp_ratio(0.75, -3, -4) == 0
+        assert cmp_ratio(5e-324, 1, 2 ** 1074) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70))
+    def test_matches_fraction_form_on_random_floats(self, p, num, den):
+        assert cmp_ratio(p, num, den) == fraction_cmp_ratio(p, num, den)
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises_as_fraction_form_does(self, p):
+        with pytest.raises(Exception) as want:
+            fraction_cmp_ratio(p, 1, 3)
+        with pytest.raises(Exception) as got:
+            cmp_ratio(p, 1, 3)
+        assert type(got.value) is type(want.value)
+
+
 class TestObjective:
     def test_param_domains(self):
         with pytest.raises(DOutOfRange):
@@ -443,3 +483,27 @@ class TestCrossObjectiveProperties:
 def test_star_import(module):
     # fails on an __all__ entry whose name was deleted from the module
     exec(f"from genhuff.{module} import *", {})
+
+
+class TestPackageNames:
+    def test_every_name_in_all_resolves(self):
+        for name in genhuff.__all__:
+            assert getattr(genhuff, name) is not None, name
+        assert len(set(genhuff.__all__)) == len(genhuff.__all__)
+
+    def test_star_import_gives_all(self):
+        names = {}
+        exec("from genhuff import *", names)
+        names.pop("__builtins__")
+        assert set(names) == set(genhuff.__all__)
+
+    def test_lazy_name_is_the_module_attribute(self):
+        import genhuff.oracle
+
+        assert genhuff.brute_force_optimal is genhuff.oracle.brute_force_optimal
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            genhuff.no_such_name
+        with pytest.raises(ImportError):
+            exec("from genhuff import no_such_name", {})
