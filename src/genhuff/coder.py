@@ -41,7 +41,13 @@ Codeword bits are assigned canonically from the lengths, shortest first,
 stable on symbol index.  That needs no sort: the words of one length are
 consecutive integers from a first code that one count per length fixes,
 so each length's words are built as one block, and each symbol takes the
-next word of its length's block in index order.
+next word of its length's block in index order.  A deep code can have a
+thousand lengths of a few words each, a thousand bits long, so the first
+word of each length is carried as a string, never formatted from its
+integer: it is the previous length's next word followed by zeros, and
+its block is that word's high part joined to a slice of a table of all
+8-bit strings.  The integer is formatted only for the first length past
+the table and after a block that reaches a 256-word edge.
 """
 
 from __future__ import annotations
@@ -283,12 +289,14 @@ def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> Co
     if kids is None:
         del keys[n:]
         kids = _merge_heap(keys, combine)
-    lengths = LengthVector(tuple(_leaf_depths(n, kids)))
+    lengths = LengthVector._checked(tuple(_leaf_depths(n, kids)))
     merge_trace = None
     if trace:
         events = tuple(MergeEvent(keys[a], keys[b], keys[new], a, b, new)
                        for new, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
         merge_trace = MergeTrace(events, keys[-1], rule.log_domain)
+    # the codeword strings can reuse what the merge buffers held
+    del keys, kids
     value = rule.objective().evaluate(p, lengths)
     return CodeResult(lengths, canonical_codewords(lengths), value, merge_trace)
 
@@ -335,10 +343,8 @@ _WORDS = tuple(tuple(format(v, "b").zfill(k) for v in range(1 << k)) if k else (
                for k in range(_LOW_BITS + 1))
 
 
-def _length_block(first: int, count: int, k: int) -> list[str] | tuple[str, ...]:
-    """The k-bit strings of the integers first, first + 1, ..., first + count - 1."""
-    if k <= _LOW_BITS:
-        return _WORDS[k][first:first + count]
+def _length_block(first: int, count: int, k: int) -> list[str]:
+    """The k-bit strings of the integers first, first + 1, ..., first + count - 1, for k > 8."""
     low = _WORDS[_LOW_BITS]
     high_bits = k - _LOW_BITS
     end = first + count
@@ -361,6 +367,15 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     are built as one block, with no sort, and the symbols of that length
     take them in index order.  The result is prefix-free for every
     Kraft-valid input; KraftViolation is raised for any other.
+
+    Past 8 bits the next word is carried as a string: ``high``, its first
+    k - 8 bits, and ``low``, the index of its last 8 in ``_WORDS[8]``.  The
+    next length's first word is that word followed by k - prev zeros, and
+    a block that stays inside one 256-word window is ``high`` joined to
+    ``_WORDS[8][low:low + count]``.  Two cases format the integer code
+    instead: the first length past 8 bits, and the length after a block
+    that reaches a 256-word edge, where ``high`` would need a carry.  A
+    block that crosses the edge is built by ``_length_block``.
     """
     lengths = l.lengths
     counts = Counter(lengths)
@@ -371,11 +386,37 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
         # the float sum reads 1.0 when the excess is below its precision
         raise KraftViolation(f"Kraft sum {total / (1 << top)!r} of {l.n} lengths exceeds 1 "
                              f"by at least 2^{excess.bit_length() - 1 - top}")
+    low_words = _WORDS[_LOW_BITS]
+    window = len(low_words)
     blocks: list = [None] * (top + 1)
     code = prev = 0
+    high = None  # past the table: the next word's first k - 8 bits, or None to format them
     for k in sorted(counts):
-        code <<= k - prev
-        blocks[k] = iter(_length_block(code, counts[k], k))
-        code += counts[k]
+        c = counts[k]
+        shift = k - prev
+        code <<= shift
+        if k <= _LOW_BITS:
+            blocks[k] = iter(_WORDS[k][code:code + c])
+        else:
+            if high is None:
+                high = bin(code >> _LOW_BITS)[2:].zfill(k - _LOW_BITS)
+                low = code & (window - 1)
+            elif shift < _LOW_BITS:
+                high += low_words[low][:shift]
+                low = (low << shift) & (window - 1)
+            else:
+                high += low_words[low] + "0" * (shift - _LOW_BITS)
+                low = 0
+            end = low + c
+            if end > window:
+                blocks[k] = iter(_length_block(code, c, k))
+            else:
+                # built now, so that no length's high part outlives its block
+                blocks[k] = iter([high + w for w in low_words[low:end]])
+            if end < window:
+                low = end
+            else:
+                high = None  # the next word carries into the high bits
+        code += c
         prev = k
     return tuple(map(next, map(blocks.__getitem__, lengths)))

@@ -249,6 +249,14 @@ class LengthVector:
                 raise CodingError(f"lengths must be nonnegative integers: "
                                   f"entry {k + 1} of {self.n} is {l!r}")
 
+    @classmethod
+    def _checked(cls, lengths: tuple[int, ...]) -> "LengthVector":
+        """A LengthVector from ``lengths`` that the caller has already found
+        nonempty and made of nonnegative ints."""
+        l = object.__new__(cls)
+        object.__setattr__(l, "lengths", lengths)
+        return l
+
     @property
     def n(self) -> int:
         return len(self.lengths)

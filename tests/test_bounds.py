@@ -1,10 +1,13 @@
 """Closed-form bound formulas, their sandwich property, and the transform."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genhuff import (
     BoundKind,
@@ -252,6 +255,28 @@ class TestAvgRedundancyBounds:
 
     def test_lower_near_one_stays_finite(self):
         assert 0.9 < avg_redundancy_lower(1 - 1e-15) <= 1.0
+
+    @pytest.mark.parametrize("p", [8e-17, 7.9e-17, 1e-17, 1e-100, 1e-300, 3e-308, 1e-310, 1e-320])
+    def test_lower_tiny_p_matches_exact_formula(self, p):
+        # below ~8e-17, 1 - 2^(p/(p-1)) rounds to 0 in floats, and the
+        # docstring's form cancels to nothing; compare with 800 digits
+        with localcontext() as ctx:
+            ctx.prec = 800
+            P = Decimal(p)
+            ln2 = Decimal(2).ln()
+            one_minus_2_to = lambda x: 1 - (x * ln2).exp()
+            ratio = one_minus_2_to(1 / (P - 1)) / one_minus_2_to(P / (P - 1))
+            xi = math.ceil(ratio.ln() / ln2)
+            h = -(P * P.ln() + (1 - P) * (1 - P).ln()) / ln2
+            exact = xi - (1 - P) * (Decimal(2) ** xi - 1).ln() / ln2 - h
+        got = avg_redundancy_lower(p)
+        # a subnormal result is good to its spacing of 2^-1074 only
+        assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact + Decimal(2.0 ** -1072)
+
+    @given(st.floats(min_value=5e-324, max_value=8e-17))
+    @settings(max_examples=300)
+    def test_lower_tiny_p_finite_and_of_order_p(self, p):
+        assert 0.0 <= avg_redundancy_lower(p) <= p
 
     def test_gallager_values(self):
         assert avg_redundancy_upper_gallager(0.8386) \

@@ -183,6 +183,21 @@ class TestBounds:
         assert doc["bounds"]["lower"] == 0.0
         assert doc["bounds"]["upper"] == 1.0
 
+    @pytest.mark.parametrize("p", ["8e-17", "1e-17", "1e-300", "1e-310", "5e-324"])
+    @pytest.mark.parametrize("objective", [("avg",), ("dexp", "--d", "0.5")],
+                             ids=["avg", "dexp0.5"])
+    def test_tiny_p_answers_or_refuses(self, capsys, objective, p):
+        # any other exception would escape main, as a traceback does at exit
+        code, out, err = run(capsys, "bounds", "--objective", *objective, "--p", p,
+                             "--format", "json")
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            return
+        assert code == 0
+        b = json.loads(out)["bounds"]
+        assert math.isfinite(b["lower"]) and math.isfinite(b["upper"])
+        assert 0.0 <= b["lower"] <= b["upper"]
+
     def test_plain_brackets_follow_kinds(self, capsys):
         _, out, _ = run(capsys, "bounds", "--objective", "mmpr", "--p", "0.3")
         assert out.startswith("bounds: [0.263034405834, 0.900464326449)")

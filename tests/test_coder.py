@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -394,6 +395,64 @@ class TestLargeAlphabet:
                                                   rel=1e-9, abs=1e-9)
 
 
+def engine_cases(large_pmfs):
+    """(pmf, rule) for the six rules on the large pmfs and on random n <= 40."""
+    rng = np.random.default_rng(44)
+    pmfs = list(large_pmfs.values()) + [random_pmf(rng, n) for n in range(1, 41)]
+    return [(p, rule) for p in pmfs for rule in SIX_RULES]
+
+
+class TestEngineTail:
+    """What the engine does after the merge: lengths, value, codewords, trace."""
+
+    def test_value_is_evaluate_and_lengths_equal_checked_construction(self, large_pmfs):
+        for p, rule in engine_cases(large_pmfs):
+            res = generalized_huffman(p, rule)
+            assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+            direct = LengthVector(res.lengths.lengths)
+            assert res.lengths == direct and hash(res.lengths) == hash(direct)
+
+    def test_trace_equals_the_merge_buffers(self, large_pmfs):
+        for p, rule in engine_cases(large_pmfs):
+            keys = rule._leaf_keys(p)
+            kids = _merge_two_queues(keys, rule._combiner())
+            n = p.n
+            events = tuple(coder.MergeEvent(keys[a], keys[b], keys[v], a, b, v)
+                           for v, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
+            plain = generalized_huffman(p, rule)
+            traced = generalized_huffman(p, rule, trace=True)
+            assert traced.trace == coder.MergeTrace(events, keys[-1], rule.log_domain)
+            assert traced.lengths == plain.lengths
+            assert traced.codewords == plain.codewords
+            assert traced.objective_value == plain.objective_value
+
+    def test_codewords_and_evaluate_called_once_through_their_module_names(self, monkeypatch):
+        # a profiler that wraps these two names sees every engine call
+        import genhuff.core as core
+
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(coder, "canonical_codewords",
+                            counted("codewords", coder.canonical_codewords))
+        monkeypatch.setattr(core.Objective, "evaluate",
+                            counted("evaluate", core.Objective.evaluate))
+        rng = np.random.default_rng(45)
+        runs = 0
+        for n in (1, 2, 7, 40):
+            p = random_pmf(rng, n)
+            for rule in SIX_RULES:
+                for trace in (False, True):
+                    generalized_huffman(p, rule, trace=trace)
+                    runs += 1
+                    assert calls == {"codewords": runs, "evaluate": runs}
+
+
 class TestShannonCodes:
     def test_dyadic_exact(self):
         assert shannon_code(validate_pmf([0.5, 0.25, 0.25])).lengths == (1, 2, 2)
@@ -502,6 +561,42 @@ def incomplete_kraft_lengths(draw):
     return tuple(lengths)
 
 
+@st.composite
+def long_sparse_lengths(draw):
+    """Shuffled lengths up to 1100 from runs of 1..600 equal lengths, with
+    gaps between consecutive lengths below, at and above 8; complete or not.
+
+    Walks down the canonical code space keeping ``free``, the count of
+    unused words at the current length: a gap of g multiplies it by 2^g, a
+    run uses some of it, and one word is kept free to go on.  A complete
+    code keeps at most 300 free, so its gaps stay small enough (9 at most)
+    for the last run to use up the rest; an incomplete code keeps its free
+    word.
+    """
+    complete = draw(st.booleans())
+    runs = draw(st.lists(st.tuples(st.one_of(st.integers(1, 10), st.integers(1, 1100)),
+                                   st.one_of(st.integers(1, 8), st.integers(1, 300))),
+                         min_size=1, max_size=60))
+    lengths: list[int] = []
+    k, free = 0, 1
+    for gap, count in runs:
+        if complete:
+            gap = min(gap, (600 // free).bit_length() - 1)
+        if k + gap > 1100:
+            continue
+        k += gap
+        free <<= gap
+        used = min(count, free - 1)
+        if complete:
+            used = max(used, free - 300)
+        lengths += [k] * used
+        free -= used
+    if complete:
+        lengths += [k] * free if k else [0]
+    random.Random(draw(st.integers(0, 2 ** 32))).shuffle(lengths)
+    return tuple(lengths)
+
+
 class TestCanonicalCodewords:
     def test_examples(self):
         assert canonical_codewords(LengthVector((1, 2, 2))) == ("0", "10", "11")
@@ -536,11 +631,42 @@ class TestCanonicalCodewords:
         lengths = lengths[1::2] + lengths[0::2]
         got = canonical_codewords(LengthVector(lengths))
         assert got == sorted_canonical_codewords(lengths)
+        # a block that ends exactly at a 256-word edge, then a length 1, 7,
+        # 8 and 11 bits longer: the next word carries into the high bits
+        for head in ((9,) * 256, (9,) * 100 + (10,) * 56, (4,) * 3 + (12,) * 200 + (13,) * 112):
+            for gap in (1, 7, 8, 11):
+                lengths = head + (max(head) + gap,) * 3
+                assert canonical_codewords(LengthVector(lengths)) \
+                    == sorted_canonical_codewords(lengths)
 
     @given(incomplete_kraft_lengths())
     @settings(max_examples=150, deadline=None)
     def test_equals_sort_reference_random_incomplete(self, lengths):
         assert canonical_codewords(LengthVector(lengths)) == sorted_canonical_codewords(lengths)
+
+    @given(long_sparse_lengths())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_sort_reference_long_sparse(self, lengths):
+        assert canonical_codewords(LengthVector(lengths)) == sorted_canonical_codewords(lengths)
+
+    def test_long_sparse_lengths_cover_both_kinds_and_every_gap(self):
+        # the strategy above must reach what it is there for
+        seen = {"complete": 0, "incomplete": 0, "gap < 8": 0, "gap > 8": 0, "deep": 0,
+                "run > 256": 0}
+
+        @given(long_sparse_lengths())
+        @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        def tally(lengths):
+            seen["complete" if LengthVector(lengths).is_complete else "incomplete"] += 1
+            steps = sorted(set(lengths))
+            gaps = [b - a for a, b in zip(steps, steps[1:])]
+            seen["gap < 8"] += any(g < 8 for g in gaps)
+            seen["gap > 8"] += any(g > 8 for g in gaps)
+            seen["deep"] += max(lengths) > 900
+            seen["run > 256"] += max(Counter(lengths).values()) > 256
+
+        tally()
+        assert all(seen.values()), seen
 
     def test_equals_sort_reference_on_deep_engine_codes(self, large_pmfs):
         p = large_pmfs["geometric"]

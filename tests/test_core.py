@@ -230,6 +230,23 @@ class TestLengthVector:
         with pytest.raises(CodingError, match="entry 2 of 2 is 1.0"):
             LengthVector((1, 1.0))
 
+    def test_exact_messages(self):
+        for lengths, entry in (((2, -1, 1), "entry 2 of 3 is -1"), ((1.5,), "entry 1 of 1 is 1.5"),
+                               ((1, 2, 2, -1), "entry 4 of 4 is -1")):
+            with pytest.raises(CodingError) as exc:
+                LengthVector(lengths)
+            assert str(exc.value) == f"lengths must be nonnegative integers: {entry}"
+        with pytest.raises(EmptyInput) as exc:
+            LengthVector(())
+        assert str(exc.value) == "length vector needs at least one entry"
+
+    def test_checked_construction_equals_direct(self):
+        for lengths in ((0,), (1, 2, 2), (3, 1, 3, 2), tuple(range(1, 1100)) + (1100, 1100)):
+            checked = LengthVector._checked(lengths)
+            direct = LengthVector(lengths)
+            assert checked == direct and hash(checked) == hash(direct)
+            assert checked.lengths is lengths
+
 
 class TestCeilNegLg:
     def test_powers_of_two_exact(self):
