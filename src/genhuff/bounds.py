@@ -139,35 +139,24 @@ def avg_redundancy_lower(p_j: float) -> float:
     xi - (1-p_j) lg(2^xi - 1) - H(p_j), where xi rounds
     lg((1 - 2^(1/(p_j-1))) / (1 - 2^(p_j/(p_j-1)))) up to an integer and
     H is the binary entropy.  Vanishes exactly when p_j is a power of two.
+
+    That form cancels terms of size xi to a result of size ~p_j, far below
+    their rounding error for small p_j, and 2^xi overflows past 1023.  So
+    the value is taken as p_j lg(p_j 2^xi) + (1-p_j) lg(1 + (2^-xi - p_j)/(1
+    - 2^-xi)), equal to it but made of terms of order p_j.  The denominator
+    comes from expm1 and the ratio from a difference of logs, which stays
+    finite for subnormal p_j.  Scaling by 2^xi is exact, and p_j 2^xi lies
+    in [1/2, 2], so 2^-xi - p_j is exact too.
     """
     if not 0.0 < p_j < 1.0:
         raise POutOfRange(f"probability must be in (0, 1), got {p_j}")
     if p_j == 2.0 ** -ceil_neg_lg(p_j):
         return 0.0
-    num = 1.0 - 2.0 ** (1.0 / (p_j - 1.0))
-    den = 1.0 - 2.0 ** (p_j / (p_j - 1.0))
-    if den == 0.0:
-        return _avg_redundancy_lower_tiny(p_j, num)
-    # the ratio exceeds 1 analytically, so xi >= 1; the guard only absorbs
-    # underflow for p_j extremely close to 1
-    xi = max(1, math.ceil(lg(num / den)))
-    val = xi - (1.0 - p_j) * lg(2.0 ** xi - 1.0) - binary_entropy(p_j)
-    return max(0.0, val)
-
-
-def _avg_redundancy_lower_tiny(p_j: float, num: float) -> float:
-    """``avg_redundancy_lower`` where 1 - 2^(p_j/(p_j-1)) rounds to 0: p_j below about 8e-17.
-
-    The denominator comes from expm1 and the ratio from a difference of
-    logs, which stays finite for subnormal p_j.  The value is taken as
-    p_j lg(p_j 2^xi) + (1-p_j) lg(1 + (2^-xi - p_j)/(1 - 2^-xi)), equal to
-    the docstring's form but with terms of order p_j: there xi and H(p_j)
-    cancel far below their rounding error, and 2^xi overflows past 1023.
-    Scaling by 2^xi is exact, and p_j 2^xi lies in [1/2, 2], so 2^-xi - p_j
-    is exact too.
-    """
     ln2 = math.log(2.0)
-    xi = math.ceil(lg(num) - lg(-math.expm1(ln2 * p_j / (p_j - 1.0))))
+    num = 1.0 - 2.0 ** (1.0 / (p_j - 1.0))
+    # the ratio exceeds 1 analytically, so xi >= 1; the guard only absorbs
+    # rounding for p_j extremely close to 1
+    xi = max(1, math.ceil(lg(num) - lg(-math.expm1(ln2 * p_j / (p_j - 1.0)))))
     t = 2.0 ** -xi
     val = p_j * lg(math.ldexp(p_j, xi)) + (1.0 - p_j) * math.log1p((t - p_j) / (1.0 - t)) / ln2
     return max(0.0, val)

@@ -32,10 +32,25 @@ than one item.  So every rule takes the queues.  Should rounding ever
 append a merged weight below the merged queue's tail, the call falls back
 to the heap, so both paths always give the same code.
 
-Both paths record each merge as its two children.  Depths then come from
-one pass from the root down, and the Kraft check sums integers, so
-everything after the merges is linear in n as well.  The merge trace is
-built only on request.
+The queues also fix the tree's shape level by level, so their path
+records one int per merge, ``marks[k]``, the merged queue's head after
+merge k, and sets depths one level at a time.  Merge k pops at steps 2k
+and 2k + 1; inputs pop in the order n-1, n-2, ..., 0 and merged nodes in
+creation order.  The internal nodes at one depth are a contiguous range
+of merges [lo, hi), the root's being [n-2, n-1).  Their children are the
+pops at steps [2lo, 2hi).  The merged ones among them are the nodes
+marks[lo-1] ... n+lo-1 (from node n when lo = 0), so the next level is
+[nxt, lo) with nxt = marks[lo-1] - n; that its last node is n+lo-1
+follows by induction, as the root level's merge pops every merged node
+but the root.  The other 2(hi - lo) - (lo - nxt) children are
+consecutive input symbols, the leaves one level down.  nxt < lo, so the
+levels run out, and a deeper level pops at earlier steps and so takes
+higher symbol indices: the lengths are nondecreasing in symbol index.
+The heap path records each merge as its two children and sets depths by
+one pass over the nodes from the root down.  The Kraft check sums
+integers, so everything after the merges is linear in n as well.  The
+merge trace is built only on request; on the queue path its children
+are rebuilt from the marks and the keys.
 
 Codeword bits are assigned canonically from the lengths, shortest first,
 stable on symbol index.  That needs no sort: the words of one length are
@@ -202,9 +217,10 @@ class CodeResult:
 
 # Node ids: symbol i is node i, and the k-th merge (k = 0, 1, ...) creates
 # node n + k.  Both merge loops take the leaf keys by symbol, nonincreasing,
-# append each merged key to that list (so keys[v] is node v's weight and the
-# root's comes last) and return the children as one flat list: the k-th
-# merge joined kids[2k] and kids[2k + 1], popped in that order.
+# and append each merged key to that list (so keys[v] is node v's weight
+# and the root's comes last).  The heap returns the children as one flat
+# list: the k-th merge joined kids[2k] and kids[2k + 1], popped in that
+# order.  The queues return the marks of the module docstring instead.
 
 def _merge_heap(keys: list[float], combine) -> list[int]:
     """Merge by a (weight, sequence) heap; symbol i has sequence n-1-i."""
@@ -224,7 +240,7 @@ def _merge_heap(keys: list[float], combine) -> list[int]:
 
 
 def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
-    """Merge by two FIFO queues, or return None if the heap would differ.
+    """Merge by two FIFO queues and return the marks, or None if the heap would differ.
 
     One queue holds the inputs from symbol n-1 down, the other the merged
     nodes in creation order.  Every input has a lower sequence number than
@@ -233,12 +249,16 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
     rule guarantees in exact arithmetic (see the module docstring); if
     rounding ever appends a key below the merged queue's tail, this returns
     None and the caller merges by the heap instead.
+
+    marks[k] is the merged queue's head after merge k: merges 0..k popped
+    exactly the merged nodes below that id.  ``_level_lengths`` reads the
+    depths from the marks and ``_queue_children`` the children.
     """
     n = len(keys)
     i = n - 1  # next input symbol
     j = n      # next merged node; the merged queue is empty when j == new
     last = -math.inf  # the merged queue's tail while it is non-empty
-    kids: list[int] = []
+    marks: list[int] = []
     for new in range(n, 2 * n - 1):
         if i >= 0 and (j == new or keys[i] <= keys[j]):
             a = i
@@ -257,16 +277,60 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
             return None
         last = k
         keys.append(k)
-        kids += (a, b)
+        marks.append(j)
+    return marks
+
+
+def _level_lengths(n: int, marks: list[int]) -> list[int]:
+    """Leaf depths by symbol from the queue marks, one step per tree level.
+
+    The children of the merges [lo, hi) at one depth are the nodes made by
+    the merges [nxt, lo), nxt = marks[lo-1] - n, which are the next level,
+    and inputs for the rest of their 2(hi - lo) children: the next symbols
+    in index order, leaves one level down.  See the module docstring.
+    """
+    lengths = [0] if n == 1 else []
+    lo, hi = n - 2, n - 1
+    depth = 1
+    while hi > 0:
+        nxt = marks[lo - 1] - n if lo else 0
+        lengths += [depth] * (2 * (hi - lo) - (lo - nxt))
+        lo, hi = nxt, lo
+        depth += 1
+    return lengths
+
+
+def _queue_children(keys: list[float], marks: list[int]) -> list[int]:
+    """The heap's flat children list, rebuilt from the queue merge's keys and marks.
+
+    A merge that moved the merged head by two took two merged nodes, by
+    none two inputs.  By one it took the next input and the head, the
+    input first iff its key is at most the head's, since inputs win ties.
+    """
+    n = len(marks) + 1
+    i, j = n - 1, n
+    kids: list[int] = []
+    for mark in marks:
+        took = mark - j
+        if took == 0:
+            kids += (i, i - 1)
+            i -= 2
+        elif took == 2:
+            kids += (j, j + 1)
+        else:
+            kids += (i, j) if keys[i] <= keys[j] else (j, i)
+            i -= 1
+        j = mark
     return kids
 
 
 def _leaf_depths(n: int, kids: list[int]) -> list[int]:
-    """Leaf depths by one pass over the merges from the root down.
+    """Leaf depths from the heap's children, by one pass over the merges from the root down.
 
     Both children of a merge sit one level below the node it created, and
     every node is created after its children, so a node's depth is known
-    before its children's.
+    before its children's.  The queue path sets depths by ``_level_lengths``;
+    this serves the heap fallback only.
     """
     depth = [0] * (2 * n - 1)
     for new, a, b in zip(range(2 * n - 2, n - 1, -1), reversed(kids[0::2]),
@@ -285,18 +349,21 @@ def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> Co
     n = p.n
     keys = rule._leaf_keys(p)
     combine = rule._combiner()
-    kids = _merge_two_queues(keys, combine)
-    if kids is None:
+    marks = _merge_two_queues(keys, combine)
+    if marks is None:
         del keys[n:]
         kids = _merge_heap(keys, combine)
-    lengths = LengthVector._checked(tuple(_leaf_depths(n, kids)))
+        lengths = LengthVector._checked(tuple(_leaf_depths(n, kids)))
+    else:
+        lengths = LengthVector._checked(tuple(_level_lengths(n, marks)))
+        kids = _queue_children(keys, marks) if trace else None
     merge_trace = None
     if trace:
         events = tuple(MergeEvent(keys[a], keys[b], keys[new], a, b, new)
                        for new, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
         merge_trace = MergeTrace(events, keys[-1], rule.log_domain)
     # the codeword strings can reuse what the merge buffers held
-    del keys, kids
+    del keys, kids, marks
     value = rule.objective().evaluate(p, lengths)
     return CodeResult(lengths, canonical_codewords(lengths), value, merge_trace)
 

@@ -256,10 +256,14 @@ class TestAvgRedundancyBounds:
     def test_lower_near_one_stays_finite(self):
         assert 0.9 < avg_redundancy_lower(1 - 1e-15) <= 1.0
 
-    @pytest.mark.parametrize("p", [8e-17, 7.9e-17, 1e-17, 1e-100, 1e-300, 3e-308, 1e-310, 1e-320])
+    @pytest.mark.parametrize("p", [8e-17, 7.9e-17, 1e-17, 1e-100, 1e-300, 3e-308, 1e-310, 1e-320,
+                                   1e-16, 3e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.01,
+                                   0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999])
     def test_lower_tiny_p_matches_exact_formula(self, p):
-        # below ~8e-17, 1 - 2^(p/(p-1)) rounds to 0 in floats, and the
-        # docstring's form cancels to nothing; compare with 800 digits
+        # the docstring's form cancels terms of size xi to a value of size
+        # ~p, and below ~8e-17 its 1 - 2^(p/(p-1)) rounds to 0 in floats;
+        # compare with 800 digits (nearer 1 than 0.999, they round the
+        # ratio that sets xi to exactly 1)
         with localcontext() as ctx:
             ctx.prec = 800
             P = Decimal(p)

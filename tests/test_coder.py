@@ -32,7 +32,8 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
-from genhuff.coder import _merge_heap, _merge_two_queues
+from genhuff.coder import (_leaf_depths, _level_lengths, _merge_heap, _merge_two_queues,
+                           _queue_children)
 
 RULES = (
     CombineRule.sum(),
@@ -52,6 +53,26 @@ def random_pmf(rng, n):
         raw = rng.dirichlet(np.ones(n))
         if raw.min() > 1e-9:
             return validate_pmf([float(x) for x in raw])
+
+
+def dyadic_pmf(rng, n):
+    """Runs of equal powers of two, so that merged keys tie with input keys."""
+    return validate_pmf([2.0 ** -int(k) for k in rng.integers(1, 6, n)], normalize=True)
+
+
+def every_n_pmfs(rng):
+    """Uniform, dyadic-tie and random pmfs at every n = 1..80."""
+    return [p for n in range(1, 81)
+            for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
+
+
+# rules at and near the edges of every parameter range
+PANEL_RULES = ([CombineRule.sum(), CombineRule.max_double()]
+               + [CombineRule.dth_exp(d) for d in (0.5, 1e-12, 1e6,
+                                                   -0.5, -0.99, -1e-9, -0.999999)]
+               + [CombineRule.exp_base(q) for q in (2.0, 1 + 1e-12, 1e200,
+                                                    0.1, 0.3, 0.49, 0.5, 0.5 + 1e-7,
+                                                    0.6, 0.9, 1 - 1e-12)])
 
 
 # The reference below is the textbook construction: a (weight, sequence)
@@ -295,12 +316,6 @@ class TestTwoQueue:
 
     def test_equals_heap_engine_everywhere(self):
         # both merge loops called directly, so the heap stays the reference
-        rules = [CombineRule.sum(), CombineRule.max_double()] \
-            + [CombineRule.dth_exp(d) for d in (0.5, 1e-12, 1e6,
-                                                -0.5, -0.99, -1e-9, -0.999999)] \
-            + [CombineRule.exp_base(q) for q in (2.0, 1 + 1e-12, 1e200,
-                                                 0.1, 0.3, 0.49, 0.5, 0.5 + 1e-7,
-                                                 0.6, 0.9, 1 - 1e-12)]
         rng = np.random.default_rng(27)
         for _ in range(300):
             n = int(rng.integers(1, 40))
@@ -308,15 +323,14 @@ class TestTwoQueue:
             if u < 0.3:
                 p = validate_pmf([1.0 / n] * n)
             elif u < 0.6:
-                # dyadic blocks: runs of equal powers of two
-                p = validate_pmf([2.0 ** -int(k) for k in rng.integers(1, 6, n)],
-                                 normalize=True)
+                p = dyadic_pmf(rng, n)
             else:
                 p = random_pmf(rng, n)
-            for rule in rules:
+            for rule in PANEL_RULES:
                 two_keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
-                two = _merge_two_queues(two_keys, rule._combiner())
+                marks = _merge_two_queues(two_keys, rule._combiner())
                 heap = _merge_heap(heap_keys, rule._combiner())
+                two = _queue_children(two_keys, marks)
                 assert two == heap
                 assert two_keys == heap_keys
                 if rule.kind is RuleKind.EXP_BASE and rule.param < 0.5:
@@ -329,6 +343,23 @@ class TestTwoQueue:
                     assert all(a <= b for a, b in zip(merged, merged[1:]))
                 assert generalized_huffman(p, rule).lengths.lengths \
                     == reference_lengths(p, rule)
+
+    def test_level_lengths_equal_heap_depths(self):
+        for p in every_n_pmfs(np.random.default_rng(29)):
+            for rule in PANEL_RULES:
+                keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
+                marks = _merge_two_queues(keys, rule._combiner())
+                heap_kids = _merge_heap(heap_keys, rule._combiner())
+                assert _level_lengths(p.n, marks) == _leaf_depths(p.n, heap_kids)
+                assert _queue_children(keys, marks) == heap_kids
+
+    def test_queue_path_lengths_nondecreasing_in_symbol_index(self, large_pmfs):
+        pmfs = list(large_pmfs.values()) + every_n_pmfs(np.random.default_rng(30))
+        for p in pmfs:
+            for rule in PANEL_RULES:
+                assert _merge_two_queues(rule._leaf_keys(p), rule._combiner()) is not None
+                lengths = generalized_huffman(p, rule).lengths.lengths
+                assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
     def test_out_of_order_pops_fall_back_to_heap(self, monkeypatch):
         # q = 0.4 merges below the last merge's keys, yet the merged queue
@@ -415,7 +446,7 @@ class TestEngineTail:
     def test_trace_equals_the_merge_buffers(self, large_pmfs):
         for p, rule in engine_cases(large_pmfs):
             keys = rule._leaf_keys(p)
-            kids = _merge_two_queues(keys, rule._combiner())
+            kids = _queue_children(keys, _merge_two_queues(keys, rule._combiner()))
             n = p.n
             events = tuple(coder.MergeEvent(keys[a], keys[b], keys[v], a, b, v)
                            for v, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
