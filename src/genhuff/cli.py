@@ -37,6 +37,7 @@ import sys
 from . import bounds as bnd
 from .coder import CombineRule, generalized_huffman
 from .core import (
+    D_MAX,
     BoundKind,
     BoundReport,
     CodingError,
@@ -392,10 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--assume-sorted", action="store_true",
                             help="verify nonincreasing order instead of sorting")
 
+    d_help = (f"dexp only: the order d, in (-1,0) or (0,{D_MAX:g}]; a larger d would "
+              f"overflow the terms (1+d) lg p_i + d l_i")
     sp = sub.add_parser("code", help="construct an optimal code for a distribution")
     sp.add_argument("input", help="probabilities, one per line or a JSON array; '-' for stdin")
     sp.add_argument("--objective", choices=("avg", "mmpr", "dexp", "expavg"), default="avg")
-    sp.add_argument("--d", type=float, default=None, help="dexp only: the order d")
+    sp.add_argument("--d", type=float, default=None, help=d_help)
     sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
     add_common(sp, ("json", "csv", "plain"), needs_input=True)
     sp.set_defaults(func=cmd_code)
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, default=None,
                     help="all but mmpr: 1-based symbol index the probability belongs to "
                          "(default 1)")
-    sp.add_argument("--d", type=float, default=None, help="dexp only: the order d")
+    sp.add_argument("--d", type=float, default=None, help=d_help)
     sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
     add_common(sp, ("json", "plain"), needs_input=True)
     sp.set_defaults(func=cmd_bounds)

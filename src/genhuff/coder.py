@@ -46,17 +46,24 @@ but the root.  The other 2(hi - lo) - (lo - nxt) children are
 consecutive input symbols, the leaves one level down.  nxt < lo, so the
 levels run out, and a deeper level pops at earlier steps and so takes
 higher symbol indices: the lengths are nondecreasing in symbol index.
+So they are one run of equal lengths per level that has leaves, and the
+queue path hands those runs to the ``LengthVector`` with the lengths.
 The heap path records each merge as its two children and sets depths by
-one pass over the nodes from the root down.  The Kraft check sums
-integers, so everything after the merges is linear in n as well.  The
-merge trace is built only on request; on the queue path its children
-are rebuilt from the marks and the keys.
+one pass over the nodes from the root down; its vector finds its runs
+itself.  The Kraft check sums integers, so everything after the merges
+is linear in n as well.  The merge trace is built only on request; on
+the queue path its children are rebuilt from the marks and the keys.
 
 Codeword bits are assigned canonically from the lengths, shortest first,
 stable on symbol index.  That needs no sort: the words of one length are
 consecutive integers from a first code that one count per length fixes,
-so each length's words are built as one block, and each symbol takes the
-next word of its length's block in index order.  A deep code can have a
+so each length's words are built as one block.  The symbols take them
+run by run, the runs of equal lengths in symbol order that the vector
+carries: a run of c symbols of length k takes the next c words of block
+k.  That is each symbol taking the next word of its length's block in
+index order, for any vector, sorted or not, and an engine code has one
+run per distinct length, so the words are handed out in that many steps.
+The counts per length come from the runs too.  A deep code can have a
 thousand lengths of a few words each, a thousand bits long, so the first
 word of each length is carried as a string, never formatted from its
 integer: it is the previous length's next word followed by zeros, and
@@ -69,9 +76,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 
 from .core import (
     CodingError,
@@ -79,6 +86,7 @@ from .core import (
     Objective,
     ObjectiveKind,
     Pmf,
+    _spread,
     ceil_neg_lg,
 )
 
@@ -251,7 +259,7 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
     None and the caller merges by the heap instead.
 
     marks[k] is the merged queue's head after merge k: merges 0..k popped
-    exactly the merged nodes below that id.  ``_level_lengths`` reads the
+    exactly the merged nodes below that id.  ``_level_runs`` reads the
     depths from the marks and ``_queue_children`` the children.
     """
     n = len(keys)
@@ -281,23 +289,27 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
     return marks
 
 
-def _level_lengths(n: int, marks: list[int]) -> list[int]:
-    """Leaf depths by symbol from the queue marks, one step per tree level.
+def _level_runs(n: int, marks: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Depth and leaf count of each tree level that has leaves, top down, from the queue marks.
 
     The children of the merges [lo, hi) at one depth are the nodes made by
     the merges [nxt, lo), nxt = marks[lo-1] - n, which are the next level,
     and inputs for the rest of their 2(hi - lo) children: the next symbols
-    in index order, leaves one level down.  See the module docstring.
+    in index order, leaves one level down.  See the module docstring.  So
+    these are the runs of the lengths by symbol, ``LengthVector._runs``.
     """
-    lengths = [0] if n == 1 else []
+    depths, counts = ([0], [1]) if n == 1 else ([], [])
     lo, hi = n - 2, n - 1
     depth = 1
     while hi > 0:
         nxt = marks[lo - 1] - n if lo else 0
-        lengths += [depth] * (2 * (hi - lo) - (lo - nxt))
+        leaves = 2 * (hi - lo) - (lo - nxt)
+        if leaves:
+            depths.append(depth)
+            counts.append(leaves)
         lo, hi = nxt, lo
         depth += 1
-    return lengths
+    return tuple(depths), tuple(counts)
 
 
 def _queue_children(keys: list[float], marks: list[int]) -> list[int]:
@@ -329,7 +341,7 @@ def _leaf_depths(n: int, kids: list[int]) -> list[int]:
 
     Both children of a merge sit one level below the node it created, and
     every node is created after its children, so a node's depth is known
-    before its children's.  The queue path sets depths by ``_level_lengths``;
+    before its children's.  The queue path sets depths by ``_level_runs``;
     this serves the heap fallback only.
     """
     depth = [0] * (2 * n - 1)
@@ -355,7 +367,8 @@ def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> Co
         kids = _merge_heap(keys, combine)
         lengths = LengthVector._checked(tuple(_leaf_depths(n, kids)))
     else:
-        lengths = LengthVector._checked(tuple(_level_lengths(n, marks)))
+        runs = _level_runs(n, marks)
+        lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
         kids = _queue_children(keys, marks) if trace else None
     merge_trace = None
     if trace:
@@ -431,9 +444,11 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     words of one length k are the consecutive integers from next_code[k]:
     the previous length's first code plus its count, shifted left by the
     difference in length (RFC 1951, section 3.2.2).  So each length's words
-    are built as one block, with no sort, and the symbols of that length
-    take them in index order.  The result is prefix-free for every
-    Kraft-valid input; KraftViolation is raised for any other.
+    are built as one block, with no sort, and each run of ``l._runs``, c
+    symbols of length k, takes the next c words of block k, so that the
+    symbols of one length take them in index order.  The result is
+    prefix-free for every Kraft-valid input; KraftViolation is raised for
+    any other.
 
     Past 8 bits the next word is carried as a string: ``high``, its first
     k - 8 bits, and ``low``, the index of its last 8 in ``_WORDS[8]``.  The
@@ -444,8 +459,10 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     that reaches a 256-word edge, where ``high`` would need a carry.  A
     block that crosses the edge is built by ``_length_block``.
     """
-    lengths = l.lengths
-    counts = Counter(lengths)
+    run_ks, run_cs = l._runs
+    counts: dict[int, int] = {}
+    for k, c in zip(run_ks, run_cs):
+        counts[k] = counts.get(k, 0) + c
     top = max(counts)
     total = sum(c << (top - k) for k, c in counts.items())
     excess = total - (1 << top)
@@ -486,4 +503,4 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
                 high = None  # the next word carries into the high bits
         code += c
         prev = k
-    return tuple(map(next, map(blocks.__getitem__, lengths)))
+    return tuple(chain.from_iterable(map(islice, map(blocks.__getitem__, run_ks), run_cs)))

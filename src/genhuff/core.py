@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import cached_property
+from itertools import accumulate, chain, groupby, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 PMF_SUM_TOL = 1e-9
+# the largest d an Objective takes: |lg p_i| <= 1075 and l_i < n, so every
+# term (1 + d) lg p_i + d l_i of the d-th exponential objective stays finite
+D_MAX = 1e300
 
 
 class CodingError(ValueError):
@@ -90,6 +93,11 @@ class QOutOfRange(CodingError):
 
 class DOutOfRange(CodingError):
     pass
+
+
+def _spread(ks: Iterable, cs: Iterable[int]) -> Iterable:
+    """cs[0] copies of ks[0], then cs[1] of ks[1], and so on."""
+    return chain.from_iterable(map(repeat, ks, cs))
 
 
 def lg(x: float) -> float:
@@ -144,7 +152,11 @@ def _check_positive(vals: Sequence[float]) -> None:
 
 def _check_sum(vals: Sequence[float]) -> None:
     """Raise SumNotOne unless the exact sum of ``vals`` is within PMF_SUM_TOL of 1."""
-    total = math.fsum(vals)
+    try:
+        total = math.fsum(vals)
+    except OverflowError:
+        # finite entries summing past the float range
+        total = math.inf
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise SumNotOne(f"{len(vals)} probabilities sum to {total!r}, not 1")
 
@@ -235,7 +247,16 @@ def benford() -> Pmf:
 
 @dataclass(frozen=True)
 class LengthVector:
-    """Integer codeword lengths with an exact binary-fraction Kraft sum."""
+    """Integer codeword lengths with an exact binary-fraction Kraft sum.
+
+    Besides ``lengths``, a vector carries them as runs of equal lengths in
+    symbol order, ``_runs``: a tuple of the run lengths and a tuple of the
+    run counts.  It is not a field, so equality, hashing and repr read
+    ``lengths`` alone.  The engine hands in the runs it made, one per tree
+    level; any other vector finds them on first use.  The Kraft sum,
+    ``canonical_codewords`` and ``Objective.evaluate`` work one run at a
+    time, which for an engine code is one step per distinct length.
+    """
 
     lengths: tuple[int, ...]
 
@@ -250,12 +271,27 @@ class LengthVector:
                                   f"entry {k + 1} of {self.n} is {l!r}")
 
     @classmethod
-    def _checked(cls, lengths: tuple[int, ...]) -> "LengthVector":
+    def _checked(cls, lengths: tuple[int, ...],
+                 runs: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> "LengthVector":
         """A LengthVector from ``lengths`` that the caller has already found
-        nonempty and made of nonnegative ints."""
+        nonempty and made of nonnegative ints, with ``lengths`` as ``runs``
+        if the caller has them."""
         l = object.__new__(cls)
         object.__setattr__(l, "lengths", lengths)
+        if runs is not None:
+            object.__setattr__(l, "_runs", runs)
         return l
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(ks, cs): ``lengths`` is cs[0] copies of ks[0], then cs[1] of ks[1], and so on,
+        with no two neighbouring ks equal."""
+        ks: list[int] = []
+        cs: list[int] = []
+        for k, run in groupby(self.lengths):
+            ks.append(k)
+            cs.append(sum(1 for _ in run))
+        return tuple(ks), tuple(cs)
 
     @property
     def n(self) -> int:
@@ -263,8 +299,9 @@ class LengthVector:
 
     def _kraft_scaled(self) -> tuple[int, int]:
         """(sum_i 2^(L - l_i), 2^L) with L = max_i l_i: the Kraft sum as a ratio of integers."""
-        top = max(self.lengths)
-        return sum(c << (top - l) for l, c in Counter(self.lengths).items()), 1 << top
+        ks, cs = self._runs
+        top = max(ks)
+        return sum(c << (top - k) for k, c in zip(ks, cs)), 1 << top
 
     @property
     def kraft_sum(self) -> Fraction:
@@ -302,7 +339,8 @@ class Objective:
     """A length objective, with its parameter where one is required.
 
     d = 0 and q = 1 are rejected: those limits are the plain average, and
-    callers wanting it must select AVG_REDUNDANCY explicitly.
+    callers wanting it must select AVG_REDUNDANCY explicitly.  So are d
+    above D_MAX and a q that is not finite, which give no finite value.
     """
 
     kind: ObjectiveKind
@@ -311,12 +349,12 @@ class Objective:
     def __post_init__(self):
         if self.kind is ObjectiveKind.DTH_EXP:
             d = self.param
-            if d is None or not (-1.0 < d and d != 0.0):
-                raise DOutOfRange(f"d must lie in (-1,0) or (0,inf), got {d}")
+            if d is None or not (-1.0 < d <= D_MAX and d != 0.0):
+                raise DOutOfRange(f"d must lie in (-1,0) or (0,{D_MAX:g}], got {d}")
         elif self.kind is ObjectiveKind.EXP_AVERAGE:
             q = self.param
-            if q is None or not (q > 0.0 and q != 1.0):
-                raise QOutOfRange(f"q must lie in (0,inf) excluding 1, got {q}")
+            if q is None or not (0.0 < q < math.inf and q != 1.0):
+                raise QOutOfRange(f"q must be finite and lie in (0,inf) excluding 1, got {q}")
         elif self.param is not None:
             raise CodingError(f"{self.kind.value} objective takes no parameter")
 
@@ -337,17 +375,20 @@ class Objective:
         return Objective(ObjectiveKind.EXP_AVERAGE, float(q))
 
     def terms(self, probs: Iterable[float], lgps: Iterable[float],
-              lengths: Iterable[int]) -> list[float]:
-        """Each symbol's term, from p_i, lg p_i and l_i; ``reducer()`` makes them the value."""
+              runs: tuple[Sequence[int], Sequence[int]]) -> list[float]:
+        """Each symbol's term, from p_i, lg p_i and the lengths as ``LengthVector._runs``;
+        ``reducer()`` makes them the value.  d l and l lg q are taken once per run."""
+        ks, cs = runs
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:
-            return [pi * (li + g) for pi, g, li in zip(probs, lgps, lengths)]
+            return list(map(operator.mul, probs, map(operator.add, _spread(ks, cs), lgps)))
         if self.kind is ObjectiveKind.MAX_POINTWISE:
-            return [li + g for g, li in zip(lgps, lengths)]
+            return list(map(operator.add, _spread(ks, cs), lgps))
         if self.kind is ObjectiveKind.DTH_EXP:
             d = self.param
-            return [(1.0 + d) * g + d * li for g, li in zip(lgps, lengths)]
+            return list(map(operator.add, map(operator.mul, repeat(1.0 + d), lgps),
+                            _spread(map(operator.mul, repeat(d), ks), cs)))
         lgq = math.log2(self.param)
-        return [g + li * lgq for g, li in zip(lgps, lengths)]
+        return list(map(operator.add, lgps, _spread(map(operator.mul, ks, repeat(lgq)), cs)))
 
     def reducer(self) -> Callable[[list[float]], float]:
         """The map from the list of ``terms`` to the objective's value."""
@@ -361,7 +402,14 @@ class Objective:
     def evaluate(self, p: Pmf, l: LengthVector) -> float:
         if p.n != l.n:
             raise DimensionMismatch(f"pmf has {p.n} symbols, length vector has {l.n}")
-        return self.reducer()(self.terms(p.probs, map(math.log2, p.probs), l.lengths))
+        if self.kind is ObjectiveKind.MAX_POINTWISE:
+            # p is nonincreasing and lg monotone, so a run's largest k + lg p_i
+            # is at its first symbol; rounding is monotone too, so this max
+            # is the float the max over every symbol's term gives
+            ks, cs = l._runs
+            firsts = map(p.probs.__getitem__, accumulate(cs[:-1], initial=0))
+            return max(map(operator.add, ks, map(math.log2, firsts)))
+        return self.reducer()(self.terms(p.probs, map(math.log2, p.probs), l._runs))
 
 
 class BoundKind(Enum):

@@ -23,13 +23,14 @@ vector the same way it keeps its lengths, and each vector's value is the
 reducer applied to that list.  So minimum, argmin set and count are those
 of calling ``Objective.evaluate`` on each ``LengthVector``, because the code
 is the same, and a ``LengthVector`` is built only for the minimizers.
+(Under MMPR ``evaluate`` takes the max over each run's first term only,
+which is the same float: see ``Objective.evaluate``.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, Sequence
 
 from .core import CodingError, LengthVector, Objective, Pmf
@@ -143,7 +144,7 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
     lgp = list(map(math.log2, p.probs))
-    rows = [obj.terms(p.probs, lgp, repeat(li)) for li in range(p.n)]
+    rows = [obj.terms(p.probs, lgp, ((li,), (p.n,))) for li in range(p.n)]
     reduce = obj.reducer()
     best = float("inf")
     candidates: list[tuple[float, tuple[int, ...]]] = []

@@ -134,6 +134,15 @@ class TestCode:
         assert code == 2 and out == ""
         assert "entry 3 of 3" in err
 
+    def test_sum_past_float_range_without_normalize(self, tmp_path):
+        # a child interpreter, so that an escaping exception shows as its traceback
+        path = tmp_path / "huge.txt"
+        path.write_text("1e308\n1e308\n")
+        proc = subprocess.run([sys.executable, "-m", "genhuff", "code", str(path)],
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: 2 probabilities sum to inf, not 1\n"
+
     def test_bad_entry_message_is_bounded(self, capsys, tmp_path):
         n = 100_000
         lines = [repr(1.0 / n)] * n
@@ -504,6 +513,27 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("param", [("--d", "inf"), ("--d", "1e308"), ("--d", "nan"),
+                                       ("--q", "inf"), ("--q", "nan")])
+    @pytest.mark.parametrize("sub", ["code", "bounds"])
+    def test_param_without_a_finite_value_is_refused(self, capsys, tmp_path, sub, param):
+        path = tmp_path / "dyadic.txt"
+        path.write_text("0.5\n0.25\n0.125\n0.125\n")
+        objective = "dexp" if param[0] == "--d" else "expavg"
+        where = (str(path),) if sub == "code" or objective == "expavg" else ("--p", "0.3")
+        code, out, err = run(capsys, sub, "--objective", objective, *param, *where)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {param[0][2:]} must ")
+
+    def test_largest_d_answers_a_finite_value(self, capsys, tmp_path):
+        path = tmp_path / "dyadic.txt"
+        path.write_text("0.5\n0.25\n0.125\n0.125\n")
+        code, out, _ = run(capsys, "code", "--objective", "dexp", "--d", "1e300",
+                           "--format", "json", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lengths"] == [1, 2, 3, 3] and math.isfinite(doc["value_bits"])
 
     @pytest.mark.parametrize("family,argv,flag", [
         ("mmpr-upper-high", ("--p1", "0.7", "--q", "2"), "--q"),

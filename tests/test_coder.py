@@ -1,6 +1,7 @@
 """Merge engine, Shannon-style constructions, and codeword assignment."""
 
 import heapq
+import itertools
 import math
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from genhuff import (
     KraftViolation,
     LengthVector,
     Objective,
+    ObjectiveKind,
     benford,
     brute_force_optimal,
     canonical_codewords,
@@ -32,8 +34,9 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
-from genhuff.coder import (_leaf_depths, _level_lengths, _merge_heap, _merge_two_queues,
+from genhuff.coder import (_leaf_depths, _level_runs, _merge_heap, _merge_two_queues,
                            _queue_children)
+from test_oracle import EXTREME_OBJECTIVES, OBJECTIVES
 
 RULES = (
     CombineRule.sum(),
@@ -350,7 +353,9 @@ class TestTwoQueue:
                 keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
                 marks = _merge_two_queues(keys, rule._combiner())
                 heap_kids = _merge_heap(heap_keys, rule._combiner())
-                assert _level_lengths(p.n, marks) == _leaf_depths(p.n, heap_kids)
+                ks, cs = _level_runs(p.n, marks)
+                assert [k for k, c in zip(ks, cs) for _ in range(c)] \
+                    == _leaf_depths(p.n, heap_kids)
                 assert _queue_children(keys, marks) == heap_kids
 
     def test_queue_path_lengths_nondecreasing_in_symbol_index(self, large_pmfs):
@@ -482,6 +487,96 @@ class TestEngineTail:
                     generalized_huffman(p, rule, trace=trace)
                     runs += 1
                     assert calls == {"codewords": runs, "evaluate": runs}
+
+
+def groupby_runs(lengths):
+    """``lengths`` as (run lengths, run counts) in symbol order, by ``itertools.groupby``."""
+    runs = [(k, len(list(g))) for k, g in itertools.groupby(lengths)]
+    return tuple(k for k, _ in runs), tuple(c for _, c in runs)
+
+
+# The two references below are the engine's tail as it was before it
+# worked by runs: one lookup per symbol, counts from a Counter.
+
+def symbol_order_codewords(lengths):
+    """Canonical codewords: one block of consecutive words per length, and
+    each symbol takes the next word of its length's block in index order."""
+    counts = Counter(lengths)
+    blocks = {}
+    code = prev = 0
+    for k in sorted(counts):
+        code <<= k - prev
+        blocks[k] = iter([format(v, "b").zfill(k) if k else "" for v in range(code, code + counts[k])])
+        code += counts[k]
+        prev = k
+    return tuple(map(next, map(blocks.__getitem__, lengths)))
+
+
+def symbol_order_value(obj, p, lengths):
+    """The objective's value from one term per symbol."""
+    lgps = list(map(math.log2, p.probs))
+    if obj.kind is ObjectiveKind.AVG_REDUNDANCY:
+        return math.fsum([pi * (li + g) for pi, g, li in zip(p.probs, lgps, lengths)])
+    if obj.kind is ObjectiveKind.MAX_POINTWISE:
+        return max([li + g for g, li in zip(lgps, lengths)])
+    if obj.kind is ObjectiveKind.DTH_EXP:
+        d = obj.param
+        return lg_sum_exp2([(1.0 + d) * g + d * li for g, li in zip(lgps, lengths)]) / d
+    lgq = math.log2(obj.param)
+    return lg_sum_exp2([g + li * lgq for g, li in zip(lgps, lengths)]) / lgq
+
+
+class TestRuns:
+    """``LengthVector._runs``, from the engine or from ``groupby``, and the readers that use it."""
+
+    def test_engine_runs_equal_groupby_of_its_lengths(self, large_pmfs):
+        pmfs = list(large_pmfs.values()) + every_n_pmfs(np.random.default_rng(46))
+        for p in pmfs:
+            for rule in SIX_RULES:
+                runs = _level_runs(p.n, _merge_two_queues(rule._leaf_keys(p), rule._combiner()))
+                lengths = generalized_huffman(p, rule).lengths
+                assert lengths._runs == runs == groupby_runs(lengths.lengths)
+        assert _level_runs(1, []) == ((0,), (1,))
+
+    def test_heap_fallback_runs_come_from_groupby(self, monkeypatch):
+        monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
+        calls = []
+        monkeypatch.setattr(coder, "_merge_heap",
+                            lambda keys, combine: calls.append(1) or _merge_heap(keys, combine))
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 17, 200):
+            p = random_pmf(rng, n)
+            for rule in SIX_RULES:
+                lengths = generalized_huffman(p, rule).lengths
+                assert lengths._runs == groupby_runs(lengths.lengths)
+                assert lengths.lengths == reference_lengths(p, rule)
+        assert len(calls) == 5 * len(SIX_RULES)
+
+    def test_runs_are_not_a_field(self):
+        p = random_pmf(np.random.default_rng(48), 50)
+        made = generalized_huffman(p, CombineRule.sum()).lengths
+        direct = LengthVector(made.lengths)
+        assert made == direct and hash(made) == hash(direct)
+        assert repr(made) == repr(direct) == f"LengthVector(lengths={made.lengths!r})"
+        assert made._runs == direct._runs
+
+    def test_codewords_and_evaluate_equal_the_per_symbol_reference(self, large_pmfs):
+        rng = np.random.default_rng(49)
+        shuffle = random.Random(49).sample
+        cases = [(large_pmfs["dirichlet"], generalized_huffman(large_pmfs["dirichlet"], rule).lengths)
+                 for rule in SIX_RULES]
+        for n in (1, 2, 3, 5, 9, 17, 64, 257, 700, 2000):
+            p = random_pmf(rng, n)
+            shannon = shannon_code(p).lengths
+            cases += [(p, LengthVector(tuple(shuffle(shannon, n)))),
+                      (p, j_shannon_code(p, 1 + int(rng.integers(n)))),
+                      (p, generalized_huffman(p, CombineRule.exp_base(0.9)).lengths)]
+        # vectors out of order, where one length recurs in several runs
+        assert sum(len(l._runs[0]) > len(set(l.lengths)) for _, l in cases) >= 6
+        for p, l in cases:
+            assert canonical_codewords(l) == symbol_order_codewords(l.lengths)
+            for obj in OBJECTIVES + EXTREME_OBJECTIVES:
+                assert obj.evaluate(p, l) == symbol_order_value(obj, p, l.lengths)
 
 
 class TestShannonCodes:

@@ -118,6 +118,14 @@ class TestValidatePmf:
         with pytest.raises(NonPositiveProbability, match="entry 1 of 2"):
             validate_pmf([5e-324, 4.0], normalize=True)
 
+    def test_sum_past_float_range_is_sum_not_one(self):
+        # math.fsum raises OverflowError on these; without normalize they are refused
+        for build in (validate_pmf, lambda r: validate_pmf(r, assume_sorted=True),
+                      lambda r: Pmf(tuple(r))):
+            with pytest.raises(SumNotOne) as exc:
+                build([1e308, 1e308])
+            assert str(exc.value) == "2 probabilities sum to inf, not 1"
+
     def test_messages_name_the_entry_not_the_vector(self):
         n = 100_000
         raw = [1.0 / n] * n
@@ -315,6 +323,23 @@ class TestObjective:
             Objective.exp_average(0.0)
         Objective.dth_exp(-0.5)
         Objective.exp_average(0.4)
+
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan, 1e308, 1.0000000000000002e300])
+    def test_d_without_a_finite_value_refused(self, d):
+        with pytest.raises(DOutOfRange, match=r"\(0,1e\+300\]"):
+            Objective.dth_exp(d)
+
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+    def test_q_not_finite_refused(self, q):
+        with pytest.raises(QOutOfRange, match="finite"):
+            Objective.exp_average(q)
+
+    def test_extreme_finite_params_give_finite_values(self):
+        p = validate_pmf([0.5, 0.25, 0.125, 0.125])
+        l = LengthVector((1, 2, 3, 3))
+        for obj in (Objective.dth_exp(1e300), Objective.exp_average(1e308),
+                    Objective.exp_average(5e-324)):
+            assert math.isfinite(obj.evaluate(p, l))
 
     def test_no_param_for_plain_kinds(self):
         with pytest.raises(Exception):
