@@ -9,7 +9,8 @@ objectives are supported, all measured in bits:
 * exponential-average cost      log_q sum_i p_i q^l_i
 
 Exponent sums are evaluated in the base-2 log domain with a max shift so
-that extreme parameters (d up to 1e4, lengths up to 64) stay finite.
+that extreme parameters (d up to D_MAX = 1e300, q any finite positive
+float) stay finite.  Values that come out as zero are +0.0, never -0.0.
 """
 
 from __future__ import annotations
@@ -397,7 +398,9 @@ class Objective:
         if self.kind is ObjectiveKind.MAX_POINTWISE:
             return max
         scale = self.param if self.kind is ObjectiveKind.DTH_EXP else math.log2(self.param)
-        return lambda terms: lg_sum_exp2(terms) / scale
+        # + 0.0 turns the -0.0 of 0.0 over a negative scale into 0.0 and
+        # leaves every other float as it is
+        return lambda terms: lg_sum_exp2(terms) / scale + 0.0
 
     def evaluate(self, p: Pmf, l: LengthVector) -> float:
         if p.n != l.n:
@@ -445,7 +448,7 @@ class BoundReport:
 
 def shannon_entropy(p: Pmf) -> float:
     """Shannon entropy -sum p_i lg p_i in bits."""
-    return -math.fsum(pi * lg(pi) for pi in p)
+    return -math.fsum(pi * lg(pi) for pi in p) + 0.0
 
 
 def binary_entropy(x: float) -> float:
@@ -465,7 +468,7 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
     """
     if not (alpha > 0.0 and alpha != 1.0):
         raise AlphaOutOfRange(f"alpha must be positive and not 1, got {alpha}")
-    return lg_sum_exp2([alpha * math.log2(pi) for pi in p]) / (1.0 - alpha)
+    return lg_sum_exp2([alpha * math.log2(pi) for pi in p]) / (1.0 - alpha) + 0.0
 
 
 def alpha_of_q(q: float) -> float:

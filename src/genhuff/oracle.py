@@ -1,13 +1,13 @@
 """Exhaustive ground truth for small alphabets.
 
-Enumerates every nondecreasing integer length vector with Kraft sum
-exactly 1 (equivalently, every full binary tree shape by level profile)
-and minimizes an objective over them.  For probabilities sorted
-nonincreasing, restricting to nondecreasing lengths loses nothing: giving
-the longer codeword to the less probable symbol never increases any of
-the objectives here.  Equality rather than inequality in the Kraft sum is
-likewise lossless, since shortening a codeword never hurts.  Both facts
-are covered by self-tests rather than assumed.
+The space is every nondecreasing integer length vector with Kraft sum
+exactly 1 (equivalently, every full binary tree shape by level profile);
+its size grows like 1.794^n, 1639 vectors at n = 16.  For probabilities
+sorted nonincreasing, restricting to nondecreasing lengths loses nothing:
+giving the longer codeword to the less probable symbol never increases
+any of the objectives here.  Equality rather than inequality in the Kraft
+sum is likewise lossless, since shortening a codeword never hurts.  Both
+facts are covered by self-tests rather than assumed.
 
 One depth-first walk (``_walk``) serves both the enumeration and the
 minimizer.  It chooses how many leaves sit at each depth, fewest first,
@@ -20,20 +20,87 @@ The minimizer tables each symbol's term at each depth once per call with
 ``Objective.terms``, the code ``Objective.evaluate`` runs, and binds the
 objective's reducer once.  The walk keeps the term list of the current
 vector the same way it keeps its lengths, and each vector's value is the
-reducer applied to that list.  So minimum, argmin set and count are those
-of calling ``Objective.evaluate`` on each ``LengthVector``, because the code
-is the same, and a ``LengthVector`` is built only for the minimizers.
+reducer applied to that list.  So each value is the float
+``Objective.evaluate`` gives for that ``LengthVector``, because the code is
+the same, and a ``LengthVector`` is built only for the minimizers.
 (Under MMPR ``evaluate`` takes the max over each run's first term only,
 which is the same float: see ``Objective.evaluate``.)
+
+The minimizer cuts the walk by branch and bound, and stays exact.
+
+* **The bound.**  A subtree of the walk is fixed by the leaves placed so
+  far: down to some depth D the symbols ``0..first-1`` have their lengths,
+  and the ``left`` symbols after them hang from ``nodes`` open nodes at
+  depth D + 1, nodes < left.  Each of them has a floor.  Number them
+  j = 0..left-1.  For j <= left - 2, the j + 1 symbols up to j have
+  lengths at most l_j, so their Kraft share is at least (j + 1) 2^-l_j,
+  and it is less than the open share nodes 2^-(D+1), because the symbols
+  after j take some.  So l_j >= D + 1 + t, t the least with
+  j + 1 < nodes 2^t.  The last symbol is no shorter than the one before
+  it.  The floors are thus nodes - 1 symbols at depth D + 1, then nodes at
+  D + 2, 2 nodes at D + 3 and so on, the last symbol with the one before
+  it.  (Row D + 1 for all of them is a floor too, but a weak one: on the
+  ``oracle`` benchmark's pmfs it leaves about twice as many vectors to
+  score and bounds to take.)  Each table entry is a monotone
+  function of the depth, as a float, in the direction that raises the
+  value: fl(p (l + lg p)), fl(l + lg p), fl((1+d) lg p + d l) and
+  fl(lg p + l lg q) are each a rounded monotone function of l, and
+  rounding is monotone.  For d > 0 and q > 1 the terms rise with l and the
+  value is the reducer's result over a positive scale; for d < 0 and
+  q < 1 they fall and the scale is negative.  So the reducer applied to
+  the placed terms followed by each later symbol's term at its floor is,
+  in exact arithmetic on those floats, at most the value of every vector
+  in the subtree.
+* **Why the floats keep it.**  ``fsum`` is correctly rounded and ``max``
+  is exact, and both are monotone in each argument, so for avg and MMPR
+  the computed bound is at most every computed value below it, and a
+  subtree is skipped when its bound exceeds ``best + ARGMIN_TOL``, the
+  line ``brute_force_optimal`` keeps vectors under.  Nothing it skips is a
+  minimizer or within ``ARGMIN_TOL`` of one, because ``best`` only falls.
+* **The margin for the two exponential objectives** (``_margin``).  Their
+  reducer computes lg(sum 2^x_i) / s, with m = max x_i, as
+  m + log2(fsum(2^(x_i - m))), and is not monotone as computed, so the
+  cut allows for its rounding error.  Let u = 2^-53, T bound every |x_i|
+  in the table, and take libm's ``pow`` and ``log2`` to within 2 ulps.
+  Each x_i - m is rounded by at most u |x_i - m| <= 2uT, which scales its
+  power by 2^(+-2uT); ``pow`` and ``fsum`` add relative errors of at most
+  4u and u (a power that underflows loses less than 2^-1073 against a sum
+  of at least 1, the largest term being exactly 1); so lg of the sum is
+  off by at most 2uT + 8u.  ``log2`` of a sum below 2n adds 4u (lg n + 1),
+  and m + log2(..) is rounded by u (T + lg n + 1).  The sum is at most
+  u (3T + 5 lg n + 13), and the division by s adds u |value|, at most
+  u (T + lg n + 1) / |s|.  So a computed value is within
+  e = u (4T + 6 lg n + 14) / |s| of the exact one, and a vector under a
+  bound is at least the bound minus 2e.  The walk skips a subtree when
+  its bound exceeds best + ARGMIN_TOL + margin, with
+  margin = 16 u (T + lg n + 2) / |s|, which covers 2e and the rounding of
+  that sum.  T is taken over rows 0 and n - 1, where each monotone entry
+  has its extremes.  The margin is ~6e-14 bits for the benchmark's
+  objectives at n = 16.  Where |s| is tiny it grows, to ~0.02 bits at
+  d = +-1e-12 or q = 1 +- 1e-12, and the cut then skips only subtrees
+  worse than the best by more than that.
+* **The counts.**  ``evaluated_count`` is the size of the space, the
+  vectors scored plus the vectors in each skipped subtree.  The latter is
+  ``_completions`` of the subtree's first level, a memoised count over
+  (open nodes, unplaced symbols).  ``scored_count`` is the number of
+  vectors actually reduced.  A subtree with at most ``_SMALL_SUBTREE``
+  completions is walked, not bounded: a bound costs about what scoring one
+  vector does.
+
+So minimum, argmin set and ``evaluated_count`` are those of calling
+``Objective.evaluate`` on each ``LengthVector`` of the space.  The oracle
+never seeds its best value from the engine, so it shares nothing with the
+algorithm it checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Callable, Generator, Iterator, Sequence
 
-from .core import CodingError, LengthVector, Objective, Pmf
+from .core import CodingError, LengthVector, Objective, ObjectiveKind, Pmf
 
 __all__ = [
     "AlphabetTooLarge",
@@ -44,6 +111,7 @@ __all__ = [
 
 DEFAULT_MAX_N = 16
 ARGMIN_TOL = 1e-12
+_SMALL_SUBTREE = 2
 
 
 class AlphabetTooLarge(CodingError):
@@ -52,19 +120,36 @@ class AlphabetTooLarge(CodingError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Minimum objective value with every minimizing monotone length vector."""
+    """Minimum objective value with every minimizing monotone length vector.
+
+    ``evaluated_count`` is the number of vectors in the space searched;
+    ``scored_count``, at most that, is the number the walk reduced to a value.
+    """
 
     min_value: float
     argmin: tuple[LengthVector, ...]
     evaluated_count: int
+    scored_count: int
 
     def argmin_lengths(self) -> tuple[tuple[int, ...], ...]:
         return tuple(lv.lengths for lv in self.argmin)
 
 
-def _walk(n: int, rows: Sequence[Sequence] | None = None
-          ) -> Iterator[tuple[list[int], list | None]]:
-    """Yield ``(lengths, values)`` once per complete nondecreasing length vector.
+@cache
+def _completions(nodes: int, left: int) -> int:
+    """Complete vectors below a level with ``nodes`` open nodes and ``left``
+    unplaced symbols, 1 <= nodes <= left: the walk's choices of k from there."""
+    if nodes == left:
+        return 1
+    return sum(_completions(2 * (nodes - k), left - k)
+               for k in range(max(0, 2 * nodes - left), nodes))
+
+
+def _walk(n: int, rows: Sequence[Sequence] | None = None,
+          reduce: Callable[[list], float] | None = None
+          ) -> Generator[tuple[list[int], list | None], float | None, int]:
+    """Yield ``(lengths, values)`` once per complete nondecreasing length
+    vector that the cut keeps, and return the number it skipped.
 
     Both are lists the walk reuses, so a caller copies what it keeps.
     ``values[i]`` is ``rows[lengths[i]][i]``; without ``rows`` it is None.
@@ -72,6 +157,13 @@ def _walk(n: int, rows: Sequence[Sequence] | None = None
     the ``nodes`` open nodes, k ascending, and leaves the other ``nodes - k``
     as internal nodes with two children each.  No full binary tree with n
     leaves is deeper than n - 1, so depths run from 0 to n - 1.
+
+    A caller that ``send``s a limit in place of ``next`` (which needs
+    ``rows`` and ``reduce``) has the walk skip, until the next send, every
+    subtree of more than ``_SMALL_SUBTREE`` vectors whose bound, ``reduce``
+    over its placed terms and each later symbol's term at its floor (module
+    docstring), exceeds it.  Plain iteration skips nothing and keeps the
+    order.
     """
     lengths = [0] * n
     values = None if rows is None else [None] * n
@@ -80,45 +172,66 @@ def _walk(n: int, rows: Sequence[Sequence] | None = None
     nodes_at = [0] * n
     left_at = [0] * n
     k_at = [0] * n
+    limit = None
+    skipped = 0
     depth, nodes, left = 0, 1, n
     while True:
-        # descend with the fewest leaves that leave every open node two
-        # children; that k is feasible whenever any k is, so no test here.
-        # A level with as many open nodes as symbols is all leaves.
-        while nodes != left:
-            k = max(0, 2 * nodes - left)
-            nodes_at[depth], left_at[depth], k_at[depth] = nodes, left, k
-            if k:
-                first = n - left
-                lengths[first:first + k] = [depth] * k
-                if rows is not None:
-                    values[first:first + k] = rows[depth][first:first + k]
-            nodes, left = 2 * (nodes - k), left - k
-            depth += 1
-        if left:
+        if nodes == left:
+            # a level with as many open nodes as symbols is all leaves
             first = n - left
             lengths[first:] = [depth] * left
             if rows is not None:
                 values[first:] = rows[depth][first:]
-        yield out
-        # back up to the deepest level above the last that takes one more leaf
-        while True:
+            limit = yield out
             depth -= 1
+        else:
+            # open the level one leaf short of the fewest that leave every
+            # open node two children (that k is feasible whenever any k is);
+            # the step below places the last one
+            k = max(0, 2 * nodes - left) - 1
+            nodes_at[depth], left_at[depth], k_at[depth] = nodes, left, k
+            if k > 0:
+                first = n - left
+                lengths[first:first + k] = [depth] * k
+                if rows is not None:
+                    values[first:first + k] = rows[depth][first:first + k]
+        # place one more leaf at the deepest level that takes one, and enter
+        # the subtree below it unless the cut skips it
+        while True:
             if depth < 0:
-                return
+                return skipped
             nodes, left = nodes_at[depth], left_at[depth]
             k = k_at[depth] + 1
-            # the pruning rule: a level is recorded only where nodes < left,
+            # the pruning rule: a level is opened only where nodes < left,
             # so k = nodes would strand symbols; any k < nodes leaves an
             # internal node, and with no depth limit the symbols left fit
-            if k < nodes:
-                break
-        k_at[depth] = k
-        i = n - left + k - 1
-        lengths[i] = depth
-        if rows is not None:
-            values[i] = rows[depth][i]
-        nodes, left = 2 * (nodes - k), left - k
+            if k == nodes:
+                depth -= 1
+                continue
+            k_at[depth] = k
+            if k:
+                i = n - left + k - 1
+                lengths[i] = depth
+                if rows is not None:
+                    values[i] = rows[depth][i]
+            nodes, left = 2 * (nodes - k), left - k
+            if limit is not None:
+                below = _completions(nodes, left)
+                if below > _SMALL_SUBTREE:
+                    # the floors: symbols lo..hi-1 at depth d, the run
+                    # doubling from nodes - 1 at depth + 1, and the last
+                    # symbol in the run before it
+                    lo = n - left
+                    hi, width, d = lo + nodes - 1, nodes, depth + 1
+                    bound = values[:lo]
+                    while hi < n - 1:
+                        bound += rows[d][lo:hi]
+                        lo, hi, width, d = hi, hi + width, 2 * width, d + 1
+                    bound += rows[d][lo:]
+                    if reduce(bound) > limit:
+                        skipped += below
+                        continue
+            break
         depth += 1
 
 
@@ -134,29 +247,52 @@ def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(lengths)
 
 
+def _margin(obj: Objective, rows: Sequence[Sequence[float]]) -> float:
+    """How far above ``best + ARGMIN_TOL`` a bound must lie before the cut
+    trusts it: 0 for avg and MMPR, whose reducers are monotone as computed,
+    and 16 u (T + lg n + 2) / |s| for the two exponential ones (module
+    docstring)."""
+    if obj.kind in (ObjectiveKind.AVG_REDUNDANCY, ObjectiveKind.MAX_POINTWISE):
+        return 0.0
+    scale = obj.param if obj.kind is ObjectiveKind.DTH_EXP else math.log2(obj.param)
+    top = max(map(abs, rows[0] + rows[-1]))
+    return 16 * 2.0 ** -53 * (top + math.log2(len(rows)) + 2) / abs(scale)
+
+
 def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> OracleResult:
     """Minimize ``obj`` over every Kraft-tight monotone length vector.
 
     Returns the full set of minimizers (values within 1e-12 of the
-    minimum), sorted lexicographically.  Raise ``max_n`` consciously: the
-    number of tree shapes grows like 1.794^n.
+    minimum), sorted lexicographically.  The walk skips each subtree whose
+    lower bound shows it holds no such vector, and the result is the one
+    scoring every vector gives (module docstring).  ``evaluated_count`` is
+    the size of the space, which grows like 1.794^n, so raise ``max_n``
+    consciously; ``scored_count`` is how many of them were scored.
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
     lgp = list(map(math.log2, p.probs))
     rows = [obj.terms(p.probs, lgp, ((li,), (p.n,))) for li in range(p.n)]
     reduce = obj.reducer()
+    margin = _margin(obj, rows)
     best = float("inf")
     candidates: list[tuple[float, tuple[int, ...]]] = []
-    count = 0
-    for lengths, terms in _walk(p.n, rows):
-        count += 1
-        v = reduce(terms)
-        if v < best - ARGMIN_TOL:
-            best = v
-            candidates = [(v, tuple(lengths))]
-        elif v <= best + ARGMIN_TOL:
-            candidates.append((v, tuple(lengths)))
-            best = min(best, v)
+    scored = 0
+    walk = _walk(p.n, rows, reduce)
+    try:
+        lengths, terms = next(walk)
+        while True:
+            scored += 1
+            v = reduce(terms)
+            if v < best - ARGMIN_TOL:
+                best = v
+                candidates = [(v, tuple(lengths))]
+            elif v <= best + ARGMIN_TOL:
+                candidates.append((v, tuple(lengths)))
+                best = min(best, v)
+            lengths, terms = walk.send(best + ARGMIN_TOL + margin)
+    except StopIteration as stop:
+        skipped = stop.value
     argmin = sorted(lv for v, lv in candidates if v <= best + ARGMIN_TOL)
-    return OracleResult(best, tuple(LengthVector(lv) for lv in argmin), count)
+    return OracleResult(best, tuple(LengthVector(lv) for lv in argmin),
+                        scored + skipped, scored)

@@ -92,6 +92,25 @@ class TestCode:
         doc = json.loads(out)
         assert doc["value_bits"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("argv,probs", [
+        # 0.0 over a negative d, and over lg q < 0 with an entropy of 0 too
+        (("--objective", "dexp", "--d", "-0.5"), "0.5\n0.25\n0.125\n0.125\n"),
+        (("--objective", "expavg", "--q", "0.5"), "1.0\n"),
+    ])
+    def test_zero_value_prints_without_a_sign(self, capsys, tmp_path, argv, probs):
+        path = tmp_path / "p.txt"
+        path.write_text(probs)
+        code, out, err = run(capsys, "code", *argv, "--format", "plain", str(path))
+        assert (code, err) == (0, "")
+        assert "value_bits: 0\n" in out
+        assert "-0" not in out.split()
+        code, out, err = run(capsys, "code", *argv, "--format", "json", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["value_bits"] == 0.0
+        for key in ("value_bits", "entropy_bits"):
+            assert math.copysign(1.0, doc[key]) == 1.0
+
     def test_plain_includes_success_for_decaying_base(self, capsys, benford_file):
         code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", "0.6",
                            benford_file)

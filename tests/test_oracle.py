@@ -1,5 +1,6 @@
 """Enumeration correctness and the oracle's own soundness arguments."""
 
+import functools
 import itertools
 import math
 
@@ -15,6 +16,8 @@ from genhuff import (
     kraft_length_tuples,
     validate_pmf,
 )
+from genhuff.oracle import _completions, _walk
+from genhuff.witness import FamilyKind, WitnessFamily, generate
 
 # number of full binary tree shapes with n leaves, n = 1..16
 TREE_SHAPE_COUNTS = [1, 1, 1, 2, 3, 5, 9, 16, 28, 50, 89, 159, 285, 510, 914, 1639]
@@ -27,6 +30,16 @@ OBJECTIVES = (
     Objective.dth_exp(2.0),
     Objective.exp_average(0.6),
     Objective.exp_average(1.5),
+)
+
+# the objectives of the benchmark's oracle workload
+BENCH_OBJECTIVES = (
+    Objective.avg(),
+    Objective.max_pointwise(),
+    Objective.dth_exp(0.5),
+    Objective.exp_average(2.0),
+    Objective.dth_exp(-0.5),
+    Objective.exp_average(0.9),
 )
 
 # the extreme parameters engine and oracle were checked at
@@ -131,11 +144,23 @@ class TestBruteForce:
         assert all(lv.is_complete for lv in res2.argmin)
 
 
+@functools.cache
+def length_vectors(n):
+    return tuple(map(LengthVector, kraft_length_tuples(n)))
+
+
 def reference_optimum(p, obj):
-    """The oracle as it was: a LengthVector and an Objective.evaluate per vector."""
-    scored = [(obj.evaluate(p, LengthVector(l)), l) for l in kraft_length_tuples(p.n)]
+    """The oracle as it was, with no cut: an Objective.evaluate per LengthVector."""
+    scored = [(obj.evaluate(p, lv), lv.lengths) for lv in length_vectors(p.n)]
     best = min(v for v, _ in scored)
     return best, tuple(sorted(l for v, l in scored if v <= best + 1e-12)), len(scored)
+
+
+def assert_matches_reference(p, obj, **kwargs):
+    res = brute_force_optimal(p, obj, **kwargs)
+    assert (res.min_value, res.argmin_lengths(), res.evaluated_count) \
+        == reference_optimum(p, obj)
+    return res
 
 
 class TestAgainstReference:
@@ -147,9 +172,76 @@ class TestAgainstReference:
         rng = np.random.default_rng(45)
         for n in range(1, 14):
             p = random_pmf(rng, n)
+            res = assert_matches_reference(p, obj)
+            assert 1 <= res.scored_count <= res.evaluated_count
+
+
+class TestCut:
+    """The branch-and-bound cut: what it counts, where it holds, that it fires."""
+
+    def test_completions_from_the_root_count_the_space(self):
+        for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
+            assert _completions(1, n) == expected
+        for n in (17, 18):
+            assert _completions(1, n) == sum(1 for _ in kraft_length_tuples(n))
+
+    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
+                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical_up_to_the_caps(self, obj):
+        rng = np.random.default_rng(46)
+        pmfs = [random_pmf(rng, n) for n in (14, 15, 16)]
+        pmfs.append(validate_pmf([1.0 / 16] * 16))
+        pmfs.append(validate_pmf([0.25] * 2 + [0.125] * 2 + [1 / 32] * 4 + [1 / 64] * 8))
+        for p in pmfs:
+            assert_matches_reference(p, obj)
+        witness = generate(WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.0625))
+        assert witness.n == 17
+        assert_matches_reference(witness, obj, max_n=17)
+
+    @pytest.mark.parametrize("obj,probs", [
+        (Objective.dth_exp(1e-15), [0.24753859555963928] * 4 + [0.0019691235522885696] * 5),
+        (Objective.exp_average(1 + 1e-15), [0.1189577250680548] * 7
+         + [0.055381813620579846] * 3 + [0.0011504836618769366]),
+    ], ids=["dexp-1e-15", "expavg-1+1e-15"])
+    def test_bit_identical_where_rounding_outweighs_the_tolerance(self, obj, probs):
+        # near-unit scales, so the reducer's rounding error is far above
+        # ARGMIN_TOL; tied p_i, so terms tie too and the max term can move:
+        # without its margin the cut drops minimizers here
+        assert_matches_reference(validate_pmf(probs), obj)
+
+    def test_cut_fires_on_the_benchmark_objectives(self):
+        p = random_pmf(np.random.default_rng(47), 16)
+        for obj in BENCH_OBJECTIVES:
             res = brute_force_optimal(p, obj)
-            assert (res.min_value, res.argmin_lengths(), res.evaluated_count) \
-                == reference_optimum(p, obj)
+            assert res.evaluated_count == TREE_SHAPE_COUNTS[-1]
+            assert res.scored_count < res.evaluated_count / 2, obj
+
+    def test_a_bound_equal_to_the_limit_is_not_cut(self):
+        # with p_1 = 0.6 the MMPR optimum is 1 + lg p_1, and so is the bound of
+        # every subtree below l_1 = 1 whose floors stay under it: a limit at
+        # the minimum meets bounds equal to it
+        obj = Objective.max_pointwise()
+        reduce = obj.reducer()
+        rng = np.random.default_rng(48)
+        for n in (8, 12, 16):
+            p = validate_pmf([0.6] + [0.4 * float(x) for x in rng.dirichlet(np.ones(n - 1))])
+            lgp = list(map(math.log2, p.probs))
+            rows = [obj.terms(p.probs, lgp, ((l,), (n,))) for l in range(n)]
+            best, _, count = reference_optimum(p, obj)
+            assert best == 1 + math.log2(0.6)
+            kept = set()
+            walk = _walk(n, rows, reduce)
+            try:
+                lengths, values = next(walk)
+                while True:
+                    kept.add((tuple(lengths), reduce(values)))
+                    lengths, values = walk.send(best)
+            except StopIteration as stop:
+                skipped = stop.value
+            assert len(kept) + skipped == count
+            assert skipped > 0
+            assert {lv.lengths for lv in length_vectors(n) if obj.evaluate(p, lv) == best} \
+                <= {l for l, v in kept if v == best}
 
 
 class TestSoundnessArguments:
