@@ -468,7 +468,15 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
     """
     if not (alpha > 0.0 and alpha != 1.0):
         raise AlphaOutOfRange(f"alpha must be positive and not 1, got {alpha}")
-    return lg_sum_exp2([alpha * math.log2(pi) for pi in p]) / (1.0 - alpha) + 0.0
+    e = 1.0 - alpha
+    if abs(e) < 0.0625:
+        # near alpha = 1, lg sum p_i^alpha is ~e H, far below the rounding of
+        # the O(1) terms the lg-sum form cancels (~1e-5 relative at
+        # q = 1 + 1e-12).  sum p_i^alpha is sum p_i plus terms
+        # p_i expm1(e ln(1/p_i)) of one sign, so log1p takes it whole.
+        x = math.fsum([*p, -1.0, *(pi * math.expm1(-e * math.log(pi)) for pi in p)])
+        return math.log1p(x) / (math.log(2.0) * e) + 0.0
+    return lg_sum_exp2([alpha * math.log2(pi) for pi in p]) / e + 0.0
 
 
 def alpha_of_q(q: float) -> float:

@@ -34,7 +34,7 @@ from .core import (
     renyi_entropy,
     validate_pmf,
 )
-from .oracle import DEFAULT_MAX_N, brute_force_optimal, kraft_length_tuples
+from .oracle import DEFAULT_MAX_N, _completions, _unrank, brute_force_optimal
 
 __all__ = ["cmd_verify"]
 
@@ -51,8 +51,9 @@ def _random_pmf(rng: random.Random, n: int) -> Pmf:
 
 
 def _random_lengths(rng: random.Random, n: int) -> LengthVector:
-    options = list(kraft_length_tuples(n))
-    return LengthVector(options[rng.randrange(len(options))])
+    """A uniform draw from the ``kraft_length_tuples(n)`` vectors, made by
+    unranking the drawn index rather than listing them."""
+    return LengthVector(_unrank(n, rng.randrange(_completions(1, n))))
 
 
 def _pmf_str(p: Pmf) -> str:

@@ -68,6 +68,57 @@ def random_pmf(rng, n):
             return validate_pmf([float(x) for x in raw])
 
 
+# the closed forms in Decimal, at 800 digits: 2^xi - 1 for p_j ~ 1e-300
+# needs ~300 of them, and the formula cancels terms of size xi to a value
+# of size ~p_j
+
+DIGITS = 800
+with localcontext() as _ctx:
+    _ctx.prec = DIGITS
+    LN2 = Decimal(2).ln()
+
+
+def dec_lg(x):
+    return x.ln() / LN2
+
+
+def exact_avg_lower(P):
+    """avg_redundancy_lower's defining formula xi - (1-P) lg(2^xi - 1) - H(P)."""
+    one_minus_2_to = lambda x: 1 - (x * LN2).exp()
+    ratio = one_minus_2_to(1 / (P - 1)) / one_minus_2_to(P / (P - 1))
+    xi = math.ceil(ratio.ln() / LN2)
+    h = -(P * P.ln() + (1 - P) * (1 - P).ln()) / LN2
+    return xi - (1 - P) * (Decimal(2) ** xi - 1).ln() / LN2 - h
+
+
+def exact_mmpr_upper(P):
+    """The upper end of mmpr_bounds' table row for P, the row chosen exactly."""
+    if P == 1:
+        return Decimal(0)
+    if 3 * P >= 2:
+        return 1 + dec_lg(P)
+    if 2 * P >= 1:
+        return 2 + dec_lg(1 - P)
+    lam = 0
+    while P * 2 ** lam < 1:
+        lam += 1
+    if P * (2 ** lam + 1) < 2:
+        return 1 + dec_lg((1 - P) / (1 - Decimal(2) ** -lam))
+    return lam + dec_lg(P)
+
+
+def exact_gallager(P):
+    if 2 * P >= 1:
+        return 2 + P * dec_lg(P) + (1 - P) * dec_lg(1 - P) - P
+    return P + Decimal("0.086")
+
+
+def assert_close(got, exact):
+    """got to 1e-10 relative of exact, or to 2^-1072 where exact is near 0."""
+    assert abs(Decimal(got) - exact) <= Decimal(1e-10) * abs(exact) + Decimal(2.0 ** -1072), \
+        (got, exact)
+
+
 class TestMmprBounds:
     def test_exact_region(self):
         r = mmpr_bounds(0.75)
@@ -265,14 +316,8 @@ class TestAvgRedundancyBounds:
         # compare with 800 digits (nearer 1 than 0.999, they round the
         # ratio that sets xi to exactly 1)
         with localcontext() as ctx:
-            ctx.prec = 800
-            P = Decimal(p)
-            ln2 = Decimal(2).ln()
-            one_minus_2_to = lambda x: 1 - (x * ln2).exp()
-            ratio = one_minus_2_to(1 / (P - 1)) / one_minus_2_to(P / (P - 1))
-            xi = math.ceil(ratio.ln() / ln2)
-            h = -(P * P.ln() + (1 - P) * (1 - P).ln()) / ln2
-            exact = xi - (1 - P) * (Decimal(2) ** xi - 1).ln() / ln2 - h
+            ctx.prec = DIGITS
+            exact = exact_avg_lower(Decimal(p))
         got = avg_redundancy_lower(p)
         # a subnormal result is good to its spacing of 2^-1074 only
         assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact + Decimal(2.0 ** -1072)
@@ -332,6 +377,25 @@ class TestDthBounds:
                 for idx, pj in enumerate(p):
                     r = dth_bounds(pj, d, is_p1=(idx == 0))
                     assert r.lower - 1e-9 <= rd <= r.upper + 1e-9
+
+    @pytest.mark.parametrize("p", [1e-300, 0.3, 0.45, 0.55, 0.7])
+    def test_ends_match_exact_formulas(self, p):
+        # d > 0: [avg lower, MMPR upper]; d < 0: [0, MMPR upper], and for
+        # the top symbol the smaller of that and the Gallager bound
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            P = Decimal(p)
+            lower, upper = exact_avg_lower(P), exact_mmpr_upper(P)
+            top_upper = min(upper, exact_gallager(P))
+        for d in (1e-12, 0.5, 2.0, 1e4):
+            for is_p1 in (False, True):
+                r = dth_bounds(p, d, is_p1=is_p1)
+                assert_close(r.lower, lower)
+                assert_close(r.upper, upper)
+        for d in (-1e-12, -0.5, -1 + 1e-9):
+            assert dth_bounds(p, d).lower == 0.0
+            assert_close(dth_bounds(p, d).upper, upper)
+            assert_close(dth_bounds(p, d, is_p1=True).upper, top_upper)
 
     def test_subsumed_by_unit_interval(self):
         for p in (0.9, 0.61, 0.43, 0.18, 0.05):
@@ -425,6 +489,29 @@ class TestExpAvgBounds:
                 r = exp_avg_bounds(p, q, j)
                 assert r.lower >= unit.lower - 1e-12
                 assert r.upper <= unit.upper + 1e-12
+
+    @pytest.mark.parametrize("q", [1 - 1e-12, 1 + 1e-12, 2.0])
+    def test_ends_match_exact_formulas(self, q):
+        # with a = 1/(1 + lg q), H_a the Renyi entropy and p_j^a / sum p_k^a
+        # the transformed p_j: for q > 1, H_a + avg lower and H_a + MMPR
+        # upper of it; for q < 1, H_a and H_a + the Gallager bound of the
+        # top one (H_a + 1 for the others)
+        p = validate_pmf([0.5, 0.3, 0.2])
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            alpha = 1 / (1 + dec_lg(Decimal(q)))
+            powers = [(alpha * Decimal(x).ln()).exp() for x in p]
+            total = sum(powers)
+            h = dec_lg(total) / (1 - alpha)
+            if q > 1:
+                ends = {j: (h + exact_avg_lower(powers[j - 1] / total),
+                            h + exact_mmpr_upper(powers[j - 1] / total)) for j in (1, 3)}
+            else:
+                ends = {1: (h, h + exact_gallager(powers[0] / total)), 3: (h, h + 1)}
+        for j, (lower, upper) in ends.items():
+            r = exp_avg_bounds(p, q, j)
+            assert_close(r.lower, lower)
+            assert_close(r.upper, upper)
 
     def test_sandwich_randomized(self):
         rng = np.random.default_rng(57)

@@ -16,7 +16,7 @@ from genhuff import (
     kraft_length_tuples,
     validate_pmf,
 )
-from genhuff.oracle import _completions, _walk
+from genhuff.oracle import _completions, _margin, _relaxation, _unrank, _walk
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 
 # number of full binary tree shapes with n leaves, n = 1..16
@@ -103,6 +103,14 @@ class TestEnumeration:
                         if sum(1 << (deepest - x) for x in l) == 1 << deepest]
             expected.sort(key=lambda l: [l.count(d) for d in range(deepest + 1)])
             assert list(kraft_length_tuples(n)) == expected
+
+
+class TestUnrank:
+    def test_unrank_is_the_walk_order(self):
+        for n in range(1, 15):
+            listed = list(kraft_length_tuples(n))
+            assert len(listed) == _completions(1, n)
+            assert [_unrank(n, i) for i in range(len(listed))] == listed
 
 
 class TestBruteForce:
@@ -210,11 +218,88 @@ class TestCut:
         assert_matches_reference(validate_pmf(probs), obj)
 
     def test_cut_fires_on_the_benchmark_objectives(self):
+        # 12-46 of the 1639 vectors are scored here; the floors alone
+        # scored 30-139
         p = random_pmf(np.random.default_rng(47), 16)
         for obj in BENCH_OBJECTIVES:
             res = brute_force_optimal(p, obj)
             assert res.evaluated_count == TREE_SHAPE_COUNTS[-1]
-            assert res.scored_count < res.evaluated_count / 2, obj
+            assert res.scored_count < res.evaluated_count / 20, obj
+
+    # scored_count with the Kraft-capacity floors as the only bound, on the
+    # Dirichlet pmfs of test_relaxation_only_adds_cuts at n = 10..16
+    FLOORS_ALONE = {
+        ("avg", None): [22, 29, 41, 39, 59, 63, 93],
+        ("mmpr", None): [13, 16, 21, 16, 45, 23, 26],
+        ("dexp", 0.5): [17, 29, 32, 33, 48, 45, 65],
+        ("expavg", 2.0): [13, 11, 18, 12, 27, 25, 30],
+        ("dexp", -0.5): [41, 39, 63, 60, 93, 96, 138],
+        ("expavg", 0.9): [36, 31, 63, 52, 87, 82, 110],
+    }
+
+    def test_relaxation_only_adds_cuts(self):
+        # the best value falls through the same vectors as before, and a
+        # subtree the floors cut is still cut, so no more vectors are scored
+        rng = np.random.default_rng(49)
+        pmfs = [random_pmf(rng, n) for n in range(10, 17)]
+        for obj in BENCH_OBJECTIVES:
+            scored = [brute_force_optimal(p, obj).scored_count for p in pmfs]
+            floors = self.FLOORS_ALONE[obj.kind.value, obj.param]
+            assert all(map(int.__le__, scored, floors)), (obj, scored)
+            assert sum(scored) < sum(floors), (obj, scored)
+
+    def test_no_relaxation_at_or_below_half(self):
+        # q <= 1/2 has no relaxed term; the floors alone still give the result
+        rng = np.random.default_rng(51)
+        for q in (0.05, 0.3, 0.5):
+            obj = Objective.exp_average(q)
+            for n in (8, 12):
+                p = random_pmf(rng, n)
+                assert _relaxation(obj, p.probs, list(map(math.log2, p.probs))) is None
+                assert_matches_reference(p, obj)
+
+    @staticmethod
+    def tie_heavy_pmf(rng, n):
+        # a few distinct masses in small integer ratios, so many subtrees
+        # hold masses proportional to powers of two and their relaxation
+        # is tight: the rounding of the relaxed term decides
+        weights = rng.choice([1, 2, 3, 4, 6, 8], size=n)
+        total = int(weights.sum())
+        return validate_pmf([int(w) / total for w in weights])
+
+    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
+                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_relaxation_bounds_every_subtree(self, obj):
+        # each subtree the walk can bound (placed lengths <= D, the rest
+        # from `nodes` open nodes at D + 1, nodes < left): the relaxed bound,
+        # with its allowance, is at most the least value below it, plus the
+        # margin that the cut adds for the exponential objectives
+        reduce = obj.reducer()
+        rng = np.random.default_rng(50)
+        checked = 0
+        for n in range(2, 13):
+            for p in (random_pmf(rng, n), self.tie_heavy_pmf(rng, n)):
+                lgp = list(map(math.log2, p.probs))
+                rows = [obj.terms(p.probs, lgp, ((l,), (n,))) for l in range(n)]
+                heads, slopes = _relaxation(obj, p.probs, lgp)
+                margin = _margin(obj, rows)
+                least = {}
+                for lengths in kraft_length_tuples(n):
+                    v = reduce([rows[l][i] for i, l in enumerate(lengths)])
+                    for depth in range(lengths[-1] - 1):
+                        first = sum(l <= depth for l in lengths)
+                        nodes = 2 ** (depth + 1) - sum(
+                            2 ** (depth + 1 - l) for l in lengths[:first])
+                        if nodes < n - first:
+                            key = lengths[:first], depth, nodes
+                            least[key] = min(least.get(key, math.inf), v)
+                for (placed, depth, nodes), v in least.items():
+                    first = len(placed)
+                    tail = heads[first] - slopes[first] * (math.log2(nodes) - (depth + 1))
+                    bound = reduce([rows[l][i] for i, l in enumerate(placed)] + [tail])
+                    assert bound <= v + margin, (n, p.probs, placed, depth, bound, v)
+                    checked += 1
+        assert checked > 900
 
     def test_a_bound_equal_to_the_limit_is_not_cut(self):
         # with p_1 = 0.6 the MMPR optimum is 1 + lg p_1, and so is the bound of
