@@ -204,6 +204,16 @@ def exp_avg_unit_bounds(p: Pmf, q: float) -> BoundReport:
     return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
 
 
+def _hat_probs(p: Pmf, q: float) -> list[float]:
+    """p_i^alpha / sum_k p_k^alpha, nonincreasing; 0.0 where the power underflows."""
+    alpha = alpha_of_q(q)
+    lg_norm = lg_sum_exp2([alpha * lg(pi) for pi in p])
+    vals = [2.0 ** (alpha * lg(pi) - lg_norm) for pi in p]
+    total = math.fsum(vals)
+    # stable re-sort only irons out 1-ulp inversions; powers preserve order
+    return sorted((v / total for v in vals), reverse=True)
+
+
 def hat_transform(p: Pmf, q: float) -> Pmf:
     """Normalized alpha-power distribution p_i^alpha / sum_k p_k^alpha.
 
@@ -212,12 +222,7 @@ def hat_transform(p: Pmf, q: float) -> Pmf:
     transformed distribution equals the cost on the original minus its
     Renyi entropy.
     """
-    alpha = alpha_of_q(q)
-    lg_norm = lg_sum_exp2([alpha * lg(pi) for pi in p])
-    vals = [2.0 ** (alpha * lg(pi) - lg_norm) for pi in p]
-    total = math.fsum(vals)
-    # stable re-sort only irons out 1-ulp inversions; powers preserve order
-    return Pmf(tuple(sorted((v / total for v in vals), reverse=True)))
+    return Pmf(tuple(_hat_probs(p, q)))
 
 
 def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
@@ -233,7 +238,11 @@ def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
     if not 1 <= j <= p.n:
         raise CodingError(f"j must be in 1..{p.n}, got {j}")
     h = renyi_entropy(p, alpha_of_q(q))
-    p_hat = hat_transform(p, q).probs[j - 1]
+    p_hat = _hat_probs(p, q)[j - 1]
+    if not 0.0 < p_hat < 1.0:
+        # p_j^alpha underflowed, or the others' powers vanish next to it
+        raise PreconditionUnmet(f"the transformed p_{j} rounds to {p_hat!r}; "
+                                f"the bounds need it in (0, 1)")
     if q > 1.0:
         lo = h + avg_redundancy_lower(p_hat)
         hi = h + mmpr_bounds(p_hat).upper

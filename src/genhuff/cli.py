@@ -187,13 +187,27 @@ def _symbol_bounds(obj: Objective, pj: float, j: int) -> BoundReport:
 
 
 def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> BoundReport:
+    """The bounds ``code`` prints next to ``value``.
+
+    They read p_1, or under expavg p_1 of the alpha-power transform, and
+    hold for p_1 < 1.  A pmf of two or more symbols can still have a p_1
+    that rounds to 1.0, its sum within PMF_SUM_TOL of 1; then the report is
+    the value itself, which is the optimum, with a note.
+    """
     if p.n == 1:
         return _exact_report(0.0, note="single symbol, null codeword")
-    if obj.kind is not ObjectiveKind.EXP_AVERAGE:
-        return _symbol_bounds(obj, p.probs[0], 1)
-    if obj.param <= 0.5:
-        return _exact_report(value, note="unary-optimal regime (q <= 0.5)")
-    return bnd.exp_avg_bounds(p, obj.param, 1)
+    if obj.kind is ObjectiveKind.EXP_AVERAGE:
+        if obj.param <= 0.5:
+            return _exact_report(value, note="unary-optimal regime (q <= 0.5)")
+        try:
+            return bnd.exp_avg_bounds(p, obj.param, 1)
+        except bnd.PreconditionUnmet:
+            return _exact_report(value, note="transformed p_1 rounds to 1.0: "
+                                             "the engine's optimum, no bound from p_1")
+    if p.probs[0] == 1.0:
+        return _exact_report(value, note="p_1 rounds to 1.0: "
+                                         "the engine's optimum, no bound from p_1")
+    return _symbol_bounds(obj, p.probs[0], 1)
 
 
 def cmd_code(args) -> int:

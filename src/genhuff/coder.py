@@ -78,7 +78,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from .core import (
     CodingError,
@@ -170,26 +170,32 @@ class CombineRule:
         return list(map(math.log2, p.probs)) if self.log_domain else list(p.probs)
 
     def _combiner(self):
-        """f on engine weights (base-2 logs where ``log_domain``), as a two-argument callable."""
+        """f on engine weights (base-2 logs where ``log_domain``), as a two-argument callable.
+
+        Both merge loops call it with the lighter item first, a <= b: the
+        heap pops its minimum first, and the two queues are sorted, so the
+        first pick is the lighter of their heads and the second is no
+        lighter than it.  The max and d-th rules rely on that order.
+        """
         if self.kind is RuleKind.SUM:
             return operator.add
         if self.kind is RuleKind.MAX_DOUBLE:
-            return lambda a, b: 1.0 + (a if a >= b else b)
+            return lambda a, b: 1.0 + b
         if self.kind is RuleKind.EXP_BASE:
             q = self.param
             return lambda a, b: q * (a + b)
         d = self.param
         c = 1.0 + d
         log2 = math.log2
+        isinf = math.isinf
 
         def dth(a: float, b: float) -> float:
-            # (d + lg(2^(c a) + 2^(c b))) / c, the larger exponent shifted out
-            x = c * a
-            y = c * b
-            hi, lo = (x, y) if x >= y else (y, x)
-            if math.isinf(hi):
+            # (d + lg(2^(c a) + 2^(c b))) / c, the larger exponent c b (c > 0)
+            # shifted out
+            hi = c * b
+            if isinf(hi):
                 return (d + hi) / c
-            return (d + (hi + log2(1.0 + 2.0 ** (lo - hi)))) / c
+            return (d + (hi + log2(1.0 + 2.0 ** (c * a - hi)))) / c
 
         return dth
 
@@ -225,7 +231,7 @@ class CodeResult:
 
 # Node ids: symbol i is node i, and the k-th merge (k = 0, 1, ...) creates
 # node n + k.  Both merge loops take the leaf keys by symbol, nonincreasing,
-# and append each merged key to that list (so keys[v] is node v's weight
+# and store each merged key in that list (so keys[v] is node v's weight
 # and the root's comes last).  The heap returns the children as one flat
 # list: the k-th merge joined kids[2k] and kids[2k + 1], popped in that
 # order.  The queues return the marks of the module docstring instead.
@@ -255,26 +261,36 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
     every merged node, so an input wins a tie, as in the heap.  The result
     equals the heap's as long as the merged queue stays sorted, which every
     rule guarantees in exact arithmetic (see the module docstring); if
-    rounding ever appends a key below the merged queue's tail, this returns
+    rounding ever writes a key below the merged queue's tail, this returns
     None and the caller merges by the heap instead.
+
+    The merged slots of ``keys`` are +inf until written, and every leaf key
+    is finite, so an empty merged queue (j == new) loses every comparison
+    with an input without a test for it.  While two inputs remain, both
+    picks have an input to compare, and each pick is one comparison.  The
+    last merges keep the test i >= 0: a merged key can itself be +inf, and
+    keys[-1] is the root's slot.
 
     marks[k] is the merged queue's head after merge k: merges 0..k popped
     exactly the merged nodes below that id.  ``_level_runs`` reads the
     depths from the marks and ``_queue_children`` the children.
     """
     n = len(keys)
+    keys += repeat(math.inf, n - 1)
     i = n - 1  # next input symbol
     j = n      # next merged node; the merged queue is empty when j == new
     last = -math.inf  # the merged queue's tail while it is non-empty
     marks: list[int] = []
     for new in range(n, 2 * n - 1):
-        if i >= 0 and (j == new or keys[i] <= keys[j]):
+        if i < 1:
+            break
+        if keys[i] <= keys[j]:
             a = i
             i -= 1
         else:
             a = j
             j += 1
-        if i >= 0 and (j == new or keys[i] <= keys[j]):
+        if keys[i] <= keys[j]:
             b = i
             i -= 1
         else:
@@ -283,8 +299,28 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
         k = combine(keys[a], keys[b])
         if k < last and j < new:
             return None
-        last = k
-        keys.append(k)
+        keys[new] = last = k
+        marks.append(j)
+    else:
+        return marks
+    # at most one input left: merge ``new`` and the rest as above, testing i
+    for new in range(new, 2 * n - 1):
+        if i >= 0 and keys[i] <= keys[j]:
+            a = i
+            i -= 1
+        else:
+            a = j
+            j += 1
+        if i >= 0 and keys[i] <= keys[j]:
+            b = i
+            i -= 1
+        else:
+            b = j
+            j += 1
+        k = combine(keys[a], keys[b])
+        if k < last and j < new:
+            return None
+        keys[new] = last = k
         marks.append(j)
     return marks
 

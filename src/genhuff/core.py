@@ -213,12 +213,15 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     Each check runs once: the list this function has checked and sorted
     itself is not handed to ``Pmf``'s own checks again.  An
     ``assume_sorted`` list goes through them, as a direct ``Pmf(...)`` does.
+    Positivity is read off the sorted list: with no NaN, which one sum
+    catches, its last entry is the least and its first the largest.  Any
+    failure is reported by the check over ``raw`` in its own order.
     """
     vals = list(map(float, raw))
     if not vals:
         raise EmptyInput("no probabilities given")
-    _check_positive(vals)
     if normalize:
+        _check_positive(vals)
         scaled = vals
         try:
             total = math.fsum(vals)
@@ -237,6 +240,9 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     if assume_sorted:
         return Pmf(tuple(vals))
     vals.sort(reverse=True)
+    if not (0.0 < vals[-1] and vals[0] < math.inf and not math.isnan(sum(vals))):
+        # only a refusal reads ``raw`` again, for the entry's place in it
+        _check_positive(list(map(float, raw)))
     _check_sum(vals)
     return Pmf._checked(tuple(vals))
 
@@ -378,12 +384,15 @@ class Objective:
     def terms(self, probs: Iterable[float], lgps: Iterable[float],
               runs: tuple[Sequence[int], Sequence[int]]) -> list[float]:
         """Each symbol's term, from p_i, lg p_i and the lengths as ``LengthVector._runs``;
-        ``reducer()`` makes them the value.  d l and l lg q are taken once per run."""
+        ``reducer()`` makes them the value.  d l and l lg q are taken once per run, and
+        the lengths are spread as floats, since a float + float add is cheaper than an
+        int + float one and gives the same bits."""
         ks, cs = runs
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:
-            return list(map(operator.mul, probs, map(operator.add, _spread(ks, cs), lgps)))
+            return list(map(operator.mul, probs, map(operator.add, _spread(map(float, ks), cs),
+                                                     lgps)))
         if self.kind is ObjectiveKind.MAX_POINTWISE:
-            return list(map(operator.add, _spread(ks, cs), lgps))
+            return list(map(operator.add, _spread(map(float, ks), cs), lgps))
         if self.kind is ObjectiveKind.DTH_EXP:
             d = self.param
             return list(map(operator.add, map(operator.mul, repeat(1.0 + d), lgps),

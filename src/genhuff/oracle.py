@@ -397,6 +397,15 @@ def _margin(obj: Objective, rows: Sequence[Sequence[float]]) -> float:
     return 16 * 2.0 ** -53 * (top + math.log2(len(rows)) + 2) / abs(scale)
 
 
+def _term_rows(obj: Objective, probs: tuple[float, ...], lgp: list[float]
+               ) -> list[list[float]]:
+    """rows[l][i] = symbol i's term at length l, l = 0..n-1: one ``terms`` call over
+    the n x n grid, sliced into rows."""
+    n = len(probs)
+    table = obj.terms(probs * n, lgp * n, (range(n), (n,) * n))
+    return [table[lo:lo + n] for lo in range(0, n * n, n)]
+
+
 def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> OracleResult:
     """Minimize ``obj`` over every Kraft-tight monotone length vector.
 
@@ -412,7 +421,7 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
     lgp = list(map(math.log2, p.probs))
-    rows = [obj.terms(p.probs, lgp, ((li,), (p.n,))) for li in range(p.n)]
+    rows = _term_rows(obj, p.probs, lgp)
     reduce = obj.reducer()
     relax = _relaxation(obj, p.probs, lgp)
     margin = _margin(obj, rows)
@@ -435,5 +444,5 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     except StopIteration as stop:
         skipped = stop.value
     argmin = sorted(lv for v, lv in candidates if v <= best + ARGMIN_TOL)
-    return OracleResult(best, tuple(LengthVector(lv) for lv in argmin),
+    return OracleResult(best, tuple(LengthVector._checked(lv) for lv in argmin),
                         scored + skipped, scored)

@@ -14,6 +14,7 @@ from genhuff import (
     CombineRule,
     L1Region,
     LengthVector,
+    NonPositiveProbability,
     Objective,
     POutOfRange,
     PreconditionUnmet,
@@ -468,6 +469,18 @@ class TestExpAvgBounds:
         r = exp_avg_bounds(benford(), 0.6, 1)
         assert r.lower == pytest.approx(COR2_Q06[0], abs=1e-12)
         assert r.upper == pytest.approx(COR2_Q06[1], abs=1e-12)
+
+    def test_transformed_probability_out_of_range_is_refused_alone(self):
+        # 5e-324 ** alpha underflows for q < 1; only the bound that reads it refuses
+        p = validate_pmf([0.5, 0.5, 5e-324])
+        with pytest.raises(NonPositiveProbability, match="entry 3 of 3 is 0.0"):
+            hat_transform(p, 0.9)
+        assert exp_avg_bounds(p, 0.9, 1).contains(exp_average_cost(p, LengthVector((1, 2, 2)), 0.9))
+        with pytest.raises(PreconditionUnmet, match="transformed p_3 rounds to 0.0"):
+            exp_avg_bounds(p, 0.9, 3)
+        for q in (0.9, 2.0):
+            with pytest.raises(PreconditionUnmet, match="transformed p_1 rounds to 1.0"):
+                exp_avg_bounds(validate_pmf([1.0, 5e-324]), q, 1)
 
     def test_dyadic_uniform(self):
         p = validate_pmf([0.25] * 4)

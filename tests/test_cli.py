@@ -180,6 +180,27 @@ class TestCode:
         assert doc["lengths"] == [1, 2, 2]
         assert doc["bounds"]["exact"] == pytest.approx(doc["value_bits"])
 
+    @pytest.mark.parametrize("argv", [
+        ["avg"], ["mmpr"], ["dexp", "--d", "0.5"], ["dexp", "--d", "-0.5"],
+        ["expavg", "--q", "0.9"], ["expavg", "--q", "2"], ["expavg", "--q", "0.3"]],
+        ids=lambda a: "".join(a))
+    @pytest.mark.parametrize("text", ["1.0\n1e-10\n", "1.0\n5e-324\n"], ids=["1e-10", "5e-324"])
+    def test_top_probability_of_one_still_gets_bounds(self, capsys, tmp_path, argv, text):
+        # p_1 is the float 1.0 but n = 2: the bounds from p_1 need p_1 < 1
+        path = tmp_path / "top.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "code", "--objective", *argv, "--format", "json",
+                             str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["lengths"] == [1, 1]
+        bounds = doc["bounds"]
+        assert bounds["lower"] <= doc["value_bits"] <= bounds["upper"]
+        code, out, _ = run(capsys, "code", "--objective", *argv, str(path))
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        lower, upper = lines["bounds"].strip("[]()").split(", ")
+        assert float(lower) <= float(lines["value_bits"]) <= float(upper)
+
     def test_csv_symbol_table(self, capsys, three_file):
         code, out, _ = run(capsys, "code", "--objective", "mmpr",
                            "--format", "csv", three_file)

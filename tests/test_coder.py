@@ -77,6 +77,10 @@ PANEL_RULES = ([CombineRule.sum(), CombineRule.max_double()]
                                                     0.1, 0.3, 0.49, 0.5, 0.5 + 1e-7,
                                                     0.6, 0.9, 1 - 1e-12)])
 
+# the panel and the extreme objectives' rules, each once
+EDGE_RULES = list(dict.fromkeys(PANEL_RULES + [CombineRule.for_objective(obj)
+                                               for obj in EXTREME_OBJECTIVES]))
+
 
 # The reference below is the textbook construction: a (weight, sequence)
 # heap, a parent map and a walk up from every leaf, O(n * depth).  Its
@@ -392,6 +396,52 @@ class TestTwoQueue:
         assert [v for e in r.trace.events for v in (e.node_a, e.node_b)] == heap_kids
         assert [e.weight_out for e in r.trace.events] == heap_keys[p.n:]
         assert r.lengths.is_complete
+
+    @pytest.mark.parametrize("path", ["queues", "heap"])
+    def test_combiner_gets_the_lighter_item_first(self, monkeypatch, path):
+        # the max and d-th combiners read a <= b from the merge order
+        combiner = CombineRule._combiner
+        calls = []
+
+        def ordered(self):
+            combine = combiner(self)
+
+            def checked(a, b):
+                calls.append(a <= b)
+                return combine(a, b)
+
+            return checked
+
+        rng = np.random.default_rng(31)
+        pmfs = [p for n in range(1, 31)
+                for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
+        expected = [generalized_huffman(p, rule, trace=True) for p in pmfs for rule in EDGE_RULES]
+        monkeypatch.setattr(CombineRule, "_combiner", ordered)
+        if path == "heap":
+            monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
+        assert [generalized_huffman(p, rule, trace=True) for p in pmfs for rule in EDGE_RULES] \
+            == expected
+        assert len(calls) == len(EDGE_RULES) * sum(p.n - 1 for p in pmfs)
+        assert all(calls)
+
+    @pytest.mark.parametrize("rule", EDGE_RULES,
+                             ids=lambda r: f"{r.kind.value}{'' if r.param is None else r.param}")
+    def test_queues_equal_heap_at_small_n_and_infinite_keys(self, rule):
+        pmfs = [validate_pmf(probs) for probs in
+                ([1.0], [0.5, 0.5], [0.9, 0.1], [1 / 3] * 3, [0.5, 0.25, 0.25],
+                 [0.6, 0.3, 0.1], [0.4, 0.3, 0.3])]
+        pmfs += [validate_pmf([1.0 / 8] * 8), validate_pmf([1.0 / 64] * 64)]
+        for p in pmfs:
+            keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
+            marks = _merge_two_queues(keys, rule._combiner())
+            heap_kids = _merge_heap(heap_keys, rule._combiner())
+            assert keys == heap_keys
+            assert _queue_children(keys, marks) == heap_kids
+            ks, cs = _level_runs(p.n, marks)
+            assert [k for k, c in zip(ks, cs) for _ in range(c)] == _leaf_depths(p.n, heap_kids)
+        if rule.kind is RuleKind.EXP_BASE and rule.param == 1e200:
+            # the last merges of both uniform pmfs have merged keys of +inf
+            assert keys.count(math.inf) > 2
 
     def test_root_weight_matches_objective(self):
         rng = np.random.default_rng(28)

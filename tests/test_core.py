@@ -118,6 +118,46 @@ class TestValidatePmf:
         with pytest.raises(NonPositiveProbability, match="entry 1 of 2"):
             validate_pmf([5e-324, 4.0], normalize=True)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"normalize": True}, {"assume_sorted": True}],
+                             ids=["default", "normalize", "assume_sorted"])
+    @pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [
+        (0.0,), (-0.0,), (-0.25,), (-5e-324,), (math.inf,), (-math.inf,), (math.nan,),
+        (math.nan, math.inf, -math.inf), (math.inf, math.nan, -math.inf),
+        (-math.inf, math.inf, math.nan)], ids=repr)
+    def test_refusal_quotes_the_first_bad_entry_in_input_order(self, kwargs, pos, bad):
+        # the sort runs before positivity is read off the sorted list, yet
+        # the refusal names the entry by its place in the input
+        raw = [0.2] * 5
+        for k, v in enumerate(bad):
+            raw[(pos + 2 * k) % 5] = v
+        first = next(k for k, v in enumerate(raw) if not 0.0 < v < math.inf)
+        with pytest.raises(NonPositiveProbability) as exc:
+            validate_pmf(raw, **kwargs)
+        assert str(exc.value) == (f"all probabilities must be finite and > 0: "
+                                  f"entry {first + 1} of 5 is {raw[first]!r}")
+
+    @pytest.mark.parametrize("pos", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_subnormal_entries(self, pos):
+        raw = [0.5, 0.5]
+        raw.insert(pos, 5e-324)
+        assert validate_pmf(raw).probs == (0.5, 0.5, 5e-324)
+        if pos == 2:
+            assert validate_pmf(raw, assume_sorted=True).probs == (0.5, 0.5, 5e-324)
+        else:
+            with pytest.raises(CodingError) as exc:
+                validate_pmf(raw, assume_sorted=True)
+            assert str(exc.value) == (f"probabilities must be sorted nonincreasing: of 3, "
+                                      f"entry {pos + 1} (5e-324) < entry {pos + 2} (0.5)")
+        big = [1e308, 1e308]
+        big.insert(pos, 5e-324)
+        with pytest.raises(NonPositiveProbability) as exc:
+            validate_pmf(big, normalize=True)
+        assert str(exc.value) == f"entry {pos + 1} of 3 (5e-324) underflows to 0 when normalised"
+        with pytest.raises(SumNotOne) as exc:
+            validate_pmf([5e-324] * 3)
+        assert str(exc.value) == "3 probabilities sum to 1.5e-323, not 1"
+
     def test_sum_past_float_range_is_sum_not_one(self):
         # math.fsum raises OverflowError on these; without normalize they are refused
         for build in (validate_pmf, lambda r: validate_pmf(r, assume_sorted=True),

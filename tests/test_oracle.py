@@ -16,7 +16,7 @@ from genhuff import (
     kraft_length_tuples,
     validate_pmf,
 )
-from genhuff.oracle import _completions, _margin, _relaxation, _unrank, _walk
+from genhuff.oracle import _completions, _margin, _relaxation, _term_rows, _unrank, _walk
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 
 # number of full binary tree shapes with n leaves, n = 1..16
@@ -137,6 +137,16 @@ class TestBruteForce:
         with pytest.raises(AlphabetTooLarge):
             brute_force_optimal(p, Objective.avg())
         brute_force_optimal(p, Objective.avg(), max_n=17)
+
+    def test_term_rows_equal_the_per_length_calls(self):
+        rng = np.random.default_rng(17)
+        pmfs = [validate_pmf([1.0]), validate_pmf([0.5, 0.5]), benford()]
+        pmfs += [random_pmf(rng, n) for n in (3, 10, 16)]
+        for p in pmfs:
+            lgp = [math.log2(x) for x in p.probs]
+            for obj in OBJECTIVES + EXTREME_OBJECTIVES:
+                assert _term_rows(obj, p.probs, lgp) \
+                    == [obj.terms(p.probs, lgp, ((l,), (p.n,))) for l in range(p.n)]
 
     def test_evaluated_count_is_tree_shape_count(self):
         for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
