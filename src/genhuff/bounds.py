@@ -270,10 +270,9 @@ def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     if p.n < 2:
         raise PreconditionUnmet("needs at least two symbols")
     p1 = p.probs[0]
-    threshold = 2.0 * q / (2.0 * q + 3.0)
-    if p1 < threshold:
-        raise PreconditionUnmet(
-            f"p_1={p1} below the one-bit-l_1 threshold 2q/(2q+3)={threshold}")
+    if not _meets_l1_threshold(q, p1):
+        raise PreconditionUnmet(f"p_1={p1} below the one-bit-l_1 threshold "
+                                f"2q/(2q+3)={2.0 * q / (2.0 * q + 3.0)}")
     alpha = alpha_of_q(q)
     h = renyi_entropy(p, alpha)
     x = q ** (alpha * h) - p1 ** alpha
@@ -283,6 +282,13 @@ def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     lo = 1.0 + math.log(base + p1, q)
     hi = 1.0 + math.log(q * base + p1, q)
     return BoundReport(lo, hi, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+
+
+def _meets_l1_threshold(q: float, p_1: float) -> bool:
+    """p_1 >= 2q/(2q+3), exactly: with q = a/b the threshold is 2a/(2a + 3b),
+    which the float quotient rounds across."""
+    a, b = q.as_integer_ratio()
+    return cmp_ratio(p_1, 2 * a, 2 * a + 3 * b) >= 0
 
 
 def l1_region(q: float, p_1: float) -> L1Region:
@@ -298,7 +304,7 @@ def l1_region(q: float, p_1: float) -> L1Region:
     if q <= 0.5:
         return L1Region.ALWAYS_UNARY
     if q <= 1.0:
-        if p_1 >= 2.0 * q / (2.0 * q + 3.0):
+        if _meets_l1_threshold(q, p_1):
             return L1Region.GUARANTEED_L1
         return L1Region.NOT_GUARANTEED
     return L1Region.GUARANTEED_L1 if p_1 == 1.0 else L1Region.NOT_GUARANTEED

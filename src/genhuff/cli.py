@@ -61,6 +61,7 @@ CAMPAIGN_TRIALS = 200
 CAMPAIGN_SEED = 42
 SWEEP_MIN_STEP = 1e-5  # a sweep holds every row until it writes: at most ~2e5 here
 ORACLE_MAX_N = 16  # oracle.DEFAULT_MAX_N, the largest --n of the verify campaign
+FLOAT_FLAGS = ("--d", "--q", "--p", "--p1", "--eps", "--step")  # every flag with type=float
 FAMILY_NAMES = (  # the values of witness.FamilyKind, in its order
     "mmpr-upper-high", "mmpr-upper-mid", "mmpr-upper-low", "mmpr-lower-a", "mmpr-lower-b",
     "len-upper-tight", "len-lower-tight", "l1-boundary", "l1-counter", "l1-always-one",
@@ -102,8 +103,11 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise CodingError(f"cannot write {out}: {e}") from e
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -113,22 +117,29 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 def load_pmf(path: str, assume_sorted: bool = False, normalize: bool = False) -> Pmf:
     """Read one decimal per line ('#' comments allowed) or a JSON array."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
-            raise ParseError(f"cannot read {path}: {e}") from e
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
     if text.lstrip().startswith("["):
         import json
         try:
             vals = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON array: {e}") from e
-        if not isinstance(vals, list) or not all(isinstance(v, (int, float)) for v in vals):
+        if not isinstance(vals, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
             raise ParseError(f"{path}: JSON input must be a flat array of numbers")
+        try:
+            vals = list(map(float, vals))
+        except OverflowError as e:
+            raise ParseError(f"{path}: JSON number past the float range: {e}") from e
     else:
         vals = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -462,9 +473,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``--d -5e-1`` as ``--d=-5e-1``, for each flag that takes a float.
+
+    argparse reads a token that starts with '-' as a flag unless it matches
+    its negative-number pattern, which has no exponent or inf, so the
+    space-separated ``--d -1e-12`` or ``--q -inf`` would not reach the range
+    check.  A token that parses as a float is joined to such a flag instead.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in FLOAT_FLAGS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         # flush here, not at exit, so that a reader that went away shows up

@@ -9,12 +9,14 @@ any of the objectives here.  Equality rather than inequality in the Kraft
 sum is likewise lossless, since shortening a codeword never hurts.  Both
 facts are covered by self-tests rather than assumed.
 
-One depth-first walk (``_walk``) serves both the enumeration and the
-minimizer.  It chooses how many leaves sit at each depth, fewest first,
-and never enters a branch that holds no complete tree, so each step
-either descends a level or finishes a vector.  The lengths of one vector
-and of the next share the prefix above the deepest level that changed,
-and the walk rewrites only the rest.
+The minimizer walks the space depth first (``_walk``).  It chooses how
+many leaves sit at each depth, fewest first, and never enters a branch
+that holds no complete tree, so each step either descends a level or
+finishes a vector.  The lengths of one vector and of the next share the
+prefix above the deepest level that changed, and the walk rewrites only
+the rest.  ``kraft_length_tuples`` lists the space in the same order but
+unranks each vector from its index (``_unrank``), so a test that scores
+its vectors one by one shares no code with the walk.
 
 The minimizer tables each symbol's term at each depth once per call with
 ``Objective.terms``, the code ``Objective.evaluate`` runs, and binds the
@@ -137,13 +139,12 @@ does not cut, by the floors.
   So it adds at most u (3 lg n + 6 allowance) / |s| to e, and twice that
   is below the u (8T + 4 lg n + 4) / |s| by which the margin exceeds 2e:
   T >= G >= lg n where s > 0, and the allowance is far below T.
-* **The counts.**  ``evaluated_count`` is the size of the space, the
-  vectors scored plus the vectors in each skipped subtree.  The latter is
-  ``_completions`` of the subtree's first level, a memoised count over
-  (open nodes, unplaced symbols).  ``scored_count`` is the number of
-  vectors actually reduced.  A subtree with at most ``_SMALL_SUBTREE``
-  completions is walked, not bounded: a bound costs about what scoring one
-  vector does.
+* **The counts.**  ``evaluated_count`` is the size of the space,
+  ``_completions(1, n)``, whatever the cut skips: ``_completions`` is a
+  memoised count of the vectors below a level, over (open nodes, unplaced
+  symbols).  ``scored_count`` is the number of vectors actually reduced.
+  A subtree with at most ``_SMALL_SUBTREE`` completions is walked, not
+  bounded: a bound costs about what scoring one vector does.
 
 So minimum, argmin set and ``evaluated_count`` are those of calling
 ``Objective.evaluate`` on each ``LengthVector`` of the space.  The oracle
@@ -157,7 +158,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import CodingError, LengthVector, Objective, ObjectiveKind, Pmf, lg_sum_exp2
 
@@ -181,8 +182,9 @@ class AlphabetTooLarge(CodingError):
 class OracleResult:
     """Minimum objective value with every minimizing monotone length vector.
 
-    ``evaluated_count`` is the number of vectors in the space searched;
-    ``scored_count``, at most that, is the number the walk reduced to a value.
+    ``evaluated_count`` is the number of vectors in the space searched,
+    whatever the cut skips; ``scored_count``, at most that, is the number the
+    walk reduced to a value.
     """
 
     min_value: float
@@ -204,38 +206,40 @@ def _completions(nodes: int, left: int) -> int:
                for k in range(max(0, 2 * nodes - left), nodes))
 
 
-def _walk(n: int, rows: Sequence[Sequence] | None = None,
-          reduce: Callable[[list], float] | None = None,
-          relax: tuple[Sequence[float], Sequence[float]] | None = None
-          ) -> Generator[tuple[list[int], list | None], float | None, int]:
-    """Yield ``(lengths, values)`` once per complete nondecreasing length
-    vector that the cut keeps, and return the number it skipped.
+def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
+          relax: tuple[Sequence[float], Sequence[float]] | None, margin: float
+          ) -> tuple[float, list[tuple[float, tuple[int, ...]]], int]:
+    """Score each complete nondecreasing length vector the cut keeps, and
+    return the least value, the (value, lengths) pairs that were within
+    ``ARGMIN_TOL`` of the least value when scored, and the number scored.
 
-    Both are lists the walk reuses, so a caller copies what it keeps.
-    ``values[i]`` is ``rows[lengths[i]][i]``; without ``rows`` it is None.
-    At each depth the walk places ``k`` of the ``left`` unplaced symbols on
-    the ``nodes`` open nodes, k ascending, and leaves the other ``nodes - k``
-    as internal nodes with two children each.  No full binary tree with n
-    leaves is deeper than n - 1, so depths run from 0 to n - 1.
+    A vector's value is ``reduce`` over ``rows[lengths[i]][i]``, n =
+    ``len(rows)``.  At each depth the walk places ``k`` of the ``left``
+    unplaced symbols on the ``nodes`` open nodes, k ascending, and leaves
+    the other ``nodes - k`` as internal nodes with two children each.  No
+    full binary tree with n leaves is deeper than n - 1, so depths run from
+    0 to n - 1.
 
-    A caller that ``send``s a limit in place of ``next`` (which needs
-    ``rows`` and ``reduce``) has the walk skip, until the next send, every
-    subtree of more than ``_SMALL_SUBTREE`` vectors whose bound exceeds it.
-    The bound is ``reduce`` over its placed terms followed by one relaxed
-    term for the symbols lo.. after them, ``heads[lo] - slopes[lo] lg C``
-    from ``relax = (heads, slopes)``, and where that does not exceed the
-    limit, followed by each later symbol's term at its floor (module
-    docstring).  Plain iteration skips nothing and keeps the order.
+    From the first vector scored on, the walk skips every subtree of more
+    than ``_SMALL_SUBTREE`` vectors whose bound exceeds the limit
+    ``best + ARGMIN_TOL + margin``.  The bound is ``reduce`` over its placed
+    terms followed by one relaxed term for the symbols lo.. after them,
+    ``heads[lo] - slopes[lo] lg C`` from ``relax = (heads, slopes)``, and
+    where that does not exceed the limit, followed by each later symbol's
+    term at its floor (module docstring).
     """
+    n = len(rows)
     lengths = [0] * n
-    values = None if rows is None else [None] * n
-    out = (lengths, values)
+    values = [0.0] * n
     # per depth on the current path: open nodes, unplaced symbols, leaves placed
     nodes_at = [0] * n
     left_at = [0] * n
     k_at = [0] * n
+    # no bound before the first vector: it would cut nothing and cost a reduce
     limit = None
-    skipped = 0
+    best = math.inf
+    candidates: list[tuple[float, tuple[int, ...]]] = []
+    scored = 0
     if relax is not None:
         heads, slopes = relax
         lgs = [0.0, *map(math.log2, range(1, n + 1))]
@@ -245,9 +249,16 @@ def _walk(n: int, rows: Sequence[Sequence] | None = None,
             # a level with as many open nodes as symbols is all leaves
             first = n - left
             lengths[first:] = [depth] * left
-            if rows is not None:
-                values[first:] = rows[depth][first:]
-            limit = yield out
+            values[first:] = rows[depth][first:]
+            scored += 1
+            v = reduce(values)
+            if v < best - ARGMIN_TOL:
+                best = v
+                candidates = [(v, tuple(lengths))]
+            elif v <= best + ARGMIN_TOL:
+                candidates.append((v, tuple(lengths)))
+                best = min(best, v)
+            limit = best + ARGMIN_TOL + margin
             depth -= 1
         else:
             # open the level one leaf short of the fewest that leave every
@@ -258,13 +269,12 @@ def _walk(n: int, rows: Sequence[Sequence] | None = None,
             if k > 0:
                 first = n - left
                 lengths[first:first + k] = [depth] * k
-                if rows is not None:
-                    values[first:first + k] = rows[depth][first:first + k]
+                values[first:first + k] = rows[depth][first:first + k]
         # place one more leaf at the deepest level that takes one, and enter
         # the subtree below it unless the cut skips it
         while True:
             if depth < 0:
-                return skipped
+                return best, candidates, scored
             nodes, left = nodes_at[depth], left_at[depth]
             k = k_at[depth] + 1
             # the pruning rule: a level is opened only where nodes < left,
@@ -277,54 +287,38 @@ def _walk(n: int, rows: Sequence[Sequence] | None = None,
             if k:
                 i = n - left + k - 1
                 lengths[i] = depth
-                if rows is not None:
-                    values[i] = rows[depth][i]
+                values[i] = rows[depth][i]
             nodes, left = 2 * (nodes - k), left - k
-            if limit is not None:
-                below = _completions(nodes, left)
-                if below > _SMALL_SUBTREE:
-                    lo = n - left
-                    bound = values[:lo]
-                    if relax is not None:
-                        # the relaxation: symbols lo.. at their real optimum
-                        # on the open capacity C = nodes 2^-(depth+1)
-                        bound.append(heads[lo] - slopes[lo] * (lgs[nodes] - (depth + 1)))
-                        if reduce(bound) > limit:
-                            skipped += below
-                            continue
-                        bound.pop()
-                    # the floors: symbols lo..hi-1 at depth d, the run
-                    # doubling from nodes - 1 at depth + 1, and the last
-                    # symbol in the run before it
-                    hi, width, d = lo + nodes - 1, nodes, depth + 1
-                    while hi < n - 1:
-                        bound += rows[d][lo:hi]
-                        lo, hi, width, d = hi, hi + width, 2 * width, d + 1
-                    bound += rows[d][lo:]
+            if limit is not None and _completions(nodes, left) > _SMALL_SUBTREE:
+                lo = n - left
+                bound = values[:lo]
+                if relax is not None:
+                    # the relaxation: symbols lo.. at their real optimum
+                    # on the open capacity C = nodes 2^-(depth+1)
+                    bound.append(heads[lo] - slopes[lo] * (lgs[nodes] - (depth + 1)))
                     if reduce(bound) > limit:
-                        skipped += below
                         continue
+                    bound.pop()
+                # the floors: symbols lo..hi-1 at depth d, the run
+                # doubling from nodes - 1 at depth + 1, and the last
+                # symbol in the run before it
+                hi, width, d = lo + nodes - 1, nodes, depth + 1
+                while hi < n - 1:
+                    bound += rows[d][lo:hi]
+                    lo, hi, width, d = hi, hi + width, 2 * width, d + 1
+                bound += rows[d][lo:]
+                if reduce(bound) > limit:
+                    continue
             break
         depth += 1
 
 
-def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield each nondecreasing length vector with Kraft sum 1, once.
-
-    Vectors are generated by choosing how many leaves sit at each depth of
-    a full binary tree, fewest first.
-    """
-    if n < 1:
-        raise CodingError(f"alphabet size must be >= 1, got {n}")
-    for lengths, _ in _walk(n):
-        yield tuple(lengths)
-
-
 def _unrank(n: int, index: int) -> tuple[int, ...]:
-    """The vector ``kraft_length_tuples(n)`` yields at ``index``, 0 <= index
-    < ``_completions(1, n)``, found level by level without listing the ones
-    before it: each choice of k, in the walk's order, holds ``_completions``
-    of its level below."""
+    """The vector at ``index`` of the level-profile order, 0 <= index <
+    ``_completions(1, n)``: fewest leaves at depth 0 first, then at depth 1,
+    and so on, the order ``_walk`` visits.  It is found level by level
+    without listing the ones before it: each choice of k holds
+    ``_completions`` of its level below."""
     lengths: list[int] = []
     depth, nodes, left = 0, 1, n
     while nodes < left:
@@ -336,6 +330,17 @@ def _unrank(n: int, index: int) -> tuple[int, ...]:
         lengths += [depth] * k
         depth, nodes, left = depth + 1, 2 * (nodes - k), left - k
     return tuple(lengths + [depth] * left)
+
+
+def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield each nondecreasing length vector with Kraft sum 1, once.
+
+    Vectors come in level-profile order: by how many leaves sit at depth 0
+    of a full binary tree, then at depth 1, and so on, fewest first.
+    """
+    if n < 1:
+        raise CodingError(f"alphabet size must be >= 1, got {n}")
+    return (_unrank(n, index) for index in range(_completions(1, n)))
 
 
 def _coefficients(obj: Objective) -> tuple[float, float]:
@@ -413,36 +418,17 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     minimum), sorted lexicographically.  The walk skips each subtree whose
     lower bound, the relaxation's or the floors', shows it holds no such
     vector, and the result is the one scoring every vector gives (module
-    docstring).  ``evaluated_count`` is the size of the space, which grows
-    like 1.794^n, so raise ``max_n`` consciously; ``scored_count`` is how
-    many of them were scored, ~10-160 of 1639 on Dirichlet pmfs at n = 16
-    under the benchmark's objectives.
+    docstring).  ``evaluated_count`` is the size of the space, whatever the
+    cut skips; it grows like 1.794^n, so raise ``max_n`` consciously.
+    ``scored_count`` is how many of them were scored, ~10-160 of 1639 on
+    Dirichlet pmfs at n = 16 under the benchmark's objectives.
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
     lgp = list(map(math.log2, p.probs))
     rows = _term_rows(obj, p.probs, lgp)
-    reduce = obj.reducer()
     relax = _relaxation(obj, p.probs, lgp)
-    margin = _margin(obj, rows)
-    best = float("inf")
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    scored = 0
-    walk = _walk(p.n, rows, reduce, relax)
-    try:
-        lengths, terms = next(walk)
-        while True:
-            scored += 1
-            v = reduce(terms)
-            if v < best - ARGMIN_TOL:
-                best = v
-                candidates = [(v, tuple(lengths))]
-            elif v <= best + ARGMIN_TOL:
-                candidates.append((v, tuple(lengths)))
-                best = min(best, v)
-            lengths, terms = walk.send(best + ARGMIN_TOL + margin)
-    except StopIteration as stop:
-        skipped = stop.value
+    best, candidates, scored = _walk(rows, obj.reducer(), relax, _margin(obj, rows))
     argmin = sorted(lv for v, lv in candidates if v <= best + ARGMIN_TOL)
     return OracleResult(best, tuple(LengthVector._checked(lv) for lv in argmin),
-                        scored + skipped, scored)
+                        _completions(1, p.n), scored)

@@ -587,6 +587,24 @@ class TestL1Region:
         assert l1_region(2.0, 1.0) is L1Region.GUARANTEED_L1
         assert l1_region(0.8, 2 * 0.8 / (2 * 0.8 + 3)) is L1Region.GUARANTEED_L1
 
+    @pytest.mark.parametrize("p1,region", [
+        (math.nextafter(1 / 3, 0.0), L1Region.NOT_GUARANTEED),
+        (1 / 3, L1Region.NOT_GUARANTEED),
+        (math.nextafter(1 / 3, 1.0), L1Region.GUARANTEED_L1),
+    ], ids=["below", "fl(1/3)", "above"])
+    def test_threshold_is_exact(self, p1, region):
+        # at q = 3/4 the threshold 2q/(2q+3) is 1/3, and the float quotient is
+        # fl(1/3), just below it: fl(1/3) and the float under it fail the
+        # precondition, the float above it meets it
+        assert 2 * 0.75 / (2 * 0.75 + 3) == 1 / 3 < Fraction(1, 3)
+        assert l1_region(0.75, p1) is region
+        p = validate_pmf([p1, 0.25, 0.25, 0.5 - p1])
+        if region is L1Region.GUARANTEED_L1:
+            exp_avg_bounds_l1(p, 0.75)
+        else:
+            with pytest.raises(PreconditionUnmet):
+                exp_avg_bounds_l1(p, 0.75)
+
     def test_consistency_with_coder(self):
         rng = np.random.default_rng(58)
         for _ in range(150):

@@ -566,6 +566,45 @@ class TestUsage:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {param[0][2:]} must ")
 
+    @pytest.mark.parametrize("argv,content,message,child", [
+        (("code", "{file}"), b"[true]\n", "flat array of numbers", False),
+        (("code", "{file}"), b"[1" + b"0" * 400 + b", 1]\n", "past the float range", False),
+        (("code", "{file}"), b"\xff\xfe0.5\n", "not UTF-8 text", True),
+        (("code", "{file}", "--out", "{missing}"), None, "cannot write", True),
+        (("verify", "--n", "3", "--trials", "2", "--out", "{missing}"), None, "cannot write",
+         True),
+        (("code", "--objective", "dexp", "--d", "-inf", "{file}"), None, "d must", False),
+        (("code", "--objective", "expavg", "--q", "-5e-1", "{file}"), None, "q must", False),
+        (("bounds", "--p", "-1e-1"), None, "probability must", False),
+        (("verify", "--family", "mmpr-upper-high", "--p1", "-1e-1"), None, "needs p_1", False),
+        (("verify", "--family", "l1-boundary", "--q", "0.9", "--eps", "-1e-12"), None,
+         "needs eps", False),
+        (("sweep", "--figure", "mmpr", "--step", "-1e-3"), None, "step must", False),
+    ], ids=["json-bool", "json-huge-int", "not-utf8", "code-out", "verify-out", "d", "q", "p",
+            "p1", "eps", "step"])
+    def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, content, message,
+                                         child):
+        # a child interpreter too where an escaping exception would show as
+        # its traceback
+        path = tmp_path / "in.txt"
+        path.write_bytes(content or b"0.5\n0.5\n")
+        missing = tmp_path / "missing" / "out.txt"
+        argv = [{"{file}": str(path), "{missing}": str(missing)}.get(a, a) for a in argv]
+        results = [run(capsys, *argv)]
+        if child:
+            proc = subprocess.run([sys.executable, "-m", "genhuff", *argv], capture_output=True,
+                                  text=True, env=child_env(), timeout=60)
+            results.append((proc.returncode, proc.stdout, proc.stderr))
+        for code, out, err in results:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("value", ["-5e-1", "-1e-12", "-.5E0"])
+    def test_negative_float_in_exponent_form_parses(self, capsys, three_file, value):
+        joined = run(capsys, "code", "--objective", "dexp", f"--d={value}", three_file)
+        assert joined[0] == 0
+        assert run(capsys, "code", "--objective", "dexp", "--d", value, three_file) == joined
+
     def test_largest_d_answers_a_finite_value(self, capsys, tmp_path):
         path = tmp_path / "dyadic.txt"
         path.write_text("0.5\n0.25\n0.125\n0.125\n")

@@ -16,7 +16,8 @@ from genhuff import (
     kraft_length_tuples,
     validate_pmf,
 )
-from genhuff.oracle import _completions, _margin, _relaxation, _term_rows, _unrank, _walk
+from genhuff import oracle
+from genhuff.oracle import _completions, _margin, _relaxation, _term_rows, _walk
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 
 # number of full binary tree shapes with n leaves, n = 1..16
@@ -104,13 +105,16 @@ class TestEnumeration:
             expected.sort(key=lambda l: [l.count(d) for d in range(deepest + 1)])
             assert list(kraft_length_tuples(n)) == expected
 
-
-class TestUnrank:
-    def test_unrank_is_the_walk_order(self):
+    def test_lists_the_space_once_in_level_profile_order(self):
         for n in range(1, 15):
             listed = list(kraft_length_tuples(n))
             assert len(listed) == _completions(1, n)
-            assert [_unrank(n, i) for i in range(len(listed))] == listed
+            for lengths in listed:
+                assert list(lengths) == sorted(lengths)
+                assert sum(1 << (n - 1 - l) for l in lengths) == 1 << (n - 1)
+            # strictly ascending profiles: distinct vectors, in level-profile order
+            profiles = [[l.count(d) for d in range(n)] for l in listed]
+            assert all(a < b for a, b in zip(profiles, profiles[1:]))
 
 
 class TestBruteForce:
@@ -311,32 +315,31 @@ class TestCut:
                     checked += 1
         assert checked > 900
 
-    def test_a_bound_equal_to_the_limit_is_not_cut(self):
+    def test_a_bound_equal_to_the_limit_is_not_cut(self, monkeypatch):
         # with p_1 = 0.6 the MMPR optimum is 1 + lg p_1, and so is the bound of
-        # every subtree below l_1 = 1 whose floors stay under it: a limit at
-        # the minimum meets bounds equal to it
+        # every subtree below l_1 = 1 whose floors stay under it: with no
+        # tolerance the limit is the best value once a minimizer is scored,
+        # and meets bounds equal to it (the uniform tail at n = 12 has a
+        # second minimizer in such a subtree)
+        monkeypatch.setattr(oracle, "ARGMIN_TOL", 0.0)
         obj = Objective.max_pointwise()
-        reduce = obj.reducer()
         rng = np.random.default_rng(48)
+        pmfs = []
         for n in (8, 12, 16):
-            p = validate_pmf([0.6] + [0.4 * float(x) for x in rng.dirichlet(np.ones(n - 1))])
+            tail = [float(x) for x in rng.dirichlet(np.ones(n - 1))]
+            pmfs += [validate_pmf([0.6] + [0.4 * x for x in tail]),
+                     validate_pmf([0.6] + [0.4 / (n - 1)] * (n - 1))]
+        for p in pmfs:
+            n = p.n
             lgp = list(map(math.log2, p.probs))
             rows = [obj.terms(p.probs, lgp, ((l,), (n,))) for l in range(n)]
             best, _, count = reference_optimum(p, obj)
             assert best == 1 + math.log2(0.6)
-            kept = set()
-            walk = _walk(n, rows, reduce)
-            try:
-                lengths, values = next(walk)
-                while True:
-                    kept.add((tuple(lengths), reduce(values)))
-                    lengths, values = walk.send(best)
-            except StopIteration as stop:
-                skipped = stop.value
-            assert len(kept) + skipped == count
-            assert skipped > 0
+            found, candidates, scored = _walk(rows, obj.reducer(), None, 0.0)
+            assert found == best
+            assert scored < count
             assert {lv.lengths for lv in length_vectors(n) if obj.evaluate(p, lv) == best} \
-                <= {l for l, v in kept if v == best}
+                <= {l for _, l in candidates}
 
 
 class TestSoundnessArguments:
