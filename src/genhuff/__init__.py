@@ -39,8 +39,6 @@ from .coder import (
     CodeResult,
     CombineRule,
     KraftViolation,
-    MergeEvent,
-    MergeTrace,
     RuleKind,
     canonical_codewords,
     generalized_huffman,
@@ -84,9 +82,8 @@ __all__ = [
     "lg", "lg_sum_exp2", "max_pointwise_redundancy", "renyi_entropy", "shannon_entropy",
     "success_probability", "validate_pmf",
     # coder
-    "CodeResult", "CombineRule", "KraftViolation", "MergeEvent", "MergeTrace", "RuleKind",
-    "canonical_codewords", "generalized_huffman", "j_shannon_code", "shannon_code",
-    "unary_code",
+    "CodeResult", "CombineRule", "KraftViolation", "RuleKind", "canonical_codewords",
+    "generalized_huffman", "j_shannon_code", "shannon_code", "unary_code",
     # bounds, witness and oracle, loaded on first use
     *(name for names in _LAZY.values() for name in names),
 ]

@@ -233,11 +233,10 @@ def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
     q in (0.5, 1) the Gallager upper bound applies when j = 1, otherwise
     only the unit-sized upper bound is available (noted in the report).
     """
-    if not (q > 0.5 and q != 1.0):
-        raise QOutOfRange(f"q must lie in (0.5,inf) excluding 1, got {q}")
+    alpha = alpha_of_q(q)
     if not 1 <= j <= p.n:
         raise CodingError(f"j must be in 1..{p.n}, got {j}")
-    h = renyi_entropy(p, alpha_of_q(q))
+    h = renyi_entropy(p, alpha)
     p_hat = _hat_probs(p, q)[j - 1]
     if not 0.0 < p_hat < 1.0:
         # p_j^alpha underflowed, or the others' powers vanish next to it
@@ -297,8 +296,8 @@ def l1_region(q: float, p_1: float) -> L1Region:
     q <= 0.5 is always solved by the unary code; for q in (0.5, 1] the
     guarantee holds iff p_1 >= 2q/(2q+3); for q > 1 no p_1 < 1 suffices.
     """
-    if q <= 0.0:
-        raise QOutOfRange(f"q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise QOutOfRange(f"q must be finite and positive, got {q}")
     if not 0.0 < p_1 <= 1.0:
         raise POutOfRange(f"probability must be in (0, 1], got {p_1}")
     if q <= 0.5:

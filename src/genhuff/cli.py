@@ -479,11 +479,15 @@ def _join_float_values(argv: list[str]) -> list[str]:
     argparse reads a token that starts with '-' as a flag unless it matches
     its negative-number pattern, which has no exponent or inf, so the
     space-separated ``--d -1e-12`` or ``--q -inf`` would not reach the range
-    check.  A token that parses as a float is joined to such a flag instead.
+    check.  A token that parses as a float is joined to such a flag instead,
+    named in full or, as argparse also accepts, by a prefix of no other
+    float flag (``--ep`` for ``--eps``).
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in FLOAT_FLAGS and token.startswith("-"):
+        if (out and token.startswith("-")
+                and (out[-1] in FLOAT_FLAGS
+                     or sum(flag.startswith(out[-1]) for flag in FLOAT_FLAGS) == 1)):
             try:
                 float(token)
             except ValueError:

@@ -51,8 +51,7 @@ queue path hands those runs to the ``LengthVector`` with the lengths.
 The heap path records each merge as its two children and sets depths by
 one pass over the nodes from the root down; its vector finds its runs
 itself.  The Kraft check sums integers, so everything after the merges
-is linear in n as well.  The merge trace is built only on request; on
-the queue path its children are rebuilt from the marks and the keys.
+is linear in n as well.
 
 Codeword bits are assigned canonically from the lengths, shortest first,
 stable on symbol index.  That needs no sort: the words of one length are
@@ -94,8 +93,6 @@ __all__ = [
     "KraftViolation",
     "RuleKind",
     "CombineRule",
-    "MergeEvent",
-    "MergeTrace",
     "CodeResult",
     "generalized_huffman",
     "shannon_code",
@@ -201,32 +198,11 @@ class CombineRule:
 
 
 @dataclass(frozen=True)
-class MergeEvent:
-    """One merge step: weights combined and the ids of the nodes involved."""
-
-    weight_a: float
-    weight_b: float
-    weight_out: float
-    node_a: int
-    node_b: int
-    node_out: int
-
-
-@dataclass(frozen=True)
-class MergeTrace:
-    """Ordered merge log; weights are base-2 logs when ``log_domain`` is set."""
-
-    events: tuple[MergeEvent, ...]
-    root_weight: float
-    log_domain: bool
-
-
-@dataclass(frozen=True)
 class CodeResult:
     lengths: LengthVector
     codewords: tuple[str, ...]
     objective_value: float
-    trace: MergeTrace | None = None
+    trace = None  # not a field: bench/run.py reads it; the benchmark refresh deletes it
 
 
 # Node ids: symbol i is node i, and the k-th merge (k = 0, 1, ...) creates
@@ -273,7 +249,7 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
 
     marks[k] is the merged queue's head after merge k: merges 0..k popped
     exactly the merged nodes below that id.  ``_level_runs`` reads the
-    depths from the marks and ``_queue_children`` the children.
+    depths from the marks.
     """
     n = len(keys)
     keys += repeat(math.inf, n - 1)
@@ -348,30 +324,6 @@ def _level_runs(n: int, marks: list[int]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(depths), tuple(counts)
 
 
-def _queue_children(keys: list[float], marks: list[int]) -> list[int]:
-    """The heap's flat children list, rebuilt from the queue merge's keys and marks.
-
-    A merge that moved the merged head by two took two merged nodes, by
-    none two inputs.  By one it took the next input and the head, the
-    input first iff its key is at most the head's, since inputs win ties.
-    """
-    n = len(marks) + 1
-    i, j = n - 1, n
-    kids: list[int] = []
-    for mark in marks:
-        took = mark - j
-        if took == 0:
-            kids += (i, i - 1)
-            i -= 2
-        elif took == 2:
-            kids += (j, j + 1)
-        else:
-            kids += (i, j) if keys[i] <= keys[j] else (j, i)
-            i -= 1
-        j = mark
-    return kids
-
-
 def _leaf_depths(n: int, kids: list[int]) -> list[int]:
     """Leaf depths from the heap's children, by one pass over the merges from the root down.
 
@@ -387,12 +339,11 @@ def _leaf_depths(n: int, kids: list[int]) -> list[int]:
     return depth[:n]
 
 
-def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> CodeResult:
+def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     """Build an objective-optimal code for ``p`` under ``rule``.
 
     Returns per-symbol lengths (Kraft sum exactly 1), canonical codewords
-    and the achieved objective value; with ``trace``, also the merge trace
-    (otherwise ``trace`` is None).
+    and the achieved objective value.
     """
     n = p.n
     keys = rule._leaf_keys(p)
@@ -400,21 +351,14 @@ def generalized_huffman(p: Pmf, rule: CombineRule, *, trace: bool = False) -> Co
     marks = _merge_two_queues(keys, combine)
     if marks is None:
         del keys[n:]
-        kids = _merge_heap(keys, combine)
-        lengths = LengthVector._checked(tuple(_leaf_depths(n, kids)))
+        lengths = LengthVector._checked(tuple(_leaf_depths(n, _merge_heap(keys, combine))))
     else:
         runs = _level_runs(n, marks)
         lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
-        kids = _queue_children(keys, marks) if trace else None
-    merge_trace = None
-    if trace:
-        events = tuple(MergeEvent(keys[a], keys[b], keys[new], a, b, new)
-                       for new, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
-        merge_trace = MergeTrace(events, keys[-1], rule.log_domain)
     # the codeword strings can reuse what the merge buffers held
-    del keys, kids, marks
+    del keys, marks
     value = rule.objective().evaluate(p, lengths)
-    return CodeResult(lengths, canonical_codewords(lengths), value, merge_trace)
+    return CodeResult(lengths, canonical_codewords(lengths), value)
 
 
 def shannon_code(p: Pmf) -> LengthVector:

@@ -475,8 +475,8 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
     The alpha = 1 limit is Shannon entropy; callers select shannon_entropy
     explicitly rather than relying on a numeric limit here.
     """
-    if not (alpha > 0.0 and alpha != 1.0):
-        raise AlphaOutOfRange(f"alpha must be positive and not 1, got {alpha}")
+    if not (0.0 < alpha < math.inf and alpha != 1.0):
+        raise AlphaOutOfRange(f"alpha must be finite, positive and not 1, got {alpha}")
     e = 1.0 - alpha
     if abs(e) < 0.0625:
         # near alpha = 1, lg sum p_i^alpha is ~e H, far below the rounding of
@@ -490,7 +490,7 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
 
 def alpha_of_q(q: float) -> float:
     """Entropy order 1/(1 + lg q) matching the exponential-average base q."""
-    if not (q > 0.5 and q != 1.0):
+    if not (0.5 < q < math.inf and q != 1.0):
         raise QOutOfRange(f"q must lie in (0.5,inf) excluding 1, got {q}")
     return 1.0 / (1.0 + lg(q))
 

@@ -70,6 +70,13 @@ def _block_lg(e: int, what: str) -> int:
     return e
 
 
+def _l1_counter_levels(q: float | None, p1: float | None) -> int:
+    """m = floor(log_q(4 p_1 / (1-p_1))) of the q > 1 counterexample, for (q, p_1) in its range."""
+    _need(q is not None and q > 1.0, f"needs q > 1, got {q}")
+    _need(p1 is not None and 0.2 < p1 < 1.0, f"needs p_1 in (0.2, 1), got {p1}")
+    return math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
+
+
 def _lam(p1: float) -> int:
     """lam = ceil(-lg p_1), exactly, for a family with a block of about 2^lam symbols."""
     return _block_lg(ceil_neg_lg(p1), f"p_1={p1}")
@@ -177,9 +184,7 @@ def generate(family: WitnessFamily) -> Pmf:
     if k is FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1:
         # (p_1, uniform x 2^(2+m)) with m = floor(log_q(4 p_1 / (1-p_1))):
         # every optimal code has l_1 >= 2
-        _need(q is not None and q > 1.0, f"needs q > 1, got {q}")
-        _need(p1 is not None and 0.2 < p1 < 1.0, f"needs p_1 in (0.2, 1), got {p1}")
-        m = math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
+        m = _l1_counter_levels(q, p1)
         _need(m >= 0, f"derived level count m={m} is negative")
         tail = 2 ** _block_lg(2 + m, f"q={q}, p_1={p1}")
         return Pmf((p1,) + ((1.0 - p1) / tail,) * tail)
@@ -208,6 +213,7 @@ def one_bit_l1_cost_bound(q: float, p1: float) -> float:
     fill a complete subtree of depth 3+m under the root's other branch, so
     the best one-bit-l_1 cost is log_q(q p_1 + (1-p_1) q^(3+m)).
     Cross-checked against exhaustive enumeration in the test suite.
+    ``ParamsOutOfProofRange`` for (q, p_1) outside the family's range.
     """
-    m = math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
+    m = _l1_counter_levels(q, p1)
     return math.log(q * p1 + (1.0 - p1) * q ** (3 + m), q)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genhuff import (
+    AlphaOutOfRange,
     BoundKind,
     CombineRule,
     L1Region,
@@ -45,6 +46,7 @@ from genhuff import (
     unary_code,
     validate_pmf,
 )
+from genhuff.witness import one_bit_l1_cost_bound
 
 MOAB_03 = 0.009235350264498055
 MOAB_07 = 0.11870910076930738
@@ -629,3 +631,21 @@ class TestL1Region:
             if l1_region(1.0, p.probs[0]) is L1Region.GUARANTEED_L1:
                 lengths = generalized_huffman(p, CombineRule.sum()).lengths
                 assert lengths.lengths[0] == 1
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: l1_region(math.nan, 0.5), QOutOfRange),
+    (lambda: l1_region(math.inf, 0.5), QOutOfRange),
+    (lambda: renyi_entropy(benford(), math.inf), AlphaOutOfRange),
+    (lambda: alpha_of_q(math.inf), QOutOfRange),
+    (lambda: exp_avg_bounds(benford(), math.inf), QOutOfRange),
+    (lambda: one_bit_l1_cost_bound(1.0, 0.5), ParamsOutOfProofRange),
+    (lambda: one_bit_l1_cost_bound(math.nan, 0.5), ParamsOutOfProofRange),
+    (lambda: one_bit_l1_cost_bound(2.0, 0.2), ParamsOutOfProofRange),
+    (lambda: one_bit_l1_cost_bound(2.0, 1.0), ParamsOutOfProofRange),
+], ids=["l1_region-q-nan", "l1_region-q-inf", "renyi-alpha-inf", "alpha_of_q-inf",
+        "exp_avg_bounds-q-inf", "one_bit-q-1", "one_bit-q-nan", "one_bit-p1-0.2",
+        "one_bit-p1-1"])
+def test_non_finite_or_out_of_range_parameter_is_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -580,8 +580,11 @@ class TestUsage:
         (("verify", "--family", "l1-boundary", "--q", "0.9", "--eps", "-1e-12"), None,
          "needs eps", False),
         (("sweep", "--figure", "mmpr", "--step", "-1e-3"), None, "step must", False),
+        (("verify", "--family", "l1-boundary", "--q", "0.9", "--ep", "-1e-12"), None,
+         "needs eps", False),
+        (("sweep", "--figure", "mmpr", "--st", "-1e-3"), None, "step must", False),
     ], ids=["json-bool", "json-huge-int", "not-utf8", "code-out", "verify-out", "d", "q", "p",
-            "p1", "eps", "step"])
+            "p1", "eps", "step", "eps-prefix", "step-prefix"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, content, message,
                                          child):
         # a child interpreter too where an escaping exception would show as

@@ -34,8 +34,7 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
-from genhuff.coder import (_leaf_depths, _level_runs, _merge_heap, _merge_two_queues,
-                           _queue_children)
+from genhuff.coder import _leaf_depths, _level_runs, _merge_heap, _merge_two_queues
 from test_oracle import EXTREME_OBJECTIVES, OBJECTIVES
 
 RULES = (
@@ -142,6 +141,41 @@ def root_weight_value(p, rule):
     return math.log(root) / math.log(param)
 
 
+def _queue_children(keys: list[float], marks: list[int]) -> list[int]:
+    """The heap's flat children list, rebuilt from the queue merge's keys and marks.
+
+    A merge that moved the merged head by two took two merged nodes, by
+    none two inputs.  By one it took the next input and the head, the
+    input first iff its key is at most the head's, since inputs win ties.
+    """
+    n = len(marks) + 1
+    i, j = n - 1, n
+    kids: list[int] = []
+    for mark in marks:
+        took = mark - j
+        if took == 0:
+            kids += (i, i - 1)
+            i -= 2
+        elif took == 2:
+            kids += (j, j + 1)
+        else:
+            kids += (i, j) if keys[i] <= keys[j] else (j, i)
+            i -= 1
+        j = mark
+    return kids
+
+
+def queue_merges(p, rule):
+    """The engine's queue merge of ``p``: its (a, b, new) node ids per merge, and the keys.
+
+    keys[v] is node v's weight, a base-2 log when ``rule.log_domain``; the
+    root's comes last.
+    """
+    keys = rule._leaf_keys(p)
+    kids = _queue_children(keys, _merge_two_queues(keys, rule._combiner()))
+    return list(zip(kids[0::2], kids[1::2], range(p.n, 2 * p.n - 1))), keys
+
+
 def linear_combine(rule, a, b):
     """f(a, b) on linear-domain weights: the paper's form, not the engine's."""
     kind, param = rule.kind.value, rule.param
@@ -199,12 +233,13 @@ class TestCombineRule:
 
 class TestGeneralizedHuffman:
     def test_mmpr_worked_example(self):
-        r = generalized_huffman(validate_pmf([0.5, 0.3, 0.2]), CombineRule.max_double(),
-                                trace=True)
+        p, rule = validate_pmf([0.5, 0.3, 0.2]), CombineRule.max_double()
+        r = generalized_huffman(p, rule)
         assert r.lengths.lengths == (1, 2, 2)
         # root weight is carried as a base-2 log and pins the optimum value
-        assert r.trace.log_domain
-        assert 2.0 ** r.trace.root_weight == pytest.approx(1.2, abs=1e-12)
+        assert rule.log_domain
+        _, keys = queue_merges(p, rule)
+        assert 2.0 ** keys[-1] == pytest.approx(1.2, abs=1e-12)
         assert r.objective_value == pytest.approx(math.log2(1.2), abs=1e-12)
 
     def test_benford_exponential_codes(self):
@@ -216,22 +251,12 @@ class TestGeneralizedHuffman:
 
     def test_single_symbol(self):
         for rule in RULES:
-            r = generalized_huffman(validate_pmf([1.0]), rule, trace=True)
+            p = validate_pmf([1.0])
+            r = generalized_huffman(p, rule)
             assert r.lengths.lengths == (0,)
             assert r.codewords == ("",)
             assert r.objective_value == pytest.approx(0.0)
-            assert r.trace.events == ()
-
-    def test_trace_only_on_request(self):
-        p = validate_pmf([0.5, 0.3, 0.2])
-        for rule in RULES:
-            plain = generalized_huffman(p, rule)
-            traced = generalized_huffman(p, rule, trace=True)
-            assert plain.trace is None
-            assert len(traced.trace.events) == p.n - 1
-            assert traced.lengths == plain.lengths
-            assert traced.codewords == plain.codewords
-            assert traced.objective_value == plain.objective_value
+            assert queue_merges(p, rule)[0] == []
 
     def test_kraft_equality_and_prefix_freedom(self):
         rng = np.random.default_rng(21)
@@ -247,7 +272,7 @@ class TestGeneralizedHuffman:
                 for v in words:
                     assert v == w or not v.startswith(w)
 
-    def test_trace_shape_and_merge_monotonicity(self):
+    def test_merge_count_and_monotonicity(self):
         rng = np.random.default_rng(22)
         # pair minima are nondecreasing whenever f(a, b) >= min(a, b);
         # exp_base below 0.5 deliberately violates this (the unary mechanism)
@@ -256,15 +281,17 @@ class TestGeneralizedHuffman:
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 11)))
             rule = monotone_rules[int(rng.integers(len(monotone_rules)))]
-            r = generalized_huffman(p, rule, trace=True)
-            assert len(r.trace.events) == p.n - 1
-            mins = [min(e.weight_a, e.weight_b) for e in r.trace.events]
+            merges, keys = queue_merges(p, rule)
+            assert len(merges) == p.n - 1
+            mins = [min(keys[a], keys[b]) for a, b, _ in merges]
             assert all(a <= b + 1e-12 for a, b in zip(mins, mins[1:]))
 
     def test_unary_mechanism_merges_below_previous_min(self):
         p = validate_pmf([0.4, 0.2, 0.2, 0.2])
-        r = generalized_huffman(p, CombineRule.exp_base(0.4), trace=True)
-        mins = [min(e.weight_a, e.weight_b) for e in r.trace.events]
+        rule = CombineRule.exp_base(0.4)
+        r = generalized_huffman(p, rule)
+        merges, keys = queue_merges(p, rule)
+        mins = [min(keys[a], keys[b]) for a, b, _ in merges]
         assert any(b < a for a, b in zip(mins, mins[1:]))
         assert r.lengths.lengths == unary_code(4).lengths
 
@@ -272,11 +299,11 @@ class TestGeneralizedHuffman:
         rng = np.random.default_rng(23)
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 11)))
-            r = generalized_huffman(p, CombineRule.max_double(), trace=True)
+            merges, keys = queue_merges(p, CombineRule.max_double())
             mass = {i: p.probs[i] for i in range(p.n)}
-            for e in r.trace.events:
-                mass[e.node_out] = mass[e.node_a] + mass[e.node_b]
-                assert 2.0 ** e.weight_out >= mass[e.node_out] - 1e-12
+            for a, b, new in merges:
+                mass[new] = mass[a] + mass[b]
+                assert 2.0 ** keys[new] >= mass[new] - 1e-12
 
     def test_complete_tree_when_top_at_most_twice_second_smallest(self):
         rng = np.random.default_rng(24)
@@ -388,13 +415,17 @@ class TestTwoQueue:
         heap_keys = rule._leaf_keys(p)
         heap_kids = _merge_heap(heap_keys, combiner(rule))
         calls = []
+
+        def spy(keys, combine):
+            kids = _merge_heap(keys, combine)
+            calls.append((kids, keys))
+            return kids
+
         monkeypatch.setattr(CombineRule, "_combiner", combiner)
-        monkeypatch.setattr(coder, "_merge_heap",
-                            lambda keys, combine: calls.append(1) or _merge_heap(keys, combine))
-        r = generalized_huffman(p, rule, trace=True)
-        assert calls == [1]
-        assert [v for e in r.trace.events for v in (e.node_a, e.node_b)] == heap_kids
-        assert [e.weight_out for e in r.trace.events] == heap_keys[p.n:]
+        monkeypatch.setattr(coder, "_merge_heap", spy)
+        r = generalized_huffman(p, rule)
+        assert calls == [(heap_kids, heap_keys)]
+        assert r.lengths.lengths == tuple(_leaf_depths(p.n, heap_kids))
         assert r.lengths.is_complete
 
     @pytest.mark.parametrize("path", ["queues", "heap"])
@@ -415,12 +446,11 @@ class TestTwoQueue:
         rng = np.random.default_rng(31)
         pmfs = [p for n in range(1, 31)
                 for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
-        expected = [generalized_huffman(p, rule, trace=True) for p in pmfs for rule in EDGE_RULES]
+        expected = [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES]
         monkeypatch.setattr(CombineRule, "_combiner", ordered)
         if path == "heap":
             monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
-        assert [generalized_huffman(p, rule, trace=True) for p in pmfs for rule in EDGE_RULES] \
-            == expected
+        assert [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES] == expected
         assert len(calls) == len(EDGE_RULES) * sum(p.n - 1 for p in pmfs)
         assert all(calls)
 
@@ -447,9 +477,10 @@ class TestTwoQueue:
         rng = np.random.default_rng(28)
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 12)))
-            r = generalized_huffman(p, CombineRule.max_double(), trace=True)
-            assert r.trace.root_weight == pytest.approx(
-                max_pointwise_redundancy(p, r.lengths), abs=1e-9)
+            rule = CombineRule.max_double()
+            r = generalized_huffman(p, rule)
+            _, keys = queue_merges(p, rule)
+            assert keys[-1] == pytest.approx(max_pointwise_redundancy(p, r.lengths), abs=1e-9)
 
 
 # the benchmark's six rules, every one of which takes the two-queue path
@@ -489,7 +520,7 @@ def engine_cases(large_pmfs):
 
 
 class TestEngineTail:
-    """What the engine does after the merge: lengths, value, codewords, trace."""
+    """What the engine does after the merge: lengths, value, codewords."""
 
     def test_value_is_evaluate_and_lengths_equal_checked_construction(self, large_pmfs):
         for p, rule in engine_cases(large_pmfs):
@@ -497,20 +528,6 @@ class TestEngineTail:
             assert res.objective_value == rule.objective().evaluate(p, res.lengths)
             direct = LengthVector(res.lengths.lengths)
             assert res.lengths == direct and hash(res.lengths) == hash(direct)
-
-    def test_trace_equals_the_merge_buffers(self, large_pmfs):
-        for p, rule in engine_cases(large_pmfs):
-            keys = rule._leaf_keys(p)
-            kids = _queue_children(keys, _merge_two_queues(keys, rule._combiner()))
-            n = p.n
-            events = tuple(coder.MergeEvent(keys[a], keys[b], keys[v], a, b, v)
-                           for v, a, b in zip(range(n, 2 * n - 1), kids[0::2], kids[1::2]))
-            plain = generalized_huffman(p, rule)
-            traced = generalized_huffman(p, rule, trace=True)
-            assert traced.trace == coder.MergeTrace(events, keys[-1], rule.log_domain)
-            assert traced.lengths == plain.lengths
-            assert traced.codewords == plain.codewords
-            assert traced.objective_value == plain.objective_value
 
     def test_codewords_and_evaluate_called_once_through_their_module_names(self, monkeypatch):
         # a profiler that wraps these two names sees every engine call
@@ -533,10 +550,9 @@ class TestEngineTail:
         for n in (1, 2, 7, 40):
             p = random_pmf(rng, n)
             for rule in SIX_RULES:
-                for trace in (False, True):
-                    generalized_huffman(p, rule, trace=trace)
-                    runs += 1
-                    assert calls == {"codewords": runs, "evaluate": runs}
+                generalized_huffman(p, rule)
+                runs += 1
+                assert calls == {"codewords": runs, "evaluate": runs}
 
 
 def groupby_runs(lengths):
