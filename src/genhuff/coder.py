@@ -69,12 +69,45 @@ integer: it is the previous length's next word followed by zeros, and
 its block is that word's high part joined to a slice of a table of all
 8-bit strings.  The integer is formatted only for the first length past
 the table and after a block that reaches a 256-word edge.
+
+The merge's root weight holds the d-th and exponential-average values,
+so the engine reads them off it instead of scoring every symbol again.
+Unrolled over the tree, the exp-base root is W = sum_i p_i q^l_i, and
+the d-th root r, a base-2 log, has 2^((1+d) r) = W = sum_i p_i^(1+d)
+2^(d l_i) (Parker, SIAM J. Comput. 1980).  Either value is lg W / s:
+lg W = (1+d) r and s = d, or lg W = lg r and s = lg q.  With unit
+roundoff u = 2^-53, max length L, and log2 and 2** within an ulp:
+
+* exp-base: every term of W goes through at most two roundings per
+  level, all of them positive, so the root is off by a relative
+  gamma_2L = 2Lu/(1 - 2Lu).  For a pmf of normal floats only q < 1 lets
+  a merged weight underflow, and q^depth <= 1 carries each such merge's
+  absolute error, under 2^-1075, to the root under 2^-1074: rho =
+  gamma_2L + (n-1) 2^-1074 / W relative in all, so lg W is off by
+  -lg(1 - rho).
+* d-th: with c = 1 + d, the map (c a, c b) -> c f(a, b) =
+  d + lg(2^(c a) + 2^(c b)) has partial derivatives that are weights
+  summing to 1, so an error in a child's scaled key reaches its parent's
+  no larger.  Every key lies in [lg p_n, L], as a + 1 <= f(a, b) <= b + 1
+  for a <= b, so with K = max(-lg p_n, L) + 1 each merge adds under
+  10u (c K + |d| + 1), the leaf logs and the rounding of c one term more,
+  and (1+d) r is off by under 10u (L + 2)(c K + |d| + 1).
+
+Dividing by s adds a few roundings of the value and multiplies the error
+of lg W by 1/|s|.  So the readout is taken only at |s| >= 1/16, the cut
+``renyi_entropy`` switches forms at; nearer d = 0 or q = 1 the value is
+left to ``Objective.evaluate``, as are the average and max rules, whose
+values the root does not hold.  So is an exp-base root that is not a
+normal float (+inf after an overflow, or subnormal or zero, past the
+relative precision rho needs), and a pmf with a subnormal p_i, whose
+merges under q > 1 could round by more than rho allows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -120,6 +153,10 @@ _RULE_OF = {
     ObjectiveKind.EXP_AVERAGE: RuleKind.EXP_BASE,
 }
 _OBJECTIVE_OF = {rule: objective for objective, rule in _RULE_OF.items()}
+
+
+# |s| below this leaves the value to Objective.evaluate (module docstring)
+_READOUT_MIN_SCALE = 0.0625
 
 
 @dataclass(frozen=True)
@@ -196,9 +233,36 @@ class CombineRule:
 
         return dth
 
+    def _root_value(self, p: Pmf, root: float) -> float | None:
+        """The objective's value lg W / s read off the merge's root key, or None where
+        ``Objective.evaluate`` must score the code instead (see the module docstring)."""
+        if self.kind is RuleKind.DTH_EXP:
+            s = self.param
+            lg_w = (1.0 + s) * root
+        elif (self.kind is RuleKind.EXP_BASE and sys.float_info.min <= root < math.inf
+              and p.probs[-1] >= sys.float_info.min):
+            s = math.log2(self.param)
+            lg_w = math.log2(root)
+        else:
+            return None
+        if abs(s) < _READOUT_MIN_SCALE:
+            return None
+        # + 0.0 as in Objective.reducer: no -0.0
+        return lg_w / s + 0.0
+
 
 @dataclass(frozen=True)
 class CodeResult:
+    """An engine code: lengths, canonical codewords and the objective's value.
+
+    Under the d-th rule with |d| >= 1/16, and under the exp-base rule with
+    |lg q| >= 1/16, normal float probabilities and a normal float root,
+    ``objective_value`` is lg W / s read off the merge's root weight,
+    within the bound of the module docstring of the exact value of these
+    lengths.  Otherwise it is ``Objective.evaluate`` of the lengths, bit
+    for bit.
+    """
+
     lengths: LengthVector
     codewords: tuple[str, ...]
     objective_value: float
@@ -343,7 +407,9 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     """Build an objective-optimal code for ``p`` under ``rule``.
 
     Returns per-symbol lengths (Kraft sum exactly 1), canonical codewords
-    and the achieved objective value.
+    and the achieved objective value, read off the merge's root weight
+    where ``CombineRule._root_value`` can and scored by
+    ``Objective.evaluate`` otherwise (see ``CodeResult``).
     """
     n = p.n
     keys = rule._leaf_keys(p)
@@ -355,9 +421,11 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     else:
         runs = _level_runs(n, marks)
         lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
+    value = rule._root_value(p, keys[-1])
     # the codeword strings can reuse what the merge buffers held
     del keys, marks
-    value = rule.objective().evaluate(p, lengths)
+    if value is None:
+        value = rule.objective().evaluate(p, lengths)
     return CodeResult(lengths, canonical_codewords(lengths), value)
 
 

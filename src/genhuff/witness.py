@@ -211,9 +211,11 @@ def one_bit_l1_cost_bound(q: float, p1: float) -> float:
 
     The 2^(2+m) equal tail symbols of the counterexample family optimally
     fill a complete subtree of depth 3+m under the root's other branch, so
-    the best one-bit-l_1 cost is log_q(q p_1 + (1-p_1) q^(3+m)).
+    the best one-bit-l_1 cost is log_q(q p_1 + (1-p_1) q^(3+m)).  It is
+    taken as (3+m) + log_q((1-p_1) + p_1 q^-(2+m)), q^(3+m) factored out,
+    so that a q whose q^(3+m) passes the float range still has a cost.
     Cross-checked against exhaustive enumeration in the test suite.
     ``ParamsOutOfProofRange`` for (q, p_1) outside the family's range.
     """
     m = _l1_counter_levels(q, p1)
-    return math.log(q * p1 + (1.0 - p1) * q ** (3 + m), q)
+    return (3 + m) + math.log((1.0 - p1) + p1 * q ** -(2 + m), q)

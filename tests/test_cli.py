@@ -84,6 +84,14 @@ class TestCode:
         assert doc["value_bits"] == pytest.approx(math.log2(1.2), abs=1e-9)
         assert doc["codewords"] == ["0", "10", "11"]
 
+    @pytest.mark.parametrize("d", ["1e-300", "1e-320"])
+    def test_near_zero_d_value_is_evaluated_per_symbol(self, capsys, three_file, d):
+        # the merge's root key here is 2^-53: read off it as (1+d) r / d, the
+        # value would print as 1.11e+284 at d = 1e-300
+        code, out, err = run(capsys, "code", "--objective", "dexp", "--d", d, three_file)
+        assert (code, err) == (0, "")
+        assert "value_bits: 0\n" in out
+
     def test_avg_dyadic_zero(self, capsys, tmp_path):
         path = tmp_path / "dyadic.txt"
         path.write_text("0.5\n0.25\n0.25\n")
@@ -344,6 +352,14 @@ class TestVerify:
                            "--q", "2", "--p1", "0.5")
         assert code == 0
         assert "l_1 >= 2" in out
+
+    def test_family_counterexample_past_the_float_range(self, capsys):
+        # q^(3+m) overflows a float here; the one-bit-l_1 cost is still finite
+        code, out, err = run(capsys, "verify", "--family", "l1-counter",
+                             "--q", "1e300", "--p1", "0.5")
+        assert (code, err) == (0, "")
+        assert "cost 2.99899656668, so l_1 >= 2 in every optimum" in out
+        assert out.endswith("result: ok\n")
 
     def test_family_upper_high(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "mmpr-upper-high",

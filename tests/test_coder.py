@@ -4,8 +4,10 @@ import heapq
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,72 @@ def root_weight_value(p, rule):
     if kind == "dth_exp":
         return (1.0 + param) / param * root
     return math.log(root) / math.log(param)
+
+
+def reference_root(p, rule):
+    """The root key of a merge that keeps weights only, by the reference formulas."""
+    leaf, combine = reference_merge_rule(rule)
+    heap = [leaf(x) for x in p.probs]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        heapq.heappush(heap, combine(heapq.heappop(heap), heapq.heappop(heap)))
+    return heap[0]
+
+
+def readout_applies(p, rule):
+    """Whether the engine reads ``rule``'s value off the root weight, per ``CodeResult``:
+    |s| >= 1/16, and under exp-base normal float probabilities and root."""
+    if rule.kind is RuleKind.DTH_EXP:
+        return abs(rule.param) >= 0.0625
+    if rule.kind is RuleKind.EXP_BASE:
+        tiny = sys.float_info.min
+        return (abs(math.log2(rule.param)) >= 0.0625 and p.probs[-1] >= tiny
+                and tiny <= reference_root(p, rule) < math.inf)
+    return False
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def exact_lg_w(p, lengths, rule):
+    """lg W of the readout at 200 bits: W = sum_i p_i^(1+d) 2^(d l_i) or sum_i p_i q^l_i."""
+    with mpmath.workprec(200):
+        x, probs = mpmath.mpf(rule.param), [mpmath.mpf(pi) for pi in p.probs]
+        if rule.kind is RuleKind.DTH_EXP:
+            c = 1 + x
+            return mpmath.log(mpmath.fsum(pi ** c * 2 ** (x * li)
+                                          for pi, li in zip(probs, lengths)), 2)
+        return mpmath.log(mpmath.fsum(pi * x ** li for pi, li in zip(probs, lengths)), 2)
+
+
+def readout_bound(p, lengths, rule, lg_w, value):
+    """The module docstring's bound on |readout - value| for the exact ``value`` = lg W / s.
+
+    exp-base: the root is off by a relative rho = gamma_2L + (n-1) 2^-1074 / W,
+    so lg W by -lg(1 - rho), which the quotient divides by |lg q|; log2 of the
+    root, log2 q and the quotient round once each, within an ulp: 6u (|V| + 1).
+    d-th: (1+d) r is off by 10u (L + 2)(c K + |d| + 1), K = max(-lg p_n, L) + 1,
+    over |d|; the product (1+d) r and the quotient round once each: 4u |V|.
+    """
+    big_l, value = max(lengths), abs(float(value))
+    if rule.kind is RuleKind.DTH_EXP:
+        d = rule.param
+        k = max(-math.log2(p.probs[-1]), big_l) + 1
+        return 10 * U * (big_l + 2) * ((1 + d) * k + abs(d) + 1) / abs(d) + 4 * U * value
+    gamma = 2 * big_l * U / (1 - 2 * big_l * U)
+    rho = gamma + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** lg_w)
+    return -math.log2(1 - rho) / abs(math.log2(rule.param)) + 6 * U * (value + 1)
+
+
+def check_readout(p, res, rule):
+    """``res``'s value, read off the root, lies within ``readout_bound`` of the 200-bit value."""
+    lg_w = exact_lg_w(p, res.lengths.lengths, rule)
+    with mpmath.workprec(200):
+        s = mpmath.mpf(rule.param) if rule.kind is RuleKind.DTH_EXP else mpmath.log(rule.param, 2)
+        exact = lg_w / s
+        err = abs(res.objective_value - exact)
+    bound = readout_bound(p, res.lengths.lengths, rule, lg_w, exact)
+    assert err <= bound, (p.n, rule, float(err), bound)
 
 
 def _queue_children(keys: list[float], marks: list[int]) -> list[int]:
@@ -523,14 +591,27 @@ class TestEngineTail:
     """What the engine does after the merge: lengths, value, codewords."""
 
     def test_value_is_evaluate_and_lengths_equal_checked_construction(self, large_pmfs):
-        for p, rule in engine_cases(large_pmfs):
+        # the value is evaluate's, bit for bit, wherever the engine does not read
+        # it off the root, and within the derived bound of a 200-bit value where
+        # it does
+        rng = np.random.default_rng(50)
+        cases = engine_cases(large_pmfs) + [(random_pmf(rng, n), rule) for n in range(1, 41, 3)
+                                            for rule in EDGE_RULES]
+        read = 0
+        for p, rule in cases:
             res = generalized_huffman(p, rule)
-            assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+            if readout_applies(p, rule):
+                check_readout(p, res, rule)
+                read += 1
+            else:
+                assert res.objective_value == rule.objective().evaluate(p, res.lengths)
             direct = LengthVector(res.lengths.lengths)
             assert res.lengths == direct and hash(res.lengths) == hash(direct)
+        assert 0 < read < len(cases)
 
     def test_codewords_and_evaluate_called_once_through_their_module_names(self, monkeypatch):
-        # a profiler that wraps these two names sees every engine call
+        # a profiler that wraps these two names sees every engine call; evaluate
+        # runs exactly where the value is not read off the root
         import genhuff.core as core
 
         calls = Counter()
@@ -546,13 +627,97 @@ class TestEngineTail:
         monkeypatch.setattr(core.Objective, "evaluate",
                             counted("evaluate", core.Objective.evaluate))
         rng = np.random.default_rng(45)
-        runs = 0
+        runs = evaluated = 0
         for n in (1, 2, 7, 40):
             p = random_pmf(rng, n)
-            for rule in SIX_RULES:
+            for rule in SIX_RULES + tuple(EDGE_RULES):
                 generalized_huffman(p, rule)
                 runs += 1
-                assert calls == {"codewords": runs, "evaluate": runs}
+                evaluated += not readout_applies(p, rule)
+                assert calls == {"codewords": runs, "evaluate": evaluated}
+        assert 0 < evaluated < runs
+
+
+class TestRootReadout:
+    """Where the engine reads the value off the root weight, and where ``evaluate`` keeps it."""
+
+    @staticmethod
+    def evaluate_calls(monkeypatch):
+        calls = []
+        evaluate = Objective.evaluate
+        monkeypatch.setattr(Objective, "evaluate",
+                            lambda self, p, l: calls.append(1) or evaluate(self, p, l))
+        return calls
+
+    @pytest.mark.parametrize("rule,root", [
+        # exp-base roots that overflow, or are subnormal or zero
+        (CombineRule.exp_base(1e200), "inf"), (CombineRule.exp_base(1e150), "inf"),
+        (CombineRule.exp_base(1e-318), "tiny"), (CombineRule.exp_base(1e-323), "tiny"),
+        (CombineRule.exp_base(5e-324), "tiny"),
+        # scales below 1/16
+        *((CombineRule.dth_exp(d), None) for d in (1e-12, -1e-12, 1e-300, 5e-324)),
+        *((CombineRule.exp_base(q), None) for q in (1 + 2.0 ** -52, 1 - 2.0 ** -52)),
+    ], ids=lambda x: f"{x.kind.value}{x.param!r}" if isinstance(x, CombineRule) else str(x))
+    def test_guarded_cases_are_evaluate_bit_for_bit(self, monkeypatch, rule, root):
+        # depth 3 or more, which q = 1e150 needs to overflow
+        pmfs = [validate_pmf([0.35, 0.25, 0.2, 0.12, 0.08]),
+                random_pmf(np.random.default_rng(51), 30)]
+        if root is None:
+            pmfs.append(validate_pmf([0.5, 0.3, 0.2]))
+        calls = self.evaluate_calls(monkeypatch)
+        for p in pmfs:
+            before = len(calls)
+            res = generalized_huffman(p, rule)
+            assert len(calls) == before + 1
+            assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+            if root == "inf":
+                assert reference_root(p, rule) == math.inf
+            elif root == "tiny":
+                assert reference_root(p, rule) < sys.float_info.min
+            assert not readout_applies(p, rule)
+
+    def test_subnormal_probability_keeps_evaluate(self, monkeypatch):
+        p = validate_pmf([0.5, 0.25, 0.25 - 1e-320, 1e-320])
+        calls = self.evaluate_calls(monkeypatch)
+        for q in (2.0, 0.9):
+            rule = CombineRule.exp_base(q)
+            res = generalized_huffman(p, rule)
+            assert len(calls) == 1
+            assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+            assert reference_root(p, rule) >= sys.float_info.min
+            calls.clear()
+
+    def test_both_sides_of_the_one_sixteenth_cut(self, monkeypatch):
+        sixteenth = 2.0 ** (1 / 16)
+        rules = [CombineRule.dth_exp(d) for d in (0.0625, math.nextafter(0.0625, 0),
+                                                 -0.0625, math.nextafter(-0.0625, 0))]
+        rules += [CombineRule.exp_base(q) for base in (sixteenth, 1 / sixteenth)
+                  for q in (base, math.nextafter(base, 1.0), math.nextafter(base, base ** 2))]
+        p = random_pmf(np.random.default_rng(52), 25)
+        calls = self.evaluate_calls(monkeypatch)
+        sides = set()
+        for rule in rules:
+            s = rule.param if rule.kind is RuleKind.DTH_EXP else math.log2(rule.param)
+            before = len(calls)
+            res = generalized_huffman(p, rule)
+            read = abs(s) >= 0.0625
+            assert len(calls) == before + (not read)
+            if read:
+                check_readout(p, res, rule)
+            else:
+                assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+            sides.add((rule.kind, read))
+        assert len(sides) == 4
+
+    def test_heap_path_reads_the_same_root(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        pmfs = [random_pmf(rng, n) for n in (1, 2, 3, 17, 200)]
+        rules = SIX_RULES + tuple(EDGE_RULES)
+        queued = [generalized_huffman(p, rule) for p in pmfs for rule in rules]
+        monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
+        calls = self.evaluate_calls(monkeypatch)
+        assert [generalized_huffman(p, rule) for p in pmfs for rule in rules] == queued
+        assert len(calls) == sum(not readout_applies(p, rule) for p in pmfs for rule in rules)
 
 
 def groupby_runs(lengths):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from genhuff import (
     mmpr_bounds,
     validate_pmf,
 )
+from genhuff.witness import one_bit_l1_cost_bound
 
 
 def oracle_mmpr(p):
@@ -178,3 +180,46 @@ class TestL1Families:
                 continue
             r = generalized_huffman(p, CombineRule.exp_base(q))
             assert r.lengths.lengths[0] == 1
+
+
+class TestOneBitL1Cost:
+    """log_q(q p_1 + (1-p_1) q^(3+m)), taken with q^(3+m) factored out."""
+
+    QS = (1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 1e3, 1e10, 1e50, 1e100, 1e150, 1e200, 1e300,
+          1.7e308)
+    P1S = (0.2000001, 0.25, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999)
+
+    @staticmethod
+    def levels(q, p1):
+        return math.floor(math.log(4.0 * p1 / (1.0 - p1), q))
+
+    def test_equals_the_unfactored_formula_wherever_it_is_finite(self):
+        finite = 0
+        for q in self.QS:
+            for p1 in self.P1S:
+                try:
+                    direct = math.log(q * p1 + (1.0 - p1) * q ** (3 + self.levels(q, p1)), q)
+                except OverflowError:
+                    continue
+                finite += 1
+                assert abs(one_bit_l1_cost_bound(q, p1) - direct) <= 1e-12 * max(1.0, direct)
+        assert 0 < finite < len(self.QS) * len(self.P1S)
+
+    def test_within_1e12_of_a_200_bit_value_past_the_float_range_too(self):
+        with mpmath.workprec(200):
+            for q in self.QS:
+                for p1 in self.P1S:
+                    x, p = mpmath.mpf(q), mpmath.mpf(p1)
+                    exact = mpmath.log(x * p + (1 - p) * x ** (3 + self.levels(q, p1)), x)
+                    got = one_bit_l1_cost_bound(q, p1)
+                    assert abs(got - exact) <= 1e-12 * max(1, abs(exact)), (q, p1)
+
+    def test_huge_q_counterexample_still_dominated(self):
+        # q^3 passes the float range; with m = 0 the best l_1 = 1 cost is
+        # 3 + log_q(1/2 + q^-2 / 2) and the engine's code beats it
+        fam = WitnessFamily(FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1, q=1e300, p1=0.5)
+        best = one_bit_l1_cost_bound(1e300, 0.5)
+        assert best == pytest.approx(3 + math.log(0.5, 1e300), abs=1e-15)
+        engine = generalized_huffman(generate(fam), CombineRule.exp_base(1e300))
+        assert engine.lengths.lengths[0] >= 2
+        assert engine.objective_value < best - 1e-9
