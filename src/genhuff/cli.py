@@ -116,7 +116,8 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 
 def load_pmf(path: str, assume_sorted: bool = False, normalize: bool = False) -> Pmf:
-    """Read one decimal per line ('#' comments allowed) or a JSON array."""
+    """Read one decimal per line ('#' comments allowed) or a JSON array, after an
+    optional UTF-8 byte-order mark."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -127,6 +128,7 @@ def load_pmf(path: str, assume_sorted: bool = False, normalize: bool = False) ->
         raise ParseError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from e
+    text = text.removeprefix("\ufeff")
     if text.lstrip().startswith("["):
         import json
         try:

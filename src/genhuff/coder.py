@@ -50,25 +50,37 @@ So they are one run of equal lengths per level that has leaves, and the
 queue path hands those runs to the ``LengthVector`` with the lengths.
 The heap path records each merge as its two children and sets depths by
 one pass over the nodes from the root down; its vector finds its runs
-itself.  The Kraft check sums integers, so everything after the merges
-is linear in n as well.
+itself.  Everything after the merges is linear in n as well.
 
 Codeword bits are assigned canonically from the lengths, shortest first,
 stable on symbol index.  That needs no sort: the words of one length are
 consecutive integers from a first code that one count per length fixes,
-so each length's words are built as one block.  The symbols take them
-run by run, the runs of equal lengths in symbol order that the vector
-carries: a run of c symbols of length k takes the next c words of block
-k.  That is each symbol taking the next word of its length's block in
-index order, for any vector, sorted or not, and an engine code has one
-run per distinct length, so the words are handed out in that many steps.
-The counts per length come from the runs too.  A deep code can have a
-thousand lengths of a few words each, a thousand bits long, so the first
-word of each length is carried as a string, never formatted from its
-integer: it is the previous length's next word followed by zeros, and
-its block is that word's high part joined to a slice of a table of all
-8-bit strings.  The integer is formatted only for the first length past
-the table and after a block that reaches a 256-word edge.
+so each length's words are built as one block, and the blocks go into
+one list, shortest length first.  An engine code's lengths are
+nondecreasing in symbol index, one run per distinct length, so that list
+is already in symbol order and is the result.  Any other vector hands
+the words out run by run, the runs of equal lengths in symbol order that
+the vector carries: a run of c symbols of length k takes the next c
+words of block k, which is each symbol taking the next word of its
+length's block in index order.  The counts per length come from the runs
+too.
+
+The Kraft check reads the running code.  Length k's first code is
+sum_{j<k} c_j 2^(k-j) over the counts c_j, so its c_k words fit below
+2^k exactly when the lengths up to k have Kraft sum at most 1.  The
+first length where code + c_k > 2^k is refused before any of its words
+is built, and only then is the full Kraft sum computed, for the message.
+A valid code pays an add, a subtract and a bit_length per length for
+it, not a shift and an add per length of integers as wide as the longest
+word.
+
+A deep code can have a thousand lengths of a few words each, a thousand
+bits long, so the first word of each length is carried as a string,
+never formatted from its integer: it is the previous length's next word
+followed by zeros, and its block is that word's high part joined to a
+slice of a table of all 8-bit strings.  The integer is formatted only for
+the first length past the table and after a block that reaches a
+256-word edge.
 
 The merge's root weight holds the d-th and exponential-average values,
 so the engine reads them off it instead of scoring every symbol again.
@@ -492,11 +504,15 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     words of one length k are the consecutive integers from next_code[k]:
     the previous length's first code plus its count, shifted left by the
     difference in length (RFC 1951, section 3.2.2).  So each length's words
-    are built as one block, with no sort, and each run of ``l._runs``, c
-    symbols of length k, takes the next c words of block k, so that the
-    symbols of one length take them in index order.  The result is
-    prefix-free for every Kraft-valid input; KraftViolation is raised for
-    any other.
+    are built as one block, with no sort, onto one list ``words``, shortest
+    length first.  When ``l._runs`` has one run per length, shortest
+    first, as every engine code does, ``words`` is in symbol order and is
+    returned as it is.  Otherwise each run, c symbols of length k, takes
+    the next c words of block k, so that the symbols of one length take
+    them in index order.  The result is prefix-free for every Kraft-valid
+    input.  KraftViolation is raised for any other, at the first length k
+    whose words run past 2^k, before any of them is built; the message
+    quotes the vector's whole Kraft sum.
 
     Past 8 bits the next word is carried as a string: ``high``, its first
     k - 8 bits, and ``low``, the index of its last 8 in ``_WORDS[8]``.  The
@@ -508,27 +524,33 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     block that crosses the edge is built by ``_length_block``.
     """
     run_ks, run_cs = l._runs
-    counts: dict[int, int] = {}
-    for k, c in zip(run_ks, run_cs):
-        counts[k] = counts.get(k, 0) + c
-    top = max(counts)
-    total = sum(c << (top - k) for k, c in counts.items())
-    excess = total - (1 << top)
-    if excess > 0:
-        # the float sum reads 1.0 when the excess is below its precision
-        raise KraftViolation(f"Kraft sum {total / (1 << top)!r} of {l.n} lengths exceeds 1 "
-                             f"by at least 2^{excess.bit_length() - 1 - top}")
+    # one run per length, shortest first: the words come out in symbol order
+    in_order = all(map(operator.lt, run_ks, run_ks[1:]))
+    if in_order:
+        ks, cs = run_ks, run_cs
+    else:
+        counts: dict[int, int] = {}
+        for k, c in zip(run_ks, run_cs):
+            counts[k] = counts.get(k, 0) + c
+        ks = sorted(counts)
+        cs = list(map(counts.__getitem__, ks))
     low_words = _WORDS[_LOW_BITS]
     window = len(low_words)
-    blocks: list = [None] * (top + 1)
+    words: list[str] = []
     code = prev = 0
     high = None  # past the table: the next word's first k - 8 bits, or None to format them
-    for k in sorted(counts):
-        c = counts[k]
+    for k, c in zip(ks, cs):
         shift = k - prev
         code <<= shift
+        if (code + c - 1).bit_length() > k:
+            # code + c > 2^k: the Kraft sum of the lengths up to k exceeds 1;
+            # the float sum reads 1.0 when the excess is below its precision
+            total, whole = l._kraft_scaled()
+            excess = total - whole
+            raise KraftViolation(f"Kraft sum {total / whole!r} of {l.n} lengths exceeds 1 "
+                                 f"by at least 2^{excess.bit_length() - whole.bit_length()}")
         if k <= _LOW_BITS:
-            blocks[k] = iter(_WORDS[k][code:code + c])
+            words += _WORDS[k][code:code + c]
         else:
             if high is None:
                 high = bin(code >> _LOW_BITS)[2:].zfill(k - _LOW_BITS)
@@ -541,14 +563,21 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
                 low = 0
             end = low + c
             if end > window:
-                blocks[k] = iter(_length_block(code, c, k))
+                words += _length_block(code, c, k)
             else:
-                # built now, so that no length's high part outlives its block
-                blocks[k] = iter([high + w for w in low_words[low:end]])
+                words += map(high.__add__, low_words[low:end])
             if end < window:
                 low = end
             else:
                 high = None  # the next word carries into the high bits
         code += c
         prev = k
+    if in_order:
+        return tuple(words)
+    # each run of c symbols of length k takes the next c words of k's block
+    blocks = {}
+    start = 0
+    for k, c in zip(ks, cs):
+        blocks[k] = iter(words[start:start + c])
+        start += c
     return tuple(chain.from_iterable(map(islice, map(blocks.__getitem__, run_ks), run_cs)))

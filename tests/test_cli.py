@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, determinism, exit codes, worked example."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -132,6 +133,25 @@ class TestCode:
         code, out, _ = run(capsys, "code", "--normalize", "--format", "json", str(path))
         assert code == 0
         assert json.loads(out)["lengths"] == [1, 2, 2]
+
+    @pytest.mark.parametrize("source, text", [
+        ("file", "0.5\n0.5\n"),
+        ("stdin", "0.5\n0.5\n"),
+        ("file", "[0.5, 0.5]\n"),
+    ])
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, monkeypatch, source,
+                                                text):
+        path = tmp_path / "plain.txt"
+        path.write_text(text)
+        expected = run(capsys, "code", str(path))
+        assert expected[0] == 0
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+            arg = "-"
+        else:
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            arg = str(path)
+        assert run(capsys, "code", arg) == expected
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -6,6 +6,8 @@ import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -954,6 +956,41 @@ def long_sparse_lengths(draw):
     return tuple(lengths)
 
 
+@st.composite
+def over_full_lengths(draw):
+    """Lengths 0..40 with Kraft sum above 1, from runs of 1..600 equal lengths.
+
+    Either the runs stay in the drawn order, any lengths in any order, or
+    the shortest lengths are dropped until the sum is below 1 (or one
+    length 0 is left) and the rest are shuffled or put longest first.
+    Then, if the sum is not above 1, a run of c symbols of one length m,
+    just enough to tip it over, goes in at a drawn place.  m is drawn and
+    lowered until c is below 600, so the overflow often comes at a long
+    length, after blocks that cross 256-word edges.
+    """
+    runs = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 600)),
+                         min_size=1, max_size=8))
+    lengths = [k for k, c in runs for _ in range(c)]
+    order = draw(st.sampled_from(["runs", "shuffled", "longest first"]))
+    if order != "runs":
+        lengths.sort()
+        total = sum(1 << (40 - k) for k in lengths)
+        while total > 1 << 40 or total == 1 << 40 and len(lengths) > 1:
+            total -= 1 << (40 - lengths.pop(0))
+        if order == "shuffled":
+            random.Random(draw(st.integers(0, 2 ** 32))).shuffle(lengths)
+        else:
+            lengths.reverse()
+    slack = (1 << 40) - sum(1 << (40 - k) for k in lengths)
+    if slack >= 0:
+        m = draw(st.integers(0, 40))
+        while slack >> (40 - m) >= 600:
+            m -= 1
+        at = draw(st.integers(0, len(lengths)))
+        lengths[at:at] = [m] * ((slack >> (40 - m)) + 1)  # c 2^-m > slack / 2^40
+    return tuple(lengths)
+
+
 class TestCanonicalCodewords:
     def test_examples(self):
         assert canonical_codewords(LengthVector((1, 2, 2))) == ("0", "10", "11")
@@ -979,6 +1016,55 @@ class TestCanonicalCodewords:
         with pytest.raises(KraftViolation, match=r"^Kraft sum 1\.0 of 1102 lengths exceeds 1 "
                                                  r"by at least 2\^-1100$"):
             canonical_codewords(LengthVector(over))
+
+    def test_over_full_length_builds_no_strings(self, monkeypatch):
+        # Kraft sum 600/512: length 9 overflows, and its block would cross
+        # 256-word edges
+        def fail(*args):
+            raise AssertionError("_length_block called")
+
+        monkeypatch.setattr(coder, "_length_block", fail)
+        with pytest.raises(KraftViolation, match=r"^Kraft sum 1\.171875 of 600 lengths "
+                                                 r"exceeds 1 by at least 2\^-3$"):
+            canonical_codewords(LengthVector((9,) * 600))
+
+    def test_message_names_the_full_sum_not_the_running_one(self):
+        # the running sum passes 1 at length 1, at 3/2; four words of length 20 follow
+        with pytest.raises(KraftViolation) as exc:
+            canonical_codewords(LengthVector((1, 1, 1) + (20,) * 4))
+        assert str(exc.value) == ("Kraft sum 1.5000038146972656 of 7 lengths exceeds 1 "
+                                  "by at least 2^-1")
+
+    @given(over_full_lengths())
+    @settings(max_examples=150, deadline=None)
+    def test_over_full_is_refused_before_its_length_is_built(self, lengths):
+        l = LengthVector(lengths)
+        total = l.kraft_sum
+        exponent = 0  # 2^exponent <= total - 1 < 2^(exponent + 1)
+        while Fraction(2) ** exponent > total - 1:
+            exponent -= 1
+        while Fraction(2) ** (exponent + 1) <= total - 1:
+            exponent += 1
+        # the shortest length at which the running Kraft sum passes 1
+        counts = Counter(lengths)
+        running = Fraction(0)
+        for over in sorted(counts):
+            running += Fraction(counts[over], 2 ** over)
+            if running > 1:
+                break
+        built = []
+        block = coder._length_block
+
+        def spy(first, count, k):
+            built.append(k)
+            return block(first, count, k)
+
+        with mock.patch.object(coder, "_length_block", spy), \
+                pytest.raises(KraftViolation) as exc:
+            canonical_codewords(l)
+        assert str(exc.value) == (f"Kraft sum {float(total)!r} of {len(lengths)} lengths "
+                                  f"exceeds 1 by at least 2^{exponent}")
+        assert all(k < over for k in built)
 
     def test_equals_sort_reference_at_block_edges(self):
         assert canonical_codewords(LengthVector((0,))) == sorted_canonical_codewords((0,)) == ("",)
