@@ -18,21 +18,36 @@ priority: input symbols get sequence numbers by nondecreasing weight and
 merged items get fresh, higher numbers, so a merged item queues behind
 input items of equal weight.
 
-Two FIFO queues, the sorted inputs and the merged items, replace the
-heap (van Leeuwen, ICALP 1976) as long as the merged queue stays sorted:
-linear time after the sort, with the heap's tie-break.  That holds
-whenever f(a, b) >= min(a, b) (Parker, SIAM J. Comput. 1980).  Let a <= b
-be the two lightest items; every other item is >= b, so the next pair has
-a' >= a and b' >= b, and f, nondecreasing in each argument, makes the
-merged weights come out nondecreasing.  Sum, max doubling, d > 0 and q > 1
-give f >= max(a, b); d in (-1, 0) gives f >= 2a; q >= 1/2 gives
-f >= 2qa >= a.  For q < 1/2, f < b, so each merged item is the lightest
-and is popped by the very next merge: the merged queue never holds more
-than one item.  So every rule takes the queues.  Should rounding ever
-append a merged weight below the merged queue's tail, the call falls back
-to the heap, so both paths always give the same code.
+Two FIFO queues, the sorted inputs and the merged items, merge in linear
+time after the sort (van Leeuwen, ICALP 1976).  Each pick takes the
+lighter head, the input on a tie, so while the merged queue is sorted
+each merge pops the two lightest items.  f(a, b) >= min(a, b) keeps it
+sorted in exact arithmetic (Parker, SIAM J. Comput. 1980), and f
+nondecreasing in each argument as computed keeps it sorted in floats:
+let merge k pop a <= b and append m, every other live item being >= b.
+Merge k+1 either pops m, leaving the queue empty for m', or pops items
+live at merge k, a' >= b >= a and b' >= b, so that m' >= m.
 
-The queues also fix the tree's shape level by level, so their path
+* a + b, 1 + b and q(a + b) are correctly rounded adds and a product by
+  a positive constant, monotone in their operands.  Under q < 1/2, m is
+  below b and is popped at once: no key exceeds 1, so fl(a + b) <= 2b,
+  and q <= 1/2 - 2^-54 puts q fl(a + b) at most b (1 - 2^-53), which
+  rounds below any b > 2^-1022.  A smaller b may round m up to b, to
+  lose a tie to an input and stay queued; then m' >= m, as above.
+* The log-domain d-th combiner is not monotone in floats: one ulp more
+  on b can lower f.  Let e = 10u (c K + |d| + 1) / c be one merge's
+  error on a key, with c = 1 + d and K as in the readout below.  Exact f
+  increases in each argument, so m' >= f(a', b') - e >= f(a, b) - e >=
+  m - 2e: an inversion is at most two merges' error.  As df/db >= 1/2
+  for a <= b, it needs b' - b < 4e, and b - a about as small.  FIFO
+  order is then the order of the exact keys, f(a, b) <= f(a', b'), and a
+  pick passes over the lightest item only for one within 2e of it, a
+  near tie.  Such a pick can hand the combiner a > b by up to 2e.  f is
+  symmetric in exact arithmetic, and the exponent left after shifting
+  out c b, c (a - b) in [0, 2ce], grows the computation's terms by a
+  factor of at most 2^(2ce) = 1 + O(ce), inside the slack of e's 10.
+
+The queues also fix the tree's shape level by level, so the merge
 records one int per merge, ``marks[k]``, the merged queue's head after
 merge k, and sets depths one level at a time.  Merge k pops at steps 2k
 and 2k + 1; inputs pop in the order n-1, n-2, ..., 0 and merged nodes in
@@ -47,10 +62,10 @@ consecutive input symbols, the leaves one level down.  nxt < lo, so the
 levels run out, and a deeper level pops at earlier steps and so takes
 higher symbol indices: the lengths are nondecreasing in symbol index.
 So they are one run of equal lengths per level that has leaves, and the
-queue path hands those runs to the ``LengthVector`` with the lengths.
-The heap path records each merge as its two children and sets depths by
-one pass over the nodes from the root down; its vector finds its runs
-itself.  Everything after the merges is linear in n as well.
+merge hands those runs to the ``LengthVector`` with the lengths.  That
+needs FIFO order only, not sortedness, so under any combiner the code is
+complete and its lengths nondecreasing in symbol index.  Everything
+after the merges is linear in n as well.
 
 Codeword bits are assigned canonically from the lengths, shortest first,
 stable on symbol index.  That needs no sort: the words of one length are
@@ -100,10 +115,12 @@ roundoff u = 2^-53, max length L, and log2 and 2** within an ulp:
 * d-th: with c = 1 + d, the map (c a, c b) -> c f(a, b) =
   d + lg(2^(c a) + 2^(c b)) has partial derivatives that are weights
   summing to 1, so an error in a child's scaled key reaches its parent's
-  no larger.  Every key lies in [lg p_n, L], as a + 1 <= f(a, b) <= b + 1
-  for a <= b, so with K = max(-lg p_n, L) + 1 each merge adds under
+  no larger.  Every key lies in [lg p_n, L], as min(a, b) + 1 <= f(a, b)
+  <= max(a, b) + 1, so with K = max(-lg p_n, L) + 1 each merge adds under
   10u (c K + |d| + 1), the leaf logs and the rounding of c one term more,
-  and (1+d) r is off by under 10u (L + 2)(c K + |d| + 1).
+  and (1+d) r is off by under 10u (L + 2)(c K + |d| + 1).  This holds for
+  whatever full tree the merge built and for either argument order, so
+  the d-th queue's near-tie inversions above leave it as it is.
 
 Dividing by s adds a few roundings of the value and multiplies the error
 of lg W by 1/|s|.  So the readout is taken only at |s| >= 1/16, the cut
@@ -218,10 +235,10 @@ class CombineRule:
     def _combiner(self):
         """f on engine weights (base-2 logs where ``log_domain``), as a two-argument callable.
 
-        Both merge loops call it with the lighter item first, a <= b: the
-        heap pops its minimum first, and the two queues are sorted, so the
-        first pick is the lighter of their heads and the second is no
-        lighter than it.  The max and d-th rules rely on that order.
+        The merge calls it with the lighter item first, a <= b, as the two
+        queues are sorted; the max rule relies on that.  The d-th queue's
+        near-tie inversions (module docstring) can give it a > b by two
+        merges' rounding, which its shift by c b absorbs.
         """
         if self.kind is RuleKind.SUM:
             return operator.add
@@ -281,40 +298,14 @@ class CodeResult:
     trace = None  # not a field: bench/run.py reads it; the benchmark refresh deletes it
 
 
-# Node ids: symbol i is node i, and the k-th merge (k = 0, 1, ...) creates
-# node n + k.  Both merge loops take the leaf keys by symbol, nonincreasing,
-# and store each merged key in that list (so keys[v] is node v's weight
-# and the root's comes last).  The heap returns the children as one flat
-# list: the k-th merge joined kids[2k] and kids[2k + 1], popped in that
-# order.  The queues return the marks of the module docstring instead.
+def _merge_two_queues(keys: list[float], combine) -> list[int]:
+    """Merge the leaf keys, by symbol and nonincreasing, by two FIFO queues; return the marks.
 
-def _merge_heap(keys: list[float], combine) -> list[int]:
-    """Merge by a (weight, sequence) heap; symbol i has sequence n-1-i."""
-    import heapq
-    n = len(keys)
-    heap = [(keys[i], n - 1 - i, i) for i in range(n)]
-    heapq.heapify(heap)
-    kids: list[int] = []
-    for new in range(n, 2 * n - 1):
-        ka, _, a = heapq.heappop(heap)
-        kb, _, b = heap[0]
-        k = combine(ka, kb)
-        heapq.heapreplace(heap, (k, new, new))
-        keys.append(k)
-        kids += (a, b)
-    return kids
-
-
-def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
-    """Merge by two FIFO queues and return the marks, or None if the heap would differ.
-
-    One queue holds the inputs from symbol n-1 down, the other the merged
-    nodes in creation order.  Every input has a lower sequence number than
-    every merged node, so an input wins a tie, as in the heap.  The result
-    equals the heap's as long as the merged queue stays sorted, which every
-    rule guarantees in exact arithmetic (see the module docstring); if
-    rounding ever writes a key below the merged queue's tail, this returns
-    None and the caller merges by the heap instead.
+    Symbol i is node i and merge k makes node n + k, whose key goes to
+    keys[n + k], so the root's comes last.  One queue holds the inputs
+    from symbol n-1 down, the other the merged nodes in creation order; an
+    input wins a tie.  No merge checks the order: the marks need FIFO
+    order only (module docstring).
 
     The merged slots of ``keys`` are +inf until written, and every leaf key
     is finite, so an empty merged queue (j == new) loses every comparison
@@ -324,14 +315,12 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
     keys[-1] is the root's slot.
 
     marks[k] is the merged queue's head after merge k: merges 0..k popped
-    exactly the merged nodes below that id.  ``_level_runs`` reads the
-    depths from the marks.
+    exactly the merged nodes below that id.
     """
     n = len(keys)
     keys += repeat(math.inf, n - 1)
     i = n - 1  # next input symbol
     j = n      # next merged node; the merged queue is empty when j == new
-    last = -math.inf  # the merged queue's tail while it is non-empty
     marks: list[int] = []
     for new in range(n, 2 * n - 1):
         if i < 1:
@@ -348,10 +337,7 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
         else:
             b = j
             j += 1
-        k = combine(keys[a], keys[b])
-        if k < last and j < new:
-            return None
-        keys[new] = last = k
+        keys[new] = combine(keys[a], keys[b])
         marks.append(j)
     else:
         return marks
@@ -369,22 +355,17 @@ def _merge_two_queues(keys: list[float], combine) -> list[int] | None:
         else:
             b = j
             j += 1
-        k = combine(keys[a], keys[b])
-        if k < last and j < new:
-            return None
-        keys[new] = last = k
+        keys[new] = combine(keys[a], keys[b])
         marks.append(j)
     return marks
 
 
 def _level_runs(n: int, marks: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Depth and leaf count of each tree level that has leaves, top down, from the queue marks.
+    """Depth and leaf count of each tree level that has leaves, top down, from the marks.
 
-    The children of the merges [lo, hi) at one depth are the nodes made by
-    the merges [nxt, lo), nxt = marks[lo-1] - n, which are the next level,
-    and inputs for the rest of their 2(hi - lo) children: the next symbols
-    in index order, leaves one level down.  See the module docstring.  So
-    these are the runs of the lengths by symbol, ``LengthVector._runs``.
+    Below the merges [lo, hi) lie the merges [nxt, lo), nxt = marks[lo-1] - n,
+    and 2(hi - lo) - (lo - nxt) leaves, the next symbols in index order
+    (module docstring): the runs of the lengths by symbol, ``LengthVector._runs``.
     """
     depths, counts = ([0], [1]) if n == 1 else ([], [])
     lo, hi = n - 2, n - 1
@@ -400,42 +381,20 @@ def _level_runs(n: int, marks: list[int]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(depths), tuple(counts)
 
 
-def _leaf_depths(n: int, kids: list[int]) -> list[int]:
-    """Leaf depths from the heap's children, by one pass over the merges from the root down.
-
-    Both children of a merge sit one level below the node it created, and
-    every node is created after its children, so a node's depth is known
-    before its children's.  The queue path sets depths by ``_level_runs``;
-    this serves the heap fallback only.
-    """
-    depth = [0] * (2 * n - 1)
-    for new, a, b in zip(range(2 * n - 2, n - 1, -1), reversed(kids[0::2]),
-                         reversed(kids[1::2])):
-        depth[a] = depth[b] = depth[new] + 1
-    return depth[:n]
-
-
 def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
-    """Build an objective-optimal code for ``p`` under ``rule``.
+    """Build an objective-optimal code for ``p`` under ``rule`` by the two-queue merge.
 
-    Returns per-symbol lengths (Kraft sum exactly 1), canonical codewords
-    and the achieved objective value, read off the merge's root weight
-    where ``CombineRule._root_value`` can and scored by
-    ``Objective.evaluate`` otherwise (see ``CodeResult``).
+    Returns per-symbol lengths (Kraft sum exactly 1, nondecreasing in
+    symbol index), canonical codewords and the achieved objective value,
+    read off the merge's root weight where ``CombineRule._root_value`` can
+    and scored by ``Objective.evaluate`` otherwise (see ``CodeResult``).
     """
-    n = p.n
     keys = rule._leaf_keys(p)
-    combine = rule._combiner()
-    marks = _merge_two_queues(keys, combine)
-    if marks is None:
-        del keys[n:]
-        lengths = LengthVector._checked(tuple(_leaf_depths(n, _merge_heap(keys, combine))))
-    else:
-        runs = _level_runs(n, marks)
-        lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
+    runs = _level_runs(p.n, _merge_two_queues(keys, rule._combiner()))
+    lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
     value = rule._root_value(p, keys[-1])
-    # the codeword strings can reuse what the merge buffers held
-    del keys, marks
+    # the codeword strings can reuse what the merge buffer held
+    del keys
     if value is None:
         value = rule.objective().evaluate(p, lengths)
     return CodeResult(lengths, canonical_codewords(lengths), value)

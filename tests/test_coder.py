@@ -38,7 +38,7 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
-from genhuff.coder import _leaf_depths, _level_runs, _merge_heap, _merge_two_queues
+from genhuff.coder import _level_runs, _merge_two_queues
 from test_oracle import EXTREME_OBJECTIVES, OBJECTIVES
 
 RULES = (
@@ -123,6 +123,46 @@ def reference_lengths(p, rule):
             depth += 1
         lengths.append(depth)
     return tuple(lengths)
+
+
+def heap_merge(keys, combine):
+    """Merge ``keys`` by a (weight, sequence) heap, symbol i having sequence n-1-i.
+
+    Returns the children as one flat list: the k-th merge joined kids[2k]
+    and kids[2k + 1], popped in that order.  Each merged key is appended to
+    ``keys``, so keys[v] is node v's weight, laid out as the engine's.
+    """
+    n = len(keys)
+    heap = [(keys[i], n - 1 - i, i) for i in range(n)]
+    heapq.heapify(heap)
+    kids = []
+    for new in range(n, 2 * n - 1):
+        ka, _, a = heapq.heappop(heap)
+        kb, _, b = heap[0]
+        k = combine(ka, kb)
+        heapq.heapreplace(heap, (k, new, new))
+        keys.append(k)
+        kids += (a, b)
+    return kids
+
+
+def heap_depths(n, kids):
+    """Leaf depths from a flat children list, by one pass over the merges from the root down."""
+    depth = [0] * (2 * n - 1)
+    for new, a, b in zip(range(2 * n - 2, n - 1, -1), reversed(kids[0::2]),
+                         reversed(kids[1::2])):
+        depth[a] = depth[b] = depth[new] + 1
+    return depth[:n]
+
+
+def assert_merged_queue_sorted(n, rule, keys, marks):
+    """The merged queue stayed sorted: merged keys nondecreasing, or under
+    q < 1/2, where they are not, every merged node popped by the next merge."""
+    if rule.kind is RuleKind.EXP_BASE and rule.param < 0.5:
+        assert marks == list(range(n, 2 * n - 1))
+    else:
+        merged = keys[n:]
+        assert all(a <= b for a, b in zip(merged, merged[1:]))
 
 
 def root_weight_value(p, rule):
@@ -419,7 +459,7 @@ class TestTwoQueue:
         assert r.lengths.is_complete
 
     def test_equals_heap_engine_everywhere(self):
-        # both merge loops called directly, so the heap stays the reference
+        # the queue merge called directly against the test's heap merge
         rng = np.random.default_rng(27)
         for _ in range(300):
             n = int(rng.integers(1, 40))
@@ -433,7 +473,7 @@ class TestTwoQueue:
             for rule in PANEL_RULES:
                 two_keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
                 marks = _merge_two_queues(two_keys, rule._combiner())
-                heap = _merge_heap(heap_keys, rule._combiner())
+                heap = heap_merge(heap_keys, rule._combiner())
                 two = _queue_children(two_keys, marks)
                 assert two == heap
                 assert two_keys == heap_keys
@@ -453,53 +493,64 @@ class TestTwoQueue:
             for rule in PANEL_RULES:
                 keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
                 marks = _merge_two_queues(keys, rule._combiner())
-                heap_kids = _merge_heap(heap_keys, rule._combiner())
+                heap_kids = heap_merge(heap_keys, rule._combiner())
                 ks, cs = _level_runs(p.n, marks)
                 assert [k for k, c in zip(ks, cs) for _ in range(c)] \
-                    == _leaf_depths(p.n, heap_kids)
+                    == heap_depths(p.n, heap_kids)
                 assert _queue_children(keys, marks) == heap_kids
 
     def test_queue_path_lengths_nondecreasing_in_symbol_index(self, large_pmfs):
         pmfs = list(large_pmfs.values()) + every_n_pmfs(np.random.default_rng(30))
         for p in pmfs:
             for rule in PANEL_RULES:
-                assert _merge_two_queues(rule._leaf_keys(p), rule._combiner()) is not None
+                keys = rule._leaf_keys(p)
+                assert_merged_queue_sorted(p.n, rule, keys, _merge_two_queues(keys, rule._combiner()))
                 lengths = generalized_huffman(p, rule).lengths.lengths
                 assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
-    def test_out_of_order_pops_fall_back_to_heap(self, monkeypatch):
-        # q = 0.4 merges below the last merge's keys, yet the merged queue
-        # never holds two items, so the queues accept it
+    def test_q_below_half_never_queues_two_merged_items(self):
+        # q = 0.4 merges below the last merge's keys, yet each merged node is
+        # popped by the next merge, so the merged queue is never out of order
         q04 = CombineRule.exp_base(0.4)
         p = validate_pmf([0.4, 0.2, 0.2, 0.2])
-        assert _merge_two_queues(q04._leaf_keys(p), q04._combiner()) is not None
-        # 1/(a + b) decreases in both arguments: uniform inputs merge to three
-        # equal keys of 3, and merging two of those appends 1/6 behind a 3
-        p = validate_pmf([1 / 6] * 6)
-        rule = CombineRule.sum()
+        keys = q04._leaf_keys(p)
+        marks = _merge_two_queues(keys, q04._combiner())
+        assert any(b < a for a, b in zip(keys[p.n:], keys[p.n + 1:]))
+        assert marks == [4, 5, 6]
+        ks, cs = _level_runs(p.n, marks)
+        assert tuple(k for k, c in zip(ks, cs) for _ in range(c)) \
+            == reference_lengths(p, q04) == unary_code(4).lengths
 
+    @pytest.mark.parametrize("n", [6, 9, 17, 40])
+    def test_inverting_combiner_still_gives_a_complete_ordered_code(self, monkeypatch, n):
+        # 1/(a + b) decreases in both arguments: uniform inputs merge to equal
+        # keys, and merging two of those appends a small key behind a large one.
+        # The merge checks no order, and the code it reads off the FIFO marks
+        # is still complete, with lengths nondecreasing in symbol index.
         def combiner(self):
             return lambda a, b: 1.0 / (a + b)
 
-        assert _merge_two_queues(rule._leaf_keys(p), combiner(rule)) is None
-        heap_keys = rule._leaf_keys(p)
-        heap_kids = _merge_heap(heap_keys, combiner(rule))
-        calls = []
-
-        def spy(keys, combine):
-            kids = _merge_heap(keys, combine)
-            calls.append((kids, keys))
-            return kids
-
+        rule = CombineRule.sum()
         monkeypatch.setattr(CombineRule, "_combiner", combiner)
-        monkeypatch.setattr(coder, "_merge_heap", spy)
-        r = generalized_huffman(p, rule)
-        assert calls == [(heap_kids, heap_keys)]
-        assert r.lengths.lengths == tuple(_leaf_depths(p.n, heap_kids))
-        assert r.lengths.is_complete
+        pmfs = [validate_pmf([1.0 / n] * n), dyadic_pmf(np.random.default_rng(n), n),
+                random_pmf(np.random.default_rng(n), n)]
+        inverted = 0
+        for p in pmfs:
+            keys = rule._leaf_keys(p)
+            marks = _merge_two_queues(keys, combiner(rule))
+            # some merge appended a key below the tail of a non-empty merged queue
+            inverted += any(keys[new] < keys[new - 1] and marks[new - p.n] < new
+                            for new in range(p.n + 1, 2 * p.n - 1))
+            ks, cs = _level_runs(p.n, marks)
+            assert [k for k, c in zip(ks, cs) for _ in range(c)] \
+                == heap_depths(p.n, _queue_children(keys, marks))
+            lengths = generalized_huffman(p, rule).lengths
+            assert lengths.is_complete
+            assert all(a <= b for a, b in zip(lengths.lengths, lengths.lengths[1:]))
+            assert lengths._runs == (ks, cs) == groupby_runs(lengths.lengths)
+        assert inverted
 
-    @pytest.mark.parametrize("path", ["queues", "heap"])
-    def test_combiner_gets_the_lighter_item_first(self, monkeypatch, path):
+    def test_combiner_gets_the_lighter_item_first(self, monkeypatch):
         # the max and d-th combiners read a <= b from the merge order
         combiner = CombineRule._combiner
         calls = []
@@ -518,8 +569,6 @@ class TestTwoQueue:
                 for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
         expected = [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES]
         monkeypatch.setattr(CombineRule, "_combiner", ordered)
-        if path == "heap":
-            monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
         assert [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES] == expected
         assert len(calls) == len(EDGE_RULES) * sum(p.n - 1 for p in pmfs)
         assert all(calls)
@@ -534,11 +583,11 @@ class TestTwoQueue:
         for p in pmfs:
             keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
             marks = _merge_two_queues(keys, rule._combiner())
-            heap_kids = _merge_heap(heap_keys, rule._combiner())
+            heap_kids = heap_merge(heap_keys, rule._combiner())
             assert keys == heap_keys
             assert _queue_children(keys, marks) == heap_kids
             ks, cs = _level_runs(p.n, marks)
-            assert [k for k, c in zip(ks, cs) for _ in range(c)] == _leaf_depths(p.n, heap_kids)
+            assert [k for k, c in zip(ks, cs) for _ in range(c)] == heap_depths(p.n, heap_kids)
         if rule.kind is RuleKind.EXP_BASE and rule.param == 1e200:
             # the last merges of both uniform pmfs have merged keys of +inf
             assert keys.count(math.inf) > 2
@@ -553,7 +602,71 @@ class TestTwoQueue:
             assert keys[-1] == pytest.approx(max_pointwise_redundancy(p, r.lengths), abs=1e-9)
 
 
-# the benchmark's six rules, every one of which takes the two-queue path
+# d values at and between the edges of d's range, on which one-ulp nudges
+# of b lower the float d-th combiner
+ORDER_DS = (7.0, 2.0, 0.5, 1e-3, -0.5, -0.9)
+NEAR_TIE_RULES = tuple(CombineRule.dth_exp(d) for d in ORDER_DS) \
+    + tuple(CombineRule.exp_base(q) for q in (0.3, 0.6, 0.9, 1.5, 2.0))
+
+
+def one_merge_bound(d, a, b):
+    """The module docstring's bound e = 10u (c K + |d| + 1) / c on one d-th
+    merge's key, with K = max(|a|, |b|) + 1 bounding both arguments."""
+    c = 1.0 + d
+    return 10 * U * (c * (max(abs(a), abs(b)) + 1) + abs(d) + 1) / c
+
+
+@st.composite
+def near_tie_pmfs(draw):
+    """n <= 12: uniform or Dirichlet(1) probabilities, each moved by up to 4 ulps."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        raw = [1.0 / n] * n
+    else:
+        raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).dirichlet(np.ones(n))
+    probs = []
+    for x, k in zip(raw, draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))):
+        x = float(x)
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.inf if k > 0 else 0.0)
+        probs.append(x)
+    return validate_pmf(probs)
+
+
+class TestOrderTolerance:
+    """The d-th merge without an order check: a swapped pair stays within one
+    merge's bound, and near ties still give optimal, complete, ordered codes."""
+
+    @pytest.mark.parametrize("d", ORDER_DS)
+    def test_swapped_arguments_agree_within_one_merge(self, d):
+        # an inversion of the merged queue can hand the combiner a > b by two
+        # merges' rounding; f is symmetric in exact arithmetic
+        dth = CombineRule.dth_exp(d)._combiner()
+        c = 1.0 + d  # the engine's c, so that only the merge's own rounding is measured
+        rng = random.Random(f"swap{d}")
+        for _ in range(300):
+            scale = rng.choice((1.0, 60.0, 1300.0))
+            a = rng.uniform(-scale, scale)
+            b = rng.choice((a, math.nextafter(a, math.inf), a + rng.uniform(0, 2.0 ** -40)))
+            assert a <= b <= a + 2.0 ** -40
+            e = one_merge_bound(d, a, b)
+            with mpmath.workprec(200):
+                x, y, mc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+                exact = (mpmath.mpf(d) + mpmath.log(2 ** (mc * x) + 2 ** (mc * y), 2)) / mc
+                assert abs(dth(a, b) - exact) <= e and abs(dth(b, a) - exact) <= e
+            assert abs(dth(b, a) - dth(a, b)) <= e
+
+    @given(near_tie_pmfs(), st.sampled_from(NEAR_TIE_RULES))
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties_give_optimal_complete_ordered_codes(self, p, rule):
+        res = generalized_huffman(p, rule)
+        assert abs(res.objective_value - brute_force_optimal(p, rule.objective()).min_value) <= 1e-9
+        lengths = res.lengths.lengths
+        assert res.lengths.is_complete
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+
+
+# the benchmark's six rules
 SIX_RULES = (CombineRule.sum(), CombineRule.max_double(), CombineRule.dth_exp(0.5),
              CombineRule.exp_base(2.0), CombineRule.dth_exp(-0.5), CombineRule.exp_base(0.9))
 
@@ -573,8 +686,8 @@ class TestLargeAlphabet:
     @pytest.mark.parametrize("name", ["geometric", "dirichlet"])
     def test_matches_reference(self, large_pmfs, name, rule):
         p = large_pmfs[name]
-        # a silent fall back to the heap would cost ~3x on large inputs
-        assert _merge_two_queues(rule._leaf_keys(p), rule._combiner()) is not None
+        keys = rule._leaf_keys(p)
+        assert_merged_queue_sorted(p.n, rule, keys, _merge_two_queues(keys, rule._combiner()))
         r = generalized_huffman(p, rule)
         assert r.lengths.lengths == reference_lengths(p, rule)
         assert r.lengths.is_complete
@@ -711,16 +824,6 @@ class TestRootReadout:
             sides.add((rule.kind, read))
         assert len(sides) == 4
 
-    def test_heap_path_reads_the_same_root(self, monkeypatch):
-        rng = np.random.default_rng(53)
-        pmfs = [random_pmf(rng, n) for n in (1, 2, 3, 17, 200)]
-        rules = SIX_RULES + tuple(EDGE_RULES)
-        queued = [generalized_huffman(p, rule) for p in pmfs for rule in rules]
-        monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
-        calls = self.evaluate_calls(monkeypatch)
-        assert [generalized_huffman(p, rule) for p in pmfs for rule in rules] == queued
-        assert len(calls) == sum(not readout_applies(p, rule) for p in pmfs for rule in rules)
-
 
 def groupby_runs(lengths):
     """``lengths`` as (run lengths, run counts) in symbol order, by ``itertools.groupby``."""
@@ -770,20 +873,6 @@ class TestRuns:
                 lengths = generalized_huffman(p, rule).lengths
                 assert lengths._runs == runs == groupby_runs(lengths.lengths)
         assert _level_runs(1, []) == ((0,), (1,))
-
-    def test_heap_fallback_runs_come_from_groupby(self, monkeypatch):
-        monkeypatch.setattr(coder, "_merge_two_queues", lambda keys, combine: None)
-        calls = []
-        monkeypatch.setattr(coder, "_merge_heap",
-                            lambda keys, combine: calls.append(1) or _merge_heap(keys, combine))
-        rng = np.random.default_rng(47)
-        for n in (1, 2, 3, 17, 200):
-            p = random_pmf(rng, n)
-            for rule in SIX_RULES:
-                lengths = generalized_huffman(p, rule).lengths
-                assert lengths._runs == groupby_runs(lengths.lengths)
-                assert lengths.lengths == reference_lengths(p, rule)
-        assert len(calls) == 5 * len(SIX_RULES)
 
     def test_runs_are_not_a_field(self):
         p = random_pmf(np.random.default_rng(48), 50)
