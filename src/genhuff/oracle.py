@@ -26,7 +26,9 @@ reducer applied to that list.  So each value is the float
 ``Objective.evaluate`` gives for that ``LengthVector``, because the code is
 the same, and a ``LengthVector`` is built only for the minimizers.
 (Under MMPR ``evaluate`` takes the max over each run's first term only,
-which is the same float: see ``Objective.evaluate``.)
+which is the same float: see ``Objective.evaluate``.)  Under the two
+exponential objectives the walk scores from a table of powers instead, and
+only the vectors it keeps are scored as above (the power table, below).
 
 The minimizer cuts the walk by branch and bound, and stays exact.  It
 bounds a subtree first by the relaxation, which is cheap, and where that
@@ -61,6 +63,10 @@ does not cut, by the floors.
   subtree is skipped when its bound exceeds ``best + ARGMIN_TOL``, the
   line ``brute_force_optimal`` keeps vectors under.  Nothing it skips is a
   minimizer or within ``ARGMIN_TOL`` of one, because ``best`` only falls.
+  The exponential reducers are not monotone as computed, so their cut
+  allows for the rounding (the margin), and where the walk scores them as
+  powers, which round differently from ``evaluate``, it keeps a wider line
+  of candidates and rescores them with the reducer (the power table).
 * **The margin for the two exponential objectives** (``_margin``).  Their
   reducer computes lg(sum 2^x_i) / s, with m = max x_i, as
   m + log2(fsum(2^(x_i - m))), and is not monotone as computed, so the
@@ -83,6 +89,48 @@ does not cut, by the floors.
   objectives at n = 16.  Where |s| is tiny it grows, to ~0.02 bits at
   d = +-1e-12 or q = 1 +- 1e-12, and the cut then skips only subtrees
   worse than the best by more than that.
+* **The power table** (``_powers``).  The reducer takes n powers for each
+  vector it scores and each bound it takes, though the table has only n^2
+  distinct terms.  So under the exponential objectives the walk reads each
+  term x once per call as the entry 2^(x - M), M the table's largest term,
+  scores a list of entries as (M + log2(fsum(entries))) / s, and enters the
+  relaxed term t as 2^(t - M).  Each term is monotone in l, so rows 0 and
+  n - 1 hold the extremes; where they span fewer than ``_POWER_SPAN`` =
+  1000 bits, every entry is a normal float in [2^-1000, 1], which holds on
+  every objective of the benchmark and of ``verify``.  A wider table, such
+  as d = 1e4 or q = 1e200, keeps the terms and the reducer, since there
+  only the reducer's per-list shift keeps the powers finite.
+
+  The error, with u, T and libm as in the margin: each x - M, at most 2T
+  in size, is rounded by at most 2uT, and ``pow`` and ``fsum`` add relative
+  errors of 4u and u, so lg of the sum S is off by at most 2uT + 8u, as in
+  the reducer.  But S no longer starts at 1: a scored list holds symbol 0's
+  entry, and so does every bound (it is taken only after the first vector,
+  below a level that placed a leaf, so symbol 0 is placed), whose term at
+  any depth is at least M - R, R = |rows[n-1][0] - rows[0][0]|, |s| (n - 1)
+  up to rounding (the largest term of each row is symbol 0's).  So
+  |lg S| <= R + lg n + 1, and ``log2`` adds up to 4uR more than in the
+  reducer.  M + log2(S) and the division by s round as there.  A power
+  value is thus within e' = e + 4u (n - 1) of the exact value, e the
+  reducer's error.  A relaxed entry adds 2u allowance to the rounding of
+  t - M, which lies in [-2T - 2 allowance, lg n + 2 allowance] by the range
+  of t in the margin's proof; the margin's slack covers that as it covers
+  the relaxed term there.  So the cut's margin grows by 8u (n - 1).
+
+  The rescoring: a power value and the reducer's float for the same vector
+  differ by at most d' = e + e'.  A vector whose float is within
+  ``ARGMIN_TOL`` of the least float has a power value within
+  ``ARGMIN_TOL`` + 2d' of the least power value, so the walk widens its
+  candidate line by 2 margin + 8u (n - 1), which covers 2d' = 4e + 8u (n - 1)
+  and the rounding of that line, and the cut keeps every subtree that holds
+  such a vector, the limit being the line plus the margin.
+  ``brute_force_optimal`` then scores each candidate with the reducer over
+  the terms and keeps the least float and those within ``ARGMIN_TOL`` of
+  it: the minimizer is a candidate, so these are the floats and the vectors
+  that scoring the whole space gives.  The widening is 1e-13 to 4e-13 bits
+  for the benchmark's objectives at n = 16, and 0.03 to 0.1 bits at
+  d = +-1e-12 or q = 1 +- 1e-12, where the cut then scores up to twice as
+  many vectors.
 * **The relaxation** (``_relaxation``).  The unplaced symbols fill the open
   capacity C = nodes 2^-(D+1) exactly: with w_j = 2^-l_j, sum w_j = C in
   every completion (Kraft equality).  Over real w_j > 0 with that sum,
@@ -142,7 +190,8 @@ does not cut, by the floors.
 * **The counts.**  ``evaluated_count`` is the size of the space,
   ``_completions(1, n)``, whatever the cut skips: ``_completions`` is a
   memoised count of the vectors below a level, over (open nodes, unplaced
-  symbols).  ``scored_count`` is the number of vectors actually reduced.
+  symbols).  ``scored_count`` is the number of vectors the walk scored; the
+  rescoring of the candidates is not counted.
   A subtree with at most ``_SMALL_SUBTREE`` completions is walked, not
   bounded: a bound costs about what scoring one vector does.
 
@@ -172,6 +221,8 @@ __all__ = [
 DEFAULT_MAX_N = 16
 ARGMIN_TOL = 1e-12
 _SMALL_SUBTREE = 2
+# a term table spanning fewer bits is scored as powers of two (module docstring)
+_POWER_SPAN = 1000.0
 
 
 class AlphabetTooLarge(CodingError):
@@ -207,11 +258,12 @@ def _completions(nodes: int, left: int) -> int:
 
 
 def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
-          relax: tuple[Sequence[float], Sequence[float]] | None, margin: float
+          relax: Callable[[int, float], float] | None, margin: float, widen: float = 0.0
           ) -> tuple[float, list[tuple[float, tuple[int, ...]]], int]:
     """Score each complete nondecreasing length vector the cut keeps, and
     return the least value, the (value, lengths) pairs that were within
-    ``ARGMIN_TOL`` of the least value when scored, and the number scored.
+    ``ARGMIN_TOL + widen`` of the least value when scored, and the number
+    scored.  ``ARGMIN_TOL`` is read at each call.
 
     A vector's value is ``reduce`` over ``rows[lengths[i]][i]``, n =
     ``len(rows)``.  At each depth the walk places ``k`` of the ``left``
@@ -222,11 +274,10 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
 
     From the first vector scored on, the walk skips every subtree of more
     than ``_SMALL_SUBTREE`` vectors whose bound exceeds the limit
-    ``best + ARGMIN_TOL + margin``.  The bound is ``reduce`` over its placed
-    terms followed by one relaxed term for the symbols lo.. after them,
-    ``heads[lo] - slopes[lo] lg C`` from ``relax = (heads, slopes)``, and
-    where that does not exceed the limit, followed by each later symbol's
-    term at its floor (module docstring).
+    ``best + ARGMIN_TOL + widen + margin``.  The bound is ``reduce`` over its
+    placed terms followed by one relaxed entry for the symbols lo.. after
+    them, ``relax(lo, lg C)``, and where that does not exceed the limit,
+    followed by each later symbol's entry at its floor (module docstring).
     """
     n = len(rows)
     lengths = [0] * n
@@ -238,11 +289,10 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
     # no bound before the first vector: it would cut nothing and cost a reduce
     limit = None
     best = math.inf
+    tol = ARGMIN_TOL + widen
     candidates: list[tuple[float, tuple[int, ...]]] = []
     scored = 0
-    if relax is not None:
-        heads, slopes = relax
-        lgs = [0.0, *map(math.log2, range(1, n + 1))]
+    lgs = [0.0, *map(math.log2, range(1, n + 1))]
     depth, nodes, left = 0, 1, n
     while True:
         if nodes == left:
@@ -252,13 +302,13 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
             values[first:] = rows[depth][first:]
             scored += 1
             v = reduce(values)
-            if v < best - ARGMIN_TOL:
+            if v < best - tol:
                 best = v
                 candidates = [(v, tuple(lengths))]
-            elif v <= best + ARGMIN_TOL:
+            elif v <= best + tol:
                 candidates.append((v, tuple(lengths)))
                 best = min(best, v)
-            limit = best + ARGMIN_TOL + margin
+            limit = best + tol + margin
             depth -= 1
         else:
             # open the level one leaf short of the fewest that leave every
@@ -295,7 +345,7 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
                 if relax is not None:
                     # the relaxation: symbols lo.. at their real optimum
                     # on the open capacity C = nodes 2^-(depth+1)
-                    bound.append(heads[lo] - slopes[lo] * (lgs[nodes] - (depth + 1)))
+                    bound.append(relax(lo, lgs[nodes] - (depth + 1)))
                     if reduce(bound) > limit:
                         continue
                     bound.pop()
@@ -402,6 +452,41 @@ def _margin(obj: Objective, rows: Sequence[Sequence[float]]) -> float:
     return 16 * 2.0 ** -53 * (top + math.log2(len(rows)) + 2) / abs(scale)
 
 
+def _powers(obj: Objective, rows: Sequence[list[float]]
+            ) -> tuple[list[list[float]], float] | None:
+    """(table, top) with table[l][i] = 2^(rows[l][i] - top), top the largest
+    entry, under the two exponential objectives where rows 0 and n - 1, which
+    hold each symbol's extremes, span fewer than ``_POWER_SPAN`` bits; None
+    elsewhere (module docstring)."""
+    if obj.kind not in (ObjectiveKind.DTH_EXP, ObjectiveKind.EXP_AVERAGE):
+        return None
+    ends = rows[0] + rows[-1]
+    top = max(ends)
+    if not top - min(ends) < _POWER_SPAN:
+        return None
+    return [[2.0 ** (x - top) for x in row] for row in rows], top
+
+
+def _power_reducer(obj: Objective, top: float) -> Callable[[list[float]], float]:
+    """The value from a list of power-table entries: lg(2^top fsum(entries)) / s."""
+    scale = _coefficients(obj)[1]
+    log2, fsum = math.log2, math.fsum
+    return lambda entries: (top + log2(fsum(entries))) / scale
+
+
+def _relaxed_entry(relax: tuple[list[float], list[float]] | None, top: float | None
+                   ) -> Callable[[int, float], float] | None:
+    """The walk's relaxed entry for the symbols lo.. on a capacity C, from lo and
+    lg C: the term ``heads[lo] - slopes[lo] lg C`` of ``relax = (heads, slopes)``,
+    or 2^(term - top) in the power table."""
+    if relax is None:
+        return None
+    heads, slopes = relax
+    if top is None:
+        return lambda lo, lg_c: heads[lo] - slopes[lo] * lg_c
+    return lambda lo, lg_c: 2.0 ** (heads[lo] - slopes[lo] * lg_c - top)
+
+
 def _term_rows(obj: Objective, probs: tuple[float, ...], lgp: list[float]
                ) -> list[list[float]]:
     """rows[l][i] = symbol i's term at length l, l = 0..n-1: one ``terms`` call over
@@ -418,8 +503,15 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     minimum), sorted lexicographically.  The walk skips each subtree whose
     lower bound, the relaxation's or the floors', shows it holds no such
     vector, and the result is the one scoring every vector gives (module
-    docstring).  ``evaluated_count`` is the size of the space, whatever the
-    cut skips; it grows like 1.794^n, so raise ``max_n`` consciously.
+    docstring).  Under the two exponential objectives, where rows 0 and
+    n - 1 of the term table span fewer than 1000 bits, the walk scores from
+    a table of powers 2^(term - M), widening its cut and its candidate line
+    by that form's error bound, and the minimum and the minimizers come from
+    rescoring its candidates with ``obj.reducer()`` over the terms, the
+    floats ``Objective.evaluate`` gives; a wider table is scored by the
+    reducer throughout.  ``evaluated_count`` is the size of the space,
+    whatever the cut skips; it grows like 1.794^n, so raise ``max_n``
+    consciously.
     ``scored_count`` is how many of them were scored, ~10-160 of 1639 on
     Dirichlet pmfs at n = 16 under the benchmark's objectives.
     """
@@ -428,7 +520,20 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     lgp = list(map(math.log2, p.probs))
     rows = _term_rows(obj, p.probs, lgp)
     relax = _relaxation(obj, p.probs, lgp)
-    best, candidates, scored = _walk(rows, obj.reducer(), relax, _margin(obj, rows))
+    margin = _margin(obj, rows)
+    powers = _powers(obj, rows)
+    if powers is None:
+        _, candidates, scored = _walk(rows, obj.reducer(), _relaxed_entry(relax, None), margin)
+    else:
+        # the power form's error widens the cut and the candidate line, and
+        # the candidates are rescored from the rows (module docstring)
+        table, top = powers
+        extra = 8 * 2.0 ** -53 * (p.n - 1)
+        _, found, scored = _walk(table, _power_reducer(obj, top), _relaxed_entry(relax, top),
+                                 margin + extra, 2 * margin + extra)
+        reduce = obj.reducer()
+        candidates = [(reduce([rows[l][i] for i, l in enumerate(lv)]), lv) for _, lv in found]
+    best = min(v for v, _ in candidates)
     argmin = sorted(lv for v, lv in candidates if v <= best + ARGMIN_TOL)
     return OracleResult(best, tuple(LengthVector._checked(lv) for lv in argmin),
                         _completions(1, p.n), scored)

@@ -95,7 +95,12 @@ def generate(family: WitnessFamily) -> Pmf:
 
     if k is FamilyKind.MMPR_UPPER_HIGH:
         # (p_1, 1-p_1-eps, eps): attains 1 + lg p_1 for p_1 in [2/3, 1),
-        # approaches 2 + lg(1-p_1) as eps -> 0 for p_1 in [1/2, 2/3)
+        # approaches 2 + lg(1-p_1) as eps -> 0 for p_1 in [1/2, 2/3).
+        # The gap: (1, 2, 2) is the one complete monotone code on 3 symbols,
+        # and eps <= 1-p_1-eps, so the optimum is
+        # max(1 + lg p_1, 2 + lg(1-p_1-eps)).  That is below 2 + lg(1-p_1) by
+        # lg((1-p_1)/(1-p_1-eps)) while eps <= 1 - 3 p_1/2, and by
+        # lg(2 (1-p_1)/p_1) for a larger eps
         _need(p1 is not None and 0.5 <= p1 < 1.0, f"needs p_1 in [0.5, 1), got {p1}")
         width = (1.0 - p1) / 2.0
         e = _default_eps(width) if eps is None else eps
@@ -117,7 +122,14 @@ def generate(family: WitnessFamily) -> Pmf:
 
     if k is FamilyKind.MMPR_UPPER_LOW:
         # (p_1, uniform x (2^lam - 1), eps): approaches
-        # 1 + lg((1-p_1)/(1-2^-lam)) as eps -> 0 on [2^-lam, 2/(2^lam+1))
+        # 1 + lg((1-p_1)/(1-2^-lam)) as eps -> 0 on [2^-lam, 2/(2^lam+1)).
+        # The gap: with mid = (1-p_1-eps)/(2^lam - 1), eps < mid < p_1.  If
+        # every mid is at depth <= lam they fill 1 - 2^-lam of the Kraft sum,
+        # so p_1 is at depth >= lam + 1; else a mid is.  So the optimum is
+        # at least lam + 1 + lg mid, and p_1 and 2^lam - 2 mids at lam, the
+        # last mid and eps at lam + 1 attain it, since lam + lg p_1 is less
+        # (p_1 < 2 mid is eps < 1 - p_1 (2^lam+1)/2, a bound on eps below).
+        # That is below the bound by lg((1-p_1)/(1-p_1-eps))
         _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
         lam = _lam(p1)
         _need(cmp_ratio(p1, 2, 2 ** lam + 1) < 0,

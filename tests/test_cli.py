@@ -402,6 +402,14 @@ class TestVerify:
         # eps windows narrower than an ulp of p_1, just below 2/(2^lam + 1)
         ("mmpr-upper-low", ("--p1", repr(2 / 9)), "upper bound approached"),
         ("mmpr-upper-low", ("--p1", repr(2 / 17)), "upper bound approached"),
+        # wide eps: the optimum sits lg((1-p_1)/(1-p_1-eps)) below the bound
+        ("mmpr-upper-high", ("--p1", "0.55", "--eps", "0.05"),
+         "oracle 0.678071905113 vs 0.847996906555, gap 0.169925001442"),
+        ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01"),
+         "oracle 0.852569636345 vs 0.870716983055, gap 0.0181473467103"),
+        # eps past 1 - 3 p_1/2: 1 + lg p_1 is the optimum, lg(2 (1-p_1)/p_1) below
+        ("mmpr-upper-high", ("--p1", "0.6", "--eps", "0.15"),
+         "oracle 0.263034405834 vs 0.678071905113, gap 0.415037499279"),
     ])
     def test_every_family_passes(self, capsys, family, params, claim):
         code, out, err = run(capsys, "verify", "--family", family, *params)
@@ -409,6 +417,26 @@ class TestVerify:
         assert out.startswith("pmf: ")
         assert claim in out and "FAIL" not in out
         assert out.endswith("result: ok\n")
+
+    @pytest.mark.parametrize("family,params", [
+        ("mmpr-upper-high", ("--p1", "0.55", "--eps", "0.05")),
+        ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01")),
+    ])
+    def test_approached_gap_is_checked_to_1e_9(self, capsys, monkeypatch, family, params):
+        import dataclasses
+
+        import genhuff.verify
+
+        oracle = genhuff.verify.brute_force_optimal
+
+        def off(p, obj, **kwargs):
+            res = oracle(p, obj, **kwargs)
+            return dataclasses.replace(res, min_value=res.min_value + 1e-8)
+
+        monkeypatch.setattr(genhuff.verify, "brute_force_optimal", off)
+        code, out, _ = run(capsys, "verify", "--family", family, *params)
+        assert code == 1
+        assert f"FAIL {family}: upper bound approached" in out
 
     def test_default_campaign_runs_every_check_in_order(self, capsys):
         code, out, _ = run(capsys, "verify")

@@ -17,7 +17,16 @@ from genhuff import (
     validate_pmf,
 )
 from genhuff import oracle
-from genhuff.oracle import _completions, _margin, _relaxation, _term_rows, _walk
+from genhuff.oracle import (
+    _completions,
+    _margin,
+    _power_reducer,
+    _powers,
+    _relaxation,
+    _relaxed_entry,
+    _term_rows,
+    _walk,
+)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 
 # number of full binary tree shapes with n leaves, n = 1..16
@@ -321,7 +330,13 @@ class TestCut:
         # tolerance the limit is the best value once a minimizer is scored,
         # and meets bounds equal to it (the uniform tail at n = 12 has a
         # second minimizer in such a subtree)
+        # the walk reads ARGMIN_TOL when called: of the two vectors at n = 4,
+        # (1, 2, 3, 3) scores 5e-13 above (2, 2, 2, 2), inside the default
+        # tolerance and outside a zero one
+        table = [[0.0] * 4 for _ in range(3)] + [[0.0, 0.0, 0.0, 5e-13]]
+        assert len(_walk(table, math.fsum, None, 0.0)[1]) == 2
         monkeypatch.setattr(oracle, "ARGMIN_TOL", 0.0)
+        assert _walk(table, math.fsum, None, 0.0)[1] == [(0.0, (2, 2, 2, 2))]
         obj = Objective.max_pointwise()
         rng = np.random.default_rng(48)
         pmfs = []
@@ -340,6 +355,104 @@ class TestCut:
             assert scored < count
             assert {lv.lengths for lv in length_vectors(n) if obj.evaluate(p, lv) == best} \
                 <= {l for _, l in candidates}
+
+
+class TestPowerTable:
+    """The exponential objectives scored from powers of two, then rescored."""
+
+    # the tables past _POWER_SPAN bits at n = 8..16, which keep the reducer
+    WIDE_SPAN = (Objective.exp_average(1e200), Objective.dth_exp(1e6), Objective.dth_exp(1e4))
+
+    @staticmethod
+    def paths(monkeypatch, objectives, pmfs):
+        """For each objective, whether each brute_force_optimal call on the pmfs
+        scored from the power table."""
+        taken = []
+
+        def spy(obj, rows):
+            table = _powers(obj, rows)
+            taken.append(table is not None)
+            return table
+
+        monkeypatch.setattr(oracle, "_powers", spy)
+        out = {}
+        for obj in objectives:
+            taken.clear()
+            for p in pmfs:
+                brute_force_optimal(p, obj)
+            out[obj] = list(taken)
+        return out
+
+    def test_the_span_picks_the_path(self, monkeypatch):
+        from genhuff.verify import OBJECTIVE_PANEL
+
+        rng = np.random.default_rng(52)
+        pmfs = [random_pmf(rng, n) for n in (2, 8, 12, 16)] + [validate_pmf([1.0 / 16] * 16)]
+        exponential = {obj for obj in BENCH_OBJECTIVES + tuple(o for _, o in OBJECTIVE_PANEL)
+                       if obj.kind.value in ("dexp", "expavg")}
+        assert len(exponential) == 7
+        narrow = [obj for obj in EXTREME_OBJECTIVES if obj not in self.WIDE_SPAN]
+        for obj, taken in self.paths(monkeypatch, [*exponential, *narrow], pmfs).items():
+            assert taken == [True] * len(pmfs), obj
+        for obj, taken in self.paths(monkeypatch, self.WIDE_SPAN, pmfs[1:]).items():
+            assert taken == [False] * (len(pmfs) - 1), obj
+        for obj, taken in self.paths(monkeypatch, OBJECTIVES[:2], pmfs).items():
+            assert taken == [False] * len(pmfs), obj
+
+    @pytest.mark.parametrize("obj", [
+        *(Objective.exp_average(q) for q in (0.6, 0.5 + 1e-7, 0.4)),
+        *(Objective.dth_exp(d) for d in (-0.9, -1 + 1e-9, 1e-12)),
+    ], ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical_where_the_prune_is_weak(self, obj):
+        # q <= 1/2 has no relaxed term and q = 0.6 a weak one; near d = -1
+        # and d = 0 the scale s is near 0 or the terms near flat
+        rng = np.random.default_rng(53)
+        for n in (14, 15, 16):
+            assert_matches_reference(random_pmf(rng, n), obj)
+
+    @pytest.mark.parametrize("obj", OBJECTIVES[2:] + EXTREME_OBJECTIVES,
+                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_power_values_within_the_error_bound(self, obj):
+        # each vector's power value is within 2 margin + 8u(n-1), the
+        # candidate line's widening, of the reducer's float, and each
+        # subtree's relaxed bound in powers is at most the least power value
+        # below it plus the cut's margin
+        reduce = obj.reducer()
+        rng = np.random.default_rng(54)
+        checked = 0
+        for n in range(2, 12):
+            for p in (random_pmf(rng, n), TestCut.tie_heavy_pmf(rng, n)):
+                lgp = list(map(math.log2, p.probs))
+                rows = _term_rows(obj, p.probs, lgp)
+                powers = _powers(obj, rows)
+                if powers is None:
+                    continue
+                table, top = powers
+                power_value = _power_reducer(obj, top)
+                relaxed = _relaxed_entry(_relaxation(obj, p.probs, lgp), top)
+                extra = 8 * 2.0 ** -53 * (n - 1)
+                margin = _margin(obj, rows) + extra
+                widen = _margin(obj, rows) * 2 + extra
+                least = {}
+                for lengths in kraft_length_tuples(n):
+                    v = power_value([table[l][i] for i, l in enumerate(lengths)])
+                    assert abs(v - reduce([rows[l][i] for i, l in enumerate(lengths)])) \
+                        <= widen / 2, (n, p.probs, lengths)
+                    for depth in range(lengths[-1] - 1):
+                        first = sum(l <= depth for l in lengths)
+                        nodes = 2 ** (depth + 1) - sum(
+                            2 ** (depth + 1 - l) for l in lengths[:first])
+                        if first and nodes < n - first:
+                            key = lengths[:first], depth, nodes
+                            least[key] = min(least.get(key, math.inf), v)
+                if relaxed is None:
+                    continue
+                for (placed, depth, nodes), v in least.items():
+                    entries = [table[l][i] for i, l in enumerate(placed)]
+                    entries.append(relaxed(len(placed), math.log2(nodes) - (depth + 1)))
+                    assert power_value(entries) <= v + margin, (n, p.probs, placed, depth)
+                    checked += 1
+        assert checked == 0 if obj in self.WIDE_SPAN else checked > 300
 
 
 class TestSoundnessArguments:
