@@ -240,6 +240,8 @@ def cmd_code(args) -> int:
         "entropy_bits": _round12(entropy),
         "bounds": _report_dict(report),
     }
+    if obj.kind is ObjectiveKind.EXP_AVERAGE and 0.0 < obj.param < 1.0:
+        doc["success_probability"] = _round12(success_probability(p, result.lengths, obj.param))
     if args.format == "json":
         _emit_json(doc, args.out)
     elif args.format == "csv":
@@ -257,9 +259,8 @@ def cmd_code(args) -> int:
             f"entropy_bits: {fmt(entropy)}",
             f"bounds: {_interval_str(report)}",
         ]
-        if obj.kind is ObjectiveKind.EXP_AVERAGE and 0.0 < obj.param < 1.0:
-            lines.append(f"success_probability: "
-                         f"{fmt(success_probability(p, result.lengths, obj.param))}")
+        if "success_probability" in doc:
+            lines.append(f"success_probability: {fmt(doc['success_probability'])}")
         _emit("\n".join(lines), args.out)
     return 0
 

@@ -123,13 +123,14 @@ roundoff u = 2^-53, max length L, and log2 and 2** within an ulp:
   the d-th queue's near-tie inversions above leave it as it is.
 
 Dividing by s adds a few roundings of the value and multiplies the error
-of lg W by 1/|s|.  So the readout is taken only at |s| >= 1/16, the cut
-``renyi_entropy`` switches forms at; nearer d = 0 or q = 1 the value is
-left to ``Objective.evaluate``, as are the average and max rules, whose
-values the root does not hold.  So is an exp-base root that is not a
-normal float (+inf after an overflow, or subnormal or zero, past the
-relative precision rho needs), and a pmf with a subnormal p_i, whose
-merges under q > 1 could round by more than rho allows.
+of lg W by 1/|s|.  So the readout is taken only at |s| >= 1/16
+(``core._SMALL_SCALE``), the cut ``renyi_entropy`` switches forms at;
+nearer d = 0 or q = 1 the value is left to ``Objective.evaluate``, as are
+the average and max rules, whose values the root does not hold.  So is
+an exp-base root that is not a normal float (+inf after an overflow, or
+subnormal or zero, past the relative precision rho needs), and a pmf
+with a subnormal p_i, whose merges under q > 1 could round by more than
+rho allows.
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ from .core import (
     Objective,
     ObjectiveKind,
     Pmf,
+    _SMALL_SCALE,
     _spread,
     ceil_neg_lg,
 )
@@ -184,15 +186,15 @@ _RULE_OF = {
 _OBJECTIVE_OF = {rule: objective for objective, rule in _RULE_OF.items()}
 
 
-# |s| below this leaves the value to Objective.evaluate (module docstring)
-_READOUT_MIN_SCALE = 0.0625
-
-
 @dataclass(frozen=True)
 class CombineRule:
-    """Weight-combining rule f(a, b), strictly increasing in each argument.
+    """Weight-combining rule f(a, b), the merge handing it the lighter item first.
 
-    The parameter is validated by the ``Objective`` the rule minimizes.
+    In exact arithmetic f is nondecreasing in each argument; the max rule's
+    1 + b ignores a.  As computed, a + b, 1 + b and q(a + b) stay so, and
+    the log-domain d-th combiner does not: one ulp more on b can lower it,
+    and the module docstring bounds the merge inversions that allows.  The
+    parameter is validated by the ``Objective`` the rule minimizes.
     """
 
     kind: RuleKind
@@ -274,7 +276,7 @@ class CombineRule:
             lg_w = math.log2(root)
         else:
             return None
-        if abs(s) < _READOUT_MIN_SCALE:
+        if abs(s) < _SMALL_SCALE:
             return None
         # + 0.0 as in Objective.reducer: no -0.0
         return lg_w / s + 0.0
@@ -307,24 +309,26 @@ def _merge_two_queues(keys: list[float], combine) -> list[int]:
     input wins a tie.  No merge checks the order: the marks need FIFO
     order only (module docstring).
 
-    The merged slots of ``keys`` are +inf until written, and every leaf key
-    is finite, so an empty merged queue (j == new) loses every comparison
-    with an input without a test for it.  While two inputs remain, both
-    picks have an input to compare, and each pick is one comparison.  The
-    last merges keep the test i >= 0: a merged key can itself be +inf, and
-    keys[-1] is the root's slot.
+    Each pick is one comparison, with no test on either index.  The merged
+    slots of ``keys`` are +inf until written, and every leaf key is finite,
+    so an empty merged queue (j == new) loses every comparison with an
+    input.  One NaN follows the merged slots, at keys[2n - 1], and is the
+    only NaN in ``keys``: leaf keys are finite, and no combiner returns
+    NaN.  Once the inputs are used up, i == -1 reads it, and nan <= x is
+    False for every x, +inf included, so the pick takes the merged queue
+    and i never goes below -1.  The NaN is dropped before the return, so
+    the root's key is keys[-1].
 
     marks[k] is the merged queue's head after merge k: merges 0..k popped
     exactly the merged nodes below that id.
     """
     n = len(keys)
     keys += repeat(math.inf, n - 1)
+    keys.append(math.nan)
     i = n - 1  # next input symbol
     j = n      # next merged node; the merged queue is empty when j == new
     marks: list[int] = []
     for new in range(n, 2 * n - 1):
-        if i < 1:
-            break
         if keys[i] <= keys[j]:
             a = i
             i -= 1
@@ -339,24 +343,7 @@ def _merge_two_queues(keys: list[float], combine) -> list[int]:
             j += 1
         keys[new] = combine(keys[a], keys[b])
         marks.append(j)
-    else:
-        return marks
-    # at most one input left: merge ``new`` and the rest as above, testing i
-    for new in range(new, 2 * n - 1):
-        if i >= 0 and keys[i] <= keys[j]:
-            a = i
-            i -= 1
-        else:
-            a = j
-            j += 1
-        if i >= 0 and keys[i] <= keys[j]:
-            b = i
-            i -= 1
-        else:
-            b = j
-            j += 1
-        keys[new] = combine(keys[a], keys[b])
-        marks.append(j)
+    keys.pop()
     return marks
 
 

@@ -62,6 +62,10 @@ PMF_SUM_TOL = 1e-9
 # the largest d an Objective takes: |lg p_i| <= 1075 and l_i < n, so every
 # term (1 + d) lg p_i + d l_i of the d-th exponential objective stays finite
 D_MAX = 1e300
+# the cut on |s| (d, lg q or 1 - alpha) below which dividing a lg-sum by s
+# magnifies its rounding too far: renyi_entropy switches to its log1p form
+# there, and the engine leaves the value to Objective.evaluate
+_SMALL_SCALE = 0.0625
 
 
 class CodingError(ValueError):
@@ -478,7 +482,7 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
     if not (0.0 < alpha < math.inf and alpha != 1.0):
         raise AlphaOutOfRange(f"alpha must be finite, positive and not 1, got {alpha}")
     e = 1.0 - alpha
-    if abs(e) < 0.0625:
+    if abs(e) < _SMALL_SCALE:
         # near alpha = 1, lg sum p_i^alpha is ~e H, far below the rounding of
         # the O(1) terms the lg-sum form cancels (~1e-5 relative at
         # q = 1 + 1e-12).  sum p_i^alpha is sum p_i plus terms

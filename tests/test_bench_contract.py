@@ -1,11 +1,11 @@
 """What the benchmark in bench/ reads from genhuff, run in-process on one cycle of each kind of op.
 
 bench/ calls genhuff by names and attributes that no other caller uses
-(``CombineRule.for_objective``, ``CodeResult.trace``,
-``OracleResult.evaluated_count``, ``dataclasses.replace`` on a
-``CodeResult``) and patches spans around public names.  A change that
-drops one of them breaks the benchmark, not the rest of the suite; this
-test fails instead.
+(``CombineRule.for_objective``, ``rule.kind.value`` and ``rule.param`` in
+``rule_tag``, ``CodeResult.trace``, ``OracleResult.evaluated_count``,
+``dataclasses.replace`` on a ``CodeResult``) and patches spans around
+public names.  A change that drops one of them breaks the benchmark, not
+the rest of the suite; this test fails instead.
 """
 
 import os

@@ -72,7 +72,7 @@ class TestCode:
         assert doc["value_bits"] == pytest.approx(2.382604845074305, abs=1e-9)
         assert doc["entropy_bits"] == pytest.approx(2.2596011654072414, abs=1e-9)
         assert set(doc) == {"objective", "param", "n", "lengths", "codewords",
-                            "value_bits", "entropy_bits", "bounds"}
+                            "value_bits", "entropy_bits", "bounds", "success_probability"}
         assert set(doc["bounds"]) == {"lower", "upper", "lower_kind",
                                       "upper_kind", "exact", "note"}
         assert doc["bounds"]["lower"] <= doc["value_bits"] <= doc["bounds"]["upper"]
@@ -124,6 +124,35 @@ class TestCode:
         code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", "0.6",
                            benford_file)
         assert "success_probability: 0.296088878012" in out
+
+    @pytest.mark.parametrize("q", ["0.6", "0.3", "0.9", "0.5", "2"])
+    def test_json_success_probability_equals_plain(self, capsys, three_file, q):
+        # both formats carry it for 0 < q < 1 only, the same value
+        code, out, err = run(capsys, "code", "--objective", "expavg", "--q", q, three_file)
+        assert (code, err) == (0, "")
+        plain = dict(line.split(": ", 1) for line in out.splitlines())
+        code, out, err = run(capsys, "code", "--objective", "expavg", "--q", q,
+                             "--format", "json", three_file)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert ("success_probability" in doc) == ("success_probability" in plain) \
+            == (0.0 < float(q) < 1.0)
+        if "success_probability" in doc:
+            assert doc["success_probability"] == float(plain["success_probability"])
+        if q == "0.6":
+            assert plain["success_probability"] == "0.48"
+
+    def test_expavg_overflowing_base_on_a_uniform_file(self, capsys, tmp_path):
+        # q = 1e300 overflows the last merged keys to +inf; the code is still
+        # the complete one, every length 6, and its value 6 bits
+        path = tmp_path / "uniform64.txt"
+        path.write_text("\n".join([repr(1 / 64)] * 64) + "\n")
+        code, out, err = run(capsys, "code", "--objective", "expavg", "--q", "1e300",
+                             str(path))
+        assert (code, err) == (0, "")
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["lengths"] == " ".join(["6"] * 64)
+        assert lines["value_bits"] == "6"
 
     def test_json_array_input_and_normalize(self, capsys, tmp_path):
         path = tmp_path / "arr.json"

@@ -592,6 +592,43 @@ class TestTwoQueue:
             # the last merges of both uniform pmfs have merged keys of +inf
             assert keys.count(math.inf) > 2
 
+    @pytest.mark.parametrize("rule", EDGE_RULES + [CombineRule.exp_base(1e300),
+                                                   CombineRule.exp_base(1e-300)],
+                             ids=lambda r: f"{r.kind.value}{'' if r.param is None else r.param}")
+    def test_nan_sentinel_never_reaches_the_combiner_or_the_keys(self, rule):
+        # the NaN after the merged slots ends the input queue: the combiner
+        # never sees it, and it is gone from the keys the merge hands back
+        rng = np.random.default_rng(32)
+        combine = rule._combiner()
+        overflowed = False
+        for n in (1, 2, 3, 64):
+            for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n)):
+                seen, made, heap_seen = [], [], []
+
+                def spy(a, b):
+                    seen.extend((a, b))
+                    made.append(combine(a, b))
+                    return made[-1]
+
+                def heap_spy(a, b):
+                    heap_seen.extend((a, b))
+                    return combine(a, b)
+
+                keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
+                marks = _merge_two_queues(keys, spy)
+                heap_kids = heap_merge(heap_keys, heap_spy)
+                assert len(seen) == 2 * (n - 1)
+                assert not any(map(math.isnan, seen))
+                assert seen == heap_seen
+                # +inf keys tie, so the picks show only in the tree
+                assert _queue_children(keys, marks) == heap_kids
+                assert len(keys) == 2 * n - 1
+                assert not any(map(math.isnan, keys))
+                assert keys[-1] == heap_keys[-1] == (made[-1] if made else keys[0])
+                overflowed |= math.inf in made
+        # q = 1e300 overflows merged keys to +inf, which an input must still beat
+        assert overflowed or rule.param != 1e300
+
     def test_root_weight_matches_objective(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
