@@ -9,9 +9,17 @@ resulting code minimizes:
 * f = (2^d a^(1+d) + 2^d b^(1+d))^(1/(1+d)) d-th exponential redundancy
 * f = q a + q b                             exponential-average cost
 
-Doubling rules overflow a linear float past depth 1023, so the max and
-d-th exponential rules carry weights as base-2 logs; the additive rules
-stay linear.
+The engine merges linear weights.  The max rule's 2b is exact, so its
+merge rounds nothing, and no weight passes the root W = max_i p_i 2^l_i,
+which is below 2: it is at most the Shannon code's, whose every
+p_i 2^l_i is below 2.  The
+d-th rule merges the leaf weights p_i^(1+d) by the exp-base combiner
+q(a + b) with q = 2^d, which the root identity below makes the same
+merge.  Where 2^d overflows (from d = 1024) or p_n^(1+d) is not a normal
+float, the d-th rule merges base-2 logs instead, the log domain, by the
+combiner above carried through lg; so it does where the linear root is
+not finite, which the readout bound below rules out for any code near
+optimal, as lg W = d V < d for a value V < 1.
 
 The merge order is made deterministic by a (weight, creation sequence)
 priority: input symbols get sequence numbers by nondecreasing weight and
@@ -28,8 +36,9 @@ let merge k pop a <= b and append m, every other live item being >= b.
 Merge k+1 either pops m, leaving the queue empty for m', or pops items
 live at merge k, a' >= b >= a and b' >= b, so that m' >= m.
 
-* a + b, 1 + b and q(a + b) are correctly rounded adds and a product by
-  a positive constant, monotone in their operands.  Under q < 1/2, m is
+* a + b, 2b and q(a + b) are correctly rounded adds and a product by
+  a positive constant, monotone in their operands; so is the linear
+  d-th merge, q = fl(2^d) being at least 1/2.  Under q < 1/2, m is
   below b and is popped at once: no key exceeds 1, so fl(a + b) <= 2b,
   and q <= 1/2 - 2^-54 puts q fl(a + b) at most b (1 - 2^-53), which
   rounds below any b > 2^-1022.  A smaller b may round m up to b, to
@@ -80,39 +89,53 @@ words of block k, which is each symbol taking the next word of its
 length's block in index order.  The counts per length come from the runs
 too.
 
-The Kraft check reads the running code.  Length k's first code is
-sum_{j<k} c_j 2^(k-j) over the counts c_j, so its c_k words fit below
-2^k exactly when the lengths up to k have Kraft sum at most 1.  The
-first length where code + c_k > 2^k is refused before any of its words
-is built, and only then is the full Kraft sum computed, for the message.
-A valid code pays an add, a subtract and a bit_length per length for
-it, not a shift and an add per length of integers as wide as the longest
-word.
+The Kraft check reads a count of free words.  Length k's first code is
+sum_{j<k} c_j 2^(k-j) over the counts c_j, and free = 2^k less that code
+is the number of k-bit words no shorter word has used or prefixed.  Its
+c_k words fit exactly when c_k <= free, that is when the lengths up to k
+have Kraft sum at most 1; the next length's free is (free - c_k) shifted
+left by the gap.  The first length where c_k > free is refused before
+any of its words is built, and only then is the full Kraft sum computed,
+for the message.  On a complete code free never exceeds the symbols
+still to place, so a valid engine code pays a shift, a compare and a
+subtract of small integers per length, not arithmetic on integers as
+wide as the longest word; an incomplete one, such as (1, 2, 1000), can
+leave a wide free.
 
 A deep code can have a thousand lengths of a few words each, a thousand
 bits long, so the first word of each length is carried as a string,
 never formatted from its integer: it is the previous length's next word
 followed by zeros, and its block is that word's high part joined to a
-slice of a table of all 8-bit strings.  The integer is formatted only for
-the first length past the table and after a block that reaches a
-256-word edge.
+slice of a table of all 8-bit strings.  The code 2^k - free is formed
+only to index that table at lengths up to 8, and to be formatted at the
+first length past the table, after a block that reaches a 256-word
+edge, and for a block that crosses one.
 
 The merge's root weight holds the d-th and exponential-average values,
 so the engine reads them off it instead of scoring every symbol again.
-Unrolled over the tree, the exp-base root is W = sum_i p_i q^l_i, and
-the d-th root r, a base-2 log, has 2^((1+d) r) = W = sum_i p_i^(1+d)
-2^(d l_i) (Parker, SIAM J. Comput. 1980).  Either value is lg W / s:
-lg W = (1+d) r and s = d, or lg W = lg r and s = lg q.  With unit
-roundoff u = 2^-53, max length L, and log2 and 2** within an ulp:
+Unrolled over the tree, the exp-base root is W = sum_i p_i q^l_i, so the
+linear d-th root is W = sum_i p_i^(1+d) 2^(d l_i), and the log-domain
+d-th root r has 2^((1+d) r) = W (Parker, SIAM J. Comput. 1980).  Each
+value is lg W / s, with s = lg q or s = d, and lg W = (1+d) r in the log
+domain.  With unit roundoff u = 2^-53, gamma_k = ku/(1 - ku), max length
+L, and log2, 2** and pow within an ulp:
 
 * exp-base: every term of W goes through at most two roundings per
   level, all of them positive, so the root is off by a relative
-  gamma_2L = 2Lu/(1 - 2Lu).  For a pmf of normal floats only q < 1 lets
-  a merged weight underflow, and q^depth <= 1 carries each such merge's
-  absolute error, under 2^-1075, to the root under 2^-1074: rho =
-  gamma_2L + (n-1) 2^-1074 / W relative in all, so lg W is off by
-  -lg(1 - rho).
-* d-th: with c = 1 + d, the map (c a, c b) -> c f(a, b) =
+  gamma_2L.  For a pmf of normal floats only q < 1 lets a merged weight
+  underflow, and q^depth <= 1 carries each such merge's absolute error,
+  under 2^-1075, to the root under 2^-1074: rho = gamma_2L + (n-1)
+  2^-1074 / W relative in all, so lg W is off by -lg(1 - rho).
+* d-th, linear: W is the exp-base root with q = 2^d on leaves p_i^c,
+  c = 1 + d, and gains three errors.  Each leaf p_i^c' with c' = fl(c)
+  is within an ulp, at most 2u relative, of p_i^c 2^((c' - c) lg p_i),
+  and |c' - c| <= u c; fl(2^d) is within an ulp of q, which a term at
+  depth l meets l times.  No merged weight underflows: under d > 0,
+  q(a + b) > b, and under d < 0, q >= 1/2 gives fl(q fl(a + b)) >= a,
+  so each is at least the least leaf, a normal float.  So each term, and
+  W with it, is off by a relative rho = (1 + gamma_(4L+2)) 2^t - 1 with
+  t = u c (-lg p_n) <= 1022u, and lg W by -lg(1 - rho).
+* d-th, log domain: with c = 1 + d, the map (c a, c b) -> c f(a, b) =
   d + lg(2^(c a) + 2^(c b)) has partial derivatives that are weights
   summing to 1, so an error in a child's scaled key reaches its parent's
   no larger.  Every key lies in [lg p_n, L], as min(a, b) + 1 <= f(a, b)
@@ -123,10 +146,16 @@ roundoff u = 2^-53, max length L, and log2 and 2** within an ulp:
   the d-th queue's near-tie inversions above leave it as it is.
 
 Dividing by s adds a few roundings of the value and multiplies the error
-of lg W by 1/|s|.  So the readout is taken only at |s| >= 1/16
+of lg W by 1/|s|.  Every Kraft-valid code's exact d-th value is at least
+0, by the power means of x_i = p_i 2^l_i: M_d(x) >= M_-1(x) >= 1.  So a
+linear readout below 0, which only rounding gives, as on a dyadic pmf
+whose exact value is 0, is raised to 0, which is no further from the
+exact value.  The readout is taken only at |s| >= 1/16
 (``core._SMALL_SCALE``), the cut ``renyi_entropy`` switches forms at;
 nearer d = 0 or q = 1 the value is left to ``Objective.evaluate``, as are
-the average and max rules, whose values the root does not hold.  So is
+the average rule's, which the root does not hold, and the max rule's,
+whose exact root is 2^value but whose value stays the float the oracle
+and ``verify`` score an MMPR code at.  So is
 an exp-base root that is not a normal float (+inf after an overflow, or
 subnormal or zero, past the relative precision rho needs), and a pmf
 with a subnormal p_i, whose merges under q > 1 could round by more than
@@ -191,10 +220,11 @@ class CombineRule:
     """Weight-combining rule f(a, b), the merge handing it the lighter item first.
 
     In exact arithmetic f is nondecreasing in each argument; the max rule's
-    1 + b ignores a.  As computed, a + b, 1 + b and q(a + b) stay so, and
-    the log-domain d-th combiner does not: one ulp more on b can lower it,
-    and the module docstring bounds the merge inversions that allows.  The
-    parameter is validated by the ``Objective`` the rule minimizes.
+    2b ignores a.  As computed, a + b, 2b and q(a + b) stay so, the linear
+    d-th merge's among them, and the log-domain d-th combiner does not: one
+    ulp more on b can lower it, and the module docstring bounds the merge
+    inversions that allows.  The parameter is validated by the
+    ``Objective`` the rule minimizes.
     """
 
     kind: RuleKind
@@ -226,28 +256,38 @@ class CombineRule:
     def objective(self) -> Objective:
         return Objective(_OBJECTIVE_OF[self.kind], self.param)
 
-    @property
-    def log_domain(self) -> bool:
-        """Whether engine weights for this rule live in the base-2 log domain."""
-        return self.kind in (RuleKind.MAX_DOUBLE, RuleKind.DTH_EXP)
+    def _leaf_keys(self, p: Pmf, log_domain: bool = False) -> list[float] | None:
+        """The merge's leaf keys: linear weights, p_i^(1+d) under the d-th rule, or
+        base-2 logs with ``log_domain``, which only the d-th rule takes.
 
-    def _leaf_keys(self, p: Pmf) -> list[float]:
-        return list(map(math.log2, p.probs)) if self.log_domain else list(p.probs)
+        None where the d-th rule cannot merge linearly: 2^d overflows, or
+        p_n^(1+d) is not a normal float (module docstring).
+        """
+        if log_domain:
+            return list(map(math.log2, p.probs))
+        if self.kind is not RuleKind.DTH_EXP:
+            return list(p.probs)
+        c = 1.0 + self.param
+        if _dth_base(self.param) == math.inf or not p.probs[-1] ** c >= sys.float_info.min:
+            return None
+        return list(map(pow, p.probs, repeat(c)))
 
-    def _combiner(self):
-        """f on engine weights (base-2 logs where ``log_domain``), as a two-argument callable.
+    def _combiner(self, log_domain: bool = False):
+        """f on the keys of ``_leaf_keys``, as a two-argument callable.
 
         The merge calls it with the lighter item first, a <= b, as the two
-        queues are sorted; the max rule relies on that.  The d-th queue's
-        near-tie inversions (module docstring) can give it a > b by two
-        merges' rounding, which its shift by c b absorbs.
+        queues are sorted; the max rule's 2b relies on that.  The d-th rule
+        merges linearly as the exp-base rule with q = 2^d; its log-domain
+        queue's near-tie inversions (module docstring) can give the log
+        combiner a > b by two merges' rounding, which its shift by c b
+        absorbs.
         """
         if self.kind is RuleKind.SUM:
             return operator.add
         if self.kind is RuleKind.MAX_DOUBLE:
-            return lambda a, b: 1.0 + b
-        if self.kind is RuleKind.EXP_BASE:
-            q = self.param
+            return lambda a, b: 2.0 * b
+        if not log_domain:
+            q = self.param if self.kind is RuleKind.EXP_BASE else _dth_base(self.param)
             return lambda a, b: q * (a + b)
         d = self.param
         c = 1.0 + d
@@ -264,12 +304,13 @@ class CombineRule:
 
         return dth
 
-    def _root_value(self, p: Pmf, root: float) -> float | None:
+    def _root_value(self, p: Pmf, root: float, log_domain: bool) -> float | None:
         """The objective's value lg W / s read off the merge's root key, or None where
         ``Objective.evaluate`` must score the code instead (see the module docstring)."""
         if self.kind is RuleKind.DTH_EXP:
             s = self.param
-            lg_w = (1.0 + s) * root
+            # a linear d-th root is at least the least leaf, a normal float, and finite
+            lg_w = (1.0 + s) * root if log_domain else math.log2(root)
         elif (self.kind is RuleKind.EXP_BASE and sys.float_info.min <= root < math.inf
               and p.probs[-1] >= sys.float_info.min):
             s = math.log2(self.param)
@@ -279,7 +320,19 @@ class CombineRule:
         if abs(s) < _SMALL_SCALE:
             return None
         # + 0.0 as in Objective.reducer: no -0.0
-        return lg_w / s + 0.0
+        value = lg_w / s + 0.0
+        if self.kind is RuleKind.DTH_EXP and not log_domain:
+            # the exact value is at least 0: a readout below it is all rounding
+            return max(value, 0.0)
+        return value
+
+
+def _dth_base(d: float) -> float:
+    """q = 2^d of the linear d-th merge, or +inf where that overflows, as from d = 1024."""
+    try:
+        return 2.0 ** d
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -288,10 +341,16 @@ class CodeResult:
 
     Under the d-th rule with |d| >= 1/16, and under the exp-base rule with
     |lg q| >= 1/16, normal float probabilities and a normal float root,
-    ``objective_value`` is lg W / s read off the merge's root weight,
-    within the bound of the module docstring of the exact value of these
-    lengths.  Otherwise it is ``Objective.evaluate`` of the lengths, bit
-    for bit.
+    ``objective_value`` is lg W / s read off the merge's root weight, or 0
+    where the d-th rule's linear readout is below 0.  By the module
+    docstring it lies within -lg(1 - rho) / |s| + 6u (|V| + 1) of the exact
+    value V of these lengths, with u = 2^-53, L the longest length, and
+    rho = gamma_2L + (n-1) 2^-1074 / W under the exp-base rule or
+    rho = (1 + gamma_(4L+2)) 2^(u (1+d) (-lg p_n)) - 1 under the d-th
+    rule's linear merge.  Under the d-th rule's log-domain merge it lies
+    within 10u (L + 2)((1+d) K + |d| + 1) / |d| + 4u |V|, with
+    K = max(-lg p_n, L) + 1.  Otherwise it is ``Objective.evaluate`` of the
+    lengths, bit for bit.
     """
 
     lengths: LengthVector
@@ -368,6 +427,25 @@ def _level_runs(n: int, marks: list[int]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(depths), tuple(counts)
 
 
+def _merge(p: Pmf, rule: CombineRule) -> tuple[tuple, float, bool]:
+    """Merge ``p`` under ``rule``: the code's level runs (``_level_runs``), the root
+    key, and whether the merge ran in the log domain.
+
+    Every rule merges linearly, but the d-th rule merges base-2 logs where
+    ``_leaf_keys`` has no linear keys for ``p``, and merges again on them
+    where its linear root overflows, which the module docstring shows a
+    code near optimal never does.
+    """
+    keys = rule._leaf_keys(p)
+    if keys is not None:
+        marks = _merge_two_queues(keys, rule._combiner())
+        if keys[-1] < math.inf or rule.kind is not RuleKind.DTH_EXP:
+            return _level_runs(p.n, marks), keys[-1], False
+    keys = rule._leaf_keys(p, log_domain=True)
+    marks = _merge_two_queues(keys, rule._combiner(log_domain=True))
+    return _level_runs(p.n, marks), keys[-1], True
+
+
 def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     """Build an objective-optimal code for ``p`` under ``rule`` by the two-queue merge.
 
@@ -376,12 +454,10 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     read off the merge's root weight where ``CombineRule._root_value`` can
     and scored by ``Objective.evaluate`` otherwise (see ``CodeResult``).
     """
-    keys = rule._leaf_keys(p)
-    runs = _level_runs(p.n, _merge_two_queues(keys, rule._combiner()))
+    # the merge's keys and marks are freed on return, so the codeword strings can reuse them
+    runs, root, log_domain = _merge(p, rule)
     lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
-    value = rule._root_value(p, keys[-1])
-    # the codeword strings can reuse what the merge buffer held
-    del keys
+    value = rule._root_value(p, root, log_domain)
     if value is None:
         value = rule.objective().evaluate(p, lengths)
     return CodeResult(lengths, canonical_codewords(lengths), value)
@@ -483,12 +559,12 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     low_words = _WORDS[_LOW_BITS]
     window = len(low_words)
     words: list[str] = []
-    code = prev = 0
+    free, prev = 1, 0  # the unused words at length prev: 2^prev less the next code
     high = None  # past the table: the next word's first k - 8 bits, or None to format them
     for k, c in zip(ks, cs):
         shift = k - prev
-        code <<= shift
-        if (code + c - 1).bit_length() > k:
+        free <<= shift
+        if c > free:
             # code + c > 2^k: the Kraft sum of the lengths up to k exceeds 1;
             # the float sum reads 1.0 when the excess is below its precision
             total, whole = l._kraft_scaled()
@@ -496,9 +572,11 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
             raise KraftViolation(f"Kraft sum {total / whole!r} of {l.n} lengths exceeds 1 "
                                  f"by at least 2^{excess.bit_length() - whole.bit_length()}")
         if k <= _LOW_BITS:
+            code = (1 << k) - free
             words += _WORDS[k][code:code + c]
         else:
             if high is None:
+                code = (1 << k) - free
                 high = bin(code >> _LOW_BITS)[2:].zfill(k - _LOW_BITS)
                 low = code & (window - 1)
             elif shift < _LOW_BITS:
@@ -509,14 +587,14 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
                 low = 0
             end = low + c
             if end > window:
-                words += _length_block(code, c, k)
+                words += _length_block((1 << k) - free, c, k)
             else:
                 words += map(high.__add__, low_words[low:end])
             if end < window:
                 low = end
             else:
                 high = None  # the next word carries into the high bits
-        code += c
+        free -= c
         prev = k
     if in_order:
         return tuple(words)

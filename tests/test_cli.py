@@ -85,6 +85,17 @@ class TestCode:
         assert doc["value_bits"] == pytest.approx(math.log2(1.2), abs=1e-9)
         assert doc["codewords"] == ["0", "10", "11"]
 
+    @pytest.mark.parametrize("d", ["1e300", "1e6", "1024", "1023"])
+    def test_huge_d_exits_0_with_a_finite_value(self, capsys, three_file, d):
+        # 2^d overflows from d = 1024, and p_n^(1+d) is subnormal long before:
+        # the merge runs on logs, and no OverflowError reaches the user
+        code, out, err = run(capsys, "code", "--objective", "dexp", "--d", d,
+                             "--format", "json", three_file)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["lengths"] == [1, 2, 2]
+        assert math.isfinite(doc["value_bits"])
+
     @pytest.mark.parametrize("d", ["1e-300", "1e-320"])
     def test_near_zero_d_value_is_evaluated_per_symbol(self, capsys, three_file, d):
         # the merge's root key here is 2^-53: read off it as (1+d) r / d, the

@@ -38,6 +38,7 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
+from genhuff.core import D_MAX
 from genhuff.coder import _level_runs, _merge_two_queues
 from test_oracle import EXTREME_OBJECTIVES, OBJECTIVES
 
@@ -83,27 +84,49 @@ PANEL_RULES = ([CombineRule.sum(), CombineRule.max_double()]
 # the panel and the extreme objectives' rules, each once
 EDGE_RULES = list(dict.fromkeys(PANEL_RULES + [CombineRule.for_objective(obj)
                                                for obj in EXTREME_OBJECTIVES]))
+DTH_EDGE_RULES = [rule for rule in EDGE_RULES if rule.kind is RuleKind.DTH_EXP]
 
 
 # The reference below is the textbook construction: a (weight, sequence)
 # heap, a parent map and a walk up from every leaf, O(n * depth).  Its
 # merge formulas are written out here, not taken from the engine.
 
-def reference_merge_rule(rule):
-    """(leaf key, combine) for ``rule``; mmpr and d-th keys are base-2 logs."""
+def reference_merge_rule(rule, log_domain=False):
+    """(leaf key, combine) for ``rule``: linear weights, p_i^(1+d) under the
+    d-th rule, or with ``log_domain`` the d-th rule's base-2 logs."""
     kind, param = rule.kind.value, rule.param
     if kind == "sum":
         return float, lambda a, b: a + b
     if kind == "exp_base":
         return float, lambda a, b: param * (a + b)
     if kind == "max_double":
-        return math.log2, lambda a, b: 1.0 + max(a, b)
+        return float, lambda a, b: 2.0 * max(a, b)
     c = 1.0 + param
-    return math.log2, lambda a, b: (param + lg_sum_exp2((c * a, c * b))) / c
+    if log_domain:
+        return math.log2, lambda a, b: (param + lg_sum_exp2((c * a, c * b))) / c
+    q = 2.0 ** param
+    return lambda x: x ** c, lambda a, b: q * (a + b)
 
 
-def reference_lengths(p, rule):
-    leaf, combine = reference_merge_rule(rule)
+def reference_log_domain(p, rule):
+    """Whether the engine's merge of ``p`` runs on base-2 logs, by the module docstring's
+    conditions: a d-th rule whose 2^d overflows, whose p_n^(1+d) is not a normal
+    float, or whose linear root overflows."""
+    if rule.kind is not RuleKind.DTH_EXP:
+        return False
+    try:
+        2.0 ** rule.param
+    except OverflowError:
+        return True
+    return not (p.probs[-1] ** (1.0 + rule.param) >= sys.float_info.min
+                and reference_root(p, rule) < math.inf)
+
+
+def reference_lengths(p, rule, log_domain=None):
+    """The heap reference's lengths, in the domain the engine takes unless one is named."""
+    if log_domain is None:
+        log_domain = reference_log_domain(p, rule)
+    leaf, combine = reference_merge_rule(rule, log_domain)
     n = p.n
     heap = [(leaf(x), n - 1 - i, i) for i, x in enumerate(p.probs)]
     heapq.heapify(heap)
@@ -155,9 +178,40 @@ def heap_depths(n, kids):
     return depth[:n]
 
 
-def assert_merged_queue_sorted(n, rule, keys, marks):
-    """The merged queue stayed sorted: merged keys nondecreasing, or under
-    q < 1/2, where they are not, every merged node popped by the next merge."""
+def domains(rule):
+    """The domains ``rule`` merges in: linear, and for the d-th rule the log domain too."""
+    return ("linear", "log") if rule.kind is RuleKind.DTH_EXP else ("linear",)
+
+
+# each panel rule in each domain it merges in
+PANEL_CASES = [(rule, domain) for rule in PANEL_RULES for domain in domains(rule)]
+
+
+def domain_inputs(p, rule, domain):
+    """(leaf keys, combiner) of ``rule``'s merge of ``p`` in the named domain, or
+    None where the d-th rule has no linear keys for ``p``."""
+    log_domain = domain == "log"
+    keys = rule._leaf_keys(p, log_domain=log_domain)
+    return None if keys is None else (keys, rule._combiner(log_domain=log_domain))
+
+
+def domain_code(p, rule, domain):
+    """(lengths, value) of the engine's steps run in the named domain: the merge,
+    its level runs and the root readout, or ``evaluate`` where that declines."""
+    keys, combine = domain_inputs(p, rule, domain)
+    ks, cs = _level_runs(p.n, _merge_two_queues(keys, combine))
+    lengths = LengthVector(tuple(k for k, c in zip(ks, cs) for _ in range(c)))
+    value = rule._root_value(p, keys[-1], domain == "log")
+    return lengths.lengths, rule.objective().evaluate(p, lengths) if value is None else value
+
+
+def assert_merged_queue_sorted(p, rule, domain):
+    """``rule``'s merge of ``p`` in the named domain kept its merged queue sorted:
+    merged keys nondecreasing, or under q < 1/2, where they are not, every merged
+    node popped by the next merge."""
+    keys, combine = domain_inputs(p, rule, domain)
+    marks = _merge_two_queues(keys, combine)
+    n = p.n
     if rule.kind is RuleKind.EXP_BASE and rule.param < 0.5:
         assert marks == list(range(n, 2 * n - 1))
     else:
@@ -167,7 +221,8 @@ def assert_merged_queue_sorted(n, rule, keys, marks):
 
 def root_weight_value(p, rule):
     """The optimal objective value from a merge that keeps root weights only."""
-    leaf, combine = reference_merge_rule(rule)
+    log_domain = reference_log_domain(p, rule)
+    leaf, combine = reference_merge_rule(rule, log_domain)
     heap = [leaf(x) for x in p.probs]
     heapq.heapify(heap)
     merged = []
@@ -179,15 +234,15 @@ def root_weight_value(p, rule):
     if kind == "sum":
         return math.fsum(merged) + math.fsum(x * math.log2(x) for x in p.probs)
     if kind == "max_double":
-        return root
+        return math.log2(root)
     if kind == "dth_exp":
-        return (1.0 + param) / param * root
+        return (1.0 + param) / param * root if log_domain else math.log2(root) / param
     return math.log(root) / math.log(param)
 
 
-def reference_root(p, rule):
+def reference_root(p, rule, log_domain=False):
     """The root key of a merge that keeps weights only, by the reference formulas."""
-    leaf, combine = reference_merge_rule(rule)
+    leaf, combine = reference_merge_rule(rule, log_domain)
     heap = [leaf(x) for x in p.probs]
     heapq.heapify(heap)
     while len(heap) > 1:
@@ -221,33 +276,51 @@ def exact_lg_w(p, lengths, rule):
         return mpmath.log(mpmath.fsum(pi * x ** li for pi, li in zip(probs, lengths)), 2)
 
 
-def readout_bound(p, lengths, rule, lg_w, value):
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def readout_bound(p, lengths, rule, lg_w, value, log_domain):
     """The module docstring's bound on |readout - value| for the exact ``value`` = lg W / s.
 
     exp-base: the root is off by a relative rho = gamma_2L + (n-1) 2^-1074 / W,
     so lg W by -lg(1 - rho), which the quotient divides by |lg q|; log2 of the
     root, log2 q and the quotient round once each, within an ulp: 6u (|V| + 1).
-    d-th: (1+d) r is off by 10u (L + 2)(c K + |d| + 1), K = max(-lg p_n, L) + 1,
-    over |d|; the product (1+d) r and the quotient round once each: 4u |V|.
+    d-th, linear: rho = (1 + gamma_(4L+2)) 2^(u c (-lg p_n)) - 1, with the
+    same -lg(1 - rho) / |d| + 6u (|V| + 1).
+    d-th, log domain: (1+d) r is off by 10u (L + 2)(c K + |d| + 1),
+    K = max(-lg p_n, L) + 1, over |d|; the product (1+d) r and the quotient
+    round once each: 4u |V|.
     """
     big_l, value = max(lengths), abs(float(value))
     if rule.kind is RuleKind.DTH_EXP:
         d = rule.param
-        k = max(-math.log2(p.probs[-1]), big_l) + 1
-        return 10 * U * (big_l + 2) * ((1 + d) * k + abs(d) + 1) / abs(d) + 4 * U * value
-    gamma = 2 * big_l * U / (1 - 2 * big_l * U)
-    rho = gamma + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** lg_w)
+        c = 1 + d
+        if log_domain:
+            k = max(-math.log2(p.probs[-1]), big_l) + 1
+            return 10 * U * (big_l + 2) * (c * k + abs(d) + 1) / abs(d) + 4 * U * value
+        rho = (1 + gamma(4 * big_l + 2)) * 2.0 ** (U * c * -math.log2(p.probs[-1])) - 1
+        return -math.log2(1 - rho) / abs(d) + 6 * U * (value + 1)
+    rho = gamma(2 * big_l) + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** lg_w)
     return -math.log2(1 - rho) / abs(math.log2(rule.param)) + 6 * U * (value + 1)
 
 
-def check_readout(p, res, rule):
-    """``res``'s value, read off the root, lies within ``readout_bound`` of the 200-bit value."""
-    lg_w = exact_lg_w(p, res.lengths.lengths, rule)
+def exact_value(p, lengths, rule):
+    """(lg W, lg W / s) of the readout at 200 bits."""
+    lg_w = exact_lg_w(p, lengths, rule)
     with mpmath.workprec(200):
         s = mpmath.mpf(rule.param) if rule.kind is RuleKind.DTH_EXP else mpmath.log(rule.param, 2)
-        exact = lg_w / s
+        return lg_w, lg_w / s
+
+
+def check_readout(p, res, rule):
+    """``res``'s value, read off the root, lies within ``readout_bound`` of the 200-bit
+    value, the bound of the domain the engine merged in."""
+    lg_w, exact = exact_value(p, res.lengths.lengths, rule)
+    with mpmath.workprec(200):
         err = abs(res.objective_value - exact)
-    bound = readout_bound(p, res.lengths.lengths, rule, lg_w, exact)
+    bound = readout_bound(p, res.lengths.lengths, rule, lg_w, exact,
+                          reference_log_domain(p, rule))
     assert err <= bound, (p.n, rule, float(err), bound)
 
 
@@ -275,14 +348,15 @@ def _queue_children(keys: list[float], marks: list[int]) -> list[int]:
     return kids
 
 
-def queue_merges(p, rule):
-    """The engine's queue merge of ``p``: its (a, b, new) node ids per merge, and the keys.
+def queue_merges(p, rule, domain="linear"):
+    """The queue merge of ``p`` in the named domain: its (a, b, new) node ids per
+    merge, and the keys.
 
-    keys[v] is node v's weight, a base-2 log when ``rule.log_domain``; the
-    root's comes last.
+    keys[v] is node v's weight, a base-2 log in the log domain; the root's
+    comes last.
     """
-    keys = rule._leaf_keys(p)
-    kids = _queue_children(keys, _merge_two_queues(keys, rule._combiner()))
+    keys, combine = domain_inputs(p, rule, domain)
+    kids = _queue_children(keys, _merge_two_queues(keys, combine))
     return list(zip(kids[0::2], kids[1::2], range(p.n, 2 * p.n - 1))), keys
 
 
@@ -346,10 +420,9 @@ class TestGeneralizedHuffman:
         p, rule = validate_pmf([0.5, 0.3, 0.2]), CombineRule.max_double()
         r = generalized_huffman(p, rule)
         assert r.lengths.lengths == (1, 2, 2)
-        # root weight is carried as a base-2 log and pins the optimum value
-        assert rule.log_domain
+        # the linear root max_i p_i 2^l_i is exact, 2 (2 * 0.3), and pins the optimum value
         _, keys = queue_merges(p, rule)
-        assert 2.0 ** keys[-1] == pytest.approx(1.2, abs=1e-12)
+        assert keys[-1] == 1.2
         assert r.objective_value == pytest.approx(math.log2(1.2), abs=1e-12)
 
     def test_benford_exponential_codes(self):
@@ -391,10 +464,11 @@ class TestGeneralizedHuffman:
         for _ in range(100):
             p = random_pmf(rng, int(rng.integers(2, 11)))
             rule = monotone_rules[int(rng.integers(len(monotone_rules)))]
-            merges, keys = queue_merges(p, rule)
-            assert len(merges) == p.n - 1
-            mins = [min(keys[a], keys[b]) for a, b, _ in merges]
-            assert all(a <= b + 1e-12 for a, b in zip(mins, mins[1:]))
+            for domain in domains(rule):
+                merges, keys = queue_merges(p, rule, domain)
+                assert len(merges) == p.n - 1
+                mins = [min(keys[a], keys[b]) for a, b, _ in merges]
+                assert all(a <= b + 1e-12 for a, b in zip(mins, mins[1:]))
 
     def test_unary_mechanism_merges_below_previous_min(self):
         p = validate_pmf([0.4, 0.2, 0.2, 0.2])
@@ -413,7 +487,7 @@ class TestGeneralizedHuffman:
             mass = {i: p.probs[i] for i in range(p.n)}
             for a, b, new in merges:
                 mass[new] = mass[a] + mass[b]
-                assert 2.0 ** keys[new] >= mass[new] - 1e-12
+                assert keys[new] >= mass[new] - 1e-12
 
     def test_complete_tree_when_top_at_most_twice_second_smallest(self):
         rng = np.random.default_rng(24)
@@ -470,10 +544,14 @@ class TestTwoQueue:
                 p = dyadic_pmf(rng, n)
             else:
                 p = random_pmf(rng, n)
-            for rule in PANEL_RULES:
-                two_keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
-                marks = _merge_two_queues(two_keys, rule._combiner())
-                heap = heap_merge(heap_keys, rule._combiner())
+            for rule, domain in PANEL_CASES:
+                inputs = domain_inputs(p, rule, domain)
+                if inputs is None:
+                    continue
+                two_keys, combine = inputs
+                heap_keys = list(two_keys)
+                marks = _merge_two_queues(two_keys, combine)
+                heap = heap_merge(heap_keys, combine)
                 two = _queue_children(two_keys, marks)
                 assert two == heap
                 assert two_keys == heap_keys
@@ -485,15 +563,22 @@ class TestTwoQueue:
                 else:
                     merged = two_keys[p.n:]
                     assert all(a <= b for a, b in zip(merged, merged[1:]))
+                assert domain_code(p, rule, domain)[0] \
+                    == reference_lengths(p, rule, domain == "log")
+            for rule in PANEL_RULES:
                 assert generalized_huffman(p, rule).lengths.lengths \
                     == reference_lengths(p, rule)
 
     def test_level_lengths_equal_heap_depths(self):
         for p in every_n_pmfs(np.random.default_rng(29)):
-            for rule in PANEL_RULES:
-                keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
-                marks = _merge_two_queues(keys, rule._combiner())
-                heap_kids = heap_merge(heap_keys, rule._combiner())
+            for rule, domain in PANEL_CASES:
+                inputs = domain_inputs(p, rule, domain)
+                if inputs is None:
+                    continue
+                keys, combine = inputs
+                heap_keys = list(keys)
+                marks = _merge_two_queues(keys, combine)
+                heap_kids = heap_merge(heap_keys, combine)
                 ks, cs = _level_runs(p.n, marks)
                 assert [k for k, c in zip(ks, cs) for _ in range(c)] \
                     == heap_depths(p.n, heap_kids)
@@ -502,9 +587,10 @@ class TestTwoQueue:
     def test_queue_path_lengths_nondecreasing_in_symbol_index(self, large_pmfs):
         pmfs = list(large_pmfs.values()) + every_n_pmfs(np.random.default_rng(30))
         for p in pmfs:
+            for rule, domain in PANEL_CASES:
+                if domain_inputs(p, rule, domain) is not None:
+                    assert_merged_queue_sorted(p, rule, domain)
             for rule in PANEL_RULES:
-                keys = rule._leaf_keys(p)
-                assert_merged_queue_sorted(p.n, rule, keys, _merge_two_queues(keys, rule._combiner()))
                 lengths = generalized_huffman(p, rule).lengths.lengths
                 assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
@@ -527,7 +613,7 @@ class TestTwoQueue:
         # keys, and merging two of those appends a small key behind a large one.
         # The merge checks no order, and the code it reads off the FIFO marks
         # is still complete, with lengths nondecreasing in symbol index.
-        def combiner(self):
+        def combiner(self, log_domain=False):
             return lambda a, b: 1.0 / (a + b)
 
         rule = CombineRule.sum()
@@ -551,12 +637,12 @@ class TestTwoQueue:
         assert inverted
 
     def test_combiner_gets_the_lighter_item_first(self, monkeypatch):
-        # the max and d-th combiners read a <= b from the merge order
+        # the max and log-domain d-th combiners read a <= b from the merge order
         combiner = CombineRule._combiner
         calls = []
 
-        def ordered(self):
-            combine = combiner(self)
+        def ordered(self, log_domain=False):
+            combine = combiner(self, log_domain)
 
             def checked(a, b):
                 calls.append(a <= b)
@@ -568,9 +654,15 @@ class TestTwoQueue:
         pmfs = [p for n in range(1, 31)
                 for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
         expected = [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES]
+        logs = [domain_code(p, rule, "log") for p in pmfs for rule in EDGE_RULES
+                if rule.kind is RuleKind.DTH_EXP]
         monkeypatch.setattr(CombineRule, "_combiner", ordered)
         assert [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES] == expected
         assert len(calls) == len(EDGE_RULES) * sum(p.n - 1 for p in pmfs)
+        # the log domain on every d-th rule, not only where the engine falls back to it
+        assert [domain_code(p, rule, "log") for p in pmfs for rule in EDGE_RULES
+                if rule.kind is RuleKind.DTH_EXP] == logs
+        assert len(calls) == (len(EDGE_RULES) + len(DTH_EDGE_RULES)) * sum(p.n - 1 for p in pmfs)
         assert all(calls)
 
     @pytest.mark.parametrize("rule", EDGE_RULES,
@@ -580,14 +672,23 @@ class TestTwoQueue:
                 ([1.0], [0.5, 0.5], [0.9, 0.1], [1 / 3] * 3, [0.5, 0.25, 0.25],
                  [0.6, 0.3, 0.1], [0.4, 0.3, 0.3])]
         pmfs += [validate_pmf([1.0 / 8] * 8), validate_pmf([1.0 / 64] * 64)]
-        for p in pmfs:
-            keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
-            marks = _merge_two_queues(keys, rule._combiner())
-            heap_kids = heap_merge(heap_keys, rule._combiner())
+        merged = Counter()
+        for p, domain in itertools.product(pmfs, domains(rule)):
+            inputs = domain_inputs(p, rule, domain)
+            if inputs is None:
+                continue
+            keys, combine = inputs
+            heap_keys = list(keys)
+            marks = _merge_two_queues(keys, combine)
+            heap_kids = heap_merge(heap_keys, combine)
             assert keys == heap_keys
             assert _queue_children(keys, marks) == heap_kids
             ks, cs = _level_runs(p.n, marks)
             assert [k for k, c in zip(ks, cs) for _ in range(c)] == heap_depths(p.n, heap_kids)
+            merged[domain] += 1
+        # a d-th rule merges every pmf in the log domain, and linearly below d = 1024
+        assert merged["log"] == (len(pmfs) if rule.kind is RuleKind.DTH_EXP else 0)
+        assert merged["linear"] or rule.param >= 1024
         if rule.kind is RuleKind.EXP_BASE and rule.param == 1e200:
             # the last merges of both uniform pmfs have merged keys of +inf
             assert keys.count(math.inf) > 2
@@ -599,35 +700,43 @@ class TestTwoQueue:
         # the NaN after the merged slots ends the input queue: the combiner
         # never sees it, and it is gone from the keys the merge hands back
         rng = np.random.default_rng(32)
-        combine = rule._combiner()
         overflowed = False
-        for n in (1, 2, 3, 64):
-            for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n)):
-                seen, made, heap_seen = [], [], []
+        ran = set()
+        pmfs = [p for n in (1, 2, 3, 64)
+                for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
+        for p, domain in itertools.product(pmfs, domains(rule)):
+            inputs = domain_inputs(p, rule, domain)
+            if inputs is None:
+                continue
+            keys, combine = inputs
+            heap_keys = list(keys)
+            ran.add(domain)
+            seen, made, heap_seen = [], [], []
 
-                def spy(a, b):
-                    seen.extend((a, b))
-                    made.append(combine(a, b))
-                    return made[-1]
+            def spy(a, b):
+                seen.extend((a, b))
+                made.append(combine(a, b))
+                return made[-1]
 
-                def heap_spy(a, b):
-                    heap_seen.extend((a, b))
-                    return combine(a, b)
+            def heap_spy(a, b):
+                heap_seen.extend((a, b))
+                return combine(a, b)
 
-                keys, heap_keys = rule._leaf_keys(p), rule._leaf_keys(p)
-                marks = _merge_two_queues(keys, spy)
-                heap_kids = heap_merge(heap_keys, heap_spy)
-                assert len(seen) == 2 * (n - 1)
-                assert not any(map(math.isnan, seen))
-                assert seen == heap_seen
-                # +inf keys tie, so the picks show only in the tree
-                assert _queue_children(keys, marks) == heap_kids
-                assert len(keys) == 2 * n - 1
-                assert not any(map(math.isnan, keys))
-                assert keys[-1] == heap_keys[-1] == (made[-1] if made else keys[0])
-                overflowed |= math.inf in made
+            marks = _merge_two_queues(keys, spy)
+            heap_kids = heap_merge(heap_keys, heap_spy)
+            assert len(seen) == 2 * (p.n - 1)
+            assert not any(map(math.isnan, seen))
+            assert seen == heap_seen
+            # +inf keys tie, so the picks show only in the tree
+            assert _queue_children(keys, marks) == heap_kids
+            assert len(keys) == 2 * p.n - 1
+            assert not any(map(math.isnan, keys))
+            assert keys[-1] == heap_keys[-1] == (made[-1] if made else keys[0])
+            overflowed |= math.inf in made
         # q = 1e300 overflows merged keys to +inf, which an input must still beat
         assert overflowed or rule.param != 1e300
+        # both domains of a d-th rule, which has no linear keys from d = 1024
+        assert ran == set(domains(rule)) or ran == {"log"} and rule.param >= 1024
 
     def test_root_weight_matches_objective(self):
         rng = np.random.default_rng(28)
@@ -636,7 +745,8 @@ class TestTwoQueue:
             rule = CombineRule.max_double()
             r = generalized_huffman(p, rule)
             _, keys = queue_merges(p, rule)
-            assert keys[-1] == pytest.approx(max_pointwise_redundancy(p, r.lengths), abs=1e-9)
+            assert math.log2(keys[-1]) == pytest.approx(max_pointwise_redundancy(p, r.lengths),
+                                                        abs=1e-9)
 
 
 # d values at and between the edges of d's range, on which one-ulp nudges
@@ -644,6 +754,7 @@ class TestTwoQueue:
 ORDER_DS = (7.0, 2.0, 0.5, 1e-3, -0.5, -0.9)
 NEAR_TIE_RULES = tuple(CombineRule.dth_exp(d) for d in ORDER_DS) \
     + tuple(CombineRule.exp_base(q) for q in (0.3, 0.6, 0.9, 1.5, 2.0))
+NEAR_TIE_CASES = tuple((rule, domain) for rule in NEAR_TIE_RULES for domain in domains(rule))
 
 
 def one_merge_bound(d, a, b):
@@ -671,14 +782,15 @@ def near_tie_pmfs(draw):
 
 
 class TestOrderTolerance:
-    """The d-th merge without an order check: a swapped pair stays within one
-    merge's bound, and near ties still give optimal, complete, ordered codes."""
+    """The log-domain d-th merge without an order check: a swapped pair stays
+    within one merge's bound, and near ties still give optimal, complete,
+    ordered codes, in that domain and in the linear one."""
 
     @pytest.mark.parametrize("d", ORDER_DS)
     def test_swapped_arguments_agree_within_one_merge(self, d):
         # an inversion of the merged queue can hand the combiner a > b by two
         # merges' rounding; f is symmetric in exact arithmetic
-        dth = CombineRule.dth_exp(d)._combiner()
+        dth = CombineRule.dth_exp(d)._combiner(log_domain=True)
         c = 1.0 + d  # the engine's c, so that only the merge's own rounding is measured
         rng = random.Random(f"swap{d}")
         for _ in range(300):
@@ -693,13 +805,19 @@ class TestOrderTolerance:
                 assert abs(dth(a, b) - exact) <= e and abs(dth(b, a) - exact) <= e
             assert abs(dth(b, a) - dth(a, b)) <= e
 
-    @given(near_tie_pmfs(), st.sampled_from(NEAR_TIE_RULES))
+    @given(near_tie_pmfs(), st.sampled_from(NEAR_TIE_CASES))
     @settings(max_examples=150, deadline=None)
-    def test_near_ties_give_optimal_complete_ordered_codes(self, p, rule):
-        res = generalized_huffman(p, rule)
-        assert abs(res.objective_value - brute_force_optimal(p, rule.objective()).min_value) <= 1e-9
-        lengths = res.lengths.lengths
-        assert res.lengths.is_complete
+    def test_near_ties_give_optimal_complete_ordered_codes(self, p, case):
+        # the engine's code, and the d-th rule's code from the log domain by name
+        rule, domain = case
+        if domain == "log":
+            lengths, value = domain_code(p, rule, "log")
+        else:
+            assert not reference_log_domain(p, rule)
+            res = generalized_huffman(p, rule)
+            lengths, value = res.lengths.lengths, res.objective_value
+        assert abs(value - brute_force_optimal(p, rule.objective()).min_value) <= 1e-9
+        assert LengthVector(lengths).is_complete
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
 
@@ -723,8 +841,9 @@ class TestLargeAlphabet:
     @pytest.mark.parametrize("name", ["geometric", "dirichlet"])
     def test_matches_reference(self, large_pmfs, name, rule):
         p = large_pmfs[name]
-        keys = rule._leaf_keys(p)
-        assert_merged_queue_sorted(p.n, rule, keys, _merge_two_queues(keys, rule._combiner()))
+        for domain in domains(rule):
+            if domain_inputs(p, rule, domain) is not None:
+                assert_merged_queue_sorted(p, rule, domain)
         r = generalized_huffman(p, rule)
         assert r.lengths.lengths == reference_lengths(p, rule)
         assert r.lengths.is_complete
@@ -861,6 +980,140 @@ class TestRootReadout:
             sides.add((rule.kind, read))
         assert len(sides) == 4
 
+    def test_linear_readout_below_zero_reads_zero(self, monkeypatch):
+        # a dyadic code's exact d-th value is 0; the linear root reads it a hair
+        # below, which only rounding can do, so the value is 0, and +0.0
+        p, rule = validate_pmf([0.5, 0.25, 0.125, 0.125]), CombineRule.dth_exp(-0.5)
+        assert math.log2(reference_root(p, rule)) / rule.param < 0.0
+        calls = self.evaluate_calls(monkeypatch)
+        res = generalized_huffman(p, rule)
+        assert not calls
+        assert res.objective_value == 0.0 and math.copysign(1.0, res.objective_value) == 1.0
+
+
+def parent_dth_code(p, rule):
+    """(lengths, value) of the d-th rule's log-domain merge, from the heap reference: its
+    lengths, and its root r read as (1 + d) r / d, the readout the log domain has always
+    had, or ``evaluate`` below the 1/16 cut."""
+    lengths = reference_lengths(p, rule, log_domain=True)
+    d = rule.param
+    if abs(d) < 0.0625:
+        return lengths, rule.objective().evaluate(p, LengthVector(lengths))
+    return lengths, (1.0 + d) * reference_root(p, rule, log_domain=True) / d + 0.0
+
+
+def engine_code(p, rule):
+    res = generalized_huffman(p, rule)
+    return res.lengths.lengths, res.objective_value
+
+
+class TestLinearDomain:
+    """The d-th rule's linear merge, its guards, and the log domain it falls back to."""
+
+    GUARD_PMFS = ([1.0], [0.5, 0.3, 0.2], [1.0 / 8] * 8, [0.35, 0.25, 0.2, 0.12, 0.08])
+
+    @pytest.mark.parametrize("d", [1023.0, math.nextafter(1024.0, 0.0), 1024.0, 1e4, 1e6, D_MAX])
+    def test_guard_d_values_fall_back_bit_for_bit(self, d):
+        # 2^d overflows from d = 1024, and the OverflowError never escapes;
+        # with n >= 2, p_n^(1+d) is subnormal or zero anyway
+        rule = CombineRule.dth_exp(d)
+        assert (coder._dth_base(d) == math.inf) == (d >= 1024.0)
+        pmfs = [validate_pmf(probs) for probs in self.GUARD_PMFS]
+        pmfs.append(random_pmf(np.random.default_rng(61), 30))
+        for p in pmfs:
+            if p.n == 1 and d < 1024.0:
+                # one leaf, no merge: the linear root 1.0 reads 0, as the log root 0.0 does
+                assert rule._leaf_keys(p) == [1.0]
+                assert engine_code(p, rule) == ((0,), 0.0) == parent_dth_code(p, rule)
+                continue
+            assert rule._leaf_keys(p) is None
+            assert coder._merge(p, rule)[2]
+            lengths, value = engine_code(p, rule)
+            assert math.isfinite(value)
+            assert (lengths, value) == parent_dth_code(p, rule)
+
+    @pytest.mark.parametrize("d,probs,linear", [
+        # p_n^(1+d) = 2^-1022, the least normal float, and one ulp of p_n below it
+        (1.0, [0.5, 0.25, 0.25, 2.0 ** -511], True),
+        (1.0, [0.5, 0.25, 0.25, math.nextafter(2.0 ** -511, 0.0)], False),
+        # 0.5^1022 is normal and q = 2^1021 finite; past d = 1021, 0.5^(1+d) is subnormal
+        (1021.0, [0.5, 0.5], True),
+        (math.nextafter(1021.0, math.inf), [0.5, 0.5], False),
+        # under d < 0, p^(1+d) >= p: a subnormal p_n still merges linearly
+        (-0.5, [0.5, 0.25, 0.25, 5e-324], True),
+    ])
+    def test_leaf_power_on_both_sides_of_the_least_normal(self, d, probs, linear):
+        p, rule = validate_pmf(probs), CombineRule.dth_exp(d)
+        assert (rule._leaf_keys(p) is not None) == linear == (not reference_log_domain(p, rule))
+        assert coder._merge(p, rule)[2] == (not linear)
+        res = generalized_huffman(p, rule)
+        if linear:
+            assert res.lengths.lengths == reference_lengths(p, rule, log_domain=False)
+            check_readout(p, res, rule)
+        else:
+            assert engine_code(p, rule) == parent_dth_code(p, rule)
+
+    def test_root_overflow_reruns_in_the_log_domain(self, monkeypatch):
+        # no code near optimal overflows the linear root (lg W = d V < d), so a
+        # q = 1e300 forces it: the merge runs again on logs, with the log domain's bits
+        rule = CombineRule.dth_exp(0.5)
+        p = random_pmf(np.random.default_rng(62), 30)
+        expected = parent_dth_code(p, rule)
+        merge = coder._merge_two_queues
+        roots = []
+
+        def spy(keys, combine):
+            marks = merge(keys, combine)
+            roots.append(keys[-1])
+            return marks
+
+        monkeypatch.setattr(coder, "_dth_base", lambda d: 1e300)
+        monkeypatch.setattr(coder, "_merge_two_queues", spy)
+        assert engine_code(p, rule) == expected
+        assert roots[0] == math.inf and math.isfinite(roots[1]) and len(roots) == 2
+
+    def test_values_agree_where_the_linear_merge_moves_lengths(self, large_pmfs):
+        # dyadic-tie pmfs tie merged and input weights exactly, and the two domains
+        # break some of those ties differently: both codes' 200-bit values then
+        # agree within the two readout bounds, and the engine's value is within
+        # its own bound of its code's
+        rng = np.random.default_rng(63)
+        moved = 0
+        for n in range(3, 60, 4):
+            p = dyadic_pmf(rng, n)
+            for d in (0.5, 2.0, 7.0, -0.5, -0.9):
+                rule = CombineRule.dth_exp(d)
+                assert not reference_log_domain(p, rule)
+                res = generalized_huffman(p, rule)
+                new, old = res.lengths.lengths, reference_lengths(p, rule, log_domain=True)
+                if new == old:
+                    continue
+                moved += 1
+                assert LengthVector(new).is_complete and LengthVector(old).is_complete
+                check_readout(p, res, rule)
+                (lg_new, v_new), (lg_old, v_old) = (exact_value(p, new, rule),
+                                                    exact_value(p, old, rule))
+                with mpmath.workprec(200):
+                    gap = abs(v_new - v_old)
+                assert gap <= readout_bound(p, new, rule, lg_new, v_new, False) \
+                    + readout_bound(p, old, rule, lg_old, v_old, True)
+        assert moved >= 10
+        # the deep pmf's p_n^(1+d) underflows at d = 0.5 and 2, so those merges
+        # run in the log domain; at d = -0.5 the linear merge gives the same lengths
+        p = large_pmfs["geometric"]
+        for d, log_domain in ((0.5, True), (2.0, True), (-0.5, False)):
+            rule = CombineRule.dth_exp(d)
+            assert coder._merge(p, rule)[2] == log_domain
+            assert generalized_huffman(p, rule).lengths.lengths == domain_code(p, rule, "log")[0]
+
+    def test_engine_matches_the_oracle_on_the_edge_d_values(self):
+        rng = np.random.default_rng(64)
+        for n in (5, 11, 16):
+            for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n)):
+                for rule in DTH_EDGE_RULES + [CombineRule.max_double()]:
+                    best = brute_force_optimal(p, rule.objective()).min_value
+                    assert abs(generalized_huffman(p, rule).objective_value - best) <= 1e-9
+
 
 def groupby_runs(lengths):
     """``lengths`` as (run lengths, run counts) in symbol order, by ``itertools.groupby``."""
@@ -906,7 +1159,7 @@ class TestRuns:
         pmfs = list(large_pmfs.values()) + every_n_pmfs(np.random.default_rng(46))
         for p in pmfs:
             for rule in SIX_RULES:
-                runs = _level_runs(p.n, _merge_two_queues(rule._leaf_keys(p), rule._combiner()))
+                runs = coder._merge(p, rule)[0]
                 lengths = generalized_huffman(p, rule).lengths
                 assert lengths._runs == runs == groupby_runs(lengths.lengths)
         assert _level_runs(1, []) == ((0,), (1,))
@@ -1207,6 +1460,19 @@ class TestCanonicalCodewords:
                 lengths = head + (max(head) + gap,) * 3
                 assert canonical_codewords(LengthVector(lengths)) \
                     == sorted_canonical_codewords(lengths)
+
+    def test_wide_free_count_on_long_incomplete_vectors(self):
+        # (1, 2, 1000) leaves 2^998 words free at length 1000, the widest the
+        # count gets; out of order, and with more lengths past it
+        for lengths in ((1, 2, 1000), (1000, 2, 1), (1, 2, 1000, 1000, 3),
+                        (1100, 2, 9, 300, 9, 1100, 3, 1099)):
+            assert not LengthVector(lengths).is_complete
+            assert canonical_codewords(LengthVector(lengths)) \
+                == sorted_canonical_codewords(lengths)
+        # out of order and over full at length 2, with a 1000-bit length after
+        with pytest.raises(KraftViolation, match=r"^Kraft sum 1\.25 of 4 lengths exceeds 1 "
+                                                 r"by at least 2\^-2$"):
+            canonical_codewords(LengthVector((1000, 1, 1, 2)))
 
     @given(incomplete_kraft_lengths())
     @settings(max_examples=150, deadline=None)
