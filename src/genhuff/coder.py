@@ -148,10 +148,12 @@ L, and log2, 2** and pow within an ulp:
 Dividing by s adds a few roundings of the value and multiplies the error
 of lg W by 1/|s|.  Every Kraft-valid code's exact d-th value is at least
 0, by the power means of x_i = p_i 2^l_i: M_d(x) >= M_-1(x) >= 1.  So a
-linear readout below 0, which only rounding gives, as on a dyadic pmf
-whose exact value is 0, is raised to 0, which is no further from the
-exact value.  The readout is taken only at |s| >= 1/16
-(``core._SMALL_SCALE``), the cut ``renyi_entropy`` switches forms at;
+d-th value below 0, which only rounding gives, as on a dyadic pmf whose
+exact value is 0, is raised to 0.0, which is no further from the exact
+value: ``generalized_huffman`` does so once, for the readout in either
+domain and for ``Objective.evaluate``'s value alike.  The readout is
+taken only at |s| >= 1/16 (``core._SMALL_SCALE``), the cut
+``renyi_entropy`` switches forms at;
 nearer d = 0 or q = 1 the value is left to ``Objective.evaluate``, as are
 the average rule's, which the root does not hold, and the max rule's,
 whose exact root is 2^value but whose value stays the float the oracle
@@ -320,11 +322,7 @@ class CombineRule:
         if abs(s) < _SMALL_SCALE:
             return None
         # + 0.0 as in Objective.reducer: no -0.0
-        value = lg_w / s + 0.0
-        if self.kind is RuleKind.DTH_EXP and not log_domain:
-            # the exact value is at least 0: a readout below it is all rounding
-            return max(value, 0.0)
-        return value
+        return lg_w / s + 0.0
 
 
 def _dth_base(d: float) -> float:
@@ -341,16 +339,17 @@ class CodeResult:
 
     Under the d-th rule with |d| >= 1/16, and under the exp-base rule with
     |lg q| >= 1/16, normal float probabilities and a normal float root,
-    ``objective_value`` is lg W / s read off the merge's root weight, or 0
-    where the d-th rule's linear readout is below 0.  By the module
-    docstring it lies within -lg(1 - rho) / |s| + 6u (|V| + 1) of the exact
-    value V of these lengths, with u = 2^-53, L the longest length, and
-    rho = gamma_2L + (n-1) 2^-1074 / W under the exp-base rule or
+    ``objective_value`` is lg W / s read off the merge's root weight.  By
+    the module docstring it lies within -lg(1 - rho) / |s| + 6u (|V| + 1)
+    of the exact value V of these lengths, with u = 2^-53, L the longest
+    length, and rho = gamma_2L + (n-1) 2^-1074 / W under the exp-base rule or
     rho = (1 + gamma_(4L+2)) 2^(u (1+d) (-lg p_n)) - 1 under the d-th
     rule's linear merge.  Under the d-th rule's log-domain merge it lies
     within 10u (L + 2)((1+d) K + |d| + 1) / |d| + 4u |V|, with
     K = max(-lg p_n, L) + 1.  Otherwise it is ``Objective.evaluate`` of the
-    lengths, bit for bit.
+    lengths, bit for bit.  Under the d-th rule either value, where it is
+    below 0, is 0.0: the exact value of a complete code is at least 0, so
+    that is no further from it.
     """
 
     lengths: LengthVector
@@ -460,6 +459,10 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     value = rule._root_value(p, root, log_domain)
     if value is None:
         value = rule.objective().evaluate(p, lengths)
+    if rule.kind is RuleKind.DTH_EXP:
+        # a complete code's exact d-th value is at least 0: a value below it
+        # is all rounding, and max(0.0, -0.0) is 0.0
+        value = max(0.0, value)
     return CodeResult(lengths, canonical_codewords(lengths), value)
 
 

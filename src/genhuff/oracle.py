@@ -31,42 +31,33 @@ exponential objectives the walk scores from a table of powers instead, and
 only the vectors it keeps are scored as above (the power table, below).
 
 The minimizer cuts the walk by branch and bound, and stays exact.  It
-bounds a subtree first by the relaxation, which is cheap, and where that
-does not cut, by the floors.
+bounds a subtree by the relaxation alone.
 
 * **The bound.**  A subtree of the walk is fixed by the leaves placed so
   far: down to some depth D the symbols ``0..first-1`` have their lengths,
   and the ``left`` symbols after them hang from ``nodes`` open nodes at
-  depth D + 1, nodes < left.  Each of them has a floor.  Number them
-  j = 0..left-1.  For j <= left - 2, the j + 1 symbols up to j have
-  lengths at most l_j, so their Kraft share is at least (j + 1) 2^-l_j,
-  and it is less than the open share nodes 2^-(D+1), because the symbols
-  after j take some.  So l_j >= D + 1 + t, t the least with
-  j + 1 < nodes 2^t.  The last symbol is no shorter than the one before
-  it.  The floors are thus nodes - 1 symbols at depth D + 1, then nodes at
-  D + 2, 2 nodes at D + 3 and so on, the last symbol with the one before
-  it.  (Row D + 1 for all of them is a floor too, but a weak one: on the
-  ``oracle`` benchmark's pmfs it leaves about twice as many vectors to
-  score and bounds to take.)  Each table entry is a monotone
-  function of the depth, as a float, in the direction that raises the
-  value: fl(p (l + lg p)), fl(l + lg p), fl((1+d) lg p + d l) and
-  fl(lg p + l lg q) are each a rounded monotone function of l, and
-  rounding is monotone.  For d > 0 and q > 1 the terms rise with l and the
-  value is the reducer's result over a positive scale; for d < 0 and
-  q < 1 they fall and the scale is negative.  So the reducer applied to
-  the placed terms followed by each later symbol's term at its floor is,
-  in exact arithmetic on those floats, at most the value of every vector
-  in the subtree.
+  depth D + 1, nodes < left, which give them the open capacity
+  C = nodes 2^-(D+1).  Its bound is the reducer applied to the placed terms
+  followed by one relaxed term for the symbols after them (the relaxation,
+  below), which in exact arithmetic on those floats is at most the value
+  of every vector in the subtree.  Each table entry is a monotone function
+  of the depth, as a float, in the direction that raises the value:
+  fl(p (l + lg p)), fl(l + lg p), fl((1+d) lg p + d l) and fl(lg p + l lg q)
+  are each a rounded monotone function of l, and rounding is monotone.  For
+  d > 0 and q > 1 the terms rise with l and the value is the reducer's
+  result over a positive scale; for d < 0 and q < 1 they fall and the scale
+  is negative.  So rows 0 and n - 1 of the table hold each symbol's
+  extremes, which the margin and the power table use.
 * **Why the floats keep it.**  ``fsum`` is correctly rounded and ``max``
-  is exact, and both are monotone in each argument, so for avg and MMPR
-  the computed bound is at most every computed value below it, and a
-  subtree is skipped when its bound exceeds ``best + ARGMIN_TOL``, the
-  line ``brute_force_optimal`` keeps vectors under.  Nothing it skips is a
-  minimizer or within ``ARGMIN_TOL`` of one, because ``best`` only falls.
-  The exponential reducers are not monotone as computed, so their cut
-  allows for the rounding (the margin), and where the walk scores them as
-  powers, which round differently from ``evaluate``, it keeps a wider line
-  of candidates and rescores them with the reducer (the power table).
+  is exact, so for avg and MMPR the computed bound is at most every
+  computed value below it, and a subtree is skipped when its bound exceeds
+  ``best + ARGMIN_TOL``, the line ``brute_force_optimal`` keeps vectors
+  under.  Nothing it skips is a minimizer or within ``ARGMIN_TOL`` of one,
+  because ``best`` only falls.  The exponential reducers are not monotone
+  as computed, so their cut allows for the rounding (the margin), and
+  where the walk scores them as powers, which round differently from
+  ``evaluate``, it keeps a wider line of candidates and rescores them with
+  the reducer (the power table).
 * **The margin for the two exponential objectives** (``_margin``).  Their
   reducer computes lg(sum 2^x_i) / s, with m = max x_i, as
   m + log2(fsum(2^(x_i - m))), and is not monotone as computed, so the
@@ -90,32 +81,35 @@ does not cut, by the floors.
   d = +-1e-12 or q = 1 +- 1e-12, and the cut then skips only subtrees
   worse than the best by more than that.
 * **The power table** (``_powers``).  The reducer takes n powers for each
-  vector it scores and each bound it takes, though the table has only n^2
-  distinct terms.  So under the exponential objectives the walk reads each
-  term x once per call as the entry 2^(x - M), M the table's largest term,
-  scores a list of entries as (M + log2(fsum(entries))) / s, and enters the
-  relaxed term t as 2^(t - M).  Each term is monotone in l, so rows 0 and
-  n - 1 hold the extremes; where they span fewer than ``_POWER_SPAN`` =
-  1000 bits, every entry is a normal float in [2^-1000, 1], which holds on
-  every objective of the benchmark and of ``verify``.  A wider table, such
-  as d = 1e4 or q = 1e200, keeps the terms and the reducer, since there
-  only the reducer's per-list shift keeps the powers finite.
+  vector it scores and up to n for each bound it takes, though the table
+  has only n^2 distinct terms.  So under the exponential objectives the
+  walk reads each term x once per call as the entry 2^(x - M), M the
+  table's largest term, scores a list of entries as
+  (M + log2(fsum(entries))) / s, and enters the relaxed term t as
+  2^(t - M).  Each term is monotone in l, so rows 0 and n - 1 hold the
+  extremes; where they span fewer than ``_POWER_SPAN`` = 1000 bits, every
+  entry is a normal float in [2^-1000, 1], which holds on every objective
+  of the benchmark and of ``verify``.  A wider table, such as d = 1e4 or
+  q = 1e200, keeps the terms and the reducer, since there only the
+  reducer's per-list shift keeps the powers finite.
 
   The error, with u, T and libm as in the margin: each x - M, at most 2T
   in size, is rounded by at most 2uT, and ``pow`` and ``fsum`` add relative
   errors of 4u and u, so lg of the sum S is off by at most 2uT + 8u, as in
   the reducer.  But S no longer starts at 1: a scored list holds symbol 0's
-  entry, and so does every bound (it is taken only after the first vector,
-  below a level that placed a leaf, so symbol 0 is placed), whose term at
-  any depth is at least M - R, R = |rows[n-1][0] - rows[0][0]|, |s| (n - 1)
-  up to rounding (the largest term of each row is symbol 0's).  So
-  |lg S| <= R + lg n + 1, and ``log2`` adds up to 4uR more than in the
-  reducer.  M + log2(S) and the division by s round as there.  A power
-  value is thus within e' = e + 4u (n - 1) of the exact value, e the
-  reducer's error.  A relaxed entry adds 2u allowance to the rounding of
-  t - M, which lies in [-2T - 2 allowance, lg n + 2 allowance] by the range
-  of t in the margin's proof; the margin's slack covers that as it covers
-  the relaxed term there.  So the cut's margin grows by 8u (n - 1).
+  entry, and so does every bound, the placed terms of symbols 0..lo-1 and
+  one relaxed entry with lo >= 1 (a bound is taken only after the first
+  vector, below a level that placed a leaf, so symbol 0 is placed).
+  Symbol 0's term at any depth is at least M - R,
+  R = |rows[n-1][0] - rows[0][0]|, |s| (n - 1) up to rounding (the largest
+  term of each row is symbol 0's).  So |lg S| <= R + lg n + 1, and
+  ``log2`` adds up to 4uR more than in the reducer.  M + log2(S) and the
+  division by s round as there.  A power value is thus within
+  e' = e + 4u (n - 1) of the exact value, e the reducer's error.  A
+  relaxed entry adds 2u allowance to the rounding of t - M, which lies in
+  [-2T - 2 allowance, lg n + 2 allowance] by the range of t in the
+  margin's proof; the margin's slack covers that as it covers the relaxed
+  term there.  So the cut's margin grows by 8u (n - 1).
 
   The rescoring: a power value and the reducer's float for the same vector
   differ by at most d' = e + e'.  A vector whose float is within
@@ -152,13 +146,12 @@ does not cut, by the floors.
     lg p_j / (1+s): near q = 1/2 the powers themselves underflow.  For
     s <= -1 (q <= 1/2) w^-s is convex, so the largest sum sits at a corner,
     one symbol taking all of C, far from any completion: there is no term,
-    and the walk uses the floors alone.
+    and the walk takes no bound but scores every vector.
 
   Each holds with equality at w_j proportional to p_j (to p_j^(1/(1+s))
-  under exp average), the real-valued optimum.  It cuts where the floors,
-  which ignore the probabilities, do not: on the ``oracle`` benchmark's
-  pmfs it brings the vectors scored per op from ~49 to ~29 and the bounds
-  taken from ~41 to ~26 (seed 32).
+  under exp average), the real-valued optimum.  On the ``oracle``
+  benchmark's pmfs the walk scores ~33 vectors per op and takes ~18
+  bounds (seed 32).
 * **The allowance** (``_allowance``).  The relaxed term is computed in
   floats, and the table entries are not the exact terms either, so the
   term is moved toward a lower value by an allowance: down where the
@@ -276,8 +269,8 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
     than ``_SMALL_SUBTREE`` vectors whose bound exceeds the limit
     ``best + ARGMIN_TOL + widen + margin``.  The bound is ``reduce`` over its
     placed terms followed by one relaxed entry for the symbols lo.. after
-    them, ``relax(lo, lg C)``, and where that does not exceed the limit,
-    followed by each later symbol's entry at its floor (module docstring).
+    them, ``relax(lo, lg C)`` (module docstring).  With ``relax`` None the
+    walk takes no bound and scores every vector.
     """
     n = len(rows)
     lengths = [0] * n
@@ -339,25 +332,12 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
                 lengths[i] = depth
                 values[i] = rows[depth][i]
             nodes, left = 2 * (nodes - k), left - k
-            if limit is not None and _completions(nodes, left) > _SMALL_SUBTREE:
+            if (relax is not None and limit is not None
+                    and _completions(nodes, left) > _SMALL_SUBTREE):
+                # the relaxation: symbols lo.. at their real optimum on the
+                # open capacity C = nodes 2^-(depth+1)
                 lo = n - left
-                bound = values[:lo]
-                if relax is not None:
-                    # the relaxation: symbols lo.. at their real optimum
-                    # on the open capacity C = nodes 2^-(depth+1)
-                    bound.append(relax(lo, lgs[nodes] - (depth + 1)))
-                    if reduce(bound) > limit:
-                        continue
-                    bound.pop()
-                # the floors: symbols lo..hi-1 at depth d, the run
-                # doubling from nodes - 1 at depth + 1, and the last
-                # symbol in the run before it
-                hi, width, d = lo + nodes - 1, nodes, depth + 1
-                while hi < n - 1:
-                    bound += rows[d][lo:hi]
-                    lo, hi, width, d = hi, hi + width, 2 * width, d + 1
-                bound += rows[d][lo:]
-                if reduce(bound) > limit:
+                if reduce(values[:lo] + [relax(lo, lgs[nodes] - (depth + 1))]) > limit:
                     continue
             break
         depth += 1
@@ -501,18 +481,19 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
 
     Returns the full set of minimizers (values within 1e-12 of the
     minimum), sorted lexicographically.  The walk skips each subtree whose
-    lower bound, the relaxation's or the floors', shows it holds no such
-    vector, and the result is the one scoring every vector gives (module
-    docstring).  Under the two exponential objectives, where rows 0 and
-    n - 1 of the term table span fewer than 1000 bits, the walk scores from
-    a table of powers 2^(term - M), widening its cut and its candidate line
-    by that form's error bound, and the minimum and the minimizers come from
+    relaxed lower bound shows it holds no such vector (under exp average
+    with q <= 1/2 there is no such bound and it scores every vector), and
+    the result is the one scoring every vector gives (module docstring).
+    Under the two exponential objectives, where rows 0 and n - 1 of the
+    term table span fewer than 1000 bits, the walk scores from a table of
+    powers 2^(term - M), widening its cut and its candidate line by that
+    form's error bound, and the minimum and the minimizers come from
     rescoring its candidates with ``obj.reducer()`` over the terms, the
     floats ``Objective.evaluate`` gives; a wider table is scored by the
     reducer throughout.  ``evaluated_count`` is the size of the space,
     whatever the cut skips; it grows like 1.794^n, so raise ``max_n``
     consciously.
-    ``scored_count`` is how many of them were scored, ~10-160 of 1639 on
+    ``scored_count`` is how many of them were scored, ~4-210 of 1639 on
     Dirichlet pmfs at n = 16 under the benchmark's objectives.
     """
     if p.n > max_n:

@@ -116,6 +116,10 @@ class TestCode:
         # 0.0 over a negative d, and over lg q < 0 with an entropy of 0 too
         (("--objective", "dexp", "--d", "-0.5"), "0.5\n0.25\n0.125\n0.125\n"),
         (("--objective", "expavg", "--q", "0.5"), "1.0\n"),
+        # a uniform dyadic pmf, exact value 0: the log-domain readout at the
+        # largest d below 1024 and ``evaluate`` near d = 0 round below it
+        *((("--objective", "dexp", "--d", d), "0.125\n" * 8)
+          for d in ("1023.9999999999999", "0.01", "-0.01")),
     ])
     def test_zero_value_prints_without_a_sign(self, capsys, tmp_path, argv, probs):
         path = tmp_path / "p.txt"

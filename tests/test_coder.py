@@ -994,12 +994,14 @@ class TestRootReadout:
 def parent_dth_code(p, rule):
     """(lengths, value) of the d-th rule's log-domain merge, from the heap reference: its
     lengths, and its root r read as (1 + d) r / d, the readout the log domain has always
-    had, or ``evaluate`` below the 1/16 cut."""
+    had, or ``evaluate`` below the 1/16 cut; a value below 0, all rounding, reads 0.0."""
     lengths = reference_lengths(p, rule, log_domain=True)
     d = rule.param
     if abs(d) < 0.0625:
-        return lengths, rule.objective().evaluate(p, LengthVector(lengths))
-    return lengths, (1.0 + d) * reference_root(p, rule, log_domain=True) / d + 0.0
+        value = rule.objective().evaluate(p, LengthVector(lengths))
+    else:
+        value = (1.0 + d) * reference_root(p, rule, log_domain=True) / d
+    return lengths, max(0.0, value)
 
 
 def engine_code(p, rule):

@@ -223,6 +223,10 @@ class TestCut:
         pmfs = [random_pmf(rng, n) for n in (14, 15, 16)]
         pmfs.append(validate_pmf([1.0 / 16] * 16))
         pmfs.append(validate_pmf([0.25] * 2 + [0.125] * 2 + [1 / 32] * 4 + [1 / 64] * 8))
+        # near-unary, where the relaxation cuts least, and p_1 = 0.6 over a
+        # uniform tail, where it cuts MMPR least of the other pmfs here
+        pmfs.append(validate_pmf([2.0 ** -i for i in range(1, 16)] + [2.0 ** -15]))
+        pmfs.append(validate_pmf([0.6] + [0.4 / 15] * 15))
         for p in pmfs:
             assert_matches_reference(p, obj)
         witness = generate(WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.0625))
@@ -241,45 +245,24 @@ class TestCut:
         assert_matches_reference(validate_pmf(probs), obj)
 
     def test_cut_fires_on_the_benchmark_objectives(self):
-        # 12-46 of the 1639 vectors are scored here; the floors alone
-        # scored 30-139
+        # 12-61 of the 1639 vectors are scored here
         p = random_pmf(np.random.default_rng(47), 16)
         for obj in BENCH_OBJECTIVES:
             res = brute_force_optimal(p, obj)
             assert res.evaluated_count == TREE_SHAPE_COUNTS[-1]
             assert res.scored_count < res.evaluated_count / 20, obj
 
-    # scored_count with the Kraft-capacity floors as the only bound, on the
-    # Dirichlet pmfs of test_relaxation_only_adds_cuts at n = 10..16
-    FLOORS_ALONE = {
-        ("avg", None): [22, 29, 41, 39, 59, 63, 93],
-        ("mmpr", None): [13, 16, 21, 16, 45, 23, 26],
-        ("dexp", 0.5): [17, 29, 32, 33, 48, 45, 65],
-        ("expavg", 2.0): [13, 11, 18, 12, 27, 25, 30],
-        ("dexp", -0.5): [41, 39, 63, 60, 93, 96, 138],
-        ("expavg", 0.9): [36, 31, 63, 52, 87, 82, 110],
-    }
-
-    def test_relaxation_only_adds_cuts(self):
-        # the best value falls through the same vectors as before, and a
-        # subtree the floors cut is still cut, so no more vectors are scored
-        rng = np.random.default_rng(49)
-        pmfs = [random_pmf(rng, n) for n in range(10, 17)]
-        for obj in BENCH_OBJECTIVES:
-            scored = [brute_force_optimal(p, obj).scored_count for p in pmfs]
-            floors = self.FLOORS_ALONE[obj.kind.value, obj.param]
-            assert all(map(int.__le__, scored, floors)), (obj, scored)
-            assert sum(scored) < sum(floors), (obj, scored)
-
     def test_no_relaxation_at_or_below_half(self):
-        # q <= 1/2 has no relaxed term; the floors alone still give the result
+        # q <= 1/2 has no relaxed term, so the walk takes no bound: it scores
+        # every vector, and gives the result scoring them one by one does
         rng = np.random.default_rng(51)
         for q in (0.05, 0.3, 0.5):
             obj = Objective.exp_average(q)
             for n in (8, 12):
                 p = random_pmf(rng, n)
                 assert _relaxation(obj, p.probs, list(map(math.log2, p.probs))) is None
-                assert_matches_reference(p, obj)
+                res = assert_matches_reference(p, obj)
+                assert res.scored_count == res.evaluated_count
 
     @staticmethod
     def tie_heavy_pmf(rng, n):
@@ -326,7 +309,7 @@ class TestCut:
 
     def test_a_bound_equal_to_the_limit_is_not_cut(self, monkeypatch):
         # with p_1 = 0.6 the MMPR optimum is 1 + lg p_1, and so is the bound of
-        # every subtree below l_1 = 1 whose floors stay under it: with no
+        # every subtree below l_1 = 1 whose relaxed term stays under it: with no
         # tolerance the limit is the best value once a minimizer is scored,
         # and meets bounds equal to it (the uniform tail at n = 12 has a
         # second minimizer in such a subtree)
@@ -350,7 +333,8 @@ class TestCut:
             rows = [obj.terms(p.probs, lgp, ((l,), (n,))) for l in range(n)]
             best, _, count = reference_optimum(p, obj)
             assert best == 1 + math.log2(0.6)
-            found, candidates, scored = _walk(rows, obj.reducer(), None, 0.0)
+            relax = _relaxed_entry(_relaxation(obj, p.probs, lgp), None)
+            found, candidates, scored = _walk(rows, obj.reducer(), relax, 0.0)
             assert found == best
             assert scored < count
             assert {lv.lengths for lv in length_vectors(n) if obj.evaluate(p, lv) == best} \
