@@ -12,11 +12,24 @@ facts are covered by self-tests rather than assumed.
 The minimizer walks the space depth first (``_walk``).  It chooses how
 many leaves sit at each depth, fewest first, and never enters a branch
 that holds no complete tree, so each step either descends a level or
-finishes a vector.  The lengths of one vector and of the next share the
-prefix above the deepest level that changed, and the walk rewrites only
-the rest.  ``kraft_length_tuples`` lists the space in the same order but
-unranks each vector from its index (``_unrank``), so a test that scores
-its vectors one by one shares no code with the walk.
+finishes a vector.  Which steps there are, and in which order, depends on
+n alone, so the walk runs from a table of them (``_steps``), built for
+each n on first use and cached.  A step holds its depth, the symbols it
+places there (a level's first step the fewest it can, each later step
+one more), the first symbol lo left unplaced, and either the fill of a
+finished vector or, where the cut may skip the subtree below, the lg C
+its bound takes and the subtree's step count, so that a cut is one jump.
+Symbols are counted from the end, so a step depends only on its depth,
+open nodes, unplaced symbols and k, and a step the table for n - 1 holds
+too is that object: the tables up to n = 16 hold 532 distinct steps in
+~124 KB, 3,712 of them in the walk at n = 16; up to n = 18, 771 in
+~300 KB, 11,919 at n = 18.  The values of one vector and of the next
+share the prefix above the deepest level that changed, and the walk
+rewrites only the rest; the lengths of the vectors it keeps are read back
+from the table (``_lengths_at``).  ``kraft_length_tuples`` lists the
+space in the same order but unranks each vector from its index
+(``_unrank``), which reads no table, so a test that scores its vectors one
+by one shares no code with the walk.
 
 The minimizer tables each symbol's term at each depth once per call with
 ``Objective.terms``, the code ``Objective.evaluate`` runs, and binds the
@@ -150,7 +163,7 @@ bounds a subtree by the relaxation alone.
 
   Each holds with equality at w_j proportional to p_j (to p_j^(1/(1+s))
   under exp average), the real-valued optimum.  On the ``oracle``
-  benchmark's pmfs the walk scores ~33 vectors per op and takes ~18
+  benchmark's pmfs the walk scores 32.9 vectors per op and takes 17.7
   bounds (seed 32).
 * **The allowance** (``_allowance``).  The relaxed term is computed in
   floats, and the table entries are not the exact terms either, so the
@@ -250,6 +263,79 @@ def _completions(nodes: int, left: int) -> int:
                for k in range(max(0, 2 * nodes - left), nodes))
 
 
+@cache
+def _steps(n: int) -> tuple[tuple, ...]:
+    """The walk's steps over the vectors of n symbols, in the order it takes
+    them (``_walk``), built on first use and cached.
+
+    A step (depth, first, lo, placed, lg_c, skip) places symbols first..lo-1,
+    ``placed`` of them, at ``depth``.  With ``skip`` None it finishes a
+    vector, the symbols lo.. one level deeper.  Otherwise the subtree below
+    it is the next ``skip`` steps, and ``lg_c`` is the lg C of its bound,
+    lg nodes - (depth + 1) for the ``nodes`` open nodes below it, where that
+    subtree holds more than ``_SMALL_SUBTREE`` vectors, None elsewhere.
+    Symbol indices are negative, counted from the end, so that a step is
+    the same in every table that holds it.  The first step, the root,
+    places nothing.
+    """
+    # a step equal to one of the table for n - 1 is that object, and the
+    # lookup is dropped after the build
+    shared = {step: step for step in _steps(n - 1)} if n > 1 else {}
+    below: dict[tuple[int, int, int], list[tuple]] = {}
+    # the symbol indices, one int object each, shared by the steps
+    index = [-left for left in range(n + 1)]
+
+    def level(depth: int, nodes: int, left: int) -> list[tuple]:
+        # the steps below a level, the same wherever the walk reaches it
+        key = depth, nodes, left
+        steps = below.get(key)
+        if steps is None:
+            steps = below[key] = []
+            first = index[left]
+            # k from the fewest leaves that leave every open node two children
+            # (that k is feasible whenever any k is) up to nodes - 1: a level
+            # is opened only where nodes < left, so k = nodes would strand
+            # symbols, and any k < nodes leaves an internal node
+            for k in range(max(0, 2 * nodes - left), nodes):
+                child, lo = 2 * (nodes - k), index[left - k]
+                if child == -lo:
+                    # as many open nodes as symbols: all leaves
+                    sub, lg_c, skip = [], None, None
+                else:
+                    sub = level(depth + 1, child, -lo)
+                    lg_c = (math.log2(child) - (depth + 1)
+                            if _completions(child, -lo) > _SMALL_SUBTREE else None)
+                    skip = len(sub)
+                step = depth, first, lo, lo - first, lg_c, skip
+                steps.append(shared.setdefault(step, step))
+                steps += sub
+                first = lo
+        return steps
+
+    sub = level(0, 1, n)
+    # with one symbol the root is the vector
+    root = -1, index[n], index[n], 0, None, len(sub) if sub else None
+    return shared.setdefault(root, root), *sub
+
+
+def _lengths_at(steps: tuple[tuple, ...], stop: int, n: int) -> tuple[int, ...]:
+    """The lengths of the vector that ``steps[stop]`` finishes: each step on
+    its path places the symbols up to its lo at its depth."""
+    lengths: list[int] = []
+    i = 0
+    while True:
+        depth, _, lo, _, _, skip = steps[i]
+        if i == stop:
+            lengths += [depth] * (n + lo - len(lengths))
+            return (*lengths, *[depth + 1] * -lo)
+        if skip is None or i + skip < stop:
+            # a vector or a subtree before the stop
+            i += 1 if skip is None else skip + 1
+        else:
+            lengths += [depth] * (n + lo - len(lengths))
+            i += 1
+
+
 def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
           relax: Callable[[int, float], float] | None, margin: float, widen: float = 0.0
           ) -> tuple[float, list[tuple[float, tuple[int, ...]]], int]:
@@ -263,7 +349,8 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
     unplaced symbols on the ``nodes`` open nodes, k ascending, and leaves
     the other ``nodes - k`` as internal nodes with two children each.  No
     full binary tree with n leaves is deeper than n - 1, so depths run from
-    0 to n - 1.
+    0 to n - 1.  Each choice of k is a step of ``_steps(n)``, which copies
+    the terms of the symbols it places from ``rows`` into the term list.
 
     From the first vector scored on, the walk skips every subtree of more
     than ``_SMALL_SUBTREE`` vectors whose bound exceeds the limit
@@ -273,74 +360,41 @@ def _walk(rows: Sequence[Sequence[float]], reduce: Callable[[list], float],
     walk takes no bound and scores every vector.
     """
     n = len(rows)
-    lengths = [0] * n
     values = [0.0] * n
-    # per depth on the current path: open nodes, unplaced symbols, leaves placed
-    nodes_at = [0] * n
-    left_at = [0] * n
-    k_at = [0] * n
     # no bound before the first vector: it would cut nothing and cost a reduce
     limit = None
     best = math.inf
     tol = ARGMIN_TOL + widen
-    candidates: list[tuple[float, tuple[int, ...]]] = []
+    # (value, index of the step that finished it)
+    found: list[tuple[float, int]] = []
     scored = 0
-    lgs = [0.0, *map(math.log2, range(1, n + 1))]
-    depth, nodes, left = 0, 1, n
-    while True:
-        if nodes == left:
-            # a level with as many open nodes as symbols is all leaves
-            first = n - left
-            lengths[first:] = [depth] * left
-            values[first:] = rows[depth][first:]
+    steps = _steps(n)
+    i, end = 0, len(steps)
+    while i < end:
+        depth, first, lo, placed, lg_c, skip = steps[i]
+        i += 1
+        if placed == 1:
+            values[first] = rows[depth][first]
+        elif placed:
+            values[first:lo] = rows[depth][first:lo]
+        if skip is None:
+            values[lo:] = rows[depth + 1][lo:]
             scored += 1
             v = reduce(values)
             if v < best - tol:
                 best = v
-                candidates = [(v, tuple(lengths))]
+                found = [(v, i - 1)]
             elif v <= best + tol:
-                candidates.append((v, tuple(lengths)))
+                found.append((v, i - 1))
                 best = min(best, v)
-            limit = best + tol + margin
-            depth -= 1
-        else:
-            # open the level one leaf short of the fewest that leave every
-            # open node two children (that k is feasible whenever any k is);
-            # the step below places the last one
-            k = max(0, 2 * nodes - left) - 1
-            nodes_at[depth], left_at[depth], k_at[depth] = nodes, left, k
-            if k > 0:
-                first = n - left
-                lengths[first:first + k] = [depth] * k
-                values[first:first + k] = rows[depth][first:first + k]
-        # place one more leaf at the deepest level that takes one, and enter
-        # the subtree below it unless the cut skips it
-        while True:
-            if depth < 0:
-                return best, candidates, scored
-            nodes, left = nodes_at[depth], left_at[depth]
-            k = k_at[depth] + 1
-            # the pruning rule: a level is opened only where nodes < left,
-            # so k = nodes would strand symbols; any k < nodes leaves an
-            # internal node, and with no depth limit the symbols left fit
-            if k == nodes:
-                depth -= 1
-                continue
-            k_at[depth] = k
-            if k:
-                i = n - left + k - 1
-                lengths[i] = depth
-                values[i] = rows[depth][i]
-            nodes, left = 2 * (nodes - k), left - k
-            if (relax is not None and limit is not None
-                    and _completions(nodes, left) > _SMALL_SUBTREE):
-                # the relaxation: symbols lo.. at their real optimum on the
-                # open capacity C = nodes 2^-(depth+1)
-                lo = n - left
-                if reduce(values[:lo] + [relax(lo, lgs[nodes] - (depth + 1))]) > limit:
-                    continue
-            break
-        depth += 1
+            if relax is not None:
+                limit = best + tol + margin
+        elif lg_c is not None and limit is not None:
+            # the relaxation: symbols lo.. at their real optimum on the open
+            # capacity C = nodes 2^-(depth+1)
+            if reduce(values[:lo] + [relax(n + lo, lg_c)]) > limit:
+                i += skip
+    return best, [(v, _lengths_at(steps, at, n)) for v, at in found], scored
 
 
 def _unrank(n: int, index: int) -> tuple[int, ...]:
@@ -491,8 +545,9 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     rescoring its candidates with ``obj.reducer()`` over the terms, the
     floats ``Objective.evaluate`` gives; a wider table is scored by the
     reducer throughout.  ``evaluated_count`` is the size of the space,
-    whatever the cut skips; it grows like 1.794^n, so raise ``max_n``
-    consciously.
+    whatever the cut skips; it grows like 1.794^n, and so does the walk's
+    step table, built once per n and kept (about 2.26 steps per vector:
+    3,712 at n = 16, 11,919 at n = 18), so raise ``max_n`` consciously.
     ``scored_count`` is how many of them were scored, ~4-210 of 1639 on
     Dirichlet pmfs at n = 16 under the benchmark's objectives.
     """

@@ -1,8 +1,10 @@
 """Enumeration correctness and the oracle's own soundness arguments."""
 
 import functools
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +209,91 @@ class TestAgainstReference:
             assert 1 <= res.scored_count <= res.evaluated_count
 
 
+def cap_pmfs():
+    """Pmfs at the oracle's caps: three Dirichlet ones at n = 14..16, uniform
+    and dyadic ones at n = 16, and the MMPR witness at n = 17."""
+    rng = np.random.default_rng(46)
+    pmfs = [random_pmf(rng, n) for n in (14, 15, 16)]
+    pmfs.append(validate_pmf([1.0 / 16] * 16))
+    pmfs.append(validate_pmf([0.25] * 2 + [0.125] * 2 + [1 / 32] * 4 + [1 / 64] * 8))
+    # near-unary, where the relaxation cuts least, and p_1 = 0.6 over a
+    # uniform tail, where it cuts MMPR least of the other pmfs here
+    pmfs.append(validate_pmf([2.0 ** -i for i in range(1, 16)] + [2.0 ** -15]))
+    pmfs.append(validate_pmf([0.6] + [0.4 / 15] * 15))
+    witness = generate(WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.0625))
+    assert witness.n == 17
+    return pmfs + [witness]
+
+
+def fires_pmf():
+    return random_pmf(np.random.default_rng(47), 16)
+
+
+# scored_count on cap_pmfs() and then fires_pmf(), per objective
+PINNED_SCORED_COUNTS = dict(zip(OBJECTIVES + EXTREME_OBJECTIVES, [
+    (18, 49, 20, 4, 63, 1358, 16, 3, 40),
+    (37, 87, 32, 4, 158, 1568, 166, 39, 61),
+    (18, 49, 20, 4, 63, 1327, 16, 7, 40),
+    (18, 46, 20, 4, 63, 1550, 16, 3, 40),
+    (22, 46, 20, 4, 63, 1553, 16, 3, 40),
+    (206, 894, 474, 4, 333, 1639, 12, 11, 1058),
+    (8, 22, 8, 4, 28, 188, 12, 3, 12),
+    (4, 4, 4, 4, 4, 4, 4, 31, 4),
+    (4, 4, 4, 4, 4, 4, 4, 27, 4),
+    (437, 914, 1554, 4, 557, 1639, 12, 2938, 1536),
+    (40, 118, 52, 4, 102, 1580, 24, 15, 120),
+    (40, 118, 52, 4, 102, 1580, 24, 15, 120),
+    (37, 87, 32, 4, 142, 1553, 166, 39, 61),
+    (37, 87, 32, 4, 142, 1553, 166, 39, 61),
+    (15, 49, 20, 4, 63, 1286, 12, 11, 40),
+    (58, 149, 68, 4, 153, 1580, 34, 19, 161),
+    (58, 149, 68, 4, 153, 1580, 34, 19, 161),
+]))
+
+
+class TestWalk:
+    """The step table the walk runs from: its order, and what it keeps."""
+
+    def test_scores_the_space_in_level_profile_order(self, monkeypatch):
+        # kraft_length_tuples unranks each vector and reads no step table
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_steps", None)
+            listed = {n: list(kraft_length_tuples(n)) for n in range(1, 17)}
+        for n, expected in listed.items():
+            # each term is its length, every value ties, so every vector is
+            # scored and kept, and its lengths read back from the table
+            rows = [[float(l)] * n for l in range(n)]
+            seen = []
+
+            def record(values):
+                seen.append(tuple(values))
+                return 0.0
+
+            best, kept, scored = _walk(rows, record, None, 0.0)
+            assert best == 0.0
+            assert seen == [tuple(map(float, l)) for l in expected]
+            assert scored == _completions(1, n) == len(expected)
+            assert kept == [(0.0, l) for l in expected]
+
+    def test_equal_steps_are_one_object(self):
+        # the footprint: the tables up to n = 16, built afresh, share each
+        # step they hold alike and take ~124 KB
+        _completions(1, 16)
+        oracle._steps.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tables = [oracle._steps(n) for n in range(1, 17)]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tables[-1]) == 3712
+        distinct = {id(step) for table in tables for step in table}
+        assert len(distinct) == len({step for table in tables for step in table}) == 532
+        assert retained < 200_000
+
+
 class TestCut:
     """The branch-and-bound cut: what it counts, where it holds, that it fires."""
 
@@ -219,19 +306,10 @@ class TestCut:
     @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
                              ids=lambda o: f"{o.kind.value}-{o.param}")
     def test_bit_identical_up_to_the_caps(self, obj):
-        rng = np.random.default_rng(46)
-        pmfs = [random_pmf(rng, n) for n in (14, 15, 16)]
-        pmfs.append(validate_pmf([1.0 / 16] * 16))
-        pmfs.append(validate_pmf([0.25] * 2 + [0.125] * 2 + [1 / 32] * 4 + [1 / 64] * 8))
-        # near-unary, where the relaxation cuts least, and p_1 = 0.6 over a
-        # uniform tail, where it cuts MMPR least of the other pmfs here
-        pmfs.append(validate_pmf([2.0 ** -i for i in range(1, 16)] + [2.0 ** -15]))
-        pmfs.append(validate_pmf([0.6] + [0.4 / 15] * 15))
-        for p in pmfs:
-            assert_matches_reference(p, obj)
-        witness = generate(WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.0625))
-        assert witness.n == 17
-        assert_matches_reference(witness, obj, max_n=17)
+        scored = [assert_matches_reference(p, obj, max_n=p.n).scored_count for p in cap_pmfs()]
+        # the cut is pinned: how the walk runs must not move what it scores
+        scored.append(brute_force_optimal(fires_pmf(), obj).scored_count)
+        assert tuple(scored) == PINNED_SCORED_COUNTS[obj]
 
     @pytest.mark.parametrize("obj,probs", [
         (Objective.dth_exp(1e-15), [0.24753859555963928] * 4 + [0.0019691235522885696] * 5),
@@ -246,7 +324,7 @@ class TestCut:
 
     def test_cut_fires_on_the_benchmark_objectives(self):
         # 12-61 of the 1639 vectors are scored here
-        p = random_pmf(np.random.default_rng(47), 16)
+        p = fires_pmf()
         for obj in BENCH_OBJECTIVES:
             res = brute_force_optimal(p, obj)
             assert res.evaluated_count == TREE_SHAPE_COUNTS[-1]
