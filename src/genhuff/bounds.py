@@ -126,11 +126,12 @@ def mmpr_length_bounds(p_j: float) -> tuple[int, int]:
     """
     if not 0.0 < p_j < 1.0:
         raise POutOfRange(f"probability must be in (0, 1), got {p_j}")
-    nu_upper = ceil_neg_lg(p_j)
-    nu_lower = 1
-    while cmp_ratio(p_j, 1, 2 ** (nu_lower + 1) - 1) <= 0:
-        nu_lower += 1
-    return nu_upper, nu_lower
+    # p_j = a/b exactly, and p_j <= 1/(2^nu - 1) is 2^nu <= (a + b)/a, so
+    # nu_lower = floor(lg((a + b)/a)), at least 1 as p_j < 1: from bit lengths
+    a, b = p_j.as_integer_ratio()
+    k = (a + b).bit_length() - a.bit_length()
+    nu_lower = k if a << k <= a + b else k - 1
+    return ceil_neg_lg(p_j), nu_lower
 
 
 def avg_redundancy_lower(p_j: float) -> float:

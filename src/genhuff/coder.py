@@ -106,10 +106,10 @@ A deep code can have a thousand lengths of a few words each, a thousand
 bits long, so the first word of each length is carried as a string,
 never formatted from its integer: it is the previous length's next word
 followed by zeros, and its block is that word's high part joined to a
-slice of a table of all 8-bit strings.  The code 2^k - free is formed
-only to index that table at lengths up to 8, and to be formatted at the
-first length past the table, after a block that reaches a 256-word
-edge, and for a block that crosses one.
+slice of a table of all 8-bit strings.  A block that reaches a 256-word
+edge adds one to that high part in place and goes on in the next slice.
+The code 2^k - free is formed only at lengths up to 8, to index the
+table.
 
 The merge's root weight holds the d-th and exponential-average values,
 so the engine reads them off it instead of scoring every symbol again.
@@ -501,25 +501,11 @@ def unary_code(n: int) -> LengthVector:
 
 
 # _WORDS[k] holds every k-bit string in increasing order, k = 0..8: 511
-# strings in all.  A longer codeword is its formatted high k - 8 bits
-# followed by one of the 256 entries of _WORDS[8].
+# strings in all.  A longer codeword is its high k - 8 bits followed by one
+# of the 256 entries of _WORDS[8].
 _LOW_BITS = 8
 _WORDS = tuple(tuple(format(v, "b").zfill(k) for v in range(1 << k)) if k else ("",)
                for k in range(_LOW_BITS + 1))
-
-
-def _length_block(first: int, count: int, k: int) -> list[str]:
-    """The k-bit strings of the integers first, first + 1, ..., first + count - 1, for k > 8."""
-    low = _WORDS[_LOW_BITS]
-    high_bits = k - _LOW_BITS
-    end = first + count
-    block: list[str] = []
-    # one formatted high part per run of up to 256 codes sharing it
-    for high in range(first >> _LOW_BITS, ((end - 1) >> _LOW_BITS) + 1):
-        base = high << _LOW_BITS
-        prefix = bin(high)[2:].zfill(high_bits)
-        block += map(prefix.__add__, low[max(first - base, 0):min(end - base, len(low))])
-    return block
 
 
 def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
@@ -540,13 +526,12 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     quotes the vector's whole Kraft sum.
 
     Past 8 bits the next word is carried as a string: ``high``, its first
-    k - 8 bits, and ``low``, the index of its last 8 in ``_WORDS[8]``.  The
-    next length's first word is that word followed by k - prev zeros, and
-    a block that stays inside one 256-word window is ``high`` joined to
-    ``_WORDS[8][low:low + count]``.  Two cases format the integer code
-    instead: the first length past 8 bits, and the length after a block
-    that reaches a 256-word edge, where ``high`` would need a carry.  A
-    block that crosses the edge is built by ``_length_block``.
+    k - 8 bits, and ``low``, the index of its last 8 in ``_WORDS[8]``.
+    Before the first length past 8, ``high`` is empty and ``low`` is the
+    previous length's next code padded to 8 bits.  The next length's
+    first word is the carried word followed by zeros, and its block is
+    ``high`` joined to ``_WORDS[8][low:]`` up to the 256-word edge, where
+    ``high`` gains one in place, and then to the next window's words.
     """
     run_ks, run_cs = l._runs
     # one run per length, shortest first: the words come out in symbol order
@@ -563,10 +548,9 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     window = len(low_words)
     words: list[str] = []
     free, prev = 1, 0  # the unused words at length prev: 2^prev less the next code
-    high = None  # past the table: the next word's first k - 8 bits, or None to format them
+    high, low = "", 0  # the next word: its first k - 8 bits, and its last 8 bits' index
     for k, c in zip(ks, cs):
-        shift = k - prev
-        free <<= shift
+        free <<= k - prev
         if c > free:
             # code + c > 2^k: the Kraft sum of the lengths up to k exceeds 1;
             # the float sum reads 1.0 when the excess is below its precision
@@ -577,26 +561,23 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
         if k <= _LOW_BITS:
             code = (1 << k) - free
             words += _WORDS[k][code:code + c]
+            low = (code + c) << (_LOW_BITS - k)  # the next word, padded to 8 bits
         else:
-            if high is None:
-                code = (1 << k) - free
-                high = bin(code >> _LOW_BITS)[2:].zfill(k - _LOW_BITS)
-                low = code & (window - 1)
-            elif shift < _LOW_BITS:
+            shift = k - prev if high else k - _LOW_BITS  # from the padded word
+            if shift < _LOW_BITS:
                 high += low_words[low][:shift]
                 low = (low << shift) & (window - 1)
             else:
                 high += low_words[low] + "0" * (shift - _LOW_BITS)
                 low = 0
             end = low + c
-            if end > window:
-                words += _length_block((1 << k) - free, c, k)
-            else:
-                words += map(high.__add__, low_words[low:end])
-            if end < window:
-                low = end
-            else:
-                high = None  # the next word carries into the high bits
+            while end >= window:
+                # the rest of this window; the next word carries into the high bits
+                words += map(high.__add__, low_words[low:])
+                high = bin(int(high, 2) + 1)[2:].zfill(len(high))
+                low, end = 0, end - window
+            words += map(high.__add__, low_words[low:end])
+            low = end
         free -= c
         prev = k
     if in_order:

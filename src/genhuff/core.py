@@ -121,18 +121,13 @@ def lg_sum_exp2(exponents: Sequence[float]) -> float:
 def ceil_neg_lg(p: float) -> int:
     """Smallest integer k >= 0 with p * 2^k >= 1, i.e. ceil(-lg p).
 
-    Uses exact repeated doubling instead of a floating logarithm, so exact
-    powers of two are never misclassified (doubling a float only changes
-    its exponent).
+    Read off the exponent, not a floating logarithm, so exact powers of two
+    are never misclassified: p = m 2^e with m in [1/2, 1), subnormal p
+    included, and p 2^k >= 1 first at k = 1 - e, whether m = 1/2 or not.
     """
     if not 0.0 < p <= 1.0:
         raise NonPositiveProbability(f"probability must be in (0, 1], got {p}")
-    k = 0
-    v = p
-    while v < 1.0:
-        v *= 2.0
-        k += 1
-    return k
+    return 1 - math.frexp(p)[1]
 
 
 def cmp_ratio(p: float, num: int, den: int) -> int:

@@ -34,7 +34,7 @@ from .core import (
     renyi_entropy,
     validate_pmf,
 )
-from .oracle import DEFAULT_MAX_N, _completions, _unrank, brute_force_optimal
+from .oracle import ARGMIN_TOL, DEFAULT_MAX_N, _completions, _unrank, brute_force_optimal
 
 __all__ = ["cmd_verify"]
 
@@ -131,6 +131,13 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
         return [("l1-always-one", l1 == 1, f"engine l_1 = {l1}")]
     if kind is wit.FamilyKind.L1_BOUNDARY_Q_LE_1:
         obj = Objective.avg() if fam.q == 1.0 else Objective.exp_average(fam.q)
+        # the oracle scores the two codes as evaluate does, and keeps both
+        # where (1, 2, 3, 3) scores within ARGMIN_TOL of (2, 2, 2, 2)
+        square, other = (obj.evaluate(p, LengthVector(l)) for l in ((2, 2, 2, 2), (1, 2, 3, 3)))
+        if other <= square + ARGMIN_TOL:
+            raise CodingError(f"--family l1-boundary at q={fam.q}: (1, 2, 3, 3) scores "
+                              f"{other - square:.3g} above (2, 2, 2, 2), within the oracle's "
+                              f"resolution {ARGMIN_TOL:g}, too close for it to check")
         optima = brute_force_optimal(p, obj).argmin_lengths()
         return [("l1-boundary", optima == ((2, 2, 2, 2),), f"unique optimum {optima}")]
 

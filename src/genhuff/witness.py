@@ -191,7 +191,18 @@ def generate(family: WitnessFamily) -> Pmf:
         e = _default_eps(width) if eps is None else eps
         _need(0.0 < e < width, f"needs eps in (0, {width}), got {e}")
         rest = 1.0 / (2.0 * q + 3.0) + e
-        return Pmf((2.0 * q / (2.0 * q + 3.0) - 3.0 * e,) + (rest,) * 3)
+        probs = (2.0 * q / (2.0 * q + 3.0) - 3.0 * e,) + (rest,) * 3
+        # the floats built, not the reals they round, must put (2, 2, 2, 2)
+        # strictly ahead of (1, 2, 3, 3), the only other complete monotone
+        # code, in exact arithmetic: in average cost that is p_1 < 2r; under
+        # q < 1, whose cost log_q sum p_i q^l_i falls as the sum grows, it is
+        # q^2 (p_1 + 3r) > p_1 q + r q^2 + 2 r q^3
+        a, r, fq = Fraction(probs[0]), Fraction(rest), Fraction(q)
+        ahead = (a < 2 * r if q == 1.0
+                 else fq ** 2 * (a + 3 * r) > a * fq + r * fq ** 2 + 2 * r * fq ** 3)
+        _need(ahead, f"eps={e} is lost in rounding: the floats of p_1={probs[0]!r} and "
+                     f"r={rest!r} do not put (2, 2, 2, 2) strictly ahead of (1, 2, 3, 3)")
+        return Pmf(probs)
 
     if k is FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1:
         # (p_1, uniform x 2^(2+m)) with m = floor(log_q(4 p_1 / (1-p_1))):

@@ -1,7 +1,7 @@
 """What the benchmark in bench/ reads from genhuff, run in-process on one cycle of each kind of op.
 
-bench/ calls genhuff by names and attributes that no other caller uses
-(``CombineRule.for_objective``, ``rule.kind.value`` and ``rule.param`` in
+bench/ reads genhuff attributes that nothing in the package reads
+(``rule.kind.value`` and ``rule.param`` of a ``CombineRule`` in
 ``rule_tag``, ``CodeResult.trace``, ``OracleResult.evaluated_count``,
 ``dataclasses.replace`` on a ``CodeResult``) and patches spans around
 public names.  A change that drops one of them breaks the benchmark, not

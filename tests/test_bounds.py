@@ -266,6 +266,18 @@ class TestExactRowBoundaries:
             exact = Fraction(p)
             nu_lower = max(k for k in range(1, 64) if exact * (2 ** k - 1) <= 1)
             assert mmpr_length_bounds(p)[1] == nu_lower, p
+        # an ulp either side of 1/(2^k - 1) up to k = 1074, subnormal past
+        # k = 1022; the last x is 2^-1074, the least subnormal, with none below
+        points = []
+        for k in range(2, 1075):
+            x = 1 / (2 ** k - 1)
+            points += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+        for p in filter(None, points):
+            a, b = p.as_integer_ratio()
+            nu_lower = 1  # the largest nu with a (2^nu - 1) <= b
+            while a * (2 ** (nu_lower + 1) - 1) <= b:
+                nu_lower += 1
+            assert mmpr_length_bounds(p)[1] == nu_lower, p
 
     def test_witness_ranges(self):
         # the families whose proof range ends at num/den, and whether p lies

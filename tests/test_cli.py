@@ -554,6 +554,26 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.endswith("result: ok\n")
 
+    @pytest.mark.parametrize("q,eps,message", [
+        # fl(0.4) lies above 2/5: the floats tie (1, 2, 3, 3) with (2, 2, 2, 2)
+        ("1", "1e-300", "is lost in rounding"),
+        # the two codes score less than the oracle's ARGMIN_TOL apart
+        ("1", "1e-13", "within the oracle's resolution 1e-12"),
+        ("0.9", "1e-14", "within the oracle's resolution 1e-12"),
+    ])
+    def test_l1_boundary_witness_it_cannot_check_is_refused(self, capsys, q, eps, message):
+        code, out, err = run(capsys, "verify", "--family", "l1-boundary", "--q", q, "--eps", eps)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", ["1", "0.9"])
+    def test_l1_boundary_passes_just_above_the_oracle_resolution(self, capsys, q):
+        code, out, err = run(capsys, "verify", "--family", "l1-boundary", "--q", q,
+                             "--eps", "1e-12")
+        assert (code, err) == (0, "")
+        assert "PASS l1-boundary: unique optimum ((2, 2, 2, 2),)" in out
+        assert out.endswith("result: ok\n")
+
 
 class TestBenford:
     def test_json_blocks(self, capsys):

@@ -7,7 +7,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -1117,6 +1116,19 @@ class TestLinearDomain:
                     assert abs(generalized_huffman(p, rule).objective_value - best) <= 1e-9
 
 
+def recording_rows(built):
+    """Rows for ``coder._WORDS`` that append to ``built`` the length k of every
+    block ``canonical_codewords`` slices from them, short or long."""
+
+    class Row(tuple):
+        def __getitem__(self, i):
+            if isinstance(i, slice):
+                built.append(sys._getframe(1).f_locals["k"])
+            return tuple.__getitem__(self, i)
+
+    return tuple(map(Row, coder._WORDS))
+
+
 def groupby_runs(lengths):
     """``lengths`` as (run lengths, run counts) in symbol order, by ``itertools.groupby``."""
     runs = [(k, len(list(g))) for k, g in itertools.groupby(lengths)]
@@ -1401,13 +1413,12 @@ class TestCanonicalCodewords:
     def test_over_full_length_builds_no_strings(self, monkeypatch):
         # Kraft sum 600/512: length 9 overflows, and its block would cross
         # 256-word edges
-        def fail(*args):
-            raise AssertionError("_length_block called")
-
-        monkeypatch.setattr(coder, "_length_block", fail)
+        built = []
+        monkeypatch.setattr(coder, "_WORDS", recording_rows(built))
         with pytest.raises(KraftViolation, match=r"^Kraft sum 1\.171875 of 600 lengths "
                                                  r"exceeds 1 by at least 2\^-3$"):
             canonical_codewords(LengthVector((9,) * 600))
+        assert built == []
 
     def test_message_names_the_full_sum_not_the_running_one(self):
         # the running sum passes 1 at length 1, at 3/2; four words of length 20 follow
@@ -1434,14 +1445,8 @@ class TestCanonicalCodewords:
             if running > 1:
                 break
         built = []
-        block = coder._length_block
-
-        def spy(first, count, k):
-            built.append(k)
-            return block(first, count, k)
-
-        with mock.patch.object(coder, "_length_block", spy), \
-                pytest.raises(KraftViolation) as exc:
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(KraftViolation) as exc:
+            mp.setattr(coder, "_WORDS", recording_rows(built))
             canonical_codewords(l)
         assert str(exc.value) == (f"Kraft sum {float(total)!r} of {len(lengths)} lengths "
                                   f"exceeds 1 by at least 2^{exponent}")

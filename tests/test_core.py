@@ -296,15 +296,31 @@ class TestLengthVector:
             assert checked.lengths is lengths
 
 
+def doubling_ceil_neg_lg(p):
+    """ceil(-lg p) by exact repeated doubling, the form ceil_neg_lg replaced."""
+    k = 0
+    while p < 1.0:
+        p *= 2.0
+        k += 1
+    return k
+
+
 class TestCeilNegLg:
     def test_powers_of_two_exact(self):
-        for k in range(0, 60):
+        # down to 2^-1074, the least subnormal
+        for k in range(0, 1075):
             assert ceil_neg_lg(2.0 ** -k) == k
 
     def test_generic(self):
         assert ceil_neg_lg(0.3) == 2
         assert ceil_neg_lg(0.01) == 7
         assert ceil_neg_lg(1.0) == 0
+        # an ulp either side of 2^-k and of 1/(2^k - 1), subnormal past k = 1022
+        for k in range(1, 1075):
+            for x in (2.0 ** -k, 1 / (2 ** (k + 1) - 1)):
+                for p in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)):
+                    if p > 0.0:  # not below 2^-1074
+                        assert ceil_neg_lg(p) == doubling_ceil_neg_lg(p), p
 
     def test_rejects_out_of_range(self):
         with pytest.raises(NonPositiveProbability):

@@ -71,6 +71,9 @@ class TestConstructions:
             WitnessFamily(FamilyKind.LEN_LOWER_TIGHT, p1=0.3),
             WitnessFamily(FamilyKind.L1_BOUNDARY_Q_LE_1, q=1.2),
             WitnessFamily(FamilyKind.L1_BOUNDARY_Q_LE_1, q=0.75, eps=0.5),
+            # eps lost in rounding: the floats do not put (2, 2, 2, 2) ahead
+            WitnessFamily(FamilyKind.L1_BOUNDARY_Q_LE_1, q=1.0, eps=1e-300),
+            WitnessFamily(FamilyKind.L1_BOUNDARY_Q_LE_1, q=0.6, eps=1e-300),
             WitnessFamily(FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1, q=0.9, p1=0.5),
             WitnessFamily(FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1, q=2.0, p1=0.1),
             WitnessFamily(FamilyKind.L1_ALWAYS_ONE_Q_LT_1, q=1.5, p1=0.5),
