@@ -15,11 +15,16 @@ which is below 2: it is at most the Shannon code's, whose every
 p_i 2^l_i is below 2.  The
 d-th rule merges the leaf weights p_i^(1+d) by the exp-base combiner
 q(a + b) with q = 2^d, which the root identity below makes the same
-merge.  Where 2^d overflows (from d = 1024) or p_n^(1+d) is not a normal
-float, the d-th rule merges base-2 logs instead, the log domain, by the
-combiner above carried through lg; so it does where the linear root is
-not finite, which the readout bound below rules out for any code near
-optimal, as lg W = d V < d for a value V < 1.
+merge.  Where p_n^(1+d) is not a normal float, the leaves are
+(p_i 2^a)^(1+d), a the least integer that makes (p_n 2^a)^(1+d) normal:
+an exact shift of every p_i, which scales the root by 2^(a(1+d)) and the
+readout takes back out.  Where 2^d overflows (from d = 1024), or where
+a(1+d) >= 1023, past which a shifted leaf, below 2^(a(1+d)), could
+leave the float range, and under d >= 0 the root, at least 2^(a(1+d)),
+could too, the d-th rule merges base-2 logs instead, the log domain, by
+the combiner above carried through lg.  So it does where the linear root
+is not finite, which the readout bound below rules out for any code near
+optimal and unshifted, as lg W = d V < d for a value V < 1.
 
 The merge order is made deterministic by a (weight, creation sequence)
 priority: input symbols get sequence numbers by nondecreasing weight and
@@ -126,15 +131,20 @@ L, and log2, 2** and pow within an ulp:
   underflow, and q^depth <= 1 carries each such merge's absolute error,
   under 2^-1075, to the root under 2^-1074: rho = gamma_2L + (n-1)
   2^-1074 / W relative in all, so lg W is off by -lg(1 - rho).
-* d-th, linear: W is the exp-base root with q = 2^d on leaves p_i^c,
-  c = 1 + d, and gains three errors.  Each leaf p_i^c' with c' = fl(c)
-  is within an ulp, at most 2u relative, of p_i^c 2^((c' - c) lg p_i),
-  and |c' - c| <= u c; fl(2^d) is within an ulp of q, which a term at
-  depth l meets l times.  No merged weight underflows: under d > 0,
-  q(a + b) > b, and under d < 0, q >= 1/2 gives fl(q fl(a + b)) >= a,
-  so each is at least the least leaf, a normal float.  So each term, and
-  W with it, is off by a relative rho = (1 + gamma_(4L+2)) 2^t - 1 with
-  t = u c (-lg p_n) <= 1022u, and lg W by -lg(1 - rho).
+* d-th, linear: the root is W' = 2^(a c) W, the exp-base root with
+  q = 2^d on leaves x_i^c, x_i = p_i 2^a exact and c = 1 + d, and gains
+  three errors.  Each leaf x_i^c' with c' = fl(c) is within an ulp, at
+  most 2u relative, of x_i^c 2^((c' - c) lg x_i), and |c' - c| <= u c;
+  fl(2^d) is within an ulp of q, which a term at depth l meets l times.
+  No merged weight underflows: under d > 0, q(a + b) > b, and under
+  d < 0, q >= 1/2 gives fl(q fl(a + b)) >= a, so each is at least the
+  least leaf, a normal float.  So each term, and W' with it, is off by a
+  relative rho = (1 + gamma_(4L+2)) 2^t - 1 with t = u c max_i |lg x_i|,
+  which a c < 1023 keeps below 1023u, and lg W' by -lg(1 - rho).  The
+  readout lg W = lg W' - a c gains 3u a c: log2 of the root, a c + lg W,
+  is within an ulp, 2u a c more than unshifted, and the product a c
+  rounds once; the subtraction is one rounding of lg W, as the division
+  by s is one of the value.  With a = 0 nothing is shifted or taken out.
 * d-th, log domain: with c = 1 + d, the map (c a, c b) -> c f(a, b) =
   d + lg(2^(c a) + 2^(c b)) has partial derivatives that are weights
   summing to 1, so an error in a child's scaled key reaches its parent's
@@ -146,12 +156,13 @@ L, and log2, 2** and pow within an ulp:
   the d-th queue's near-tie inversions above leave it as it is.
 
 Dividing by s adds a few roundings of the value and multiplies the error
-of lg W by 1/|s|.  Every Kraft-valid code's exact d-th value is at least
-0, by the power means of x_i = p_i 2^l_i: M_d(x) >= M_-1(x) >= 1.  So a
-d-th value below 0, which only rounding gives, as on a dyadic pmf whose
-exact value is 0, is raised to 0.0, which is no further from the exact
-value: ``generalized_huffman`` does so once, for the readout in either
-domain and for ``Objective.evaluate``'s value alike.  The readout is
+of lg W, the shift's 3u a c with it, by 1/|s|.  Every Kraft-valid code's
+exact d-th value is at least 0, by the power means of x_i = p_i 2^l_i:
+M_d(x) >= M_-1(x) >= 1.  So a d-th value below 0, which only rounding
+gives, as on a dyadic pmf whose exact value is 0, is raised to 0.0,
+which is no further from the exact value: ``generalized_huffman`` does
+so once, for the readout in either domain and for
+``Objective.evaluate``'s value alike.  The readout is
 taken only at |s| >= 1/16 (``core._SMALL_SCALE``), the cut
 ``renyi_entropy`` switches forms at;
 nearer d = 0 or q = 1 the value is left to ``Objective.evaluate``, as are
@@ -259,20 +270,47 @@ class CombineRule:
         return Objective(_OBJECTIVE_OF[self.kind], self.param)
 
     def _leaf_keys(self, p: Pmf, log_domain: bool = False) -> list[float] | None:
-        """The merge's leaf keys: linear weights, p_i^(1+d) under the d-th rule, or
-        base-2 logs with ``log_domain``, which only the d-th rule takes.
+        """The merge's leaf keys: linear weights, (p_i 2^a)^(1+d) under the d-th rule
+        with a = ``_shift(p)``, or base-2 logs with ``log_domain``, which only the
+        d-th rule takes.
 
-        None where the d-th rule cannot merge linearly: 2^d overflows, or
-        p_n^(1+d) is not a normal float (module docstring).
+        None where the d-th rule cannot merge linearly, as ``_shift`` has no a.
+        ldexp by a is exact, and a = 0 takes no ldexp, so those leaves are
+        p_i^(1+d) bit for bit.
         """
         if log_domain:
             return list(map(math.log2, p.probs))
         if self.kind is not RuleKind.DTH_EXP:
             return list(p.probs)
-        c = 1.0 + self.param
-        if _dth_base(self.param) == math.inf or not p.probs[-1] ** c >= sys.float_info.min:
+        a = self._shift(p)
+        if a is None:
             return None
-        return list(map(pow, p.probs, repeat(c)))
+        probs = map(math.ldexp, p.probs, repeat(a)) if a else p.probs
+        return list(map(pow, probs, repeat(1.0 + self.param)))
+
+    def _shift(self, p: Pmf) -> int | None:
+        """a of the d-th rule's linear leaves (p_i 2^a)^c, c = 1 + d: 0 where p_n^c
+        is a normal float, else the least integer a that makes (p_n 2^a)^c normal.
+
+        None where 2^d overflows, or where a c >= 1023, past which a shifted
+        leaf, below 2^(a c), could leave the float range, and under d >= 0 the
+        root, 2^(a c) W with W >= 1, could too (module docstring).  The root of
+        the shifted leaves is 2^(a c) W exactly, so lg W = lg root - a c.
+        """
+        c = 1.0 + self.param
+        pn, tiny = p.probs[-1], sys.float_info.min
+        if _dth_base(self.param) == math.inf:
+            return None
+        if pn ** c >= tiny:
+            return 0
+        # (p_n 2^a)^c >= 2^-1022 from a >= -1022/c - lg p_n; the loops settle
+        # the rounding of that estimate, and no power in them overflows
+        a = math.ceil(-1022.0 / c - math.log2(pn))
+        while math.ldexp(pn, a - 1) ** c >= tiny:
+            a -= 1
+        while not math.ldexp(pn, a) ** c >= tiny:
+            a += 1
+        return a if a * c < 1023.0 else None
 
     def _combiner(self, log_domain: bool = False):
         """f on the keys of ``_leaf_keys``, as a two-argument callable.
@@ -311,8 +349,10 @@ class CombineRule:
         ``Objective.evaluate`` must score the code instead (see the module docstring)."""
         if self.kind is RuleKind.DTH_EXP:
             s = self.param
-            # a linear d-th root is at least the least leaf, a normal float, and finite
-            lg_w = (1.0 + s) * root if log_domain else math.log2(root)
+            # a linear d-th root is at least the least leaf, a normal float, and
+            # finite; the leaves' shift a comes off as a c, and a = 0 leaves log2 as is
+            c = 1.0 + s
+            lg_w = c * root if log_domain else math.log2(root) - self._shift(p) * c
         elif (self.kind is RuleKind.EXP_BASE and sys.float_info.min <= root < math.inf
               and p.probs[-1] >= sys.float_info.min):
             s = math.log2(self.param)
@@ -342,9 +382,11 @@ class CodeResult:
     ``objective_value`` is lg W / s read off the merge's root weight.  By
     the module docstring it lies within -lg(1 - rho) / |s| + 6u (|V| + 1)
     of the exact value V of these lengths, with u = 2^-53, L the longest
-    length, and rho = gamma_2L + (n-1) 2^-1074 / W under the exp-base rule or
-    rho = (1 + gamma_(4L+2)) 2^(u (1+d) (-lg p_n)) - 1 under the d-th
-    rule's linear merge.  Under the d-th rule's log-domain merge it lies
+    length, and rho = gamma_2L + (n-1) 2^-1074 / W under the exp-base rule.
+    Under the d-th rule's linear merge, on leaves shifted by 2^a
+    (``CombineRule._shift``), it lies within that bound plus 3u a (1+d) / |d|,
+    with rho = (1 + gamma_(4L+2)) 2^t - 1 and t = u (1+d) max_i |lg(p_i 2^a)|.
+    Under the d-th rule's log-domain merge it lies
     within 10u (L + 2)((1+d) K + |d| + 1) / |d| + 4u |V|, with
     K = max(-lg p_n, L) + 1.  Otherwise it is ``Objective.evaluate`` of the
     lengths, bit for bit.  Under the d-th rule either value, where it is
@@ -430,10 +472,12 @@ def _merge(p: Pmf, rule: CombineRule) -> tuple[tuple, float, bool]:
     """Merge ``p`` under ``rule``: the code's level runs (``_level_runs``), the root
     key, and whether the merge ran in the log domain.
 
-    Every rule merges linearly, but the d-th rule merges base-2 logs where
-    ``_leaf_keys`` has no linear keys for ``p``, and merges again on them
-    where its linear root overflows, which the module docstring shows a
-    code near optimal never does.
+    Every rule merges linearly, the d-th rule on leaves shifted by 2^a
+    where p_n^(1+d) is not a normal float, so that the root key is 2^(a(1+d))
+    W.  The d-th rule merges base-2 logs where ``_leaf_keys`` has no linear
+    keys for ``p``, as 2^d overflows or a(1+d) >= 1023, and merges again
+    on them where its linear root overflows, which the module docstring
+    shows an unshifted code near optimal never does.
     """
     keys = rule._leaf_keys(p)
     if keys is not None:

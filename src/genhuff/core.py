@@ -139,19 +139,38 @@ def cmp_ratio(p: float, num: int, den: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _check_positive(vals: Sequence[float]) -> None:
-    """Raise NonPositiveProbability, quoting n and the first bad entry only,
-    unless every entry is finite and > 0.  ``min`` and ``max`` skip a NaN
-    past the first entry; the sum, which any NaN makes NaN, catches it."""
-    if 0.0 < min(vals) and max(vals) < math.inf and not math.isnan(sum(vals)):
-        return
+def _check_positive(vals: Sequence[float]) -> float:
+    """Return the plain ``sum`` of ``vals`` where every entry is finite and > 0, and
+    raise NonPositiveProbability, quoting n and the first bad entry only, otherwise.
+    ``min`` and ``max`` skip a NaN past the first entry; the sum, which any NaN
+    makes NaN, catches it."""
+    total = sum(vals)
+    if 0.0 < min(vals) and max(vals) < math.inf and not math.isnan(total):
+        return total
     k = next(i for i, v in enumerate(vals) if not (0.0 < v < math.inf))
     raise NonPositiveProbability(f"all probabilities must be finite and > 0: "
                                  f"entry {k + 1} of {len(vals)} is {vals[k]!r}")
 
 
-def _check_sum(vals: Sequence[float]) -> None:
-    """Raise SumNotOne unless the exact sum of ``vals`` is within PMF_SUM_TOL of 1."""
+def _check_sum(vals: Sequence[float], plain: float) -> None:
+    """Raise SumNotOne unless fsum(vals), the exact sum S of ``vals`` rounded once,
+    is within PMF_SUM_TOL of 1.
+
+    ``plain`` is ``sum(vals)`` of the positive entries, taken for the NaN
+    check, and most pmfs are decided from it alone.  The entries are
+    positive, so summed in order, as ``sum`` does up to Python 3.11, it is
+    within gamma_(n-1) S of S, with gamma_k = ku/(1 - ku) and u = 2^-53;
+    compensated, as from 3.12, within 2u S + O(n u^2) S (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4).  Both are below
+    e = n 2^-52 plain for any n up to 10^13.  So where |plain - 1| <=
+    PMF_SUM_TOL - e - 2^-50, |S - 1| is below PMF_SUM_TOL by more than
+    2^-50 - 2^-53, which covers the comparison's own roundings; S is near 1,
+    where fsum rounds it by at most 2^-53 and fsum(vals) - 1.0 is exact,
+    so fsum accepts too.  Every other sum pays for fsum, and its decision
+    and message are fsum's.
+    """
+    if abs(plain - 1.0) <= PMF_SUM_TOL - (len(vals) * 2.0 ** -52 * plain + 2.0 ** -50):
+        return
     try:
         total = math.fsum(vals)
     except OverflowError:
@@ -170,8 +189,7 @@ class Pmf:
     def __post_init__(self):
         if not self.probs:
             raise EmptyInput("pmf needs at least one symbol")
-        _check_positive(self.probs)
-        _check_sum(self.probs)
+        _check_sum(self.probs, _check_positive(self.probs))
         if any(map(operator.lt, self.probs, islice(self.probs, 1, None))):
             k = next(i for i in range(1, self.n) if self.probs[i - 1] < self.probs[i])
             raise CodingError(
@@ -239,10 +257,11 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     if assume_sorted:
         return Pmf(tuple(vals))
     vals.sort(reverse=True)
-    if not (0.0 < vals[-1] and vals[0] < math.inf and not math.isnan(sum(vals))):
+    total = sum(vals)
+    if not (0.0 < vals[-1] and vals[0] < math.inf and not math.isnan(total)):
         # only a refusal reads ``raw`` again, for the entry's place in it
         _check_positive(list(map(float, raw)))
-    _check_sum(vals)
+    _check_sum(vals, total)
     return Pmf._checked(tuple(vals))
 
 

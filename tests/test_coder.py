@@ -90,9 +90,19 @@ DTH_EDGE_RULES = [rule for rule in EDGE_RULES if rule.kind is RuleKind.DTH_EXP]
 # heap, a parent map and a walk up from every leaf, O(n * depth).  Its
 # merge formulas are written out here, not taken from the engine.
 
-def reference_merge_rule(rule, log_domain=False):
-    """(leaf key, combine) for ``rule``: linear weights, p_i^(1+d) under the
-    d-th rule, or with ``log_domain`` the d-th rule's base-2 logs."""
+def reference_shift(p, rule):
+    """a of the d-th rule's linear leaves (p_i 2^a)^(1+d), by a scan up from 0: the
+    least a >= 0 that makes (p_n 2^a)^(1+d) a normal float."""
+    c, a = 1.0 + rule.param, 0
+    while not math.ldexp(p.probs[-1], a) ** c >= sys.float_info.min:
+        a += 1
+    return a
+
+
+def reference_merge_rule(p, rule, log_domain=False):
+    """(leaf key, combine) for ``rule`` on ``p``: linear weights, (p_i 2^a)^(1+d)
+    with a = ``reference_shift`` under the d-th rule, or with ``log_domain`` the
+    d-th rule's base-2 logs."""
     kind, param = rule.kind.value, rule.param
     if kind == "sum":
         return float, lambda a, b: a + b
@@ -103,21 +113,21 @@ def reference_merge_rule(rule, log_domain=False):
     c = 1.0 + param
     if log_domain:
         return math.log2, lambda a, b: (param + lg_sum_exp2((c * a, c * b))) / c
-    q = 2.0 ** param
-    return lambda x: x ** c, lambda a, b: q * (a + b)
+    q, shift = 2.0 ** param, reference_shift(p, rule)
+    return lambda x: math.ldexp(x, shift) ** c, lambda a, b: q * (a + b)
 
 
 def reference_log_domain(p, rule):
     """Whether the engine's merge of ``p`` runs on base-2 logs, by the module docstring's
-    conditions: a d-th rule whose 2^d overflows, whose p_n^(1+d) is not a normal
-    float, or whose linear root overflows."""
+    conditions: a d-th rule whose 2^d overflows, whose shift a has a (1+d) >= 1023,
+    or whose linear root overflows."""
     if rule.kind is not RuleKind.DTH_EXP:
         return False
     try:
         2.0 ** rule.param
     except OverflowError:
         return True
-    return not (p.probs[-1] ** (1.0 + rule.param) >= sys.float_info.min
+    return not (reference_shift(p, rule) * (1.0 + rule.param) < 1023
                 and reference_root(p, rule) < math.inf)
 
 
@@ -125,7 +135,7 @@ def reference_lengths(p, rule, log_domain=None):
     """The heap reference's lengths, in the domain the engine takes unless one is named."""
     if log_domain is None:
         log_domain = reference_log_domain(p, rule)
-    leaf, combine = reference_merge_rule(rule, log_domain)
+    leaf, combine = reference_merge_rule(p, rule, log_domain)
     n = p.n
     heap = [(leaf(x), n - 1 - i, i) for i, x in enumerate(p.probs)]
     heapq.heapify(heap)
@@ -221,7 +231,7 @@ def assert_merged_queue_sorted(p, rule, domain):
 def root_weight_value(p, rule):
     """The optimal objective value from a merge that keeps root weights only."""
     log_domain = reference_log_domain(p, rule)
-    leaf, combine = reference_merge_rule(rule, log_domain)
+    leaf, combine = reference_merge_rule(p, rule, log_domain)
     heap = [leaf(x) for x in p.probs]
     heapq.heapify(heap)
     merged = []
@@ -235,13 +245,16 @@ def root_weight_value(p, rule):
     if kind == "max_double":
         return math.log2(root)
     if kind == "dth_exp":
-        return (1.0 + param) / param * root if log_domain else math.log2(root) / param
+        c = 1.0 + param
+        if log_domain:
+            return c / param * root
+        return (math.log2(root) - reference_shift(p, rule) * c) / param
     return math.log(root) / math.log(param)
 
 
 def reference_root(p, rule, log_domain=False):
     """The root key of a merge that keeps weights only, by the reference formulas."""
-    leaf, combine = reference_merge_rule(rule, log_domain)
+    leaf, combine = reference_merge_rule(p, rule, log_domain)
     heap = [leaf(x) for x in p.probs]
     heapq.heapify(heap)
     while len(heap) > 1:
@@ -285,8 +298,10 @@ def readout_bound(p, lengths, rule, lg_w, value, log_domain):
     exp-base: the root is off by a relative rho = gamma_2L + (n-1) 2^-1074 / W,
     so lg W by -lg(1 - rho), which the quotient divides by |lg q|; log2 of the
     root, log2 q and the quotient round once each, within an ulp: 6u (|V| + 1).
-    d-th, linear: rho = (1 + gamma_(4L+2)) 2^(u c (-lg p_n)) - 1, with the
-    same -lg(1 - rho) / |d| + 6u (|V| + 1).
+    d-th, linear, on leaves shifted by 2^a: rho = (1 + gamma_(4L+2)) 2^t - 1
+    with t = u c max_i |lg(p_i 2^a)|, the same -lg(1 - rho) / |d| + 6u (|V| + 1),
+    which holds the subtraction's rounding, and the shift's 3u a c / |d|: log2
+    of a root near 2^(a c) rounds by up to 2u a c more, and a c rounds once.
     d-th, log domain: (1+d) r is off by 10u (L + 2)(c K + |d| + 1),
     K = max(-lg p_n, L) + 1, over |d|; the product (1+d) r and the quotient
     round once each: 4u |V|.
@@ -298,8 +313,10 @@ def readout_bound(p, lengths, rule, lg_w, value, log_domain):
         if log_domain:
             k = max(-math.log2(p.probs[-1]), big_l) + 1
             return 10 * U * (big_l + 2) * (c * k + abs(d) + 1) / abs(d) + 4 * U * value
-        rho = (1 + gamma(4 * big_l + 2)) * 2.0 ** (U * c * -math.log2(p.probs[-1])) - 1
-        return -math.log2(1 - rho) / abs(d) + 6 * U * (value + 1)
+        a = reference_shift(p, rule)
+        t = U * c * max(abs(math.log2(math.ldexp(x, a))) for x in (p.probs[0], p.probs[-1]))
+        rho = (1 + gamma(4 * big_l + 2)) * 2.0 ** t - 1
+        return -math.log2(1 - rho) / abs(d) + 6 * U * (value + 1) + 3 * U * a * c / abs(d)
     rho = gamma(2 * big_l) + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** lg_w)
     return -math.log2(1 - rho) / abs(math.log2(rule.param)) + 6 * U * (value + 1)
 
@@ -1016,7 +1033,8 @@ class TestLinearDomain:
     @pytest.mark.parametrize("d", [1023.0, math.nextafter(1024.0, 0.0), 1024.0, 1e4, 1e6, D_MAX])
     def test_guard_d_values_fall_back_bit_for_bit(self, d):
         # 2^d overflows from d = 1024, and the OverflowError never escapes;
-        # with n >= 2, p_n^(1+d) is subnormal or zero anyway
+        # with n >= 2, p_n^(1+d) is subnormal or zero, and the shift a that
+        # would make it normal has a (1+d) >= 1023
         rule = CombineRule.dth_exp(d)
         assert (coder._dth_base(d) == math.inf) == (d >= 1024.0)
         pmfs = [validate_pmf(probs) for probs in self.GUARD_PMFS]
@@ -1027,32 +1045,51 @@ class TestLinearDomain:
                 assert rule._leaf_keys(p) == [1.0]
                 assert engine_code(p, rule) == ((0,), 0.0) == parent_dth_code(p, rule)
                 continue
-            assert rule._leaf_keys(p) is None
+            assert d >= 1024.0 or reference_shift(p, rule) * (1.0 + d) >= 1023
+            assert rule._shift(p) is None and rule._leaf_keys(p) is None
             assert coder._merge(p, rule)[2]
             lengths, value = engine_code(p, rule)
             assert math.isfinite(value)
             assert (lengths, value) == parent_dth_code(p, rule)
 
-    @pytest.mark.parametrize("d,probs,linear", [
-        # p_n^(1+d) = 2^-1022, the least normal float, and one ulp of p_n below it
-        (1.0, [0.5, 0.25, 0.25, 2.0 ** -511], True),
-        (1.0, [0.5, 0.25, 0.25, math.nextafter(2.0 ** -511, 0.0)], False),
-        # 0.5^1022 is normal and q = 2^1021 finite; past d = 1021, 0.5^(1+d) is subnormal
-        (1021.0, [0.5, 0.5], True),
-        (math.nextafter(1021.0, math.inf), [0.5, 0.5], False),
-        # under d < 0, p^(1+d) >= p: a subnormal p_n still merges linearly
-        (-0.5, [0.5, 0.25, 0.25, 5e-324], True),
-    ])
-    def test_leaf_power_on_both_sides_of_the_least_normal(self, d, probs, linear):
-        p, rule = validate_pmf(probs), CombineRule.dth_exp(d)
-        assert (rule._leaf_keys(p) is not None) == linear == (not reference_log_domain(p, rule))
-        assert coder._merge(p, rule)[2] == (not linear)
-        res = generalized_huffman(p, rule)
-        if linear:
-            assert res.lengths.lengths == reference_lengths(p, rule, log_domain=False)
-            check_readout(p, res, rule)
-        else:
+    @staticmethod
+    def assert_merges_with_shift(p, rule, shift):
+        """``rule`` merges ``p`` linearly on leaves shifted by 2^shift, with the heap
+        reference's lengths and a value within the readout bound, or, with ``shift``
+        None, in the log domain, bit for bit as the log domain always has."""
+        assert rule._shift(p) == shift
+        assert coder._merge(p, rule)[2] == (shift is None) == reference_log_domain(p, rule)
+        if shift is None:
+            assert rule._leaf_keys(p) is None
             assert engine_code(p, rule) == parent_dth_code(p, rule)
+            return
+        assert shift == reference_shift(p, rule)
+        res = generalized_huffman(p, rule)
+        assert res.lengths.lengths == reference_lengths(p, rule, log_domain=False)
+        check_readout(p, res, rule)
+
+    @pytest.mark.parametrize("d,probs,shift", [
+        # p_n^(1+d) = 2^-1022, the least normal float, and one ulp of p_n below
+        # it, which the shift a = 1 makes normal again
+        (1.0, [0.5, 0.25, 0.25, 2.0 ** -511], 0),
+        (1.0, [0.5, 0.25, 0.25, math.nextafter(2.0 ** -511, 0.0)], 1),
+        # 0.5^1022 is normal and q = 2^1021 finite; past d = 1021, 0.5^(1+d) is
+        # subnormal, and a = 1 gives leaves 1.0 with a (1+d) just above 1022
+        (1021.0, [0.5, 0.5], 0),
+        (math.nextafter(1021.0, math.inf), [0.5, 0.5], 1),
+        # under d < 0, p^(1+d) >= p: a subnormal p_n still merges unshifted
+        (-0.5, [0.5, 0.25, 0.25, 5e-324], 0),
+    ])
+    def test_leaf_power_on_both_sides_of_the_least_normal(self, d, probs, shift):
+        self.assert_merges_with_shift(validate_pmf(probs), CombineRule.dth_exp(d), shift)
+
+    @pytest.mark.parametrize("depth,shift", [(680, 340), (681, None)])
+    def test_both_sides_of_the_widest_shifted_span(self, depth, shift):
+        # the dyadic pmf 2^-1, ..., 2^-m, 2^-m at d = 2: the leaves span 3m bits,
+        # and the least a that lifts (2^-m 2^a)^3 to a normal float is
+        # ceil(m - 1022/3), so a (1+d) is 1020 at m = 680 and 1023 at m = 681
+        p = validate_pmf([2.0 ** -i for i in range(1, depth + 1)] + [2.0 ** -depth])
+        self.assert_merges_with_shift(p, CombineRule.dth_exp(2.0), shift)
 
     def test_root_overflow_reruns_in_the_log_domain(self, monkeypatch):
         # no code near optimal overflows the linear root (lg W = d V < d), so a
@@ -1073,11 +1110,29 @@ class TestLinearDomain:
         assert engine_code(p, rule) == expected
         assert roots[0] == math.inf and math.isfinite(roots[1]) and len(roots) == 2
 
+    @staticmethod
+    def linear_code_moved(p, rule):
+        """Whether the engine's linear merge of ``p`` under ``rule`` gave other lengths
+        than the log domain's heap reference.  Its value is within its own readout
+        bound of its code's 200-bit value either way; where the lengths moved, at an
+        exact tie the two domains break differently, both codes are complete and
+        their 200-bit values agree within the two readout bounds."""
+        res = generalized_huffman(p, rule)
+        check_readout(p, res, rule)
+        new, old = res.lengths.lengths, reference_lengths(p, rule, log_domain=True)
+        if new == old:
+            return False
+        assert LengthVector(new).is_complete and LengthVector(old).is_complete
+        (lg_new, v_new), (lg_old, v_old) = exact_value(p, new, rule), exact_value(p, old, rule)
+        with mpmath.workprec(200):
+            gap = abs(v_new - v_old)
+        assert gap <= readout_bound(p, new, rule, lg_new, v_new, False) \
+            + readout_bound(p, old, rule, lg_old, v_old, True)
+        return True
+
     def test_values_agree_where_the_linear_merge_moves_lengths(self, large_pmfs):
         # dyadic-tie pmfs tie merged and input weights exactly, and the two domains
-        # break some of those ties differently: both codes' 200-bit values then
-        # agree within the two readout bounds, and the engine's value is within
-        # its own bound of its code's
+        # break some of those ties differently
         rng = np.random.default_rng(63)
         moved = 0
         for n in range(3, 60, 4):
@@ -1085,27 +1140,31 @@ class TestLinearDomain:
             for d in (0.5, 2.0, 7.0, -0.5, -0.9):
                 rule = CombineRule.dth_exp(d)
                 assert not reference_log_domain(p, rule)
-                res = generalized_huffman(p, rule)
-                new, old = res.lengths.lengths, reference_lengths(p, rule, log_domain=True)
-                if new == old:
-                    continue
-                moved += 1
-                assert LengthVector(new).is_complete and LengthVector(old).is_complete
-                check_readout(p, res, rule)
-                (lg_new, v_new), (lg_old, v_old) = (exact_value(p, new, rule),
-                                                    exact_value(p, old, rule))
-                with mpmath.workprec(200):
-                    gap = abs(v_new - v_old)
-                assert gap <= readout_bound(p, new, rule, lg_new, v_new, False) \
-                    + readout_bound(p, old, rule, lg_old, v_old, True)
+                moved += self.linear_code_moved(p, rule)
         assert moved >= 10
-        # the deep pmf's p_n^(1+d) underflows at d = 0.5 and 2, so those merges
-        # run in the log domain; at d = -0.5 the linear merge gives the same lengths
+        # the deep pmf's p_n^(1+d) underflows at d = 0.5 and 2: at d = 0.5 the merge
+        # takes leaves shifted by 2^322, and d = 2, whose shift would have
+        # a (1+d) >= 1023, runs in the log domain; at d = -0.5 the merge is
+        # unshifted; each gives the log domain's lengths
         p = large_pmfs["geometric"]
-        for d, log_domain in ((0.5, True), (2.0, True), (-0.5, False)):
+        for d, shift in ((0.5, 322), (2.0, None), (-0.5, 0)):
             rule = CombineRule.dth_exp(d)
-            assert coder._merge(p, rule)[2] == log_domain
-            assert generalized_huffman(p, rule).lengths.lengths == domain_code(p, rule, "log")[0]
+            assert rule._shift(p) == shift
+            assert coder._merge(p, rule)[2] == (shift is None)
+            res = generalized_huffman(p, rule)
+            assert res.lengths.lengths == domain_code(p, rule, "log")[0]
+            if shift is not None:
+                check_readout(p, res, rule)
+
+    @pytest.mark.parametrize("n", [500, 2000, 5000])
+    def test_shifted_readout_within_its_bound(self, n):
+        # p_i ~ 2^(-i/5): at n = 5000 each d's leaves take a shift, at n <= 2000 none
+        p = validate_pmf([2.0 ** (-i / 5) for i in range(1, n + 1)], normalize=True)
+        for d in (0.25, 0.5, 1.0):
+            rule = CombineRule.dth_exp(d)
+            assert (rule._shift(p) > 0) == (n == 5000)
+            assert not coder._merge(p, rule)[2]
+            self.linear_code_moved(p, rule)
 
     def test_engine_matches_the_oracle_on_the_edge_d_values(self):
         rng = np.random.default_rng(64)

@@ -1,6 +1,7 @@
 """Core types and objective evaluators."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from genhuff import (
     success_probability,
     validate_pmf,
 )
-from genhuff.core import cmp_ratio
+from genhuff.core import PMF_SUM_TOL, cmp_ratio
 
 # frozen by direct 40-digit evaluation of the defining formulas
 BENFORD = (0.3010299956639812, 0.17609125905568124, 0.12493873660829995,
@@ -245,6 +246,102 @@ class TestValidatePmf:
         p = validate_pmf([x / total for x in raw], normalize=True)
         assert abs(math.fsum(p.probs) - 1.0) < 1e-9
         assert all(a >= b for a, b in zip(p.probs, p.probs[1:]))
+
+
+def edge_sums():
+    """The floats nearest 1 + PMF_SUM_TOL and 1 - PMF_SUM_TOL, and 1 to 3 ulps to
+    either side of each."""
+    sums = []
+    for edge in (1.0 + PMF_SUM_TOL, 1.0 - PMF_SUM_TOL):
+        below = above = edge
+        sums.append(edge)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+            sums += (below, above)
+    return sums
+
+
+def summing_to(total, n):
+    """n positive floats, nonincreasing, whose exact sum is ``total``: n - 1 of
+    them 2^-m, with R = (n - 1) 2^-m <= 1/4, after total - R, which is exact."""
+    m = max(2, (4 * (n - 1)).bit_length())
+    vals = [total - (n - 1) * 2.0 ** -m] + [2.0 ** -m] * (n - 1)
+    assert math.fsum(vals) == total
+    return vals
+
+
+def sum_refusal(build, vals):
+    """The SumNotOne message ``build(vals)`` raises, or None where it accepts."""
+    try:
+        build(vals)
+    except SumNotOne as exc:
+        return str(exc)
+    return None
+
+
+def fsum_refusal(vals):
+    """The message of fsum's decision on ``vals``: within PMF_SUM_TOL of 1 or not."""
+    total = math.fsum(vals)
+    return None if abs(total - 1.0) <= PMF_SUM_TOL else \
+        f"{len(vals)} probabilities sum to {total!r}, not 1"
+
+
+class TestSumCheck:
+    """The sum check decides as fsum does, from the plain sum where that is far from the edge."""
+
+    BUILDS = {
+        "sorted": lambda vals: validate_pmf(random.Random(len(vals)).sample(vals, len(vals))),
+        "assume_sorted": lambda vals: validate_pmf(vals, assume_sorted=True),
+        "direct": lambda vals: Pmf(tuple(vals)),
+    }
+
+    @pytest.mark.parametrize("n", [2, 1000, 100_000])
+    def test_edge_sums_decide_as_fsum(self, n):
+        verdicts = set()
+        for total in edge_sums():
+            vals = summing_to(total, n)
+            want = fsum_refusal(vals)
+            verdicts.add(want is None)
+            for name, build in self.BUILDS.items():
+                assert sum_refusal(build, vals) == want, (n, total.hex(), name)
+            # normalised by fsum's total first, then checked as any other list
+            normed = [v / total for v in vals]
+            assert sum_refusal(lambda v: validate_pmf(v, normalize=True), vals) \
+                == fsum_refusal(sorted(normed, reverse=True))
+        assert verdicts == {True, False}
+
+    def test_plain_sum_off_the_edge_defers_to_fsum(self):
+        # the least float that 1 - PMF_SUM_TOL accepts, less one ulp, plus half an
+        # ulp and a little: the plain sum, in order or compensated, rounds the half
+        # ulp to even and reads the float below the edge; fsum reads the edge
+        edge = min(x for x in edge_sums() if 1.0 - x <= PMF_SUM_TOL)
+        below = math.nextafter(edge, 0.0)
+        vals = [0.5, below - 0.5, 2.0 ** -54, 2.0 ** -107]
+        assert sum(vals) == below and math.fsum(vals) == edge
+        assert abs(sum(vals) - 1.0) > PMF_SUM_TOL
+        for build in (*self.BUILDS.values(), lambda v: validate_pmf(v, normalize=True)):
+            assert sum_refusal(build, vals) is None
+        # past the other edge, the same construction puts fsum's total an ulp
+        # above the plain sum, and the refusal quotes fsum's
+        top = max(x for x in edge_sums() if x - 1.0 <= PMF_SUM_TOL)
+        above = math.nextafter(top, 2.0)
+        vals = [above - 0.5, 0.5, 2.0 ** -53, 2.0 ** -106]
+        total = math.fsum(vals)
+        assert sum(vals) == above and total == math.nextafter(above, 2.0)
+        for build in self.BUILDS.values():
+            assert sum_refusal(build, vals) == f"4 probabilities sum to {total!r}, not 1"
+
+    def test_plain_sum_within_its_error_bound_of_the_edge_defers_to_fsum(self):
+        # 99,999 entries 2^-54 after one x in [1, 2): summed in order, each is
+        # below half an ulp of x and lost, so the plain sum reads x, inside the
+        # edge by 2.5e-12, while the exact sum is outside it by ~3e-12; the
+        # plain sum's error bound, n 2^-52 ~ 2.2e-11, leaves the call to fsum
+        n = 100_000
+        x = 1.0 + PMF_SUM_TOL - 2.5e-12
+        vals = [x] + [2.0 ** -54] * (n - 1)
+        assert abs(math.fsum(vals) - 1.0) > PMF_SUM_TOL > abs(x - 1.0)
+        for build in self.BUILDS.values():
+            assert sum_refusal(build, vals) == fsum_refusal(vals) is not None
 
 
 class TestLengthVector:
