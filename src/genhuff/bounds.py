@@ -24,6 +24,7 @@ from .core import (
     Pmf,
     QOutOfRange,
     DOutOfRange,
+    _SMALL_SCALE,
     alpha_of_q,
     binary_entropy,
     ceil_neg_lg,
@@ -205,11 +206,17 @@ def exp_avg_unit_bounds(p: Pmf, q: float) -> BoundReport:
     return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
 
 
-def _hat_probs(p: Pmf, q: float) -> list[float]:
-    """p_i^alpha / sum_k p_k^alpha, nonincreasing; 0.0 where the power underflows."""
-    alpha = alpha_of_q(q)
-    lg_norm = lg_sum_exp2([alpha * lg(pi) for pi in p])
-    vals = [2.0 ** (alpha * lg(pi) - lg_norm) for pi in p]
+def _alpha_lgs(p: Pmf, alpha: float) -> tuple[list[float], float]:
+    """(alpha lg p_i for each i, lg sum_i p_i^alpha): what the Renyi entropy
+    and the alpha-power transform are both made of."""
+    scaled = [alpha * lg(pi) for pi in p]
+    return scaled, lg_sum_exp2(scaled)
+
+
+def _hat_probs(scaled: list[float], lg_norm: float) -> list[float]:
+    """p_i^alpha / sum_k p_k^alpha from ``_alpha_lgs``, nonincreasing; 0.0 where
+    the power underflows."""
+    vals = [2.0 ** (x - lg_norm) for x in scaled]
     total = math.fsum(vals)
     # stable re-sort only irons out 1-ulp inversions; powers preserve order
     return sorted((v / total for v in vals), reverse=True)
@@ -223,7 +230,7 @@ def hat_transform(p: Pmf, q: float) -> Pmf:
     transformed distribution equals the cost on the original minus its
     Renyi entropy.
     """
-    return Pmf(tuple(_hat_probs(p, q)))
+    return Pmf(tuple(_hat_probs(*_alpha_lgs(p, alpha_of_q(q)))))
 
 
 def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
@@ -237,8 +244,12 @@ def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
     alpha = alpha_of_q(q)
     if not 1 <= j <= p.n:
         raise CodingError(f"j must be in 1..{p.n}, got {j}")
-    h = renyi_entropy(p, alpha)
-    p_hat = _hat_probs(p, q)[j - 1]
+    # H_alpha and p-hat from one alpha lg p_i list and its log-sum, H_alpha
+    # as renyi_entropy takes it, which near alpha = 1 reads neither
+    scaled, lg_norm = _alpha_lgs(p, alpha)
+    e = 1.0 - alpha
+    h = renyi_entropy(p, alpha) if abs(e) < _SMALL_SCALE else lg_norm / e + 0.0
+    p_hat = _hat_probs(scaled, lg_norm)[j - 1]
     if not 0.0 < p_hat < 1.0:
         # p_j^alpha underflowed, or the others' powers vanish next to it
         raise PreconditionUnmet(f"the transformed p_{j} rounds to {p_hat!r}; "

@@ -259,6 +259,8 @@ def cmd_code(args) -> int:
             f"entropy_bits: {fmt(entropy)}",
             f"bounds: {_interval_str(report)}",
         ]
+        if report.note:
+            lines.append(f"note: {report.note}")
         if "success_probability" in doc:
             lines.append(f"success_probability: {fmt(doc['success_probability'])}")
         _emit("\n".join(lines), args.out)

@@ -418,6 +418,24 @@ class Objective:
         lgq = math.log2(self.param)
         return list(map(operator.add, lgps, _spread(map(operator.mul, ks, repeat(lgq)), cs)))
 
+    def term_rows(self, probs: Sequence[float], lgps: Sequence[float]) -> list[list[float]]:
+        """rows[l][i] = symbol i's term at length l, l = 0..n-1: the twin of ``terms``
+        over every length at once, each row a list comprehension of the same
+        operations in the same order, so the same floats; (1+d) lg p_i is taken once
+        per symbol, and d l and l lg q once per row."""
+        ls = [float(l) for l in range(len(lgps))]
+        if self.kind is ObjectiveKind.AVG_REDUNDANCY:
+            pairs = list(zip(probs, lgps))
+            return [[p * (l + g) for p, g in pairs] for l in ls]
+        if self.kind is ObjectiveKind.MAX_POINTWISE:
+            return [[l + g for g in lgps] for l in ls]
+        if self.kind is ObjectiveKind.DTH_EXP:
+            d = self.param
+            cgs = [(1.0 + d) * g for g in lgps]
+            return [[cg + dl for cg in cgs] for dl in [d * l for l in ls]]
+        lgq = math.log2(self.param)
+        return [[g + kl for g in lgps] for kl in [l * lgq for l in ls]]
+
     def reducer(self) -> Callable[[list[float]], float]:
         """The map from the list of ``terms`` to the objective's value."""
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:

@@ -31,13 +31,17 @@ space in the same order but unranks each vector from its index
 (``_unrank``), which reads no table, so a test that scores its vectors one
 by one shares no code with the walk.
 
-The minimizer tables each symbol's term at each depth once per call with
-``Objective.terms``, the code ``Objective.evaluate`` runs, and binds the
-objective's reducer once.  The walk keeps the term list of the current
-vector the same way it keeps its lengths, and each vector's value is the
-reducer applied to that list.  So each value is the float
-``Objective.evaluate`` gives for that ``LengthVector``, because the code is
-the same, and a ``LengthVector`` is built only for the minimizers.
+The minimizer tables each symbol's term at each depth once per call, row
+by row, with ``Objective.term_rows``, and binds the objective's reducer
+once.  ``term_rows`` is the twin of ``Objective.terms``, the code
+``Objective.evaluate`` runs: each entry is made by the same IEEE
+operations, in the same order, as ``terms`` makes that symbol's term at
+that length, so it is the same float.  The walk keeps the term list of the
+current vector the same way it keeps its lengths, and each vector's value
+is the reducer applied to that list.  So each value is the float
+``Objective.evaluate`` gives for that ``LengthVector``, because the
+operations are the same, and a ``LengthVector`` is built only for the
+minimizers.
 (Under MMPR ``evaluate`` takes the max over each run's first term only,
 which is the same float: see ``Objective.evaluate``.)  Under the two
 exponential objectives the walk scores from a table of powers instead, and
@@ -155,8 +159,12 @@ bounds a subtree by the relaxation alone.
     the term is (1+d) lg P - d lg C.
   - exp average: sum p_j w_j^-s >= A^(1+s) C^-s with A = sum p_j^(1/(1+s))
     for s > 0, and <= for -1 < s < 0, so the term is
-    (1+s) lg A - s lg C.  lg A is taken by ``lg_sum_exp2`` over
-    lg p_j / (1+s): near q = 1/2 the powers themselves underflow.  For
+    (1+s) lg A - s lg C.  With the roots r_j = lg p_j / (1+s), which fall
+    with j, lg A of the symbols lo.. is r_0 + lg sum_(j >= lo) 2^(r_j - r_0):
+    one power per symbol, taken once per call, and one ``fsum`` per suffix.
+    Near q = 1/2 the roots span more than the float range and a power is
+    not a normal float; there each suffix takes ``lg_sum_exp2``, which
+    shifts by the suffix's own largest root, r_lo, instead.  For
     s <= -1 (q <= 1/2) w^-s is convex, so the largest sum sits at a corner,
     one symbol taking all of C, far from any completion: there is no term,
     and the walk takes no bound but scores every vector.
@@ -177,12 +185,29 @@ bounds a subtree by the relaxation alone.
   |a| (G + 1) + |b| n in size.  With ``log2`` and ``pow`` to 2 ulps
   and ``fsum`` and each other operation to u, an entry is within 7uW of
   its exact value (under avg, so is their sum, the p_j summing to at most
-  1), and the term within 11uW of its own; in total at most 16uW.  (Under
-  exp average lg p_j is divided by the float 1 + s and lg A multiplied by
-  the same float, so an error of order uG / (1+s) in lg A comes back as
-  one of order uG.)  The allowance is 32uW, which covers that and the
-  rounding of the move: ~1e-13 for the benchmark's objectives at n = 16,
-  and 1e-7 in the term (1e-13 in the value) at d = 1e6.  The reducer, in
+  1), and the term within 11uW of its own, 15uW under exp average; in
+  total at most 22uW.
+
+  Under exp average the head (1+s) lg A carries most of that.  Write
+  t = fl(1 + s), r_j = fl(lg p_j / t), m = r_0 the largest root and
+  R = |r_(n-1)| the largest |r_j|, so that t R <= G (1 + 2u).  Each r_j is
+  rounded by at most uR, and so is r_j - m, which lies in [-R, 0];
+  ``pow`` and ``fsum`` add relative errors of 4u and u to a suffix's sum S
+  of powers, where every power is a normal float (the one-pass form runs
+  only there), so 8u to lg S; lg S lies in [-R - 1, lg n], so ``log2``
+  adds 4u (R + lg n + 1); and m + log2(S) is rounded by u (R + lg n + 1).
+  So lg A is off by at most u (7R + 5 lg n + 13).  The product by t adds
+  u t (R + lg n), and t's own rounding, relative u, moves t lg A by as
+  much, its derivative in t being lg A less a weighted mean of the r_j.
+  That is u (9G + t (7 lg n + 13)) up to terms in u^2, at most 9uW as
+  t <= 1 + |b|.  (The per-suffix form shifts by r_lo, so its sums lie in
+  [1, n] and its error is smaller.)  Then lg C is off by 4u lg n + un,
+  and -s lg C, the subtraction and the move's own subtraction add at most
+  6uW in all.
+
+  The allowance is 32uW, which covers the 22uW and the rounding of the
+  move: ~1e-13 for the benchmark's objectives at n = 16, and 1e-7 in the
+  term (1e-13 in the value) at d = 1e6.  The reducer, in
   exact arithmetic, then gives the placed terms followed by the moved term
   at most the value it gives every completion's terms.  For avg and MMPR
   the floats keep that as above, and the margin stays 0.  For the exponential
@@ -211,6 +236,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -450,16 +476,26 @@ def _relaxation(obj: Objective, probs: Sequence[float], lgp: Sequence[float]
     """(heads, slopes): the symbols lo.. on an open capacity C take the
     relaxed term ``heads[lo] - slopes[lo] lg C``, the least their part of
     the value can be over real lengths (module docstring), moved by the
-    allowance toward a lower value.  None under exp average with
-    fl(lg q) <= -1, that is q <= 1/2, which has no such term."""
+    allowance toward a lower value.  Under exp average lg A is taken for
+    every suffix from one power per symbol, 2^(root_j - root_0), and per
+    suffix by ``lg_sum_exp2`` where one of those powers is not a normal
+    float.  None under exp average with fl(lg q) <= -1, that is q <= 1/2,
+    which has no such term."""
     n = len(probs)
     a, b = _coefficients(obj)
     if obj.kind is ObjectiveKind.EXP_AVERAGE:
         if not b > -1.0:
             return None
-        # lg sum p_j^(1/(1+s)) as a log-sum: the powers underflow near q = 1/2
+        # the roots fall with j, so root[0] is every suffix's largest; near
+        # q = 1/2 they span more than the float range
         root = [g / (1.0 + b) for g in lgp]
-        heads = [(1.0 + b) * lg_sum_exp2(root[lo:]) for lo in range(n)]
+        top = root[0]
+        pw = [2.0 ** (r - top) for r in root]
+        if min(pw) >= sys.float_info.min:
+            fsum, log2 = math.fsum, math.log2
+            heads = [(1.0 + b) * (top + log2(fsum(pw[lo:]))) for lo in range(n)]
+        else:
+            heads = [(1.0 + b) * lg_sum_exp2(root[lo:]) for lo in range(n)]
         slopes = [b] * n
     else:
         mass = [math.fsum(probs[lo:]) for lo in range(n)]
@@ -523,11 +559,8 @@ def _relaxed_entry(relax: tuple[list[float], list[float]] | None, top: float | N
 
 def _term_rows(obj: Objective, probs: tuple[float, ...], lgp: list[float]
                ) -> list[list[float]]:
-    """rows[l][i] = symbol i's term at length l, l = 0..n-1: one ``terms`` call over
-    the n x n grid, sliced into rows."""
-    n = len(probs)
-    table = obj.terms(probs * n, lgp * n, (range(n), (n,) * n))
-    return [table[lo:lo + n] for lo in range(0, n * n, n)]
+    """rows[l][i] = symbol i's term at length l, l = 0..n-1, by ``Objective.term_rows``."""
+    return obj.term_rows(probs, lgp)
 
 
 def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> OracleResult:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from genhuff import (
     AlphaOutOfRange,
     BoundKind,
+    BoundReport,
     CombineRule,
     L1Region,
     LengthVector,
@@ -39,6 +40,7 @@ from genhuff import (
     kraft_length_tuples,
     l1_region,
     lambda_j,
+    lg_sum_exp2,
     mmpr_bounds,
     mmpr_length_bounds,
     renyi_entropy,
@@ -473,6 +475,28 @@ class TestHatTransform:
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def two_call_exp_avg_bounds(p, q, j):
+    """``exp_avg_bounds`` in its two-call form: H_alpha from ``renyi_entropy``,
+    and the transformed p_j from a second alpha lg p_i list and log-sum."""
+    alpha = alpha_of_q(q)
+    h = renyi_entropy(p, alpha)
+    lg_norm = lg_sum_exp2([alpha * math.log2(pi) for pi in p])
+    vals = [2.0 ** (alpha * math.log2(pi) - lg_norm) for pi in p]
+    total = math.fsum(vals)
+    p_hat = sorted((v / total for v in vals), reverse=True)[j - 1]
+    if not 0.0 < p_hat < 1.0:
+        raise PreconditionUnmet(f"the transformed p_{j} rounds to {p_hat!r}; "
+                                f"the bounds need it in (0, 1)")
+    achievable = BoundKind.ACHIEVABLE
+    if q > 1.0:
+        return BoundReport(h + avg_redundancy_lower(p_hat), h + mmpr_bounds(p_hat).upper,
+                           achievable, achievable)
+    if j == 1:
+        return BoundReport(h, h + avg_redundancy_upper_gallager(p_hat), achievable, achievable)
+    return BoundReport(h, h + 1.0, achievable, BoundKind.APPROACHABLE,
+                       note="unit upper bound: no per-symbol form for q < 1, j != 1")
+
+
 class TestExpAvgBounds:
     def test_benford_q2(self):
         r = exp_avg_bounds(benford(), 2.0, 1)
@@ -539,6 +563,25 @@ class TestExpAvgBounds:
             r = exp_avg_bounds(p, q, j)
             assert_close(r.lower, lower)
             assert_close(r.upper, upper)
+
+    def test_one_log_sum_matches_the_two_call_form(self):
+        # repr for repr, refusals included, across both of renyi_entropy's
+        # forms: |1 - alpha| < 1/16 at q = 0.97, 1.03 and 1 +- 1e-12
+        rng = np.random.default_rng(58)
+        qs = (0.51, 0.6, 0.9, 0.97, 1.03, 1.1, 2.0, 10.0, 1e10, 1 - 1e-12, 1 + 1e-12)
+        for n in range(2, 41):
+            for p in (random_pmf(rng, n), validate_pmf([1.0 / n] * n)):
+                for q in qs:
+                    for j in (1, 2):
+                        try:
+                            want = repr(two_call_exp_avg_bounds(p, q, j))
+                        except PreconditionUnmet as exc:
+                            want = repr(exc)
+                        try:
+                            got = repr(exp_avg_bounds(p, q, j))
+                        except PreconditionUnmet as exc:
+                            got = repr(exc)
+                        assert got == want, (p.probs, q, j)
 
     def test_sandwich_randomized(self):
         rng = np.random.default_rng(57)

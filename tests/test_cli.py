@@ -157,6 +157,25 @@ class TestCode:
         if q == "0.6":
             assert plain["success_probability"] == "0.48"
 
+    @pytest.mark.parametrize("argv,probs,note", [
+        (("--objective", "expavg", "--q", "0.5"), "0.5\n0.3\n0.2\n",
+         "unary-optimal regime (q <= 0.5)"),
+        ((), "1.0\n", "single symbol, null codeword"),
+    ], ids=["q-0.5", "n-1"])
+    def test_plain_prints_the_bound_note_after_the_bounds(self, capsys, tmp_path, argv, probs,
+                                                          note):
+        # the report's reason, as json gives it and `bounds` prints it
+        path = tmp_path / "p.txt"
+        path.write_text(probs)
+        code, out, err = run(capsys, "code", *argv, "--format", "json", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bounds"]["note"] == note
+        code, out, err = run(capsys, "code", *argv, str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("bounds: "))
+        assert lines[at + 1] == f"note: {note}"
+
     def test_expavg_overflowing_base_on_a_uniform_file(self, capsys, tmp_path):
         # q = 1e300 overflows the last merged keys to +inf; the code is still
         # the complete one, every length 6, and its value 6 bits

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from genhuff import (
 )
 from genhuff import oracle
 from genhuff.oracle import (
+    _allowance,
     _completions,
     _margin,
     _power_reducer,
@@ -154,14 +156,24 @@ class TestBruteForce:
         brute_force_optimal(p, Objective.avg(), max_n=17)
 
     def test_term_rows_equal_the_per_length_calls(self):
+        # row l is the `terms` call at length l, bit for bit: compared as hex,
+        # so that a -0.0 against a 0.0 fails too; n = 1..16, with pmfs that
+        # hold entries of 1e-300 and 5e-324
         rng = np.random.default_rng(17)
-        pmfs = [validate_pmf([1.0]), validate_pmf([0.5, 0.5]), benford()]
-        pmfs += [random_pmf(rng, n) for n in (3, 10, 16)]
+        pmfs = [validate_pmf([0.5, 0.5]), benford()]
+        for n in range(1, 17):
+            pmfs.append(random_pmf(rng, n))
+            for tail in ([1e-300], [5e-324], [1e-300] * 2):
+                if len(tail) < n:
+                    head = [float(x) for x in rng.dirichlet(np.ones(n - len(tail)))]
+                    pmfs.append(validate_pmf(head + tail))
         for p in pmfs:
             lgp = [math.log2(x) for x in p.probs]
             for obj in OBJECTIVES + EXTREME_OBJECTIVES:
-                assert _term_rows(obj, p.probs, lgp) \
-                    == [obj.terms(p.probs, lgp, ((l,), (p.n,))) for l in range(p.n)]
+                rows = _term_rows(obj, p.probs, lgp)
+                assert [[x.hex() for x in row] for row in rows] \
+                    == [[x.hex() for x in obj.terms(p.probs, lgp, ((l,), (p.n,)))]
+                        for l in range(p.n)], (obj, p.probs)
 
     def test_evaluated_count_is_tree_shape_count(self):
         for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
@@ -341,6 +353,45 @@ class TestCut:
                 assert _relaxation(obj, p.probs, list(map(math.log2, p.probs))) is None
                 res = assert_matches_reference(p, obj)
                 assert res.scored_count == res.evaluated_count
+
+    def test_heads_in_one_power_pass_except_near_half(self, monkeypatch):
+        # the per-suffix log-sums run only where a shifted power
+        # 2^(root_j - root_0) is not a normal float: the roots lg p_j / (1+s)
+        # span millions of bits at q = 0.5 + 1e-7, a few dozen at 0.9 and 2
+        calls = []
+        real = oracle.lg_sum_exp2
+        monkeypatch.setattr(oracle, "lg_sum_exp2", lambda xs: calls.append(len(xs)) or real(xs))
+        rng = np.random.default_rng(55)
+        pmfs = [random_pmf(rng, n) for n in range(2, 17)]
+        for q, per_suffix in ((0.9, False), (2.0, False), (0.5 + 1e-7, True)):
+            obj = Objective.exp_average(q)
+            for p in pmfs:
+                calls.clear()
+                _relaxation(obj, p.probs, list(map(math.log2, p.probs)))
+                assert calls == (list(range(p.n, 0, -1)) if per_suffix else []), (q, p.probs)
+
+    @pytest.mark.parametrize("q", [0.5 + 1e-7, 0.51, 0.6, 0.9, 1 - 1e-12, 1 + 1e-12,
+                                   1.5, 2.0, 10.0, 1e10, 1e200])
+    def test_exp_average_heads_within_the_allowance(self, q):
+        # each head, its move taken back, is within the allowance of
+        # (1+s) lg sum_{j >= lo} p_j^(1/(1+s)) at 200 bits, s = fl(lg q), so
+        # the moved head lies on the side that lowers the value
+        obj = Objective.exp_average(q)
+        rng = np.random.default_rng(56)
+        with mpmath.workprec(200):
+            s = mpmath.mpf(math.log2(q))
+            for n in range(1, 17):
+                for p in (random_pmf(rng, n), self.tie_heavy_pmf(rng, n)):
+                    lgp = list(map(math.log2, p.probs))
+                    heads, _ = _relaxation(obj, p.probs, lgp)
+                    allowance = _allowance(obj, lgp)
+                    powers = [mpmath.mpf(x) ** (1 / (1 + s)) for x in p.probs]
+                    for lo in range(n):
+                        exact = (1 + s) * mpmath.log(mpmath.fsum(powers[lo:]), 2)
+                        moved = mpmath.mpf(heads[lo])
+                        assert abs(moved + math.copysign(allowance, s) - exact) <= allowance, \
+                            (n, p.probs, lo)
+                        assert (moved < exact) if s > 0 else (moved > exact)
 
     @staticmethod
     def tie_heavy_pmf(rng, n):
