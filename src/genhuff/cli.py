@@ -175,7 +175,7 @@ def _objective_from_args(args) -> Objective:
 
 
 def _entropy_for(p: Pmf, obj: Objective) -> float:
-    if obj.kind is ObjectiveKind.EXP_AVERAGE and obj.param > 0.5 and obj.param != 1.0:
+    if obj.kind is ObjectiveKind.EXP_AVERAGE and obj.param > 0.5:
         return renyi_entropy(p, alpha_of_q(obj.param))
     return shannon_entropy(p)
 

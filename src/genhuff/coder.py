@@ -1,30 +1,35 @@
 """Huffman-style code construction under generalized combining rules.
 
-The engine repeatedly replaces the two lowest-weight items a, b with one
-item of weight f(a, b); the choice of f selects which objective the
+The engine repeatedly replaces the two lowest-weight items x, y with one
+item of weight f(x, y); the choice of f selects which objective the
 resulting code minimizes:
 
-* f = a + b                                 average redundancy
-* f = 2 max(a, b)                           max pointwise redundancy
-* f = (2^d a^(1+d) + 2^d b^(1+d))^(1/(1+d)) d-th exponential redundancy
-* f = q a + q b                             exponential-average cost
+* f = x + y on leaves p_i           average redundancy
+* f = 2 max(x, y) on leaves p_i     max pointwise redundancy
+* f = q x + q y on leaves p_i^a     ``Objective``'s exponential family (a, s, q)
 
-The engine merges linear weights.  The max rule's 2b is exact, so its
+The family holds d-th exponential redundancy at (1 + d, d, 2^d), whose
+merge (2^d x^(1+d) + 2^d y^(1+d))^(1/(1+d)) on leaves p_i (Parker, SIAM
+J. Comput. 1980) is this one on the leaves' (1+d)-th powers, and
+exponential-average cost at (1, lg q, q) (Humblet, IEEE Trans. IT 1981).
+One code path serves both, and a = 1 takes no power of the leaves.
+
+The engine merges linear weights.  The max rule's 2y is exact, so its
 merge rounds nothing, and no weight passes the root W = max_i p_i 2^l_i,
 which is below 2: it is at most the Shannon code's, whose every
-p_i 2^l_i is below 2.  The
-d-th rule merges the leaf weights p_i^(1+d) by the exp-base combiner
-q(a + b) with q = 2^d, which the root identity below makes the same
-merge.  Where p_n^(1+d) is not a normal float, the leaves are
-(p_i 2^a)^(1+d), a the least integer that makes (p_n 2^a)^(1+d) normal:
-an exact shift of every p_i, which scales the root by 2^(a(1+d)) and the
-readout takes back out.  Where 2^d overflows (from d = 1024), or where
-a(1+d) >= 1023, past which a shifted leaf, below 2^(a(1+d)), could
-leave the float range, and under d >= 0 the root, at least 2^(a(1+d)),
-could too, the d-th rule merges base-2 logs instead, the log domain, by
-the combiner above carried through lg.  So it does where the linear root
-is not finite, which the readout bound below rules out for any code near
-optimal and unshifted, as lg W = d V < d for a value V < 1.
+p_i 2^l_i is below 2.  Where p_n^a is not a normal float, an exponential
+rule's leaves are (p_i 2^k)^a, k the least integer that makes
+(p_n 2^k)^a normal: an exact shift of every p_i, which scales the root
+by 2^(k a) and the readout takes back out.  Under a = 1, k is at most 52.
+Where q overflows (2^d, from d = 1024), or where k a >= 1023, past which
+a shifted leaf, below 2^(k a), could leave the float range, and under
+s >= 0 the root, at least 2^(k a), could too, the rule merges base-2
+logs instead, the log domain, by f carried through lg:
+(s + lg(2^(a x) + 2^(a y))) / a.  So it does where the linear root is
+not finite.  Under the d-th rule the readout bound below rules that out
+for any code near optimal and unshifted, as lg W = d V < d for a value
+V < 1; under exponential average a large q does it, as q = 1e200 does
+on a code two levels deep.
 
 The merge order is made deterministic by a (weight, creation sequence)
 priority: input symbols get sequence numbers by nondecreasing weight and
@@ -34,32 +39,33 @@ input items of equal weight.
 Two FIFO queues, the sorted inputs and the merged items, merge in linear
 time after the sort (van Leeuwen, ICALP 1976).  Each pick takes the
 lighter head, the input on a tie, so while the merged queue is sorted
-each merge pops the two lightest items.  f(a, b) >= min(a, b) keeps it
+each merge pops the two lightest items.  f(x, y) >= min(x, y) keeps it
 sorted in exact arithmetic (Parker, SIAM J. Comput. 1980), and f
 nondecreasing in each argument as computed keeps it sorted in floats:
-let merge k pop a <= b and append m, every other live item being >= b.
+let merge k pop x <= y and append m, every other live item being >= y.
 Merge k+1 either pops m, leaving the queue empty for m', or pops items
-live at merge k, a' >= b >= a and b' >= b, so that m' >= m.
+live at merge k, x' >= y >= x and y' >= y, so that m' >= m.
 
-* a + b, 2b and q(a + b) are correctly rounded adds and a product by
-  a positive constant, monotone in their operands; so is the linear
-  d-th merge, q = fl(2^d) being at least 1/2.  Under q < 1/2, m is
-  below b and is popped at once: no key exceeds 1, so fl(a + b) <= 2b,
-  and q <= 1/2 - 2^-54 puts q fl(a + b) at most b (1 - 2^-53), which
-  rounds below any b > 2^-1022.  A smaller b may round m up to b, to
-  lose a tie to an input and stay queued; then m' >= m, as above.
-* The log-domain d-th combiner is not monotone in floats: one ulp more
-  on b can lower f.  Let e = 10u (c K + |d| + 1) / c be one merge's
-  error on a key, with c = 1 + d and K as in the readout below.  Exact f
-  increases in each argument, so m' >= f(a', b') - e >= f(a, b) - e >=
-  m - 2e: an inversion is at most two merges' error.  As df/db >= 1/2
-  for a <= b, it needs b' - b < 4e, and b - a about as small.  FIFO
-  order is then the order of the exact keys, f(a, b) <= f(a', b'), and a
-  pick passes over the lightest item only for one within 2e of it, a
-  near tie.  Such a pick can hand the combiner a > b by up to 2e.  f is
-  symmetric in exact arithmetic, and the exponent left after shifting
-  out c b, c (a - b) in [0, 2ce], grows the computation's terms by a
-  factor of at most 2^(2ce) = 1 + O(ce), inside the slack of e's 10.
+* x + y, 2y and q(x + y) are correctly rounded adds and a product by
+  a positive constant, monotone in their operands.  Under q < 1/2,
+  which only exponential average takes (the d-th q = fl(2^d) is at least
+  1/2), m is below y and is popped at once: no key is above 2^52, so
+  fl(x + y) <= 2y, and q <= 1/2 - 2^-54 puts q fl(x + y) at most
+  y (1 - 2^-53), which rounds below any y > 2^-1022.  A smaller y may
+  round m up to y, to lose a tie to an input and stay queued; then
+  m' >= m, as above.
+* The log-domain combiner is not monotone in floats: one ulp more on y
+  can lower f.  Let e = 10u (a K + |s| + 1) / a be one merge's error on
+  a key, with K as in the readout below.  Exact f increases in each
+  argument, so m' >= f(x', y') - e >= f(x, y) - e >= m - 2e: an
+  inversion is at most two merges' error.  As df/dy >= 1/2 for x <= y,
+  it needs y' - y < 4e, and y - x about as small.  FIFO order is then
+  the order of the exact keys, f(x, y) <= f(x', y'), and a pick passes
+  over the lightest item only for one within 2e of it, a near tie.  Such
+  a pick can hand the combiner x > y by up to 2e.  f is symmetric in
+  exact arithmetic, and the exponent left after shifting out a y,
+  a (x - y) in [0, 2ae], grows the computation's terms by a factor of at
+  most 2^(2ae) = 1 + O(ae), inside the slack of e's 10.
 
 The queues also fix the tree's shape level by level, so the merge
 records one int per merge, ``marks[k]``, the merged queue's head after
@@ -116,63 +122,63 @@ edge adds one to that high part in place and goes on in the next slice.
 The code 2^k - free is formed only at lengths up to 8, to index the
 table.
 
-The merge's root weight holds the d-th and exponential-average values,
-so the engine reads them off it instead of scoring every symbol again.
-Unrolled over the tree, the exp-base root is W = sum_i p_i q^l_i, so the
-linear d-th root is W = sum_i p_i^(1+d) 2^(d l_i), and the log-domain
-d-th root r has 2^((1+d) r) = W (Parker, SIAM J. Comput. 1980).  Each
-value is lg W / s, with s = lg q or s = d, and lg W = (1+d) r in the log
-domain.  With unit roundoff u = 2^-53, gamma_k = ku/(1 - ku), max length
-L, and log2, 2** and pow within an ulp:
+The merge's root weight holds the exponential family's values, so the
+engine reads them off it instead of scoring every symbol again.
+Unrolled over the tree, the linear root of the leaves p_i^a is
+W = sum_i p_i^a q^l_i = sum_i 2^(a lg p_i + s l_i), and the log-domain
+root r has 2^(a r) = W (Parker, SIAM J. Comput. 1980).  The value is
+lg W / s, with lg W = a r in the log domain.  With unit roundoff
+u = 2^-53, gamma_k = ku/(1 - ku), max length L, and log2, 2** and pow
+within an ulp:
 
-* exp-base: every term of W goes through at most two roundings per
-  level, all of them positive, so the root is off by a relative
-  gamma_2L.  For a pmf of normal floats only q < 1 lets a merged weight
-  underflow, and q^depth <= 1 carries each such merge's absolute error,
-  under 2^-1075, to the root under 2^-1074: rho = gamma_2L + (n-1)
-  2^-1074 / W relative in all, so lg W is off by -lg(1 - rho).
-* d-th, linear: the root is W' = 2^(a c) W, the exp-base root with
-  q = 2^d on leaves x_i^c, x_i = p_i 2^a exact and c = 1 + d, and gains
-  three errors.  Each leaf x_i^c' with c' = fl(c) is within an ulp, at
-  most 2u relative, of x_i^c 2^((c' - c) lg x_i), and |c' - c| <= u c;
-  fl(2^d) is within an ulp of q, which a term at depth l meets l times.
-  No merged weight underflows: under d > 0, q(a + b) > b, and under
-  d < 0, q >= 1/2 gives fl(q fl(a + b)) >= a, so each is at least the
-  least leaf, a normal float.  So each term, and W' with it, is off by a
-  relative rho = (1 + gamma_(4L+2)) 2^t - 1 with t = u c max_i |lg x_i|,
-  which a c < 1023 keeps below 1023u, and lg W' by -lg(1 - rho).  The
-  readout lg W = lg W' - a c gains 3u a c: log2 of the root, a c + lg W,
-  is within an ulp, 2u a c more than unshifted, and the product a c
-  rounds once; the subtraction is one rounding of lg W, as the division
-  by s is one of the value.  With a = 0 nothing is shifted or taken out.
-* d-th, log domain: with c = 1 + d, the map (c a, c b) -> c f(a, b) =
-  d + lg(2^(c a) + 2^(c b)) has partial derivatives that are weights
-  summing to 1, so an error in a child's scaled key reaches its parent's
-  no larger.  Every key lies in [lg p_n, L], as min(a, b) + 1 <= f(a, b)
-  <= max(a, b) + 1, so with K = max(-lg p_n, L) + 1 each merge adds under
-  10u (c K + |d| + 1), the leaf logs and the rounding of c one term more,
-  and (1+d) r is off by under 10u (L + 2)(c K + |d| + 1).  This holds for
-  whatever full tree the merge built and for either argument order, so
-  the d-th queue's near-tie inversions above leave it as it is.
+* linear: the root is W' = 2^(k a) W, the merge's on leaves x_i^a with
+  x_i = p_i 2^k exact, and every term of W' goes through at most two
+  roundings per level, all of them positive, a relative gamma_2L.  Under
+  exponential average a = 1 and q are exact, and only q < 1 lets a
+  merged weight underflow; q^depth <= 1 carries each such merge's
+  absolute error, under 2^-1075, to the root under 2^-1074:
+  rho = gamma_2L + (n-1) 2^-1074 / W' relative in all.  Under the d-th
+  rule each leaf x_i^a' with a' = fl(a) is within an ulp, at most 2u
+  relative, of x_i^a 2^((a' - a) lg x_i), and |a' - a| <= u a; fl(2^d)
+  is within an ulp of q, which a term at depth l meets l times.  No
+  merged weight underflows: under d > 0, q(x + y) > y, and under d < 0,
+  q >= 1/2 gives fl(q fl(x + y)) >= x, so each is at least the least
+  leaf, a normal float.  So each term, and W' with it, is off by a
+  relative rho = (1 + gamma_(4L+2)) 2^t - 1 with t = u a max_i |lg x_i|,
+  which k a < 1023 keeps below 1023u.  Either way lg W' is off by
+  -lg(1 - rho).  The readout lg W = lg W' - k a gains 3u k a: log2 of the
+  root, k a + lg W, is within an ulp, 2u k a more than unshifted, and
+  the product k a rounds once; the subtraction is one rounding of lg W,
+  as the division by s is one of the value.  With k = 0 nothing is
+  shifted or taken out.
+* log domain: the map (a x, a y) -> a f(x, y) = s + lg(2^(a x) + 2^(a y))
+  has partial derivatives that are weights summing to 1, so an error in
+  a child's scaled key reaches its parent's no larger.  As
+  min(x, y) + (1+s)/a <= f(x, y) <= max(x, y) + (1+s)/a, and 1 + s > 0
+  wherever the log domain runs (d > -1, and an exp-average root
+  overflows only at q > 1), every key lies in [lg p_n, L (1+s)/a].  So
+  with K = max(-lg p_n, L (1+s)/a) + 1, which is max(-lg p_n, L) + 1
+  under the d-th rule, each merge adds under 10u (a K + |s| + 1), the
+  leaf logs and the rounding of a one term more, and a r is off by under
+  10u (L + 2)(a K + |s| + 1).  This holds for whatever full tree the
+  merge built and for either argument order, so the queue's near-tie
+  inversions above leave it as it is.
 
 Dividing by s adds a few roundings of the value and multiplies the error
-of lg W, the shift's 3u a c with it, by 1/|s|.  Every Kraft-valid code's
+of lg W, the shift's 3u k a with it, by 1/|s|.  Every Kraft-valid code's
 exact d-th value is at least 0, by the power means of x_i = p_i 2^l_i:
 M_d(x) >= M_-1(x) >= 1.  So a d-th value below 0, which only rounding
 gives, as on a dyadic pmf whose exact value is 0, is raised to 0.0,
 which is no further from the exact value: ``generalized_huffman`` does
 so once, for the readout in either domain and for
-``Objective.evaluate``'s value alike.  The readout is
-taken only at |s| >= 1/16 (``core._SMALL_SCALE``), the cut
-``renyi_entropy`` switches forms at;
-nearer d = 0 or q = 1 the value is left to ``Objective.evaluate``, as are
-the average rule's, which the root does not hold, and the max rule's,
-whose exact root is 2^value but whose value stays the float the oracle
-and ``verify`` score an MMPR code at.  So is
-an exp-base root that is not a normal float (+inf after an overflow, or
-subnormal or zero, past the relative precision rho needs), and a pmf
-with a subnormal p_i, whose merges under q > 1 could round by more than
-rho allows.
+``Objective.evaluate``'s value alike.  The readout is taken only at
+|s| >= 1/16 (``core._SMALL_SCALE``), the cut ``renyi_entropy`` switches
+forms at; nearer d = 0 or q = 1 the value is left to
+``Objective.evaluate``, as are the average rule's, which the root does
+not hold, and the max rule's, whose exact root is 2^value but whose
+value stays the float the oracle and ``verify`` score an MMPR code at.
+So is a linear root that is not a normal float, subnormal or zero past
+the relative precision rho needs, which only q < 1/2 gives.
 """
 
 from __future__ import annotations
@@ -230,21 +236,23 @@ _OBJECTIVE_OF = {rule: objective for objective, rule in _RULE_OF.items()}
 
 @dataclass(frozen=True)
 class CombineRule:
-    """Weight-combining rule f(a, b), the merge handing it the lighter item first.
+    """Weight-combining rule f(x, y), the merge handing it the lighter item first.
 
     In exact arithmetic f is nondecreasing in each argument; the max rule's
-    2b ignores a.  As computed, a + b, 2b and q(a + b) stay so, the linear
-    d-th merge's among them, and the log-domain d-th combiner does not: one
-    ulp more on b can lower it, and the module docstring bounds the merge
-    inversions that allows.  The parameter is validated by the
-    ``Objective`` the rule minimizes.
+    2y ignores x.  As computed, x + y, 2y and q(x + y) stay so, and the
+    log-domain combiner of the exponential rules does not: one ulp more on
+    y can lower it, and the module docstring bounds the merge inversions
+    that allows.  The parameter is validated by the ``Objective`` the rule
+    minimizes, whose exponential family (a, s, q) the rule keeps as
+    ``_family``, not a field.
     """
 
     kind: RuleKind
     param: float | None = None
 
     def __post_init__(self):
-        self.objective()
+        # the Objective checks the parameter; its (a, s, q) is not a field either
+        object.__setattr__(self, "_family", self.objective()._family)
 
     @staticmethod
     def sum() -> "CombineRule":
@@ -269,129 +277,105 @@ class CombineRule:
     def objective(self) -> Objective:
         return Objective(_OBJECTIVE_OF[self.kind], self.param)
 
-    def _leaf_keys(self, p: Pmf, log_domain: bool = False) -> list[float] | None:
-        """The merge's leaf keys: linear weights, (p_i 2^a)^(1+d) under the d-th rule
-        with a = ``_shift(p)``, or base-2 logs with ``log_domain``, which only the
-        d-th rule takes.
-
-        None where the d-th rule cannot merge linearly, as ``_shift`` has no a.
-        ldexp by a is exact, and a = 0 takes no ldexp, so those leaves are
-        p_i^(1+d) bit for bit.
-        """
-        if log_domain:
-            return list(map(math.log2, p.probs))
-        if self.kind is not RuleKind.DTH_EXP:
-            return list(p.probs)
-        a = self._shift(p)
-        if a is None:
-            return None
-        probs = map(math.ldexp, p.probs, repeat(a)) if a else p.probs
-        return list(map(pow, probs, repeat(1.0 + self.param)))
-
     def _shift(self, p: Pmf) -> int | None:
-        """a of the d-th rule's linear leaves (p_i 2^a)^c, c = 1 + d: 0 where p_n^c
-        is a normal float, else the least integer a that makes (p_n 2^a)^c normal.
-
-        None where 2^d overflows, or where a c >= 1023, past which a shifted
-        leaf, below 2^(a c), could leave the float range, and under d >= 0 the
-        root, 2^(a c) W with W >= 1, could too (module docstring).  The root of
-        the shifted leaves is 2^(a c) W exactly, so lg W = lg root - a c.
-        """
-        c = 1.0 + self.param
-        pn, tiny = p.probs[-1], sys.float_info.min
-        if _dth_base(self.param) == math.inf:
-            return None
-        if pn ** c >= tiny:
+        """k of the linear leaves (p_i 2^k)^a: 0 where p_n^a is a normal float, as under
+        the sum and max rules, else the least k that makes (p_n 2^k)^a normal.  None
+        where q overflows, or where k a >= 1023, past which a shifted leaf, below
+        2^(k a), could leave the float range, and under s >= 0 the root, 2^(k a) W
+        with W >= 1, could too (module docstring)."""
+        if self._family is None:
             return 0
-        # (p_n 2^a)^c >= 2^-1022 from a >= -1022/c - lg p_n; the loops settle
+        a, _, q = self._family
+        pn, tiny = p.probs[-1], sys.float_info.min
+        if q == math.inf:
+            return None
+        if pn ** a >= tiny:
+            return 0
+        # (p_n 2^k)^a >= 2^-1022 from k >= -1022/a - lg p_n; the loops settle
         # the rounding of that estimate, and no power in them overflows
-        a = math.ceil(-1022.0 / c - math.log2(pn))
-        while math.ldexp(pn, a - 1) ** c >= tiny:
-            a -= 1
-        while not math.ldexp(pn, a) ** c >= tiny:
-            a += 1
-        return a if a * c < 1023.0 else None
+        k = math.ceil(-1022.0 / a - math.log2(pn))
+        while math.ldexp(pn, k - 1) ** a >= tiny:
+            k -= 1
+        while not math.ldexp(pn, k) ** a >= tiny:
+            k += 1
+        return k if k * a < 1023.0 else None
+
+    def _leaf_keys(self, p: Pmf, shift: int | None) -> list[float]:
+        """The merge's leaf keys: the linear weights (p_i 2^shift)^a, a = 1 under the sum
+        and max rules, or with ``shift`` None the base-2 logs lg p_i.  Shift 0 takes no
+        ldexp, and a = 1 no pow, so those leaves are p_i^a, or p_i, bit for bit."""
+        if shift is None:
+            return list(map(math.log2, p.probs))
+        probs = map(math.ldexp, p.probs, repeat(shift)) if shift else p.probs
+        if self._family is None or self._family[0] == 1.0:
+            return list(probs)
+        return list(map(pow, probs, repeat(self._family[0])))
 
     def _combiner(self, log_domain: bool = False):
         """f on the keys of ``_leaf_keys``, as a two-argument callable.
 
-        The merge calls it with the lighter item first, a <= b, as the two
-        queues are sorted; the max rule's 2b relies on that.  The d-th rule
-        merges linearly as the exp-base rule with q = 2^d; its log-domain
-        queue's near-tie inversions (module docstring) can give the log
-        combiner a > b by two merges' rounding, which its shift by c b
-        absorbs.
+        The merge calls it with the lighter item first, x <= y, as the two
+        queues are sorted; the max rule's 2y relies on that.  An exponential
+        rule merges linearly by q(x + y); its log-domain queue's near-tie
+        inversions (module docstring) can give the log combiner x > y by two
+        merges' rounding, which its shift by a y absorbs.
         """
         if self.kind is RuleKind.SUM:
             return operator.add
         if self.kind is RuleKind.MAX_DOUBLE:
-            return lambda a, b: 2.0 * b
+            return lambda x, y: 2.0 * y
+        a, s, q = self._family
         if not log_domain:
-            q = self.param if self.kind is RuleKind.EXP_BASE else _dth_base(self.param)
-            return lambda a, b: q * (a + b)
-        d = self.param
-        c = 1.0 + d
-        log2 = math.log2
-        isinf = math.isinf
+            return lambda x, y: q * (x + y)
+        log2, isinf = math.log2, math.isinf
 
-        def dth(a: float, b: float) -> float:
-            # (d + lg(2^(c a) + 2^(c b))) / c, the larger exponent c b (c > 0)
+        def exp_log(x: float, y: float) -> float:
+            # (s + lg(2^(a x) + 2^(a y))) / a, the larger exponent a y (a > 0)
             # shifted out
-            hi = c * b
+            hi = a * y
             if isinf(hi):
-                return (d + hi) / c
-            return (d + (hi + log2(1.0 + 2.0 ** (c * a - hi)))) / c
+                return (s + hi) / a
+            return (s + (hi + log2(1.0 + 2.0 ** (a * x - hi)))) / a
 
-        return dth
+        return exp_log
 
-    def _root_value(self, p: Pmf, root: float, log_domain: bool) -> float | None:
-        """The objective's value lg W / s read off the merge's root key, or None where
-        ``Objective.evaluate`` must score the code instead (see the module docstring)."""
-        if self.kind is RuleKind.DTH_EXP:
-            s = self.param
-            # a linear d-th root is at least the least leaf, a normal float, and
-            # finite; the leaves' shift a comes off as a c, and a = 0 leaves log2 as is
-            c = 1.0 + s
-            lg_w = c * root if log_domain else math.log2(root) - self._shift(p) * c
-        elif (self.kind is RuleKind.EXP_BASE and sys.float_info.min <= root < math.inf
-              and p.probs[-1] >= sys.float_info.min):
-            s = math.log2(self.param)
-            lg_w = math.log2(root)
-        else:
+    def _root_value(self, root: float, shift: int | None) -> float | None:
+        """The objective's value lg W / s read off the merge's root key, from leaves
+        shifted by 2^shift or, with ``shift`` None, merged in the log domain; None
+        where ``Objective.evaluate`` must score the code instead (module docstring)."""
+        if self._family is None or abs(self._family[1]) < _SMALL_SCALE:
             return None
-        if abs(s) < _SMALL_SCALE:
+        a, s, _ = self._family
+        if shift is None:
+            lg_w = a * root
+        elif root >= sys.float_info.min:
+            # a linear root is finite (``_merge``); the shift comes off as
+            # shift a, and shift 0 leaves log2 as is
+            lg_w = math.log2(root) - shift * a
+        else:
             return None
         # + 0.0 as in Objective.reducer: no -0.0
         return lg_w / s + 0.0
-
-
-def _dth_base(d: float) -> float:
-    """q = 2^d of the linear d-th merge, or +inf where that overflows, as from d = 1024."""
-    try:
-        return 2.0 ** d
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
 class CodeResult:
     """An engine code: lengths, canonical codewords and the objective's value.
 
-    Under the d-th rule with |d| >= 1/16, and under the exp-base rule with
-    |lg q| >= 1/16, normal float probabilities and a normal float root,
-    ``objective_value`` is lg W / s read off the merge's root weight.  By
-    the module docstring it lies within -lg(1 - rho) / |s| + 6u (|V| + 1)
-    of the exact value V of these lengths, with u = 2^-53, L the longest
-    length, and rho = gamma_2L + (n-1) 2^-1074 / W under the exp-base rule.
-    Under the d-th rule's linear merge, on leaves shifted by 2^a
-    (``CombineRule._shift``), it lies within that bound plus 3u a (1+d) / |d|,
-    with rho = (1 + gamma_(4L+2)) 2^t - 1 and t = u (1+d) max_i |lg(p_i 2^a)|.
-    Under the d-th rule's log-domain merge it lies
-    within 10u (L + 2)((1+d) K + |d| + 1) / |d| + 4u |V|, with
-    K = max(-lg p_n, L) + 1.  Otherwise it is ``Objective.evaluate`` of the
-    lengths, bit for bit.  Under the d-th rule either value, where it is
-    below 0, is 0.0: the exact value of a complete code is at least 0, so
-    that is no further from it.
+    Under an exponential rule (a, s, q) with |s| >= 1/16, and from a linear
+    merge a normal float root, ``objective_value`` is lg W / s read off the
+    merge's root weight.  By the module docstring, from a linear merge on
+    leaves shifted by 2^k (``CombineRule._shift``) it lies within
+    -lg(1 - rho) / |s| + 6u (|V| + 1) + 3u k a / |s| of the exact value V
+    of these lengths, with u = 2^-53, L the longest length, and
+    rho = gamma_2L + (n-1) 2^-1074 / (2^(k a) W) under exponential
+    average, (1 + gamma_(4L+2)) 2^t - 1 with t = u a max_i |lg(p_i 2^k)|
+    under the d-th rule.  From a log-domain merge it lies within
+    10u (L + 2)(a K + |s| + 1) / |s| + 4u |V|, with
+    K = max(-lg p_n, L (1+s)/a) + 1.  Otherwise it is ``Objective.evaluate``
+    of the lengths, bit for bit.  Under the d-th rule either value, where
+    it is below 0, is 0.0: the exact value of a complete code is at least
+    0, so that is no further from it.
     """
 
     lengths: LengthVector
@@ -468,25 +452,26 @@ def _level_runs(n: int, marks: list[int]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(depths), tuple(counts)
 
 
-def _merge(p: Pmf, rule: CombineRule) -> tuple[tuple, float, bool]:
+def _merge(p: Pmf, rule: CombineRule) -> tuple[tuple, float, int | None]:
     """Merge ``p`` under ``rule``: the code's level runs (``_level_runs``), the root
-    key, and whether the merge ran in the log domain.
+    key, and the leaves' shift k, None where the merge ran in the log domain.
 
-    Every rule merges linearly, the d-th rule on leaves shifted by 2^a
-    where p_n^(1+d) is not a normal float, so that the root key is 2^(a(1+d))
-    W.  The d-th rule merges base-2 logs where ``_leaf_keys`` has no linear
-    keys for ``p``, as 2^d overflows or a(1+d) >= 1023, and merges again
-    on them where its linear root overflows, which the module docstring
-    shows an unshifted code near optimal never does.
+    Every rule merges linearly, an exponential rule on leaves shifted by 2^k
+    where p_n^a is not a normal float, so that the root key is 2^(k a) W.
+    An exponential rule merges base-2 logs where ``_shift`` has no k for
+    ``p``, as q overflows or k a >= 1023, and merges again on them where
+    its linear root overflows; the sum and max rules' roots, about 1 and
+    below 2, never do.
     """
-    keys = rule._leaf_keys(p)
-    if keys is not None:
+    shift = rule._shift(p)
+    if shift is not None:
+        keys = rule._leaf_keys(p, shift)
         marks = _merge_two_queues(keys, rule._combiner())
-        if keys[-1] < math.inf or rule.kind is not RuleKind.DTH_EXP:
-            return _level_runs(p.n, marks), keys[-1], False
-    keys = rule._leaf_keys(p, log_domain=True)
+        if keys[-1] < math.inf:
+            return _level_runs(p.n, marks), keys[-1], shift
+    keys = rule._leaf_keys(p, None)
     marks = _merge_two_queues(keys, rule._combiner(log_domain=True))
-    return _level_runs(p.n, marks), keys[-1], True
+    return _level_runs(p.n, marks), keys[-1], None
 
 
 def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
@@ -498,9 +483,9 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     and scored by ``Objective.evaluate`` otherwise (see ``CodeResult``).
     """
     # the merge's keys and marks are freed on return, so the codeword strings can reuse them
-    runs, root, log_domain = _merge(p, rule)
+    runs, root, shift = _merge(p, rule)
     lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
-    value = rule._root_value(p, root, log_domain)
+    value = rule._root_value(root, shift)
     if value is None:
         value = rule.objective().evaluate(p, lengths)
     if rule.kind is RuleKind.DTH_EXP:

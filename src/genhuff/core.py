@@ -8,6 +8,12 @@ objectives are supported, all measured in bits:
 * d-th exponential redundancy   (1/d) lg sum_i p_i 2^(d (l_i + lg p_i))
 * exponential-average cost      log_q sum_i p_i q^l_i
 
+The last two are one exponential family (a, s, q), which ``Objective``
+derives once: term a lg p_i + s l_i, value lg sum_i 2^term_i / s, and
+Huffman merge q(x + y) on leaves p_i^a; (1 + d, d, 2^d) for the d-th
+objective (Parker, SIAM J. Comput. 1980), (1, lg q, q) for exponential
+average (Humblet, IEEE Trans. IT 1981).
+
 Exponent sums are evaluated in the base-2 log domain with a max shift so
 that extreme parameters (d up to D_MAX = 1e300, q any finite positive
 float) stay finite.  Values that come out as zero are +0.0, never -0.0.
@@ -399,42 +405,48 @@ class Objective:
     def exp_average(q: float) -> "Objective":
         return Objective(ObjectiveKind.EXP_AVERAGE, float(q))
 
+    @cached_property
+    def _family(self) -> tuple[float, float, float] | None:
+        """(a, s, q) of an exponential objective, q = +inf where 2^d overflows, from
+        d = 1024; None for avg and MMPR.  Not a field: equality, hashing and repr
+        read ``kind`` and ``param`` alone."""
+        if self.kind is ObjectiveKind.EXP_AVERAGE:
+            return 1.0, math.log2(self.param), self.param
+        if self.kind is ObjectiveKind.DTH_EXP:
+            d = self.param
+            return 1.0 + d, d, 2.0 ** d if d < 1024.0 else math.inf
+        return None
+
     def terms(self, probs: Iterable[float], lgps: Iterable[float],
               runs: tuple[Sequence[int], Sequence[int]]) -> list[float]:
         """Each symbol's term, from p_i, lg p_i and the lengths as ``LengthVector._runs``;
-        ``reducer()`` makes them the value.  d l and l lg q are taken once per run, and
-        the lengths are spread as floats, since a float + float add is cheaper than an
-        int + float one and gives the same bits."""
+        ``reducer()`` makes them the value.  s l is taken once per run, and the lengths
+        are spread as floats, since a float + float add is cheaper than an int + float
+        one and gives the same bits; a = 1 takes no product, 1.0 * lg p_i being lg p_i."""
         ks, cs = runs
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:
             return list(map(operator.mul, probs, map(operator.add, _spread(map(float, ks), cs),
                                                      lgps)))
         if self.kind is ObjectiveKind.MAX_POINTWISE:
             return list(map(operator.add, _spread(map(float, ks), cs), lgps))
-        if self.kind is ObjectiveKind.DTH_EXP:
-            d = self.param
-            return list(map(operator.add, map(operator.mul, repeat(1.0 + d), lgps),
-                            _spread(map(operator.mul, repeat(d), ks), cs)))
-        lgq = math.log2(self.param)
-        return list(map(operator.add, lgps, _spread(map(operator.mul, ks, repeat(lgq)), cs)))
+        a, s, _ = self._family
+        ags = lgps if a == 1.0 else map(operator.mul, repeat(a), lgps)
+        return list(map(operator.add, ags, _spread(map(operator.mul, repeat(s), ks), cs)))
 
     def term_rows(self, probs: Sequence[float], lgps: Sequence[float]) -> list[list[float]]:
         """rows[l][i] = symbol i's term at length l, l = 0..n-1: the twin of ``terms``
         over every length at once, each row a list comprehension of the same
-        operations in the same order, so the same floats; (1+d) lg p_i is taken once
-        per symbol, and d l and l lg q once per row."""
+        operations in the same order, so the same floats; a lg p_i is taken once
+        per symbol, and s l once per row."""
         ls = [float(l) for l in range(len(lgps))]
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:
             pairs = list(zip(probs, lgps))
             return [[p * (l + g) for p, g in pairs] for l in ls]
         if self.kind is ObjectiveKind.MAX_POINTWISE:
             return [[l + g for g in lgps] for l in ls]
-        if self.kind is ObjectiveKind.DTH_EXP:
-            d = self.param
-            cgs = [(1.0 + d) * g for g in lgps]
-            return [[cg + dl for cg in cgs] for dl in [d * l for l in ls]]
-        lgq = math.log2(self.param)
-        return [[g + kl for g in lgps] for kl in [l * lgq for l in ls]]
+        a, s, _ = self._family
+        ags = lgps if a == 1.0 else [a * g for g in lgps]
+        return [[ag + sl for ag in ags] for sl in [s * l for l in ls]]
 
     def reducer(self) -> Callable[[list[float]], float]:
         """The map from the list of ``terms`` to the objective's value."""
@@ -442,10 +454,10 @@ class Objective:
             return math.fsum
         if self.kind is ObjectiveKind.MAX_POINTWISE:
             return max
-        scale = self.param if self.kind is ObjectiveKind.DTH_EXP else math.log2(self.param)
+        s = self._family[1]
         # + 0.0 turns the -0.0 of 0.0 over a negative scale into 0.0 and
         # leaves every other float as it is
-        return lambda terms: lg_sum_exp2(terms) / scale + 0.0
+        return lambda terms: lg_sum_exp2(terms) / s + 0.0
 
     def evaluate(self, p: Pmf, l: LengthVector) -> float:
         if p.n != l.n:

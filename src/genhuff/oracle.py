@@ -59,12 +59,13 @@ bounds a subtree by the relaxation alone.
   below), which in exact arithmetic on those floats is at most the value
   of every vector in the subtree.  Each table entry is a monotone function
   of the depth, as a float, in the direction that raises the value:
-  fl(p (l + lg p)), fl(l + lg p), fl((1+d) lg p + d l) and fl(lg p + l lg q)
-  are each a rounded monotone function of l, and rounding is monotone.  For
-  d > 0 and q > 1 the terms rise with l and the value is the reducer's
-  result over a positive scale; for d < 0 and q < 1 they fall and the scale
-  is negative.  So rows 0 and n - 1 of the table hold each symbol's
-  extremes, which the margin and the power table use.
+  fl(p (l + lg p)), fl(l + lg p) and, under the exponential objectives
+  (a, s) of ``Objective``, fl(a lg p + s l) are each a rounded monotone
+  function of l, and rounding is monotone.  For s > 0 (d > 0, q > 1) the
+  terms rise with l and the value is the reducer's result over a positive
+  scale; for s < 0 they fall and the scale is negative.  So rows 0 and
+  n - 1 of the table hold each symbol's extremes, which the margin and the
+  power table use.
 * **Why the floats keep it.**  ``fsum`` is correctly rounded and ``max``
   is exact, so for avg and MMPR the computed bound is at most every
   computed value below it, and a subtree is skipped when its bound exceeds
@@ -147,65 +148,72 @@ bounds a subtree by the relaxation alone.
   every completion (Kraft equality).  Over real w_j > 0 with that sum,
   their part of the value (their sum 2^x_i, under the exponential
   objectives) has a least or a largest value, which bounds the subtree as
-  one term after the placed ones.  P is their mass and s = lg q:
+  one term after the placed ones.  P is their mass:
 
   - avg: sum p_j (l_j + lg p_j) >= P (lg P - lg C), by Gibbs' inequality
     for p_j / P against w_j / C.
   - MMPR: max (l_j + lg p_j) >= lg P - lg C: for M the max, w_j >= p_j 2^-M,
     so C >= P 2^-M.
-  - d-th exponential: sum p_j^(1+d) w_j^-d >= P^(1+d) C^-d for d > 0, by
-    Hoelder's inequality (w^-d is convex), and <= for -1 < d < 0 (it is
-    concave), where the reducer's division by d turns the order back.  So
-    the term is (1+d) lg P - d lg C.
-  - exp average: sum p_j w_j^-s >= A^(1+s) C^-s with A = sum p_j^(1/(1+s))
-    for s > 0, and <= for -1 < s < 0, so the term is
-    (1+s) lg A - s lg C.  With the roots r_j = lg p_j / (1+s), which fall
+  - exponential: with (a, s) the objective's, their sum of
+    2^(a lg p_j + s l_j) is sum p_j^a w_j^-s >= A^(1+s) C^-s, where
+    A = sum p_j^(a/(1+s)), for s > 0 by Hoelder's inequality (w^-s is
+    convex), and <= for -1 < s < 0 (it is concave), where the reducer's
+    division by s turns the order back.  So the term is
+    (1+s) lg A - s lg C.  With the roots r_j = a lg p_j / (1+s), which fall
     with j, lg A of the symbols lo.. is r_0 + lg sum_(j >= lo) 2^(r_j - r_0):
     one power per symbol, taken once per call, and one ``fsum`` per suffix.
-    Near q = 1/2 the roots span more than the float range and a power is
-    not a normal float; there each suffix takes ``lg_sum_exp2``, which
-    shifts by the suffix's own largest root, r_lo, instead.  For
-    s <= -1 (q <= 1/2) w^-s is convex, so the largest sum sits at a corner,
-    one symbol taking all of C, far from any completion: there is no term,
-    and the walk takes no bound but scores every vector.
+    The roots are lg p_j / ((1+s)/a), and (1+s)/a is 1 + s under exp
+    average (a = 1) and exactly 1 under the d-th objective (a = 1 + s),
+    whose roots are lg p_j and whose A is the mass P.  Where a power is not
+    a normal float, as near q = 1/2, where the roots span more than the
+    float range, each suffix takes ``lg_sum_exp2``, which shifts by the
+    suffix's own largest root, r_lo, instead.  For s <= -1, which only exp
+    average reaches (q <= 1/2), w^-s is convex, so the largest sum sits at
+    a corner, one symbol taking all of C, far from any completion: there is
+    no term, and the walk takes no bound but scores every vector.
 
-  Each holds with equality at w_j proportional to p_j (to p_j^(1/(1+s))
-  under exp average), the real-valued optimum.  On the ``oracle``
-  benchmark's pmfs the walk scores 32.9 vectors per op and takes 17.7
-  bounds (seed 32).
+  Each holds with equality at w_j proportional to p_j (to p_j^(a/(1+s))
+  under the exponential objectives), the real-valued optimum.  On the
+  ``oracle`` benchmark's pmfs the walk scores 32.9 vectors per op and takes
+  17.7 bounds (seed 32).
 * **The allowance** (``_allowance``).  The relaxed term is computed in
   floats, and the table entries are not the exact terms either, so the
   term is moved toward a lower value by an allowance: down where the
-  scale (1, d or s) is positive, up where it is negative.  Write each
-  entry as a lg p + b l (times p under avg), with (a, b) = (1, 1) for avg
-  and MMPR, (fl(1+d), d) and (1, fl(lg q)), and take d and fl(lg q) as the
-  exact parameters.  Let G = max |fl(lg p_j)| and
-  W = |a| (G + lg n + 2) + |b| (n + 1): every quantity the entries and the
-  term are made of (lg p_j, lg P, (1+s) lg A, l, lg C) is at most
-  |a| (G + 1) + |b| n in size.  With ``log2`` and ``pow`` to 2 ulps
+  scale (1 or s) is positive, up where it is negative.  Write each entry
+  as a lg p + s l (times p under avg), with (a, s) = (1, 1) for avg and
+  MMPR and the objective's otherwise, (fl(1+d), d) or (1, fl(lg q)), and
+  take d and fl(lg q) as the exact parameters.  Let G = max |fl(lg p_j)|
+  and W = |a| (G + lg n + 2) + |s| (n + 1): every quantity the entries and
+  the term are made of (lg p_j, lg P, (1+s) lg A, l, lg C) is at most
+  |a| (G + 1) + |s| n in size.  With ``log2`` and ``pow`` to 2 ulps
   and ``fsum`` and each other operation to u, an entry is within 7uW of
   its exact value (under avg, so is their sum, the p_j summing to at most
-  1), and the term within 11uW of its own, 15uW under exp average; in
-  total at most 22uW.
+  1), and the term within 11uW of its own under avg and MMPR, 19uW under
+  the exponential objectives; in total at most 26uW.
 
-  Under exp average the head (1+s) lg A carries most of that.  Write
-  t = fl(1 + s), r_j = fl(lg p_j / t), m = r_0 the largest root and
-  R = |r_(n-1)| the largest |r_j|, so that t R <= G (1 + 2u).  Each r_j is
-  rounded by at most uR, and so is r_j - m, which lies in [-R, 0];
-  ``pow`` and ``fsum`` add relative errors of 4u and u to a suffix's sum S
-  of powers, where every power is a normal float (the one-pass form runs
-  only there), so 8u to lg S; lg S lies in [-R - 1, lg n], so ``log2``
-  adds 4u (R + lg n + 1); and m + log2(S) is rounded by u (R + lg n + 1).
-  So lg A is off by at most u (7R + 5 lg n + 13).  The product by t adds
+  Under the exponential objectives the head (1+s) lg A carries most of
+  that.  Write t = fl(1 + s); the roots' divisor fl(t / a) is t / a
+  exactly, t under exp average and 1 under the d-th objective, where
+  t = a.  So r_j = fl(fl(lg p_j) / (t / a)), the d-th one fl(lg p_j)
+  itself.  Let m = r_0 be the largest root and R = |r_(n-1)| the largest
+  |r_j|, so that t R <= |a| G (1 + 2u).  At the rounded t, each r_j is off
+  by at most 4uR from ``log2`` and uR from the division, and r_j - m,
+  which lies in [-R, 0], is rounded by at most uR; ``pow`` and ``fsum``
+  add relative errors of 4u and u to a suffix's sum S of powers, where
+  every power is a normal float (the one-pass form runs only there), so
+  8u to lg S; lg S lies in [-R - 1, lg n], so ``log2`` adds
+  4u (R + lg n + 1); and m + log2(S) is rounded by u (R + lg n + 1).  So
+  lg A is off by at most u (11R + 5 lg n + 13).  The product by t adds
   u t (R + lg n), and t's own rounding, relative u, moves t lg A by as
   much, its derivative in t being lg A less a weighted mean of the r_j.
-  That is u (9G + t (7 lg n + 13)) up to terms in u^2, at most 9uW as
-  t <= 1 + |b|.  (The per-suffix form shifts by r_lo, so its sums lie in
+  That is u (13 |a| G + t (7 lg n + 13)) up to terms in u^2, at most 13uW,
+  as t is a under the d-th objective and at most 1 + |s| under exp
+  average.  (The per-suffix form shifts by r_lo, so its sums lie in
   [1, n] and its error is smaller.)  Then lg C is off by 4u lg n + un,
   and -s lg C, the subtraction and the move's own subtraction add at most
   6uW in all.
 
-  The allowance is 32uW, which covers the 22uW and the rounding of the
+  The allowance is 32uW, which covers the 26uW and the rounding of the
   move: ~1e-13 for the benchmark's objectives at n = 16, and 1e-7 in the
   term (1e-13 in the value) at d = 1e6.  The reducer, in
   exact arithmetic, then gives the placed terms followed by the moved term
@@ -454,21 +462,17 @@ def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _coefficients(obj: Objective) -> tuple[float, float]:
-    """(a, b) with each table entry a lg p + b l (times p under avg)."""
-    if obj.kind is ObjectiveKind.DTH_EXP:
-        return 1.0 + obj.param, obj.param
-    if obj.kind is ObjectiveKind.EXP_AVERAGE:
-        return 1.0, math.log2(obj.param)
-    return 1.0, 1.0
+    """(a, s) with each table entry a lg p + s l (times p under avg)."""
+    return obj._family[:2] if obj._family else (1.0, 1.0)
 
 
 def _allowance(obj: Objective, lgp: Sequence[float]) -> float:
     """How far the relaxed term is moved toward a lower value, 32 u W with
-    W = |a| (G + lg n + 2) + |b| (n + 1) (module docstring)."""
+    W = |a| (G + lg n + 2) + |s| (n + 1) (module docstring)."""
     n = len(lgp)
-    a, b = _coefficients(obj)
+    a, s = _coefficients(obj)
     top = max(map(abs, lgp))
-    return 32 * 2.0 ** -53 * (abs(a) * (top + math.log2(n) + 2) + abs(b) * (n + 1))
+    return 32 * 2.0 ** -53 * (abs(a) * (top + math.log2(n) + 2) + abs(s) * (n + 1))
 
 
 def _relaxation(obj: Objective, probs: Sequence[float], lgp: Sequence[float]
@@ -476,37 +480,40 @@ def _relaxation(obj: Objective, probs: Sequence[float], lgp: Sequence[float]
     """(heads, slopes): the symbols lo.. on an open capacity C take the
     relaxed term ``heads[lo] - slopes[lo] lg C``, the least their part of
     the value can be over real lengths (module docstring), moved by the
-    allowance toward a lower value.  Under exp average lg A is taken for
-    every suffix from one power per symbol, 2^(root_j - root_0), and per
-    suffix by ``lg_sum_exp2`` where one of those powers is not a normal
-    float.  None under exp average with fl(lg q) <= -1, that is q <= 1/2,
-    which has no such term."""
+    allowance toward a lower value.  Under the exponential objectives
+    (1+s) lg A is taken for every suffix from one power per symbol,
+    2^(root_j - root_0), and per suffix by ``lg_sum_exp2`` where one of
+    those powers is not a normal float.  None where s <= -1, which only
+    exponential average reaches, at q <= 1/2, and which has no such term."""
     n = len(probs)
-    a, b = _coefficients(obj)
-    if obj.kind is ObjectiveKind.EXP_AVERAGE:
-        if not b > -1.0:
+    a, s = _coefficients(obj)
+    if obj._family is not None:
+        if not s > -1.0:
             return None
-        # the roots fall with j, so root[0] is every suffix's largest; near
-        # q = 1/2 they span more than the float range
-        root = [g / (1.0 + b) for g in lgp]
+        # the roots a lg p_j / (1+s), lg p_j under d-th, where (1+s)/a is 1.0, fall
+        # with j: root[0] is every suffix's largest; near q = 1/2 they span more
+        # than the float range
+        t = 1.0 + s
+        ratio = t / a
+        root = [g / ratio for g in lgp]
         top = root[0]
         pw = [2.0 ** (r - top) for r in root]
         if min(pw) >= sys.float_info.min:
             fsum, log2 = math.fsum, math.log2
-            heads = [(1.0 + b) * (top + log2(fsum(pw[lo:]))) for lo in range(n)]
+            heads = [t * (top + log2(fsum(pw[lo:]))) for lo in range(n)]
         else:
-            heads = [(1.0 + b) * lg_sum_exp2(root[lo:]) for lo in range(n)]
-        slopes = [b] * n
+            heads = [t * lg_sum_exp2(root[lo:]) for lo in range(n)]
+        slopes = [s] * n
     else:
         mass = [math.fsum(probs[lo:]) for lo in range(n)]
         lg_mass = list(map(math.log2, mass))
         if obj.kind is ObjectiveKind.AVG_REDUNDANCY:
             heads, slopes = list(map(operator.mul, mass, lg_mass)), mass
         else:
-            heads, slopes = [a * x for x in lg_mass], [b] * n
-    # the value rises with the term where the scale b is positive, and falls
+            heads, slopes = lg_mass, [s] * n
+    # the value rises with the term where the scale s is positive, and falls
     # where it is negative
-    shift = math.copysign(_allowance(obj, lgp), b)
+    shift = math.copysign(_allowance(obj, lgp), s)
     return [h - shift for h in heads], slopes
 
 
@@ -515,11 +522,10 @@ def _margin(obj: Objective, rows: Sequence[Sequence[float]]) -> float:
     trusts it: 0 for avg and MMPR, whose reducers are monotone as computed,
     and 16 u (T + lg n + 2) / |s| for the two exponential ones (module
     docstring)."""
-    if obj.kind in (ObjectiveKind.AVG_REDUNDANCY, ObjectiveKind.MAX_POINTWISE):
+    if obj._family is None:
         return 0.0
-    scale = _coefficients(obj)[1]
     top = max(map(abs, rows[0] + rows[-1]))
-    return 16 * 2.0 ** -53 * (top + math.log2(len(rows)) + 2) / abs(scale)
+    return 16 * 2.0 ** -53 * (top + math.log2(len(rows)) + 2) / abs(obj._family[1])
 
 
 def _powers(obj: Objective, rows: Sequence[list[float]]
@@ -528,7 +534,7 @@ def _powers(obj: Objective, rows: Sequence[list[float]]
     entry, under the two exponential objectives where rows 0 and n - 1, which
     hold each symbol's extremes, span fewer than ``_POWER_SPAN`` bits; None
     elsewhere (module docstring)."""
-    if obj.kind not in (ObjectiveKind.DTH_EXP, ObjectiveKind.EXP_AVERAGE):
+    if obj._family is None:
         return None
     ends = rows[0] + rows[-1]
     top = max(ends)
@@ -539,9 +545,9 @@ def _powers(obj: Objective, rows: Sequence[list[float]]
 
 def _power_reducer(obj: Objective, top: float) -> Callable[[list[float]], float]:
     """The value from a list of power-table entries: lg(2^top fsum(entries)) / s."""
-    scale = _coefficients(obj)[1]
+    s = obj._family[1]
     log2, fsum = math.log2, math.fsum
-    return lambda entries: (top + log2(fsum(entries))) / scale
+    return lambda entries: (top + log2(fsum(entries))) / s
 
 
 def _relaxed_entry(relax: tuple[list[float], list[float]] | None, top: float | None
@@ -555,12 +561,6 @@ def _relaxed_entry(relax: tuple[list[float], list[float]] | None, top: float | N
     if top is None:
         return lambda lo, lg_c: heads[lo] - slopes[lo] * lg_c
     return lambda lo, lg_c: 2.0 ** (heads[lo] - slopes[lo] * lg_c - top)
-
-
-def _term_rows(obj: Objective, probs: tuple[float, ...], lgp: list[float]
-               ) -> list[list[float]]:
-    """rows[l][i] = symbol i's term at length l, l = 0..n-1, by ``Objective.term_rows``."""
-    return obj.term_rows(probs, lgp)
 
 
 def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> OracleResult:
@@ -587,7 +587,7 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
     lgp = list(map(math.log2, p.probs))
-    rows = _term_rows(obj, p.probs, lgp)
+    rows = obj.term_rows(p.probs, lgp)
     relax = _relaxation(obj, p.probs, lgp)
     margin = _margin(obj, rows)
     powers = _powers(obj, rows)

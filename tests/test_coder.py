@@ -84,32 +84,44 @@ PANEL_RULES = ([CombineRule.sum(), CombineRule.max_double()]
 EDGE_RULES = list(dict.fromkeys(PANEL_RULES + [CombineRule.for_objective(obj)
                                                for obj in EXTREME_OBJECTIVES]))
 DTH_EDGE_RULES = [rule for rule in EDGE_RULES if rule.kind is RuleKind.DTH_EXP]
+EXPONENTIAL_KINDS = (RuleKind.DTH_EXP, RuleKind.EXP_BASE)
+EXPONENTIAL_EDGE_RULES = [rule for rule in EDGE_RULES if rule.kind in EXPONENTIAL_KINDS]
 
 
 # The reference below is the textbook construction: a (weight, sequence)
 # heap, a parent map and a walk up from every leaf, O(n * depth).  Its
 # merge formulas are written out here, not taken from the engine.
 
+def leaf_power(rule):
+    """The leaves' exponent: 1 + d under the d-th rule, 1 under every other."""
+    return 1.0 + rule.param if rule.kind is RuleKind.DTH_EXP else 1.0
+
+
 def reference_shift(p, rule):
-    """a of the d-th rule's linear leaves (p_i 2^a)^(1+d), by a scan up from 0: the
-    least a >= 0 that makes (p_n 2^a)^(1+d) a normal float."""
-    c, a = 1.0 + rule.param, 0
-    while not math.ldexp(p.probs[-1], a) ** c >= sys.float_info.min:
-        a += 1
-    return a
+    """k of the linear leaves (p_i 2^k)^c, c = 1 + d under the d-th rule and 1 under
+    the others, by a scan up from 0: the least k >= 0 that makes (p_n 2^k)^c a normal
+    float."""
+    c, k = leaf_power(rule), 0
+    while not math.ldexp(p.probs[-1], k) ** c >= sys.float_info.min:
+        k += 1
+    return k
 
 
 def reference_merge_rule(p, rule, log_domain=False):
-    """(leaf key, combine) for ``rule`` on ``p``: linear weights, (p_i 2^a)^(1+d)
-    with a = ``reference_shift`` under the d-th rule, or with ``log_domain`` the
-    d-th rule's base-2 logs."""
+    """(leaf key, combine) for ``rule`` on ``p``: linear weights, (p_i 2^k)^c under an
+    exponential rule with k = ``reference_shift``, or with ``log_domain`` an
+    exponential rule's base-2 logs."""
     kind, param = rule.kind.value, rule.param
     if kind == "sum":
         return float, lambda a, b: a + b
-    if kind == "exp_base":
-        return float, lambda a, b: param * (a + b)
     if kind == "max_double":
         return float, lambda a, b: 2.0 * max(a, b)
+    if kind == "exp_base":
+        if log_domain:
+            lgq = math.log2(param)
+            return math.log2, lambda a, b: lgq + lg_sum_exp2((a, b))
+        shift = reference_shift(p, rule)
+        return lambda x: math.ldexp(x, shift), lambda a, b: param * (a + b)
     c = 1.0 + param
     if log_domain:
         return math.log2, lambda a, b: (param + lg_sum_exp2((c * a, c * b))) / c
@@ -119,15 +131,16 @@ def reference_merge_rule(p, rule, log_domain=False):
 
 def reference_log_domain(p, rule):
     """Whether the engine's merge of ``p`` runs on base-2 logs, by the module docstring's
-    conditions: a d-th rule whose 2^d overflows, whose shift a has a (1+d) >= 1023,
-    or whose linear root overflows."""
-    if rule.kind is not RuleKind.DTH_EXP:
+    conditions: an exponential rule whose q overflows (the d-th rule's 2^d), whose
+    shift k has k c >= 1023, or whose linear root overflows."""
+    if rule.kind not in EXPONENTIAL_KINDS:
         return False
-    try:
-        2.0 ** rule.param
-    except OverflowError:
-        return True
-    return not (reference_shift(p, rule) * (1.0 + rule.param) < 1023
+    if rule.kind is RuleKind.DTH_EXP:
+        try:
+            2.0 ** rule.param
+        except OverflowError:
+            return True
+    return not (reference_shift(p, rule) * leaf_power(rule) < 1023
                 and reference_root(p, rule) < math.inf)
 
 
@@ -188,20 +201,28 @@ def heap_depths(n, kids):
 
 
 def domains(rule):
-    """The domains ``rule`` merges in: linear, and for the d-th rule the log domain too."""
-    return ("linear", "log") if rule.kind is RuleKind.DTH_EXP else ("linear",)
+    """The domains ``rule`` merges in: linear, and for an exponential rule the log
+    domain too."""
+    return ("linear", "log") if rule.kind in EXPONENTIAL_KINDS else ("linear",)
 
 
 # each panel rule in each domain it merges in
 PANEL_CASES = [(rule, domain) for rule in PANEL_RULES for domain in domains(rule)]
 
 
+def domain_shift(p, rule, domain):
+    """The leaves' shift k of ``rule``'s merge of ``p`` in the named domain: None in
+    the log domain, and in the linear one where the rule has no linear keys for ``p``."""
+    return None if domain == "log" else rule._shift(p)
+
+
 def domain_inputs(p, rule, domain):
     """(leaf keys, combiner) of ``rule``'s merge of ``p`` in the named domain, or
-    None where the d-th rule has no linear keys for ``p``."""
-    log_domain = domain == "log"
-    keys = rule._leaf_keys(p, log_domain=log_domain)
-    return None if keys is None else (keys, rule._combiner(log_domain=log_domain))
+    None where an exponential rule has no linear keys for ``p``."""
+    shift = domain_shift(p, rule, domain)
+    if shift is None and domain == "linear":
+        return None
+    return rule._leaf_keys(p, shift), rule._combiner(log_domain=domain == "log")
 
 
 def domain_code(p, rule, domain):
@@ -210,7 +231,7 @@ def domain_code(p, rule, domain):
     keys, combine = domain_inputs(p, rule, domain)
     ks, cs = _level_runs(p.n, _merge_two_queues(keys, combine))
     lengths = LengthVector(tuple(k for k, c in zip(ks, cs) for _ in range(c)))
-    value = rule._root_value(p, keys[-1], domain == "log")
+    value = rule._root_value(keys[-1], domain_shift(p, rule, domain))
     return lengths.lengths, rule.objective().evaluate(p, lengths) if value is None else value
 
 
@@ -249,7 +270,9 @@ def root_weight_value(p, rule):
         if log_domain:
             return c / param * root
         return (math.log2(root) - reference_shift(p, rule) * c) / param
-    return math.log(root) / math.log(param)
+    if log_domain:
+        return root / math.log2(param)
+    return (math.log2(root) - reference_shift(p, rule)) / math.log2(param)
 
 
 def reference_root(p, rule, log_domain=False):
@@ -264,22 +287,22 @@ def reference_root(p, rule, log_domain=False):
 
 def readout_applies(p, rule):
     """Whether the engine reads ``rule``'s value off the root weight, per ``CodeResult``:
-    |s| >= 1/16, and under exp-base normal float probabilities and root."""
+    |s| >= 1/16, and under exp-base a log-domain merge or a normal float linear root."""
     if rule.kind is RuleKind.DTH_EXP:
         return abs(rule.param) >= 0.0625
     if rule.kind is RuleKind.EXP_BASE:
-        tiny = sys.float_info.min
-        return (abs(math.log2(rule.param)) >= 0.0625 and p.probs[-1] >= tiny
-                and tiny <= reference_root(p, rule) < math.inf)
+        return abs(math.log2(rule.param)) >= 0.0625 and (
+            reference_log_domain(p, rule) or reference_root(p, rule) >= sys.float_info.min)
     return False
 
 
 U = 2.0 ** -53  # unit roundoff
 
 
-def exact_lg_w(p, lengths, rule):
-    """lg W of the readout at 200 bits: W = sum_i p_i^(1+d) 2^(d l_i) or sum_i p_i q^l_i."""
-    with mpmath.workprec(200):
+def exact_lg_w(p, lengths, rule, prec=200):
+    """lg W of the readout at ``prec`` bits: W = sum_i p_i^(1+d) 2^(d l_i) or
+    sum_i p_i q^l_i."""
+    with mpmath.workprec(prec):
         x, probs = mpmath.mpf(rule.param), [mpmath.mpf(pi) for pi in p.probs]
         if rule.kind is RuleKind.DTH_EXP:
             c = 1 + x
@@ -293,47 +316,53 @@ def gamma(k):
 
 
 def readout_bound(p, lengths, rule, lg_w, value, log_domain):
-    """The module docstring's bound on |readout - value| for the exact ``value`` = lg W / s.
+    """The module docstring's bound on |readout - value| for the exact ``value`` = lg W / s,
+    with (a, s) = (1 + d, d) under the d-th rule and (1, lg q) under exp-base.
 
-    exp-base: the root is off by a relative rho = gamma_2L + (n-1) 2^-1074 / W,
-    so lg W by -lg(1 - rho), which the quotient divides by |lg q|; log2 of the
-    root, log2 q and the quotient round once each, within an ulp: 6u (|V| + 1).
-    d-th, linear, on leaves shifted by 2^a: rho = (1 + gamma_(4L+2)) 2^t - 1
-    with t = u c max_i |lg(p_i 2^a)|, the same -lg(1 - rho) / |d| + 6u (|V| + 1),
-    which holds the subtraction's rounding, and the shift's 3u a c / |d|: log2
-    of a root near 2^(a c) rounds by up to 2u a c more, and a c rounds once.
-    d-th, log domain: (1+d) r is off by 10u (L + 2)(c K + |d| + 1),
-    K = max(-lg p_n, L) + 1, over |d|; the product (1+d) r and the quotient
-    round once each: 4u |V|.
+    Linear, on leaves shifted by 2^k: the root is off by a relative rho, so lg W
+    by -lg(1 - rho), which the quotient divides by |s|; log2 of the root, log2 q
+    and the quotient round once each, within an ulp, and the subtraction once:
+    6u (|V| + 1).  Under exp-base rho = gamma_2L + (n-1) 2^-1074 / (2^(k a) W),
+    and under the d-th rule rho = (1 + gamma_(4L+2)) 2^t - 1 with
+    t = u a max_i |lg(p_i 2^k)|.  The shift adds 3u k a / |s|: log2 of a root
+    near 2^(k a) rounds by up to 2u k a more, and k a rounds once.
+    Log domain: a r is off by 10u (L + 2)(a K + |s| + 1),
+    K = max(-lg p_n, L (1+s) / a) + 1, over |s|; the product a r and the
+    quotient round once each: 4u |V|.
     """
     big_l, value = max(lengths), abs(float(value))
     if rule.kind is RuleKind.DTH_EXP:
-        d = rule.param
-        c = 1 + d
-        if log_domain:
-            k = max(-math.log2(p.probs[-1]), big_l) + 1
-            return 10 * U * (big_l + 2) * (c * k + abs(d) + 1) / abs(d) + 4 * U * value
-        a = reference_shift(p, rule)
-        t = U * c * max(abs(math.log2(math.ldexp(x, a))) for x in (p.probs[0], p.probs[-1]))
+        s = rule.param
+        a = 1 + s
+        height = big_l
+    else:
+        s, a = math.log2(rule.param), 1.0
+        height = big_l * (1 + s)
+    if log_domain:
+        k = max(-math.log2(p.probs[-1]), height) + 1
+        return 10 * U * (big_l + 2) * (a * k + abs(s) + 1) / abs(s) + 4 * U * value
+    shift = reference_shift(p, rule)
+    if rule.kind is RuleKind.DTH_EXP:
+        t = U * a * max(abs(math.log2(math.ldexp(x, shift))) for x in (p.probs[0], p.probs[-1]))
         rho = (1 + gamma(4 * big_l + 2)) * 2.0 ** t - 1
-        return -math.log2(1 - rho) / abs(d) + 6 * U * (value + 1) + 3 * U * a * c / abs(d)
-    rho = gamma(2 * big_l) + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** lg_w)
-    return -math.log2(1 - rho) / abs(math.log2(rule.param)) + 6 * U * (value + 1)
+    else:
+        rho = gamma(2 * big_l) + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** (lg_w + shift))
+    return -math.log2(1 - rho) / abs(s) + 6 * U * (value + 1) + 3 * U * shift * a / abs(s)
 
 
-def exact_value(p, lengths, rule):
-    """(lg W, lg W / s) of the readout at 200 bits."""
-    lg_w = exact_lg_w(p, lengths, rule)
-    with mpmath.workprec(200):
+def exact_value(p, lengths, rule, prec=200):
+    """(lg W, lg W / s) of the readout at ``prec`` bits."""
+    lg_w = exact_lg_w(p, lengths, rule, prec)
+    with mpmath.workprec(prec):
         s = mpmath.mpf(rule.param) if rule.kind is RuleKind.DTH_EXP else mpmath.log(rule.param, 2)
         return lg_w, lg_w / s
 
 
-def check_readout(p, res, rule):
-    """``res``'s value, read off the root, lies within ``readout_bound`` of the 200-bit
-    value, the bound of the domain the engine merged in."""
-    lg_w, exact = exact_value(p, res.lengths.lengths, rule)
-    with mpmath.workprec(200):
+def check_readout(p, res, rule, prec=200):
+    """``res``'s value, read off the root, lies within ``readout_bound`` of the
+    ``prec``-bit value, the bound of the domain the engine merged in."""
+    lg_w, exact = exact_value(p, res.lengths.lengths, rule, prec)
+    with mpmath.workprec(prec):
         err = abs(res.objective_value - exact)
     bound = readout_bound(p, res.lengths.lengths, rule, lg_w, exact,
                           reference_log_domain(p, rule))
@@ -615,7 +644,7 @@ class TestTwoQueue:
         # popped by the next merge, so the merged queue is never out of order
         q04 = CombineRule.exp_base(0.4)
         p = validate_pmf([0.4, 0.2, 0.2, 0.2])
-        keys = q04._leaf_keys(p)
+        keys = q04._leaf_keys(p, q04._shift(p))
         marks = _merge_two_queues(keys, q04._combiner())
         assert any(b < a for a, b in zip(keys[p.n:], keys[p.n + 1:]))
         assert marks == [4, 5, 6]
@@ -638,7 +667,7 @@ class TestTwoQueue:
                 random_pmf(np.random.default_rng(n), n)]
         inverted = 0
         for p in pmfs:
-            keys = rule._leaf_keys(p)
+            keys = rule._leaf_keys(p, rule._shift(p))
             marks = _merge_two_queues(keys, combiner(rule))
             # some merge appended a key below the tail of a non-empty merged queue
             inverted += any(keys[new] < keys[new - 1] and marks[new - p.n] < new
@@ -671,14 +700,19 @@ class TestTwoQueue:
                 for p in (validate_pmf([1.0 / n] * n), dyadic_pmf(rng, n), random_pmf(rng, n))]
         expected = [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES]
         logs = [domain_code(p, rule, "log") for p in pmfs for rule in EDGE_RULES
-                if rule.kind is RuleKind.DTH_EXP]
+                if rule.kind in EXPONENTIAL_KINDS]
         monkeypatch.setattr(CombineRule, "_combiner", ordered)
         assert [generalized_huffman(p, rule) for p in pmfs for rule in EDGE_RULES] == expected
-        assert len(calls) == len(EDGE_RULES) * sum(p.n - 1 for p in pmfs)
-        # the log domain on every d-th rule, not only where the engine falls back to it
+        # a linear merge whose root overflows runs again on logs, as q = 1e200 does
+        merges = sum((p.n - 1) * (1 + (rule._shift(p) is not None
+                                       and reference_log_domain(p, rule)))
+                     for p in pmfs for rule in EDGE_RULES)
+        assert merges > len(EDGE_RULES) * sum(p.n - 1 for p in pmfs)
+        assert len(calls) == merges
+        # the log domain on every exponential rule, not only where the engine falls back to it
         assert [domain_code(p, rule, "log") for p in pmfs for rule in EDGE_RULES
-                if rule.kind is RuleKind.DTH_EXP] == logs
-        assert len(calls) == (len(EDGE_RULES) + len(DTH_EDGE_RULES)) * sum(p.n - 1 for p in pmfs)
+                if rule.kind in EXPONENTIAL_KINDS] == logs
+        assert len(calls) == merges + len(EXPONENTIAL_EDGE_RULES) * sum(p.n - 1 for p in pmfs)
         assert all(calls)
 
     @pytest.mark.parametrize("rule", EDGE_RULES,
@@ -702,11 +736,14 @@ class TestTwoQueue:
             ks, cs = _level_runs(p.n, marks)
             assert [k for k, c in zip(ks, cs) for _ in range(c)] == heap_depths(p.n, heap_kids)
             merged[domain] += 1
-        # a d-th rule merges every pmf in the log domain, and linearly below d = 1024
-        assert merged["log"] == (len(pmfs) if rule.kind is RuleKind.DTH_EXP else 0)
+        # an exponential rule merges every pmf in the log domain, and linearly
+        # unless 2^d overflows, from d = 1024
+        assert merged["log"] == (len(pmfs) if rule.kind in EXPONENTIAL_KINDS else 0)
         assert merged["linear"] or rule.param >= 1024
         if rule.kind is RuleKind.EXP_BASE and rule.param == 1e200:
             # the last merges of both uniform pmfs have merged keys of +inf
+            keys = rule._leaf_keys(pmfs[-1], 0)
+            _merge_two_queues(keys, rule._combiner())
             assert keys.count(math.inf) > 2
 
     @pytest.mark.parametrize("rule", EDGE_RULES + [CombineRule.exp_base(1e300),
@@ -798,9 +835,10 @@ def near_tie_pmfs(draw):
 
 
 class TestOrderTolerance:
-    """The log-domain d-th merge without an order check: a swapped pair stays
+    """The log-domain merge without an order check: a swapped d-th pair stays
     within one merge's bound, and near ties still give optimal, complete,
-    ordered codes, in that domain and in the linear one."""
+    ordered codes under either exponential rule, in that domain and in the
+    linear one."""
 
     @pytest.mark.parametrize("d", ORDER_DS)
     def test_swapped_arguments_agree_within_one_merge(self, d):
@@ -937,8 +975,7 @@ class TestRootReadout:
         return calls
 
     @pytest.mark.parametrize("rule,root", [
-        # exp-base roots that overflow, or are subnormal or zero
-        (CombineRule.exp_base(1e200), "inf"), (CombineRule.exp_base(1e150), "inf"),
+        # exp-base roots that are subnormal or zero
         (CombineRule.exp_base(1e-318), "tiny"), (CombineRule.exp_base(1e-323), "tiny"),
         (CombineRule.exp_base(5e-324), "tiny"),
         # scales below 1/16
@@ -946,7 +983,6 @@ class TestRootReadout:
         *((CombineRule.exp_base(q), None) for q in (1 + 2.0 ** -52, 1 - 2.0 ** -52)),
     ], ids=lambda x: f"{x.kind.value}{x.param!r}" if isinstance(x, CombineRule) else str(x))
     def test_guarded_cases_are_evaluate_bit_for_bit(self, monkeypatch, rule, root):
-        # depth 3 or more, which q = 1e150 needs to overflow
         pmfs = [validate_pmf([0.35, 0.25, 0.2, 0.12, 0.08]),
                 random_pmf(np.random.default_rng(51), 30)]
         if root is None:
@@ -957,22 +993,46 @@ class TestRootReadout:
             res = generalized_huffman(p, rule)
             assert len(calls) == before + 1
             assert res.objective_value == rule.objective().evaluate(p, res.lengths)
-            if root == "inf":
-                assert reference_root(p, rule) == math.inf
-            elif root == "tiny":
+            if root == "tiny":
                 assert reference_root(p, rule) < sys.float_info.min
             assert not readout_applies(p, rule)
 
-    def test_subnormal_probability_keeps_evaluate(self, monkeypatch):
+    @pytest.mark.parametrize("q", [1e200, 1e150])
+    def test_overflowing_root_reads_the_log_domain(self, monkeypatch, q):
+        # depth 3 or more, which q = 1e150 needs to overflow: the linear root is
+        # +inf, so the merge runs again on logs and the value is read off the log
+        # root.  The lengths are those the linear merge gave with its +inf keys,
+        # and the value is within the log domain's bound of the 1400-bit value.
+        rule = CombineRule.exp_base(q)
+        pmfs = [validate_pmf([0.35, 0.25, 0.2, 0.12, 0.08]),
+                random_pmf(np.random.default_rng(51), 30)]
+        calls = self.evaluate_calls(monkeypatch)
+        for p, runs in zip(pmfs, (((2, 3), (3, 2)), ((4, 5), (2, 28)))):
+            assert reference_root(p, rule) == math.inf
+            res = generalized_huffman(p, rule)
+            assert not calls
+            assert res.lengths._runs == runs
+            assert res.lengths.lengths == reference_lengths(p, rule, log_domain=False)
+            assert coder._merge(p, rule)[2] is None and reference_log_domain(p, rule)
+            assert readout_applies(p, rule)
+            check_readout(p, res, rule, prec=1400)
+
+    def test_subnormal_probability_reads_the_shifted_root(self, monkeypatch):
+        # p_n = 1e-320 is subnormal, so the leaves are p_i 2^k, k = 42 the least
+        # shift that makes p_n 2^k normal, and the value is read off the root with
+        # k taken back out: the lengths the unshifted merge gave, and a value within
+        # the linear bound of the 1400-bit value, which holds the sum 1 + 1e-320
         p = validate_pmf([0.5, 0.25, 0.25 - 1e-320, 1e-320])
         calls = self.evaluate_calls(monkeypatch)
-        for q in (2.0, 0.9):
+        for q, lengths in ((2.0, (2, 2, 2, 2)), (0.9, (1, 2, 3, 3))):
             rule = CombineRule.exp_base(q)
             res = generalized_huffman(p, rule)
-            assert len(calls) == 1
-            assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+            assert not calls
+            assert res.lengths.lengths == lengths
+            assert rule._shift(p) == reference_shift(p, rule) == 42
+            assert coder._merge(p, rule)[2] == 42
             assert reference_root(p, rule) >= sys.float_info.min
-            calls.clear()
+            check_readout(p, res, rule, prec=1400)
 
     def test_both_sides_of_the_one_sixteenth_cut(self, monkeypatch):
         sixteenth = 2.0 ** (1 / 16)
@@ -1036,18 +1096,18 @@ class TestLinearDomain:
         # with n >= 2, p_n^(1+d) is subnormal or zero, and the shift a that
         # would make it normal has a (1+d) >= 1023
         rule = CombineRule.dth_exp(d)
-        assert (coder._dth_base(d) == math.inf) == (d >= 1024.0)
+        assert (rule._family[2] == math.inf) == (d >= 1024.0)
         pmfs = [validate_pmf(probs) for probs in self.GUARD_PMFS]
         pmfs.append(random_pmf(np.random.default_rng(61), 30))
         for p in pmfs:
             if p.n == 1 and d < 1024.0:
                 # one leaf, no merge: the linear root 1.0 reads 0, as the log root 0.0 does
-                assert rule._leaf_keys(p) == [1.0]
+                assert rule._shift(p) == 0 and rule._leaf_keys(p, 0) == [1.0]
                 assert engine_code(p, rule) == ((0,), 0.0) == parent_dth_code(p, rule)
                 continue
             assert d >= 1024.0 or reference_shift(p, rule) * (1.0 + d) >= 1023
-            assert rule._shift(p) is None and rule._leaf_keys(p) is None
-            assert coder._merge(p, rule)[2]
+            assert rule._shift(p) is None
+            assert coder._merge(p, rule)[2] is None
             lengths, value = engine_code(p, rule)
             assert math.isfinite(value)
             assert (lengths, value) == parent_dth_code(p, rule)
@@ -1058,9 +1118,9 @@ class TestLinearDomain:
         reference's lengths and a value within the readout bound, or, with ``shift``
         None, in the log domain, bit for bit as the log domain always has."""
         assert rule._shift(p) == shift
-        assert coder._merge(p, rule)[2] == (shift is None) == reference_log_domain(p, rule)
+        assert coder._merge(p, rule)[2] == shift
+        assert (shift is None) == reference_log_domain(p, rule)
         if shift is None:
-            assert rule._leaf_keys(p) is None
             assert engine_code(p, rule) == parent_dth_code(p, rule)
             return
         assert shift == reference_shift(p, rule)
@@ -1093,7 +1153,8 @@ class TestLinearDomain:
 
     def test_root_overflow_reruns_in_the_log_domain(self, monkeypatch):
         # no code near optimal overflows the linear root (lg W = d V < d), so a
-        # q = 1e300 forces it: the merge runs again on logs, with the log domain's bits
+        # q = 1e300 in the rule's (a, s, q) forces it: the merge runs again on
+        # logs, with the log domain's bits
         rule = CombineRule.dth_exp(0.5)
         p = random_pmf(np.random.default_rng(62), 30)
         expected = parent_dth_code(p, rule)
@@ -1105,7 +1166,8 @@ class TestLinearDomain:
             roots.append(keys[-1])
             return marks
 
-        monkeypatch.setattr(coder, "_dth_base", lambda d: 1e300)
+        # the rule is this test's own, and frozen
+        object.__setattr__(rule, "_family", (1.5, 0.5, 1e300))
         monkeypatch.setattr(coder, "_merge_two_queues", spy)
         assert engine_code(p, rule) == expected
         assert roots[0] == math.inf and math.isfinite(roots[1]) and len(roots) == 2
@@ -1150,7 +1212,7 @@ class TestLinearDomain:
         for d, shift in ((0.5, 322), (2.0, None), (-0.5, 0)):
             rule = CombineRule.dth_exp(d)
             assert rule._shift(p) == shift
-            assert coder._merge(p, rule)[2] == (shift is None)
+            assert coder._merge(p, rule)[2] == shift
             res = generalized_huffman(p, rule)
             assert res.lengths.lengths == domain_code(p, rule, "log")[0]
             if shift is not None:
@@ -1162,8 +1224,9 @@ class TestLinearDomain:
         p = validate_pmf([2.0 ** (-i / 5) for i in range(1, n + 1)], normalize=True)
         for d in (0.25, 0.5, 1.0):
             rule = CombineRule.dth_exp(d)
-            assert (rule._shift(p) > 0) == (n == 5000)
-            assert not coder._merge(p, rule)[2]
+            shift = rule._shift(p)
+            assert (shift > 0) == (n == 5000)
+            assert coder._merge(p, rule)[2] == shift
             self.linear_code_moved(p, rule)
 
     def test_engine_matches_the_oracle_on_the_edge_d_values(self):

@@ -28,7 +28,6 @@ from genhuff.oracle import (
     _powers,
     _relaxation,
     _relaxed_entry,
-    _term_rows,
     _walk,
 )
 from genhuff.witness import FamilyKind, WitnessFamily, generate
@@ -170,10 +169,37 @@ class TestBruteForce:
         for p in pmfs:
             lgp = [math.log2(x) for x in p.probs]
             for obj in OBJECTIVES + EXTREME_OBJECTIVES:
-                rows = _term_rows(obj, p.probs, lgp)
+                rows = obj.term_rows(p.probs, lgp)
                 assert [[x.hex() for x in row] for row in rows] \
                     == [[x.hex() for x in obj.terms(p.probs, lgp, ((l,), (p.n,)))]
                         for l in range(p.n)], (obj, p.probs)
+
+    def test_exponential_terms_equal_the_two_textbook_forms(self):
+        # the one exponential path gives, by hex, lg p + l lg q under exp average
+        # and (1+d) lg p + d l under d-th: a = 1 takes no product there, and
+        # (a, s) are the floats each form takes
+        rng = np.random.default_rng(18)
+        pmfs = [benford(), validate_pmf([0.5, 0.25, 0.25 - 1e-320, 1e-320])]
+        pmfs += [random_pmf(rng, n) for n in (1, 2, 5, 11, 16)]
+        checked = 0
+        for obj in OBJECTIVES + EXTREME_OBJECTIVES:
+            if obj.kind.value == "expavg":
+                lgq = math.log2(obj.param)
+                form = lambda g, l: g + l * lgq
+            elif obj.kind.value == "dexp":
+                d = obj.param
+                form = lambda g, l: (1.0 + d) * g + d * l
+            else:
+                continue
+            for p in pmfs:
+                lgp = [math.log2(x) for x in p.probs]
+                expected = [[form(g, l).hex() for g in lgp] for l in range(p.n)]
+                assert [[x.hex() for x in row] for row in obj.term_rows(p.probs, lgp)] \
+                    == expected, (obj, p.probs)
+                assert [[x.hex() for x in obj.terms(p.probs, lgp, ((l,), (p.n,)))]
+                        for l in range(p.n)] == expected, (obj, p.probs)
+                checked += 1
+        assert checked == 15 * len(pmfs)
 
     def test_evaluated_count_is_tree_shape_count(self):
         for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
@@ -373,19 +399,31 @@ class TestCut:
     @pytest.mark.parametrize("q", [0.5 + 1e-7, 0.51, 0.6, 0.9, 1 - 1e-12, 1 + 1e-12,
                                    1.5, 2.0, 10.0, 1e10, 1e200])
     def test_exp_average_heads_within_the_allowance(self, q):
+        self.assert_heads_within_the_allowance(Objective.exp_average(q))
+
+    @pytest.mark.parametrize("d", [-1 + 1e-9, -0.5, 1e-12, 0.5, 2.0, 1e4, 1e6])
+    def test_dth_heads_within_the_allowance(self, d):
+        # the d-th heads take the exp-average formula, with roots lg p_j
+        self.assert_heads_within_the_allowance(Objective.dth_exp(d))
+
+    def assert_heads_within_the_allowance(self, obj):
         # each head, its move taken back, is within the allowance of
-        # (1+s) lg sum_{j >= lo} p_j^(1/(1+s)) at 200 bits, s = fl(lg q), so
-        # the moved head lies on the side that lowers the value
-        obj = Objective.exp_average(q)
+        # (1+s) lg sum_{j >= lo} p_j^(a/(1+s)) at 200 bits, with (a, s) = (1, fl(lg q))
+        # under exp average and (1 + d, d) under d-th, so the moved head lies on
+        # the side that lowers the value
         rng = np.random.default_rng(56)
         with mpmath.workprec(200):
-            s = mpmath.mpf(math.log2(q))
+            if obj.kind.value == "expavg":
+                s, a = mpmath.mpf(math.log2(obj.param)), mpmath.mpf(1)
+            else:
+                s = mpmath.mpf(obj.param)
+                a = 1 + s
             for n in range(1, 17):
                 for p in (random_pmf(rng, n), self.tie_heavy_pmf(rng, n)):
                     lgp = list(map(math.log2, p.probs))
                     heads, _ = _relaxation(obj, p.probs, lgp)
                     allowance = _allowance(obj, lgp)
-                    powers = [mpmath.mpf(x) ** (1 / (1 + s)) for x in p.probs]
+                    powers = [mpmath.mpf(x) ** (a / (1 + s)) for x in p.probs]
                     for lo in range(n):
                         exact = (1 + s) * mpmath.log(mpmath.fsum(powers[lo:]), 2)
                         moved = mpmath.mpf(heads[lo])
@@ -536,7 +574,7 @@ class TestPowerTable:
         for n in range(2, 12):
             for p in (random_pmf(rng, n), TestCut.tie_heavy_pmf(rng, n)):
                 lgp = list(map(math.log2, p.probs))
-                rows = _term_rows(obj, p.probs, lgp)
+                rows = obj.term_rows(p.probs, lgp)
                 powers = _powers(obj, rows)
                 if powers is None:
                     continue
