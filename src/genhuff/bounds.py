@@ -244,12 +244,20 @@ def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
     alpha = alpha_of_q(q)
     if not 1 <= j <= p.n:
         raise CodingError(f"j must be in 1..{p.n}, got {j}")
-    # H_alpha and p-hat from one alpha lg p_i list and its log-sum, H_alpha
-    # as renyi_entropy takes it, which near alpha = 1 reads neither
+    return _exp_avg_report(q, j, *_exp_avg_parts(p, alpha, j))
+
+
+def _exp_avg_parts(p: Pmf, alpha: float, j: int) -> tuple[float, float]:
+    """(H_alpha, the transformed p_j) from one alpha lg p_i list and its log-sum,
+    H_alpha as renyi_entropy takes it, which near alpha = 1 reads neither."""
     scaled, lg_norm = _alpha_lgs(p, alpha)
     e = 1.0 - alpha
     h = renyi_entropy(p, alpha) if abs(e) < _SMALL_SCALE else lg_norm / e + 0.0
-    p_hat = _hat_probs(scaled, lg_norm)[j - 1]
+    return h, _hat_probs(scaled, lg_norm)[j - 1]
+
+
+def _exp_avg_report(q: float, j: int, h: float, p_hat: float) -> BoundReport:
+    """``exp_avg_bounds`` from H_alpha and the transformed p_j (``_exp_avg_parts``)."""
     if not 0.0 < p_hat < 1.0:
         # p_j^alpha underflowed, or the others' powers vanish next to it
         raise PreconditionUnmet(f"the transformed p_{j} rounds to {p_hat!r}; "

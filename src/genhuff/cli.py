@@ -174,12 +174,6 @@ def _objective_from_args(args) -> Objective:
     return Objective(ObjectiveKind(name), args.d if name == "dexp" else args.q)
 
 
-def _entropy_for(p: Pmf, obj: Objective) -> float:
-    if obj.kind is ObjectiveKind.EXP_AVERAGE and obj.param > 0.5:
-        return renyi_entropy(p, alpha_of_q(obj.param))
-    return shannon_entropy(p)
-
-
 def _exact_report(value: float, note: str | None = None) -> BoundReport:
     return BoundReport(value, value, BoundKind.EXACT, BoundKind.EXACT,
                        exact=value, note=note)
@@ -199,36 +193,42 @@ def _symbol_bounds(obj: Objective, pj: float, j: int) -> BoundReport:
                        note="unit upper bound: top-probability form needs j=1")
 
 
-def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> BoundReport:
-    """The bounds ``code`` prints next to ``value``.
+def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> tuple[float, BoundReport]:
+    """The entropy and the bounds ``code`` prints next to ``value``.
 
-    They read p_1, or under expavg p_1 of the alpha-power transform, and
-    hold for p_1 < 1.  A pmf of two or more symbols can still have a p_1
-    that rounds to 1.0, its sum within PMF_SUM_TOL of 1; then the report is
-    the value itself, which is the optimum, with a note.
+    The entropy is H_alpha under expavg at q > 1/2, taken once for both,
+    and Shannon's otherwise.  The bounds read p_1, or under expavg p_1 of
+    the alpha-power transform, and hold for p_1 < 1.  A pmf of two or more
+    symbols can still have a p_1 that rounds to 1.0, its sum within
+    PMF_SUM_TOL of 1; then the report is the value itself, which is the
+    optimum, with a note.
     """
+    expavg = obj.kind is ObjectiveKind.EXP_AVERAGE
+    if expavg and obj.param > 0.5:
+        entropy, p_hat = bnd._exp_avg_parts(p, alpha_of_q(obj.param), 1)
+    else:
+        entropy = shannon_entropy(p)
     if p.n == 1:
-        return _exact_report(0.0, note="single symbol, null codeword")
-    if obj.kind is ObjectiveKind.EXP_AVERAGE:
+        return entropy, _exact_report(0.0, note="single symbol, null codeword")
+    if expavg:
         if obj.param <= 0.5:
-            return _exact_report(value, note="unary-optimal regime (q <= 0.5)")
+            return entropy, _exact_report(value, note="unary-optimal regime (q <= 0.5)")
         try:
-            return bnd.exp_avg_bounds(p, obj.param, 1)
+            return entropy, bnd._exp_avg_report(obj.param, 1, entropy, p_hat)
         except bnd.PreconditionUnmet:
-            return _exact_report(value, note="transformed p_1 rounds to 1.0: "
-                                             "the engine's optimum, no bound from p_1")
+            return entropy, _exact_report(value, note="transformed p_1 rounds to 1.0: "
+                                                      "the engine's optimum, no bound from p_1")
     if p.probs[0] == 1.0:
-        return _exact_report(value, note="p_1 rounds to 1.0: "
-                                         "the engine's optimum, no bound from p_1")
-    return _symbol_bounds(obj, p.probs[0], 1)
+        return entropy, _exact_report(value, note="p_1 rounds to 1.0: "
+                                                  "the engine's optimum, no bound from p_1")
+    return entropy, _symbol_bounds(obj, p.probs[0], 1)
 
 
 def cmd_code(args) -> int:
     obj = _objective_from_args(args)
     p = load_pmf(args.input, assume_sorted=args.assume_sorted, normalize=args.normalize)
     result = generalized_huffman(p, CombineRule.for_objective(obj))
-    entropy = _entropy_for(p, obj)
-    report = _bounds_for_code(p, obj, result.objective_value)
+    entropy, report = _bounds_for_code(p, obj, result.objective_value)
 
     doc = {
         "objective": obj.kind.value,

@@ -146,7 +146,10 @@ within an ulp:
   leaf, a normal float.  So each term, and W' with it, is off by a
   relative rho = (1 + gamma_(4L+2)) 2^t - 1 with t = u a max_i |lg x_i|,
   which k a < 1023 keeps below 1023u.  Either way lg W' is off by
-  -lg(1 - rho).  The readout lg W = lg W' - k a gains 3u k a: log2 of the
+  -lg(1 - rho).  Under a = 1 the shift is a power of two, and where
+  2^-k W' is a normal float the readout takes it out exactly,
+  lg W = log2(2^-k W').  Otherwise, under the d-th rule or where that
+  is subnormal, the readout lg W = lg W' - k a gains 3u k a: log2 of the
   root, k a + lg W, is within an ulp, 2u k a more than unshifted, and
   the product k a rounds once; the subtraction is one rounding of lg W,
   as the division by s is one of the value.  With k = 0 nothing is
@@ -197,6 +200,8 @@ from .core import (
     ObjectiveKind,
     Pmf,
     _SMALL_SCALE,
+    _Record,
+    _set,
     _spread,
     ceil_neg_lg,
 )
@@ -234,8 +239,7 @@ _RULE_OF = {
 _OBJECTIVE_OF = {rule: objective for objective, rule in _RULE_OF.items()}
 
 
-@dataclass(frozen=True)
-class CombineRule:
+class CombineRule(_Record):
     """Weight-combining rule f(x, y), the merge handing it the lighter item first.
 
     In exact arithmetic f is nondecreasing in each argument; the max rule's
@@ -247,12 +251,15 @@ class CombineRule:
     ``_family``, not a field.
     """
 
+    _fields = ("kind", "param")
     kind: RuleKind
-    param: float | None = None
+    param: float | None
 
-    def __post_init__(self):
+    def __init__(self, kind: RuleKind, param: float | None = None):
+        _set(self, "kind", kind)
+        _set(self, "param", param)
         # the Objective checks the parameter; its (a, s, q) is not a field either
-        object.__setattr__(self, "_family", self.objective()._family)
+        _set(self, "_family", self.objective()._family)
 
     @staticmethod
     def sum() -> "CombineRule":
@@ -349,15 +356,20 @@ class CombineRule:
         if shift is None:
             lg_w = a * root
         elif root >= sys.float_info.min:
-            # a linear root is finite (``_merge``); the shift comes off as
-            # shift a, and shift 0 leaves log2 as is
-            lg_w = math.log2(root) - shift * a
+            # a linear root is finite (``_merge``).  Under a = 1, 2^-shift W is
+            # exact where it is normal, and shift 0 leaves the root as is;
+            # otherwise the shift comes off lg W as shift a
+            w = math.ldexp(root, -shift) if a == 1.0 else 0.0
+            lg_w = math.log2(w) if w >= sys.float_info.min else math.log2(root) - shift * a
         else:
             return None
         # + 0.0 as in Objective.reducer: no -0.0
         return lg_w / s + 0.0
 
 
+# the one dataclass left: bench/workloads.py copies a CodeResult with
+# dataclasses.replace, so it joins core._Record once the benchmark builds
+# its copies with the constructor
 @dataclass(frozen=True)
 class CodeResult:
     """An engine code: lengths, canonical codewords and the objective's value.
@@ -366,12 +378,14 @@ class CodeResult:
     merge a normal float root, ``objective_value`` is lg W / s read off the
     merge's root weight.  By the module docstring, from a linear merge on
     leaves shifted by 2^k (``CombineRule._shift``) it lies within
-    -lg(1 - rho) / |s| + 6u (|V| + 1) + 3u k a / |s| of the exact value V
-    of these lengths, with u = 2^-53, L the longest length, and
+    -lg(1 - rho) / |s| + 6u (|V| + 1) of the exact value V of these
+    lengths, with u = 2^-53, L the longest length, and
     rho = gamma_2L + (n-1) 2^-1074 / (2^(k a) W) under exponential
     average, (1 + gamma_(4L+2)) 2^t - 1 with t = u a max_i |lg(p_i 2^k)|
-    under the d-th rule.  From a log-domain merge it lies within
-    10u (L + 2)(a K + |s| + 1) / |s| + 4u |V|, with
+    under the d-th rule.  Taking the shift out adds 3u k a / |s|, except
+    under exponential average where W, the root scaled by 2^-k, is a
+    normal float: that scaling is exact.  From a log-domain merge it lies
+    within 10u (L + 2)(a K + |s| + 1) / |s| + 4u |V|, with
     K = max(-lg p_n, L (1+s)/a) + 1.  Otherwise it is ``Objective.evaluate``
     of the lengths, bit for bit.  Under the d-th rule either value, where
     it is below 0, is 0.0: the exact value of a complete code is at least

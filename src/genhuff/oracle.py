@@ -245,11 +245,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .core import CodingError, LengthVector, Objective, ObjectiveKind, Pmf, lg_sum_exp2
+from .core import (CodingError, LengthVector, Objective, ObjectiveKind, Pmf, _Record, _set,
+                   lg_sum_exp2)
 
 __all__ = [
     "AlphabetTooLarge",
@@ -269,8 +269,7 @@ class AlphabetTooLarge(CodingError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """Minimum objective value with every minimizing monotone length vector.
 
     ``evaluated_count`` is the number of vectors in the space searched,
@@ -278,10 +277,18 @@ class OracleResult:
     walk reduced to a value.
     """
 
+    _fields = ("min_value", "argmin", "evaluated_count", "scored_count")
     min_value: float
     argmin: tuple[LengthVector, ...]
     evaluated_count: int
     scored_count: int
+
+    def __init__(self, min_value: float, argmin: tuple[LengthVector, ...],
+                 evaluated_count: int, scored_count: int):
+        _set(self, "min_value", min_value)
+        _set(self, "argmin", argmin)
+        _set(self, "evaluated_count", evaluated_count)
+        _set(self, "scored_count", scored_count)
 
     def argmin_lengths(self) -> tuple[tuple[int, ...], ...]:
         return tuple(lv.lengths for lv in self.argmin)

@@ -14,11 +14,10 @@ admissible interval); pass eps explicitly for limit studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import CodingError, Pmf, ceil_neg_lg, cmp_ratio
+from .core import CodingError, Pmf, _Record, _set, ceil_neg_lg, cmp_ratio
 
 __all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate",
            "one_bit_l1_cost_bound"]
@@ -44,14 +43,21 @@ class FamilyKind(Enum):
     L1_ALWAYS_ONE_Q_LT_1 = "l1-always-one"
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class WitnessFamily(_Record):
     """A family selector plus the construction parameters it uses."""
 
+    _fields = ("kind", "p1", "eps", "q")
     kind: FamilyKind
-    p1: float | None = None
-    eps: float | None = None
-    q: float | None = None
+    p1: float | None
+    eps: float | None
+    q: float | None
+
+    def __init__(self, kind: FamilyKind, p1: float | None = None, eps: float | None = None,
+                 q: float | None = None):
+        _set(self, "kind", kind)
+        _set(self, "p1", p1)
+        _set(self, "eps", eps)
+        _set(self, "q", q)
 
 
 def _default_eps(width: float) -> float:

@@ -77,6 +77,31 @@ class TestCode:
                                       "upper_kind", "exact", "note"}
         assert doc["bounds"]["lower"] <= doc["value_bits"] <= doc["bounds"]["upper"]
 
+    @pytest.mark.parametrize("q,renyi_calls", [("2", 0), ("0.9", 0), ("1.01", 1)])
+    def test_expavg_takes_h_alpha_once(self, capsys, monkeypatch, benford_file, q, renyi_calls):
+        # one alpha lg p_i list and log-sum gives the entropy line and the bounds;
+        # near alpha = 1 (q = 1.01) renyi_entropy's log1p form takes H_alpha, once
+        import genhuff.bounds
+        import genhuff.cli
+
+        calls = []
+
+        def counted(module, name):
+            func = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(genhuff.bounds, "_alpha_lgs")
+        counted(genhuff.bounds, "renyi_entropy")
+        counted(genhuff.cli, "renyi_entropy")
+        code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", q, benford_file)
+        assert code == 0 and "bounds: [" in out
+        assert sorted(calls) == ["_alpha_lgs"] + ["renyi_entropy"] * renyi_calls
+
     def test_mmpr_three(self, capsys, three_file):
         code, out, _ = run(capsys, "code", "--objective", "mmpr",
                            "--format", "json", three_file)
@@ -486,15 +511,15 @@ class TestVerify:
         ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01")),
     ])
     def test_approached_gap_is_checked_to_1e_9(self, capsys, monkeypatch, family, params):
-        import dataclasses
-
         import genhuff.verify
+        from genhuff.oracle import OracleResult
 
         oracle = genhuff.verify.brute_force_optimal
 
         def off(p, obj, **kwargs):
             res = oracle(p, obj, **kwargs)
-            return dataclasses.replace(res, min_value=res.min_value + 1e-8)
+            return OracleResult(res.min_value + 1e-8, res.argmin, res.evaluated_count,
+                                res.scored_count)
 
         monkeypatch.setattr(genhuff.verify, "brute_force_optimal", off)
         code, out, _ = run(capsys, "verify", "--family", family, *params)

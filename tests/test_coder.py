@@ -325,7 +325,10 @@ def readout_bound(p, lengths, rule, lg_w, value, log_domain):
     6u (|V| + 1).  Under exp-base rho = gamma_2L + (n-1) 2^-1074 / (2^(k a) W),
     and under the d-th rule rho = (1 + gamma_(4L+2)) 2^t - 1 with
     t = u a max_i |lg(p_i 2^k)|.  The shift adds 3u k a / |s|: log2 of a root
-    near 2^(k a) rounds by up to 2u k a more, and k a rounds once.
+    near 2^(k a) rounds by up to 2u k a more, and k a rounds once; but not
+    under exp-base where W = 2^-k W' is normal, which the readout scales exactly
+    (the term is kept within a bit of the subnormal edge, where the float root
+    may fall either side).
     Log domain: a r is off by 10u (L + 2)(a K + |s| + 1),
     K = max(-lg p_n, L (1+s) / a) + 1, over |s|; the product a r and the
     quotient round once each: 4u |V|.
@@ -347,6 +350,8 @@ def readout_bound(p, lengths, rule, lg_w, value, log_domain):
         rho = (1 + gamma(4 * big_l + 2)) * 2.0 ** t - 1
     else:
         rho = gamma(2 * big_l) + (p.n - 1) * 2.0 ** -1074 / float(mpmath.mpf(2) ** (lg_w + shift))
+        if lg_w > -1021:
+            shift = 0
     return -math.log2(1 - rho) / abs(s) + 6 * U * (value + 1) + 3 * U * shift * a / abs(s)
 
 
@@ -1021,7 +1026,10 @@ class TestRootReadout:
         # p_n = 1e-320 is subnormal, so the leaves are p_i 2^k, k = 42 the least
         # shift that makes p_n 2^k normal, and the value is read off the root with
         # k taken back out: the lengths the unshifted merge gave, and a value within
-        # the linear bound of the 1400-bit value, which holds the sum 1 + 1e-320
+        # the linear bound of the 1400-bit value, which holds the sum 1 + 1e-320.
+        # Under a = 1 the root scaled by 2^-k is exact, so the bound has no shift
+        # term, and [1.0, 5e-324], k = 52, reads the float nearest its exact value,
+        # 1 + ~5e-324, where taking k off lg W' read 1.000000000000021 at q = 0.9
         p = validate_pmf([0.5, 0.25, 0.25 - 1e-320, 1e-320])
         calls = self.evaluate_calls(monkeypatch)
         for q, lengths in ((2.0, (2, 2, 2, 2)), (0.9, (1, 2, 3, 3))):
@@ -1033,6 +1041,14 @@ class TestRootReadout:
             assert coder._merge(p, rule)[2] == 42
             assert reference_root(p, rule) >= sys.float_info.min
             check_readout(p, res, rule, prec=1400)
+        two = validate_pmf([1.0, 5e-324])
+        for q in (0.9, 0.3):
+            rule = CombineRule.exp_base(q)
+            res = generalized_huffman(two, rule)
+            assert not calls
+            assert rule._shift(two) == coder._merge(two, rule)[2] == 52
+            assert res.lengths.lengths == (1, 1) and res.objective_value == 1.0
+            check_readout(two, res, rule, prec=1400)
 
     def test_both_sides_of_the_one_sixteenth_cut(self, monkeypatch):
         sixteenth = 2.0 ** (1 / 16)

@@ -1,6 +1,13 @@
 """Core types and objective evaluators."""
 
+import ast
+import copy
+import dataclasses
+import importlib
+import inspect
 import math
+import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -702,3 +709,135 @@ class TestPackageNames:
             genhuff.no_such_name
         with pytest.raises(ImportError):
             exec("from genhuff import no_such_name", {})
+
+
+# each record class: (class name, module, positional arguments for every
+# field, arguments for the fields that have no default, the repr of the first)
+RECORDS = [
+    ("Pmf", "core", lambda: ((0.5, 0.5),), None,
+     "Pmf(probs=(0.5, 0.5))"),
+    ("LengthVector", "core", lambda: ((1, 2, 2),), None,
+     "LengthVector(lengths=(1, 2, 2))"),
+    ("Objective", "core", lambda: (genhuff.ObjectiveKind.DTH_EXP, 0.5),
+     lambda: (genhuff.ObjectiveKind.AVG_REDUNDANCY,),
+     "Objective(kind=<ObjectiveKind.DTH_EXP: 'dexp'>, param=0.5)"),
+    ("BoundReport", "core",
+     lambda: (0.0, 1.0, genhuff.BoundKind.ACHIEVABLE, genhuff.BoundKind.APPROACHABLE, None,
+              "unit upper bound"),
+     lambda: (0.0, 1.0, genhuff.BoundKind.ACHIEVABLE, genhuff.BoundKind.APPROACHABLE),
+     "BoundReport(lower=0.0, upper=1.0, lower_kind=<BoundKind.ACHIEVABLE: 'achievable'>, "
+     "upper_kind=<BoundKind.APPROACHABLE: 'approachable'>, exact=None, "
+     "note='unit upper bound')"),
+    ("CombineRule", "coder", lambda: (genhuff.RuleKind.EXP_BASE, 2.0),
+     lambda: (genhuff.RuleKind.SUM,),
+     "CombineRule(kind=<RuleKind.EXP_BASE: 'exp_base'>, param=2.0)"),
+    ("OracleResult", "oracle", lambda: (1.5, (LengthVector((1, 1)),), 2, 1), None,
+     "OracleResult(min_value=1.5, argmin=(LengthVector(lengths=(1, 1)),), "
+     "evaluated_count=2, scored_count=1)"),
+    ("WitnessFamily", "witness",
+     lambda: (genhuff.FamilyKind.MMPR_UPPER_HIGH, 0.55, 0.05, None),
+     lambda: (genhuff.FamilyKind.L1_BOUNDARY_Q_LE_1,),
+     "WitnessFamily(kind=<FamilyKind.MMPR_UPPER_HIGH: 'mmpr-upper-high'>, p1=0.55, "
+     "eps=0.05, q=None)"),
+]
+
+
+def record_class(name, module):
+    return getattr(importlib.import_module(f"genhuff.{module}"), name)
+
+
+@pytest.mark.parametrize("name,module,args,bare,text", RECORDS,
+                         ids=[r[0] for r in RECORDS])
+class TestRecords:
+    """Every immutable record keeps the frozen dataclass behaviour it replaced."""
+
+    def test_positional_keyword_and_default_construction(self, name, module, args, bare, text):
+        cls = record_class(name, module)
+        values = args()
+        rec = cls(*values)
+        assert cls.__match_args__ == cls._fields and len(cls._fields) == len(values)
+        assert tuple(getattr(rec, f) for f in cls._fields) == values
+        by_name = cls(**dict(zip(cls._fields, values)))
+        assert by_name == rec and type(by_name) is cls
+        required = values if bare is None else bare()
+        if bare is not None:
+            made = cls(*required)
+            assert all(getattr(made, f) is None for f in cls._fields[len(required):])
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*required[:-1])
+
+    def test_equality_and_hash_read_the_fields_of_one_class(self, name, module, args, bare,
+                                                           text):
+        cls = record_class(name, module)
+        rec, twin = cls(*args()), cls(*args())
+        assert rec is not twin and rec == twin and not rec != twin
+        assert hash(rec) == hash(twin) == hash(args())
+        assert len({rec, twin}) == 1
+        assert rec.__eq__(args()) is NotImplemented and rec != args()
+
+    def test_repr_is_the_dataclass_repr(self, name, module, args, bare, text):
+        assert repr(record_class(name, module)(*args())) == text
+
+    def test_assignment_and_deletion_are_refused(self, name, module, args, bare, text):
+        rec = record_class(name, module)(*args())
+        field = rec._fields[0]
+        before = getattr(rec, field)
+        with pytest.raises(AttributeError, match=field):
+            setattr(rec, field, before)
+        with pytest.raises(AttributeError, match=field):
+            delattr(rec, field)
+        with pytest.raises(AttributeError, match="extra"):
+            rec.extra = 1
+        assert getattr(rec, field) is before and not hasattr(rec, "extra")
+
+    def test_copy_and_pickle_round_trip(self, name, module, args, bare, text):
+        rec = record_class(name, module)(*args())
+        for made in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(made) is type(rec) and made == rec and hash(made) == hash(rec)
+            assert repr(made) == text
+
+
+class TestRecordBase:
+    def test_objective_and_combine_rule_with_equal_fields_differ(self):
+        obj = Objective.dth_exp(0.5)
+        rule = object.__new__(genhuff.CombineRule)
+        object.__setattr__(rule, "kind", obj.kind)
+        object.__setattr__(rule, "param", obj.param)
+        assert rule._values() == obj._values() and hash(rule) == hash(obj)
+        assert obj.__eq__(rule) is NotImplemented and rule.__eq__(obj) is NotImplemented
+        assert obj != rule and rule != obj
+
+    def test_cached_attributes_are_not_fields(self):
+        # _runs and _family live in __dict__ next to the fields; equality and
+        # repr do not read them, and a pickle carries them as they are
+        made = LengthVector._checked((1, 1), ((1,), (2,)))
+        assert pickle.loads(pickle.dumps(made))._runs == ((1,), (2,))
+        obj = Objective.exp_average(2.0)
+        assert obj._family == (1.0, 1.0, 2.0)
+        assert pickle.loads(pickle.dumps(obj)) == obj and "_family" not in repr(obj)
+
+    def test_code_result_is_the_only_dataclass(self):
+        # and coder, which defines it, is the only module that imports dataclasses
+        src = os.path.join(os.path.dirname(genhuff.__file__))
+        made = set()
+        importers = set()
+        for module in ("core", "coder", "bounds", "oracle", "witness", "verify", "cli"):
+            mod = importlib.import_module(f"genhuff.{module}")
+            made |= {obj.__qualname__ for obj in vars(mod).values()
+                     if inspect.isclass(obj) and obj.__module__ == mod.__name__
+                     and dataclasses.is_dataclass(obj)}
+            with open(os.path.join(src, f"{module}.py")) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                else:
+                    continue
+                if "dataclasses" in names:
+                    importers.add(module)
+        assert made == {"CodeResult"}
+        assert importers == {"coder"}
