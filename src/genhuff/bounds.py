@@ -201,9 +201,7 @@ def dth_bounds(p_j: float, d: float, is_p1: bool = False) -> BoundReport:
 
 def exp_avg_unit_bounds(p: Pmf, q: float) -> BoundReport:
     """Entropy bounds [H_a, H_a + 1) on optimal exponential-average cost."""
-    alpha = alpha_of_q(q)
-    h = renyi_entropy(p, alpha)
-    return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+    return _exp_avg_unit_report(renyi_entropy(p, alpha_of_q(q)))
 
 
 def _alpha_lgs(p: Pmf, alpha: float) -> tuple[list[float], float]:
@@ -273,6 +271,11 @@ def _exp_avg_report(q: float, j: int, h: float, p_hat: float) -> BoundReport:
                        note="unit upper bound: no per-symbol form for q < 1, j != 1")
 
 
+def _exp_avg_unit_report(h: float) -> BoundReport:
+    """``exp_avg_unit_bounds`` from H_alpha."""
+    return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+
+
 def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     """Cost bounds for q in (0.5, 1) in the guaranteed one-bit-l_1 regime.
 
@@ -284,6 +287,12 @@ def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     The lower end is attained; the upper is approached but never reached.
     Success probability bounds follow as q to the power of each endpoint.
     """
+    return _exp_avg_l1_report(p, q, None)
+
+
+def _exp_avg_l1_report(p: Pmf, q: float, h: float | None) -> BoundReport:
+    """``exp_avg_bounds_l1`` from H_alpha, or, where h is None, with H_alpha
+    taken once the preconditions hold."""
     if not 0.5 < q < 1.0:
         raise PreconditionUnmet(f"q must lie in (0.5, 1), got {q}")
     if p.n < 2:
@@ -293,7 +302,8 @@ def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
         raise PreconditionUnmet(f"p_1={p1} below the one-bit-l_1 threshold "
                                 f"2q/(2q+3)={2.0 * q / (2.0 * q + 3.0)}")
     alpha = alpha_of_q(q)
-    h = renyi_entropy(p, alpha)
+    if h is None:
+        h = renyi_entropy(p, alpha)
     x = q ** (alpha * h) - p1 ** alpha
     if x <= 0.0:
         raise CodingError("degenerate transform mass")

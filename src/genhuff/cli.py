@@ -5,11 +5,14 @@ interval brackets follow the endpoint tags ('[' attained, '(' approached).
 The only randomness, the pmfs and length vectors the ``verify`` campaign
 samples, comes from ``random.Random(seed)``, so identical invocations
 produce byte-identical output on one Python version.  A call's start-up is
-the interpreter's and the modules its subcommand runs: ``verify``, with the
-oracle and the witness generators, is imported only when it runs, and
-``json`` only to read or write JSON.  So the parser keeps its own copies of
-the family names and of the oracle's cap (``FAMILY_NAMES``,
-``ORACLE_MAX_N``), which the test suite holds equal to the originals.
+the interpreter's and the modules its subcommand runs.  Each subcommand's
+flags and handler live in one module, its home in ``SUBCOMMANDS``, and the
+parser adds the flags of the subcommand the call names only, so a call
+compiles its own home and no other: ``code`` runs on ``cli`` with
+``core``, ``coder`` and ``bounds``; ``bounds``, ``sweep`` and ``benford``
+add ``reports``; ``verify`` adds ``verify`` with the oracle and the witness
+generators, and reads its family names and the oracle's cap from them.
+``json`` is imported only to read or write JSON.
 
 A flag that would have no effect is refused (exit 2).  ``code`` and
 ``bounds`` take ``--d`` only under ``--objective dexp`` and ``--q`` only
@@ -45,8 +48,6 @@ from .core import (
     ObjectiveKind,
     Pmf,
     alpha_of_q,
-    benford,
-    renyi_entropy,
     shannon_entropy,
     success_probability,
     validate_pmf,
@@ -56,15 +57,17 @@ __all__ = ["ParseError", "main"]
 
 EXIT_BROKEN_PIPE = 141
 
-CAMPAIGN_N = 6
-CAMPAIGN_TRIALS = 200
-CAMPAIGN_SEED = 42
-SWEEP_MIN_STEP = 1e-5  # a sweep holds every row until it writes: at most ~2e5 here
-ORACLE_MAX_N = 16  # oracle.DEFAULT_MAX_N, the largest --n of the verify campaign
 FLOAT_FLAGS = ("--d", "--q", "--p", "--p1", "--eps", "--step")  # every flag with type=float
-FAMILY_NAMES = (  # the values of witness.FamilyKind, in its order
-    "mmpr-upper-high", "mmpr-upper-mid", "mmpr-upper-low", "mmpr-lower-a", "mmpr-lower-b",
-    "len-upper-tight", "len-lower-tight", "l1-boundary", "l1-counter", "l1-always-one",
+
+# Each subcommand's name, help line and home: the module that defines its
+# flags, add_<name>_flags(parser), and its handler, cmd_<name>(args).  Only
+# the home of the subcommand a call names is imported.
+SUBCOMMANDS = (
+    ("code", "construct an optimal code for a distribution", __name__),
+    ("bounds", "closed-form bounds on the optimal value", f"{__package__}.reports"),
+    ("sweep", "emit bound curves as CSV", f"{__package__}.reports"),
+    ("verify", "run the oracle-backed invariant battery", f"{__package__}.verify"),
+    ("benford", "full worked example on the Benford distribution", f"{__package__}.reports"),
 )
 
 
@@ -267,214 +270,59 @@ def cmd_code(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    obj_name = args.objective
-    if obj_name == "mmpr":
-        # the MMPR bounds are the same for every symbol
-        _refuse(args, "under --objective mmpr", "--j")
-    j = 1 if args.j is None else args.j
-    if j < 1:
-        raise CodingError(f"--j must be >= 1, got {j}")
-    obj = _objective_from_args(args)
-    doc: dict = {"objective": obj_name, "j": j,
-                 "param": None if obj.param is None else _round12(obj.param)}
-    if obj_name == "expavg":
-        _refuse(args, "under --objective expavg", "--p")
-        if args.input is None:
-            raise CodingError("expavg bounds need an input distribution file")
-        p = load_pmf(args.input, assume_sorted=args.assume_sorted,
-                     normalize=args.normalize)
-        report = bnd.exp_avg_bounds(p, obj.param, j)
-        doc["n"] = p.n
-    else:
-        _refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
-        if args.p is None:
-            raise CodingError(f"--objective {obj_name} bounds need --p")
-        report = _symbol_bounds(obj, args.p, j)
-        doc["p_j"] = _round12(args.p)
-    doc["bounds"] = _report_dict(report)
-    if args.format == "json":
-        _emit_json(doc, args.out)
-    else:
-        _emit(f"bounds: {_interval_str(report)}"
-              + (f"\nnote: {report.note}" if report.note else ""), args.out)
-    return 0
+def add_common_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...],
+                     needs_input: bool) -> None:
+    """--format, of the formats the subcommand writes (the last is the default),
+    and --out; with ``needs_input``, --normalize and --assume-sorted too."""
+    sp.add_argument("--format", choices=formats, default=formats[-1])
+    sp.add_argument("--out", default=None, help="write output to this path")
+    if needs_input:
+        sp.add_argument("--normalize", action="store_true",
+                        help="rescale input to sum to 1 instead of rejecting")
+        sp.add_argument("--assume-sorted", action="store_true",
+                        help="verify nonincreasing order instead of sorting")
 
 
-def cmd_sweep(args) -> int:
-    step = args.step
-    if not SWEEP_MIN_STEP <= step <= 0.1:
-        raise CodingError(f"step must lie in [{SWEEP_MIN_STEP:g}, 0.1], got {step}")
-    rows: list[str] = []
-    if args.figure == "mmpr":
-        rows.append("p,lower,upper,lower_kind,upper_kind,exact")
-        k = 1
-        while k * step < 1.0 - 1e-12:
-            pv = k * step
-            r = bnd.mmpr_bounds(pv)
-            exact = "" if r.exact is None else fmt(r.exact)
-            rows.append(f"{fmt(pv)},{fmt(r.lower)},{fmt(r.upper)},"
-                        f"{r.lower_kind.value},{r.upper_kind.value},{exact}")
-            k += 1
-    elif args.figure == "dexp":
-        rows.append("p,lower,upper")
-        k = 1
-        while k * step < 1.0 - 1e-12:
-            pv = k * step
-            rows.append(f"{fmt(pv)},{fmt(bnd.avg_redundancy_lower(pv))},"
-                        f"{fmt(bnd.mmpr_bounds(pv).upper)}")
-            k += 1
-    else:
-        rows.append("q,p1_threshold")
-        k = 1
-        while k * step <= 2.0 + 1e-12:
-            qv = k * step
-            if qv <= 0.5:
-                thr = 0.0
-            elif qv <= 1.0:
-                thr = 2.0 * qv / (2.0 * qv + 3.0)
-            else:
-                # no p_1 below 1 guarantees a one-bit codeword
-                thr = 1.0
-            rows.append(f"{fmt(qv)},{fmt(thr)}")
-            k += 1
-    _emit("\n".join(rows), args.out)
-    return 0
+def add_objective_flag(sp: argparse.ArgumentParser, default: str) -> None:
+    sp.add_argument("--objective", choices=[k.value for k in ObjectiveKind], default=default)
 
 
-def cmd_verify(args) -> int:
-    from .verify import cmd_verify
-    return cmd_verify(args)
+def add_param_flags(sp: argparse.ArgumentParser) -> None:
+    """--d and --q, the parameters of dexp and expavg."""
+    sp.add_argument("--d", type=float, default=None,
+                    help=f"dexp only: the order d, in (-1,0) or (0,{D_MAX:g}]; a larger d "
+                         f"would overflow the terms (1+d) lg p_i + d l_i")
+    sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
 
 
-def _benford_block(p: Pmf, q: float) -> dict:
-    obj = Objective.exp_average(q)
-    result = generalized_huffman(p, CombineRule.for_objective(obj))
-    block = {
-        "q": _round12(q),
-        "alpha": _round12(alpha_of_q(q)),
-        "renyi_entropy_bits": _round12(renyi_entropy(p, alpha_of_q(q))),
-        "unit_bounds": _report_dict(bnd.exp_avg_unit_bounds(p, q)),
-        "per_symbol_bounds": _report_dict(bnd.exp_avg_bounds(p, q, 1)),
-        "hat_p1": _round12(bnd.hat_transform(p, q).probs[0]),
-        "lengths": list(result.lengths.lengths),
-        "codewords": list(result.codewords),
-        "cost_bits": _round12(result.objective_value),
-    }
-    if q < 1.0:
-        r3 = bnd.exp_avg_bounds_l1(p, q)
-        block["one_bit_l1_bounds"] = _report_dict(r3)
-        block["success_bounds"] = {"lower": _round12(q ** r3.upper),
-                                   "upper": _round12(q ** r3.lower)}
-        block["success_probability"] = _round12(success_probability(p, result.lengths, q))
-    return block
+def add_code_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("input", help="probabilities, one per line or a JSON array; '-' for stdin")
+    add_objective_flag(sp, "avg")
+    add_param_flags(sp)
+    add_common_flags(sp, ("json", "csv", "plain"), needs_input=True)
 
 
-def cmd_benford(args) -> int:
-    p = benford()
-    doc = {
-        "distribution": [_round12(x) for x in p],
-        "shannon_entropy_bits": _round12(shannon_entropy(p)),
-        "blocks": [_benford_block(p, 0.6), _benford_block(p, 2.0)],
-    }
-    if args.format == "json":
-        _emit_json(doc, args.out)
-        return 0
-    lines = ["benford digit distribution: " + " ".join(fmt(x) for x in p),
-             f"shannon entropy: {fmt(shannon_entropy(p))} bits"]
-    for block in doc["blocks"]:
-        q = block["q"]
-        lines.append(f"--- q = {fmt(q)}")
-        lines.append(f"alpha(q): {fmt(block['alpha'])}")
-        lines.append(f"renyi entropy: {fmt(block['renyi_entropy_bits'])} bits")
-        ub = block["unit_bounds"]
-        lines.append(f"unit cost bounds: [{fmt(ub['lower'])}, {fmt(ub['upper'])})")
-        cb = block["per_symbol_bounds"]
-        lines.append(f"per-symbol cost bounds: [{fmt(cb['lower'])}, {fmt(cb['upper'])}]"
-                     f" (hat p_1 = {fmt(block['hat_p1'])})")
-        if "one_bit_l1_bounds" in block:
-            ob = block["one_bit_l1_bounds"]
-            sb = block["success_bounds"]
-            lines.append(f"one-bit-l1 cost bounds: [{fmt(ob['lower'])}, {fmt(ob['upper'])})")
-            lines.append(f"success bounds: ({fmt(sb['lower'])}, {fmt(sb['upper'])}]")
-        lines.append("optimal lengths: " + " ".join(str(l) for l in block["lengths"]))
-        lines.append("codewords: " + " ".join(block["codewords"]))
-        lines.append(f"cost: {fmt(block['cost_bits'])} bits")
-        if "success_probability" in block:
-            lines.append(f"success probability: {fmt(block['success_probability'])}")
-    _emit("\n".join(lines), args.out)
-    return 0
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every subcommand's name and help line, and the
+    flags and handler of the one its first token that is not an option names.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    argparse hands the tokens after that name to its subparser alone, so no
+    other subcommand's flags are read, and none is built.  Each name is still
+    added, so the top-level help and usage read the same whatever argv names.
+    """
     parser = argparse.ArgumentParser(
         prog="genhuff",
         description="Optimal binary prefix codes under nonlinear length "
                     "objectives, with redundancy bounds and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, formats, needs_input):
-        # each subcommand lists only the formats it writes; the last is the default
-        sp.add_argument("--format", choices=formats, default=formats[-1])
-        sp.add_argument("--out", default=None, help="write output to this path")
-        if needs_input:
-            sp.add_argument("--normalize", action="store_true",
-                            help="rescale input to sum to 1 instead of rejecting")
-            sp.add_argument("--assume-sorted", action="store_true",
-                            help="verify nonincreasing order instead of sorting")
-
-    d_help = (f"dexp only: the order d, in (-1,0) or (0,{D_MAX:g}]; a larger d would "
-              f"overflow the terms (1+d) lg p_i + d l_i")
-    sp = sub.add_parser("code", help="construct an optimal code for a distribution")
-    sp.add_argument("input", help="probabilities, one per line or a JSON array; '-' for stdin")
-    sp.add_argument("--objective", choices=("avg", "mmpr", "dexp", "expavg"), default="avg")
-    sp.add_argument("--d", type=float, default=None, help=d_help)
-    sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
-    add_common(sp, ("json", "csv", "plain"), needs_input=True)
-    sp.set_defaults(func=cmd_code)
-
-    sp = sub.add_parser("bounds", help="closed-form bounds on the optimal value")
-    sp.add_argument("input", nargs="?", default=None,
-                    help="expavg only (and required there): distribution file")
-    sp.add_argument("--objective", choices=("avg", "mmpr", "dexp", "expavg"),
-                    default="mmpr")
-    sp.add_argument("--p", type=float, default=None,
-                    help="all but expavg: known symbol probability")
-    sp.add_argument("--j", type=int, default=None,
-                    help="all but mmpr: 1-based symbol index the probability belongs to "
-                         "(default 1)")
-    sp.add_argument("--d", type=float, default=None, help=d_help)
-    sp.add_argument("--q", type=float, default=None, help="expavg only: the base q")
-    add_common(sp, ("json", "plain"), needs_input=True)
-    sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("sweep", help="emit bound curves as CSV")
-    sp.add_argument("--figure", choices=("mmpr", "dexp", "l1region"), required=True)
-    sp.add_argument("--step", type=float, default=0.01,
-                    help=f"grid spacing, {SWEEP_MIN_STEP:g} to 0.1 (default 0.01)")
-    add_common(sp, ("csv",), needs_input=False)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("verify", help="run the oracle-backed invariant battery")
-    sp.add_argument("--n", type=int, default=None,
-                    help=f"campaign only: largest random alphabet size, 2..{ORACLE_MAX_N} "
-                         f"(default {CAMPAIGN_N})")
-    sp.add_argument("--trials", type=int, default=None,
-                    help=f"campaign only: random pmfs per check (default {CAMPAIGN_TRIALS})")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"campaign only: seed of the random pmfs (default {CAMPAIGN_SEED})")
-    sp.add_argument("--family", choices=FAMILY_NAMES, default=None,
-                    help="check one witness family instead of the full campaign")
-    sp.add_argument("--p1", type=float, default=None, help="--family only: top probability")
-    sp.add_argument("--eps", type=float, default=None, help="--family only: free tail mass")
-    sp.add_argument("--q", type=float, default=None, help="--family only: exponential base")
-    add_common(sp, ("plain",), needs_input=False)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("benford", help="full worked example on the Benford distribution")
-    add_common(sp, ("json", "plain"), needs_input=False)
-    sp.set_defaults(func=cmd_benford)
-
+    chosen = next((token for token in argv if not token.startswith("-")), None)
+    for name, help_line, home in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_line)
+        if name == chosen:
+            __import__(home)
+            module = sys.modules[home]
+            getattr(module, f"add_{name}_flags")(sp)
+            sp.set_defaults(func=getattr(module, f"cmd_{name}"))
     return parser
 
 
@@ -505,8 +353,8 @@ def _join_float_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         # flush here, not at exit, so that a reader that went away shows up

@@ -1,0 +1,205 @@
+"""The ``genhuff bounds``, ``sweep`` and ``benford`` subcommands: the paper's
+closed-form bounds as a query, as curves and on its worked example.
+
+``code`` needs none of this, so ``cli`` imports the module only when one of
+these three runs.  Each subcommand's flags are here with its handler.
+"""
+
+from __future__ import annotations
+
+import argparse
+
+from . import bounds as bnd
+from . import coder
+from .cli import (
+    _emit,
+    _emit_json,
+    _interval_str,
+    _objective_from_args,
+    _refuse,
+    _report_dict,
+    _round12,
+    _symbol_bounds,
+    add_common_flags,
+    add_objective_flag,
+    add_param_flags,
+    fmt,
+    load_pmf,
+)
+from .core import (
+    CodingError,
+    Objective,
+    Pmf,
+    alpha_of_q,
+    benford,
+    shannon_entropy,
+    success_probability,
+)
+
+__all__ = ["cmd_benford", "cmd_bounds", "cmd_sweep"]
+
+SWEEP_MIN_STEP = 1e-5  # a sweep holds every row until it writes: at most ~2e5 here
+
+
+def add_bounds_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("input", nargs="?", default=None,
+                    help="expavg only (and required there): distribution file")
+    add_objective_flag(sp, "mmpr")
+    sp.add_argument("--p", type=float, default=None,
+                    help="all but expavg: known symbol probability")
+    sp.add_argument("--j", type=int, default=None,
+                    help="all but mmpr: 1-based symbol index the probability belongs to "
+                         "(default 1)")
+    add_param_flags(sp)
+    add_common_flags(sp, ("json", "plain"), needs_input=True)
+
+
+def cmd_bounds(args) -> int:
+    obj_name = args.objective
+    if obj_name == "mmpr":
+        # the MMPR bounds are the same for every symbol
+        _refuse(args, "under --objective mmpr", "--j")
+    j = 1 if args.j is None else args.j
+    if j < 1:
+        raise CodingError(f"--j must be >= 1, got {j}")
+    obj = _objective_from_args(args)
+    doc: dict = {"objective": obj_name, "j": j,
+                 "param": None if obj.param is None else _round12(obj.param)}
+    if obj_name == "expavg":
+        _refuse(args, "under --objective expavg", "--p")
+        if args.input is None:
+            raise CodingError("expavg bounds need an input distribution file")
+        p = load_pmf(args.input, assume_sorted=args.assume_sorted,
+                     normalize=args.normalize)
+        report = bnd.exp_avg_bounds(p, obj.param, j)
+        doc["n"] = p.n
+    else:
+        _refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
+        if args.p is None:
+            raise CodingError(f"--objective {obj_name} bounds need --p")
+        report = _symbol_bounds(obj, args.p, j)
+        doc["p_j"] = _round12(args.p)
+    doc["bounds"] = _report_dict(report)
+    if args.format == "json":
+        _emit_json(doc, args.out)
+    else:
+        _emit(f"bounds: {_interval_str(report)}"
+              + (f"\nnote: {report.note}" if report.note else ""), args.out)
+    return 0
+
+
+def add_sweep_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--figure", choices=("mmpr", "dexp", "l1region"), required=True)
+    sp.add_argument("--step", type=float, default=0.01,
+                    help=f"grid spacing, {SWEEP_MIN_STEP:g} to 0.1 (default 0.01)")
+    add_common_flags(sp, ("csv",), needs_input=False)
+
+
+def cmd_sweep(args) -> int:
+    step = args.step
+    if not SWEEP_MIN_STEP <= step <= 0.1:
+        raise CodingError(f"step must lie in [{SWEEP_MIN_STEP:g}, 0.1], got {step}")
+    rows: list[str] = []
+    if args.figure == "mmpr":
+        rows.append("p,lower,upper,lower_kind,upper_kind,exact")
+        k = 1
+        while k * step < 1.0 - 1e-12:
+            pv = k * step
+            r = bnd.mmpr_bounds(pv)
+            exact = "" if r.exact is None else fmt(r.exact)
+            rows.append(f"{fmt(pv)},{fmt(r.lower)},{fmt(r.upper)},"
+                        f"{r.lower_kind.value},{r.upper_kind.value},{exact}")
+            k += 1
+    elif args.figure == "dexp":
+        rows.append("p,lower,upper")
+        k = 1
+        while k * step < 1.0 - 1e-12:
+            pv = k * step
+            rows.append(f"{fmt(pv)},{fmt(bnd.avg_redundancy_lower(pv))},"
+                        f"{fmt(bnd.mmpr_bounds(pv).upper)}")
+            k += 1
+    else:
+        rows.append("q,p1_threshold")
+        k = 1
+        while k * step <= 2.0 + 1e-12:
+            qv = k * step
+            if qv <= 0.5:
+                thr = 0.0
+            elif qv <= 1.0:
+                thr = 2.0 * qv / (2.0 * qv + 3.0)
+            else:
+                # no p_1 below 1 guarantees a one-bit codeword
+                thr = 1.0
+            rows.append(f"{fmt(qv)},{fmt(thr)}")
+            k += 1
+    _emit("\n".join(rows), args.out)
+    return 0
+
+
+def add_benford_flags(sp: argparse.ArgumentParser) -> None:
+    add_common_flags(sp, ("json", "plain"), needs_input=False)
+
+
+def _benford_block(p: Pmf, q: float) -> dict:
+    """The report at one q.  H_alpha and the transformed p_1 are taken once,
+    from one alpha lg p_i list, and every bound of the block reads them."""
+    alpha = alpha_of_q(q)
+    h, hat_p1 = bnd._exp_avg_parts(p, alpha, 1)
+    rule = coder.CombineRule.for_objective(Objective.exp_average(q))
+    # looked up on coder at each call, where a profiler's span may wrap it
+    result = coder.generalized_huffman(p, rule)
+    block = {
+        "q": _round12(q),
+        "alpha": _round12(alpha),
+        "renyi_entropy_bits": _round12(h),
+        "unit_bounds": _report_dict(bnd._exp_avg_unit_report(h)),
+        "per_symbol_bounds": _report_dict(bnd._exp_avg_report(q, 1, h, hat_p1)),
+        "hat_p1": _round12(hat_p1),
+        "lengths": list(result.lengths.lengths),
+        "codewords": list(result.codewords),
+        "cost_bits": _round12(result.objective_value),
+    }
+    if q < 1.0:
+        r3 = bnd._exp_avg_l1_report(p, q, h)
+        block["one_bit_l1_bounds"] = _report_dict(r3)
+        block["success_bounds"] = {"lower": _round12(q ** r3.upper),
+                                   "upper": _round12(q ** r3.lower)}
+        block["success_probability"] = _round12(success_probability(p, result.lengths, q))
+    return block
+
+
+def cmd_benford(args) -> int:
+    p = benford()
+    entropy = shannon_entropy(p)
+    doc = {
+        "distribution": [_round12(x) for x in p],
+        "shannon_entropy_bits": _round12(entropy),
+        "blocks": [_benford_block(p, 0.6), _benford_block(p, 2.0)],
+    }
+    if args.format == "json":
+        _emit_json(doc, args.out)
+        return 0
+    lines = ["benford digit distribution: " + " ".join(fmt(x) for x in p),
+             f"shannon entropy: {fmt(entropy)} bits"]
+    for block in doc["blocks"]:
+        q = block["q"]
+        lines.append(f"--- q = {fmt(q)}")
+        lines.append(f"alpha(q): {fmt(block['alpha'])}")
+        lines.append(f"renyi entropy: {fmt(block['renyi_entropy_bits'])} bits")
+        ub = block["unit_bounds"]
+        lines.append(f"unit cost bounds: [{fmt(ub['lower'])}, {fmt(ub['upper'])})")
+        cb = block["per_symbol_bounds"]
+        lines.append(f"per-symbol cost bounds: [{fmt(cb['lower'])}, {fmt(cb['upper'])}]"
+                     f" (hat p_1 = {fmt(block['hat_p1'])})")
+        if "one_bit_l1_bounds" in block:
+            ob = block["one_bit_l1_bounds"]
+            sb = block["success_bounds"]
+            lines.append(f"one-bit-l1 cost bounds: [{fmt(ob['lower'])}, {fmt(ob['upper'])})")
+            lines.append(f"success bounds: ({fmt(sb['lower'])}, {fmt(sb['upper'])}]")
+        lines.append("optimal lengths: " + " ".join(str(l) for l in block["lengths"]))
+        lines.append("codewords: " + " ".join(block["codewords"]))
+        lines.append(f"cost: {fmt(block['cost_bits'])} bits")
+        if "success_probability" in block:
+            lines.append(f"success probability: {fmt(block['success_probability'])}")
+    _emit("\n".join(lines), args.out)
+    return 0

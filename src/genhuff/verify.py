@@ -1,8 +1,10 @@
 """The ``genhuff verify`` subcommand: the oracle-backed campaign and the witness checks.
 
 Only ``verify`` needs the exhaustive oracle and the witness generators.
-This module holds everything that uses them, and ``cli`` imports it only
-when ``verify`` runs, so the other subcommands start without loading either.
+This module holds everything that uses them, its flags included, and
+``cli`` imports it only when ``verify`` runs, so the other subcommands
+start without loading either.  The flags read the family names from
+``witness.FamilyKind`` and the campaign's cap on ``--n`` from the oracle.
 
 Without ``--family`` the campaign runs a table of checks on random pmfs
 from one ``random.Random(seed)``; with ``--family`` it checks one witness
@@ -12,12 +14,13 @@ reads (``FAMILY_FLAGS``).
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 
 from . import bounds as bnd
 from . import witness as wit
-from .cli import CAMPAIGN_N, CAMPAIGN_SEED, CAMPAIGN_TRIALS, _emit, _refuse, fmt
+from .cli import _emit, _refuse, add_common_flags, fmt
 from .coder import CombineRule, generalized_huffman, unary_code
 from .core import (
     BoundKind,
@@ -37,6 +40,10 @@ from .core import (
 from .oracle import ARGMIN_TOL, DEFAULT_MAX_N, _completions, _unrank, brute_force_optimal
 
 __all__ = ["cmd_verify"]
+
+CAMPAIGN_N = 6
+CAMPAIGN_TRIALS = 200
+CAMPAIGN_SEED = 42
 
 
 def _random_pmf(rng: random.Random, n: int) -> Pmf:
@@ -315,6 +322,22 @@ FAMILY_FLAGS = {
     wit.FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1: ("--q", "--p1"),
     wit.FamilyKind.L1_ALWAYS_ONE_Q_LT_1: ("--q", "--p1"),
 }
+
+
+def add_verify_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--n", type=int, default=None,
+                    help=f"campaign only: largest random alphabet size, 2..{DEFAULT_MAX_N} "
+                         f"(default {CAMPAIGN_N})")
+    sp.add_argument("--trials", type=int, default=None,
+                    help=f"campaign only: random pmfs per check (default {CAMPAIGN_TRIALS})")
+    sp.add_argument("--seed", type=int, default=None,
+                    help=f"campaign only: seed of the random pmfs (default {CAMPAIGN_SEED})")
+    sp.add_argument("--family", choices=[k.value for k in wit.FamilyKind], default=None,
+                    help="check one witness family instead of the full campaign")
+    sp.add_argument("--p1", type=float, default=None, help="--family only: top probability")
+    sp.add_argument("--eps", type=float, default=None, help="--family only: free tail mass")
+    sp.add_argument("--q", type=float, default=None, help="--family only: exponential base")
+    add_common_flags(sp, ("plain",), needs_input=False)
 
 
 def cmd_verify(args) -> int:

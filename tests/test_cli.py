@@ -2,15 +2,17 @@
 
 import argparse
 import io
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from genhuff.cli import EXIT_BROKEN_PIPE, ORACLE_MAX_N, build_parser, main
+from genhuff.cli import EXIT_BROKEN_PIPE, build_parser, main
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -30,6 +32,24 @@ def three_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(module, name) wraps module.name so that each call appends name to spy.calls."""
+    calls = []
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted.calls = calls
+    return counted
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -43,6 +63,7 @@ def child_env():
 
 
 VERIFY_MODULES = ("genhuff.verify", "genhuff.oracle", "genhuff.witness")
+REPORTS = "genhuff.reports"  # the home of bounds, sweep and benford
 UNUSED = VERIFY_MODULES + ("json",)  # what no subcommand but verify or a JSON run needs
 
 # a cold interpreter runs cli.main on its argv, then lists sys.modules on stderr
@@ -78,29 +99,19 @@ class TestCode:
         assert doc["bounds"]["lower"] <= doc["value_bits"] <= doc["bounds"]["upper"]
 
     @pytest.mark.parametrize("q,renyi_calls", [("2", 0), ("0.9", 0), ("1.01", 1)])
-    def test_expavg_takes_h_alpha_once(self, capsys, monkeypatch, benford_file, q, renyi_calls):
+    def test_expavg_takes_h_alpha_once(self, capsys, spy, benford_file, q, renyi_calls):
         # one alpha lg p_i list and log-sum gives the entropy line and the bounds;
         # near alpha = 1 (q = 1.01) renyi_entropy's log1p form takes H_alpha, once
         import genhuff.bounds
         import genhuff.cli
 
-        calls = []
-
-        def counted(module, name):
-            func = getattr(module, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return func(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(genhuff.bounds, "_alpha_lgs")
-        counted(genhuff.bounds, "renyi_entropy")
-        counted(genhuff.cli, "renyi_entropy")
+        spy(genhuff.bounds, "_alpha_lgs")
+        spy(genhuff.bounds, "renyi_entropy")
+        # cli takes H_alpha through bounds alone, whose binding is counted
+        assert not hasattr(genhuff.cli, "renyi_entropy")
         code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", q, benford_file)
         assert code == 0 and "bounds: [" in out
-        assert sorted(calls) == ["_alpha_lgs"] + ["renyi_entropy"] * renyi_calls
+        assert sorted(spy.calls) == ["_alpha_lgs"] + ["renyi_entropy"] * renyi_calls
 
     def test_mmpr_three(self, capsys, three_file):
         code, out, _ = run(capsys, "code", "--objective", "mmpr",
@@ -619,6 +630,36 @@ class TestVerify:
         assert out.endswith("result: ok\n")
 
 
+BENFORD_PLAIN = """\
+benford digit distribution: 0.301029995664 0.176091259056 0.124938736608 0.0969100130081 \
+0.0791812460476 0.0669467896306 0.0579919469777 0.0511525224474 0.0457574905607
+shannon entropy: 2.87591612099 bits
+--- q = 0.6
+alpha(q): 3.80178401692
+renyi entropy: 2.25960116541 bits
+unit cost bounds: [2.25960116541, 3.25960116541)
+per-symbol cost bounds: [2.25960116541, 2.78342535504] (hat p_1 = 0.838652622347)
+one-bit-l1 cost bounds: [2.3720072937, 2.7070703322)
+success bounds: (0.250864860049, 0.297696101816]
+optimal lengths: 1 2 3 4 5 6 7 8 8
+codewords: 0 10 110 1110 11110 111110 1111110 11111110 11111111
+cost: 2.38260484507 bits
+success probability: 0.296088878012
+--- q = 2
+alpha(q): 0.5
+renyi entropy: 3.02606325473 bits
+unit cost bounds: [3.02606325473, 4.02606325473)
+per-symbol cost bounds: [3.03966148454, 3.9107123007] (hat p_1 = 0.192237000701)
+optimal lengths: 2 3 3 3 3 4 4 4 4
+codewords: 00 010 011 100 101 1100 1101 1110 1111
+cost: 3.09940799179 bits
+"""
+
+# sha-256 of what `genhuff benford --format json` prints: every digit, key
+# and indent of its 2422 bytes
+BENFORD_JSON_SHA256 = "3accbc45f6ec714b694573b72e8f48b80c322047868402b1e81055178b3c639b"
+
+
 class TestBenford:
     def test_json_blocks(self, capsys):
         code, out, _ = run(capsys, "benford", "--format", "json")
@@ -635,8 +676,26 @@ class TestBenford:
 
     def test_plain_narrative(self, capsys):
         code, out, _ = run(capsys, "benford")
-        assert "optimal lengths: 1 2 3 4 5 6 7 8 8" in out
-        assert "success probability: 0.296088878012" in out
+        assert code == 0 and out == BENFORD_PLAIN
+
+    def test_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "benford", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BENFORD_JSON_SHA256
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_each_block_takes_h_alpha_once(self, capsys, spy, fmt):
+        # one alpha lg p_i list per q gives H_alpha, the transformed p_1 and
+        # every bound of the block
+        import genhuff.bounds
+        import genhuff.reports
+
+        spy(genhuff.bounds, "_alpha_lgs")
+        spy(genhuff.bounds, "renyi_entropy")
+        assert not hasattr(genhuff.reports, "renyi_entropy")
+        code, _, _ = run(capsys, "benford", "--format", fmt)
+        assert code == 0
+        assert spy.calls == ["_alpha_lgs"] * 2
 
 
 class TestDeterminism:
@@ -842,14 +901,14 @@ class TestStartup:
         assert "numpy" not in proc.stderr
 
     @pytest.mark.parametrize("argv,loaded,absent", [
-        (("code", "{file}", "--format", "plain"), (), UNUSED + ("fractions",)),
-        (("code", "{file}", "--format", "csv"), (), UNUSED + ("fractions",)),
-        (("benford", "--format", "plain"), (), UNUSED),
-        (("bounds", "--objective", "avg", "--p", "0.3"), (), UNUSED),
-        (("sweep", "--figure", "mmpr"), (), UNUSED),
+        (("code", "{file}", "--format", "plain"), (), UNUSED + (REPORTS, "fractions")),
+        (("code", "{file}", "--format", "csv"), (), UNUSED + (REPORTS, "fractions")),
+        (("benford", "--format", "plain"), (REPORTS,), UNUSED),
+        (("bounds", "--objective", "avg", "--p", "0.3"), (REPORTS,), UNUSED),
+        (("sweep", "--figure", "mmpr"), (REPORTS,), UNUSED),
         # the other side of the guard: a run that needs them loads them
-        (("code", "{file}", "--format", "json"), ("json",), VERIFY_MODULES),
-        (("verify", "--n", "3", "--trials", "1"), VERIFY_MODULES, ("json",)),
+        (("code", "{file}", "--format", "json"), ("json",), VERIFY_MODULES + (REPORTS,)),
+        (("verify", "--n", "3", "--trials", "1"), VERIFY_MODULES, ("json", REPORTS)),
     ])
     def test_cold_run_imports_only_what_it_runs(self, three_file, argv, loaded, absent):
         argv = [three_file if a == "{file}" else a for a in argv]
@@ -876,12 +935,11 @@ class TestStartup:
 
 
 class TestParserSources:
-    """The parser holds copies of what it must not import the witness or oracle for."""
+    """verify's flags read the witness families and the oracle's cap themselves."""
 
     @staticmethod
     def verify_option(flag):
-        parser = build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub = subparsers(build_parser(["verify"]))
         return next(a for a in sub.choices["verify"]._actions if flag in a.option_strings)
 
     def test_family_names_are_the_witness_families(self):
@@ -892,5 +950,126 @@ class TestParserSources:
     def test_n_cap_is_the_oracle_cap(self):
         from genhuff.oracle import DEFAULT_MAX_N
 
-        assert ORACLE_MAX_N == DEFAULT_MAX_N
         assert f"2..{DEFAULT_MAX_N} " in self.verify_option("--n").help
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# Each subcommand's arguments, in order: (option strings, or the dest of a
+# positional; choices; default; required; type)
+ARGUMENTS = {
+    "code": (
+        ("input", None, None, True, None),
+        (("--objective",), ("avg", "mmpr", "dexp", "expavg"), "avg", False, None),
+        (("--d",), None, None, False, float),
+        (("--q",), None, None, False, float),
+        (("--format",), ("json", "csv", "plain"), "plain", False, None),
+        (("--out",), None, None, False, None),
+        (("--normalize",), None, False, False, None),
+        (("--assume-sorted",), None, False, False, None),
+    ),
+    "bounds": (
+        ("input", None, None, False, None),
+        (("--objective",), ("avg", "mmpr", "dexp", "expavg"), "mmpr", False, None),
+        (("--p",), None, None, False, float),
+        (("--j",), None, None, False, int),
+        (("--d",), None, None, False, float),
+        (("--q",), None, None, False, float),
+        (("--format",), ("json", "plain"), "plain", False, None),
+        (("--out",), None, None, False, None),
+        (("--normalize",), None, False, False, None),
+        (("--assume-sorted",), None, False, False, None),
+    ),
+    "sweep": (
+        (("--figure",), ("mmpr", "dexp", "l1region"), None, True, None),
+        (("--step",), None, 0.01, False, float),
+        (("--format",), ("csv",), "csv", False, None),
+        (("--out",), None, None, False, None),
+    ),
+    "verify": (
+        (("--n",), None, None, False, int),
+        (("--trials",), None, None, False, int),
+        (("--seed",), None, None, False, int),
+        (("--family",), ("mmpr-upper-high", "mmpr-upper-mid", "mmpr-upper-low",
+                         "mmpr-lower-a", "mmpr-lower-b", "len-upper-tight", "len-lower-tight",
+                         "l1-boundary", "l1-counter", "l1-always-one"), None, False, None),
+        (("--p1",), None, None, False, float),
+        (("--eps",), None, None, False, float),
+        (("--q",), None, None, False, float),
+        (("--format",), ("plain",), "plain", False, None),
+        (("--out",), None, None, False, None),
+    ),
+    "benford": (
+        (("--format",), ("json", "plain"), "plain", False, None),
+        (("--out",), None, None, False, None),
+    ),
+}
+
+HELP_LINES = {
+    "code": "construct an optimal code for a distribution",
+    "bounds": "closed-form bounds on the optimal value",
+    "sweep": "emit bound curves as CSV",
+    "verify": "run the oracle-backed invariant battery",
+    "benford": "full worked example on the Benford distribution",
+}
+
+TOP_USAGE = "usage: genhuff [-h] {code,bounds,sweep,verify,benford} ...\n"
+
+
+class TestParser:
+    """The parser builds the flags of the subcommand argv names, and only those."""
+
+    @staticmethod
+    def arguments(sp):
+        return tuple((tuple(a.option_strings) or a.dest,
+                      None if a.choices is None else tuple(a.choices),
+                      a.default, a.required, a.type)
+                     for a in sp._actions if not isinstance(a, argparse._HelpAction))
+
+    @pytest.mark.parametrize("name", list(ARGUMENTS))
+    def test_each_subcommand_keeps_its_arguments(self, name):
+        choices = subparsers(build_parser([name, "--out", "x"])).choices
+        assert list(choices) == list(ARGUMENTS)
+        assert self.arguments(choices[name]) == ARGUMENTS[name]
+        assert all(self.arguments(sp) == () for other, sp in choices.items() if other != name)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["cod"], ["--foo"], ["-h", "cod"]])
+    def test_no_subcommand_named_builds_names_only(self, argv):
+        choices = subparsers(build_parser(argv)).choices
+        assert list(choices) == list(ARGUMENTS)
+        assert all(self.arguments(sp) == () for sp in choices.values())
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith(TOP_USAGE)
+        for name, help_line in HELP_LINES.items():
+            assert re.search(rf"^ +{name} +{re.escape(help_line)}$", out, re.MULTILINE), name
+
+    @pytest.mark.parametrize("name", list(ARGUMENTS))
+    def test_subcommand_help_lists_its_flags(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith(f"usage: genhuff {name} [-h]")
+        for strings, *_ in ARGUMENTS[name]:
+            assert (strings if isinstance(strings, str) else strings[0]) in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (("cod",), "argument command: invalid choice: 'cod' "
+                   "(choose from 'code', 'bounds', 'sweep', 'verify', 'benford')"),
+        # argparse reads -1 as the subcommand, so code's flags, built, go unread
+        (("-1", "code", "{file}"), "argument command: invalid choice: '-1' "
+                                   "(choose from 'code', 'bounds', 'sweep', 'verify', 'benford')"),
+        (("--foo", "code", "{file}"), "unrecognized arguments: --foo"),
+        (("code", "{file}", "extra"), "unrecognized arguments: extra"),
+        ((), "the following arguments are required: command"),
+    ])
+    def test_top_level_usage_errors(self, capsys, three_file, argv, message):
+        # as argparse words them on Python 3.10 to 3.13.0
+        code, err = usage_error(capsys, *(three_file if a == "{file}" else a for a in argv))
+        assert code == 2
+        assert err == f"{TOP_USAGE}genhuff: error: {message}\n"
