@@ -22,7 +22,7 @@ under ``expavg``; ``bounds`` takes the input file, ``--normalize`` and
 campaign, a table of checks on random pmfs, and takes ``--n`` (up to the
 oracle's cap), ``--trials`` and ``--seed``; with ``--family`` it checks one
 witness pmf built from those of ``--p1``, ``--eps`` and ``--q`` that the
-family reads (``verify.FAMILY_FLAGS``), and refuses a 2^lam witness
+family reads (``witness.FAMILIES``), and refuses a 2^lam witness
 past the oracle's cap before building it.  Each subcommand takes only the
 ``--format`` values it honours.
 

@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 PMF_SUM_TOL = 1e-9
+# how far past either endpoint BoundReport.contains still counts a value inside
+BOUND_TOL = 1e-9
 # the largest d an Objective takes: |lg p_i| <= 1075 and l_i < n, so every
 # term (1 + d) lg p_i + d l_i of the d-th exponential objective stays finite
 D_MAX = 1e300
@@ -563,8 +565,8 @@ class BoundReport(_Record):
         if self.exact is not None and not (self.lower == self.upper == self.exact):
             raise CodingError("exact bound must equal both endpoints")
 
-    def contains(self, value: float, tol: float = 1e-9) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
+    def contains(self, value: float) -> bool:
+        return self.lower - BOUND_TOL <= value <= self.upper + BOUND_TOL
 
 
 def shannon_entropy(p: Pmf) -> float:

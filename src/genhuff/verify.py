@@ -9,7 +9,7 @@ start without loading either.  The flags read the family names from
 Without ``--family`` the campaign runs a table of checks on random pmfs
 from one ``random.Random(seed)``; with ``--family`` it checks one witness
 pmf built from those of ``--p1``, ``--eps`` and ``--q`` that the family
-reads (``FAMILY_FLAGS``).
+reads (``witness.FAMILIES``).
 """
 
 from __future__ import annotations
@@ -88,24 +88,14 @@ WITNESS_PANEL = (
 
 WITNESS_MAX_N = 18  # the oracle's cap on a witness: 2^lam families reach 17 at lam = 4
 
-# The families whose witness has 2^lam + offset symbols, lam = ceil(-lg p_1);
-# each is checked against the oracle, so its p_1 must keep it to WITNESS_MAX_N.
-POWER_FAMILY_OFFSET = {
-    wit.FamilyKind.MMPR_UPPER_MID: 0,
-    wit.FamilyKind.MMPR_UPPER_LOW: 1,
-    wit.FamilyKind.MMPR_LOWER_A: -1,
-    wit.FamilyKind.MMPR_LOWER_B: 0,
-    wit.FamilyKind.LEN_UPPER_TIGHT: 0,
-    wit.FamilyKind.LEN_LOWER_TIGHT: -1,
-}
-
 
 def _refuse_unchecked_witness(fam: wit.WitnessFamily) -> None:
-    """Refuse a 2^lam witness too large for the oracle, before it is built.
+    """Refuse a witness of 2^lam + offset symbols (``witness.FAMILIES``) too
+    large for the oracle, before it is built.
 
     Past 2^MAX_SYMBOLS_LG symbols ``witness.generate`` refuses it itself,
     also before building it, so that message is left to it."""
-    offset = POWER_FAMILY_OFFSET.get(fam.kind)
+    offset = wit.FAMILIES[fam.kind][1]
     if offset is None or fam.p1 is None or not 0.0 < fam.p1 < 1.0:
         return
     lam = ceil_neg_lg(fam.p1)
@@ -309,21 +299,6 @@ def _run_campaign(nmax: int, trials: int, seed: int) -> list[tuple[str, bool, st
     return results
 
 
-# the WitnessFamily fields that witness.generate reads for each family
-FAMILY_FLAGS = {
-    wit.FamilyKind.MMPR_UPPER_HIGH: ("--p1", "--eps"),
-    wit.FamilyKind.MMPR_UPPER_MID: ("--p1", "--eps"),
-    wit.FamilyKind.MMPR_UPPER_LOW: ("--p1", "--eps"),
-    wit.FamilyKind.MMPR_LOWER_A: ("--p1",),
-    wit.FamilyKind.MMPR_LOWER_B: ("--p1",),
-    wit.FamilyKind.LEN_UPPER_TIGHT: ("--p1",),
-    wit.FamilyKind.LEN_LOWER_TIGHT: ("--p1",),
-    wit.FamilyKind.L1_BOUNDARY_Q_LE_1: ("--q", "--eps"),
-    wit.FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1: ("--q", "--p1"),
-    wit.FamilyKind.L1_ALWAYS_ONE_Q_LT_1: ("--q", "--p1"),
-}
-
-
 def add_verify_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=None,
                     help=f"campaign only: largest random alphabet size, 2..{DEFAULT_MAX_N} "
@@ -345,7 +320,7 @@ def cmd_verify(args) -> int:
         _refuse(args, "with --family", "--n", "--trials", "--seed")
         kind = wit.FamilyKind(args.family)
         _refuse(args, f"with --family {args.family}",
-                *(f for f in ("--p1", "--eps", "--q") if f not in FAMILY_FLAGS[kind]))
+                *(f"--{f}" for f in ("p1", "eps", "q") if f not in wit.FAMILIES[kind][0]))
         fam = wit.WitnessFamily(kind, p1=args.p1, eps=args.eps, q=args.q)
         _refuse_unchecked_witness(fam)
         p = wit.generate(fam)

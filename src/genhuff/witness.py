@@ -6,6 +6,8 @@ guarantee cannot be improved.  Generators refuse parameters outside the
 range where the construction is a valid distribution with the claimed
 property, rather than emit something misleading, and parameters that
 would make a uniform block of more than 2^MAX_SYMBOLS_LG symbols.
+``FAMILIES`` states once which parameters each family reads and how many
+symbols each 2^lam family has.
 
 Where a construction leaves eps free, the default is min(1e-4, half the
 admissible interval); pass eps explicitly for limit studies.
@@ -60,6 +62,24 @@ class WitnessFamily(_Record):
         _set(self, "q", q)
 
 
+# Each family's row: the WitnessFamily fields generate reads and, for a
+# family of n = 2^lam + offset symbols, lam = ceil(-lg p_1), that offset
+# (None for the rest).  verify refuses a flag for any other field, and a
+# 2^lam witness past the oracle's cap before it is built.
+FAMILIES = {
+    FamilyKind.MMPR_UPPER_HIGH: (("p1", "eps"), None),
+    FamilyKind.MMPR_UPPER_MID: (("p1", "eps"), 0),
+    FamilyKind.MMPR_UPPER_LOW: (("p1", "eps"), 1),
+    FamilyKind.MMPR_LOWER_A: (("p1",), -1),
+    FamilyKind.MMPR_LOWER_B: (("p1",), 0),
+    FamilyKind.LEN_UPPER_TIGHT: (("p1",), 0),
+    FamilyKind.LEN_LOWER_TIGHT: (("p1",), -1),
+    FamilyKind.L1_BOUNDARY_Q_LE_1: (("q", "eps"), None),
+    FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1: (("q", "p1"), None),
+    FamilyKind.L1_ALWAYS_ONE_Q_LT_1: (("q", "p1"), None),
+}
+
+
 def _default_eps(width: float) -> float:
     return min(DEFAULT_EPS, width / 2.0)
 
@@ -94,10 +114,77 @@ def _floor_lg(x: Fraction) -> int:
     return k if x >= Fraction(2) ** k else k - 1
 
 
+def _power_family(k: FamilyKind, p1: float | None, eps: float | None, offset: int) -> Pmf:
+    """(p_1, mid x m, last) on n = 2^lam + offset symbols, lam = ceil(-lg p_1).
+
+    The mmpr-upper families end in the free mass eps, and mmpr-lower-b and
+    len-upper-tight in 2^(1-lam) - p_1 after m masses of 2^-lam; mmpr-lower-a
+    and len-lower-tight have no last mass.  Where mid is not 2^-lam, it
+    spreads what p_1 and the last mass leave evenly."""
+    top = 1.0 if k is FamilyKind.MMPR_LOWER_B else 0.5
+    _need(p1 is not None and 0.0 < p1 < top, f"needs p_1 in (0, {top:g}), got {p1}")
+    lam = _lam(p1)
+    mid, last = None, ()
+    if k is FamilyKind.MMPR_UPPER_MID:
+        # complete fixed-depth tree attaining lam + lg p_1 on [2/(2^lam+1), 2^(1-lam))
+        _need(cmp_ratio(p1, 2, 2 ** lam + 1) >= 0,
+              f"p_1={p1} below 2/(2^{lam}+1), outside the attainment range")
+        width = 1.0 - p1 * 2.0 ** (lam - 1)
+        e = _default_eps(width) if eps is None else eps
+        _need(0.0 < e < width, f"needs eps in (0, {width}), got {e}")
+        last = (e,)
+    elif k is FamilyKind.MMPR_UPPER_LOW:
+        # approaches 1 + lg((1-p_1)/(1-2^-lam)) as eps -> 0 on [2^-lam, 2/(2^lam+1)).
+        # The gap: with mid = (1-p_1-eps)/(2^lam - 1), eps < mid < p_1.  If
+        # every mid is at depth <= lam they fill 1 - 2^-lam of the Kraft sum,
+        # so p_1 is at depth >= lam + 1; else a mid is.  So the optimum is
+        # at least lam + 1 + lg mid, and p_1 and 2^lam - 2 mids at lam, the
+        # last mid and eps at lam + 1 attain it, since lam + lg p_1 is less
+        # (p_1 < 2 mid is eps < 1 - p_1 (2^lam+1)/2, a bound on eps below).
+        # That is below the bound by lg((1-p_1)/(1-p_1-eps))
+        _need(cmp_ratio(p1, 2, 2 ** lam + 1) < 0,
+              f"p_1={p1} at or above 2/(2^{lam}+1), outside the approach range")
+        # in Fractions: in floats 1 - p_1 (2^lam+1)/2 is 0.0 at p_1 = float(2/9)
+        width = min((1 - Fraction(p1)) / 2 ** lam, 1 - Fraction(p1) * (2 ** lam + 1) / 2)
+        e = float(_default_eps(width)) if eps is None else eps
+        _need(0.0 < e < width, f"needs eps in (0, {float(width)}), got {e}")
+        last = (e,)
+    elif k is FamilyKind.MMPR_LOWER_A:
+        # complete tree with the first codeword one bit shorter; attains
+        # lg((1-p_1)/(1-2^(1-lam))) for p_1 in [1/(2^lam - 1), 2^(1-lam))
+        _need(cmp_ratio(p1, 1, 2 ** lam - 1) >= 0,
+              f"p_1={p1} below 1/(2^{lam}-1), outside the attainment range")
+    elif k is FamilyKind.LEN_LOWER_TIGHT:
+        # mmpr-lower-a's tree on the open (1/(2^lam - 1), 2^(1-lam)): optimal
+        # l_1 = lam - 1, unachievable with any longer first codeword
+        _need(cmp_ratio(p1, 1, 2 ** lam - 1) > 0,
+              f"p_1={p1} at or below 1/(2^{lam}-1), outside the sharpness range")
+    else:
+        # mmpr-lower-b: a fixed-length optimal tree attaining lam + lg p_1 for
+        # p_1 in [2^-lam, 1/(2^lam - 1)); len-upper-tight: the same for
+        # nu = lam - 1 on all of [2^-lam, 2^(1-lam)), where every optimal code
+        # is forced to l_1 = nu + 1 > nu.  2^(1-lam) - p_1 is exact (Sterbenz)
+        # and at most 2^-lam, so the pmf is sorted as built
+        _need(k is FamilyKind.LEN_UPPER_TIGHT or cmp_ratio(p1, 1, 2 ** lam - 1) < 0,
+              f"p_1={p1} at or above 1/(2^{lam}-1), outside the attainment range")
+        mid, last = 2.0 ** -lam, (2.0 ** (1 - lam) - p1,)
+    m = 2 ** lam + offset - 1 - len(last)
+    if mid is None:
+        mid = (1.0 - p1 - sum(last)) / m
+    return Pmf((p1,) + (mid,) * m + last)
+
+
 def generate(family: WitnessFamily) -> Pmf:
-    """Materialize the family's distribution, validating the proof range."""
+    """Materialize the family's distribution, validating the proof range.
+
+    Only the fields ``FAMILIES`` lists for the family are read."""
     k = family.kind
-    p1, eps, q = family.p1, family.eps, family.q
+    if not isinstance(k, FamilyKind):
+        raise CodingError(f"unknown witness family {k!r}")
+    fields, offset = FAMILIES[k]
+    p1, eps, q = (getattr(family, f) if f in fields else None for f in ("p1", "eps", "q"))
+    if offset is not None:
+        return _power_family(k, p1, eps, offset)
 
     if k is FamilyKind.MMPR_UPPER_HIGH:
         # (p_1, 1-p_1-eps, eps): attains 1 + lg p_1 for p_1 in [2/3, 1),
@@ -112,82 +199,6 @@ def generate(family: WitnessFamily) -> Pmf:
         e = _default_eps(width) if eps is None else eps
         _need(0.0 < e <= width, f"needs eps in (0, {width}], got {e}")
         return Pmf((p1, 1.0 - p1 - e, e))
-
-    if k is FamilyKind.MMPR_UPPER_MID:
-        # (p_1, uniform x (2^lam - 2), eps): complete fixed-depth tree
-        # attaining lam + lg p_1 on [2/(2^lam+1), 2^(1-lam))
-        _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam(p1)
-        _need(cmp_ratio(p1, 2, 2 ** lam + 1) >= 0,
-              f"p_1={p1} below 2/(2^{lam}+1), outside the attainment range")
-        width = 1.0 - p1 * 2.0 ** (lam - 1)
-        e = _default_eps(width) if eps is None else eps
-        _need(0.0 < e < width, f"needs eps in (0, {width}), got {e}")
-        mid = (1.0 - p1 - e) / (2 ** lam - 2)
-        return Pmf((p1,) + (mid,) * (2 ** lam - 2) + (e,))
-
-    if k is FamilyKind.MMPR_UPPER_LOW:
-        # (p_1, uniform x (2^lam - 1), eps): approaches
-        # 1 + lg((1-p_1)/(1-2^-lam)) as eps -> 0 on [2^-lam, 2/(2^lam+1)).
-        # The gap: with mid = (1-p_1-eps)/(2^lam - 1), eps < mid < p_1.  If
-        # every mid is at depth <= lam they fill 1 - 2^-lam of the Kraft sum,
-        # so p_1 is at depth >= lam + 1; else a mid is.  So the optimum is
-        # at least lam + 1 + lg mid, and p_1 and 2^lam - 2 mids at lam, the
-        # last mid and eps at lam + 1 attain it, since lam + lg p_1 is less
-        # (p_1 < 2 mid is eps < 1 - p_1 (2^lam+1)/2, a bound on eps below).
-        # That is below the bound by lg((1-p_1)/(1-p_1-eps))
-        _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam(p1)
-        _need(cmp_ratio(p1, 2, 2 ** lam + 1) < 0,
-              f"p_1={p1} at or above 2/(2^{lam}+1), outside the approach range")
-        # in Fractions: in floats 1 - p_1 (2^lam+1)/2 is 0.0 at p_1 = float(2/9)
-        width = min((1 - Fraction(p1)) / 2 ** lam, 1 - Fraction(p1) * (2 ** lam + 1) / 2)
-        e = float(_default_eps(width)) if eps is None else eps
-        _need(0.0 < e < width, f"needs eps in (0, {float(width)}), got {e}")
-        mid = (1.0 - p1 - e) / (2 ** lam - 1)
-        return Pmf((p1,) + (mid,) * (2 ** lam - 1) + (e,))
-
-    if k is FamilyKind.MMPR_LOWER_A:
-        # (p_1, uniform x (2^lam - 2)): complete tree with the first codeword
-        # one bit shorter; attains lg((1-p_1)/(1-2^(1-lam))) for
-        # p_1 in [1/(2^lam - 1), 2^(1-lam))
-        _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam(p1)
-        _need(cmp_ratio(p1, 1, 2 ** lam - 1) >= 0,
-              f"p_1={p1} below 1/(2^{lam}-1), outside the attainment range")
-        mid = (1.0 - p1) / (2 ** lam - 2)
-        return Pmf((p1,) + (mid,) * (2 ** lam - 2))
-
-    if k is FamilyKind.MMPR_LOWER_B:
-        # (p_1, 2^-lam x (2^lam - 2), 2^(1-lam) - p_1): fixed-length optimal
-        # tree attaining lam + lg p_1 for p_1 in [2^-lam, 1/(2^lam - 1))
-        _need(p1 is not None and 0.0 < p1 < 1.0, f"needs p_1 in (0, 1), got {p1}")
-        lam = _lam(p1)
-        _need(cmp_ratio(p1, 1, 2 ** lam - 1) < 0,
-              f"p_1={p1} at or above 1/(2^{lam}-1), outside the attainment range")
-        mid = 2.0 ** -lam
-        last = 2.0 ** (1 - lam) - p1
-        return Pmf((p1,) + (mid,) * (2 ** lam - 2) + (last,))
-
-    if k is FamilyKind.LEN_UPPER_TIGHT:
-        # same construction as MMPR_LOWER_B restated for nu = lam - 1:
-        # every optimal code is forced to l_1 = nu + 1 > nu
-        _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        lam = _lam(p1)
-        mid = 2.0 ** -lam
-        last = 2.0 ** (1 - lam) - p1
-        probs = (p1,) + (mid,) * (2 ** lam - 2) + (last,)
-        return Pmf(tuple(sorted(probs, reverse=True)))
-
-    if k is FamilyKind.LEN_LOWER_TIGHT:
-        # (p_1, uniform x (2^nu - 2)) for p_1 in (1/(2^nu - 1), 2^(1-nu)):
-        # optimal l_1 = nu - 1, unachievable with any longer first codeword
-        _need(p1 is not None and 0.0 < p1 < 0.5, f"needs p_1 in (0, 0.5), got {p1}")
-        nu = _lam(p1)
-        _need(cmp_ratio(p1, 1, 2 ** nu - 1) > 0,
-              f"p_1={p1} at or below 1/(2^{nu}-1), outside the sharpness range")
-        mid = (1.0 - p1) / (2 ** nu - 2)
-        return Pmf((p1,) + (mid,) * (2 ** nu - 2))
 
     if k is FamilyKind.L1_BOUNDARY_Q_LE_1:
         # (2q/(2q+3) - 3eps, (1/(2q+3) + eps) x 3): just below the one-bit
@@ -231,8 +242,6 @@ def generate(family: WitnessFamily) -> Pmf:
         tail = 2 ** _block_lg(1 + max(terms), f"q={q}, p_1={p1}")
         probs = sorted((p1,) + ((1.0 - p1) / tail,) * tail, reverse=True)
         return Pmf(tuple(probs))
-
-    raise CodingError(f"unknown witness family {k!r}")
 
 
 def one_bit_l1_cost_bound(q: float, p1: float) -> float:

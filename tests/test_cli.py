@@ -458,6 +458,13 @@ class TestSweep:
         assert "step must lie in [1e-05, 0.1]" in err
 
 
+# each 2^lam witness family with its 2^5 + offset symbols
+POWER_FAMILY_SIZES_AT_LAM_5 = (
+    ("mmpr-upper-mid", 32), ("mmpr-upper-low", 33), ("mmpr-lower-a", 31),
+    ("mmpr-lower-b", 32), ("len-upper-tight", 32), ("len-lower-tight", 31),
+)
+
+
 class TestVerify:
     def test_small_campaign_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "5", "--trials", "8",
@@ -589,6 +596,9 @@ class TestVerify:
         ("len-upper-tight", "1.6e-5", "needs 65536 symbols"),
         ("mmpr-upper-mid", "0.061", "needs 32 symbols"),
         ("mmpr-upper-low", "0.05", "needs 33 symbols"),
+        # every 2^lam family at the first p_1 past the cap, just below 2^-4: lam = 5
+        *((family, repr(math.nextafter(0.0625, 0.0)), f"needs {n} symbols")
+          for family, n in POWER_FAMILY_SIZES_AT_LAM_5),
     ])
     def test_witness_past_the_oracle_cap_is_refused_before_it_is_built(
             self, capsys, monkeypatch, family, p1, message):
@@ -602,6 +612,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == (f"error: --family {family} at p_1={float(p1)} {message}, past the oracle "
                        f"cap 18: the oracle checks p_1 >= 2^-4 = 0.0625 only\n")
+
+    @pytest.mark.parametrize("family", [family for family, _ in POWER_FAMILY_SIZES_AT_LAM_5])
+    def test_a_2_lam_witness_at_the_cap_is_left_to_generate(self, family):
+        # lam = 4 at p_1 = 2^-4: 2^4 + offset <= 17 symbols
+        import genhuff.verify
+        from genhuff.witness import FamilyKind, WitnessFamily
+
+        fam = WitnessFamily(FamilyKind(family), p1=0.0625)
+        assert genhuff.verify._refuse_unchecked_witness(fam) is None
 
     def test_largest_witness_the_oracle_checks_passes(self, capsys):
         # lam = 4 at p_1 = 1/16: 2^4 + 1 = 17 symbols

@@ -40,7 +40,7 @@ from genhuff import (
     success_probability,
     validate_pmf,
 )
-from genhuff.core import PMF_SUM_TOL, cmp_ratio
+from genhuff.core import BOUND_TOL, PMF_SUM_TOL, BoundKind, BoundReport, cmp_ratio
 
 # frozen by direct 40-digit evaluation of the defining formulas
 BENFORD = (0.3010299956639812, 0.17609125905568124, 0.12493873660829995,
@@ -628,6 +628,16 @@ def _random_pair(rng, n):
     p = validate_pmf([float(x) for x in raw])
     options = list(kraft_length_tuples(n))
     return p, LengthVector(options[int(rng.integers(len(options)))])
+
+
+class TestBoundReportContains:
+    def test_one_tolerance_past_either_endpoint(self):
+        r = BoundReport(0.25, 0.75, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+        assert BOUND_TOL == 1e-9
+        assert r.contains(0.25 - BOUND_TOL) and r.contains(0.75 + BOUND_TOL)
+        assert not r.contains(0.25 - 2 * BOUND_TOL) and not r.contains(0.75 + 2 * BOUND_TOL)
+        with pytest.raises(TypeError):
+            r.contains(0.5, tol=0.0)
 
 
 class TestCrossObjectiveProperties:

@@ -1,5 +1,6 @@
 """Witness distributions: validity, proof-range enforcement, tightness."""
 
+import hashlib
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from genhuff import (
+    CodingError,
     CombineRule,
     FamilyKind,
     Objective,
@@ -19,7 +21,8 @@ from genhuff import (
     mmpr_bounds,
     validate_pmf,
 )
-from genhuff.witness import one_bit_l1_cost_bound
+from genhuff.core import ceil_neg_lg
+from genhuff.witness import FAMILIES, one_bit_l1_cost_bound
 
 
 def oracle_mmpr(p):
@@ -81,6 +84,99 @@ class TestConstructions:
         for fam in bad:
             with pytest.raises(ParamsOutOfProofRange):
                 generate(fam)
+
+
+def outcome(fam):
+    """repr of the family's probabilities, or the refusal with its class name."""
+    try:
+        return repr(generate(fam).probs)
+    except CodingError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+class TestPinnedOutputs:
+    """Every family's exact pmf or refusal on a fixed (kind, p_1, eps, q) grid.
+
+    The grid holds each range's edges (2/(2^lam+1), 1/(2^lam-1), 2^-lam), the
+    oracle's cap and the symbol cap, eps lost in rounding and eps past its
+    window; 1730 of its 6000 cases build a pmf."""
+
+    P1S = (None, -0.1, 5e-324, 2.0 ** -7, 0.05, math.nextafter(0.0625, 0.0), 0.0625, 2 / 17,
+           0.14, 2 / 9, 0.25, 0.3, 1 / 3, 0.4, 0.45, 0.5, 0.55, 2 / 3, 0.9, 1.0)
+    EPSS = (None, 1e-300, 1e-3, 0.05, 0.5)
+    QS = (None, 0.6, 0.9, 1.0, 1.5, 2.0)
+    SHA256 = "4060d3033e686528eca2a5d11e07ea630e18c1b7d885576c03f4de9e41cfa36e"
+
+    def test_every_family_on_the_grid(self):
+        lines = "".join(
+            f"{k.value} {p1!r} {eps!r} {q!r} -> {outcome(WitnessFamily(k, p1, eps, q))}\n"
+            for k in FamilyKind for p1 in self.P1S for eps in self.EPSS for q in self.QS)
+        assert lines.count("-> (") == 1730
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.SHA256
+
+
+class TestFamilyTable:
+    """``FAMILIES`` states the fields ``generate`` reads and each 2^lam family's size."""
+
+    # one in-range witness per family, each eps off its default
+    BASES = (
+        WitnessFamily(FamilyKind.MMPR_UPPER_HIGH, p1=0.7, eps=0.1),
+        WitnessFamily(FamilyKind.MMPR_UPPER_MID, p1=0.45, eps=0.01),
+        WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.3, eps=0.01),
+        WitnessFamily(FamilyKind.MMPR_LOWER_A, p1=0.4),
+        WitnessFamily(FamilyKind.MMPR_LOWER_B, p1=0.3),
+        WitnessFamily(FamilyKind.LEN_UPPER_TIGHT, p1=0.3),
+        WitnessFamily(FamilyKind.LEN_LOWER_TIGHT, p1=0.4),
+        WitnessFamily(FamilyKind.L1_BOUNDARY_Q_LE_1, q=0.9, eps=0.01),
+        WitnessFamily(FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1, q=2.0, p1=0.45),
+        WitnessFamily(FamilyKind.L1_ALWAYS_ONE_Q_LT_1, q=0.8, p1=0.5),
+    )
+    JUNK = (-1.0, 0.0, 1e-300, 0.01, 0.3, 0.7, 0.9, 2.0, math.inf, math.nan)
+    FIELDS = ("p1", "eps", "q")
+
+    @classmethod
+    def with_field(cls, fam, field, value):
+        params = {f: getattr(fam, f) for f in cls.FIELDS}
+        return WitnessFamily(fam.kind, **{**params, field: value})
+
+    def test_one_row_per_family(self):
+        assert list(FAMILIES) == list(FamilyKind)
+        assert [fam.kind for fam in self.BASES] == list(FamilyKind)
+        for fields, _ in FAMILIES.values():
+            assert set(fields) <= set(self.FIELDS)
+
+    @pytest.mark.parametrize("fam", BASES, ids=lambda fam: fam.kind.value)
+    def test_an_unlisted_field_is_not_read(self, fam):
+        want = outcome(fam)
+        assert want.startswith("(")
+        unlisted = [f for f in self.FIELDS if f not in FAMILIES[fam.kind][0]]
+        assert unlisted
+        for field in unlisted:
+            for junk in self.JUNK:
+                assert outcome(self.with_field(fam, field, junk)) == want, (field, junk)
+
+    @pytest.mark.parametrize("fam", BASES, ids=lambda fam: fam.kind.value)
+    def test_a_listed_field_is_read(self, fam):
+        want = outcome(fam)
+        for field in FAMILIES[fam.kind][0]:
+            assert outcome(self.with_field(fam, field, None)) != want, field
+
+    POWER_P1S = tuple(sorted({x * 2.0 ** -k for k in range(1, 9)
+                              for x in (1.0, 1.01, 1.2, 1.5, 1.9, math.nextafter(2.0, 0.0))}))
+
+    @pytest.mark.parametrize("kind", [k for k in FamilyKind if FAMILIES[k][1] is not None],
+                             ids=lambda k: k.value)
+    def test_a_power_family_has_2_lam_plus_offset_symbols(self, kind):
+        offset = FAMILIES[kind][1]
+        built = 0
+        for p1 in self.POWER_P1S:
+            try:
+                p = generate(WitnessFamily(kind, p1=p1))
+            except ParamsOutOfProofRange:
+                continue
+            built += 1
+            assert p.n == 2 ** ceil_neg_lg(p1) + offset, p1
+        assert built >= 10
 
 
 class TestMmprTightness:
