@@ -3,90 +3,36 @@
 Construction via generalized Huffman merge rules, closed-form redundancy
 and cost bounds, generators for the extremal distributions that make the
 bounds tight, and an exhaustive small-alphabet oracle to verify all of it.
+
+The package exports its five submodules and each one's ``__all__``, which
+is the only list of that module's public names.  ``core`` and ``coder``
+load with the package; ``bounds``, ``witness`` and ``oracle`` load on
+first use of one of their names.
 """
 
-from .core import (
-    AlphaOutOfRange,
-    BoundKind,
-    BoundReport,
-    CodingError,
-    DimensionMismatch,
-    DOutOfRange,
-    EmptyInput,
-    LengthVector,
-    NonPositiveProbability,
-    Objective,
-    ObjectiveKind,
-    Pmf,
-    QOutOfRange,
-    SumNotOne,
-    alpha_of_q,
-    avg_redundancy,
-    benford,
-    binary_entropy,
-    ceil_neg_lg,
-    dth_exp_redundancy,
-    exp_average_cost,
-    lg,
-    lg_sum_exp2,
-    max_pointwise_redundancy,
-    renyi_entropy,
-    shannon_entropy,
-    success_probability,
-    validate_pmf,
-)
-from .coder import (
-    CodeResult,
-    CombineRule,
-    KraftViolation,
-    RuleKind,
-    canonical_codewords,
-    generalized_huffman,
-    j_shannon_code,
-    shannon_code,
-    unary_code,
-)
+from . import coder, core
+from .coder import *
+from .core import *
 
 # Served on first use by __getattr__ (PEP 562), so that a caller who needs
 # neither the bounds, the witness generators nor the oracle never loads them.
+# Each row is its module's __all__, which a test checks, as reading it here
+# would load the module.
 _LAZY = {
     "bounds": (
-        "L1Region",
-        "POutOfRange",
-        "PreconditionUnmet",
-        "avg_redundancy_lower",
-        "avg_redundancy_upper_gallager",
-        "dth_bounds",
-        "exp_avg_bounds",
-        "exp_avg_bounds_l1",
-        "exp_avg_unit_bounds",
-        "hat_transform",
-        "l1_region",
-        "lambda_j",
-        "mmpr_bounds",
-        "mmpr_length_bounds",
+        "POutOfRange", "PreconditionUnmet", "L1Region", "lambda_j", "mmpr_bounds",
+        "mmpr_length_bounds", "avg_redundancy_lower", "avg_redundancy_upper_gallager",
+        "dth_bounds", "exp_avg_unit_bounds", "hat_transform", "exp_avg_bounds",
+        "exp_avg_bounds_l1", "l1_region",
     ),
-    "witness": ("FamilyKind", "ParamsOutOfProofRange", "WitnessFamily", "generate"),
-    "oracle": ("AlphabetTooLarge", "OracleResult", "brute_force_optimal", "kraft_length_tuples"),
+    "witness": ("ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate",
+                "one_bit_l1_cost_bound"),
+    "oracle": ("AlphabetTooLarge", "OracleResult", "kraft_length_tuples", "brute_force_optimal"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
-__all__ = [
-    # the submodules
-    "bounds", "coder", "core", "oracle", "witness",
-    # core
-    "AlphaOutOfRange", "BoundKind", "BoundReport", "CodingError", "DimensionMismatch",
-    "DOutOfRange", "EmptyInput", "LengthVector", "NonPositiveProbability", "Objective",
-    "ObjectiveKind", "Pmf", "QOutOfRange", "SumNotOne", "alpha_of_q", "avg_redundancy",
-    "benford", "binary_entropy", "ceil_neg_lg", "dth_exp_redundancy", "exp_average_cost",
-    "lg", "lg_sum_exp2", "max_pointwise_redundancy", "renyi_entropy", "shannon_entropy",
-    "success_probability", "validate_pmf",
-    # coder
-    "CodeResult", "CombineRule", "KraftViolation", "RuleKind", "canonical_codewords",
-    "generalized_huffman", "j_shannon_code", "shannon_code", "unary_code",
-    # bounds, witness and oracle, loaded on first use
-    *(name for names in _LAZY.values() for name in names),
-]
+__all__ = ["bounds", "coder", "core", "oracle", "witness",
+           *core.__all__, *coder.__all__, *(name for names in _LAZY.values() for name in names)]
 
 
 def __getattr__(name: str):

@@ -115,8 +115,9 @@ def cmd_sweep(args) -> int:
         k = 1
         while k * step < 1.0 - 1e-12:
             pv = k * step
-            rows.append(f"{fmt(pv)},{fmt(bnd.avg_redundancy_lower(pv))},"
-                        f"{fmt(bnd.mmpr_bounds(pv).upper)}")
+            # every d > 0 shares the one sandwich
+            r = bnd.dth_bounds(pv, 1.0)
+            rows.append(f"{fmt(pv)},{fmt(r.lower)},{fmt(r.upper)}")
             k += 1
     else:
         rows.append("q,p1_threshold")

@@ -138,14 +138,26 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
         optima = brute_force_optimal(p, obj).argmin_lengths()
         return [("l1-boundary", optima == ((2, 2, 2, 2),), f"unique optimum {optima}")]
 
+    lam = bnd.lambda_j(p1)
+    if kind is wit.FamilyKind.LEN_UPPER_TIGHT:
+        # all n = 2^lam codewords at lam score lam + lg p_1, which rises to 1
+        # as p_1 nears 2^(1-lam); the best code with l_1 = lam - 1 (p_1 at
+        # lam - 1, the last two masses at lam + 1, the rest at lam) scores 1
+        shorter = (lam - 1,) + (lam,) * (p.n - 3) + (lam + 1,) * 2
+        forced, other = (Objective.max_pointwise().evaluate(p, LengthVector(l))
+                         for l in ((lam,) * p.n, shorter))
+        if other <= forced + ARGMIN_TOL:
+            raise CodingError(f"--family len-upper-tight at p_1={p1}: l_1 = {lam - 1} scores "
+                              f"{other - forced:.3g} above l_1 = {lam}, within the oracle's "
+                              f"resolution {ARGMIN_TOL:g}, too close for it to check")
     res = brute_force_optimal(p, Objective.max_pointwise(), max_n=WITNESS_MAX_N)
     firsts = [lv.lengths[0] for lv in res.argmin]
-    lam = bnd.lambda_j(p1)
     if kind is wit.FamilyKind.LEN_UPPER_TIGHT:
         return [("len-upper-tight", min(firsts) >= lam,
                  f"every optimum has l_1 >= {lam} although ceil(-lg p_1) = {lam}")]
     if kind is wit.FamilyKind.LEN_LOWER_TIGHT:
-        expected = lam + math.log2((1.0 - p1) / (2 ** lam - 2))
+        # the optimum is mmpr-lower-a's, the lower end of the row p_1 lies in
+        expected = bnd.mmpr_bounds(p1).lower
         ok = max(firsts) == lam - 1 and abs(res.min_value - expected) <= 1e-9
         return [("len-lower-tight", ok, f"optimal l_1 = {lam - 1}, value {fmt(res.min_value)}")]
 

@@ -463,6 +463,23 @@ POWER_FAMILY_SIZES_AT_LAM_5 = (
     ("mmpr-upper-mid", 32), ("mmpr-upper-low", 33), ("mmpr-lower-a", 31),
     ("mmpr-lower-b", 32), ("len-upper-tight", 32), ("len-lower-tight", 31),
 )
+# the witness families whose pmf is built from p_1, with eps or alone
+P1_FAMILIES = ("mmpr-upper-high", *(family for family, _ in POWER_FAMILY_SIZES_AT_LAM_5))
+
+
+def _within_3_ulps(x):
+    below, above = [x], [x]
+    for _ in range(3):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 2.0))
+    return below + above[1:]
+
+
+# every float within 3 ulps of an end of mmpr_bounds' rows, lam = 1..4
+ROW_END_P1S = sorted({p1 for lam in range(1, 5)
+                      for end in (1 / 2 ** lam, 1 / (2 ** lam - 1), 2 / (2 ** lam + 1),
+                                  2 / 2 ** lam)
+                      for p1 in _within_3_ulps(end)})
 
 
 class TestVerify:
@@ -647,6 +664,36 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert "PASS l1-boundary: unique optimum ((2, 2, 2, 2),)" in out
         assert out.endswith("result: ok\n")
+
+    @pytest.mark.parametrize("p1", [
+        # within a few ulps below 2^(1-lam): all codewords at lam score lam + lg p_1,
+        # less than an ARGMIN_TOL under the 1 of the best code with l_1 = lam - 1
+        "0.49999999999999983", "0.4999999999999999", "0.49999999999999994",
+        "0.24999999999999992", "0.24999999999999994", "0.24999999999999997",
+        "0.12499999999999996", "0.12499999999999997", "0.12499999999999999",
+    ])
+    def test_len_upper_tight_witness_it_cannot_check_is_refused(self, capsys, p1):
+        code, out, err = run(capsys, "verify", "--family", "len-upper-tight", "--p1", p1)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "within the oracle's resolution 1e-12" in err
+        assert err.count("\n") == 1
+
+    def test_len_upper_tight_passes_just_past_the_oracle_resolution(self, capsys):
+        # l_1 = 1 scores ~1.4e-12 above l_1 = 2 here
+        code, out, err = run(capsys, "verify", "--family", "len-upper-tight",
+                             "--p1", "0.4999999999995")
+        assert (code, err) == (0, "")
+        assert "PASS len-upper-tight: every optimum has l_1 >= 2" in out
+        assert out.endswith("result: ok\n")
+
+    @pytest.mark.parametrize("family", P1_FAMILIES)
+    def test_p1_family_at_its_row_ends_passes_or_is_refused(self, capsys, family):
+        # each p_1 within 3 ulps of a row end 2^-lam, 1/(2^lam - 1),
+        # 2/(2^lam + 1) or 2^(1-lam), lam = 1..4: a PASS or a refusal, no FAIL
+        for p1 in ROW_END_P1S:
+            code, out, err = run(capsys, "verify", "--family", family, "--p1", repr(p1))
+            assert code in (0, 2), (p1, out)
+            assert (out.endswith("result: ok\n") and err == "") if code == 0 else out == ""
 
 
 BENFORD_PLAIN = """\

@@ -691,13 +691,26 @@ class TestCrossObjectiveProperties:
                        - max_pointwise_redundancy(p, code)) < 1e-3
 
 
-@pytest.mark.parametrize("module", ["core", "coder", "bounds", "oracle", "witness"])
+SUBMODULES = ("bounds", "coder", "core", "oracle", "witness")
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
 def test_star_import(module):
     # fails on an __all__ entry whose name was deleted from the module
     exec(f"from genhuff.{module} import *", {})
 
 
 class TestPackageNames:
+    def test_all_is_the_submodules_and_their_all(self):
+        modules = [importlib.import_module(f"genhuff.{m}") for m in SUBMODULES]
+        assert set(genhuff.__all__) == {*SUBMODULES, *(n for m in modules for n in m.__all__)}
+        assert len(genhuff.__all__) == 66
+
+    @pytest.mark.parametrize("module", sorted(genhuff._LAZY))
+    def test_lazy_row_is_the_module_all(self, module):
+        names = importlib.import_module(f"genhuff.{module}").__all__
+        assert list(genhuff._LAZY[module]) == list(names)
+
     def test_every_name_in_all_resolves(self):
         for name in genhuff.__all__:
             assert getattr(genhuff, name) is not None, name
