@@ -116,11 +116,13 @@ leave a wide free.
 A deep code can have a thousand lengths of a few words each, a thousand
 bits long, so the first word of each length is carried as a string,
 never formatted from its integer: it is the previous length's next word
-followed by zeros, and its block is that word's high part joined to a
-slice of a table of all 8-bit strings.  A block that reaches a 256-word
-edge adds one to that high part in place and goes on in the next slice.
-The code 2^k - free is formed only at lengths up to 8, to index the
-table.
+followed by zeros.  Each word of its block is that word's high part
+plus one entry of a table of all 8-bit strings, taken in order from a
+slice of the table.  A plain loop appends ``high + x`` per word, one
+bytecode, where a ``map`` over the bound method ``high.__add__`` builds
+an argument tuple for each word.  A block that reaches a 256-word edge
+adds one to that high part in place and goes on in the next slice.  The
+code 2^k - free is formed only at lengths up to 8, to index the table.
 
 The merge's root weight holds the exponential family's values, so the
 engine reads them off it instead of scoring every symbol again.
@@ -316,7 +318,8 @@ class CombineRule(_Record):
         probs = map(math.ldexp, p.probs, repeat(shift)) if shift else p.probs
         if self._family is None or self._family[0] == 1.0:
             return list(probs)
-        return list(map(pow, probs, repeat(self._family[0])))
+        a = self._family[0]
+        return [x ** a for x in probs]
 
     def _combiner(self, log_domain: bool = False):
         """f on the keys of ``_leaf_keys``, as a two-argument callable.
@@ -573,8 +576,9 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     Before the first length past 8, ``high`` is empty and ``low`` is the
     previous length's next code padded to 8 bits.  The next length's
     first word is the carried word followed by zeros, and its block is
-    ``high`` joined to ``_WORDS[8][low:]`` up to the 256-word edge, where
-    ``high`` gains one in place, and then to the next window's words.
+    ``high + x`` appended for each x of ``_WORDS[8][low:]`` up to the
+    256-word edge, where ``high`` gains one in place, and then for each x
+    of the next window.
     """
     run_ks, run_cs = l._runs
     # one run per length, shortest first: the words come out in symbol order
@@ -590,6 +594,7 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     low_words = _WORDS[_LOW_BITS]
     window = len(low_words)
     words: list[str] = []
+    append = words.append
     free, prev = 1, 0  # the unused words at length prev: 2^prev less the next code
     high, low = "", 0  # the next word: its first k - 8 bits, and its last 8 bits' index
     for k, c in zip(ks, cs):
@@ -616,10 +621,12 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
             end = low + c
             while end >= window:
                 # the rest of this window; the next word carries into the high bits
-                words += map(high.__add__, low_words[low:])
+                for x in low_words[low:]:
+                    append(high + x)
                 high = bin(int(high, 2) + 1)[2:].zfill(len(high))
                 low, end = 0, end - window
-            words += map(high.__add__, low_words[low:end])
+            for x in low_words[low:end]:
+                append(high + x)
             low = end
         free -= c
         prev = k

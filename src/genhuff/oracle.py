@@ -244,6 +244,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 import sys
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -255,6 +256,7 @@ __all__ = [
     "AlphabetTooLarge",
     "OracleResult",
     "kraft_length_tuples",
+    "random_complete_lengths",
     "brute_force_optimal",
 ]
 
@@ -466,6 +468,14 @@ def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
     if n < 1:
         raise CodingError(f"alphabet size must be >= 1, got {n}")
     return (_unrank(n, index) for index in range(_completions(1, n)))
+
+
+def random_complete_lengths(n: int, rng: random.Random) -> LengthVector:
+    """A uniform draw from the ``kraft_length_tuples(n)`` vectors, made by
+    unranking one ``rng.randrange`` index rather than listing them."""
+    if n < 1:
+        raise CodingError(f"alphabet size must be >= 1, got {n}")
+    return LengthVector(_unrank(n, rng.randrange(_completions(1, n))))
 
 
 def _coefficients(obj: Objective) -> tuple[float, float]:

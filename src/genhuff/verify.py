@@ -37,7 +37,7 @@ from .core import (
     renyi_entropy,
     validate_pmf,
 )
-from .oracle import ARGMIN_TOL, DEFAULT_MAX_N, _completions, _unrank, brute_force_optimal
+from .oracle import ARGMIN_TOL, DEFAULT_MAX_N, brute_force_optimal, random_complete_lengths
 
 __all__ = ["cmd_verify"]
 
@@ -55,12 +55,6 @@ def _random_pmf(rng: random.Random, n: int) -> Pmf:
         probs = [x / total for x in raw]
         if min(probs) > 1e-9:
             return validate_pmf(probs)
-
-
-def _random_lengths(rng: random.Random, n: int) -> LengthVector:
-    """A uniform draw from the ``kraft_length_tuples(n)`` vectors, made by
-    unranking the drawn index rather than listing them."""
-    return LengthVector(_unrank(n, rng.randrange(_completions(1, n))))
 
 
 def _pmf_str(p: Pmf) -> str:
@@ -234,7 +228,7 @@ def _length_conformance(rng, _, p):
 
 
 def _moment_ordering(rng, _, p):
-    lv = _random_lengths(rng, p.n)
+    lv = random_complete_lengths(p.n, rng)
     chain = (avg_redundancy(p, lv), dth_exp_redundancy(p, lv, 0.5),
              dth_exp_redundancy(p, lv, 2.0), max_pointwise_redundancy(p, lv))
     neg = dth_exp_redundancy(p, lv, -0.5)
@@ -245,7 +239,7 @@ def _moment_ordering(rng, _, p):
 
 
 def _transform_identity(rng, q, p):
-    lv = _random_lengths(rng, p.n)
+    lv = random_complete_lengths(p.n, rng)
     lhs = dth_exp_redundancy(bnd.hat_transform(p, q), lv, math.log2(q))
     rhs = exp_average_cost(p, lv, q) - renyi_entropy(p, alpha_of_q(q))
     return f"q={q} pmf=" + _pmf_str(p) if abs(lhs - rhs) > 1e-9 else None

@@ -968,6 +968,61 @@ class TestEngineTail:
         assert 0 < evaluated < runs
 
 
+TINY_PROBS = (1e-300, 2.2250738585072014e-308, 1e-310, 1e-320)
+
+
+@st.composite
+def extreme_pmfs(draw):
+    """Raw probabilities, up to ~3000: a few ordinary entries, a geometric
+    tail falling 2^-b per symbol down to the subnormal 2^-1060, and a few
+    entries at 1e-300 or subnormal.  The total is below 2^8, so the tail
+    stays above 0 when normalised; a tiny entry may not, and is refused."""
+    head = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8))
+    bits = draw(st.floats(0.01, 1.0))
+    tail = [2.0 ** -min(bits * i, 1060.0) for i in range(1, draw(st.integers(0, 3000)) + 1)]
+    tiny = draw(st.lists(st.one_of(st.sampled_from(TINY_PROBS), st.floats(5e-324, 1e-300)),
+                         max_size=4))
+    return head + tail + tiny
+
+
+class TestExtremePmfs:
+    """Subnormal and 1e-300 entries and deep geometric tails under every rule."""
+
+    @given(extreme_pmfs())
+    @settings(max_examples=25, deadline=None)
+    def test_coded_completely_or_refused(self, raw):
+        # each call refuses with a CodingError or gives a complete code, a
+        # finite value and the canonical words of its lengths
+        try:
+            p = validate_pmf(raw, normalize=True)
+        except CodingError:
+            return
+        for rule in dict.fromkeys(SIX_RULES + tuple(EDGE_RULES)):
+            try:
+                res = generalized_huffman(p, rule)
+            except CodingError:
+                continue
+            assert res.lengths.is_complete
+            assert math.isfinite(res.objective_value)
+            assert res.codewords == symbol_order_codewords(res.lengths.lengths)
+
+    def test_extreme_pmfs_reach_what_they_are_there_for(self):
+        seen = {"n > 1000": 0, "subnormal p_n": 0, "1e-300": 0, "refused": 0}
+
+        @given(extreme_pmfs())
+        @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        def tally(raw):
+            seen["n > 1000"] += len(raw) > 1000
+            seen["1e-300"] += 1e-300 in raw
+            try:
+                seen["subnormal p_n"] += validate_pmf(raw, normalize=True).probs[-1] < sys.float_info.min
+            except CodingError:
+                seen["refused"] += 1
+
+        tally()
+        assert all(seen.values()), seen
+
+
 class TestRootReadout:
     """Where the engine reads the value off the root weight, and where ``evaluate`` keeps it."""
 

@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -12,11 +13,13 @@ import pytest
 
 from genhuff import (
     AlphabetTooLarge,
+    CodingError,
     LengthVector,
     Objective,
     benford,
     brute_force_optimal,
     kraft_length_tuples,
+    random_complete_lengths,
     validate_pmf,
 )
 from genhuff import oracle
@@ -127,6 +130,22 @@ class TestEnumeration:
             # strictly ascending profiles: distinct vectors, in level-profile order
             profiles = [[l.count(d) for d in range(n)] for l in listed]
             assert all(a < b for a, b in zip(profiles, profiles[1:]))
+
+    def test_random_draw_is_the_listed_vector_at_one_randrange(self):
+        # one randrange over the space per draw, so a seeded caller such as
+        # verify sees the same stream of vectors and the same later draws
+        for n in (1, 2, 5, 12, 16):
+            listed = list(kraft_length_tuples(n))
+            drawn, ranks = random.Random(n), random.Random(n)
+            for _ in range(50):
+                lv = random_complete_lengths(n, drawn)
+                assert isinstance(lv, LengthVector)
+                assert lv.lengths == listed[ranks.randrange(len(listed))]
+            assert drawn.random() == ranks.random()
+
+    def test_random_draw_of_no_symbols_is_refused(self):
+        with pytest.raises(CodingError, match="alphabet size must be >= 1, got 0"):
+            random_complete_lengths(0, random.Random(0))
 
 
 class TestBruteForce:
