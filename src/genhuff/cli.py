@@ -12,7 +12,10 @@ compiles its own home and no other: ``code`` runs on ``cli`` with
 ``core``, ``coder`` and ``bounds``; ``bounds``, ``sweep`` and ``benford``
 add ``reports``; ``verify`` adds ``verify`` with the oracle and the witness
 generators, and reads its family names and the oracle's cap from them.
-``json`` is imported only to read or write JSON.
+``json`` is imported only to read or write JSON.  No module of the
+package imports ``dataclasses``, ``inspect`` or ``typing`` on the way to
+an answer: every record is a ``core._Record``, and annotations stay
+strings.
 
 A flag that would have no effect is refused (exit 2).  ``code`` and
 ``bounds`` take ``--d`` only under ``--objective dexp`` and ``--q`` only
@@ -53,7 +56,7 @@ from .core import (
     validate_pmf,
 )
 
-__all__ = ["ParseError", "main"]
+__all__ = ["ParseError", "main", "emit", "emit_json", "refuse"]
 
 EXIT_BROKEN_PIPE = 141
 
@@ -100,7 +103,9 @@ def _report_dict(r: BoundReport) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
+def emit(text: str, out: str | None) -> None:
+    """Write ``text``, ended by one newline, to stdout or to the file ``out``
+    (a ``CodingError`` if it cannot be written)."""
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -113,9 +118,10 @@ def _emit(text: str, out: str | None) -> None:
             raise CodingError(f"cannot write {out}: {e}") from e
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
+def emit_json(doc: dict, out: str | None) -> None:
+    """``emit`` ``doc`` as JSON indented by 2."""
     import json
-    _emit(json.dumps(doc, indent=2), out)
+    emit(json.dumps(doc, indent=2), out)
 
 
 def load_pmf(path: str, assume_sorted: bool = False, normalize: bool = False) -> Pmf:
@@ -158,7 +164,7 @@ def load_pmf(path: str, assume_sorted: bool = False, normalize: bool = False) ->
     return validate_pmf(vals, assume_sorted=assume_sorted, normalize=normalize)
 
 
-def _refuse(args, context: str, *flags: str) -> None:
+def refuse(args, context: str, *flags: str) -> None:
     """Refuse the first of ``flags`` given (unset is None, or a switch's False; 0 is given)."""
     for flag in flags:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
@@ -171,7 +177,7 @@ def _objective_from_args(args) -> Objective:
     name = args.objective
     for owner, flag in (("dexp", "--d"), ("expavg", "--q")):
         if owner != name:
-            _refuse(args, f"under --objective {name}", flag)
+            refuse(args, f"under --objective {name}", flag)
         elif getattr(args, flag[2:]) is None:
             raise CodingError(f"--objective {name} requires {flag}")
     return Objective(ObjectiveKind(name), args.d if name == "dexp" else args.q)
@@ -246,12 +252,12 @@ def cmd_code(args) -> int:
     if obj.kind is ObjectiveKind.EXP_AVERAGE and 0.0 < obj.param < 1.0:
         doc["success_probability"] = _round12(success_probability(p, result.lengths, obj.param))
     if args.format == "json":
-        _emit_json(doc, args.out)
+        emit_json(doc, args.out)
     elif args.format == "csv":
         rows = ["symbol,probability,length,codeword"]
         rows += [f"{i + 1},{fmt(pi)},{li},{w}" for i, (pi, li, w) in
                  enumerate(zip(p, result.lengths, result.codewords))]
-        _emit("\n".join(rows), args.out)
+        emit("\n".join(rows), args.out)
     else:
         lines = [
             f"objective: {obj.kind.value}" + ("" if obj.param is None else f" param={fmt(obj.param)}"),
@@ -266,7 +272,7 @@ def cmd_code(args) -> int:
             lines.append(f"note: {report.note}")
         if "success_probability" in doc:
             lines.append(f"success_probability: {fmt(doc['success_probability'])}")
-        _emit("\n".join(lines), args.out)
+        emit("\n".join(lines), args.out)
     return 0
 
 

@@ -191,7 +191,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
 
@@ -370,11 +369,30 @@ class CombineRule(_Record):
         return lg_w / s + 0.0
 
 
-# the one dataclass left: bench/workloads.py copies a CodeResult with
-# dataclasses.replace, so it joins core._Record once the benchmark builds
-# its copies with the constructor
-@dataclass(frozen=True)
-class CodeResult:
+class _DataclassProtocol:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record, made on first read.
+
+    The first read of either, on the class or on an instance, imports
+    ``dataclasses``, builds a frozen ``make_dataclass`` twin with the
+    record's fields and annotations, and puts both of its attributes on the
+    class in place of the two descriptors.  Start-up never reads them, so
+    it loads neither ``dataclasses`` nor the ``inspect`` it imports.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        twin = dataclasses.make_dataclass(
+            cls.__name__, [(f, cls.__annotations__[f]) for f in cls._fields], frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(cls, self.name)
+
+
+class CodeResult(_Record):
     """An engine code: lengths, canonical codewords and the objective's value.
 
     Under an exponential rule (a, s, q) with |s| >= 1/16, and from a linear
@@ -393,12 +411,30 @@ class CodeResult:
     of the lengths, bit for bit.  Under the d-th rule either value, where
     it is below 0, is 0.0: the exact value of a complete code is at least
     0, so that is no further from it.
+
+    It is a ``core._Record`` that also answers the dataclass protocol, as
+    the frozen dataclass it was did: ``dataclasses.fields``, ``replace``,
+    ``asdict`` and ``astuple`` read ``__dataclass_fields__`` and
+    ``__dataclass_params__``, which ``_DataclassProtocol`` makes on their
+    first read, and ``copy.replace`` (Python 3.13) calls ``__replace__``.
     """
 
+    _fields = ("lengths", "codewords", "objective_value")
     lengths: LengthVector
     codewords: tuple[str, ...]
     objective_value: float
     trace = None  # not a field: bench/run.py reads it; the benchmark refresh deletes it
+    __dataclass_fields__ = _DataclassProtocol()
+    __dataclass_params__ = _DataclassProtocol()
+
+    def __init__(self, lengths: LengthVector, codewords: tuple[str, ...],
+                 objective_value: float):
+        _set(self, "lengths", lengths)
+        _set(self, "codewords", codewords)
+        _set(self, "objective_value", objective_value)
+
+    def __replace__(self, **changes) -> "CodeResult":
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
 
 
 def _merge_two_queues(keys: list[float], combine) -> list[int]:

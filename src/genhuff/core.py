@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, groupby, islice, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "CodingError",
@@ -111,8 +108,7 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Base of the package's immutable records, all of them but
-    ``coder.CodeResult``, which is still a frozen dataclass.
+    """Base of the package's immutable records, every one of them.
 
     A subclass names its fields in order in ``_fields`` and sets them in its
     own ``__init__`` with straight-line ``object.__setattr__`` calls, then
@@ -127,10 +123,12 @@ class _Record:
     These are not dataclasses for start-up's sake.  A frozen ``@dataclass``
     generates and compiles its methods as the class is made, ~0.3-0.6 ms a
     class on a 2-vCPU machine, and every run of the command line makes its
-    classes afresh.  With the records on this base a cold ``import
-    genhuff.cli``, which makes five of them, took 43.0 ms of CPU in place of
-    44.5 (medians of 15 runs, no bytecode cache).  ``dataclasses`` itself, with ``inspect``, takes
-    ~4 ms to import, which ``coder.CodeResult`` still pays.
+    classes afresh; ``dataclasses`` itself, with the ``inspect`` it imports,
+    takes ~4 ms more.  With every record on this base no subcommand imports
+    either: a cold ``import genhuff.cli`` took 36.9 ms of CPU in place of
+    42.4 while ``coder.CodeResult`` was still a dataclass (medians of 25
+    runs, no bytecode cache, Python 3.11.7).  ``CodeResult`` still answers
+    the dataclass protocol, which it makes on first read.
     """
 
     _fields: tuple[str, ...] = ()
@@ -392,8 +390,8 @@ class LengthVector(_Record):
         return sum(c << (top - k) for k, c in zip(ks, cs)), 1 << top
 
     @property
-    def kraft_sum(self) -> Fraction:
-        from fractions import Fraction
+    def kraft_sum(self) -> fractions.Fraction:
+        from fractions import Fraction  # not at start-up: only a caller of kraft_sum needs it
         return Fraction(*self._kraft_scaled())
 
     @property

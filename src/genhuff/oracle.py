@@ -246,8 +246,8 @@ import math
 import operator
 import random
 import sys
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
-from typing import Callable, Iterator, Sequence
 
 from .core import (CodingError, LengthVector, Objective, ObjectiveKind, Pmf, _Record, _set,
                    lg_sum_exp2)

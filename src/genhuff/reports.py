@@ -12,19 +12,19 @@ import argparse
 from . import bounds as bnd
 from . import coder
 from .cli import (
-    _emit,
-    _emit_json,
     _interval_str,
     _objective_from_args,
-    _refuse,
     _report_dict,
     _round12,
     _symbol_bounds,
     add_common_flags,
     add_objective_flag,
     add_param_flags,
+    emit,
+    emit_json,
     fmt,
     load_pmf,
+    refuse,
 )
 from .core import (
     CodingError,
@@ -58,7 +58,7 @@ def cmd_bounds(args) -> int:
     obj_name = args.objective
     if obj_name == "mmpr":
         # the MMPR bounds are the same for every symbol
-        _refuse(args, "under --objective mmpr", "--j")
+        refuse(args, "under --objective mmpr", "--j")
     j = 1 if args.j is None else args.j
     if j < 1:
         raise CodingError(f"--j must be >= 1, got {j}")
@@ -66,7 +66,7 @@ def cmd_bounds(args) -> int:
     doc: dict = {"objective": obj_name, "j": j,
                  "param": None if obj.param is None else _round12(obj.param)}
     if obj_name == "expavg":
-        _refuse(args, "under --objective expavg", "--p")
+        refuse(args, "under --objective expavg", "--p")
         if args.input is None:
             raise CodingError("expavg bounds need an input distribution file")
         p = load_pmf(args.input, assume_sorted=args.assume_sorted,
@@ -74,16 +74,16 @@ def cmd_bounds(args) -> int:
         report = bnd.exp_avg_bounds(p, obj.param, j)
         doc["n"] = p.n
     else:
-        _refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
+        refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
         if args.p is None:
             raise CodingError(f"--objective {obj_name} bounds need --p")
         report = _symbol_bounds(obj, args.p, j)
         doc["p_j"] = _round12(args.p)
     doc["bounds"] = _report_dict(report)
     if args.format == "json":
-        _emit_json(doc, args.out)
+        emit_json(doc, args.out)
     else:
-        _emit(f"bounds: {_interval_str(report)}"
+        emit(f"bounds: {_interval_str(report)}"
               + (f"\nnote: {report.note}" if report.note else ""), args.out)
     return 0
 
@@ -133,7 +133,7 @@ def cmd_sweep(args) -> int:
                 thr = 1.0
             rows.append(f"{fmt(qv)},{fmt(thr)}")
             k += 1
-    _emit("\n".join(rows), args.out)
+    emit("\n".join(rows), args.out)
     return 0
 
 
@@ -178,7 +178,7 @@ def cmd_benford(args) -> int:
         "blocks": [_benford_block(p, 0.6), _benford_block(p, 2.0)],
     }
     if args.format == "json":
-        _emit_json(doc, args.out)
+        emit_json(doc, args.out)
         return 0
     lines = ["benford digit distribution: " + " ".join(fmt(x) for x in p),
              f"shannon entropy: {fmt(entropy)} bits"]
@@ -202,5 +202,5 @@ def cmd_benford(args) -> int:
         lines.append(f"cost: {fmt(block['cost_bits'])} bits")
         if "success_probability" in block:
             lines.append(f"success probability: {fmt(block['success_probability'])}")
-    _emit("\n".join(lines), args.out)
+    emit("\n".join(lines), args.out)
     return 0

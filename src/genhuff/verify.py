@@ -20,7 +20,7 @@ import random
 
 from . import bounds as bnd
 from . import witness as wit
-from .cli import _emit, _refuse, add_common_flags, fmt
+from .cli import add_common_flags, emit, fmt, refuse
 from .coder import CombineRule, generalized_huffman, unary_code
 from .core import (
     BoundKind,
@@ -323,9 +323,9 @@ def add_verify_flags(sp: argparse.ArgumentParser) -> None:
 
 def cmd_verify(args) -> int:
     if args.family:
-        _refuse(args, "with --family", "--n", "--trials", "--seed")
+        refuse(args, "with --family", "--n", "--trials", "--seed")
         kind = wit.FamilyKind(args.family)
-        _refuse(args, f"with --family {args.family}",
+        refuse(args, f"with --family {args.family}",
                 *(f"--{f}" for f in ("p1", "eps", "q") if f not in wit.FAMILIES[kind][0]))
         fam = wit.WitnessFamily(kind, p1=args.p1, eps=args.eps, q=args.q)
         _refuse_unchecked_witness(fam)
@@ -333,7 +333,7 @@ def cmd_verify(args) -> int:
         lines = ["pmf: " + _pmf_str(p)]
         results = _witness_checks(fam, p)
     else:
-        _refuse(args, "without --family", "--p1", "--eps", "--q")
+        refuse(args, "without --family", "--p1", "--eps", "--q")
         nmax = CAMPAIGN_N if args.n is None else args.n
         trials = CAMPAIGN_TRIALS if args.trials is None else args.trials
         if trials < 1:
@@ -346,5 +346,5 @@ def cmd_verify(args) -> int:
     failures = sum(not ok for _, ok, _ in results)
     lines += [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     lines.append("result: " + ("ok" if failures == 0 else f"{failures} failure(s)"))
-    _emit("\n".join(lines), args.out)
+    emit("\n".join(lines), args.out)
     return 0 if failures == 0 else 1

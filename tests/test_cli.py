@@ -12,7 +12,10 @@ import sys
 
 import pytest
 
+from genhuff import bounds, verify, witness
 from genhuff.cli import EXIT_BROKEN_PIPE, build_parser, main
+from genhuff.coder import CodeResult, canonical_codewords
+from genhuff.core import BoundKind, BoundReport, LengthVector
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -65,6 +68,8 @@ def child_env():
 VERIFY_MODULES = ("genhuff.verify", "genhuff.oracle", "genhuff.witness")
 REPORTS = "genhuff.reports"  # the home of bounds, sweep and benford
 UNUSED = VERIFY_MODULES + ("json",)  # what no subcommand but verify or a JSON run needs
+# what no subcommand needs: CodeResult makes its dataclass fields on first read
+PROTOCOL = ("dataclasses", "inspect")
 
 # a cold interpreter runs cli.main on its argv, then lists sys.modules on stderr
 COLD_RUN = """
@@ -726,6 +731,72 @@ cost: 3.09940799179 bits
 BENFORD_JSON_SHA256 = "3accbc45f6ec714b694573b72e8f48b80c322047868402b1e81055178b3c639b"
 
 
+def _engine_swaps_two_lengths(monkeypatch):
+    """verify's engine swaps l_1 and l_n, and scores the code it returns."""
+    engine = verify.generalized_huffman
+
+    def swapped(p, rule):
+        lengths = list(engine(p, rule).lengths.lengths)
+        lengths[0], lengths[-1] = lengths[-1], lengths[0]
+        lv = LengthVector(tuple(lengths))
+        return CodeResult(lv, canonical_codewords(lv), rule.objective().evaluate(p, lv))
+
+    monkeypatch.setattr(verify, "generalized_huffman", swapped)
+
+
+def _attained_mmpr_upper_moves_up(monkeypatch):
+    """mmpr_bounds' last row, [lg((1-p)/(1-2^(1-lam))), lam + lg p], reads its upper end 1e-6 high."""
+    table = bounds.mmpr_bounds
+
+    def moved(p_j):
+        r = table(p_j)
+        if r.exact is None and r.upper_kind is BoundKind.ACHIEVABLE:
+            return BoundReport(r.lower, r.upper + 1e-6, r.lower_kind, r.upper_kind)
+        return r
+
+    monkeypatch.setattr(bounds, "mmpr_bounds", moved)
+
+
+def _offset_one_high(kind):
+    """witness.FAMILIES gives the 2^lam family ``kind`` one symbol too many."""
+    def apply(monkeypatch):
+        fields, offset = witness.FAMILIES[kind]
+        monkeypatch.setitem(witness.FAMILIES, kind, (fields, offset + 1))
+    return apply
+
+
+CAMPAIGN = ("verify", "--n", "6", "--trials", "8")
+# the sum check of the pmf the family builds refuses it (exit 2): a wrong
+# table row reads as a usage error, not as a FAIL
+ONLY_REFUSED = pytest.mark.xfail(strict=True, reason="the built pmf sums to 1.25 and is refused")
+
+
+@pytest.mark.parametrize("mutant,argv,row", [
+    pytest.param(_engine_swaps_two_lengths, CAMPAIGN, "engine-oracle equivalence",
+                 id="engine-swaps-two-lengths"),
+    pytest.param(_attained_mmpr_upper_moves_up, CAMPAIGN, "witness tightness",
+                 id="mmpr-upper-1e-6-high"),
+    *(pytest.param(_offset_one_high(witness.FamilyKind(family)),
+                   ("verify", "--family", family, *params), family, marks=marks,
+                   id=f"{family}-offset-one-high")
+      for family, params, marks in (
+          ("mmpr-upper-mid", ("--p1", "0.45"), ()),
+          ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01"), ()),
+          ("mmpr-lower-a", ("--p1", "0.4"), ()),
+          ("mmpr-lower-b", ("--p1", "0.3"), ONLY_REFUSED),
+          ("len-upper-tight", ("--p1", "0.3"), ONLY_REFUSED),
+          ("len-lower-tight", ("--p1", "0.4"), ()))),
+])
+def test_verify_fails_each_injected_defect(capsys, monkeypatch, mutant, argv, row):
+    """Each defect turns a verify row that passes without it to FAIL, exit 1."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.endswith("result: ok\n")
+    mutant(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, ""), err
+    assert f"FAIL {row}: " in out
+
+
 class TestBenford:
     def test_json_blocks(self, capsys):
         code, out, _ = run(capsys, "benford", "--format", "json")
@@ -967,14 +1038,15 @@ class TestStartup:
         assert "numpy" not in proc.stderr
 
     @pytest.mark.parametrize("argv,loaded,absent", [
-        (("code", "{file}", "--format", "plain"), (), UNUSED + (REPORTS, "fractions")),
-        (("code", "{file}", "--format", "csv"), (), UNUSED + (REPORTS, "fractions")),
-        (("benford", "--format", "plain"), (REPORTS,), UNUSED),
-        (("bounds", "--objective", "avg", "--p", "0.3"), (REPORTS,), UNUSED),
-        (("sweep", "--figure", "mmpr"), (REPORTS,), UNUSED),
+        (("code", "{file}", "--format", "plain"), (), UNUSED + PROTOCOL + (REPORTS, "fractions")),
+        (("code", "{file}", "--format", "csv"), (), UNUSED + PROTOCOL + (REPORTS, "fractions")),
+        (("benford", "--format", "plain"), (REPORTS,), UNUSED + PROTOCOL),
+        (("bounds", "--objective", "avg", "--p", "0.3"), (REPORTS,), UNUSED + PROTOCOL),
+        (("sweep", "--figure", "mmpr"), (REPORTS,), UNUSED + PROTOCOL),
         # the other side of the guard: a run that needs them loads them
-        (("code", "{file}", "--format", "json"), ("json",), VERIFY_MODULES + (REPORTS,)),
-        (("verify", "--n", "3", "--trials", "1"), VERIFY_MODULES, ("json", REPORTS)),
+        (("code", "{file}", "--format", "json"), ("json",),
+         VERIFY_MODULES + PROTOCOL + (REPORTS,)),
+        (("verify", "--n", "3", "--trials", "1"), VERIFY_MODULES, PROTOCOL + ("json", REPORTS)),
     ])
     def test_cold_run_imports_only_what_it_runs(self, three_file, argv, loaded, absent):
         argv = [three_file if a == "{file}" else a for a in argv]
@@ -985,6 +1057,17 @@ class TestStartup:
         modules = set(proc.stderr.split())
         assert {"genhuff.cli", *loaded} <= modules
         assert not modules & set(absent)
+
+    def test_cli_import_leaves_typing_out(self):
+        # without site, which may import typing itself; the annotations are strings
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import genhuff.cli; "
+             "print(*sorted(m for m in ('typing', 'dataclasses', 'inspect', 'fractions') "
+             "if m in sys.modules))", child_env()["PYTHONPATH"]],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
     def test_package_import_loads_core_and_coder_only(self):
         # then every exported name resolves, the lazy ones included

@@ -8,7 +8,10 @@ import inspect
 import math
 import os
 import pickle
+import pprint
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -754,6 +757,9 @@ RECORDS = [
     ("CombineRule", "coder", lambda: (genhuff.RuleKind.EXP_BASE, 2.0),
      lambda: (genhuff.RuleKind.SUM,),
      "CombineRule(kind=<RuleKind.EXP_BASE: 'exp_base'>, param=2.0)"),
+    ("CodeResult", "coder", lambda: (LengthVector((1, 2, 2)), ("0", "10", "11"), 0.5), None,
+     "CodeResult(lengths=LengthVector(lengths=(1, 2, 2)), codewords=('0', '10', '11'), "
+     "objective_value=0.5)"),
     ("OracleResult", "oracle", lambda: (1.5, (LengthVector((1, 1)),), 2, 1), None,
      "OracleResult(min_value=1.5, argmin=(LengthVector(lengths=(1, 1)),), "
      "evaluated_count=2, scored_count=1)"),
@@ -842,25 +848,112 @@ class TestRecordBase:
         assert pickle.loads(pickle.dumps(obj)) == obj and "_family" not in repr(obj)
 
     def test_code_result_is_the_only_dataclass(self):
-        # and coder, which defines it, is the only module that imports dataclasses
+        # it answers the protocol, and no module builds a class with
+        # @dataclass or imports dataclasses at module level
         src = os.path.join(os.path.dirname(genhuff.__file__))
         made = set()
-        importers = set()
-        for module in ("core", "coder", "bounds", "oracle", "witness", "verify", "cli"):
+        for module in ("core", "coder", "bounds", "oracle", "witness", "verify", "reports",
+                       "cli"):
             mod = importlib.import_module(f"genhuff.{module}")
             made |= {obj.__qualname__ for obj in vars(mod).values()
                      if inspect.isclass(obj) and obj.__module__ == mod.__name__
                      and dataclasses.is_dataclass(obj)}
             with open(os.path.join(src, f"{module}.py")) as fh:
                 tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
+            for node in tree.body:
                 if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
+                    assert "dataclasses" not in [alias.name for alias in node.names], module
                 elif isinstance(node, ast.ImportFrom):
-                    names = [node.module]
-                else:
-                    continue
-                if "dataclasses" in names:
-                    importers.add(module)
+                    assert node.module != "dataclasses", module
+            decorators = {ast.unparse(d) for node in ast.walk(tree)
+                          if isinstance(node, ast.ClassDef) for d in node.decorator_list}
+            assert not any("dataclass" in d for d in decorators), (module, decorators)
         assert made == {"CodeResult"}
-        assert importers == {"coder"}
+
+
+# pickle.dumps(result, protocol=2) of the avg code of (0.5, 0.3, 0.2), taken
+# while CodeResult was a frozen @dataclass
+DATACLASS_PICKLE = (
+    b"\x80\x02cgenhuff.coder\nCodeResult\nq\x00)\x81q\x01}q\x02(X\x07\x00\x00\x00lengthsq"
+    b"\x03cgenhuff.core\nLengthVector\nq\x04)\x81q\x05}q\x06(h\x03K\x01K\x02K\x02\x87q\x07X"
+    b"\x05\x00\x00\x00_runsq\x08K\x01K\x02\x86q\tK\x01K\x02\x86q\n\x86q\x0bubX\t\x00\x00\x00"
+    b"codewordsq\x0cX\x01\x00\x00\x000q\rX\x02\x00\x00\x0010q\x0eX\x02\x00\x00\x0011q\x0f\x87q"
+    b"\x10X\x0f\x00\x00\x00objective_valueq\x11G?\x8d\xbf \x9b$J ub."
+)
+
+
+class TestCodeResultProtocol:
+    """CodeResult is a core._Record that answers the dataclass protocol as the
+    frozen dataclass it replaced did, with the fields made on first read."""
+
+    @staticmethod
+    def result():
+        return genhuff.generalized_huffman(Pmf((0.5, 0.3, 0.2)), genhuff.CombineRule.sum())
+
+    def test_fields_in_order_with_their_annotations(self):
+        res = self.result()
+        assert dataclasses.is_dataclass(res) and dataclasses.is_dataclass(genhuff.CodeResult)
+        fields = dataclasses.fields(res)
+        assert [(f.name, f.type) for f in fields] == [
+            ("lengths", "LengthVector"), ("codewords", "tuple[str, ...]"),
+            ("objective_value", "float")]
+        assert all(f.init and f.repr and f.compare and f.hash is None and not f.kw_only
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING for f in fields)
+        assert fields == dataclasses.fields(genhuff.CodeResult)
+        params = genhuff.CodeResult.__dataclass_params__
+        assert (params.init, params.repr, params.eq, params.order, params.unsafe_hash,
+                params.frozen) == (True, True, True, False, False, True)
+
+    def test_replace_asdict_and_astuple(self):
+        res = self.result()
+        short = LengthVector((1, 1, 2))
+        made = dataclasses.replace(res, lengths=short)
+        assert type(made) is genhuff.CodeResult
+        assert (made.lengths, made.codewords, made.objective_value) == (
+            short, res.codewords, res.objective_value)
+        assert dataclasses.replace(res) == res
+        assert dataclasses.asdict(res) == {
+            "lengths": res.lengths, "codewords": ("0", "10", "11"),
+            "objective_value": res.objective_value}
+        assert dataclasses.astuple(res) == (res.lengths, ("0", "10", "11"), res.objective_value)
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, extra=1)
+
+    def test_replace_hook(self):
+        # copy.replace (Python 3.13) calls it, as on a dataclass there
+        res = self.result()
+        assert res.__replace__(objective_value=2.0) == genhuff.CodeResult(
+            res.lengths, res.codewords, 2.0)
+        assert res.__replace__() == res
+        with pytest.raises(TypeError):
+            res.__replace__(extra=1)
+        if hasattr(copy, "replace"):
+            assert copy.replace(res, objective_value=2.0).objective_value == 2.0
+
+    def test_pretty_printing_reads_the_params(self):
+        # pprint reads __dataclass_params__ once is_dataclass is true and
+        # the repr does not fit
+        text = pprint.pformat(self.result(), width=40)
+        assert text.startswith("CodeResult(lengths=") and "objective_value=" in text
+
+    def test_a_dataclass_pickle_loads_equal(self):
+        made = pickle.loads(DATACLASS_PICKLE)
+        assert type(made) is genhuff.CodeResult and made == self.result()
+        assert made.lengths.kraft_sum == 1
+
+    def test_protocol_is_made_on_first_read_without_start_up_paying(self):
+        child = ("import sys; from genhuff import CodeResult; "
+                 "from genhuff.coder import _DataclassProtocol; "
+                 "d = CodeResult.__dict__; "
+                 "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules; "
+                 "assert isinstance(d['__dataclass_fields__'], _DataclassProtocol); "
+                 "params = CodeResult.__dataclass_params__; "
+                 "assert 'dataclasses' in sys.modules and params.frozen; "
+                 "assert d['__dataclass_params__'] is params; "
+                 "assert list(d['__dataclass_fields__']) == list(CodeResult._fields)")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
