@@ -22,7 +22,7 @@ _LAZY = {
     "bounds": (
         "POutOfRange", "PreconditionUnmet", "L1Region", "lambda_j", "mmpr_bounds",
         "mmpr_length_bounds", "avg_redundancy_lower", "avg_redundancy_upper_gallager",
-        "dth_bounds", "exp_avg_unit_bounds", "hat_transform", "exp_avg_bounds",
+        "dth_bounds", "symbol_bounds", "exp_avg_unit_bounds", "hat_transform", "exp_avg_bounds",
         "exp_avg_bounds_l1", "l1_region",
     ),
     "witness": ("ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate",

@@ -24,6 +24,8 @@ from .core import (
     Pmf,
     QOutOfRange,
     DOutOfRange,
+    Objective,
+    ObjectiveKind,
     _SMALL_SCALE,
     alpha_of_q,
     binary_entropy,
@@ -44,6 +46,7 @@ __all__ = [
     "avg_redundancy_lower",
     "avg_redundancy_upper_gallager",
     "dth_bounds",
+    "symbol_bounds",
     "exp_avg_unit_bounds",
     "hat_transform",
     "exp_avg_bounds",
@@ -197,6 +200,28 @@ def dth_bounds(p_j: float, d: float, is_p1: bool = False) -> BoundReport:
         if g < upper:
             upper, upper_kind = g, BoundKind.APPROACHABLE
     return BoundReport(0.0, upper, BoundKind.ACHIEVABLE, upper_kind)
+
+
+def symbol_bounds(obj: Objective, p_j: float, j: int) -> BoundReport:
+    """Bounds on the optimum under ``obj`` from p_j, the probability of symbol j.
+
+    MMPR reads ``mmpr_bounds`` and d-th exponential redundancy ``dth_bounds``.
+    Average redundancy has its lower bound and, at j = 1, the Gallager upper
+    bound, else the unit one, noted.  Exponential-average cost is refused with
+    a ``CodingError``: its bounds read the whole pmf (``exp_avg_bounds``).
+    """
+    if obj.kind is ObjectiveKind.MAX_POINTWISE:
+        return mmpr_bounds(p_j)
+    if obj.kind is ObjectiveKind.DTH_EXP:
+        return dth_bounds(p_j, obj.param, is_p1=(j == 1))
+    if obj.kind is ObjectiveKind.EXP_AVERAGE:
+        raise CodingError("exponential-average bounds need the pmf: use exp_avg_bounds")
+    lo = avg_redundancy_lower(p_j)
+    if j == 1:
+        return BoundReport(lo, avg_redundancy_upper_gallager(p_j),
+                           BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+    return BoundReport(lo, 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE,
+                       note="unit upper bound: top-probability form needs j=1")
 
 
 def exp_avg_unit_bounds(p: Pmf, q: float) -> BoundReport:

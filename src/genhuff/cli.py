@@ -21,17 +21,18 @@ A flag that would have no effect is refused (exit 2).  ``code`` and
 ``bounds`` take ``--d`` only under ``--objective dexp`` and ``--q`` only
 under ``expavg``; ``bounds`` takes the input file, ``--normalize`` and
 ``--assume-sorted`` only under ``expavg``, ``--p`` everywhere else, and
-``--j`` everywhere but ``mmpr``.  ``verify`` without ``--family`` runs the
-campaign, a table of checks on random pmfs, and takes ``--n`` (up to the
-oracle's cap), ``--trials`` and ``--seed``; with ``--family`` it checks one
-witness pmf built from those of ``--p1``, ``--eps`` and ``--q`` that the
-family reads (``witness.FAMILIES``), and refuses a 2^lam witness
-past the oracle's cap before building it.  Each subcommand takes only the
-``--format`` values it honours.
+``--j`` everywhere but ``mmpr``; both print ``bounds.symbol_bounds`` but
+under ``expavg``.  ``verify`` without ``--family`` runs the campaign, a
+table of checks on random pmfs and on every witness family, and takes
+``--n`` (up to the oracle's cap), ``--trials`` and ``--seed``; with
+``--family`` it checks one witness pmf built from those of ``--p1``,
+``--eps`` and ``--q`` that the family reads (``witness.FAMILIES``), and
+refuses a 2^lam witness past the oracle's cap before building it.  Each
+subcommand takes only the ``--format`` values it honours.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports a
-process that SIGPIPE ended).
+Exit codes: 0 success, 1 verification failure (verify's own faults
+included), 2 usage or input error, 141 output pipe closed by its reader
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -188,20 +189,6 @@ def _exact_report(value: float, note: str | None = None) -> BoundReport:
                        exact=value, note=note)
 
 
-def _symbol_bounds(obj: Objective, pj: float, j: int) -> BoundReport:
-    """The avg, mmpr or dexp bounds on the optimum from p_j, the probability of symbol j."""
-    if obj.kind is ObjectiveKind.MAX_POINTWISE:
-        return bnd.mmpr_bounds(pj)
-    if obj.kind is ObjectiveKind.DTH_EXP:
-        return bnd.dth_bounds(pj, obj.param, is_p1=(j == 1))
-    lo = bnd.avg_redundancy_lower(pj)
-    if j == 1:
-        return BoundReport(lo, bnd.avg_redundancy_upper_gallager(pj),
-                           BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
-    return BoundReport(lo, 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE,
-                       note="unit upper bound: top-probability form needs j=1")
-
-
 def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> tuple[float, BoundReport]:
     """The entropy and the bounds ``code`` prints next to ``value``.
 
@@ -230,7 +217,7 @@ def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> tuple[float, Bound
     if p.probs[0] == 1.0:
         return entropy, _exact_report(value, note="p_1 rounds to 1.0: "
                                                   "the engine's optimum, no bound from p_1")
-    return entropy, _symbol_bounds(obj, p.probs[0], 1)
+    return entropy, bnd.symbol_bounds(obj, p.probs[0], 1)
 
 
 def cmd_code(args) -> int:

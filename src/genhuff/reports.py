@@ -16,7 +16,6 @@ from .cli import (
     _objective_from_args,
     _report_dict,
     _round12,
-    _symbol_bounds,
     add_common_flags,
     add_objective_flag,
     add_param_flags,
@@ -77,7 +76,7 @@ def cmd_bounds(args) -> int:
         refuse(args, f"under --objective {obj_name}", "input", "--normalize", "--assume-sorted")
         if args.p is None:
             raise CodingError(f"--objective {obj_name} bounds need --p")
-        report = _symbol_bounds(obj, args.p, j)
+        report = bnd.symbol_bounds(obj, args.p, j)
         doc["p_j"] = _round12(args.p)
     doc["bounds"] = _report_dict(report)
     if args.format == "json":

@@ -7,9 +7,12 @@ start without loading either.  The flags read the family names from
 ``witness.FamilyKind`` and the campaign's cap on ``--n`` from the oracle.
 
 Without ``--family`` the campaign runs a table of checks on random pmfs
-from one ``random.Random(seed)``; with ``--family`` it checks one witness
-pmf built from those of ``--p1``, ``--eps`` and ``--q`` that the family
-reads (``witness.FAMILIES``).
+from one ``random.Random(seed)`` and on ``WITNESS_PANEL``, every family's
+witnesses; with ``--family`` it checks one witness pmf built from those of
+``--p1``, ``--eps`` and ``--q`` that the family reads (``witness.FAMILIES``).
+Flags outside the family's proof range, or a witness too close for the
+oracle to resolve, are refused (exit 2).  A family's pmf that ``Pmf``
+refuses, or any error from a panel entry, is verify's own fault: a FAIL.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import (
     CodingError,
     LengthVector,
     Objective,
+    ObjectiveKind,
     Pmf,
     alpha_of_q,
     avg_redundancy,
@@ -46,9 +50,10 @@ CAMPAIGN_TRIALS = 200
 CAMPAIGN_SEED = 42
 
 
-def _random_pmf(rng: random.Random, n: int) -> Pmf:
-    """A Dirichlet(1) draw: n Gamma(1, 1) variates over their sum, redrawn
-    until every entry exceeds 1e-9."""
+def _random_pmf(rng: random.Random, nmax: int) -> Pmf:
+    """A Dirichlet(1) draw: n = randint(2, nmax) Gamma(1, 1) variates over
+    their sum, redrawn until every entry exceeds 1e-9."""
+    n = rng.randint(2, nmax)
     while True:
         raw = [rng.gammavariate(1.0, 1.0) for _ in range(n)]
         total = math.fsum(raw)
@@ -73,11 +78,22 @@ OBJECTIVE_PANEL = (
     ("expavg q=2", Objective.exp_average(2.0)),
 )
 
+# The one list of witness parameter sets, every family's, each checked as by
+# ``verify --family``; mmpr-upper-low at 1/16 is the largest the oracle checks
 WITNESS_PANEL = (
     wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_HIGH, p1=0.7),
+    wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_HIGH, p1=0.55, eps=0.05),
     wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_MID, p1=0.45),
+    wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_LOW, p1=0.2, eps=0.01),
+    wit.WitnessFamily(wit.FamilyKind.MMPR_UPPER_LOW, p1=0.0625, eps=0.001),
     wit.WitnessFamily(wit.FamilyKind.MMPR_LOWER_A, p1=0.4),
     wit.WitnessFamily(wit.FamilyKind.MMPR_LOWER_B, p1=0.3),
+    wit.WitnessFamily(wit.FamilyKind.LEN_UPPER_TIGHT, p1=0.3),
+    wit.WitnessFamily(wit.FamilyKind.LEN_LOWER_TIGHT, p1=0.4),
+    wit.WitnessFamily(wit.FamilyKind.L1_BOUNDARY_Q_LE_1, q=0.9, eps=0.01),
+    wit.WitnessFamily(wit.FamilyKind.L1_BOUNDARY_Q_LE_1, q=1.0, eps=1e-12),
+    wit.WitnessFamily(wit.FamilyKind.L1_COUNTEREXAMPLE_Q_GT_1, q=2.0, p1=0.45),
+    wit.WitnessFamily(wit.FamilyKind.L1_ALWAYS_ONE_Q_LT_1, q=0.8, p1=0.5),
 )
 
 WITNESS_MAX_N = 18  # the oracle's cap on a witness: 2^lam families reach 17 at lam = 4
@@ -194,29 +210,21 @@ class _EngineOracle:
         return None
 
 
-def _mmpr_sandwich(rng, _, p):
-    star = brute_force_optimal(p, Objective.max_pointwise()).min_value
-    for pj in p:
-        if not bnd.mmpr_bounds(pj).contains(star):
-            return f"violated at p_j={fmt(pj)} pmf=" + _pmf_str(p)
-    return None
-
-
-def _dth_sandwich(rng, d, p):
-    rd = brute_force_optimal(p, Objective.dth_exp(d)).min_value
-    for idx, pj in enumerate(p):
-        if not bnd.dth_bounds(pj, d, is_p1=(idx == 0)).contains(rd):
-            return f"violated at d={d} p_j={fmt(pj)} pmf=" + _pmf_str(p)
-    return None
-
-
-def _exp_avg_sandwich(rng, q, p):
-    cost = brute_force_optimal(p, Objective.exp_average(q)).min_value
-    if not bnd.exp_avg_unit_bounds(p, q).contains(cost):
-        return f"unit bounds violated at q={q}"
-    for j in range(1, p.n + 1):
-        if not bnd.exp_avg_bounds(p, q, j).contains(cost):
-            return f"violated at q={q} j={j} pmf=" + _pmf_str(p)
+def _sandwich(rng, obj, p):
+    """The oracle's optimum under ``obj`` inside the bounds from each p_j:
+    ``symbol_bounds``, or under exp average the unit and per-symbol
+    ``exp_avg_bounds``, which read the whole pmf."""
+    star = brute_force_optimal(p, obj).min_value
+    at = "at" if obj.param is None else f"at param={fmt(obj.param)}"
+    if obj.kind is ObjectiveKind.EXP_AVERAGE:
+        if not bnd.exp_avg_unit_bounds(p, obj.param).contains(star):
+            return f"unit bounds violated {at}"
+        reports = (bnd.exp_avg_bounds(p, obj.param, j) for j in range(1, p.n + 1))
+    else:
+        reports = (bnd.symbol_bounds(obj, pj, j) for j, pj in enumerate(p, 1))
+    for j, r in enumerate(reports, 1):
+        if not r.contains(star):
+            return f"violated {at} j={j} p_j={fmt(p.probs[j - 1])} pmf=" + _pmf_str(p)
     return None
 
 
@@ -251,34 +259,33 @@ def _unary_regime(rng, _, p):
     return f"q={fmt(q)} pmf=" + _pmf_str(p) if got != unary_code(p.n) else None
 
 
-def _witness_tightness(rng, fam, p):
-    return next((f"{name}: {detail}" for name, ok, detail in _witness_checks(fam, p)
-                 if not ok), None)
-
-
-def _case_pmf(rng: random.Random, nmax: int, param) -> Pmf:
-    """A witness family brings its own pmf; every other case draws one."""
-    if isinstance(param, wit.WitnessFamily):
-        return wit.generate(param)
-    return _random_pmf(rng, rng.randint(2, nmax))
+def _witness_tightness(rng, fam, _):
+    # the panel is verify's own, so is any error from one of its entries
+    try:
+        rows = _witness_checks(fam, wit.generate(fam))
+    except CodingError as e:
+        rows = [(fam.kind.value, False, str(e))]
+    at = " ".join(f"{f}={v!r}" for f in wit.FAMILIES[fam.kind][0]
+                  if (v := getattr(fam, f)) is not None)
+    return next((f"{name} at {at}: {detail}" for name, ok, detail in rows if not ok), None)
 
 
 def _campaign(trials: int) -> tuple:
     """The campaign's checks in run order, one row each: (name, PASS detail,
     parameters, cases per parameter, case function).  A case function takes
-    (rng, parameter, pmf) and returns None or a failure detail."""
+    (rng, parameter, pmf or None for a witness) and returns None or a failure detail."""
     quarter = max(1, trials // 4)
     qs = (0.6, 0.9, 1.5, 2.0)
     engine_oracle = _EngineOracle(trials)
     return (
         ("engine-oracle equivalence", engine_oracle, OBJECTIVE_PANEL, trials, engine_oracle),
         ("mmpr sandwich", "oracle optimum inside the bound interval for every symbol",
-         (None,), trials, _mmpr_sandwich),
+         (Objective.max_pointwise(),), trials, _sandwich),
         ("dth sandwich", "oracle optimum inside the interval for d in {0.25, 1, 4, -0.5}",
-         (0.25, 1.0, 4.0, -0.5), quarter, _dth_sandwich),
+         tuple(map(Objective.dth_exp, (0.25, 1.0, 4.0, -0.5))), quarter, _sandwich),
         ("exp-average sandwich",
          "oracle optimum inside unit and per-symbol intervals for q in {0.6, 0.9, 1.5, 2}",
-         qs, quarter, _exp_avg_sandwich),
+         tuple(map(Objective.exp_average, qs)), quarter, _sandwich),
         ("length conformance", "every optimum satisfies l_j <= ceil(-lg p_j)",
          (None,), trials, _length_conformance),
         ("moment ordering",
@@ -288,8 +295,9 @@ def _campaign(trials: int) -> tuple:
          qs, quarter, _transform_identity),
         ("unary regime", "coder output equals the unary code for q <= 0.5",
          (None,), 100, _unary_regime),
-        ("witness tightness", "witness distributions attain their bound endpoints to 1e-9",
-         WITNESS_PANEL, 1, _witness_tightness),
+        ("witness tightness", f"{len(WITNESS_PANEL)} witnesses of "
+         f"{len({fam.kind for fam in WITNESS_PANEL})} families back their bound and length "
+         "claims to 1e-9", WITNESS_PANEL, 1, _witness_tightness),
     )
 
 
@@ -298,8 +306,8 @@ def _run_campaign(nmax: int, trials: int, seed: int) -> list[tuple[str, bool, st
     rng = random.Random(seed)
     results = []
     for name, passed, params, cases, case in _campaign(trials):
-        outcomes = (case(rng, param, _case_pmf(rng, nmax, param))
-                    for param in params for _ in range(cases))
+        outcomes = (case(rng, param, None if isinstance(param, wit.WitnessFamily)
+                         else _random_pmf(rng, nmax)) for param in params for _ in range(cases))
         failure = next((f for f in outcomes if f is not None), None)
         results.append((name, failure is None, str(passed) if failure is None else failure))
     return results
@@ -329,9 +337,14 @@ def cmd_verify(args) -> int:
                 *(f"--{f}" for f in ("p1", "eps", "q") if f not in wit.FAMILIES[kind][0]))
         fam = wit.WitnessFamily(kind, p1=args.p1, eps=args.eps, q=args.q)
         _refuse_unchecked_witness(fam)
-        p = wit.generate(fam)
-        lines = ["pmf: " + _pmf_str(p)]
-        results = _witness_checks(fam, p)
+        try:
+            p = wit.generate(fam)
+        except wit.ParamsOutOfProofRange:
+            raise
+        except CodingError as e:
+            lines, results = [], [(kind.value, False, f"the built pmf is refused: {e}")]
+        else:
+            lines, results = ["pmf: " + _pmf_str(p)], _witness_checks(fam, p)
     else:
         refuse(args, "without --family", "--p1", "--eps", "--q")
         nmax = CAMPAIGN_N if args.n is None else args.n

@@ -13,6 +13,7 @@ from genhuff import (
     AlphaOutOfRange,
     BoundKind,
     BoundReport,
+    CodingError,
     CombineRule,
     L1Region,
     LengthVector,
@@ -45,6 +46,7 @@ from genhuff import (
     mmpr_length_bounds,
     renyi_entropy,
     alpha_of_q,
+    symbol_bounds,
     unary_code,
     validate_pmf,
 )
@@ -419,6 +421,43 @@ class TestDthBounds:
             for d in (0.5, 2.0, -0.5):
                 r = dth_bounds(p, d, is_p1=True)
                 assert -1e-12 <= r.lower and r.upper <= 1.0 + 1e-12
+
+
+ACH, APP = BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE
+UNIT_NOTE = "unit upper bound: top-probability form needs j=1"
+
+
+class TestSymbolBounds:
+    """symbol_bounds is the report ``genhuff code`` and ``genhuff bounds`` print:
+    each end to 1e-15, its tags and its note."""
+
+    @pytest.mark.parametrize("obj,p_j,j,lower,upper,note", [
+        (Objective.avg(), 0.3, 1, 0.009235350264498052, 0.386, None),
+        (Objective.avg(), 0.6, 1, 0.029049405545331364, 0.42904940554533144, None),
+        (Objective.avg(), 0.3, 2, 0.009235350264498052, 1.0, UNIT_NOTE),
+        (Objective.avg(), 0.1, 3, 0.004384976558875084, 1.0, UNIT_NOTE),
+        (Objective.max_pointwise(), 0.3, 1, 0.26303440583379367, 0.9004643264490855, None),
+        (Objective.max_pointwise(), 0.3, 2, 0.26303440583379367, 0.9004643264490855, None),
+        (Objective.max_pointwise(), 0.1, 3, 0.04064198449734608, 0.9411063109464316, None),
+        (Objective.dth_exp(-0.5), 0.3, 1, 0.0, 0.386, None),
+        (Objective.dth_exp(-0.5), 0.6, 1, 0.0, 0.42904940554533144, None),
+        (Objective.dth_exp(-0.5), 0.3, 2, 0.0, 0.9004643264490855, None),
+        (Objective.dth_exp(-0.5), 0.1, 3, 0.0, 0.9411063109464316, None),
+        (Objective.dth_exp(0.5), 0.3, 1, 0.009235350264498052, 0.9004643264490855, None),
+        (Objective.dth_exp(0.5), 0.6, 1, 0.029049405545331364, 0.6780719051126378, None),
+        (Objective.dth_exp(0.5), 0.3, 2, 0.009235350264498052, 0.9004643264490855, None),
+        (Objective.dth_exp(0.5), 0.1, 3, 0.004384976558875084, 0.9411063109464316, None),
+    ])
+    def test_report(self, obj, p_j, j, lower, upper, note):
+        r = symbol_bounds(obj, p_j, j)
+        assert (r.lower_kind, r.upper_kind, r.exact, r.note) == (ACH, APP, None, note)
+        assert r.lower == pytest.approx(lower, abs=1e-15)
+        assert r.upper == pytest.approx(upper, abs=1e-15)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_exp_average_needs_the_pmf(self, j):
+        with pytest.raises(CodingError, match="need the pmf: use exp_avg_bounds"):
+            symbol_bounds(Objective.exp_average(2.0), 0.3, j)
 
 
 class TestUnitBounds:

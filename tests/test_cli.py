@@ -487,6 +487,15 @@ ROW_END_P1S = sorted({p1 for lam in range(1, 5)
                       for p1 in _within_3_ulps(end)})
 
 
+def _family_flags(fam):
+    """The ``verify --family`` flags of a witness.WitnessFamily."""
+    flags = ["--family", fam.kind.value]
+    for field in ("p1", "eps", "q"):
+        if getattr(fam, field) is not None:
+            flags += [f"--{field}", repr(getattr(fam, field))]
+    return flags
+
+
 class TestVerify:
     def test_small_campaign_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "5", "--trials", "8",
@@ -576,6 +585,34 @@ class TestVerify:
                          "PASS transform identity", "PASS unary regime",
                          "PASS witness tightness", "result"]
         assert "over 200 pmfs x 9 objectives" in out
+        assert "PASS witness tightness: 13 witnesses of 10 families back their" in out
+
+    def test_witness_panel_holds_every_family(self):
+        assert {fam.kind for fam in verify.WITNESS_PANEL} == set(witness.FamilyKind)
+        assert len(set(verify.WITNESS_PANEL)) == len(verify.WITNESS_PANEL)
+
+    @pytest.mark.parametrize("fam", verify.WITNESS_PANEL,
+                             ids=lambda fam: " ".join(_family_flags(fam)))
+    def test_each_witness_panel_entry_passes_as_family(self, capsys, fam):
+        code, out, err = run(capsys, "verify", *_family_flags(fam))
+        assert (code, err) == (0, "")
+        assert out.startswith("pmf: ") and "FAIL" not in out
+        assert out.endswith("result: ok\n")
+
+    @pytest.mark.parametrize("fam,message", [
+        (witness.WitnessFamily(witness.FamilyKind.MMPR_UPPER_HIGH, p1=0.3),
+         "needs p_1 in [0.5, 1)"),
+        (witness.WitnessFamily(witness.FamilyKind.LEN_UPPER_TIGHT, p1=0.24999999999999997),
+         "within the oracle's resolution"),
+    ])
+    def test_campaign_fails_on_a_panel_entry_it_cannot_check(self, capsys, monkeypatch, fam,
+                                                              message):
+        # a refusal that --family reports as a usage error is the panel's own fault
+        monkeypatch.setattr(verify, "WITNESS_PANEL", verify.WITNESS_PANEL + (fam,))
+        code, out, err = run(capsys, *CAMPAIGN)
+        assert (code, err) == (1, "")
+        assert f"FAIL witness tightness: {fam.kind.value} at p1={fam.p1!r}: " in out
+        assert message in out and out.endswith("result: 1 failure(s)\n")
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "0", "trials must be >= 1"),
@@ -766,9 +803,6 @@ def _offset_one_high(kind):
 
 
 CAMPAIGN = ("verify", "--n", "6", "--trials", "8")
-# the sum check of the pmf the family builds refuses it (exit 2): a wrong
-# table row reads as a usage error, not as a FAIL
-ONLY_REFUSED = pytest.mark.xfail(strict=True, reason="the built pmf sums to 1.25 and is refused")
 
 
 @pytest.mark.parametrize("mutant,argv,row", [
@@ -777,15 +811,19 @@ ONLY_REFUSED = pytest.mark.xfail(strict=True, reason="the built pmf sums to 1.25
     pytest.param(_attained_mmpr_upper_moves_up, CAMPAIGN, "witness tightness",
                  id="mmpr-upper-1e-6-high"),
     *(pytest.param(_offset_one_high(witness.FamilyKind(family)),
-                   ("verify", "--family", family, *params), family, marks=marks,
+                   ("verify", "--family", family, *params), family,
                    id=f"{family}-offset-one-high")
-      for family, params, marks in (
-          ("mmpr-upper-mid", ("--p1", "0.45"), ()),
-          ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01"), ()),
-          ("mmpr-lower-a", ("--p1", "0.4"), ()),
-          ("mmpr-lower-b", ("--p1", "0.3"), ONLY_REFUSED),
-          ("len-upper-tight", ("--p1", "0.3"), ONLY_REFUSED),
-          ("len-lower-tight", ("--p1", "0.4"), ()))),
+      for family, params in (
+          ("mmpr-upper-mid", ("--p1", "0.45")),
+          ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01")),
+          ("mmpr-lower-a", ("--p1", "0.4")),
+          ("mmpr-lower-b", ("--p1", "0.3")),
+          ("len-upper-tight", ("--p1", "0.3")),
+          ("len-lower-tight", ("--p1", "0.4")))),
+    # the campaign's witness row reaches the families it once left to --family
+    *(pytest.param(_offset_one_high(witness.FamilyKind(family)), CAMPAIGN, "witness tightness",
+                   id=f"campaign-{family}-offset-one-high")
+      for family in ("mmpr-upper-low", "len-upper-tight", "len-lower-tight", "mmpr-lower-b")),
 ])
 def test_verify_fails_each_injected_defect(capsys, monkeypatch, mutant, argv, row):
     """Each defect turns a verify row that passes without it to FAIL, exit 1."""
