@@ -26,7 +26,6 @@ from .core import (
     DOutOfRange,
     Objective,
     ObjectiveKind,
-    _SMALL_SCALE,
     alpha_of_q,
     binary_entropy,
     ceil_neg_lg,
@@ -225,13 +224,15 @@ def symbol_bounds(obj: Objective, p_j: float, j: int) -> BoundReport:
 
 
 def exp_avg_unit_bounds(p: Pmf, q: float) -> BoundReport:
-    """Entropy bounds [H_a, H_a + 1) on optimal exponential-average cost."""
-    return _exp_avg_unit_report(renyi_entropy(p, alpha_of_q(q)))
+    """Entropy bounds [H_a, H_a + 1) on optimal exponential-average cost, with
+    a = alpha(q) and H_a from ``renyi_entropy``."""
+    h = renyi_entropy(p, alpha_of_q(q))
+    return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
 
 
 def _alpha_lgs(p: Pmf, alpha: float) -> tuple[list[float], float]:
-    """(alpha lg p_i for each i, lg sum_i p_i^alpha): what the Renyi entropy
-    and the alpha-power transform are both made of."""
+    """(alpha lg p_i for each i, lg sum_i p_i^alpha): what the alpha-power
+    transform is made of."""
     scaled = [alpha * lg(pi) for pi in p]
     return scaled, lg_sum_exp2(scaled)
 
@@ -259,28 +260,19 @@ def hat_transform(p: Pmf, q: float) -> Pmf:
 def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
     """Entropy-plus-redundancy bounds on optimal exponential-average cost.
 
-    Built on the transformed probability of symbol j (1-based).  For q > 1
-    the max-pointwise upper and average-redundancy lower bounds apply; for
-    q in (0.5, 1) the Gallager upper bound applies when j = 1, otherwise
-    only the unit-sized upper bound is available (noted in the report).
+    H_a from ``renyi_entropy`` plus a bound on the transformed probability
+    of symbol j (1-based), read from the alpha-power list without building
+    the ``hat_transform`` Pmf, so an entry that underflows to 0.0 refuses
+    only the j that reads it.  For q > 1 the max-pointwise upper and
+    average-redundancy lower bounds apply; for q in (0.5, 1) the Gallager
+    upper bound applies when j = 1, otherwise only the unit-sized upper
+    bound is available (noted in the report).
     """
     alpha = alpha_of_q(q)
     if not 1 <= j <= p.n:
         raise CodingError(f"j must be in 1..{p.n}, got {j}")
-    return _exp_avg_report(q, j, *_exp_avg_parts(p, alpha, j))
-
-
-def _exp_avg_parts(p: Pmf, alpha: float, j: int) -> tuple[float, float]:
-    """(H_alpha, the transformed p_j) from one alpha lg p_i list and its log-sum,
-    H_alpha as renyi_entropy takes it, which near alpha = 1 reads neither."""
-    scaled, lg_norm = _alpha_lgs(p, alpha)
-    e = 1.0 - alpha
-    h = renyi_entropy(p, alpha) if abs(e) < _SMALL_SCALE else lg_norm / e + 0.0
-    return h, _hat_probs(scaled, lg_norm)[j - 1]
-
-
-def _exp_avg_report(q: float, j: int, h: float, p_hat: float) -> BoundReport:
-    """``exp_avg_bounds`` from H_alpha and the transformed p_j (``_exp_avg_parts``)."""
+    h = renyi_entropy(p, alpha)
+    p_hat = _hat_probs(*_alpha_lgs(p, alpha))[j - 1]
     if not 0.0 < p_hat < 1.0:
         # p_j^alpha underflowed, or the others' powers vanish next to it
         raise PreconditionUnmet(f"the transformed p_{j} rounds to {p_hat!r}; "
@@ -296,15 +288,11 @@ def _exp_avg_report(q: float, j: int, h: float, p_hat: float) -> BoundReport:
                        note="unit upper bound: no per-symbol form for q < 1, j != 1")
 
 
-def _exp_avg_unit_report(h: float) -> BoundReport:
-    """``exp_avg_unit_bounds`` from H_alpha."""
-    return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
-
-
 def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     """Cost bounds for q in (0.5, 1) in the guaranteed one-bit-l_1 regime.
 
-    Requires p_1 >= 2q/(2q+3).  With a = alpha(q) and
+    Requires p_1 >= 2q/(2q+3).  With a = alpha(q), H_a from
+    ``renyi_entropy`` once the preconditions hold, and
     B = (q^(a H_a) - p_1^a)^(1/a):
 
         1 + log_q(B + p_1)  <=  cost  <  1 + log_q(q B + p_1)
@@ -312,12 +300,6 @@ def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     The lower end is attained; the upper is approached but never reached.
     Success probability bounds follow as q to the power of each endpoint.
     """
-    return _exp_avg_l1_report(p, q, None)
-
-
-def _exp_avg_l1_report(p: Pmf, q: float, h: float | None) -> BoundReport:
-    """``exp_avg_bounds_l1`` from H_alpha, or, where h is None, with H_alpha
-    taken once the preconditions hold."""
     if not 0.5 < q < 1.0:
         raise PreconditionUnmet(f"q must lie in (0.5, 1), got {q}")
     if p.n < 2:
@@ -327,9 +309,7 @@ def _exp_avg_l1_report(p: Pmf, q: float, h: float | None) -> BoundReport:
         raise PreconditionUnmet(f"p_1={p1} below the one-bit-l_1 threshold "
                                 f"2q/(2q+3)={2.0 * q / (2.0 * q + 3.0)}")
     alpha = alpha_of_q(q)
-    if h is None:
-        h = renyi_entropy(p, alpha)
-    x = q ** (alpha * h) - p1 ** alpha
+    x = q ** (alpha * renyi_entropy(p, alpha)) - p1 ** alpha
     if x <= 0.0:
         raise CodingError("degenerate transform mass")
     base = x ** (1.0 / alpha)

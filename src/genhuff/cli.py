@@ -52,6 +52,7 @@ from .core import (
     ObjectiveKind,
     Pmf,
     alpha_of_q,
+    renyi_entropy,
     shannon_entropy,
     success_probability,
     validate_pmf,
@@ -192,16 +193,15 @@ def _exact_report(value: float, note: str | None = None) -> BoundReport:
 def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> tuple[float, BoundReport]:
     """The entropy and the bounds ``code`` prints next to ``value``.
 
-    The entropy is H_alpha under expavg at q > 1/2, taken once for both,
-    and Shannon's otherwise.  The bounds read p_1, or under expavg p_1 of
-    the alpha-power transform, and hold for p_1 < 1.  A pmf of two or more
-    symbols can still have a p_1 that rounds to 1.0, its sum within
-    PMF_SUM_TOL of 1; then the report is the value itself, which is the
-    optimum, with a note.
+    The entropy is H_alpha under expavg at q > 1/2, and Shannon's
+    otherwise.  The bounds read p_1, or under expavg p_1 of the alpha-power
+    transform, and hold for p_1 < 1.  A pmf of two or more symbols can
+    still have a p_1 that rounds to 1.0, its sum within PMF_SUM_TOL of 1;
+    then the report is the value itself, which is the optimum, with a note.
     """
     expavg = obj.kind is ObjectiveKind.EXP_AVERAGE
     if expavg and obj.param > 0.5:
-        entropy, p_hat = bnd._exp_avg_parts(p, alpha_of_q(obj.param), 1)
+        entropy = renyi_entropy(p, alpha_of_q(obj.param))
     else:
         entropy = shannon_entropy(p)
     if p.n == 1:
@@ -210,7 +210,7 @@ def _bounds_for_code(p: Pmf, obj: Objective, value: float) -> tuple[float, Bound
         if obj.param <= 0.5:
             return entropy, _exact_report(value, note="unary-optimal regime (q <= 0.5)")
         try:
-            return entropy, bnd._exp_avg_report(obj.param, 1, entropy, p_hat)
+            return entropy, bnd.exp_avg_bounds(p, obj.param)
         except bnd.PreconditionUnmet:
             return entropy, _exact_report(value, note="transformed p_1 rounds to 1.0: "
                                                       "the engine's optimum, no bound from p_1")

@@ -31,6 +31,7 @@ from .core import (
     Pmf,
     alpha_of_q,
     benford,
+    renyi_entropy,
     shannon_entropy,
     success_probability,
 )
@@ -141,26 +142,25 @@ def add_benford_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _benford_block(p: Pmf, q: float) -> dict:
-    """The report at one q.  H_alpha and the transformed p_1 are taken once,
-    from one alpha lg p_i list, and every bound of the block reads them."""
+    """The report at one q: H_alpha, the transformed p_1 and every bound
+    of the paper's worked example, with the optimal code."""
     alpha = alpha_of_q(q)
-    h, hat_p1 = bnd._exp_avg_parts(p, alpha, 1)
     rule = coder.CombineRule.for_objective(Objective.exp_average(q))
     # looked up on coder at each call, where a profiler's span may wrap it
     result = coder.generalized_huffman(p, rule)
     block = {
         "q": _round12(q),
         "alpha": _round12(alpha),
-        "renyi_entropy_bits": _round12(h),
-        "unit_bounds": _report_dict(bnd._exp_avg_unit_report(h)),
-        "per_symbol_bounds": _report_dict(bnd._exp_avg_report(q, 1, h, hat_p1)),
-        "hat_p1": _round12(hat_p1),
+        "renyi_entropy_bits": _round12(renyi_entropy(p, alpha)),
+        "unit_bounds": _report_dict(bnd.exp_avg_unit_bounds(p, q)),
+        "per_symbol_bounds": _report_dict(bnd.exp_avg_bounds(p, q)),
+        "hat_p1": _round12(bnd.hat_transform(p, q).probs[0]),
         "lengths": list(result.lengths.lengths),
         "codewords": list(result.codewords),
         "cost_bits": _round12(result.objective_value),
     }
     if q < 1.0:
-        r3 = bnd._exp_avg_l1_report(p, q, h)
+        r3 = bnd.exp_avg_bounds_l1(p, q)
         block["one_bit_l1_bounds"] = _report_dict(r3)
         block["success_bounds"] = {"lower": _round12(q ** r3.upper),
                                    "upper": _round12(q ** r3.lower)}

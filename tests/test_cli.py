@@ -1,8 +1,10 @@
 """Command-line behaviour: formats, determinism, exit codes, worked example."""
 
 import argparse
+import ast
 import io
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -21,6 +23,23 @@ BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
 
 
+# sha-256 of what `genhuff code --objective expavg --format json` prints on
+# the Benford file, by --q
+EXPAVG_CODE_JSON_SHA256 = {
+    "0.6": "8f141462eda037abc43671c33295ba65107b75870e818898d128307b6df2d87c",
+    "0.9": "543adda5f5222d246932bb1967c3130a40775b2d84c0e9eabc7b7c5138c2dc25",
+    "1.01": "16c558b5d052eebd503cb102aad6b7fe931d3d74aa81866ea6a3e95953409a11",
+    "2": "8edb2158fb82d6822e7712f4b3191c3c6b8ecf29b92742648b0c9719f218ec21",
+    "1e200": "2ab608106dd7fdccf0c12c39e27fbc9df8f6aa11edc4e02394730d4e075e288e",
+}
+# sha-256 of what `genhuff bounds --objective expavg --q 0.9` prints on the
+# Benford file, by --j
+EXPAVG_BOUNDS_SHA256 = {
+    "1": "5e991e526f25944b3a3a72e18d488d0fc7a60f4bfeea314d763041a414acf380",
+    "2": "dd069cef7faace18c4aa7dc357fbb465b9110e44912590d5e1f3e0b30e5c1734",
+}
+
+
 @pytest.fixture
 def benford_file(tmp_path):
     path = tmp_path / "benford.txt"
@@ -33,24 +52,6 @@ def three_file(tmp_path):
     path = tmp_path / "three.txt"
     path.write_text("# worked example\n0.5\n0.3\n0.2\n")
     return str(path)
-
-
-@pytest.fixture
-def spy(monkeypatch):
-    """spy(module, name) wraps module.name so that each call appends name to spy.calls."""
-    calls = []
-
-    def counted(module, name):
-        func = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return func(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted.calls = calls
-    return counted
 
 
 def run(capsys, *argv):
@@ -103,20 +104,12 @@ class TestCode:
                                       "upper_kind", "exact", "note"}
         assert doc["bounds"]["lower"] <= doc["value_bits"] <= doc["bounds"]["upper"]
 
-    @pytest.mark.parametrize("q,renyi_calls", [("2", 0), ("0.9", 0), ("1.01", 1)])
-    def test_expavg_takes_h_alpha_once(self, capsys, spy, benford_file, q, renyi_calls):
-        # one alpha lg p_i list and log-sum gives the entropy line and the bounds;
-        # near alpha = 1 (q = 1.01) renyi_entropy's log1p form takes H_alpha, once
-        import genhuff.bounds
-        import genhuff.cli
-
-        spy(genhuff.bounds, "_alpha_lgs")
-        spy(genhuff.bounds, "renyi_entropy")
-        # cli takes H_alpha through bounds alone, whose binding is counted
-        assert not hasattr(genhuff.cli, "renyi_entropy")
-        code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", q, benford_file)
-        assert code == 0 and "bounds: [" in out
-        assert sorted(spy.calls) == ["_alpha_lgs"] + ["renyi_entropy"] * renyi_calls
+    @pytest.mark.parametrize("q", EXPAVG_CODE_JSON_SHA256)
+    def test_expavg_json_bytes(self, capsys, benford_file, q):
+        code, out, _ = run(capsys, "code", "--objective", "expavg", "--q", q,
+                           "--format", "json", benford_file)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPAVG_CODE_JSON_SHA256[q]
 
     def test_mmpr_three(self, capsys, three_file):
         code, out, _ = run(capsys, "code", "--objective", "mmpr",
@@ -356,6 +349,13 @@ class TestBounds:
         doc = json.loads(out)
         assert doc["bounds"]["lower"] == pytest.approx(3.0396614845441448, abs=1e-9)
         assert doc["bounds"]["upper"] == pytest.approx(3.9107123007008599, abs=1e-9)
+
+    @pytest.mark.parametrize("j", EXPAVG_BOUNDS_SHA256)
+    def test_expavg_bytes(self, capsys, benford_file, j):
+        code, out, _ = run(capsys, "bounds", "--objective", "expavg", "--q", "0.9",
+                           "--j", j, benford_file)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPAVG_BOUNDS_SHA256[j]
 
     def test_dexp_dyadic_unit_interval(self, capsys):
         code, out, _ = run(capsys, "bounds", "--objective", "dexp", "--d", "1",
@@ -805,34 +805,62 @@ def _offset_one_high(kind):
 CAMPAIGN = ("verify", "--n", "6", "--trials", "8")
 
 
-@pytest.mark.parametrize("mutant,argv,row", [
-    pytest.param(_engine_swaps_two_lengths, CAMPAIGN, "engine-oracle equivalence",
+# a defect's FAIL line must name what the oracle found: with one symbol too
+# many, the len-lower-tight witness has optima with l_1 = 2 beside l_1 = 1
+LOWER_TIGHT_FOUND = "optimal l_1 = 1 or 2"
+
+
+@pytest.mark.parametrize("mutant,argv,row,names", [
+    pytest.param(_engine_swaps_two_lengths, CAMPAIGN, "engine-oracle equivalence", "",
                  id="engine-swaps-two-lengths"),
-    pytest.param(_attained_mmpr_upper_moves_up, CAMPAIGN, "witness tightness",
+    pytest.param(_attained_mmpr_upper_moves_up, CAMPAIGN, "witness tightness", "",
                  id="mmpr-upper-1e-6-high"),
     *(pytest.param(_offset_one_high(witness.FamilyKind(family)),
-                   ("verify", "--family", family, *params), family,
+                   ("verify", "--family", family, *params), family, names,
                    id=f"{family}-offset-one-high")
-      for family, params in (
-          ("mmpr-upper-mid", ("--p1", "0.45")),
-          ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01")),
-          ("mmpr-lower-a", ("--p1", "0.4")),
-          ("mmpr-lower-b", ("--p1", "0.3")),
-          ("len-upper-tight", ("--p1", "0.3")),
-          ("len-lower-tight", ("--p1", "0.4")))),
+      for family, params, names in (
+          ("mmpr-upper-mid", ("--p1", "0.45"), ""),
+          ("mmpr-upper-low", ("--p1", "0.2", "--eps", "0.01"), ""),
+          ("mmpr-lower-a", ("--p1", "0.4"), ""),
+          ("mmpr-lower-b", ("--p1", "0.3"), ""),
+          ("len-upper-tight", ("--p1", "0.3"), ""),
+          ("len-lower-tight", ("--p1", "0.4"), LOWER_TIGHT_FOUND))),
     # the campaign's witness row reaches the families it once left to --family
     *(pytest.param(_offset_one_high(witness.FamilyKind(family)), CAMPAIGN, "witness tightness",
+                   LOWER_TIGHT_FOUND if family == "len-lower-tight" else "",
                    id=f"campaign-{family}-offset-one-high")
       for family in ("mmpr-upper-low", "len-upper-tight", "len-lower-tight", "mmpr-lower-b")),
 ])
-def test_verify_fails_each_injected_defect(capsys, monkeypatch, mutant, argv, row):
+def test_verify_fails_each_injected_defect(capsys, monkeypatch, mutant, argv, row, names):
     """Each defect turns a verify row that passes without it to FAIL, exit 1."""
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and out.endswith("result: ok\n")
     mutant(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, ""), err
-    assert f"FAIL {row}: " in out
+    fail = next(line for line in out.splitlines() if line.startswith(f"FAIL {row}: "))
+    assert names in fail
+
+
+def test_len_upper_tight_fail_names_the_oracle_l1(capsys, monkeypatch):
+    """An oracle optimum with l_1 = lam - 1 fails len-upper-tight, and the
+    detail names that l_1, not the claim."""
+    from genhuff.oracle import OracleResult
+
+    oracle = verify.brute_force_optimal
+
+    def with_shorter(p, obj, **kwargs):
+        # lam = 2 at p_1 = 0.3: add a code with l_1 = 1 to the optima
+        res = oracle(p, obj, **kwargs)
+        shorter = LengthVector((1, 2, 3, 3))
+        return OracleResult(res.min_value, (shorter, *res.argmin), res.evaluated_count,
+                            res.scored_count)
+
+    monkeypatch.setattr(verify, "brute_force_optimal", with_shorter)
+    code, out, err = run(capsys, "verify", "--family", "len-upper-tight", "--p1", "0.3")
+    assert (code, err) == (1, "")
+    assert ("FAIL len-upper-tight: optimal l_1 = 1 or 2, not all >= ceil(-lg p_1) = 2\n"
+            in out)
 
 
 class TestBenford:
@@ -858,19 +886,63 @@ class TestBenford:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BENFORD_JSON_SHA256
 
-    @pytest.mark.parametrize("fmt", ["plain", "json"])
-    def test_each_block_takes_h_alpha_once(self, capsys, spy, fmt):
-        # one alpha lg p_i list per q gives H_alpha, the transformed p_1 and
-        # every bound of the block
-        import genhuff.bounds
-        import genhuff.reports
 
-        spy(genhuff.bounds, "_alpha_lgs")
-        spy(genhuff.bounds, "renyi_entropy")
-        assert not hasattr(genhuff.reports, "renyi_entropy")
-        code, _, _ = run(capsys, "benford", "--format", fmt)
-        assert code == 0
-        assert spy.calls == ["_alpha_lgs"] * 2
+class TestBoundsSeam:
+    """code and benford reach the bounds only through the functions of
+    bounds.__all__, the ones a profiler wraps to time the bound work."""
+
+    @staticmethod
+    def private_bounds_reads(source: str) -> list[str]:
+        """The names starting with _ that ``source`` imports from bounds or
+        reads as an attribute of the bounds module."""
+        tree = ast.parse(source)
+        aliases, found = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").rpartition(".")[2] == "bounds":
+                    found += [a.name for a in node.names if a.name.startswith("_")]
+                aliases |= {a.asname or a.name for a in node.names if a.name == "bounds"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append(node.attr)
+        return found
+
+    def test_no_module_but_bounds_reads_a_private_bounds_name(self):
+        import genhuff
+
+        package = os.path.dirname(genhuff.__file__)
+        assert self.private_bounds_reads("from . import bounds as b\nb._x(b.y)") == ["_x"]
+        assert self.private_bounds_reads("from .bounds import _y, z") == ["_y"]
+        modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+        assert "cli.py" in modules and "reports.py" in modules
+        for name in modules:
+            if name != "bounds.py":
+                with open(os.path.join(package, name)) as fh:
+                    assert self.private_bounds_reads(fh.read()) == [], name
+
+    @pytest.mark.parametrize("argv", [
+        ("code", "--objective", "expavg", "--q", "0.9"),
+        ("code", "--objective", "expavg", "--q", "2"),
+        ("code", "--objective", "expavg", "--q", "1.01"),
+        ("benford", "--format", "plain"),
+        ("benford", "--format", "json"),
+    ], ids=" ".join)
+    def test_each_report_calls_a_public_bound(self, capsys, monkeypatch, benford_file, argv):
+        callers = []  # the module of each call to a function of bounds.__all__
+        for name in bounds.__all__:
+            func = getattr(bounds, name)
+            if inspect.isfunction(func):
+                def counted(*args, func=func):
+                    callers.append(sys._getframe(1).f_globals["__name__"])
+                    return func(*args)
+                monkeypatch.setattr(bounds, name, counted)
+        if argv[0] == "code":
+            argv += (benford_file,)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        # a call from outside bounds opens a span that holds all the bound work
+        assert set(callers) - {"genhuff.bounds"}, callers
 
 
 class TestDeterminism:
