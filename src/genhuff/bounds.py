@@ -230,16 +230,10 @@ def exp_avg_unit_bounds(p: Pmf, q: float) -> BoundReport:
     return BoundReport(h, h + 1.0, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
 
 
-def _alpha_lgs(p: Pmf, alpha: float) -> tuple[list[float], float]:
-    """(alpha lg p_i for each i, lg sum_i p_i^alpha): what the alpha-power
-    transform is made of."""
+def _hat_probs(p: Pmf, alpha: float) -> list[float]:
+    """p_i^alpha / sum_k p_k^alpha, nonincreasing; 0.0 where the power underflows."""
     scaled = [alpha * lg(pi) for pi in p]
-    return scaled, lg_sum_exp2(scaled)
-
-
-def _hat_probs(scaled: list[float], lg_norm: float) -> list[float]:
-    """p_i^alpha / sum_k p_k^alpha from ``_alpha_lgs``, nonincreasing; 0.0 where
-    the power underflows."""
+    lg_norm = lg_sum_exp2(scaled)
     vals = [2.0 ** (x - lg_norm) for x in scaled]
     total = math.fsum(vals)
     # stable re-sort only irons out 1-ulp inversions; powers preserve order
@@ -254,7 +248,7 @@ def hat_transform(p: Pmf, q: float) -> Pmf:
     transformed distribution equals the cost on the original minus its
     Renyi entropy.
     """
-    return Pmf(tuple(_hat_probs(*_alpha_lgs(p, alpha_of_q(q)))))
+    return Pmf(tuple(_hat_probs(p, alpha_of_q(q))))
 
 
 def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
@@ -272,7 +266,7 @@ def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
     if not 1 <= j <= p.n:
         raise CodingError(f"j must be in 1..{p.n}, got {j}")
     h = renyi_entropy(p, alpha)
-    p_hat = _hat_probs(*_alpha_lgs(p, alpha))[j - 1]
+    p_hat = _hat_probs(p, alpha)[j - 1]
     if not 0.0 < p_hat < 1.0:
         # p_j^alpha underflowed, or the others' powers vanish next to it
         raise PreconditionUnmet(f"the transformed p_{j} rounds to {p_hat!r}; "

@@ -252,7 +252,6 @@ class CombineRule(_Record):
     ``_family``, not a field.
     """
 
-    _fields = ("kind", "param")
     kind: RuleKind
     param: float | None
 
@@ -385,8 +384,7 @@ class _DataclassProtocol:
     def __get__(self, obj, cls):
         import dataclasses
 
-        twin = dataclasses.make_dataclass(
-            cls.__name__, [(f, cls.__annotations__[f]) for f in cls._fields], frozen=True)
+        twin = dataclasses.make_dataclass(cls.__name__, [*cls.__annotations__.items()], frozen=True)
         cls.__dataclass_fields__ = twin.__dataclass_fields__
         cls.__dataclass_params__ = twin.__dataclass_params__
         return getattr(cls, self.name)
@@ -419,7 +417,6 @@ class CodeResult(_Record):
     first read, and ``copy.replace`` (Python 3.13) calls ``__replace__``.
     """
 
-    _fields = ("lengths", "codewords", "objective_value")
     lengths: LengthVector
     codewords: tuple[str, ...]
     objective_value: float

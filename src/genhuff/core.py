@@ -110,15 +110,16 @@ _set = object.__setattr__
 class _Record:
     """Base of the package's immutable records, every one of them.
 
-    A subclass names its fields in order in ``_fields`` and sets them in its
-    own ``__init__`` with straight-line ``object.__setattr__`` calls, then
-    runs its checks.  The base gives what the frozen dataclass gave: equality
-    within one class by the field tuple (``NotImplemented`` against any other
-    class), the hash of that tuple, the repr ``Name(field=value, ...)``,
-    ``__match_args__``, and an AttributeError on assigning or deleting an
-    attribute.  Attributes kept in ``__dict__`` that are not fields, such as
-    a ``cached_property``, take no part in any of these; copy and pickle
-    restore ``__dict__`` as it is, without calling ``__init__``.
+    A subclass's fields are its own class annotations, in order, which the
+    base reads into ``_fields``; its ``__init__`` sets them with
+    straight-line ``object.__setattr__`` calls, then runs its checks.  The
+    base gives what the frozen dataclass gave: equality within one class by
+    the field tuple (``NotImplemented`` against any other class), the hash
+    of that tuple, the repr ``Name(field=value, ...)``, ``__match_args__``,
+    and an AttributeError on assigning or deleting an attribute.  Other
+    attributes, unannotated, such as a ``cached_property``, take no part in
+    any of these; copy and pickle restore ``__dict__`` as it is, without
+    calling ``__init__``.
 
     These are not dataclasses for start-up's sake.  A frozen ``@dataclass``
     generates and compiles its methods as the class is made, ~0.3-0.6 ms a
@@ -135,7 +136,7 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls._fields
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -242,7 +243,6 @@ def _check_sum(vals: Sequence[float], plain: float) -> None:
 class Pmf(_Record):
     """Probability mass function, strictly positive and sorted nonincreasing."""
 
-    _fields = ("probs",)
     probs: tuple[float, ...]
 
     def __init__(self, probs: tuple[float, ...]):
@@ -342,7 +342,6 @@ class LengthVector(_Record):
     time, which for an engine code is one step per distinct length.
     """
 
-    _fields = ("lengths",)
     lengths: tuple[int, ...]
 
     def __init__(self, lengths: tuple[int, ...]):
@@ -428,7 +427,6 @@ class Objective(_Record):
     above D_MAX and a q that is not finite, which give no finite value.
     """
 
-    _fields = ("kind", "param")
     kind: ObjectiveKind
     param: float | None
 
@@ -542,7 +540,6 @@ class BoundReport(_Record):
     carries a caveat when a bound had to fall back to a weaker form.
     """
 
-    _fields = ("lower", "upper", "lower_kind", "upper_kind", "exact", "note")
     lower: float
     upper: float
     lower_kind: BoundKind

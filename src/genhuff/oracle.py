@@ -279,7 +279,6 @@ class OracleResult(_Record):
     walk reduced to a value.
     """
 
-    _fields = ("min_value", "argmin", "evaluated_count", "scored_count")
     min_value: float
     argmin: tuple[LengthVector, ...]
     evaluated_count: int

@@ -26,6 +26,7 @@ from . import witness as wit
 from .cli import add_common_flags, emit, fmt, refuse
 from .coder import CombineRule, generalized_huffman, unary_code
 from .core import (
+    BOUND_TOL,
     BoundKind,
     CodingError,
     LengthVector,
@@ -129,7 +130,7 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
             res = brute_force_optimal(p, obj, max_n=WITNESS_MAX_N)
             checks.append(("l1-counter oracle", all(lv.lengths[0] >= 2 for lv in res.argmin),
                            f"n={p.n}, every optimum has l_1 >= 2, min={fmt(res.min_value)}"))
-        checks.append(("l1-counter dominance", engine.objective_value < best_l1 - 1e-9,
+        checks.append(("l1-counter dominance", engine.objective_value < best_l1 - BOUND_TOL,
                        f"engine cost {fmt(engine.objective_value)} beats best one-bit-l_1 "
                        f"cost {fmt(best_l1)}, so l_1 >= 2 in every optimum"))
         return checks
@@ -141,7 +142,7 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
         # the oracle scores the two codes as evaluate does, and keeps both
         # where (1, 2, 3, 3) scores within ARGMIN_TOL of (2, 2, 2, 2)
         square, other = (obj.evaluate(p, LengthVector(l)) for l in ((2, 2, 2, 2), (1, 2, 3, 3)))
-        if other <= square + ARGMIN_TOL:
+        if abs(other - square) <= ARGMIN_TOL:
             raise CodingError(f"--family l1-boundary at q={fam.q}: (1, 2, 3, 3) scores "
                               f"{other - square:.3g} above (2, 2, 2, 2), within the oracle's "
                               f"resolution {ARGMIN_TOL:g}, too close for it to check")
@@ -156,7 +157,7 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
         shorter = (lam - 1,) + (lam,) * (p.n - 3) + (lam + 1,) * 2
         forced, other = (Objective.max_pointwise().evaluate(p, LengthVector(l))
                          for l in ((lam,) * p.n, shorter))
-        if other <= forced + ARGMIN_TOL:
+        if abs(other - forced) <= ARGMIN_TOL:
             raise CodingError(f"--family len-upper-tight at p_1={p1}: l_1 = {lam - 1} scores "
                               f"{other - forced:.3g} above l_1 = {lam}, within the oracle's "
                               f"resolution {ARGMIN_TOL:g}, too close for it to check")
@@ -173,7 +174,7 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
     if kind is wit.FamilyKind.LEN_LOWER_TIGHT:
         # the optimum is mmpr-lower-a's, the lower end of the row p_1 lies in
         expected = bnd.mmpr_bounds(p1).lower
-        ok = max(firsts) == lam - 1 and abs(res.min_value - expected) <= 1e-9
+        ok = max(firsts) == lam - 1 and abs(res.min_value - expected) <= BOUND_TOL
         return [("len-lower-tight", ok, f"optimal l_1 = {found}, value {fmt(res.min_value)}")]
 
     # an MMPR endpoint family: the bound's own tag says attained or approached
@@ -188,9 +189,9 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
         gap = math.log2((1.0 - p1) / (1.0 - p1 - p.probs[-1]))
         if kind is wit.FamilyKind.MMPR_UPPER_HIGH:
             gap = min(gap, math.log2(2.0 * (1.0 - p1) / p1))
-        ok = abs(target - res.min_value - gap) <= 1e-9
+        ok = abs(target - res.min_value - gap) <= BOUND_TOL
         return [(kind.value, ok, detail.format("approached") + f", gap {fmt(gap)}")]
-    ok = abs(res.min_value - target) <= 1e-9
+    ok = abs(res.min_value - target) <= BOUND_TOL
     return [(kind.value, ok, detail.format("attained"))]
 
 
@@ -210,7 +211,7 @@ class _EngineOracle:
         engine = generalized_huffman(p, CombineRule.for_objective(obj))
         gap = abs(engine.objective_value - brute_force_optimal(p, obj).min_value)
         self.worst = max(self.worst, gap)
-        if gap > 1e-9:
+        if gap > BOUND_TOL:
             return f"{self}; counterexample {name} pmf=" + _pmf_str(p)
         return None
 
@@ -255,7 +256,7 @@ def _transform_identity(rng, q, p):
     lv = random_complete_lengths(p.n, rng)
     lhs = dth_exp_redundancy(bnd.hat_transform(p, q), lv, math.log2(q))
     rhs = exp_average_cost(p, lv, q) - renyi_entropy(p, alpha_of_q(q))
-    return f"q={q} pmf=" + _pmf_str(p) if abs(lhs - rhs) > 1e-9 else None
+    return f"q={q} pmf=" + _pmf_str(p) if abs(lhs - rhs) > BOUND_TOL else None
 
 
 def _unary_regime(rng, _, p):

@@ -48,7 +48,6 @@ class FamilyKind(Enum):
 class WitnessFamily(_Record):
     """A family selector plus the construction parameters it uses."""
 
-    _fields = ("kind", "p1", "eps", "q")
     kind: FamilyKind
     p1: float | None
     eps: float | None

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import io
 import hashlib
 import inspect
@@ -11,13 +12,16 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genhuff import bounds, verify, witness
 from genhuff.cli import EXIT_BROKEN_PIPE, build_parser, main
 from genhuff.coder import CodeResult, canonical_codewords
-from genhuff.core import BoundKind, BoundReport, LengthVector
+from genhuff.core import BoundKind, BoundReport, LengthVector, Pmf
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -802,6 +806,13 @@ def _offset_one_high(kind):
     return apply
 
 
+def _witness_is(*probs):
+    """witness.generate builds ``probs`` whatever the family: a rival code wins outright."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(witness, "generate", lambda fam: Pmf(probs))
+    return apply
+
+
 CAMPAIGN = ("verify", "--n", "6", "--trials", "8")
 
 
@@ -830,6 +841,14 @@ LOWER_TIGHT_FOUND = "optimal l_1 = 1 or 2"
                    LOWER_TIGHT_FOUND if family == "len-lower-tight" else "",
                    id=f"campaign-{family}-offset-one-high")
       for family in ("mmpr-upper-low", "len-upper-tight", "len-lower-tight", "mmpr-lower-b")),
+    # l_1 = 1 scores 0.17 below l_1 = 2, and (1, 2, 3, 3) 0.53 below (2, 2, 2, 2):
+    # a clear FAIL, not a tie too close to check
+    pytest.param(_witness_is(0.45, 0.2, 0.2, 0.15),
+                 ("verify", "--family", "len-upper-tight", "--p1", "0.3"), "len-upper-tight",
+                 "optimal l_1 = 1", id="len-upper-tight-rival-wins"),
+    pytest.param(_witness_is(0.7, 0.1, 0.1, 0.1),
+                 ("verify", "--family", "l1-boundary", "--q", "0.9"), "l1-boundary",
+                 "unique optimum ((1, 2, 3, 3),)", id="l1-boundary-rival-wins"),
 ])
 def test_verify_fails_each_injected_defect(capsys, monkeypatch, mutant, argv, row, names):
     """Each defect turns a verify row that passes without it to FAIL, exit 1."""
@@ -1061,8 +1080,16 @@ class TestUsage:
         (("verify", "--family", "l1-boundary", "--q", "0.9", "--ep", "-1e-12"), None,
          "needs eps", False),
         (("sweep", "--figure", "mmpr", "--st", "-1e-3"), None, "step must", False),
+        # each sum lies within PMF_SUM_TOL of 1, and its lg over d = 1e-320 overflows
+        *((("code", "--objective", "dexp", "--d", "1e-320", "--format", form, "{file}"), content,
+           f"the dexp value is inf, not finite, on a pmf with fsum(p) = {total}", False)
+          for content, total in ((b"0.6\n0.4000000009\n", "1.0000000009"),
+                                 (b"1.0\n1.868138638305791e-10\n1.5815183204789235e-10\n",
+                                  "1.0000000003449656"))
+          for form in ("plain", "json")),
     ], ids=["json-bool", "json-huge-int", "not-utf8", "code-out", "verify-out", "d", "q", "p",
-            "p1", "eps", "step", "eps-prefix", "step-prefix"])
+            "p1", "eps", "step", "eps-prefix", "step-prefix", "inf-plain", "inf-json",
+            "inf-p1-one-plain", "inf-p1-one-json"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, content, message,
                                          child):
         # a child interpreter too where an escaping exception would show as
@@ -1125,6 +1152,76 @@ class TestUsage:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == EXIT_BROKEN_PIPE
+
+
+SPECIAL_ENTRIES = (1e-300, 0.0, -0.0, math.inf, -math.inf, math.nan)
+EDGE_D = (1e-12, -1e-12, 1e-300, 1e-320, -1.0 + 1e-9, 1023.9999999999999, 1024.0, 1e300, 0.0,
+          math.nan, math.inf)
+EDGE_Q = (1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52, 1.0 + 1e-12, 1.0 - 1e-12, 0.5,
+          0.5000000000000001, 1e-300, 1.7e308, 0.0, 1.0, math.nan, math.inf)
+
+
+@st.composite
+def code_argvs(draw):
+    """(argv after the input '-', the input's lines): n in 1..60 normal floats,
+    up to three of them replaced by a subnormal or a special entry, divided by
+    their sum or not, then p_1 moved by up to 9e-10 (within PMF_SUM_TOL)."""
+    n = draw(st.integers(1, 60))
+    probs = draw(st.lists(st.floats(sys.float_info.min, 1.0), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        probs[draw(st.integers(0, n - 1))] = draw(st.one_of(
+            st.floats(5e-324, sys.float_info.min, exclude_max=True),
+            st.sampled_from(SPECIAL_ENTRIES)))
+    total = math.fsum(x for x in probs if math.isfinite(x))
+    if total > 0.0 and draw(st.booleans()):
+        probs = [x / total for x in probs]
+    probs[0] += draw(st.floats(-9e-10, 9e-10))
+    objective = draw(st.sampled_from(("avg", "mmpr", "dexp", "expavg")))
+    argv = ["--objective", objective]
+    if objective == "dexp":
+        argv += ["--d", repr(draw(st.sampled_from(EDGE_D)))]
+    elif objective == "expavg":
+        argv += ["--q", repr(draw(st.sampled_from(EDGE_Q)))]
+    if draw(st.booleans()):
+        argv.append("--normalize")
+    return argv, "".join(f"{x!r}\n" for x in probs)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-RFC JSON token {name}")
+
+
+class TestArgvBattery:
+    """``cli.main`` on ``code`` argv at the edges: exit 0 with a finite, valid
+    code, or exit 2 with one error line and nothing on stdout."""
+
+    @given(code_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_code_answers_a_finite_valid_code_or_refuses(self, case):
+        argv, text = case
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["code", "-", "--format", "json", *argv])
+        finally:
+            sys.stdin = stdin
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=_no_constant)
+        n, lengths, words = text.count("\n"), doc["lengths"], doc["codewords"]
+        assert doc["n"] == len(lengths) == len(words) == n
+        assert sum(Fraction(1, 2 ** l) for l in lengths) == 1
+        assert [len(w) for w in words] == lengths and all(set(w) <= {"0", "1"} for w in words)
+        ordered = sorted(words)
+        assert not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
+        ends = (doc["value_bits"], doc["entropy_bits"], doc["bounds"]["lower"],
+                doc["bounds"]["upper"])
+        assert all(map(math.isfinite, ends)), ends
 
 
 class TestStartup:

@@ -829,6 +829,26 @@ class TestRecords:
 
 
 class TestRecordBase:
+    def test_fields_are_the_class_annotations(self):
+        # in order, the subclass's own; an unannotated attribute is no field
+        class Pair(genhuff.core._Record):
+            left: int
+            right: str
+            kind = "pair"
+
+            def __init__(self, left, right):
+                object.__setattr__(self, "left", left)
+                object.__setattr__(self, "right", right)
+
+        rec = Pair(1, "a")
+        assert Pair._fields == Pair.__match_args__ == ("left", "right")
+        assert repr(rec).endswith("Pair(left=1, right='a')") and rec == Pair(1, "a")
+        match rec:
+            case Pair(1, right):
+                assert right == "a"
+            case _:
+                pytest.fail("positional pattern did not bind the fields")
+
     def test_objective_and_combine_rule_with_equal_fields_differ(self):
         obj = Objective.dth_exp(0.5)
         rule = object.__new__(genhuff.CombineRule)
