@@ -2,7 +2,7 @@
 
 Construction via generalized Huffman merge rules, closed-form redundancy
 and cost bounds, generators for the extremal distributions that make the
-bounds tight, and an exhaustive small-alphabet oracle to verify all of it.
+bounds tight, and an exact small-alphabet oracle to verify all of it.
 
 The package exports its five submodules and each one's ``__all__``, which
 is the only list of that module's public names.  ``core`` and ``coder``

@@ -488,21 +488,6 @@ class Objective(_Record):
         ags = lgps if a == 1.0 else map(operator.mul, repeat(a), lgps)
         return list(map(operator.add, ags, _spread(map(operator.mul, repeat(s), ks), cs)))
 
-    def term_rows(self, probs: Sequence[float], lgps: Sequence[float]) -> list[list[float]]:
-        """rows[l][i] = symbol i's term at length l, l = 0..n-1: the twin of ``terms``
-        over every length at once, each row a list comprehension of the same
-        operations in the same order, so the same floats; a lg p_i is taken once
-        per symbol, and s l once per row."""
-        ls = [float(l) for l in range(len(lgps))]
-        if self.kind is ObjectiveKind.AVG_REDUNDANCY:
-            pairs = list(zip(probs, lgps))
-            return [[p * (l + g) for p, g in pairs] for l in ls]
-        if self.kind is ObjectiveKind.MAX_POINTWISE:
-            return [[l + g for g in lgps] for l in ls]
-        a, s, _ = self._family
-        ags = lgps if a == 1.0 else [a * g for g in lgps]
-        return [[ag + sl for ag in ags] for sl in [s * l for l in ls]]
-
     def reducer(self) -> Callable[[list[float]], float]:
         """The map from the list of ``terms`` to the objective's value."""
         if self.kind is ObjectiveKind.AVG_REDUNDANCY:

@@ -1,6 +1,6 @@
 """The ``genhuff verify`` subcommand: the oracle-backed campaign and the witness checks.
 
-Only ``verify`` needs the exhaustive oracle and the witness generators.
+Only ``verify`` needs the exact oracle and the witness generators.
 This module holds everything that uses them, its flags included, and
 ``cli`` imports it only when ``verify`` runs, so the other subcommands
 start without loading either.  The flags read the family names from

@@ -571,8 +571,7 @@ class TestVerify:
 
         def off(p, obj, **kwargs):
             res = oracle(p, obj, **kwargs)
-            return OracleResult(res.min_value + 1e-8, res.argmin, res.evaluated_count,
-                                res.scored_count)
+            return OracleResult(res.min_value + 1e-8, res.argmin, res.evaluated_count)
 
         monkeypatch.setattr(genhuff.verify, "brute_force_optimal", off)
         code, out, _ = run(capsys, "verify", "--family", family, *params)
@@ -872,8 +871,7 @@ def test_len_upper_tight_fail_names_the_oracle_l1(capsys, monkeypatch):
         # lam = 2 at p_1 = 0.3: add a code with l_1 = 1 to the optima
         res = oracle(p, obj, **kwargs)
         shorter = LengthVector((1, 2, 3, 3))
-        return OracleResult(res.min_value, (shorter, *res.argmin), res.evaluated_count,
-                            res.scored_count)
+        return OracleResult(res.min_value, (shorter, *res.argmin), res.evaluated_count)
 
     monkeypatch.setattr(verify, "brute_force_optimal", with_shorter)
     code, out, err = run(capsys, "verify", "--family", "len-upper-tight", "--p1", "0.3")

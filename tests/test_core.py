@@ -760,9 +760,9 @@ RECORDS = [
     ("CodeResult", "coder", lambda: (LengthVector((1, 2, 2)), ("0", "10", "11"), 0.5), None,
      "CodeResult(lengths=LengthVector(lengths=(1, 2, 2)), codewords=('0', '10', '11'), "
      "objective_value=0.5)"),
-    ("OracleResult", "oracle", lambda: (1.5, (LengthVector((1, 1)),), 2, 1), None,
+    ("OracleResult", "oracle", lambda: (1.5, (LengthVector((1, 1)),), 2), None,
      "OracleResult(min_value=1.5, argmin=(LengthVector(lengths=(1, 1)),), "
-     "evaluated_count=2, scored_count=1)"),
+     "evaluated_count=2)"),
     ("WitnessFamily", "witness",
      lambda: (genhuff.FamilyKind.MMPR_UPPER_HIGH, 0.55, 0.05, None),
      lambda: (genhuff.FamilyKind.L1_BOUNDARY_Q_LE_1,),

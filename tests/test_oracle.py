@@ -1,11 +1,9 @@
 """Enumeration correctness and the oracle's own soundness arguments."""
 
 import functools
-import gc
 import itertools
 import math
 import random
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,25 +12,18 @@ import pytest
 from genhuff import (
     AlphabetTooLarge,
     CodingError,
+    CombineRule,
     LengthVector,
     Objective,
     benford,
     brute_force_optimal,
+    generalized_huffman,
     kraft_length_tuples,
     random_complete_lengths,
     validate_pmf,
 )
-from genhuff import oracle
-from genhuff.oracle import (
-    _allowance,
-    _completions,
-    _margin,
-    _power_reducer,
-    _powers,
-    _relaxation,
-    _relaxed_entry,
-    _walk,
-)
+from genhuff.oracle import (ARGMIN_TOL, _completions, _errors, _lg_add, _lg_expm1, _line,
+                            _recurrence, _table, _walk)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 
 # number of full binary tree shapes with n leaves, n = 1..16
@@ -70,6 +61,14 @@ def random_pmf(rng, n):
         raw = rng.dirichlet(np.ones(n))
         if raw.min() > 1e-9:
             return validate_pmf([float(x) for x in raw])
+
+
+def tie_heavy_pmf(rng, n):
+    """A few distinct masses in small integer ratios, so that many vectors tie
+    or nearly tie, and many subtrees hold masses proportional to powers of two."""
+    weights = rng.choice([1, 2, 3, 4, 6, 8], size=n)
+    total = int(weights.sum())
+    return validate_pmf([int(w) / total for w in weights])
 
 
 def direct_value(obj, probs, lengths):
@@ -131,6 +130,20 @@ class TestEnumeration:
             profiles = [[l.count(d) for d in range(n)] for l in listed]
             assert all(a < b for a, b in zip(profiles, profiles[1:]))
 
+    def test_completions_from_the_root_count_the_space(self):
+        for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
+            assert _completions(1, n) == expected
+        for n in (17, 18):
+            assert _completions(1, n) == sum(1 for _ in kraft_length_tuples(n))
+
+    def test_walk_with_no_line_lists_the_space_in_level_profile_order(self):
+        # the minimizer's walk and the unranking share only the child lists
+        for n in range(1, 13):
+            x, s, add = _recurrence(Objective.avg(), [-math.log2(n)] * n)
+            tail, least = _table(x, s, add)
+            walked = [lv.lengths for _, lv in _walk(n, s, add, tail, least, math.inf)]
+            assert walked == list(kraft_length_tuples(n))
+
     def test_random_draw_is_the_listed_vector_at_one_randrange(self):
         # one randrange over the space per draw, so a seeded caller such as
         # verify sees the same stream of vectors and the same later draws
@@ -173,26 +186,6 @@ class TestBruteForce:
             brute_force_optimal(p, Objective.avg())
         brute_force_optimal(p, Objective.avg(), max_n=17)
 
-    def test_term_rows_equal_the_per_length_calls(self):
-        # row l is the `terms` call at length l, bit for bit: compared as hex,
-        # so that a -0.0 against a 0.0 fails too; n = 1..16, with pmfs that
-        # hold entries of 1e-300 and 5e-324
-        rng = np.random.default_rng(17)
-        pmfs = [validate_pmf([0.5, 0.5]), benford()]
-        for n in range(1, 17):
-            pmfs.append(random_pmf(rng, n))
-            for tail in ([1e-300], [5e-324], [1e-300] * 2):
-                if len(tail) < n:
-                    head = [float(x) for x in rng.dirichlet(np.ones(n - len(tail)))]
-                    pmfs.append(validate_pmf(head + tail))
-        for p in pmfs:
-            lgp = [math.log2(x) for x in p.probs]
-            for obj in OBJECTIVES + EXTREME_OBJECTIVES:
-                rows = obj.term_rows(p.probs, lgp)
-                assert [[x.hex() for x in row] for row in rows] \
-                    == [[x.hex() for x in obj.terms(p.probs, lgp, ((l,), (p.n,)))]
-                        for l in range(p.n)], (obj, p.probs)
-
     def test_exponential_terms_equal_the_two_textbook_forms(self):
         # the one exponential path gives, by hex, lg p + l lg q under exp average
         # and (1+d) lg p + d l under d-th: a = 1 takes no product there, and
@@ -213,8 +206,6 @@ class TestBruteForce:
             for p in pmfs:
                 lgp = [math.log2(x) for x in p.probs]
                 expected = [[form(g, l).hex() for g in lgp] for l in range(p.n)]
-                assert [[x.hex() for x in row] for row in obj.term_rows(p.probs, lgp)] \
-                    == expected, (obj, p.probs)
                 assert [[x.hex() for x in obj.terms(p.probs, lgp, ((l,), (p.n,)))]
                         for l in range(p.n)] == expected, (obj, p.probs)
                 checked += 1
@@ -240,7 +231,7 @@ def length_vectors(n):
 
 
 def reference_optimum(p, obj):
-    """The oracle as it was, with no cut: an Objective.evaluate per LengthVector."""
+    """The plain scan: one Objective.evaluate per LengthVector."""
     scored = [(obj.evaluate(p, lv), lv.lengths) for lv in length_vectors(p.n)]
     best = min(v for v, _ in scored)
     return best, tuple(sorted(l for v, l in scored if v <= best + 1e-12)), len(scored)
@@ -254,16 +245,80 @@ def assert_matches_reference(p, obj, **kwargs):
 
 
 class TestAgainstReference:
-    """The walk with its term table against one evaluate call per vector: equal floats."""
+    """The oracle against one evaluate call per vector: equal floats, equal sets."""
 
     @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
                              ids=lambda o: f"{o.kind.value}-{o.param}")
     def test_bit_identical(self, obj):
         rng = np.random.default_rng(45)
         for n in range(1, 14):
-            p = random_pmf(rng, n)
-            res = assert_matches_reference(p, obj)
-            assert 1 <= res.scored_count <= res.evaluated_count
+            assert_matches_reference(random_pmf(rng, n), obj)
+
+    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
+                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical_up_to_the_caps(self, obj):
+        for p in cap_pmfs():
+            assert_matches_reference(p, obj, max_n=p.n)
+        assert_matches_reference(random_pmf(np.random.default_rng(47), 16), obj)
+
+    @pytest.mark.parametrize("obj,probs", [
+        (Objective.dth_exp(1e-15), [0.24753859555963928] * 4 + [0.0019691235522885696] * 5),
+        (Objective.exp_average(1 + 1e-15), [0.1189577250680548] * 7
+         + [0.055381813620579846] * 3 + [0.0011504836618769366]),
+    ], ids=["dexp-1e-15", "expavg-1+1e-15"])
+    def test_bit_identical_where_rounding_outweighs_the_tolerance(self, obj, probs):
+        # near-unit scales, so evaluate's rounding error is far above
+        # ARGMIN_TOL; tied p_i, so terms tie too and the max term can move
+        assert_matches_reference(validate_pmf(probs), obj)
+
+    def test_bit_identical_at_or_below_half(self):
+        # q <= 1/2, where optimal codes are unary or near it
+        rng = np.random.default_rng(51)
+        for q in (0.05, 0.3, 0.5):
+            obj = Objective.exp_average(q)
+            for n in (8, 12):
+                assert_matches_reference(random_pmf(rng, n), obj)
+
+    @pytest.mark.parametrize("obj", [
+        *(Objective.exp_average(q) for q in (0.6, 0.5 + 1e-7, 0.4)),
+        *(Objective.dth_exp(d) for d in (-0.9, -1 + 1e-9, 1e-12)),
+    ], ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical_near_the_parameter_edges(self, obj):
+        # near q = 1/2 optimal codes are near unary; near d = -1 and d = 0 the
+        # scale s is near 0 or the weights p^(1+d) near flat
+        rng = np.random.default_rng(53)
+        for n in (14, 15, 16):
+            assert_matches_reference(random_pmf(rng, n), obj)
+
+    @pytest.mark.parametrize("obj", [
+        Objective.exp_average(1.7e308), Objective.exp_average(1e-300),
+        Objective.dth_exp(1e300), Objective.dth_exp(1e-300), Objective.dth_exp(5e-324),
+        Objective.dth_exp(-1 + 2.0 ** -52),
+    ], ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical_at_the_ends_of_the_float_range(self, obj):
+        # q^l and p^(1+d) over- or underflow here, which the table's lg domain
+        # never forms; at d = 5e-324 evaluate's error bound is inf, so the line
+        # holds every vector
+        rng = np.random.default_rng(57)
+        for n in range(1, 13):
+            for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
+                assert_matches_reference(p, obj)
+
+    def test_every_mmpr_minimizer_at_p1_six_tenths(self):
+        # with p_1 = 0.6 the MMPR optimum is 1 + lg p_1, set by l_1 = 1 alone:
+        # every code of the tail whose own terms stay at or under it ties
+        # exactly, and the set holds each of them
+        obj = Objective.max_pointwise()
+        rng = np.random.default_rng(48)
+        sizes = []
+        for n in (8, 12, 16):
+            tail = [float(x) for x in rng.dirichlet(np.ones(n - 1))]
+            for p in (validate_pmf([0.6] + [0.4 * x for x in tail]),
+                      validate_pmf([0.6] + [0.4 / (n - 1)] * (n - 1))):
+                res = assert_matches_reference(p, obj)
+                assert res.min_value == 1 + math.log2(0.6)
+                sizes.append(len(res.argmin))
+        assert sizes == [2, 1, 1, 2, 1, 1]
 
 
 def cap_pmfs():
@@ -273,8 +328,7 @@ def cap_pmfs():
     pmfs = [random_pmf(rng, n) for n in (14, 15, 16)]
     pmfs.append(validate_pmf([1.0 / 16] * 16))
     pmfs.append(validate_pmf([0.25] * 2 + [0.125] * 2 + [1 / 32] * 4 + [1 / 64] * 8))
-    # near-unary, where the relaxation cuts least, and p_1 = 0.6 over a
-    # uniform tail, where it cuts MMPR least of the other pmfs here
+    # near-unary, and p_1 = 0.6 over a uniform tail, where many MMPR codes tie
     pmfs.append(validate_pmf([2.0 ** -i for i in range(1, 16)] + [2.0 ** -15]))
     pmfs.append(validate_pmf([0.6] + [0.4 / 15] * 15))
     witness = generate(WitnessFamily(FamilyKind.MMPR_UPPER_LOW, p1=0.0625))
@@ -282,347 +336,111 @@ def cap_pmfs():
     return pmfs + [witness]
 
 
-def fires_pmf():
-    return random_pmf(np.random.default_rng(47), 16)
+def exact_scores(obj, p, x, s):
+    """The map from lengths to their (lg D, value) in exact arithmetic on the
+    floats the oracle and evaluate start from: x_i = a lg p_i and s, and p_i
+    itself under avg.  Under MMPR lg D is the max-plus score max (l_i - 1 + x_i)."""
+    xs = [mpmath.mpf(v) for v in x]
+    n = len(xs)
+    if obj.kind.value == "mmpr":
+        return lambda ls: (max(l - 1 + v for l, v in zip(ls, xs)),
+                           max(l + v for l, v in zip(ls, xs)))
+    if obj.kind.value == "avg":
+        ps = [mpmath.mpf(v) for v in p.probs]
+        return lambda ls: (mpmath.log(mpmath.fsum(w * l for w, l in zip(ps, ls)), 2),
+                           mpmath.fsum(w * (l + v) for w, l, v in zip(ps, ls, xs)))
+    s = mpmath.mpf(s)
+    ws = [mpmath.power(2, v) for v in xs]
+    # q^l for each length a vector of n symbols can take
+    qs = [mpmath.power(2, s * l) for l in range(n)]
+    return lambda ls: (
+        mpmath.log(mpmath.fsum(w * (qs[l] - 1) for w, l in zip(ws, ls)) / (qs[1] - 1), 2),
+        mpmath.log(mpmath.fsum(w * qs[l] for w, l in zip(ws, ls)), 2) / s)
 
 
-# scored_count on cap_pmfs() and then fires_pmf(), per objective
-PINNED_SCORED_COUNTS = dict(zip(OBJECTIVES + EXTREME_OBJECTIVES, [
-    (18, 49, 20, 4, 63, 1358, 16, 3, 40),
-    (37, 87, 32, 4, 158, 1568, 166, 39, 61),
-    (18, 49, 20, 4, 63, 1327, 16, 7, 40),
-    (18, 46, 20, 4, 63, 1550, 16, 3, 40),
-    (22, 46, 20, 4, 63, 1553, 16, 3, 40),
-    (206, 894, 474, 4, 333, 1639, 12, 11, 1058),
-    (8, 22, 8, 4, 28, 188, 12, 3, 12),
-    (4, 4, 4, 4, 4, 4, 4, 31, 4),
-    (4, 4, 4, 4, 4, 4, 4, 27, 4),
-    (437, 914, 1554, 4, 557, 1639, 12, 2938, 1536),
-    (40, 118, 52, 4, 102, 1580, 24, 15, 120),
-    (40, 118, 52, 4, 102, 1580, 24, 15, 120),
-    (37, 87, 32, 4, 142, 1553, 166, 39, 61),
-    (37, 87, 32, 4, 142, 1553, 166, 39, 61),
-    (15, 49, 20, 4, 63, 1286, 12, 11, 40),
-    (58, 149, 68, 4, 153, 1580, 34, 19, 161),
-    (58, 149, 68, 4, 153, 1580, 34, 19, 161),
-]))
-
-
-class TestWalk:
-    """The step table the walk runs from: its order, and what it keeps."""
-
-    def test_scores_the_space_in_level_profile_order(self, monkeypatch):
-        # kraft_length_tuples unranks each vector and reads no step table
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_steps", None)
-            listed = {n: list(kraft_length_tuples(n)) for n in range(1, 17)}
-        for n, expected in listed.items():
-            # each term is its length, every value ties, so every vector is
-            # scored and kept, and its lengths read back from the table
-            rows = [[float(l)] * n for l in range(n)]
-            seen = []
-
-            def record(values):
-                seen.append(tuple(values))
-                return 0.0
-
-            best, kept, scored = _walk(rows, record, None, 0.0)
-            assert best == 0.0
-            assert seen == [tuple(map(float, l)) for l in expected]
-            assert scored == _completions(1, n) == len(expected)
-            assert kept == [(0.0, l) for l in expected]
-
-    def test_equal_steps_are_one_object(self):
-        # the footprint: the tables up to n = 16, built afresh, share each
-        # step they hold alike and take ~124 KB
-        _completions(1, 16)
-        oracle._steps.cache_clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            tables = [oracle._steps(n) for n in range(1, 17)]
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(tables[-1]) == 3712
-        distinct = {id(step) for table in tables for step in table}
-        assert len(distinct) == len({step for table in tables for step in table}) == 532
-        assert retained < 200_000
-
-
-class TestCut:
-    """The branch-and-bound cut: what it counts, where it holds, that it fires."""
-
-    def test_completions_from_the_root_count_the_space(self):
-        for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
-            assert _completions(1, n) == expected
-        for n in (17, 18):
-            assert _completions(1, n) == sum(1 for _ in kraft_length_tuples(n))
+class TestLevelDP:
+    """The table, the walk and the line they take, against exact arithmetic."""
 
     @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
                              ids=lambda o: f"{o.kind.value}-{o.param}")
-    def test_bit_identical_up_to_the_caps(self, obj):
-        scored = [assert_matches_reference(p, obj, max_n=p.n).scored_count for p in cap_pmfs()]
-        # the cut is pinned: how the walk runs must not move what it scores
-        scored.append(brute_force_optimal(fires_pmf(), obj).scored_count)
-        assert tuple(scored) == PINNED_SCORED_COUNTS[obj]
-
-    @pytest.mark.parametrize("obj,probs", [
-        (Objective.dth_exp(1e-15), [0.24753859555963928] * 4 + [0.0019691235522885696] * 5),
-        (Objective.exp_average(1 + 1e-15), [0.1189577250680548] * 7
-         + [0.055381813620579846] * 3 + [0.0011504836618769366]),
-    ], ids=["dexp-1e-15", "expavg-1+1e-15"])
-    def test_bit_identical_where_rounding_outweighs_the_tolerance(self, obj, probs):
-        # near-unit scales, so the reducer's rounding error is far above
-        # ARGMIN_TOL; tied p_i, so terms tie too and the max term can move:
-        # without its margin the cut drops minimizers here
-        assert_matches_reference(validate_pmf(probs), obj)
-
-    def test_cut_fires_on_the_benchmark_objectives(self):
-        # 12-61 of the 1639 vectors are scored here
-        p = fires_pmf()
-        for obj in BENCH_OBJECTIVES:
-            res = brute_force_optimal(p, obj)
-            assert res.evaluated_count == TREE_SHAPE_COUNTS[-1]
-            assert res.scored_count < res.evaluated_count / 20, obj
-
-    def test_no_relaxation_at_or_below_half(self):
-        # q <= 1/2 has no relaxed term, so the walk takes no bound: it scores
-        # every vector, and gives the result scoring them one by one does
-        rng = np.random.default_rng(51)
-        for q in (0.05, 0.3, 0.5):
-            obj = Objective.exp_average(q)
-            for n in (8, 12):
-                p = random_pmf(rng, n)
-                assert _relaxation(obj, p.probs, list(map(math.log2, p.probs))) is None
-                res = assert_matches_reference(p, obj)
-                assert res.scored_count == res.evaluated_count
-
-    def test_heads_in_one_power_pass_except_near_half(self, monkeypatch):
-        # the per-suffix log-sums run only where a shifted power
-        # 2^(root_j - root_0) is not a normal float: the roots lg p_j / (1+s)
-        # span millions of bits at q = 0.5 + 1e-7, a few dozen at 0.9 and 2
-        calls = []
-        real = oracle.lg_sum_exp2
-        monkeypatch.setattr(oracle, "lg_sum_exp2", lambda xs: calls.append(len(xs)) or real(xs))
-        rng = np.random.default_rng(55)
-        pmfs = [random_pmf(rng, n) for n in range(2, 17)]
-        for q, per_suffix in ((0.9, False), (2.0, False), (0.5 + 1e-7, True)):
-            obj = Objective.exp_average(q)
-            for p in pmfs:
-                calls.clear()
-                _relaxation(obj, p.probs, list(map(math.log2, p.probs)))
-                assert calls == (list(range(p.n, 0, -1)) if per_suffix else []), (q, p.probs)
-
-    @pytest.mark.parametrize("q", [0.5 + 1e-7, 0.51, 0.6, 0.9, 1 - 1e-12, 1 + 1e-12,
-                                   1.5, 2.0, 10.0, 1e10, 1e200])
-    def test_exp_average_heads_within_the_allowance(self, q):
-        self.assert_heads_within_the_allowance(Objective.exp_average(q))
-
-    @pytest.mark.parametrize("d", [-1 + 1e-9, -0.5, 1e-12, 0.5, 2.0, 1e4, 1e6])
-    def test_dth_heads_within_the_allowance(self, d):
-        # the d-th heads take the exp-average formula, with roots lg p_j
-        self.assert_heads_within_the_allowance(Objective.dth_exp(d))
-
-    def assert_heads_within_the_allowance(self, obj):
-        # each head, its move taken back, is within the allowance of
-        # (1+s) lg sum_{j >= lo} p_j^(a/(1+s)) at 200 bits, with (a, s) = (1, fl(lg q))
-        # under exp average and (1 + d, d) under d-th, so the moved head lies on
-        # the side that lowers the value
-        rng = np.random.default_rng(56)
-        with mpmath.workprec(200):
-            if obj.kind.value == "expavg":
-                s, a = mpmath.mpf(math.log2(obj.param)), mpmath.mpf(1)
-            else:
-                s = mpmath.mpf(obj.param)
-                a = 1 + s
-            for n in range(1, 17):
-                for p in (random_pmf(rng, n), self.tie_heavy_pmf(rng, n)):
-                    lgp = list(map(math.log2, p.probs))
-                    heads, _ = _relaxation(obj, p.probs, lgp)
-                    allowance = _allowance(obj, lgp)
-                    powers = [mpmath.mpf(x) ** (a / (1 + s)) for x in p.probs]
-                    for lo in range(n):
-                        exact = (1 + s) * mpmath.log(mpmath.fsum(powers[lo:]), 2)
-                        moved = mpmath.mpf(heads[lo])
-                        assert abs(moved + math.copysign(allowance, s) - exact) <= allowance, \
-                            (n, p.probs, lo)
-                        assert (moved < exact) if s > 0 else (moved > exact)
-
-    @staticmethod
-    def tie_heavy_pmf(rng, n):
-        # a few distinct masses in small integer ratios, so many subtrees
-        # hold masses proportional to powers of two and their relaxation
-        # is tight: the rounding of the relaxed term decides
-        weights = rng.choice([1, 2, 3, 4, 6, 8], size=n)
-        total = int(weights.sum())
-        return validate_pmf([int(w) / total for w in weights])
-
-    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
-                             ids=lambda o: f"{o.kind.value}-{o.param}")
-    def test_relaxation_bounds_every_subtree(self, obj):
-        # each subtree the walk can bound (placed lengths <= D, the rest
-        # from `nodes` open nodes at D + 1, nodes < left): the relaxed bound,
-        # with its allowance, is at most the least value below it, plus the
-        # margin that the cut adds for the exponential objectives
-        reduce = obj.reducer()
-        rng = np.random.default_rng(50)
-        checked = 0
-        for n in range(2, 13):
-            for p in (random_pmf(rng, n), self.tie_heavy_pmf(rng, n)):
-                lgp = list(map(math.log2, p.probs))
-                rows = [obj.terms(p.probs, lgp, ((l,), (n,))) for l in range(n)]
-                heads, slopes = _relaxation(obj, p.probs, lgp)
-                margin = _margin(obj, rows)
-                least = {}
-                for lengths in kraft_length_tuples(n):
-                    v = reduce([rows[l][i] for i, l in enumerate(lengths)])
-                    for depth in range(lengths[-1] - 1):
-                        first = sum(l <= depth for l in lengths)
-                        nodes = 2 ** (depth + 1) - sum(
-                            2 ** (depth + 1 - l) for l in lengths[:first])
-                        if nodes < n - first:
-                            key = lengths[:first], depth, nodes
-                            least[key] = min(least.get(key, math.inf), v)
-                for (placed, depth, nodes), v in least.items():
-                    first = len(placed)
-                    tail = heads[first] - slopes[first] * (math.log2(nodes) - (depth + 1))
-                    bound = reduce([rows[l][i] for i, l in enumerate(placed)] + [tail])
-                    assert bound <= v + margin, (n, p.probs, placed, depth, bound, v)
-                    checked += 1
-        assert checked > 900
-
-    def test_a_bound_equal_to_the_limit_is_not_cut(self, monkeypatch):
-        # with p_1 = 0.6 the MMPR optimum is 1 + lg p_1, and so is the bound of
-        # every subtree below l_1 = 1 whose relaxed term stays under it: with no
-        # tolerance the limit is the best value once a minimizer is scored,
-        # and meets bounds equal to it (the uniform tail at n = 12 has a
-        # second minimizer in such a subtree)
-        # the walk reads ARGMIN_TOL when called: of the two vectors at n = 4,
-        # (1, 2, 3, 3) scores 5e-13 above (2, 2, 2, 2), inside the default
-        # tolerance and outside a zero one
-        table = [[0.0] * 4 for _ in range(3)] + [[0.0, 0.0, 0.0, 5e-13]]
-        assert len(_walk(table, math.fsum, None, 0.0)[1]) == 2
-        monkeypatch.setattr(oracle, "ARGMIN_TOL", 0.0)
-        assert _walk(table, math.fsum, None, 0.0)[1] == [(0.0, (2, 2, 2, 2))]
-        obj = Objective.max_pointwise()
-        rng = np.random.default_rng(48)
-        pmfs = []
-        for n in (8, 12, 16):
-            tail = [float(x) for x in rng.dirichlet(np.ones(n - 1))]
-            pmfs += [validate_pmf([0.6] + [0.4 * x for x in tail]),
-                     validate_pmf([0.6] + [0.4 / (n - 1)] * (n - 1))]
-        for p in pmfs:
-            n = p.n
-            lgp = list(map(math.log2, p.probs))
-            rows = [obj.terms(p.probs, lgp, ((l,), (n,))) for l in range(n)]
-            best, _, count = reference_optimum(p, obj)
-            assert best == 1 + math.log2(0.6)
-            relax = _relaxed_entry(_relaxation(obj, p.probs, lgp), None)
-            found, candidates, scored = _walk(rows, obj.reducer(), relax, 0.0)
-            assert found == best
-            assert scored < count
-            assert {lv.lengths for lv in length_vectors(n) if obj.evaluate(p, lv) == best} \
-                <= {l for _, l in candidates}
-
-
-class TestPowerTable:
-    """The exponential objectives scored from powers of two, then rescored."""
-
-    # the tables past _POWER_SPAN bits at n = 8..16, which keep the reducer
-    WIDE_SPAN = (Objective.exp_average(1e200), Objective.dth_exp(1e6), Objective.dth_exp(1e4))
-
-    @staticmethod
-    def paths(monkeypatch, objectives, pmfs):
-        """For each objective, whether each brute_force_optimal call on the pmfs
-        scored from the power table."""
-        taken = []
-
-        def spy(obj, rows):
-            table = _powers(obj, rows)
-            taken.append(table is not None)
-            return table
-
-        monkeypatch.setattr(oracle, "_powers", spy)
-        out = {}
-        for obj in objectives:
-            taken.clear()
-            for p in pmfs:
-                brute_force_optimal(p, obj)
-            out[obj] = list(taken)
-        return out
-
-    def test_the_span_picks_the_path(self, monkeypatch):
-        from genhuff.verify import OBJECTIVE_PANEL
-
-        rng = np.random.default_rng(52)
-        pmfs = [random_pmf(rng, n) for n in (2, 8, 12, 16)] + [validate_pmf([1.0 / 16] * 16)]
-        exponential = {obj for obj in BENCH_OBJECTIVES + tuple(o for _, o in OBJECTIVE_PANEL)
-                       if obj.kind.value in ("dexp", "expavg")}
-        assert len(exponential) == 7
-        narrow = [obj for obj in EXTREME_OBJECTIVES if obj not in self.WIDE_SPAN]
-        for obj, taken in self.paths(monkeypatch, [*exponential, *narrow], pmfs).items():
-            assert taken == [True] * len(pmfs), obj
-        for obj, taken in self.paths(monkeypatch, self.WIDE_SPAN, pmfs[1:]).items():
-            assert taken == [False] * (len(pmfs) - 1), obj
-        for obj, taken in self.paths(monkeypatch, OBJECTIVES[:2], pmfs).items():
-            assert taken == [False] * len(pmfs), obj
-
-    @pytest.mark.parametrize("obj", [
-        *(Objective.exp_average(q) for q in (0.6, 0.5 + 1e-7, 0.4)),
-        *(Objective.dth_exp(d) for d in (-0.9, -1 + 1e-9, 1e-12)),
-    ], ids=lambda o: f"{o.kind.value}-{o.param}")
-    def test_bit_identical_where_the_prune_is_weak(self, obj):
-        # q <= 1/2 has no relaxed term and q = 0.6 a weak one; near d = -1
-        # and d = 0 the scale s is near 0 or the terms near flat
-        rng = np.random.default_rng(53)
-        for n in (14, 15, 16):
-            assert_matches_reference(random_pmf(rng, n), obj)
-
-    @pytest.mark.parametrize("obj", OBJECTIVES[2:] + EXTREME_OBJECTIVES,
-                             ids=lambda o: f"{o.kind.value}-{o.param}")
-    def test_power_values_within_the_error_bound(self, obj):
-        # each vector's power value is within 2 margin + 8u(n-1), the
-        # candidate line's widening, of the reducer's float, and each
-        # subtree's relaxed bound in powers is at most the least power value
-        # below it plus the cut's margin
-        reduce = obj.reducer()
+    def test_values_within_the_error_bounds(self, obj):
+        # for every vector, the walk's lg D is within delta of the exact one and
+        # evaluate's float within e of the exact value; the table's least lg D is
+        # within delta of the exact least; and every vector that evaluate puts
+        # within ARGMIN_TOL of its least float has an exact lg D at least 2 delta
+        # under the line, the slack the walk's bounds above it take
         rng = np.random.default_rng(54)
         checked = 0
-        for n in range(2, 12):
-            for p in (random_pmf(rng, n), TestCut.tie_heavy_pmf(rng, n)):
-                lgp = list(map(math.log2, p.probs))
-                rows = obj.term_rows(p.probs, lgp)
-                powers = _powers(obj, rows)
-                if powers is None:
-                    continue
-                table, top = powers
-                power_value = _power_reducer(obj, top)
-                relaxed = _relaxed_entry(_relaxation(obj, p.probs, lgp), top)
-                extra = 8 * 2.0 ** -53 * (n - 1)
-                margin = _margin(obj, rows) + extra
-                widen = _margin(obj, rows) * 2 + extra
-                least = {}
-                for lengths in kraft_length_tuples(n):
-                    v = power_value([table[l][i] for i, l in enumerate(lengths)])
-                    assert abs(v - reduce([rows[l][i] for i, l in enumerate(lengths)])) \
-                        <= widen / 2, (n, p.probs, lengths)
-                    for depth in range(lengths[-1] - 1):
-                        first = sum(l <= depth for l in lengths)
-                        nodes = 2 ** (depth + 1) - sum(
-                            2 ** (depth + 1 - l) for l in lengths[:first])
-                        if first and nodes < n - first:
-                            key = lengths[:first], depth, nodes
-                            least[key] = min(least.get(key, math.inf), v)
-                if relaxed is None:
-                    continue
-                for (placed, depth, nodes), v in least.items():
-                    entries = [table[l][i] for i, l in enumerate(placed)]
-                    entries.append(relaxed(len(placed), math.log2(nodes) - (depth + 1)))
-                    assert power_value(entries) <= v + margin, (n, p.probs, placed, depth)
-                    checked += 1
-        assert checked == 0 if obj in self.WIDE_SPAN else checked > 300
+        with mpmath.workprec(200):
+            for n in range(2, 12):
+                for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
+                    x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
+                    tail, least = _table(x, s, add)
+                    e, delta = _errors(obj, x, s)
+                    walked = _walk(n, s, add, tail, least, math.inf)
+                    scores = exact_scores(obj, p, x, s)
+                    exact, floats = [], []
+                    for v, lv in walked:
+                        dp, value = scores(lv.lengths)
+                        assert abs(v - dp) <= delta, (n, p.probs, lv)
+                        floats.append(obj.evaluate(p, lv))
+                        assert abs(floats[-1] - value) <= e, (n, p.probs, lv)
+                        exact.append(dp)
+                    root = least[n * n + 1]
+                    assert abs(root - min(exact)) <= delta, (n, p.probs)
+                    line = _line(obj, s, tail[-1], root, e, delta)
+                    best = min(floats)
+                    for dp, value in zip(exact, floats):
+                        if value <= best + ARGMIN_TOL:
+                            assert dp <= line - 2 * delta, (n, p.probs)
+                    checked += len(walked)
+        assert checked == 2 * sum(TREE_SHAPE_COUNTS[1:11])
+
+    def test_lg_add_within_its_error_bound(self):
+        # lg(2^a + 2^b) within u (T + 6), T the larger |input| plus 1, in
+        # either order, and exactly a where b is -inf
+        rng = random.Random(58)
+        with mpmath.workprec(200):
+            for _ in range(2000):
+                scale = 10.0 ** rng.randint(-3, 7)
+                a, b = rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+                if rng.random() < 0.3:
+                    b = a + rng.uniform(-60, 60)
+                exact = mpmath.log(mpmath.power(2, a) + mpmath.power(2, b), 2)
+                got = _lg_add(a, b)
+                assert got == _lg_add(b, a)
+                assert abs(got - exact) <= 2.0 ** -53 * (max(abs(a), abs(b)) + 7), (a, b)
+                assert _lg_add(a, -math.inf) == _lg_add(-math.inf, a) == a
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-12, 0.25, 1.0, 30.0, 1100.0, 1e6, 1e300,
+                                   -1e-12, -0.25, -30.0, -1e6])
+    def test_lg_expm1_neither_overflows_nor_cancels(self, z):
+        # lg |2^z - 1| to a few ulps of its size, from 2^z - 1 ~ z ln 2 at
+        # tiny normal z to z itself past the float range of 2^z
+        with mpmath.workprec(2000):
+            exact = mpmath.log(abs(mpmath.power(2, mpmath.mpf(z)) - 1), 2)
+        assert abs(_lg_expm1(z) - exact) <= 4 * 2.0 ** -53 * (abs(exact) + 1), z
+
+    @pytest.mark.parametrize("n", [20, 28, 40])
+    @pytest.mark.parametrize("obj", BENCH_OBJECTIVES + (
+        Objective.exp_average(0.6), Objective.dth_exp(8.0), Objective.exp_average(1e10),
+        Objective.dth_exp(1e4), Objective.exp_average(1e200),
+    ), ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_engine_exactly_optimal_past_the_enumerable_sizes(self, obj, n):
+        # n = 20, 28 and 40 hold ~2e4 to ~2e9 vectors, which no scan reaches;
+        # the engine's value is within 1e-12 of the minimum and its lengths are
+        # among the minimizers.  The line near d = 0, q = 1 or d = -1 holds
+        # every vector evaluate cannot tell apart, thousands at n = 40, so those
+        # parameters are checked at n <= 16 above
+        rng = np.random.default_rng(n)
+        rule = CombineRule.for_objective(obj)
+        for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n),
+                  validate_pmf([2.0 ** (-i / 5) for i in range(1, n + 1)], normalize=True)):
+            res = brute_force_optimal(p, obj, max_n=n)
+            engine = generalized_huffman(p, rule)
+            assert abs(engine.objective_value - res.min_value) <= 1e-12, p.probs
+            assert engine.lengths.lengths in res.argmin_lengths(), p.probs
+            assert res.evaluated_count == _completions(1, n)
 
 
 class TestSoundnessArguments:
