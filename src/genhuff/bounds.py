@@ -285,9 +285,8 @@ def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:
 def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
     """Cost bounds for q in (0.5, 1) in the guaranteed one-bit-l_1 regime.
 
-    Requires p_1 >= 2q/(2q+3).  With a = alpha(q), H_a from
-    ``renyi_entropy`` once the preconditions hold, and
-    B = (q^(a H_a) - p_1^a)^(1/a):
+    Requires p_1 >= 2q/(2q+3).  With a = alpha(q) and B the a-norm of the
+    tail, B = (sum_{i>=2} p_i^a)^(1/a), summed as a lg-sum:
 
         1 + log_q(B + p_1)  <=  cost  <  1 + log_q(q B + p_1)
 
@@ -303,10 +302,7 @@ def exp_avg_bounds_l1(p: Pmf, q: float) -> BoundReport:
         raise PreconditionUnmet(f"p_1={p1} below the one-bit-l_1 threshold "
                                 f"2q/(2q+3)={2.0 * q / (2.0 * q + 3.0)}")
     alpha = alpha_of_q(q)
-    x = q ** (alpha * renyi_entropy(p, alpha)) - p1 ** alpha
-    if x <= 0.0:
-        raise CodingError("degenerate transform mass")
-    base = x ** (1.0 / alpha)
+    base = 2.0 ** (lg_sum_exp2([alpha * lg(pi) for pi in p.probs[1:]]) / alpha)
     lo = 1.0 + math.log(base + p1, q)
     hi = 1.0 + math.log(q * base + p1, q)
     return BoundReport(lo, hi, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)

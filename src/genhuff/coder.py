@@ -364,7 +364,7 @@ class CombineRule(_Record):
             lg_w = math.log2(w) if w >= sys.float_info.min else math.log2(root) - shift * a
         else:
             return None
-        # + 0.0 as in Objective.reducer: no -0.0
+        # + 0.0 as in Objective.evaluate: no -0.0
         return lg_w / s + 0.0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, groupby, islice, repeat
@@ -472,44 +472,27 @@ class Objective(_Record):
             return 1.0 + d, d, 2.0 ** d if d < 1024.0 else math.inf
         return None
 
-    def terms(self, probs: Iterable[float], lgps: Iterable[float],
-              runs: tuple[Sequence[int], Sequence[int]]) -> list[float]:
-        """Each symbol's term, from p_i, lg p_i and the lengths as ``LengthVector._runs``;
-        ``reducer()`` makes them the value.  s l is taken once per run, and the lengths
-        are spread as floats, since a float + float add is cheaper than an int + float
-        one and gives the same bits; a = 1 takes no product, 1.0 * lg p_i being lg p_i."""
-        ks, cs = runs
-        if self.kind is ObjectiveKind.AVG_REDUNDANCY:
-            return list(map(operator.mul, probs, map(operator.add, _spread(map(float, ks), cs),
-                                                     lgps)))
-        if self.kind is ObjectiveKind.MAX_POINTWISE:
-            return list(map(operator.add, _spread(map(float, ks), cs), lgps))
-        a, s, _ = self._family
-        ags = lgps if a == 1.0 else map(operator.mul, repeat(a), lgps)
-        return list(map(operator.add, ags, _spread(map(operator.mul, repeat(s), ks), cs)))
-
-    def reducer(self) -> Callable[[list[float]], float]:
-        """The map from the list of ``terms`` to the objective's value."""
-        if self.kind is ObjectiveKind.AVG_REDUNDANCY:
-            return math.fsum
-        if self.kind is ObjectiveKind.MAX_POINTWISE:
-            return max
-        s = self._family[1]
-        # + 0.0 turns the -0.0 of 0.0 over a negative scale into 0.0 and
-        # leaves every other float as it is
-        return lambda terms: lg_sum_exp2(terms) / s + 0.0
-
     def evaluate(self, p: Pmf, l: LengthVector) -> float:
         if p.n != l.n:
             raise DimensionMismatch(f"pmf has {p.n} symbols, length vector has {l.n}")
+        ks, cs = l._runs
         if self.kind is ObjectiveKind.MAX_POINTWISE:
             # p is nonincreasing and lg monotone, so a run's largest k + lg p_i
             # is at its first symbol; rounding is monotone too, so this max
             # is the float the max over every symbol's term gives
-            ks, cs = l._runs
             firsts = map(p.probs.__getitem__, accumulate(cs[:-1], initial=0))
             return max(map(operator.add, ks, map(math.log2, firsts)))
-        return self.reducer()(self.terms(p.probs, map(math.log2, p.probs), l._runs))
+        # s l is taken once per run, and lengths are spread as floats: a float +
+        # float add is cheaper than an int + float one, with the same bits
+        lgps = map(math.log2, p.probs)
+        if self.kind is ObjectiveKind.AVG_REDUNDANCY:
+            return math.fsum(map(operator.mul, p.probs,
+                                 map(operator.add, _spread(map(float, ks), cs), lgps)))
+        a, s, _ = self._family
+        ags = lgps if a == 1.0 else map(operator.mul, repeat(a), lgps)
+        terms = list(map(operator.add, ags, _spread(map(operator.mul, repeat(s), ks), cs)))
+        # + 0.0 turns the -0.0 of 0.0 over a negative s into 0.0, and no other float
+        return lg_sum_exp2(terms) / s + 0.0
 
 
 class BoundKind(Enum):

@@ -234,6 +234,22 @@ def _sandwich(rng, obj, p):
     return None
 
 
+def _l1_sandwich(rng, q, p):
+    """The oracle's optimum at base q inside ``exp_avg_bounds_l1`` where p_1
+    meets the one-bit-l_1 threshold; a refusal there is a failure."""
+    if bnd.l1_region(q, p.probs[0]) is not bnd.L1Region.GUARANTEED_L1:
+        return None
+    star = brute_force_optimal(p, Objective.exp_average(q)).min_value
+    at = f"at q={fmt(q)} pmf=" + _pmf_str(p)
+    try:
+        r = bnd.exp_avg_bounds_l1(p, q)
+    except CodingError as e:
+        return f"refused {at}: {e}"
+    if r.contains(star):
+        return None
+    return f"optimum {fmt(star)} outside [{fmt(r.lower)}, {fmt(r.upper)}) {at}"
+
+
 def _length_conformance(rng, _, p):
     for lv in brute_force_optimal(p, Objective.max_pointwise()).argmin:
         if any(lj > bnd.lambda_j(pj) for pj, lj in zip(p, lv)):
@@ -301,6 +317,10 @@ def _campaign(trials: int) -> tuple:
          qs, quarter, _transform_identity),
         ("unary regime", "coder output equals the unary code for q <= 0.5",
          (None,), 100, _unary_regime),
+        ("avg sandwich", "oracle optimum inside the interval for every symbol, "
+         "Gallager's at j=1", (Objective.avg(),), trials, _sandwich),
+        ("one-bit-l1 sandwich", "oracle optimum inside the one-bit-l_1 interval for q in "
+         "{0.51, 0.6, 0.9} wherever p_1 >= 2q/(2q+3)", (0.51, 0.6, 0.9), quarter, _l1_sandwich),
         ("witness tightness", f"{len(WITNESS_PANEL)} witnesses of "
          f"{len({fam.kind for fam in WITNESS_PANEL})} families back their bound and length "
          "claims to 1e-9", WITNESS_PANEL, 1, _witness_tightness),

@@ -1,9 +1,11 @@
 """Closed-form bound formulas, their sandwich property, and the transform."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -632,6 +634,27 @@ class TestExpAvgBounds:
                     assert exp_avg_bounds(p, q, j).contains(opt)
 
 
+def exact_l1_bounds(p, q):
+    """exp_avg_bounds_l1's ends in 400-bit mpmath, from the tail norm
+    B = (sum_{i>=2} p_i^a)^(1/a) summed directly."""
+    with mpmath.workprec(400):
+        qm = mpmath.mpf(q)
+        a = 1 / (1 + mpmath.log(qm, 2))
+        b = mpmath.fsum(mpmath.mpf(x) ** a for x in p.probs[1:]) ** (1 / a)
+        p1 = mpmath.mpf(p.probs[0])
+        return 1 + mpmath.log(b + p1, qm), 1 + mpmath.log(qm * b + p1, qm)
+
+
+# q near 1/2 makes a = 1/(1 + lg q) large, and p_1^a all but the whole of
+# sum_i p_i^a: a form that subtracts p_1^a from that sum cancels to noise
+L1_CANCELLING = [
+    ((0.9, 0.05, 0.03, 0.02), 0.52),
+    ((0.9, 0.05, 0.03, 0.02), 0.505),
+    (benford().probs, 0.505),
+    (benford().probs, 0.5001),
+]
+
+
 class TestExpAvgBoundsL1:
     def test_benford_cost_and_success(self):
         r = exp_avg_bounds_l1(benford(), 0.6)
@@ -671,6 +694,35 @@ class TestExpAvgBoundsL1:
             exp_avg_bounds_l1(validate_pmf([0.2] * 5), 0.9)
         with pytest.raises(PreconditionUnmet):
             exp_avg_bounds_l1(validate_pmf([1.0]), 0.6)
+
+    @pytest.mark.parametrize("probs,q", L1_CANCELLING,
+                             ids=["skewed-0.52", "skewed-0.505", "benford-0.505",
+                                  "benford-0.5001"])
+    def test_ends_match_the_direct_tail_norm(self, probs, q):
+        p = validate_pmf(probs)
+        r = exp_avg_bounds_l1(p, q)
+        lo, hi = exact_l1_bounds(p, q)
+        assert abs(r.lower - lo) <= 1e-14 and abs(r.upper - hi) <= 1e-14, (r, lo, hi)
+        opt = brute_force_optimal(p, Objective.exp_average(q)).min_value
+        assert r.contains(opt), (r, opt)
+
+    def test_scan_holds_the_oracle_optimum(self):
+        # Gamma draws of shape 0.1 to 3 give p_1 from near 1/n to near 1, and
+        # q runs from just above 1/2, where a is ~5e6, to just below 1
+        rng = random.Random(5)
+        qs = (0.5000001, 0.501, 0.51, 0.55, 0.6, 0.75, 0.9, 0.999999)
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(2, 10)
+            shape = rng.choice((0.1, 0.3, 1.0, 3.0))
+            p = validate_pmf([rng.gammavariate(shape, 1.0) for _ in range(n)], normalize=True)
+            for q in qs:
+                if l1_region(q, p.probs[0]) is not L1Region.GUARANTEED_L1:
+                    continue
+                opt = brute_force_optimal(p, Objective.exp_average(q)).min_value
+                assert exp_avg_bounds_l1(p, q).contains(opt), (q, p.probs)
+                checked += 1
+        assert checked > 2000
 
 
 class TestL1Region:

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from genhuff import bounds, verify, witness
 from genhuff.cli import EXIT_BROKEN_PIPE, build_parser, main
 from genhuff.coder import CodeResult, canonical_codewords
-from genhuff.core import BoundKind, BoundReport, LengthVector, Pmf
+from genhuff.core import (BoundKind, BoundReport, CodingError, LengthVector, Pmf,
+                          alpha_of_q, renyi_entropy)
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -586,6 +587,7 @@ class TestVerify:
                          "PASS dth sandwich", "PASS exp-average sandwich",
                          "PASS length conformance", "PASS moment ordering",
                          "PASS transform identity", "PASS unary regime",
+                         "PASS avg sandwich", "PASS one-bit-l1 sandwich",
                          "PASS witness tightness", "result"]
         assert "over 200 pmfs x 9 objectives" in out
         assert "PASS witness tightness: 13 witnesses of 10 families back their" in out
@@ -812,6 +814,60 @@ def _witness_is(*probs):
     return apply
 
 
+def _report_moves_up(name, kind=None):
+    """bounds.``name`` reads both ends of its report 2 bits high, under objectives of
+    ``kind`` only where one is given; each interval the campaign checks is at most
+    ~1 bit wide, so the oracle's optimum falls below the moved lower end."""
+    def apply(monkeypatch):
+        bound = getattr(bounds, name)
+
+        def moved(*args):
+            r = bound(*args)
+            if kind is not None and args[0].kind.value != kind:
+                return r
+            exact = None if r.exact is None else r.exact + 2.0
+            return BoundReport(r.lower + 2.0, r.upper + 2.0, r.lower_kind, r.upper_kind,
+                               exact, r.note)
+
+        monkeypatch.setattr(bounds, name, moved)
+    return apply
+
+
+def _l1_bound_through_renyi(monkeypatch):
+    """exp_avg_bounds_l1 forms B^a as q^(a H_a) - p_1^a, which cancels where p_1^a
+    is most of sum_i p_i^a, and refuses where it cancels to 0 or below."""
+    def cancelling(p, q):
+        alpha, p1 = alpha_of_q(q), p.probs[0]
+        x = q ** (alpha * renyi_entropy(p, alpha)) - p1 ** alpha
+        if x <= 0.0:
+            raise CodingError("degenerate transform mass")
+        base = x ** (1.0 / alpha)
+        return BoundReport(1.0 + math.log(base + p1, q), 1.0 + math.log(q * base + p1, q),
+                           BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+
+    monkeypatch.setattr(bounds, "exp_avg_bounds_l1", cancelling)
+
+
+def _lambda_rounds_down(monkeypatch):
+    """lambda_j takes floor(-lg p_j), one short of the Shannon length off powers of two."""
+    monkeypatch.setattr(bounds, "lambda_j", lambda p_j: math.floor(-math.log2(p_j)))
+
+
+def _max_pointwise_is_average(monkeypatch):
+    """verify's max pointwise redundancy is the average one, the bottom of the chain."""
+    monkeypatch.setattr(verify, "max_pointwise_redundancy", verify.avg_redundancy)
+
+
+def _hat_transform_skipped(monkeypatch):
+    """hat_transform hands the pmf back untransformed."""
+    monkeypatch.setattr(bounds, "hat_transform", lambda p, q: p)
+
+
+def _unary_code_lengths_1_to_n(monkeypatch):
+    """verify's unary code is 1, 2, ..., n, one length too long at the last symbol."""
+    monkeypatch.setattr(verify, "unary_code", lambda n: LengthVector(tuple(range(1, n + 1))))
+
+
 CAMPAIGN = ("verify", "--n", "6", "--trials", "8")
 
 
@@ -825,6 +881,27 @@ LOWER_TIGHT_FOUND = "optimal l_1 = 1 or 2"
                  id="engine-swaps-two-lengths"),
     pytest.param(_attained_mmpr_upper_moves_up, CAMPAIGN, "witness tightness", "",
                  id="mmpr-upper-1e-6-high"),
+    # each sandwich row FAILs when its bound reads 2 bits high, and each other
+    # campaign row when what it checks breaks
+    *(pytest.param(_report_moves_up(name, kind), CAMPAIGN, row, "", id=f"{row}-2-bits-high")
+      for name, kind, row in (
+          ("symbol_bounds", "mmpr", "mmpr sandwich"),
+          ("symbol_bounds", "dexp", "dth sandwich"),
+          ("exp_avg_bounds", None, "exp-average sandwich"),
+          ("symbol_bounds", "avg", "avg sandwich"),
+          ("exp_avg_bounds_l1", None, "one-bit-l1 sandwich"))),
+    pytest.param(_lambda_rounds_down, CAMPAIGN, "length conformance", "",
+                 id="lambda-rounds-down"),
+    pytest.param(_max_pointwise_is_average, CAMPAIGN, "moment ordering", "",
+                 id="max-pointwise-is-average"),
+    pytest.param(_hat_transform_skipped, CAMPAIGN, "transform identity", "",
+                 id="hat-transform-skipped"),
+    pytest.param(_unary_code_lengths_1_to_n, CAMPAIGN, "unary regime", "",
+                 id="unary-code-1-to-n"),
+    # the default campaign's pmfs at q = 0.51 reach the cancellation; its first
+    # such pmf cancels to a refusal
+    pytest.param(_l1_bound_through_renyi, ("verify",), "one-bit-l1 sandwich",
+                 "refused at q=0.51 pmf=", id="l1-bound-through-renyi"),
     *(pytest.param(_offset_one_high(witness.FamilyKind(family)),
                    ("verify", "--family", family, *params), family, names,
                    id=f"{family}-offset-one-high")
@@ -1185,27 +1262,68 @@ def code_argvs(draw):
     return argv, "".join(f"{x!r}\n" for x in probs)
 
 
+# 0 and 1, the least subnormal, 1e-17, for which 1 - p rounds to 1, 2/3 and the
+# floats beside it, where the MMPR table's rows meet, and two non-finite values
+EDGE_P = (0.0, 1.0, 5e-324, 1e-17, math.nextafter(2 / 3, 0.0), 2 / 3,
+          math.nextafter(2 / 3, 1.0), math.nan, math.inf)
+
+
+@st.composite
+def bounds_argvs(draw):
+    """(argv, the input's lines) of ``bounds``: either format, any objective with
+    its parameter from the edges above, --j or not; --p from EDGE_P or (0, 1) for
+    all but expavg, and for expavg an input '-' of n in 1..40 normal floats, up to
+    two of them replaced by a subnormal, divided by their sum, then p_1 moved by
+    up to 9e-10 (within PMF_SUM_TOL)."""
+    objective = draw(st.sampled_from(("avg", "mmpr", "dexp", "expavg")))
+    argv = ["bounds", "--objective", objective,
+            "--format", draw(st.sampled_from(("json", "plain")))]
+    if objective == "dexp":
+        argv += ["--d", repr(draw(st.sampled_from(EDGE_D)))]
+    elif objective == "expavg":
+        argv += ["--q", repr(draw(st.sampled_from(EDGE_Q)))]
+    if objective != "mmpr" and draw(st.booleans()):
+        argv += ["--j", str(draw(st.integers(-1, 41)))]
+    if objective != "expavg":
+        p = draw(st.one_of(st.sampled_from(EDGE_P), st.floats(0.0, 1.0)))
+        return [*argv, "--p", repr(p)], ""
+    n = draw(st.integers(1, 40))
+    probs = draw(st.lists(st.floats(sys.float_info.min, 1.0), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        probs[draw(st.integers(0, n - 1))] = draw(
+            st.floats(5e-324, sys.float_info.min, exclude_max=True))
+    total = math.fsum(probs)
+    probs = [x / total for x in probs]
+    probs[0] += draw(st.floats(-9e-10, 9e-10))
+    return [*argv, "-"], "".join(f"{x!r}\n" for x in probs)
+
+
+def _main_on(argv, text):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` with ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
 def _no_constant(name):
     raise ValueError(f"non-RFC JSON token {name}")
 
 
 class TestArgvBattery:
-    """``cli.main`` on ``code`` argv at the edges: exit 0 with a finite, valid
-    code, or exit 2 with one error line and nothing on stdout."""
+    """``cli.main`` on ``code`` and ``bounds`` argv at the edges: exit 0 with a
+    finite, valid answer, or exit 2 with one error line and nothing on stdout."""
 
     @given(code_argvs())
     @settings(max_examples=300, deadline=None)
     def test_code_answers_a_finite_valid_code_or_refuses(self, case):
         argv, text = case
-        out, err = io.StringIO(), io.StringIO()
-        stdin = sys.stdin
-        sys.stdin = io.StringIO(text)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["code", "-", "--format", "json", *argv])
-        finally:
-            sys.stdin = stdin
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = _main_on(["code", "-", "--format", "json", *argv], text)
         if code == 2:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
             return
@@ -1220,6 +1338,22 @@ class TestArgvBattery:
         ends = (doc["value_bits"], doc["entropy_bits"], doc["bounds"]["lower"],
                 doc["bounds"]["upper"])
         assert all(map(math.isfinite, ends)), ends
+
+    @given(bounds_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_answers_a_finite_interval_or_refuses(self, case):
+        argv, text = case
+        code, out, err = _main_on(argv, text)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        assert (code, err) == (0, "")
+        if "json" in argv:
+            doc = json.loads(out, parse_constant=_no_constant)["bounds"]
+            lower, upper = doc["lower"], doc["upper"]
+        else:
+            lower, upper = map(float, re.match(r"bounds: [\[(](\S+), (\S+)[\])]\n", out).groups())
+        assert math.isfinite(lower) and math.isfinite(upper) and lower <= upper, out
 
 
 class TestStartup:

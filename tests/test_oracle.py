@@ -19,6 +19,7 @@ from genhuff import (
     brute_force_optimal,
     generalized_huffman,
     kraft_length_tuples,
+    lg_sum_exp2,
     random_complete_lengths,
     validate_pmf,
 )
@@ -186,27 +187,29 @@ class TestBruteForce:
             brute_force_optimal(p, Objective.avg())
         brute_force_optimal(p, Objective.avg(), max_n=17)
 
-    def test_exponential_terms_equal_the_two_textbook_forms(self):
-        # the one exponential path gives, by hex, lg p + l lg q under exp average
-        # and (1+d) lg p + d l under d-th: a = 1 takes no product there, and
-        # (a, s) are the floats each form takes
+    def test_exponential_values_equal_the_two_textbook_forms(self):
+        # evaluate gives, by hex, the lg-sum of lg p + l lg q over lg q under exp
+        # average and of (1+d) lg p + d l over d under d-th: a = 1 takes no
+        # product there, (a, s) are the floats each form takes, and + 0.0 turns
+        # a -0.0 into 0.0
         rng = np.random.default_rng(18)
         pmfs = [benford(), validate_pmf([0.5, 0.25, 0.25 - 1e-320, 1e-320])]
         pmfs += [random_pmf(rng, n) for n in (1, 2, 5, 11, 16)]
         checked = 0
         for obj in OBJECTIVES + EXTREME_OBJECTIVES:
             if obj.kind.value == "expavg":
-                lgq = math.log2(obj.param)
+                s = lgq = math.log2(obj.param)
                 form = lambda g, l: g + l * lgq
             elif obj.kind.value == "dexp":
-                d = obj.param
+                s = d = obj.param
                 form = lambda g, l: (1.0 + d) * g + d * l
             else:
                 continue
             for p in pmfs:
                 lgp = [math.log2(x) for x in p.probs]
-                expected = [[form(g, l).hex() for g in lgp] for l in range(p.n)]
-                assert [[x.hex() for x in obj.terms(p.probs, lgp, ((l,), (p.n,)))]
+                expected = [(lg_sum_exp2([form(g, l) for g in lgp]) / s + 0.0).hex()
+                            for l in range(p.n)]
+                assert [obj.evaluate(p, LengthVector((l,) * p.n)).hex()
                         for l in range(p.n)] == expected, (obj, p.probs)
                 checked += 1
         assert checked == 15 * len(pmfs)
