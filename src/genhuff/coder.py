@@ -177,13 +177,13 @@ gives, as on a dyadic pmf whose exact value is 0, is raised to 0.0,
 which is no further from the exact value: ``generalized_huffman`` does
 so once, for the readout in either domain and for
 ``Objective.evaluate``'s value alike.  The readout is taken only at
-|s| >= 1/16 (``core._SMALL_SCALE``), the cut ``renyi_entropy`` switches
-forms at; nearer d = 0 or q = 1 the value is left to
-``Objective.evaluate``, as are the average rule's, which the root does
-not hold, and the max rule's, whose exact root is 2^value but whose
-value stays the float the oracle and ``verify`` score an MMPR code at.
-So is a linear root that is not a normal float, subnormal or zero past
-the relative precision rho needs, which only q < 1/2 gives.
+|s| >= 1/16 (``core._SMALL_SCALE``); nearer d = 0 or q = 1 the value is
+left to ``Objective.evaluate``, whose centred form there has no 1/|s|.
+So are the average rule's, which the root does not hold, and the max
+rule's, whose exact root is 2^value but whose value stays the float the
+oracle and ``verify`` score an MMPR code at.  So is a linear root that is
+not a normal float, subnormal or zero past the relative precision rho
+needs, which only q < 1/2 gives.
 """
 
 from __future__ import annotations
@@ -335,14 +335,14 @@ class CombineRule(_Record):
         a, s, q = self._family
         if not log_domain:
             return lambda x, y: q * (x + y)
-        log2, isinf = math.log2, math.isinf
+        log2 = math.log2
 
         def exp_log(x: float, y: float) -> float:
             # (s + lg(2^(a x) + 2^(a y))) / a, the larger exponent a y (a > 0)
-            # shifted out
+            # shifted out.  Every key lies in [lg p_n, L (1+s)/a] (module
+            # docstring), so |a y| <= max(1075 a, L (1+s)), with a and 1 + s
+            # at most 1 + D_MAX: finite for any L below ~1.7e8
             hi = a * y
-            if isinf(hi):
-                return (s + hi) / a
             return (s + (hi + log2(1.0 + 2.0 ** (a * x - hi)))) / a
 
         return exp_log
@@ -406,9 +406,9 @@ class CodeResult(_Record):
     normal float: that scaling is exact.  From a log-domain merge it lies
     within 10u (L + 2)(a K + |s| + 1) / |s| + 4u |V|, with
     K = max(-lg p_n, L (1+s)/a) + 1.  Otherwise it is ``Objective.evaluate``
-    of the lengths, bit for bit.  Under the d-th rule either value, where
-    it is below 0, is 0.0: the exact value of a complete code is at least
-    0, so that is no further from it.
+    of the lengths, bit for bit, centred at |s| < 1/16 with no 1/|s| in its
+    error.  Under the d-th rule either value, where it is below 0, is 0.0:
+    the exact value of a complete code is at least 0, so that is no further.
 
     It is a ``core._Record`` that also answers the dataclass protocol, as
     the frozen dataclass it was did: ``dataclasses.fields``, ``replace``,

@@ -66,9 +66,9 @@ BOUND_TOL = 1e-9
 # the largest d an Objective takes: |lg p_i| <= 1075 and l_i < n, so every
 # term (1 + d) lg p_i + d l_i of the d-th exponential objective stays finite
 D_MAX = 1e300
-# the cut on |s| (d, lg q or 1 - alpha) below which dividing a lg-sum by s
-# magnifies its rounding too far: renyi_entropy switches to its log1p form
-# there, and the engine leaves the value to Objective.evaluate
+# the cut on |s| (d, lg q or alpha - 1) below which dividing a lg-sum by s
+# magnifies its rounding too far: Objective.evaluate takes its centred form
+# there, which renyi_entropy reads, and the engine leaves the value to it
 _SMALL_SCALE = 0.0625
 
 
@@ -489,6 +489,22 @@ class Objective(_Record):
             return math.fsum(map(operator.mul, p.probs,
                                  map(operator.add, _spread(map(float, ks), cs), lgps)))
         a, s, _ = self._family
+        if abs(s) < _SMALL_SCALE:
+            # the lg-sum over s cancels here.  With w = p/S, S = fsum(p), x = l + lg p
+            # (d-th) or l, m = sum w x, c = s ln 2 and T = sum w (x - m) expm1(z)/z at
+            # z = c (x - m), (1/s) lg sum w 2^(s x) = m + T log1p(cT)/(cT), cT >= 0
+            lgps, total, c = list(lgps), math.fsum(p.probs), s * math.log(2.0)
+            x = list(map(operator.add, _spread(map(float, ks), cs),
+                         lgps if self.kind is ObjectiveKind.DTH_EXP else repeat(0.0)))
+            m = math.fsum(map(operator.mul, p.probs, x)) / total
+            try:  # past expm1's range or the float range, the lg-sum answers
+                t = math.fsum([pi * (xi - m) * (math.expm1(z) / z if (z := c * (xi - m)) else 1.0)
+                               for pi, xi in zip(p.probs, x)]) / total
+                value = m + t * (math.log1p(c * t) / (c * t) if c * t else 1.0) + 0.0
+                if math.isfinite(value):
+                    return value
+            except OverflowError:
+                pass
         ags = lgps if a == 1.0 else map(operator.mul, repeat(a), lgps)
         terms = list(map(operator.add, ags, _spread(map(operator.mul, repeat(s), ks), cs)))
         # + 0.0 turns the -0.0 of 0.0 over a negative s into 0.0, and no other float
@@ -547,21 +563,18 @@ def binary_entropy(x: float) -> float:
 
 
 def renyi_entropy(p: Pmf, alpha: float) -> float:
-    """Renyi entropy (1/(1-alpha)) lg sum p_i^alpha for alpha > 0, alpha != 1.
+    """Renyi entropy (1/(1-alpha)) lg sum p_i^alpha for alpha in (0, 1 + D_MAX], alpha != 1.
 
     The alpha = 1 limit is Shannon entropy; callers select shannon_entropy
-    explicitly rather than relying on a numeric limit here.
+    explicitly rather than relying on a numeric limit here.  Nearer it than
+    1/16, H_alpha is minus the (alpha - 1)-th value of the null code.
     """
-    if not (0.0 < alpha < math.inf and alpha != 1.0):
-        raise AlphaOutOfRange(f"alpha must be finite, positive and not 1, got {alpha}")
+    if not (0.0 < alpha <= 1.0 + D_MAX and alpha != 1.0):
+        raise AlphaOutOfRange(f"alpha must lie in (0,1+{D_MAX:g}] excluding 1, got {alpha}")
     e = 1.0 - alpha
     if abs(e) < _SMALL_SCALE:
-        # near alpha = 1, lg sum p_i^alpha is ~e H, far below the rounding of
-        # the O(1) terms the lg-sum form cancels (~1e-5 relative at
-        # q = 1 + 1e-12).  sum p_i^alpha is sum p_i plus terms
-        # p_i expm1(e ln(1/p_i)) of one sign, so log1p takes it whole.
-        x = math.fsum([*p, -1.0, *(pi * math.expm1(-e * math.log(pi)) for pi in p)])
-        return math.log1p(x) / (math.log(2.0) * e) + 0.0
+        null = LengthVector._checked((0,) * p.n, ((0,), (p.n,)))
+        return -Objective(ObjectiveKind.DTH_EXP, -e).evaluate(p, null) + 0.0
     return lg_sum_exp2([alpha * math.log2(pi) for pi in p]) / e + 0.0
 
 

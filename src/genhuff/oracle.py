@@ -92,10 +92,10 @@ facts are covered by self-tests rather than assumed.
   exact D.  The walk's bound at each level above the vector is at most
   its exact lg D plus 2 delta, so the line is L + Gamma + 3 delta.  On a
   Dirichlet pmf at n = 16 that admits vectors 3e-12 to 1.3e-11 bits above
-  the least under the benchmark's objectives.  Near s = 0, e grows like
-  1/|s|, to ~0.02 bits at d = 1e-12 or q = 1 + 1e-12, which is
-  ``evaluate``'s own cancellation: the line then holds every vector that
-  float cannot tell from the least.
+  the least under the benchmark's objectives.  At |s| < 1/16 ``evaluate``
+  is centred on p/S, S = fsum(p), whose value is p's less lg S / s for every
+  vector alike, and has no 1/|s| in its error: e, ~0.02 bits at d = 1e-12,
+  still bounds it, far too widely, and the line holds that many vectors.
 
 ``evaluated_count`` is the size of the space, ``_completions(1, n)``,
 though the walk lists only the vectors under its line.  The oracle never

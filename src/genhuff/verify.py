@@ -40,6 +40,7 @@ from .core import (
     exp_average_cost,
     max_pointwise_redundancy,
     renyi_entropy,
+    shannon_entropy,
     validate_pmf,
 )
 from .oracle import ARGMIN_TOL, DEFAULT_MAX_N, brute_force_optimal, random_complete_lengths
@@ -250,6 +251,15 @@ def _l1_sandwich(rng, q, p):
     return f"optimum {fmt(star)} outside [{fmt(r.lower)}, {fmt(r.upper)}) {at}"
 
 
+def _limit_continuity(rng, obj, p):
+    res, h = generalized_huffman(p, CombineRule.for_objective(obj)), shannon_entropy(p)
+    expavg = obj.kind is ObjectiveKind.EXP_AVERAGE
+    gaps = (res.objective_value - avg_redundancy(p, res.lengths) - (h if expavg else 0.0),
+            renyi_entropy(p, alpha_of_q(obj.param)) - h if expavg else 0.0)
+    return (f"value, H_alpha off by {gaps[0]:.3g}, {gaps[1]:.3g} at param={obj.param!r} pmf="
+            + _pmf_str(p) if max(map(abs, gaps)) > BOUND_TOL else None)
+
+
 def _length_conformance(rng, _, p):
     for lv in brute_force_optimal(p, Objective.max_pointwise()).argmin:
         if any(lj > bnd.lambda_j(pj) for pj, lj in zip(p, lv)):
@@ -298,6 +308,8 @@ def _campaign(trials: int) -> tuple:
     (rng, parameter, pmf or None for a witness) and returns None or a failure detail."""
     quarter = max(1, trials // 4)
     qs = (0.6, 0.9, 1.5, 2.0)
+    near = (*map(Objective.dth_exp, (1e-12, -1e-12)),
+            *map(Objective.exp_average, (1 + 2.0 ** -52, 1 - 2.0 ** -53, 1 + 1e-12, 1 - 1e-12)))
     engine_oracle = _EngineOracle(trials)
     return (
         ("engine-oracle equivalence", engine_oracle, OBJECTIVE_PANEL, trials, engine_oracle),
@@ -321,6 +333,9 @@ def _campaign(trials: int) -> tuple:
          "Gallager's at j=1", (Objective.avg(),), trials, _sandwich),
         ("one-bit-l1 sandwich", "oracle optimum inside the one-bit-l_1 interval for q in "
          "{0.51, 0.6, 0.9} wherever p_1 >= 2q/(2q+3)", (0.51, 0.6, 0.9), quarter, _l1_sandwich),
+        ("limit continuity", "value within 1e-9 of avg or mean length, and H_alpha of H, "
+         "at d = +-1e-12 and q = 1 + 2^-52, 1 - 2^-53, 1 +- 1e-12", near, quarter,
+         _limit_continuity),
         ("witness tightness", f"{len(WITNESS_PANEL)} witnesses of "
          f"{len({fam.kind for fam in WITNESS_PANEL})} families back their bound and length "
          "claims to 1e-9", WITNESS_PANEL, 1, _witness_tightness),

@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genhuff import bounds, verify, witness
-from genhuff.cli import EXIT_BROKEN_PIPE, build_parser, main
+from genhuff import bounds, core, verify, witness
+from genhuff.cli import EXIT_BROKEN_PIPE, build_parser, fmt, main
 from genhuff.coder import CodeResult, canonical_codewords
-from genhuff.core import (BoundKind, BoundReport, CodingError, LengthVector, Pmf,
-                          alpha_of_q, renyi_entropy)
+from genhuff.core import (BoundKind, BoundReport, CodingError, LengthVector, Objective,
+                          ObjectiveKind, Pmf, alpha_of_q, renyi_entropy)
+from test_core import lg_mean_reference, renyi_reference
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -138,10 +140,11 @@ class TestCode:
     @pytest.mark.parametrize("d", ["1e-300", "1e-320"])
     def test_near_zero_d_value_is_evaluated_per_symbol(self, capsys, three_file, d):
         # the merge's root key here is 2^-53: read off it as (1+d) r / d, the
-        # value would print as 1.11e+284 at d = 1e-300
+        # value would print as 1.11e+284 at d = 1e-300; a lg-sum over d prints
+        # 0, and the exact value is the average redundancy of (1, 2, 2)
         code, out, err = run(capsys, "code", "--objective", "dexp", "--d", d, three_file)
         assert (code, err) == (0, "")
-        assert "value_bits: 0\n" in out
+        assert "value_bits: 0.0145247027727\n" in out
 
     def test_avg_dyadic_zero(self, capsys, tmp_path):
         path = tmp_path / "dyadic.txt"
@@ -337,6 +340,61 @@ class TestCode:
         lines = out.strip().splitlines()
         assert lines[0] == "symbol,probability,length,codeword"
         assert lines[1] == "1,0.5,1,0"
+
+
+def seventeen_symbols():
+    """17 Exp(1) draws of random.Random(7) over their fsum, sorted: the first draw
+    whose fsum is 1.0 and whose H_alpha at q = 1 + 2^-52 a log1p form forming
+    sum p_i - 1 missed by more than 0.1 bit (it read 3.479, not 3.586)."""
+    rng = random.Random(7)
+    for _ in range(3):
+        raw = [rng.expovariate(1.0) for _ in range(17)]
+    total = math.fsum(raw)
+    return sorted((x / total for x in raw), reverse=True)
+
+
+class TestNearZeroScale:
+    """``code`` near d = 0 and q = 1, where a lg-sum over s cancels: the value and
+    H_alpha equal 1400-bit mpmath of the p/S-weighted form (``lg_mean_reference``)
+    to the 12 digits printed, and the value lies inside the printed bounds."""
+
+    @pytest.mark.parametrize("probs,argv,value", [
+        # a lg-sum printed 1.03972077084 and 1.38629436112, below the bounds
+        ([0.5, 0.3, 0.2], ("expavg", "--q", "1.0000000000000002"), 1.5),
+        ([0.5, 0.3, 0.2], ("expavg", "--q", "0.9999999999999999"), 1.5),
+        # ... 0 for the exact 0.0145247
+        ([0.5, 0.3, 0.2], ("dexp", "--d", "1e-320"), 0.0145247027727),
+        # sums off 1 by 9e-10 and 3.4e-10: a lg-sum printed 1298.45 at d = 1e-12
+        # and overflowed to inf at d = 1e-320
+        ([0.6, 0.4000000009], ("dexp", "--d", "1e-12"), 0.0290494065279),
+        ([0.6, 0.4000000009], ("dexp", "--d", "1e-320"), 0.0290494065279),
+        ([1.0, 1.868138638305791e-10, 1.5815183204789235e-10], ("dexp", "--d", "1e-320"), None),
+        # a lg-sum printed 2.77258872224 next to H_alpha 3.47931012263
+        (seventeen_symbols(), ("expavg", "--q", "1.0000000000000002"), 3.61299411058),
+    ], ids=["three-q-up", "three-q-down", "three-d-1e-320", "off-d-1e-12", "off-d-1e-320",
+            "p1-one-d-1e-320", "seventeen-q-up"])
+    def test_value_and_entropy_equal_mpmath_inside_the_bounds(self, capsys, tmp_path, probs,
+                                                             argv, value):
+        path = tmp_path / "in.txt"
+        path.write_text("".join(f"{x!r}\n" for x in probs))
+        objective, flag, param = argv
+        code, out, err = run(capsys, "code", "--objective", objective, flag, param,
+                             "--format", "json", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        p = Pmf(tuple(probs))
+        obj = Objective(ObjectiveKind(objective), float(param))
+        exact = float(lg_mean_reference(obj, p, doc["lengths"]))
+        assert abs(doc["value_bits"] - exact) <= 1e-11 * (abs(exact) + 1), (doc, exact)
+        if value is not None:
+            assert doc["value_bits"] == value
+        if objective == "expavg":
+            h = float(renyi_reference(p, alpha_of_q(float(param))))
+            assert abs(doc["entropy_bits"] - h) <= 1e-11 * (h + 1), (doc, h)
+        bounds = doc["bounds"]
+        assert bounds["lower"] <= doc["value_bits"] <= bounds["upper"]
+        code, out, err = run(capsys, "code", "--objective", objective, flag, param, str(path))
+        assert (code, err) == (0, "") and f"value_bits: {fmt(doc['value_bits'])}\n" in out
 
 
 class TestBounds:
@@ -588,7 +646,7 @@ class TestVerify:
                          "PASS length conformance", "PASS moment ordering",
                          "PASS transform identity", "PASS unary regime",
                          "PASS avg sandwich", "PASS one-bit-l1 sandwich",
-                         "PASS witness tightness", "result"]
+                         "PASS limit continuity", "PASS witness tightness", "result"]
         assert "over 200 pmfs x 9 objectives" in out
         assert "PASS witness tightness: 13 witnesses of 10 families back their" in out
 
@@ -848,6 +906,12 @@ def _l1_bound_through_renyi(monkeypatch):
     monkeypatch.setattr(bounds, "exp_avg_bounds_l1", cancelling)
 
 
+def _lg_sum_at_small_scale(monkeypatch):
+    """evaluate and renyi_entropy divide the lg-sum by s at every scale, which
+    cancels near d = 0 and q = 1, where their centred form should run."""
+    monkeypatch.setattr(core, "_SMALL_SCALE", 0.0)
+
+
 def _lambda_rounds_down(monkeypatch):
     """lambda_j takes floor(-lg p_j), one short of the Shannon length off powers of two."""
     monkeypatch.setattr(bounds, "lambda_j", lambda p_j: math.floor(-math.log2(p_j)))
@@ -892,6 +956,8 @@ LOWER_TIGHT_FOUND = "optimal l_1 = 1 or 2"
           ("exp_avg_bounds_l1", None, "one-bit-l1 sandwich"))),
     pytest.param(_lambda_rounds_down, CAMPAIGN, "length conformance", "",
                  id="lambda-rounds-down"),
+    pytest.param(_lg_sum_at_small_scale, CAMPAIGN, "limit continuity", "at param=",
+                 id="lg-sum-at-small-scale"),
     pytest.param(_max_pointwise_is_average, CAMPAIGN, "moment ordering", "",
                  id="max-pointwise-is-average"),
     pytest.param(_hat_transform_skipped, CAMPAIGN, "transform identity", "",
@@ -1155,16 +1221,8 @@ class TestUsage:
         (("verify", "--family", "l1-boundary", "--q", "0.9", "--ep", "-1e-12"), None,
          "needs eps", False),
         (("sweep", "--figure", "mmpr", "--st", "-1e-3"), None, "step must", False),
-        # each sum lies within PMF_SUM_TOL of 1, and its lg over d = 1e-320 overflows
-        *((("code", "--objective", "dexp", "--d", "1e-320", "--format", form, "{file}"), content,
-           f"the dexp value is inf, not finite, on a pmf with fsum(p) = {total}", False)
-          for content, total in ((b"0.6\n0.4000000009\n", "1.0000000009"),
-                                 (b"1.0\n1.868138638305791e-10\n1.5815183204789235e-10\n",
-                                  "1.0000000003449656"))
-          for form in ("plain", "json")),
     ], ids=["json-bool", "json-huge-int", "not-utf8", "code-out", "verify-out", "d", "q", "p",
-            "p1", "eps", "step", "eps-prefix", "step-prefix", "inf-plain", "inf-json",
-            "inf-p1-one-plain", "inf-p1-one-json"])
+            "p1", "eps", "step", "eps-prefix", "step-prefix"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, content, message,
                                          child):
         # a child interpreter too where an escaping exception would show as

@@ -1222,6 +1222,32 @@ class TestLinearDomain:
         p = validate_pmf([2.0 ** -i for i in range(1, depth + 1)] + [2.0 ** -depth])
         self.assert_merges_with_shift(p, CombineRule.dth_exp(2.0), shift)
 
+    def test_log_domain_at_d_max_on_a_deep_pmf_matches_evaluate(self):
+        # p_i ~ 2^(-i/5) at n = 2000 codes 402 deep in the log domain: at
+        # d = D_MAX each a y the combiner shifts out stays finite, and the
+        # readout is within its bound of the exact value, as evaluate's lg-sum
+        # is within u (6T + 6 lg n + 16) / d, T = max |a lg p_i| + d (n - 1)
+        p = validate_pmf([2.0 ** (-i / 5) for i in range(1, 2001)], normalize=True)
+        rule = CombineRule.dth_exp(D_MAX)
+        assert coder._merge(p, rule)[2] is None
+        res = generalized_huffman(p, rule)
+        value = rule.objective().evaluate(p, res.lengths)
+        with mpmath.workprec(400):
+            # lg W max-shifted: the terms 2^-1000 below the largest are far
+            # under the bound, and mpmath powers near 2^(-1e300) are slow
+            d = mpmath.mpf(D_MAX)
+            terms = [(1 + d) * mpmath.log(pi, 2) + d * li
+                     for pi, li in zip(p.probs, res.lengths.lengths)]
+            top = max(terms)
+            lg_w = top + mpmath.log(mpmath.fsum(2 ** (x - top) for x in terms
+                                                if x - top > -1000), 2)
+            exact = lg_w / d
+        bound = readout_bound(p, res.lengths.lengths, rule, lg_w, exact, log_domain=True)
+        t = (1 + D_MAX) * -math.log2(p.probs[-1]) + D_MAX * (p.n - 1)
+        e = U * (6 * t + 6 * math.log2(p.n) + 16) / D_MAX
+        assert max(res.lengths.lengths) == 402
+        assert abs(res.objective_value - value) <= bound + e
+
     def test_root_overflow_reruns_in_the_log_domain(self, monkeypatch):
         # no code near optimal overflows the linear root (lg W = d V < d), so a
         # q = 1e300 in the rule's (a, s, q) forces it: the merge runs again on
@@ -1346,17 +1372,27 @@ def symbol_order_codewords(lengths):
 
 
 def symbol_order_value(obj, p, lengths):
-    """The objective's value from one term per symbol."""
+    """The objective's value from one term per symbol; at |s| < 1/16 in the
+    centred form, m + T log1p(cT)/(cT) with the weights p/S."""
     lgps = list(map(math.log2, p.probs))
     if obj.kind is ObjectiveKind.AVG_REDUNDANCY:
         return math.fsum([pi * (li + g) for pi, g, li in zip(p.probs, lgps, lengths)])
     if obj.kind is ObjectiveKind.MAX_POINTWISE:
         return max([li + g for g, li in zip(lgps, lengths)])
-    if obj.kind is ObjectiveKind.DTH_EXP:
-        d = obj.param
-        return lg_sum_exp2([(1.0 + d) * g + d * li for g, li in zip(lgps, lengths)]) / d
-    lgq = math.log2(obj.param)
-    return lg_sum_exp2([g + li * lgq for g, li in zip(lgps, lengths)]) / lgq
+    dth = obj.kind is ObjectiveKind.DTH_EXP
+    s = obj.param if dth else math.log2(obj.param)
+    if abs(s) < 1 / 16:
+        xs = [li + g if dth else float(li) for g, li in zip(lgps, lengths)]
+        total = math.fsum(p.probs)
+        m = math.fsum([pi * x for pi, x in zip(p.probs, xs)]) / total
+        c = s * math.log(2.0)
+        zs = [c * (x - m) for x in xs]
+        t = math.fsum([pi * (x - m) * (math.expm1(z) / z if z else 1.0)
+                       for pi, x, z in zip(p.probs, xs, zs)]) / total
+        return m + t * (math.log1p(c * t) / (c * t) if c * t else 1.0) + 0.0
+    if dth:
+        return lg_sum_exp2([(1.0 + s) * g + s * li for g, li in zip(lgps, lengths)]) / s
+    return lg_sum_exp2([g + li * s for g, li in zip(lgps, lengths)]) / s
 
 
 class TestRuns:

@@ -694,6 +694,85 @@ class TestCrossObjectiveProperties:
                        - max_pointwise_redundancy(p, code)) < 1e-3
 
 
+def lg_mean_reference(obj, p, lengths, prec=1400):
+    """(1/s) lg sum_i (p_i/S) 2^(s x_i) at ``prec`` bits, S the exact sum of p:
+    x_i = l_i + lg p_i and s = d under the d-th objective, x_i = l_i and
+    s = lg q, taken exactly, under exponential average.  That is the value of
+    p/S under exponential average, and under the d-th objective the value of
+    p/S plus lg S, the same shift for every code."""
+    import mpmath
+
+    with mpmath.workprec(prec):
+        probs = [mpmath.mpf(x) for x in p.probs]
+        total = mpmath.fsum(probs)
+        if obj.kind.value == "dexp":
+            s = mpmath.mpf(obj.param)
+            xs = [li + mpmath.log(pi, 2) for pi, li in zip(probs, lengths)]
+        else:
+            s = mpmath.log(mpmath.mpf(obj.param), 2)
+            xs = [mpmath.mpf(li) for li in lengths]
+        return mpmath.log(mpmath.fsum(pi / total * mpmath.power(2, s * xi)
+                                      for pi, xi in zip(probs, xs)), 2) / s
+
+
+def renyi_reference(p, alpha, prec=1400):
+    """H_alpha, minus the (alpha - 1)-th value of the null code by ``lg_mean_reference``:
+    (1/(1 - alpha)) lg sum_i (p_i/S) p_i^(alpha - 1)."""
+    return -lg_mean_reference(Objective.dth_exp(alpha - 1.0), p, (0,) * p.n, prec)
+
+
+@st.composite
+def moved_pmfs(draw):
+    """2 to 40 entries over their fsum, sorted, with p_1 then moved by up to
+    0.9 PMF_SUM_TOL, so that the sum is off 1 by as much."""
+    n = draw(st.integers(2, 40))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    total = math.fsum(raw)
+    probs = sorted((x / total for x in raw), reverse=True)
+    probs[0] += draw(st.floats(-0.9 * PMF_SUM_TOL, 0.9 * PMF_SUM_TOL))
+    return Pmf(tuple(sorted(probs, reverse=True)))
+
+
+# |s| < 1/16: d, lg q or alpha - 1 at the scales where a lg-sum over s cancels,
+# down to 5e-324, where c T underflows to 0 while T does not
+NEAR_ZERO_SCALES = st.one_of(
+    st.sampled_from([1e-12, -1e-12, 1e-300, 5e-324, 2.0 ** -52, -2.0 ** -53, 0.0624, -0.0624]),
+    st.floats(-0.0624, 0.0624).filter(lambda s: s != 0.0))
+
+
+class TestNearZeroScale:
+    """At |s| < 1/16 ``evaluate`` is centred, and ``renyi_entropy`` reads it:
+    both follow 1400-bit mpmath of the p/S-weighted form, with the sum off 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=moved_pmfs(), s=NEAR_ZERO_SCALES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_value_and_renyi_entropy_follow_mpmath(self, p, s, seed):
+        from genhuff import CombineRule, generalized_huffman, random_complete_lengths
+
+        objectives = [Objective.dth_exp(s)]
+        if 2.0 ** s != 1.0:
+            objectives.append(Objective.exp_average(2.0 ** s))
+        for obj in objectives:
+            for l in (generalized_huffman(p, CombineRule.for_objective(obj)).lengths,
+                      random_complete_lengths(p.n, random.Random(seed))):
+                value = obj.evaluate(p, l)
+                exact = float(lg_mean_reference(obj, p, l.lengths))
+                assert abs(value - exact) <= 1e-13 * (abs(value) + 1), (obj, l, value, exact)
+        if 1.0 + s != 1.0:
+            exact = float(renyi_reference(p, 1.0 + s))
+            assert abs(renyi_entropy(p, 1.0 + s) - exact) <= 1e-12
+
+    def test_renyi_entropy_past_one_plus_d_max_is_refused(self):
+        # alpha lg p_1 overflows at 1.7e308; 1 + D_MAX rounds to D_MAX = 1e300
+        from genhuff.core import D_MAX
+
+        assert math.isfinite(renyi_entropy(benford(), 1.0 + D_MAX))
+        with pytest.raises(AlphaOutOfRange, match="alpha must lie in \\(0,1\\+1e\\+300\\]"):
+            renyi_entropy(benford(), 1.7e308)
+        with pytest.raises(AlphaOutOfRange):
+            renyi_entropy(benford(), math.inf)
+
+
 SUBMODULES = ("bounds", "coder", "core", "oracle", "witness")
 
 

@@ -26,6 +26,7 @@ from genhuff import (
 from genhuff.oracle import (ARGMIN_TOL, _completions, _errors, _lg_add, _lg_expm1, _line,
                             _recurrence, _table, _walk)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
+from test_core import lg_mean_reference
 
 # number of full binary tree shapes with n leaves, n = 1..16
 TREE_SHAPE_COUNTS = [1, 1, 1, 2, 3, 5, 9, 16, 28, 50, 89, 159, 285, 510, 914, 1639]
@@ -188,10 +189,11 @@ class TestBruteForce:
         brute_force_optimal(p, Objective.avg(), max_n=17)
 
     def test_exponential_values_equal_the_two_textbook_forms(self):
-        # evaluate gives, by hex, the lg-sum of lg p + l lg q over lg q under exp
-        # average and of (1+d) lg p + d l over d under d-th: a = 1 takes no
-        # product there, (a, s) are the floats each form takes, and + 0.0 turns
-        # a -0.0 into 0.0
+        # at |s| >= 1/16 evaluate gives, by hex, the lg-sum of lg p + l lg q over
+        # lg q under exp average and of (1+d) lg p + d l over d under d-th: a = 1
+        # takes no product there, (a, s) are the floats each form takes, and
+        # + 0.0 turns a -0.0 into 0.0.  Below 1/16, where that lg-sum cancels,
+        # it is 1400-bit mpmath of the p/S-weighted form to 1e-13
         rng = np.random.default_rng(18)
         pmfs = [benford(), validate_pmf([0.5, 0.25, 0.25 - 1e-320, 1e-320])]
         pmfs += [random_pmf(rng, n) for n in (1, 2, 5, 11, 16)]
@@ -207,10 +209,15 @@ class TestBruteForce:
                 continue
             for p in pmfs:
                 lgp = [math.log2(x) for x in p.probs]
-                expected = [(lg_sum_exp2([form(g, l) for g in lgp]) / s + 0.0).hex()
-                            for l in range(p.n)]
-                assert [obj.evaluate(p, LengthVector((l,) * p.n)).hex()
-                        for l in range(p.n)] == expected, (obj, p.probs)
+                got = [obj.evaluate(p, LengthVector((l,) * p.n)) for l in range(p.n)]
+                if abs(s) >= 1 / 16:
+                    expected = [(lg_sum_exp2([form(g, l) for g in lgp]) / s + 0.0).hex()
+                                for l in range(p.n)]
+                    assert [v.hex() for v in got] == expected, (obj, p.probs)
+                else:
+                    for l, v in enumerate(got):
+                        exact = float(lg_mean_reference(obj, p, (l,) * p.n))
+                        assert abs(v - exact) <= 1e-13 * (abs(v) + 1), (obj, p.probs, l)
                 checked += 1
         assert checked == 15 * len(pmfs)
 
