@@ -2,6 +2,9 @@
 
 Numbers are printed with 12 significant digits (round half even), and
 interval brackets follow the endpoint tags ('[' attained, '(' approached).
+The d or q that ``code`` and ``bounds`` echo prints so only where those
+digits read back as it, and in full otherwise, so that it rebuilds the
+``Objective`` that ran.
 The only randomness, the pmfs and length vectors the ``verify`` campaign
 samples, comes from ``random.Random(seed)``, so identical invocations
 produce byte-identical output on one Python version.  A call's start-up is
@@ -228,7 +231,7 @@ def cmd_code(args) -> int:
 
     doc = {
         "objective": obj.kind.value,
-        "param": None if obj.param is None else _round12(obj.param),
+        "param": obj.param,
         "n": p.n,
         "lengths": list(result.lengths.lengths),
         "codewords": list(result.codewords),
@@ -246,8 +249,13 @@ def cmd_code(args) -> int:
                  enumerate(zip(p, result.lengths, result.codewords))]
         emit("\n".join(rows), args.out)
     else:
+        # the parameter in 12 digits where they read back as it, in full where they
+        # do not tell it from its neighbours, as at q = 1 + 2^-52
+        param = "" if obj.param is None else fmt(obj.param)
+        if param and float(param) != obj.param:
+            param = repr(obj.param)
         lines = [
-            f"objective: {obj.kind.value}" + ("" if obj.param is None else f" param={fmt(obj.param)}"),
+            f"objective: {obj.kind.value}" + (param and f" param={param}"),
             f"n: {p.n}",
             "lengths: " + " ".join(str(l) for l in result.lengths),
             "codewords: " + " ".join(result.codewords),

@@ -62,10 +62,9 @@ live at merge k, x' >= y >= x and y' >= y, so that m' >= m.
   it needs y' - y < 4e, and y - x about as small.  FIFO order is then
   the order of the exact keys, f(x, y) <= f(x', y'), and a pick passes
   over the lightest item only for one within 2e of it, a near tie.  Such
-  a pick can hand the combiner x > y by up to 2e.  f is symmetric in
-  exact arithmetic, and the exponent left after shifting out a y,
-  a (x - y) in [0, 2ae], grows the computation's terms by a factor of at
-  most 2^(2ae) = 1 + O(ae), inside the slack of e's 10.
+  a pick can hand the combiner x > y, which changes nothing: its lg-add
+  shifts out the larger exponent whichever argument holds it, so f is
+  symmetric as computed too.
 
 The queues also fix the tree's shape level by level, so the merge
 records one int per merge, ``marks[k]``, the merged queue's head after
@@ -202,6 +201,7 @@ from .core import (
     Pmf,
     _SMALL_SCALE,
     _Record,
+    _lg_add,
     _set,
     _spread,
     ceil_neg_lg,
@@ -324,9 +324,13 @@ class CombineRule(_Record):
 
         The merge calls it with the lighter item first, x <= y, as the two
         queues are sorted; the max rule's 2y relies on that.  An exponential
-        rule merges linearly by q(x + y); its log-domain queue's near-tie
-        inversions (module docstring) can give the log combiner x > y by two
-        merges' rounding, which its shift by a y absorbs.
+        rule merges linearly by q(x + y), or in the log domain by
+        (s + lg(2^(a x) + 2^(a y))) / a, whose ``core._lg_add`` shifts out the
+        larger exponent, so the near-tie inversions of that queue (module
+        docstring), which can hand it x > y, leave it symmetric.  Every key lies
+        in [lg p_n, L (1+s)/a] (module docstring), so each exponent, at most
+        max(1075 a, L (1+s)) in size with a and 1 + s at most 1 + D_MAX, is
+        finite for any L below ~1.7e8.
         """
         if self.kind is RuleKind.SUM:
             return operator.add
@@ -335,17 +339,7 @@ class CombineRule(_Record):
         a, s, q = self._family
         if not log_domain:
             return lambda x, y: q * (x + y)
-        log2 = math.log2
-
-        def exp_log(x: float, y: float) -> float:
-            # (s + lg(2^(a x) + 2^(a y))) / a, the larger exponent a y (a > 0)
-            # shifted out.  Every key lies in [lg p_n, L (1+s)/a] (module
-            # docstring), so |a y| <= max(1075 a, L (1+s)), with a and 1 + s
-            # at most 1 + D_MAX: finite for any L below ~1.7e8
-            hi = a * y
-            return (s + (hi + log2(1.0 + 2.0 ** (a * x - hi)))) / a
-
-        return exp_log
+        return lambda x, y: (s + _lg_add(a * x, a * y)) / a
 
     def _root_value(self, root: float, shift: int | None) -> float | None:
         """The objective's value lg W / s read off the merge's root key, from leaves

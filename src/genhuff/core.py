@@ -178,6 +178,15 @@ def lg_sum_exp2(exponents: Sequence[float]) -> float:
     return m + math.log2(math.fsum([2.0 ** (x - m) for x in exponents]))
 
 
+def _lg_add(a: float, b: float) -> float:
+    """lg(2^a + 2^b), shifted by the larger so that neither power overflows:
+    ``lg_sum_exp2`` on two terms, without the list and the ``fsum`` that make
+    that 3-5x slower in the oracle's table and the engine's log-domain merge."""
+    if a < b:
+        a, b = b, a
+    return a + math.log2(1.0 + 2.0 ** (b - a))
+
+
 def ceil_neg_lg(p: float) -> int:
     """Smallest integer k >= 0 with p * 2^k >= 1, i.e. ceil(-lg p).
 
@@ -492,7 +501,29 @@ class Objective(_Record):
         if abs(s) < _SMALL_SCALE:
             # the lg-sum over s cancels here.  With w = p/S, S = fsum(p), x = l + lg p
             # (d-th) or l, m = sum w x, c = s ln 2 and T = sum w (x - m) expm1(z)/z at
-            # z = c (x - m), (1/s) lg sum w 2^(s x) = m + T log1p(cT)/(cT), cT >= 0
+            # z = c (x - m), (1/s) lg sum w 2^(s x) = m + T log1p(cT)/(cT), cT >= 0.
+            # Rounding, with u = 2^-53 and log2, expm1 and log1p within an ulp: let V
+            # be the exact value of w = p/S, S and lg p exact, at this s, G >= |lg p|,
+            # B >= |x|, R >= max x - min x and Z = |c| R >= |z|.  About any centre m,
+            # V = m + ln(1 + cT)/c while the weights sum to 1, so m's rounding costs
+            # nothing, and dV/dT = 1/(1 + cT) with 1 + cT = sum w e^z >= 1 - O(u):
+            # - x within 2uG + uB, which moves V as much, its x-derivatives being
+            #   weights summing to 1;
+            # - fsum(p) rounds once, so the weights sum to 1 within u, moving cT by
+            #   u cT and V by u |T| / (1 + cT) <= 2uR, by the bound on T below;
+            # - each term of T is within u (7 + 2Z) of itself: x - m, c (x - m) and
+            #   the two products round once, expm1 and the division by z add 3u, and
+            #   expm1(z)/z, whose log has slope in (0, 1), moves by 2u |z|; fsum and
+            #   the division by S add 2u |T|.  As expm1(z)/z <= max(1, e^z) and
+            #   |x - m| <= R, the error sum w |x - m| expm1(z)/z u (9 + 2Z) is at most
+            #   uR (9 + 2Z) (1 + sum w e^z), and over 1 + cT it moves V by at most
+            #   2uR (9 + 2Z): the growth e^z of expm1(z)/z cancels against 1 + cT;
+            # - log1p(cT)/(cT), the product by T and the rounding of cT add 7uR, as
+            #   |V - m| <= R, and the final add u B;
+            # - c = fl(s fl(ln 2)) is within 3u|c| of s ln 2, and |d(V - m)/dc| <= R^2/8,
+            #   the variance bound, adds 3uZR/8.  A subnormal c, z or product is off
+            #   by 2^-1074 at most, which moves V far less than u.
+            # So |value - V| <= u (2G + 2B + R (27 + 5Z)), free of 1/|s| (oracle._errors)
             lgps, total, c = list(lgps), math.fsum(p.probs), s * math.log(2.0)
             x = list(map(operator.add, _spread(map(float, ks), cs),
                          lgps if self.kind is ObjectiveKind.DTH_EXP else repeat(0.0)))

@@ -60,12 +60,31 @@ facts are covered by self-tests rather than assumed.
   - avg: e = 4u (n + G), each term p_i (l_i + lg p_i) rounded twice and
     the ``fsum`` once;
   - MMPR: e = u (n + G), one rounded sum l_i + lg p_i;
-  - exponential: e = u (6T + 6 lg n + 16) / |s|.  Each term
+  - exponential, |s| >= 1/16: e = u (6T + 6 lg n + 16) / |s|.  Each term
     a lg p_i + s l_i is rounded by at most 2uT, which scales its power by
     2^(+-2uT).  The max-shifted lg-sum adds u (3T + 5 lg n + 13): ``pow``
     and ``fsum`` add relative errors of 4u and u, ``log2`` of a sum below
     2n adds 4u (lg n + 1), and the shift back rounds by u (T + lg n + 1).
     The division by s adds u |value|, at most u (T + lg n + 1) / |s|.
+  - exponential, |s| < 1/16: e = u (K (32 + 5 |s| K) + 3 G' N), with
+    N = n - 1, G' = 1.07 G >= max |lg p_i| (a >= 15/16 there) and
+    K = N + G'.  ``evaluate``'s centred form is within
+    u (2G' + 2B + R (27 + 5Z)) of the exact value of the weights p/S, S
+    the exact sum, at this s (its comment derives it).  There B, the
+    largest |l_i + lg p_i| (d-th) or l_i, and R, their spread, are at most
+    K, and Z = |s| R ln 2.
+    That value weighs symbol i by p_i 2^(s lg p_i) / S (d-th) or p_i / S,
+    and the table by 2^(x_i), x_i = a lg p_i rounded: the two differ by
+    factors 2^(eps_i) / S, |eps_i| <= eta = 4.3u G'.  So the value of p/S
+    is the table's plus h(0)/s, the same for every vector, plus
+    (h(s) - h(0))/s, h(t) the lg of the mean of 2^eps under the weights
+    2^(x_i + t l_i) less lg S.  That is h'(t) at some t between 0 and s, a
+    difference of two means of l whose weights are within 2^(+-2 eta) of
+    each other, at most (2^(2 eta) - 1) N / 2 <= 3u G' N.  So e bounds the
+    float against the exact value of the table's floats, up to a shift
+    that every vector shares and that the differences below do not see.
+    ``evaluate`` falls back to the lg-sum only where some |z| passes
+    ~709, which needs n past 15,000 here.
 
   The table and the walk round too.  Every quantity they form is at most
   T_L = G + |s| n + 2 lg n + 2 in size (s = 1 under MMPR).  Each
@@ -89,13 +108,14 @@ facts are covered by self-tests rather than assumed.
   under the exponential objectives, which is at least the exact step
   lg((q^(V + Delta) - W) / (q^V - W)) from a value V.  Each falls as D
   rises, so it is taken at D = 2^(L - delta), at most the root vector's
-  exact D.  The walk's bound at each level above the vector is at most
-  its exact lg D plus 2 delta, so the line is L + Gamma + 3 delta.  On a
-  Dirichlet pmf at n = 16 that admits vectors 3e-12 to 1.3e-11 bits above
-  the least under the benchmark's objectives.  At |s| < 1/16 ``evaluate``
-  is centred on p/S, S = fsum(p), whose value is p's less lg S / s for every
-  vector alike, and has no 1/|s| in its error: e, ~0.02 bits at d = 1e-12,
-  still bounds it, far too widely, and the line holds that many vectors.
+  exact D.  ``_lg_expm1`` takes lg |q^Delta - 1| as lg |s| + lg Delta +
+  lg ln 2 where s Delta is subnormal, as at d = 5e-324, rather than form
+  the product.  The walk's bound at each level above the vector is at
+  most its exact lg D plus 2 delta, so the line is L + Gamma + 3 delta.
+  On a Dirichlet pmf at n = 16 that admits vectors 3e-12 to 1.3e-11 bits
+  above the least under the benchmark's objectives, and near d = 0 or
+  q = 1, where e is ~3e-13 at n = 40, it admits one to three vectors on
+  the tests' pmfs.
 
 ``evaluated_count`` is the size of the space, ``_completions(1, n)``,
 though the walk lists only the vectors under its line.  The oracle never
@@ -110,8 +130,8 @@ import random
 from collections.abc import Callable, Iterator
 from functools import cache
 
-from .core import (CodingError, LengthVector, Objective, ObjectiveKind, Pmf, _Record, _set,
-                   _spread)
+from .core import (_SMALL_SCALE, CodingError, LengthVector, Objective, ObjectiveKind, Pmf,
+                   _lg_add, _Record, _set, _spread)
 
 __all__ = [
     "AlphabetTooLarge",
@@ -226,17 +246,12 @@ def random_complete_lengths(n: int, rng: random.Random) -> LengthVector:
     return LengthVector(_unrank(n, rng.randrange(_completions(1, n))))
 
 
-def _lg_add(a: float, b: float) -> float:
-    """lg(2^a + 2^b), shifted by the larger so that neither power overflows:
-    ``core.lg_sum_exp2`` on two terms, without the list and the ``fsum`` that
-    make that 3-5x slower in the table's inner loop."""
-    if a < b:
-        a, b = b, a
-    return a + math.log2(1.0 + 2.0 ** (b - a))
-
-
-def _lg_expm1(z: float) -> float:
-    """lg |2^z - 1| for a normal z: no overflow for large z, no cancellation near 0."""
+def _lg_expm1(s: float, k: float = 1.0) -> float:
+    """lg |2^(s k) - 1| for k > 0: no overflow for large s k, no cancellation near
+    0, and where s k is subnormal or 0, lg |s| + lg k + lg ln 2, without forming
+    s k: 2^z - 1 = z ln 2 (1 + O(z)), and O(z) is far below an ulp there."""
+    if abs(z := s * k) < 2.0 ** -1022:
+        return math.log2(abs(s)) + math.log2(k) + math.log2(math.log(2.0))
     return max(z, 0.0) + math.log2(-math.expm1(-abs(z) * math.log(2.0)))
 
 
@@ -300,8 +315,9 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], least: list[float]
 
 def _errors(obj: Objective, x: list[float], s: float) -> tuple[float, float]:
     """(e, delta): how far ``evaluate``'s float may lie from the exact value
-    of the same floats a lg p_i = x_i and s, and a table entry or a walk's
-    bound from its exact lg D (module docstring)."""
+    of the same floats a lg p_i = x_i and s, up to a shift every vector
+    shares at |s| < 1/16, and a table entry or a walk's bound from its exact
+    lg D (module docstring)."""
     n = len(x)
     top = max(map(abs, x))
     delta = 8 * _U * (n + 1) * (top + abs(s) * n + 2 * math.log2(n) + 6)
@@ -309,15 +325,17 @@ def _errors(obj: Objective, x: list[float], s: float) -> tuple[float, float]:
         return _U * (n + top), delta
     if obj.kind is ObjectiveKind.AVG_REDUNDANCY:
         return 4 * _U * (n + top), delta
+    if abs(s) < _SMALL_SCALE:
+        g = 1.07 * top
+        size = n - 1 + g
+        return _U * (size * (32 + 5 * abs(s) * size) + 3 * g * (n - 1)), delta
     size = top + abs(s) * (n - 1)
     return _U * (6 * size + 6 * math.log2(n) + 16) / abs(s), delta
 
 
 def _line(obj: Objective, s: float, w: float, least: float, e: float, delta: float) -> float:
     """The walk's line over the root's least lg D, ``least``, for the total lg
-    weight w: least + Gamma(ARGMIN_TOL + 2e) + 3 delta (module docstring).
-    At a subnormal s, where ``_lg_expm1(s)`` may be a bit off, e alone puts
-    the line above every vector."""
+    weight w: least + Gamma(ARGMIN_TOL + 2e) + 3 delta (module docstring)."""
     step = ARGMIN_TOL + 2 * e
     low = least - delta
     if obj.kind is ObjectiveKind.MAX_POINTWISE:
@@ -325,7 +343,7 @@ def _line(obj: Objective, s: float, w: float, least: float, e: float, delta: flo
     elif obj.kind is ObjectiveKind.AVG_REDUNDANCY:
         gamma = _lg_add(0.0, math.log2(step) - low)
     else:
-        gamma = _lg_add(0.0, _lg_expm1(s * step) + _lg_add(0.0, w - low - _lg_expm1(s)))
+        gamma = _lg_add(0.0, _lg_expm1(s, step) + _lg_add(0.0, w - low - _lg_expm1(s)))
     return least + gamma + 3 * delta
 
 
@@ -340,9 +358,7 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     ``evaluate`` and of the table, each then scored with ``evaluate``
     (module docstring).  ``evaluated_count`` is the size of the space,
     which grows like 1.794^n; the table has O(n^2) states and O(n^3)
-    steps, so raising ``max_n`` costs little, but near d = 0 or q = 1 the
-    line holds every vector ``evaluate`` cannot tell apart, thousands at
-    n = 40.
+    steps, so raising ``max_n`` costs little.
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")

@@ -63,8 +63,7 @@ def cmd_bounds(args) -> int:
     if j < 1:
         raise CodingError(f"--j must be >= 1, got {j}")
     obj = _objective_from_args(args)
-    doc: dict = {"objective": obj_name, "j": j,
-                 "param": None if obj.param is None else _round12(obj.param)}
+    doc: dict = {"objective": obj_name, "j": j, "param": obj.param}
     if obj_name == "expavg":
         refuse(args, "under --objective expavg", "--p")
         if args.input is None:

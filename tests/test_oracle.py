@@ -23,8 +23,9 @@ from genhuff import (
     random_complete_lengths,
     validate_pmf,
 )
-from genhuff.oracle import (ARGMIN_TOL, _completions, _errors, _lg_add, _lg_expm1, _line,
-                            _recurrence, _table, _walk)
+from genhuff.core import _lg_add
+from genhuff.oracle import (ARGMIN_TOL, _completions, _errors, _lg_expm1, _line, _recurrence,
+                            _table, _walk)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 from test_core import lg_mean_reference
 
@@ -55,6 +56,14 @@ BENCH_OBJECTIVES = (
 EXTREME_OBJECTIVES = (
     *(Objective.exp_average(q) for q in (1e200, 1e10, 0.5 + 1e-7, 1 + 1e-12, 1 - 1e-12)),
     *(Objective.dth_exp(d) for d in (1e6, 1e4, -1 + 1e-9, 1e-12, -1e-12)),
+)
+
+# near d = 0 and q = 1, where evaluate takes its centred form, down to the least
+# subnormal d, and just inside that form's cut |s| < 1/16
+NEAR_ZERO_OBJECTIVES = (
+    *(Objective.dth_exp(d) for d in (1e-12, -1e-12, 1e-300, 5e-324, 0.06, -0.06, 0.0624)),
+    *(Objective.exp_average(q) for q in (1 + 2.0 ** -52, 1 - 2.0 ** -52, 1 - 2.0 ** -53,
+                                         1 + 1e-12, 2.0 ** 0.0624, 2.0 ** -0.0624)),
 )
 
 
@@ -307,9 +316,17 @@ class TestAgainstReference:
     ], ids=lambda o: f"{o.kind.value}-{o.param}")
     def test_bit_identical_at_the_ends_of_the_float_range(self, obj):
         # q^l and p^(1+d) over- or underflow here, which the table's lg domain
-        # never forms; at d = 5e-324 evaluate's error bound is inf, so the line
-        # holds every vector
+        # never forms; at d = 5e-324 so does the line's s (ARGMIN_TOL + 2e)
         rng = np.random.default_rng(57)
+        for n in range(1, 13):
+            for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
+                assert_matches_reference(p, obj)
+
+    @pytest.mark.parametrize("obj", NEAR_ZERO_OBJECTIVES, ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_bit_identical_near_zero_scale(self, obj):
+        # evaluate's centred form, whose error the line reads, from d = 5e-324 and
+        # q = 1 + 2^-52 to the form's cut; tie-heavy pmfs tie or nearly tie codes
+        rng = np.random.default_rng(59)
         for n in range(1, 13):
             for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
                 assert_matches_reference(p, obj)
@@ -349,7 +366,10 @@ def cap_pmfs():
 def exact_scores(obj, p, x, s):
     """The map from lengths to their (lg D, value) in exact arithmetic on the
     floats the oracle and evaluate start from: x_i = a lg p_i and s, and p_i
-    itself under avg.  Under MMPR lg D is the max-plus score max (l_i - 1 + x_i)."""
+    itself under avg.  Under MMPR lg D is the max-plus score max (l_i - 1 + x_i).
+    At |s| < 1/16 the value is that of evaluate's centred form: weights p_i / S,
+    S the exact sum, on l_i + lg p_i (d-th) or l_i, lg p_i exact, at the float s,
+    which shifts every vector's value alike from the table's up to 3u G' N."""
     xs = [mpmath.mpf(v) for v in x]
     n = len(xs)
     if obj.kind.value == "mmpr":
@@ -363,25 +383,37 @@ def exact_scores(obj, p, x, s):
     ws = [mpmath.power(2, v) for v in xs]
     # q^l for each length a vector of n symbols can take
     qs = [mpmath.power(2, s * l) for l in range(n)]
-    return lambda ls: (
-        mpmath.log(mpmath.fsum(w * (qs[l] - 1) for w, l in zip(ws, ls)) / (qs[1] - 1), 2),
-        mpmath.log(mpmath.fsum(w * qs[l] for w, l in zip(ws, ls)), 2) / s)
+    lg_d = lambda ls: mpmath.log(
+        mpmath.fsum(w * (qs[l] - 1) for w, l in zip(ws, ls)) / (qs[1] - 1), 2)
+    if abs(s) >= 1 / 16:
+        return lambda ls: (lg_d(ls), mpmath.log(mpmath.fsum(w * qs[l] for w, l in zip(ws, ls)),
+                                                2) / s)
+    ps = [mpmath.mpf(v) for v in p.probs]
+    total = mpmath.fsum(ps)
+    gs = [mpmath.log(v, 2) if obj.kind.value == "dexp" else 0 for v in ps]
+    return lambda ls: (lg_d(ls), mpmath.log(mpmath.fsum(
+        w / total * mpmath.power(2, s * (l + g)) for w, l, g in zip(ps, ls, gs)), 2) / s)
 
 
 class TestLevelDP:
     """The table, the walk and the line they take, against exact arithmetic."""
 
-    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES,
-                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    @pytest.mark.parametrize("obj", OBJECTIVES + EXTREME_OBJECTIVES + (
+        *(Objective.dth_exp(d) for d in (0.06, -0.06, 0.0624, 5e-324)),
+        *(Objective.exp_average(q) for q in (1 + 2.0 ** -52, 1 - 2.0 ** -52, 2.0 ** 0.0624,
+                                             2.0 ** -0.0624)),
+    ), ids=lambda o: f"{o.kind.value}-{o.param}")
     def test_values_within_the_error_bounds(self, obj):
         # for every vector, the walk's lg D is within delta of the exact one and
-        # evaluate's float within e of the exact value; the table's least lg D is
-        # within delta of the exact least; and every vector that evaluate puts
-        # within ARGMIN_TOL of its least float has an exact lg D at least 2 delta
-        # under the line, the slack the walk's bounds above it take
+        # evaluate's float within e of the exact value (of p/S at |s| < 1/16); the
+        # table's least lg D is within delta of the exact least; and every vector
+        # that evaluate puts within ARGMIN_TOL of its least float has an exact lg D
+        # at least 2 delta under the line, the slack the walk's bounds above it
+        # take.  The precision grows as s shrinks, so that q^l - 1 stays resolved
         rng = np.random.default_rng(54)
         checked = 0
-        with mpmath.workprec(200):
+        scale = obj._family[1] if obj._family else 1.0
+        with mpmath.workprec(200 + max(0, -math.frexp(scale)[1])):
             for n in range(2, 12):
                 for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
                     x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
@@ -423,25 +455,38 @@ class TestLevelDP:
                 assert _lg_add(a, -math.inf) == _lg_add(-math.inf, a) == a
 
     @pytest.mark.parametrize("z", [1e-300, 1e-12, 0.25, 1.0, 30.0, 1100.0, 1e6, 1e300,
-                                   -1e-12, -0.25, -30.0, -1e6])
+                                   -1e-12, -0.25, -30.0, -1e6, 5e-324, -5e-324, 1e-310,
+                                   -2.2e-308])
     def test_lg_expm1_neither_overflows_nor_cancels(self, z):
         # lg |2^z - 1| to a few ulps of its size, from 2^z - 1 ~ z ln 2 at
-        # tiny normal z to z itself past the float range of 2^z
+        # tiny z, subnormal z included, to z itself past the float range of 2^z
         with mpmath.workprec(2000):
             exact = mpmath.log(abs(mpmath.power(2, mpmath.mpf(z)) - 1), 2)
         assert abs(_lg_expm1(z) - exact) <= 4 * 2.0 ** -53 * (abs(exact) + 1), z
+
+    @pytest.mark.parametrize("s,k", [(5e-324, 1e-12), (-5e-324, 1.5e-12), (1e-300, 1e-12),
+                                     (-1e-300, 3e-11), (2.0 ** -52, 1e-12), (0.0625, 1e-12)])
+    def test_lg_expm1_of_a_product_that_underflows(self, s, k):
+        # lg |2^(s k) - 1|, as the line takes it at s ARGMIN_TOL, without forming
+        # s k where that is subnormal or 0
+        with mpmath.workprec(4000):
+            exact = mpmath.log(abs(mpmath.power(2, mpmath.mpf(s) * mpmath.mpf(k)) - 1), 2)
+        assert abs(_lg_expm1(s, k) - exact) <= 4 * 2.0 ** -53 * (abs(exact) + 1), (s, k)
 
     @pytest.mark.parametrize("n", [20, 28, 40])
     @pytest.mark.parametrize("obj", BENCH_OBJECTIVES + (
         Objective.exp_average(0.6), Objective.dth_exp(8.0), Objective.exp_average(1e10),
         Objective.dth_exp(1e4), Objective.exp_average(1e200),
+        *(Objective.dth_exp(d) for d in (1e-12, -1e-12, 1e-300, 5e-324)),
+        *(Objective.exp_average(q) for q in (1 + 2.0 ** -52, 1 - 2.0 ** -52, 1 + 1e-12,
+                                             1 - 1e-12)),
     ), ids=lambda o: f"{o.kind.value}-{o.param}")
     def test_engine_exactly_optimal_past_the_enumerable_sizes(self, obj, n):
         # n = 20, 28 and 40 hold ~2e4 to ~2e9 vectors, which no scan reaches;
         # the engine's value is within 1e-12 of the minimum and its lengths are
-        # among the minimizers.  The line near d = 0, q = 1 or d = -1 holds
-        # every vector evaluate cannot tell apart, thousands at n = 40, so those
-        # parameters are checked at n <= 16 above
+        # among the minimizers.  Near d = 0 and q = 1 the line reads the centred
+        # form's error, free of 1/|s|, and the walk lists at most three vectors.
+        # The line near d = -1 grows with n, so that edge is checked at n <= 16
         rng = np.random.default_rng(n)
         rule = CombineRule.for_objective(obj)
         for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n),
@@ -451,6 +496,11 @@ class TestLevelDP:
             assert abs(engine.objective_value - res.min_value) <= 1e-12, p.probs
             assert engine.lengths.lengths in res.argmin_lengths(), p.probs
             assert res.evaluated_count == _completions(1, n)
+            x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
+            if obj._family and abs(s) < 1 / 16:
+                tail, least = _table(x, s, add)
+                line = _line(obj, s, tail[-1], least[n * n + 1], *_errors(obj, x, s))
+                assert len(_walk(n, s, add, tail, least, line)) <= 3, p.probs
 
 
 class TestSoundnessArguments:
