@@ -33,6 +33,12 @@ table of checks on random pmfs and on every witness family, and takes
 refuses a 2^lam witness past the oracle's cap before building it.  Each
 subcommand takes only the ``--format`` values it honours.
 
+A flag is read only by its full name: argparse's abbreviations are off,
+so ``--p`` under ``verify`` is refused, not read as ``--p1``, and so is
+``--n`` under ``code``, not read as ``--normalize``.  A negative value
+may follow its flag after a space, in exponent form and as ``-inf`` too
+(``--d -1e-12``), as well as after ``=``.
+
 Exit codes: 0 success, 1 verification failure (verify's own faults
 included), 2 usage or input error, 141 output pipe closed by its reader
 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended).
@@ -64,8 +70,6 @@ from .core import (
 __all__ = ["ParseError", "main", "emit", "emit_json", "refuse"]
 
 EXIT_BROKEN_PIPE = 141
-
-FLOAT_FLAGS = ("--d", "--q", "--p", "--p1", "--eps", "--step")  # every flag with type=float
 
 # Each subcommand's name, help line and home: the module that defines its
 # flags, add_<name>_flags(parser), and its handler, cmd_<name>(args).  Only
@@ -312,13 +316,13 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     added, so the top-level help and usage read the same whatever argv names.
     """
     parser = argparse.ArgumentParser(
-        prog="genhuff",
+        prog="genhuff", allow_abbrev=False,
         description="Optimal binary prefix codes under nonlinear length "
                     "objectives, with redundancy bounds and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     chosen = next((token for token in argv if not token.startswith("-")), None)
     for name, help_line, home in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=help_line)
+        sp = sub.add_parser(name, help=help_line, allow_abbrev=False)
         if name == chosen:
             __import__(home)
             module = sys.modules[home]
@@ -328,20 +332,20 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def _join_float_values(argv: list[str]) -> list[str]:
-    """``--d -5e-1`` as ``--d=-5e-1``, for each flag that takes a float.
+    """``--d -5e-1`` as ``--d=-5e-1``: a token that parses as a negative
+    float is joined to the ``--flag`` before it.
 
     argparse reads a token that starts with '-' as a flag unless it matches
     its negative-number pattern, which has no exponent or inf, so the
     space-separated ``--d -1e-12`` or ``--q -inf`` would not reach the range
-    check.  A token that parses as a float is joined to such a flag instead,
-    named in full or, as argparse also accepts, by a prefix of no other
-    float flag (``--ep`` for ``--eps``).
+    check.  The joined token is the flag's value whatever the flag takes:
+    ``--j -1`` reads as it did, and a switch such as ``--normalize`` refuses
+    it.
     """
     out: list[str] = []
     for token in argv:
-        if (out and token.startswith("-")
-                and (out[-1] in FLOAT_FLAGS
-                     or sum(flag.startswith(out[-1]) for flag in FLOAT_FLAGS) == 1)):
+        if (out and token.startswith("-") and out[-1].startswith("--")
+                and len(out[-1]) > 2 and "=" not in out[-1]):
             try:
                 float(token)
             except ValueError:

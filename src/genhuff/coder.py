@@ -16,8 +16,8 @@ One code path serves both, and a = 1 takes no power of the leaves.
 
 The engine merges linear weights.  The max rule's 2y is exact, so its
 merge rounds nothing, and no weight passes the root W = max_i p_i 2^l_i,
-which is below 2: it is at most the Shannon code's, whose every
-p_i 2^l_i is below 2.  Where p_n^a is not a normal float, an exponential
+which is below 2S, S = max(1, sum_i p_i) <= 1 + PMF_SUM_TOL: it is at
+most the Shannon code's, whose every p_i 2^l_i is below 2S.  Where p_n^a is not a normal float, an exponential
 rule's leaves are (p_i 2^k)^a, k the least integer that makes
 (p_n 2^k)^a normal: an exact shift of every p_i, which scales the root
 by 2^(k a) and the readout takes back out.  Under a = 1, k is at most 52.
@@ -205,6 +205,7 @@ from .core import (
     _set,
     _spread,
     ceil_neg_lg,
+    cmp_ratio,
 )
 
 __all__ = [
@@ -539,29 +540,59 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     return CodeResult(lengths, canonical_codewords(lengths), value)
 
 
+def _least_shift(x: float, num: int, den: int) -> int:
+    """The least k >= 0 with x 2^k >= num/den, compared exactly (``cmp_ratio``),
+    from a float estimate off by one at most."""
+    k = ceil_neg_lg(min(1.0, x / (num / den)))
+    while k and cmp_ratio(math.ldexp(x, k - 1), num, den) >= 0:
+        k -= 1
+    while cmp_ratio(math.ldexp(x, k), num, den) < 0:
+        k += 1
+    return k
+
+
+def _unit_total(p: Pmf) -> tuple[int, int]:
+    """(num, den): num/den = S = max(1, the exact sum of ``p``), and den, a power
+    of two, a multiple of every entry's denominator."""
+    ratios = [x.as_integer_ratio() for x in p]
+    den = max(b for _, b in ratios)
+    return max(den, sum(a * (den // b) for a, b in ratios)), den
+
+
 def shannon_code(p: Pmf) -> LengthVector:
-    """Lengths ceil(-lg p_i); Kraft-valid, pointwise redundancy below 1."""
-    return LengthVector(tuple(ceil_neg_lg(pi) for pi in p))
+    """Lengths l_i, the least k >= 0 with p_i 2^k >= S, S = max(1, sum_i p_i).
+
+    That is ceil(-lg p_i) where the exact sum is at most 1.  A pmf may sum
+    to up to 1 + PMF_SUM_TOL, and against S its lengths still have
+    sum_i 2^-l_i <= sum_i p_i / S <= 1, so the code is always Kraft-valid;
+    pointwise redundancy is below 1 + lg S.
+    """
+    num, den = _unit_total(p)
+    return LengthVector(tuple(_least_shift(pi, num, den) for pi in p))
 
 
 def j_shannon_code(p: Pmf, j: int) -> LengthVector:
-    """Shannon-style code pinning symbol j (1-based) to length ceil(-lg p_j).
+    """Shannon-style code pinning symbol j (1-based) to its ``shannon_code`` length.
 
     The remaining symbols are coded against the conditional distribution
-    scaled by (1 - 2^-l_j), which keeps the Kraft inequality satisfied.
-    A single-symbol alphabet gets the null codeword.
+    scaled by (1 - 2^-l_j): l_i is the least k >= 0 with
+    p_i 2^k (1 - 2^-l_j) >= S - p_j, S = max(1, sum_i p_i), compared
+    exactly, which keeps the Kraft inequality satisfied.  A single-symbol
+    alphabet gets the null codeword.
     """
     n = p.n
     if not 1 <= j <= n:
         raise CodingError(f"j must be in 1..{n}, got {j}")
     if n == 1:
         return LengthVector((0,))
+    num, den = _unit_total(p)
     pj = p.probs[j - 1]
-    lam = ceil_neg_lg(pj)
-    scale = (1.0 - 2.0 ** -lam) / (1.0 - pj)
-    lengths = [lam if i == j - 1 else ceil_neg_lg(min(1.0, p.probs[i] * scale))
-               for i in range(n)]
-    return LengthVector(tuple(lengths))
+    lam = _least_shift(pj, num, den)
+    a, b = pj.as_integer_ratio()
+    # (S - p_j) / (1 - 2^-lam), at most S and at least S - p_j >= p_i; lam >= 1, as S > p_j
+    rest_num, rest_den = (num - a * (den // b)) << lam, den * ((1 << lam) - 1)
+    return LengthVector(tuple(lam if i == j - 1 else _least_shift(pi, rest_num, rest_den)
+                              for i, pi in enumerate(p.probs)))
 
 
 def unary_code(n: int) -> LengthVector:

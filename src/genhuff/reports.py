@@ -98,40 +98,27 @@ def cmd_sweep(args) -> int:
     step = args.step
     if not SWEEP_MIN_STEP <= step <= 0.1:
         raise CodingError(f"step must lie in [{SWEEP_MIN_STEP:g}, 0.1], got {step}")
-    rows: list[str] = []
-    if args.figure == "mmpr":
-        rows.append("p,lower,upper,lower_kind,upper_kind,exact")
-        k = 1
-        while k * step < 1.0 - 1e-12:
-            pv = k * step
-            r = bnd.mmpr_bounds(pv)
+    figure = args.figure
+    rows = [{"mmpr": "p,lower,upper,lower_kind,upper_kind,exact", "dexp": "p,lower,upper",
+             "l1region": "q,p1_threshold"}[figure]]
+    # p runs over (0, 1) and q over (0, 2]; 1e-12 keeps k * step's rounding off the ends
+    k = 1
+    while (k * step <= 2.0 + 1e-12) if figure == "l1region" else (k * step < 1.0 - 1e-12):
+        v = k * step
+        if figure == "mmpr":
+            r = bnd.mmpr_bounds(v)
             exact = "" if r.exact is None else fmt(r.exact)
-            rows.append(f"{fmt(pv)},{fmt(r.lower)},{fmt(r.upper)},"
-                        f"{r.lower_kind.value},{r.upper_kind.value},{exact}")
-            k += 1
-    elif args.figure == "dexp":
-        rows.append("p,lower,upper")
-        k = 1
-        while k * step < 1.0 - 1e-12:
-            pv = k * step
+            row = f"{fmt(r.lower)},{fmt(r.upper)},{r.lower_kind.value},{r.upper_kind.value},{exact}"
+        elif figure == "dexp":
             # every d > 0 shares the one sandwich
-            r = bnd.dth_bounds(pv, 1.0)
-            rows.append(f"{fmt(pv)},{fmt(r.lower)},{fmt(r.upper)}")
-            k += 1
-    else:
-        rows.append("q,p1_threshold")
-        k = 1
-        while k * step <= 2.0 + 1e-12:
-            qv = k * step
-            if qv <= 0.5:
-                thr = 0.0
-            elif qv <= 1.0:
-                thr = 2.0 * qv / (2.0 * qv + 3.0)
-            else:
-                # no p_1 below 1 guarantees a one-bit codeword
-                thr = 1.0
-            rows.append(f"{fmt(qv)},{fmt(thr)}")
-            k += 1
+            r = bnd.dth_bounds(v, 1.0)
+            row = f"{fmt(r.lower)},{fmt(r.upper)}"
+        else:
+            # unary is optimal up to q = 1/2, and past q = 1 no p_1 below 1
+            # guarantees a one-bit codeword
+            row = fmt(0.0 if v <= 0.5 else 2.0 * v / (2.0 * v + 3.0) if v <= 1.0 else 1.0)
+        rows.append(f"{fmt(v)},{row}")
+        k += 1
     emit("\n".join(rows), args.out)
     return 0
 

@@ -37,7 +37,7 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
-from genhuff.core import D_MAX
+from genhuff.core import D_MAX, ceil_neg_lg
 from genhuff.coder import _level_runs, _merge_two_queues
 from test_oracle import EXTREME_OBJECTIVES, OBJECTIVES
 
@@ -1455,6 +1455,85 @@ class TestShannonCodes:
             code = shannon_code(p)
             assert code.is_valid
             assert max_pointwise_redundancy(p, code) < 1.0
+
+
+def least_shift_reference(x, target):
+    """The least k >= 0 with x 2^k >= target, in Fractions."""
+    ratio = target / Fraction(x)
+    # every smaller k has 2^k < ratio
+    k = max(0, ratio.numerator.bit_length() - ratio.denominator.bit_length() - 1)
+    while 2 ** k < ratio:
+        k += 1
+    return k
+
+
+def shannon_reference(probs):
+    """``shannon_code`` and ``j_shannon_code`` by their definitions in Fractions:
+    l_i is the least k with p_i 2^k >= S, S = max(1, the exact sum), and under
+    ``j_shannon_code`` the least k with p_i 2^k (1 - 2^-l_j) >= S - p_j."""
+    total = max(Fraction(1), sum(map(Fraction, probs)))
+    plain = [least_shift_reference(x, total) for x in probs]
+    pinned = []
+    for j, lam in enumerate(plain):
+        rest = (total - Fraction(probs[j])) / (1 - Fraction(1, 2 ** lam))
+        pinned.append(tuple(lam if i == j else least_shift_reference(x, rest)
+                            for i, x in enumerate(probs)))
+    return tuple(plain), pinned
+
+
+@st.composite
+def near_unit_sums(draw):
+    """2 to 12 entries over their fsum, sorted, some of them tiny, with p_1 then
+    moved by up to 9e-10, so that the exact sum lies either side of 1."""
+    n = draw(st.integers(2, 12))
+    raw = draw(st.lists(st.floats(1e-3, 1.0) | st.sampled_from((1e-10, 2.0 ** -60, 1e-320)),
+                        min_size=n, max_size=n))
+    total = math.fsum(raw)
+    probs = sorted((x / total for x in raw), reverse=True)
+    probs[0] += draw(st.floats(-9e-10, 9e-10))
+    return validate_pmf(probs)
+
+
+class TestShannonAboveUnitSum:
+    """A pmf may sum to up to 1 + PMF_SUM_TOL; both Shannon codes take their
+    lengths against S = max(1, sum) and stay Kraft-valid."""
+
+    @pytest.mark.parametrize("raw,lengths", [
+        ([1.0, 1e-10], (1, 34)),
+        ([0.5, 0.25, 0.25, 1e-10], (2, 3, 3, 34)),
+    ])
+    def test_sum_above_one(self, raw, lengths):
+        # ceil(-lg p_i) gave (0, 34) and (1, 2, 2, 34), Kraft sum 1 + 2^-34
+        p = validate_pmf(raw)
+        assert shannon_code(p).lengths == lengths and shannon_code(p).is_valid
+        for j in range(1, p.n + 1):
+            assert j_shannon_code(p, j).is_valid
+
+    def test_pinned_p1_of_one(self):
+        # 1 - p_1 was 0: a ZeroDivisionError
+        assert j_shannon_code(validate_pmf([1.0, 1e-10]), 1).lengths == (1, 1)
+
+    @pytest.mark.parametrize("raw,j,lengths", [
+        # 1 - 2^-54 rounded to 1.0, so p_1 scaled to 1.0 and took length 0
+        ([0.9999999999999999, 7.705265437789106e-17], 2, (1, 54)),
+        # p_2 2 (1 - 1/2) equals 1 - p_1 exactly; the float scale rounded below it
+        ([0.8113914911580746, 0.18860850884192537], 1, (1, 1)),
+    ])
+    def test_pinned_lengths_are_exact_at_a_unit_sum(self, raw, j, lengths):
+        p = validate_pmf(raw)
+        assert sum(map(Fraction, raw)) <= 1
+        assert j_shannon_code(p, j).lengths == lengths
+
+    @given(near_unit_sums())
+    @settings(max_examples=200, deadline=None)
+    def test_lengths_are_the_definition(self, p):
+        plain, pinned = shannon_reference(p.probs)
+        assert shannon_code(p).lengths == plain and shannon_code(p).is_valid
+        if sum(map(Fraction, p.probs)) <= 1:
+            assert plain == tuple(map(ceil_neg_lg, p.probs))
+        for j in range(1, p.n + 1):
+            code = j_shannon_code(p, j)
+            assert code.lengths == pinned[j - 1] and code.is_valid
 
 
 class TestJShannon:

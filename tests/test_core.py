@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import operator
 import os
 import pickle
 import pprint
@@ -761,6 +762,30 @@ class TestNearZeroScale:
         if 1.0 + s != 1.0:
             exact = float(renyi_reference(p, 1.0 + s))
             assert abs(renyi_entropy(p, 1.0 + s) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("obj,overflows", [
+        (Objective.dth_exp(0.06), True),
+        (Objective.exp_average(2.0 ** 0.06), True),
+        (Objective.dth_exp(-0.06), False),
+    ], ids=["d", "q", "d-negative"])
+    def test_past_expm1s_range_the_lg_sum_answers(self, obj, overflows):
+        # the unary code of 2^(-i/20), normalised, n = 20,000: at s = 0.06 the
+        # largest z = s ln 2 (x - m) is 789 (d-th) and 831 (q), past expm1's
+        # 709.78, and the lg-sum answers; at d = -0.06 every z is negative
+        from genhuff import unary_code
+
+        total = math.fsum(2.0 ** (-i / 20) for i in range(1, 20001))
+        p = validate_pmf([2.0 ** (-i / 20) / total for i in range(1, 20001)])
+        l = unary_code(p.n)
+        x = [k + (math.log2(pi) if obj.kind.value == "dexp" else 0.0)
+             for k, pi in zip(l.lengths, p.probs)]
+        m = math.fsum(map(operator.mul, p.probs, x)) / math.fsum(p.probs)
+        s = obj.param if obj.kind.value == "dexp" else math.log2(obj.param)
+        assert (s * math.log(2.0) * (max(x) - m) > 709.78) == overflows
+        value = obj.evaluate(p, l)
+        # s is far from 0, so 200 bits leave the reference exact to a float
+        exact = float(lg_mean_reference(obj, p, l.lengths, prec=200))
+        assert abs(value - exact) <= 1e-13 * (abs(value) + 1), (value, exact)
 
     def test_renyi_entropy_past_one_plus_d_max_is_refused(self):
         # alpha lg p_1 overflows at 1.7e308; 1 + D_MAX rounds to D_MAX = 1e300
