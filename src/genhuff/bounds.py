@@ -26,6 +26,7 @@ from .core import (
     DOutOfRange,
     Objective,
     ObjectiveKind,
+    _floor_lg,
     alpha_of_q,
     binary_entropy,
     ceil_neg_lg,
@@ -130,11 +131,9 @@ def mmpr_length_bounds(p_j: float) -> tuple[int, int]:
     if not 0.0 < p_j < 1.0:
         raise POutOfRange(f"probability must be in (0, 1), got {p_j}")
     # p_j = a/b exactly, and p_j <= 1/(2^nu - 1) is 2^nu <= (a + b)/a, so
-    # nu_lower = floor(lg((a + b)/a)), at least 1 as p_j < 1: from bit lengths
+    # nu_lower = floor(lg((a + b)/a)), at least 1 as p_j < 1
     a, b = p_j.as_integer_ratio()
-    k = (a + b).bit_length() - a.bit_length()
-    nu_lower = k if a << k <= a + b else k - 1
-    return ceil_neg_lg(p_j), nu_lower
+    return ceil_neg_lg(p_j), _floor_lg(a + b, a)
 
 
 def avg_redundancy_lower(p_j: float) -> float:
@@ -246,9 +245,14 @@ def hat_transform(p: Pmf, q: float) -> Pmf:
     Reduces exponential-average minimization at base q to (lg q)-th
     exponential redundancy: for every length vector, the redundancy of the
     transformed distribution equals the cost on the original minus its
-    Renyi entropy.
+    Renyi entropy.  ``PreconditionUnmet`` where a transformed entry
+    underflows to 0.0, as every p_i below p_1 does near q = 1/2.
     """
-    return Pmf(tuple(_hat_probs(p, alpha_of_q(q))))
+    probs = _hat_probs(p, alpha_of_q(q))
+    if probs[-1] == 0.0:
+        raise PreconditionUnmet(f"the transformed p_{probs.index(0.0) + 1} of {p.n} rounds "
+                                f"to 0.0; the transform needs every entry > 0")
+    return Pmf(tuple(probs))
 
 
 def exp_avg_bounds(p: Pmf, q: float, j: int = 1) -> BoundReport:

@@ -14,7 +14,8 @@ parser adds the flags of the subcommand the call names only, so a call
 compiles its own home and no other: ``code`` runs on ``cli`` with
 ``core``, ``coder`` and ``bounds``; ``bounds``, ``sweep`` and ``benford``
 add ``reports``; ``verify`` adds ``verify`` with the oracle and the witness
-generators, and reads its family names and the oracle's cap from them.
+generators, and reads its family names and the package's one alphabet
+cap, the oracle's ``DEFAULT_MAX_N``, from them.
 ``json`` is imported only to read or write JSON.  No module of the
 package imports ``dataclasses``, ``inspect`` or ``typing`` on the way to
 an answer: every record is a ``core._Record``, and annotations stay

@@ -201,11 +201,10 @@ from .core import (
     Pmf,
     _SMALL_SCALE,
     _Record,
+    _floor_lg,
     _lg_add,
     _set,
     _spread,
-    ceil_neg_lg,
-    cmp_ratio,
 )
 
 __all__ = [
@@ -541,14 +540,10 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
 
 
 def _least_shift(x: float, num: int, den: int) -> int:
-    """The least k >= 0 with x 2^k >= num/den, compared exactly (``cmp_ratio``),
-    from a float estimate off by one at most."""
-    k = ceil_neg_lg(min(1.0, x / (num / den)))
-    while k and cmp_ratio(math.ldexp(x, k - 1), num, den) >= 0:
-        k -= 1
-    while cmp_ratio(math.ldexp(x, k), num, den) < 0:
-        k += 1
-    return k
+    """The least k >= 0 with x 2^k >= num/den, exactly: with x = a/b that is
+    ceil(lg(num b / (den a))) = -floor(lg(den a / (num b)))."""
+    a, b = x.as_integer_ratio()
+    return max(0, -_floor_lg(a * den, b * num))
 
 
 def _unit_total(p: Pmf) -> tuple[int, int]:

@@ -187,6 +187,14 @@ def _lg_add(a: float, b: float) -> float:
     return a + math.log2(1.0 + 2.0 ** (b - a))
 
 
+def _floor_lg(num: int, den: int) -> int:
+    """floor(lg(num/den)) for positive ints, exactly: with k the difference of
+    their bit lengths, 2^(k-1) < num/den < 2^(k+1), and one shifted compare
+    tells k from k - 1."""
+    k = num.bit_length() - den.bit_length()
+    return k - ((num << max(0, -k)) < (den << max(0, k)))
+
+
 def ceil_neg_lg(p: float) -> int:
     """Smallest integer k >= 0 with p * 2^k >= 1, i.e. ceil(-lg p).
 

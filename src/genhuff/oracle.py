@@ -2,8 +2,10 @@
 
 The space is every nondecreasing integer length vector with Kraft sum
 exactly 1 (equivalently, every full binary tree shape by level profile);
-its size grows like 1.794^n, 1639 vectors at n = 16.  For probabilities
-sorted nonincreasing, restricting to nondecreasing lengths loses nothing:
+its size grows like 1.794^n, 5269 vectors at n = 18.  That is
+``DEFAULT_MAX_N``, the package's one alphabet cap: ``verify`` reads it for
+its campaign and its witnesses.  For probabilities sorted nonincreasing,
+restricting to nondecreasing lengths loses nothing:
 giving the longer codeword to the less probable symbol never increases
 any of the objectives here.  Equality rather than inequality in the Kraft
 sum is likewise lossless, since shortening a codeword never hurts.  Both
@@ -141,7 +143,7 @@ __all__ = [
     "brute_force_optimal",
 ]
 
-DEFAULT_MAX_N = 16
+DEFAULT_MAX_N = 18
 ARGMIN_TOL = 1e-12
 _U = 2.0 ** -53
 

@@ -4,7 +4,9 @@ Only ``verify`` needs the exact oracle and the witness generators.
 This module holds everything that uses them, its flags included, and
 ``cli`` imports it only when ``verify`` runs, so the other subcommands
 start without loading either.  The flags read the family names from
-``witness.FamilyKind`` and the campaign's cap on ``--n`` from the oracle.
+``witness.FamilyKind``.  ``--n``, the refusal of a witness too large to
+check and the witness checks all read one alphabet cap, the oracle's
+``DEFAULT_MAX_N``.
 
 Without ``--family`` the campaign runs a table of checks on random pmfs
 from one ``random.Random(seed)`` and on ``WITNESS_PANEL``, every family's
@@ -33,6 +35,7 @@ from .core import (
     Objective,
     ObjectiveKind,
     Pmf,
+    _floor_lg,
     alpha_of_q,
     avg_redundancy,
     ceil_neg_lg,
@@ -98,8 +101,6 @@ WITNESS_PANEL = (
     wit.WitnessFamily(wit.FamilyKind.L1_ALWAYS_ONE_Q_LT_1, q=0.8, p1=0.5),
 )
 
-WITNESS_MAX_N = 18  # the oracle's cap on a witness: 2^lam families reach 17 at lam = 4
-
 
 def _refuse_unchecked_witness(fam: wit.WitnessFamily) -> None:
     """Refuse a witness of 2^lam + offset symbols (``witness.FAMILIES``) too
@@ -112,10 +113,10 @@ def _refuse_unchecked_witness(fam: wit.WitnessFamily) -> None:
         return
     lam = ceil_neg_lg(fam.p1)
     n = 2 ** lam + offset
-    if WITNESS_MAX_N < n and lam <= wit.MAX_SYMBOLS_LG:
-        top = (WITNESS_MAX_N - offset).bit_length() - 1
+    if DEFAULT_MAX_N < n and lam <= wit.MAX_SYMBOLS_LG:
+        top = _floor_lg(DEFAULT_MAX_N - offset, 1)
         raise CodingError(f"--family {fam.kind.value} at p_1={fam.p1} needs {n} symbols, "
-                          f"past the oracle cap {WITNESS_MAX_N}: the oracle checks "
+                          f"past the oracle cap {DEFAULT_MAX_N}: the oracle checks "
                           f"p_1 >= 2^-{top} = {fmt(2.0 ** -top)} only")
 
 
@@ -127,8 +128,8 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
         engine = generalized_huffman(p, CombineRule.for_objective(obj))
         best_l1 = wit.one_bit_l1_cost_bound(fam.q, fam.p1)
         checks = []
-        if p.n <= WITNESS_MAX_N:
-            res = brute_force_optimal(p, obj, max_n=WITNESS_MAX_N)
+        if p.n <= DEFAULT_MAX_N:
+            res = brute_force_optimal(p, obj)
             checks.append(("l1-counter oracle", all(lv.lengths[0] >= 2 for lv in res.argmin),
                            f"n={p.n}, every optimum has l_1 >= 2, min={fmt(res.min_value)}"))
         checks.append(("l1-counter dominance", engine.objective_value < best_l1 - BOUND_TOL,
@@ -162,7 +163,7 @@ def _witness_checks(fam: wit.WitnessFamily, p: Pmf) -> list[tuple[str, bool, str
             raise CodingError(f"--family len-upper-tight at p_1={p1}: l_1 = {lam - 1} scores "
                               f"{other - forced:.3g} above l_1 = {lam}, within the oracle's "
                               f"resolution {ARGMIN_TOL:g}, too close for it to check")
-    res = brute_force_optimal(p, Objective.max_pointwise(), max_n=WITNESS_MAX_N)
+    res = brute_force_optimal(p, Objective.max_pointwise())
     firsts = [lv.lengths[0] for lv in res.argmin]
     # the l_1 values of the oracle's optima, as each length detail names them
     found = " or ".join(map(str, sorted(set(firsts))))

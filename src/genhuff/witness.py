@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .core import CodingError, Pmf, _Record, _set, ceil_neg_lg, cmp_ratio
+from .core import CodingError, Pmf, _Record, _floor_lg, _set, ceil_neg_lg, cmp_ratio
 
 __all__ = ["ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate",
            "one_bit_l1_cost_bound"]
@@ -105,12 +105,6 @@ def _l1_counter_levels(q: float | None, p1: float | None) -> int:
 def _lam(p1: float) -> int:
     """lam = ceil(-lg p_1), exactly, for a family with a block of about 2^lam symbols."""
     return _block_lg(ceil_neg_lg(p1), f"p_1={p1}")
-
-
-def _floor_lg(x: Fraction) -> int:
-    """floor(lg x) for a rational x > 0, exactly."""
-    k = x.numerator.bit_length() - x.denominator.bit_length()
-    return k if x >= Fraction(2) ** k else k - 1
 
 
 def _power_family(k: FamilyKind, p1: float | None, eps: float | None, offset: int) -> Pmf:
@@ -236,8 +230,10 @@ def generate(family: WitnessFamily) -> Pmf:
         terms = [0]
         terms.append(math.floor(math.log(2.0 * q * p1 / (1.0 - p1), q)))
         if p1 < 0.5:
-            # exact: in floats (1 - 2 p_1) / p_1 overflows for subnormal p_1
-            terms.append(_floor_lg((1 - 2 * Fraction(p1)) / Fraction(p1)))
+            # exact: in floats (1 - 2 p_1) / p_1 overflows for subnormal p_1,
+            # and with p_1 = a/b it is (b - 2a)/a
+            a, b = p1.as_integer_ratio()
+            terms.append(_floor_lg(b - 2 * a, a))
         tail = 2 ** _block_lg(1 + max(terms), f"q={q}, p_1={p1}")
         probs = sorted((p1,) + ((1.0 - p1) / tail,) * tail, reverse=True)
         return Pmf(tuple(probs))

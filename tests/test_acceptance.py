@@ -223,7 +223,7 @@ def test_criterion_08():
             obj = Objective.exp_average(q)
             best_one_bit = one_bit_l1_cost_bound(q, p1)
             if p.n <= 18:
-                res = brute_force_optimal(p, obj, max_n=18)
+                res = brute_force_optimal(p, obj)
                 assert all(lv.lengths[0] >= 2 for lv in res.argmin), (q, p1)
                 # the closed form matches exhaustive search over l_1 = 1 codes
                 constrained = min(

@@ -19,7 +19,6 @@ from genhuff import (
     CombineRule,
     L1Region,
     LengthVector,
-    NonPositiveProbability,
     Objective,
     POutOfRange,
     PreconditionUnmet,
@@ -53,6 +52,7 @@ from genhuff import (
     validate_pmf,
 )
 from genhuff.witness import one_bit_l1_cost_bound
+from test_battery import tie_heavy
 
 MOAB_03 = 0.009235350264498055
 MOAB_07 = 0.11870910076930738
@@ -504,6 +504,19 @@ class TestHatTransform:
         assert hat_transform(p, 2.0).probs == pytest.approx(
             tuple(r / total for r in roots), abs=1e-12)
 
+    @pytest.mark.parametrize("raw,first_zero", [
+        ([2.0 ** -60, 2.0 ** -60, 1.0 - 2.0 ** -59], 2),
+        # the battery's 17-symbol tie-heavy pmf: four entries of 8/74 first
+        (tie_heavy(17), 5),
+    ], ids=["2^-60-pair", "battery-tie-heavy-17"])
+    def test_an_underflowed_entry_is_a_precondition_not_the_input(self, raw, first_zero):
+        # alpha is ~6e15 at q = 1/2 + 1 ulp, so every p_i^alpha below p_1's
+        # underflows: the transform's limit, not a fault of the caller's pmf
+        p = validate_pmf(raw, normalize=True)
+        with pytest.raises(PreconditionUnmet, match=rf"^the transformed p_{first_zero} of "
+                           rf"{p.n} rounds to 0\.0; the transform needs every entry > 0$"):
+            hat_transform(p, 0.5000000000000001)
+
     def test_identity_randomized(self):
         rng = np.random.default_rng(55)
         for _ in range(150):
@@ -552,7 +565,7 @@ class TestExpAvgBounds:
     def test_transformed_probability_out_of_range_is_refused_alone(self):
         # 5e-324 ** alpha underflows for q < 1; only the bound that reads it refuses
         p = validate_pmf([0.5, 0.5, 5e-324])
-        with pytest.raises(NonPositiveProbability, match="entry 3 of 3 is 0.0"):
+        with pytest.raises(PreconditionUnmet, match="transformed p_3 of 3 rounds to 0.0"):
             hat_transform(p, 0.9)
         assert exp_avg_bounds(p, 0.9, 1).contains(exp_average_cost(p, LengthVector((1, 2, 2)), 0.9))
         with pytest.raises(PreconditionUnmet, match="transformed p_3 rounds to 0.0"):

@@ -732,12 +732,16 @@ class TestVerify:
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "0", "trials must be >= 1"),
         ("--n", "1", "n must be >= 2"),
-        ("--n", "17", "<= 16 (the oracle's cap)"),
+        ("--n", "19", "<= 18 (the oracle's cap)"),
     ])
     def test_campaign_domain(self, capsys, flag, value, message):
         code, out, err = run(capsys, "verify", flag, value)
         assert code == 2 and out == ""
         assert message in err
+
+    def test_campaign_runs_at_the_oracle_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "18", "--trials", "4")
+        assert (code, err) == (0, "") and out.endswith("result: ok\n")
 
     def test_family_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mmpr-upper-high",
@@ -1481,7 +1485,7 @@ def verify_argvs(draw):
             if draw(st.integers(0, 9)) < (8 if name in witness.FAMILIES[kind][0] else 1):
                 argv += [f"--{name}", repr(draw(st.sampled_from(edges)))]
     else:
-        for flag, edges in (("--n", (1, 2, 16, 17)), ("--trials", (0, 1, 2)),
+        for flag, edges in (("--n", (1, 2, 18, 19)), ("--trials", (0, 1, 2)),
                             ("--seed", (-1, 0, 2 ** 63))):
             argv += [flag, str(draw(st.sampled_from(edges)))]
     return argv + draw(stray_flags(VERIFY_FLAGS))

@@ -1467,17 +1467,19 @@ def least_shift_reference(x, target):
     return k
 
 
-def shannon_reference(probs):
+def shannon_reference(probs, js=None):
     """``shannon_code`` and ``j_shannon_code`` by their definitions in Fractions:
     l_i is the least k with p_i 2^k >= S, S = max(1, the exact sum), and under
-    ``j_shannon_code`` the least k with p_i 2^k (1 - 2^-l_j) >= S - p_j."""
+    ``j_shannon_code`` the least k with p_i 2^k (1 - 2^-l_j) >= S - p_j, for
+    each j of ``js`` (1-based; every j by default)."""
     total = max(Fraction(1), sum(map(Fraction, probs)))
     plain = [least_shift_reference(x, total) for x in probs]
-    pinned = []
-    for j, lam in enumerate(plain):
-        rest = (total - Fraction(probs[j])) / (1 - Fraction(1, 2 ** lam))
-        pinned.append(tuple(lam if i == j else least_shift_reference(x, rest)
-                            for i, x in enumerate(probs)))
+    pinned = {}
+    for j in js or range(1, len(probs) + 1):
+        lam = plain[j - 1]
+        rest = (total - Fraction(probs[j - 1])) / (1 - Fraction(1, 2 ** lam))
+        pinned[j] = tuple(lam if i == j - 1 else least_shift_reference(x, rest)
+                          for i, x in enumerate(probs))
     return tuple(plain), pinned
 
 
@@ -1533,7 +1535,41 @@ class TestShannonAboveUnitSum:
             assert plain == tuple(map(ceil_neg_lg, p.probs))
         for j in range(1, p.n + 1):
             code = j_shannon_code(p, j)
-            assert code.lengths == pinned[j - 1] and code.is_valid
+            assert code.lengths == pinned[j] and code.is_valid
+
+
+def exp_scan_pmf(rng, n, variant):
+    """n Exp(1) draws as multiples of 2^-52 whose exact sum is 1, the first
+    draw's taking what the others leave, sorted: as they are ("at-1"), with
+    p_1 raised by 9e-10 ("above-1") or with two entries 1e-320 appended
+    ("subnormal")."""
+    raw = [rng.expovariate(1.0) for _ in range(n)]
+    total = math.fsum(raw)
+    units = [max(1, round(x / total * 2 ** 52)) for x in raw[1:]]
+    units.insert(0, 2 ** 52 - sum(units))
+    probs = sorted((math.ldexp(u, -52) for u in units), reverse=True)
+    if variant == "above-1":
+        probs[0] += 9e-10
+    elif variant == "subnormal":
+        probs += [1e-320, 1e-320]
+    return validate_pmf(probs)
+
+
+class TestShannonAgainstFractions:
+    """Both Shannon codes on Exp(1) pmfs, n from 2 to 1000, against the least
+    k that ``least_shift_reference`` finds in Fractions."""
+
+    @pytest.mark.parametrize("variant", ["at-1", "above-1", "subnormal"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 1000])
+    def test_lengths_are_the_least_k(self, n, variant):
+        rng = random.Random(n)
+        for _ in range(3):
+            p = exp_scan_pmf(rng, n, variant)
+            assert (sum(map(Fraction, p.probs)) == 1) == (variant == "at-1")
+            plain, pinned = shannon_reference(p.probs, {1, 2, p.n})
+            assert shannon_code(p).lengths == plain
+            for j, lengths in pinned.items():
+                assert j_shannon_code(p, j).lengths == lengths, j
 
 
 class TestJShannon:

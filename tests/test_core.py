@@ -44,7 +44,7 @@ from genhuff import (
     success_probability,
     validate_pmf,
 )
-from genhuff.core import BOUND_TOL, PMF_SUM_TOL, BoundKind, BoundReport, cmp_ratio
+from genhuff.core import BOUND_TOL, PMF_SUM_TOL, BoundKind, BoundReport, _floor_lg, cmp_ratio
 
 # frozen by direct 40-digit evaluation of the defining formulas
 BENFORD = (0.3010299956639812, 0.17609125905568124, 0.12493873660829995,
@@ -473,6 +473,34 @@ class TestCmpRatio:
         with pytest.raises(Exception) as got:
             cmp_ratio(p, 1, 3)
         assert type(got.value) is type(want.value)
+
+
+def floor_lg_operands():
+    """Positive ints: small ones, powers of two and their neighbours up to
+    2^1100, and operands of 1000 to 1200 bits."""
+    near_powers = st.builds(lambda e, d: max(1, 2 ** e + d),
+                            st.integers(0, 1100), st.sampled_from((-1, 0, 1)))
+    return st.integers(1, 2 ** 64) | near_powers | st.integers(2 ** 1000, 2 ** 1200)
+
+
+class TestFloorLg:
+    """``_floor_lg(num, den)`` is the k with 2^k <= num/den < 2^(k+1)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(floor_lg_operands(), floor_lg_operands())
+    def test_brackets_the_ratio(self, num, den):
+        # num and den are drawn alike, so about half the ratios are below 1
+        k, ratio = _floor_lg(num, den), Fraction(num, den)
+        assert Fraction(2) ** k <= ratio < Fraction(2) ** (k + 1), (num, den, k)
+        assert (k < 0) == (num < den)
+
+    @pytest.mark.parametrize("num,den,k", [
+        (1, 1, 0), (1, 2, -1), (3, 2, 0), (2, 3, -1), (2 ** 1074, 1, 1074),
+        (1, 2 ** 1074, -1074), (2 ** 1074 - 1, 1, 1073), (1, 2 ** 1074 - 1, -1074),
+        (2 ** 1074 + 1, 2 ** 1074, 0), (2 ** 1074 - 1, 2 ** 1074, -1),
+    ])
+    def test_at_and_either_side_of_powers_of_two(self, num, den, k):
+        assert _floor_lg(num, den) == k
 
 
 class TestObjective:

@@ -192,10 +192,11 @@ class TestBruteForce:
         assert (1, 2, 3, 3) in res.argmin_lengths()
 
     def test_alphabet_cap(self):
-        p = validate_pmf([1.0 / 17] * 17)
-        with pytest.raises(AlphabetTooLarge):
+        brute_force_optimal(validate_pmf([1.0 / 18] * 18), Objective.avg())
+        p = validate_pmf([1.0 / 19] * 19)
+        with pytest.raises(AlphabetTooLarge, match="n=19 exceeds the oracle cap 18"):
             brute_force_optimal(p, Objective.avg())
-        brute_force_optimal(p, Objective.avg(), max_n=17)
+        brute_force_optimal(p, Objective.avg(), max_n=19)
 
     def test_exponential_values_equal_the_two_textbook_forms(self):
         # at |s| >= 1/16 evaluate gives, by hex, the lg-sum of lg p + l lg q over
@@ -277,8 +278,8 @@ class TestAgainstReference:
                              ids=lambda o: f"{o.kind.value}-{o.param}")
     def test_bit_identical_up_to_the_caps(self, obj):
         for p in cap_pmfs():
-            assert_matches_reference(p, obj, max_n=p.n)
-        assert_matches_reference(random_pmf(np.random.default_rng(47), 16), obj)
+            assert_matches_reference(p, obj)
+        assert_matches_reference(random_pmf(np.random.default_rng(47), 18), obj)
 
     @pytest.mark.parametrize("obj,probs", [
         (Objective.dth_exp(1e-15), [0.24753859555963928] * 4 + [0.0019691235522885696] * 5),
@@ -349,8 +350,8 @@ class TestAgainstReference:
 
 
 def cap_pmfs():
-    """Pmfs at the oracle's caps: three Dirichlet ones at n = 14..16, uniform
-    and dyadic ones at n = 16, and the MMPR witness at n = 17."""
+    """Pmfs up to the oracle's cap of 18: three Dirichlet ones at n = 14..16,
+    uniform and dyadic ones at n = 16, and the MMPR witness at n = 17."""
     rng = np.random.default_rng(46)
     pmfs = [random_pmf(rng, n) for n in (14, 15, 16)]
     pmfs.append(validate_pmf([1.0 / 16] * 16))
