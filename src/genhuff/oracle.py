@@ -20,8 +20,8 @@ facts are covered by self-tests rather than assumed.
   symbol and the vector is complete.  So (nodes, left) is a state, and
   ``_children`` lists each state's choices once, for every caller:
   ``_completions`` counts the vectors below a state, ``_unrank`` lists the
-  space in level-profile order, and the minimizer below runs its table and
-  its walk over them.
+  space in level-profile order, and the minimizer's walk descends through
+  them.  The minimizer's table does not run over states (next bullet).
 * **The recurrence** (Golin & Rote, IEEE Trans. IT 44(5), 1998).  With
   weights w_i = p_i^a and q = 2^s, every objective but MMPR is a monotone
   function of D = sum_i w_i (q^l_i - 1)/(q - 1) = sum over depths t of
@@ -35,10 +35,16 @@ facts are covered by self-tests rather than assumed.
   state's least D below it, in units of q^t at its depth t, is
   C = min_k [W(k) + q C'], W(k) the weight of the left - k symbols its
   choice k sends deeper and C' the child's own; C = 0 where the vector is
-  complete.  MMPR, max_i (l_i + lg p_i) = 1 + max over depths t of
-  (t + lg p of the first symbol deeper than t), is the max-plus limit of
-  the same recurrence: C = min_k max(lg p of the first symbol choice k
-  sends deeper, 1 + C').
+  complete.  A step reads only two numbers, the state's excess
+  e = left - nodes and its j = nodes - k internal nodes: the child is
+  (2j, e + j), with excess e - j, and W(k) is the weight of the last e + j
+  symbols.  So the table keeps one step per (e, j), and a state's C is the
+  least step of row e over j <= min(nodes, e), a prefix minimum.  Since
+  e + j <= n, j runs over 1..min(e, n - e): floor(n^2/4) steps, and
+  n + floor(n^2/4) lg-adds with the tail weights.  MMPR,
+  max_i (l_i + lg p_i) = 1 + max over depths t of (t + lg p of the first
+  symbol deeper than t), is the max-plus limit of the same recurrence:
+  C = min_k max(lg p of the first symbol choice k sends deeper, 1 + C').
 * **The lg domain.**  The table holds lg C, so that q^t W overflows
   nowhere, as at q = 1.7e308 or d = 1e6: a step is
   lg C = min_k lg(2^lg W(k) + 2^(s + lg C')), each sum shifted by its
@@ -189,28 +195,6 @@ def _completions(nodes: int, left: int) -> int:
     return sum(_completions(m, r) for _, m, r in _children(nodes, left))
 
 
-@cache
-def _states(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The states below the root (1, n) where a vector is not yet complete,
-    each after every state below it: its index left^2 + nodes, and for each
-    of its ``_children`` that child's left and index."""
-    states: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-
-    def visit(nodes: int, left: int) -> None:
-        index = left * left + nodes
-        if nodes == left or index in seen:
-            return
-        seen.add(index)
-        kids = _children(nodes, left)
-        for _, m, r in kids:
-            visit(m, r)
-        states.append((index, tuple((r, r * r + m) for _, m, r in kids)))
-
-    seen: set[int] = set()
-    visit(1, n)
-    return tuple(states)
-
-
 def _unrank(n: int, index: int) -> tuple[int, ...]:
     """The vector at ``index`` of the level-profile order, 0 <= index <
     ``_completions(1, n)``: fewest leaves at depth 0 first, then at depth 1,
@@ -266,26 +250,35 @@ def _recurrence(obj: Objective, lgp: list[float]) -> tuple[list[float], float, C
     return (lgp if a == 1.0 else [a * g for g in lgp]), s, _lg_add
 
 
-def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[float]]:
-    """(tail, least): tail[r] the lg weight of the last r symbols, summed from
-    the tail, and least[left^2 + nodes] the least lg C of that state, -inf
-    where the vector is complete."""
+def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[list[float]]]:
+    """(tail, steps): tail[r] the lg weight of the last r symbols, summed from
+    the tail, and steps[e][j - 1] the least lg C through a choice of j internal
+    nodes at a level with excess e = left - nodes (module docstring).  A
+    state's least lg C is the minimum of steps[e][:min(nodes, e)], and
+    steps[-1][0] the root's."""
     n = len(x)
     tail = [-math.inf]
     for xi in reversed(x):
         tail.append(add(tail[-1], xi))
-    least = [-math.inf] * (n + 1) ** 2
-    for state, kids in _states(n):
-        best = math.inf
-        for r, child in kids:
-            v = add(tail[r], s + least[child])
-            if v < best:
-                best = v
-        least[state] = best
-    return tail, least
+    # least[c][t], the least lg C of a state with excess c and min(nodes, c)
+    # = t, a prefix minimum of row c; a state with no excess is complete
+    steps: list[list[float]] = [[]]
+    least = [[-math.inf]]
+    for e in range(1, n):
+        row: list[float] = []
+        mins, best = [math.inf], math.inf
+        for j in range(1, min(e, n - e) + 1):
+            c = e - j
+            v = add(tail[e + j], s + least[c][2 * j if 2 * j < c else c])
+            row.append(v)
+            best = v if v < best else best
+            mins.append(best)
+        steps.append(row)
+        least.append(mins)
+    return tail, steps
 
 
-def _walk(n: int, s: float, add: Callable, tail: list[float], least: list[float],
+def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[float]],
           line: float) -> list[tuple[float, LengthVector]]:
     """(lg D, vector) of each vector the walk completes under ``line``, in
     level-profile order, each made with its runs (module docstring)."""
@@ -294,11 +287,13 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], least: list[float]
     def descend(nodes: int, left: int, depth: int, above: float,
                 ks: tuple[int, ...], cs: tuple[int, ...]) -> None:
         shift = s * depth
+        row = steps[left - nodes]
         for k, m, r in _children(nodes, left):
-            # v, the least lg D this level and those below it add through the
-            # child; the bound adds the levels above, and an lg-sum is at least
-            # its larger term, so the first test is the second's cheap half
-            v = shift + add(tail[r], s + least[r * r + m])
+            # v, the table's least lg D this level and those below it add
+            # through the child; the bound adds the levels above, and an lg-sum
+            # is at least its larger term, so the first test is the second's
+            # cheap half
+            v = shift + row[nodes - k - 1]
             if v <= line and add(above, v) <= line:
                 # the levels above the child's, this one's deeper weight included
                 here = add(above, shift + tail[r])
@@ -359,16 +354,15 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     vectors under a line above it, widened by the rounding error of
     ``evaluate`` and of the table, each then scored with ``evaluate``
     (module docstring).  ``evaluated_count`` is the size of the space,
-    which grows like 1.794^n; the table has O(n^2) states and O(n^3)
-    steps, so raising ``max_n`` costs little.
+    which grows like 1.794^n; the table takes n + floor(n^2/4) lg-adds,
+    so raising ``max_n`` costs little.
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
     x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
-    tail, least = _table(x, s, add)
-    root = least[p.n * p.n + 1]
-    line = _line(obj, s, tail[-1], root, *_errors(obj, x, s)) if p.n > 1 else math.inf
-    scored = [(obj.evaluate(p, lv), lv) for _, lv in _walk(p.n, s, add, tail, least, line)]
+    tail, steps = _table(x, s, add)
+    line = _line(obj, s, tail[-1], steps[-1][0], *_errors(obj, x, s)) if p.n > 1 else math.inf
+    scored = [(obj.evaluate(p, lv), lv) for _, lv in _walk(p.n, s, add, tail, steps, line)]
     best = min(v for v, _ in scored)
     argmin = sorted((lv for v, lv in scored if v <= best + ARGMIN_TOL),
                     key=lambda lv: lv.lengths)

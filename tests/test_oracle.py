@@ -24,8 +24,8 @@ from genhuff import (
     validate_pmf,
 )
 from genhuff.core import _lg_add
-from genhuff.oracle import (ARGMIN_TOL, _completions, _errors, _lg_expm1, _line, _recurrence,
-                            _table, _walk)
+from genhuff.oracle import (ARGMIN_TOL, _children, _completions, _errors, _lg_expm1, _line,
+                            _recurrence, _table, _walk)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 from test_core import lg_mean_reference
 
@@ -151,8 +151,8 @@ class TestEnumeration:
         # the minimizer's walk and the unranking share only the child lists
         for n in range(1, 13):
             x, s, add = _recurrence(Objective.avg(), [-math.log2(n)] * n)
-            tail, least = _table(x, s, add)
-            walked = [lv.lengths for _, lv in _walk(n, s, add, tail, least, math.inf)]
+            tail, steps = _table(x, s, add)
+            walked = [lv.lengths for _, lv in _walk(n, s, add, tail, steps, math.inf)]
             assert walked == list(kraft_length_tuples(n))
 
     def test_random_draw_is_the_listed_vector_at_one_randrange(self):
@@ -418,9 +418,9 @@ class TestLevelDP:
             for n in range(2, 12):
                 for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
                     x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
-                    tail, least = _table(x, s, add)
+                    tail, steps = _table(x, s, add)
                     e, delta = _errors(obj, x, s)
-                    walked = _walk(n, s, add, tail, least, math.inf)
+                    walked = _walk(n, s, add, tail, steps, math.inf)
                     scores = exact_scores(obj, p, x, s)
                     exact, floats = [], []
                     for v, lv in walked:
@@ -429,7 +429,7 @@ class TestLevelDP:
                         floats.append(obj.evaluate(p, lv))
                         assert abs(floats[-1] - value) <= e, (n, p.probs, lv)
                         exact.append(dp)
-                    root = least[n * n + 1]
+                    root = steps[-1][0]
                     assert abs(root - min(exact)) <= delta, (n, p.probs)
                     line = _line(obj, s, tail[-1], root, e, delta)
                     best = min(floats)
@@ -438,6 +438,64 @@ class TestLevelDP:
                             assert dp <= line - 2 * delta, (n, p.probs)
                     checked += len(walked)
         assert checked == 2 * sum(TREE_SHAPE_COUNTS[1:11])
+
+    @pytest.mark.parametrize("obj", (Objective.avg(), Objective.max_pointwise(),
+                                     Objective.dth_exp(0.5), Objective.exp_average(0.9),
+                                     Objective.dth_exp(1e-12)),
+                             ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_excess_rows_hold_every_state_least_bit_for_bit(self, obj):
+        # the per-state recurrence the table reduces: a state's least lg C is
+        # the least over its children of add(tail[r], s + the child's), -inf
+        # where the vector is complete; the table's excess row e = left - nodes,
+        # cut at min(nodes, e), must hold that very float for every state
+        # reachable from the root, and steps[-1][0] the root's
+        rng = np.random.default_rng(47)
+        for n in range(1, 25):
+            for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
+                x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
+                tail, steps = _table(x, s, add)
+
+                @functools.cache
+                def least(nodes, left):
+                    if nodes == left:
+                        return -math.inf
+                    return min(add(tail[r], s + least(m, r)) for _, m, r in _children(nodes, left))
+
+                seen = set()
+
+                def reach(nodes, left):
+                    if nodes < left and (nodes, left) not in seen:
+                        seen.add((nodes, left))
+                        for _, m, r in _children(nodes, left):
+                            reach(m, r)
+
+                reach(1, n)
+                for nodes, left in seen:
+                    e = left - nodes
+                    got = min(steps[e][:min(nodes, e)])
+                    assert got.hex() == least(nodes, left).hex(), (n, p.probs, nodes, left)
+                if n > 1:
+                    assert steps[-1][0].hex() == least(1, n).hex(), (n, p.probs)
+
+    def test_table_takes_n_plus_a_quarter_n_squared_lg_adds(self):
+        # n tail weights and one step per (e, j), 1 <= j <= min(e, n - e); the
+        # walk's first test reads the table, so a line under every step costs
+        # the walk no lg-add
+        calls = 0
+
+        def add(a, b):
+            nonlocal calls
+            calls += 1
+            return _lg_add(a, b)
+
+        for n in range(1, 65):
+            x, s, _ = _recurrence(Objective.dth_exp(0.5), [-math.log2(n)] * n)
+            calls = 0
+            tail, steps = _table(x, s, add)
+            assert calls == n + n * n // 4, n
+            calls = 0
+            _walk(n, s, add, tail, steps, -math.inf)
+            assert calls == 0, n
 
     def test_lg_add_within_its_error_bound(self):
         # lg(2^a + 2^b) within u (T + 6), T the larger |input| plus 1, in
@@ -499,9 +557,9 @@ class TestLevelDP:
             assert res.evaluated_count == _completions(1, n)
             x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
             if obj._family and abs(s) < 1 / 16:
-                tail, least = _table(x, s, add)
-                line = _line(obj, s, tail[-1], least[n * n + 1], *_errors(obj, x, s))
-                assert len(_walk(n, s, add, tail, least, line)) <= 3, p.probs
+                tail, steps = _table(x, s, add)
+                line = _line(obj, s, tail[-1], steps[-1][0], *_errors(obj, x, s))
+                assert len(_walk(n, s, add, tail, steps, line)) <= 3, p.probs
 
 
 class TestSoundnessArguments:
