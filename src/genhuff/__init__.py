@@ -27,7 +27,7 @@ _LAZY = {
     ),
     "witness": ("ParamsOutOfProofRange", "FamilyKind", "WitnessFamily", "generate",
                 "one_bit_l1_cost_bound"),
-    "oracle": ("AlphabetTooLarge", "OracleResult", "kraft_length_tuples",
+    "oracle": ("AlphabetTooLarge", "ListingTooLarge", "OracleResult", "kraft_length_tuples",
                "random_complete_lengths", "brute_force_optimal"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}

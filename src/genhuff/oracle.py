@@ -17,11 +17,13 @@ facts are covered by self-tests rather than assumed.
   internal, with two children each.  k runs over
   ``range(max(0, 2 nodes - left), nodes)``, which leaves no open node
   without two symbols below it; where nodes == left the level takes every
-  symbol and the vector is complete.  So (nodes, left) is a state, and
-  ``_children`` lists each state's choices once, for every caller:
-  ``_completions`` counts the vectors below a state, ``_unrank`` lists the
-  space in level-profile order, and the minimizer's walk descends through
-  them.  The minimizer's table does not run over states (next bullet).
+  symbol and the vector is complete.  A choice reads one coordinate, the
+  excess e = left - nodes, and its j = nodes - k internal nodes: the child
+  is (2j, e + j), with excess e - j, and j runs over 1..min(nodes, e), most
+  first for level-profile order.  So every reader indexes (e, j): the
+  table and the walk (next bullets), ``_unrank``, and ``_counts``, whose
+  count below a state with t = min(nodes, e) is a prefix sum over j <= t
+  of its children's, where the table takes a prefix minimum.
 * **The recurrence** (Golin & Rote, IEEE Trans. IT 44(5), 1998).  With
   weights w_i = p_i^a and q = 2^s, every objective but MMPR is a monotone
   function of D = sum_i w_i (q^l_i - 1)/(q - 1) = sum over depths t of
@@ -35,10 +37,8 @@ facts are covered by self-tests rather than assumed.
   state's least D below it, in units of q^t at its depth t, is
   C = min_k [W(k) + q C'], W(k) the weight of the left - k symbols its
   choice k sends deeper and C' the child's own; C = 0 where the vector is
-  complete.  A step reads only two numbers, the state's excess
-  e = left - nodes and its j = nodes - k internal nodes: the child is
-  (2j, e + j), with excess e - j, and W(k) is the weight of the last e + j
-  symbols.  So the table keeps one step per (e, j), and a state's C is the
+  complete.  W(k) is the weight of the last e + j symbols, so a step reads
+  only (e, j): the table keeps one step per (e, j), and a state's C is the
   least step of row e over j <= min(nodes, e), a prefix minimum.  Since
   e + j <= n, j runs over 1..min(e, n - e): floor(n^2/4) steps, and
   n + floor(n^2/4) lg-adds with the tail weights.  MMPR,
@@ -125,10 +125,11 @@ facts are covered by self-tests rather than assumed.
   q = 1, where e is ~3e-13 at n = 40, it admits one to three vectors on
   the tests' pmfs.
 
-``evaluated_count`` is the size of the space, ``_completions(1, n)``,
-though the walk lists only the vectors under its line.  The oracle never
-seeds its bound from the engine, so it shares nothing with the algorithm
-it checks.
+``evaluated_count`` is the size of the space, ``_counts(n)[n - 1][1]``,
+O(n^2) ints counted once per n, though the walk lists only the vectors
+under its line, and refuses with ``ListingTooLarge`` to list more than
+``LISTING_BUDGET``.  The oracle never seeds its bound from the engine, so
+it shares nothing with the algorithm it checks.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ from .core import (_SMALL_SCALE, CodingError, LengthVector, Objective, Objective
 
 __all__ = [
     "AlphabetTooLarge",
+    "ListingTooLarge",
     "OracleResult",
     "kraft_length_tuples",
     "random_complete_lengths",
@@ -151,11 +153,16 @@ __all__ = [
 
 DEFAULT_MAX_N = 18
 ARGMIN_TOL = 1e-12
+LISTING_BUDGET = 10_000
 _U = 2.0 ** -53
 
 
 class AlphabetTooLarge(CodingError):
     pass
+
+
+class ListingTooLarge(CodingError):
+    """The walk would list more than ``LISTING_BUDGET`` vectors under its line."""
 
 
 class OracleResult(_Record):
@@ -179,38 +186,38 @@ class OracleResult(_Record):
 
 
 @cache
-def _children(nodes: int, left: int) -> tuple[tuple[int, int, int], ...]:
-    """(k, child nodes, child left) for each choice of k leaves at a level with
-    ``nodes`` open nodes and ``left`` unplaced symbols, 1 <= nodes < left:
-    fewest leaves first (module docstring)."""
-    return tuple((k, 2 * (nodes - k), left - k) for k in range(max(0, 2 * nodes - left), nodes))
-
-
-@cache
-def _completions(nodes: int, left: int) -> int:
-    """Complete vectors below a level with ``nodes`` open nodes and ``left``
-    unplaced symbols, 1 <= nodes <= left."""
-    if nodes == left:
-        return 1
-    return sum(_completions(m, r) for _, m, r in _children(nodes, left))
+def _counts(n: int) -> list[list[int]]:
+    """counts[e][t], the complete vectors below a level with excess e and
+    min(nodes, e) = t: a prefix sum over j <= t of the child's, as the
+    table's least is a prefix minimum (module docstring).  counts[0] is
+    [1, 1], so the space is counts[n - 1][1] for every n >= 1."""
+    if n < 1:
+        raise CodingError(f"alphabet size must be >= 1, got {n}")
+    counts = [[1, 1]]
+    for e in range(1, n):
+        row = [0]
+        for j in range(1, min(e, n - e) + 1):
+            row.append(row[-1] + counts[e - j][min(2 * j, e - j)])
+        counts.append(row)
+    return counts
 
 
 def _unrank(n: int, index: int) -> tuple[int, ...]:
     """The vector at ``index`` of the level-profile order, 0 <= index <
-    ``_completions(1, n)``: fewest leaves at depth 0 first, then at depth 1,
+    ``_counts(n)[n - 1][1]``: fewest leaves at depth 0 first, then at depth 1,
     and so on.  It is found level by level without listing the ones before
-    it: each choice of k holds ``_completions`` of its level below."""
+    it: each choice of j internal nodes holds its child's count."""
+    counts = _counts(n)
     lengths: list[int] = []
-    depth, nodes, left = 0, 1, n
-    while nodes < left:
-        for k, m, r in _children(nodes, left):
-            below = _completions(m, r)
-            if index < below:
+    depth, nodes, e = 0, 1, n - 1
+    while e:
+        for j in range(min(nodes, e), 0, -1):
+            if index < (below := counts[e - j][min(2 * j, e - j)]):
                 break
             index -= below
-        lengths += [depth] * k
-        depth, nodes, left = depth + 1, m, r
-    return tuple(lengths + [depth] * left)
+        lengths += [depth] * (nodes - j)
+        depth, nodes, e = depth + 1, 2 * j, e - j
+    return tuple(lengths + [depth] * nodes)
 
 
 def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -219,17 +226,13 @@ def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
     Vectors come in level-profile order: by how many leaves sit at depth 0
     of a full binary tree, then at depth 1, and so on, fewest first.
     """
-    if n < 1:
-        raise CodingError(f"alphabet size must be >= 1, got {n}")
-    return (_unrank(n, index) for index in range(_completions(1, n)))
+    return (_unrank(n, index) for index in range(_counts(n)[n - 1][1]))
 
 
 def random_complete_lengths(n: int, rng: random.Random) -> LengthVector:
     """A uniform draw from the ``kraft_length_tuples(n)`` vectors, made by
     unranking one ``rng.randrange`` index rather than listing them."""
-    if n < 1:
-        raise CodingError(f"alphabet size must be >= 1, got {n}")
-    return LengthVector(_unrank(n, rng.randrange(_completions(1, n))))
+    return LengthVector(_unrank(n, rng.randrange(_counts(n)[n - 1][1])))
 
 
 def _lg_expm1(s: float, k: float = 1.0) -> float:
@@ -281,32 +284,33 @@ def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[l
 def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[float]],
           line: float) -> list[tuple[float, LengthVector]]:
     """(lg D, vector) of each vector the walk completes under ``line``, in
-    level-profile order, each made with its runs (module docstring)."""
+    level-profile order, each made with its runs (module docstring); past
+    ``LISTING_BUDGET`` of them it raises ``ListingTooLarge``."""
     found: list[tuple[float, LengthVector]] = []
 
-    def descend(nodes: int, left: int, depth: int, above: float,
+    def descend(nodes: int, e: int, depth: int, above: float,
                 ks: tuple[int, ...], cs: tuple[int, ...]) -> None:
+        if not e:
+            if len(found) == LISTING_BUDGET:
+                raise ListingTooLarge(f"n={n}: the walk lists more than {LISTING_BUDGET} vectors")
+            runs = ks + (depth,), cs + (nodes,)
+            found.append((above, LengthVector._checked(tuple(_spread(*runs)), runs)))
+            return
         shift = s * depth
-        row = steps[left - nodes]
-        for k, m, r in _children(nodes, left):
+        row = steps[e]
+        for j in range(nodes if nodes < e else e, 0, -1):
             # v, the table's least lg D this level and those below it add
             # through the child; the bound adds the levels above, and an lg-sum
             # is at least its larger term, so the first test is the second's
             # cheap half
-            v = shift + row[nodes - k - 1]
+            v = shift + row[j - 1]
             if v <= line and add(above, v) <= line:
                 # the levels above the child's, this one's deeper weight included
-                here = add(above, shift + tail[r])
-                runs = (ks + (depth,), cs + (k,)) if k else (ks, cs)
-                if m == r:
-                    runs = runs[0] + (depth + 1,), runs[1] + (r,)
-                    found.append((here, LengthVector._checked(tuple(_spread(*runs)), runs)))
-                else:
-                    descend(m, r, depth + 1, here, *runs)
+                here = add(above, shift + tail[e + j])
+                runs = (ks + (depth,), cs + (nodes - j,)) if j < nodes else (ks, cs)
+                descend(2 * j, e - j, depth + 1, here, *runs)
 
-    if n == 1:
-        return [(-math.inf, LengthVector._checked((0,)))]
-    descend(1, n, 0, -math.inf, (), ())
+    descend(1, n - 1, 0, -math.inf, (), ())
     return found
 
 
@@ -355,7 +359,9 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     ``evaluate`` and of the table, each then scored with ``evaluate``
     (module docstring).  ``evaluated_count`` is the size of the space,
     which grows like 1.794^n; the table takes n + floor(n^2/4) lg-adds,
-    so raising ``max_n`` costs little.
+    so raising ``max_n`` costs little.  Where more than ``LISTING_BUDGET``
+    vectors lie under the line, it raises ``ListingTooLarge`` rather than
+    list them.
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
@@ -366,4 +372,4 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     best = min(v for v, _ in scored)
     argmin = sorted((lv for v, lv in scored if v <= best + ARGMIN_TOL),
                     key=lambda lv: lv.lengths)
-    return OracleResult(best, tuple(argmin), _completions(1, p.n))
+    return OracleResult(best, tuple(argmin), _counts(p.n)[p.n - 1][1])

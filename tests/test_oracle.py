@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from genhuff import (
     CodingError,
     CombineRule,
     LengthVector,
+    ListingTooLarge,
     Objective,
     benford,
     brute_force_optimal,
@@ -23,8 +26,9 @@ from genhuff import (
     random_complete_lengths,
     validate_pmf,
 )
+from genhuff import oracle
 from genhuff.core import _lg_add
-from genhuff.oracle import (ARGMIN_TOL, _children, _completions, _errors, _lg_expm1, _line,
+from genhuff.oracle import (ARGMIN_TOL, LISTING_BUDGET, _counts, _errors, _lg_expm1, _line,
                             _recurrence, _table, _walk)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 from test_core import lg_mean_reference
@@ -97,6 +101,28 @@ def direct_value(obj, probs, lengths):
     return math.log(sum(p * q ** l for p, l in zip(probs, lengths)), q)
 
 
+def state_children(nodes, left):
+    """(k, child nodes, child left) for each choice of k leaves at a level with
+    ``nodes`` open nodes and ``left`` unplaced symbols, 1 <= nodes < left,
+    fewest leaves first: the per-state child list that the oracle's
+    (excess, j) indexing reduces, kept here as its reference."""
+    return tuple((k, 2 * (nodes - k), left - k) for k in range(max(0, 2 * nodes - left), nodes))
+
+
+@functools.cache
+def state_completions(nodes, left):
+    """Complete vectors below a level with ``nodes`` open nodes and ``left``
+    unplaced symbols, 1 <= nodes <= left, by recursion over the child list."""
+    if nodes == left:
+        return 1
+    return sum(state_completions(m, r) for _, m, r in state_children(nodes, left))
+
+
+def geometric_pmf(n):
+    """p_i proportional to 2^(-i/5): a deep code, ~n/5 bits at its deepest."""
+    return validate_pmf([2.0 ** (-i / 5) for i in range(1, n + 1)], normalize=True)
+
+
 class TestEnumeration:
     def test_small_alphabets(self):
         assert list(kraft_length_tuples(1)) == [(0,)]
@@ -133,7 +159,7 @@ class TestEnumeration:
     def test_lists_the_space_once_in_level_profile_order(self):
         for n in range(1, 15):
             listed = list(kraft_length_tuples(n))
-            assert len(listed) == _completions(1, n)
+            assert len(listed) == state_completions(1, n)
             for lengths in listed:
                 assert list(lengths) == sorted(lengths)
                 assert sum(1 << (n - 1 - l) for l in lengths) == 1 << (n - 1)
@@ -141,11 +167,37 @@ class TestEnumeration:
             profiles = [[l.count(d) for d in range(n)] for l in listed]
             assert all(a < b for a, b in zip(profiles, profiles[1:]))
 
-    def test_completions_from_the_root_count_the_space(self):
+    def test_counts_from_the_root_count_the_space(self):
         for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
-            assert _completions(1, n) == expected
+            assert _counts(n)[n - 1][1] == expected
         for n in (17, 18):
-            assert _completions(1, n) == sum(1 for _ in kraft_length_tuples(n))
+            assert _counts(n)[n - 1][1] == sum(1 for _ in kraft_length_tuples(n))
+
+    def test_counts_hold_every_state_count_of_the_child_lists(self):
+        # counts[e][min(nodes, e)], e = left - nodes, is the number of vectors
+        # below the state (nodes, left) by the per-state recursion, for every
+        # state with left <= n; the root's is counts[n - 1][1], n = 1 included
+        for n in range(1, 81):
+            counts = _counts(n)
+            assert len(counts) == n
+            for left in range(1, n + 1):
+                for nodes in range(1, left + 1):
+                    e = left - nodes
+                    assert counts[e][min(nodes, e)] == state_completions(nodes, left), \
+                        (n, nodes, left)
+            assert counts[n - 1][1] == state_completions(1, n)
+
+    def test_first_draw_at_128_counts_in_quadratic_memory(self):
+        # the counts are O(n^2) ints, ~0.2 MB at n = 128; a count per
+        # (nodes, left) state over a cached child list per state peaks at ~7 MB
+        _counts.cache_clear()
+        tracemalloc.start()
+        try:
+            random_complete_lengths(128, random.Random(128))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     def test_walk_with_no_line_lists_the_space_in_level_profile_order(self):
         # the minimizer's walk and the unranking share only the child lists
@@ -167,9 +219,13 @@ class TestEnumeration:
                 assert lv.lengths == listed[ranks.randrange(len(listed))]
             assert drawn.random() == ranks.random()
 
-    def test_random_draw_of_no_symbols_is_refused(self):
-        with pytest.raises(CodingError, match="alphabet size must be >= 1, got 0"):
-            random_complete_lengths(0, random.Random(0))
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_symbols_are_refused_at_call_time(self, n):
+        # the listing is a generator, but its range is formed by the call
+        with pytest.raises(CodingError, match=f"alphabet size must be >= 1, got {n}"):
+            random_complete_lengths(n, random.Random(0))
+        with pytest.raises(CodingError, match=f"alphabet size must be >= 1, got {n}"):
+            kraft_length_tuples(n)
 
 
 class TestBruteForce:
@@ -190,6 +246,31 @@ class TestBruteForce:
                                   Objective.avg())
         assert res.min_value == pytest.approx(0.0, abs=1e-12)
         assert (1, 2, 3, 3) in res.argmin_lengths()
+
+    def test_walk_refuses_to_list_past_its_budget(self):
+        # on p_i ~ 2^(-i/5) at d = 0.5 the line outgrows the value steps of the
+        # deepest symbols past n ~ 170: at n = 176 the walk lists a few
+        # thousand vectors for one minimizer, and at n = 192 more than the
+        # budget, which it refuses rather than list them until memory runs out
+        obj = Objective.dth_exp(0.5)
+        p = geometric_pmf(176)
+        res = brute_force_optimal(p, obj, max_n=176)
+        assert generalized_huffman(p, CombineRule.for_objective(obj)).lengths in res.argmin
+        start = time.perf_counter()
+        with pytest.raises(ListingTooLarge, match=f"n=192: .* more than {LISTING_BUDGET} vectors"):
+            brute_force_optimal(geometric_pmf(192), obj, max_n=192)
+        assert time.perf_counter() - start < 2.0
+
+    def test_walk_lists_exactly_its_budget(self, monkeypatch):
+        # with no line the walk lists the whole space, 28 vectors at n = 9:
+        # a budget of 28 lists them all, and one of 27 refuses the 28th
+        x, s, add = _recurrence(Objective.avg(), [-math.log2(9)] * 9)
+        tail, steps = _table(x, s, add)
+        monkeypatch.setattr(oracle, "LISTING_BUDGET", 28)
+        assert len(_walk(9, s, add, tail, steps, math.inf)) == 28
+        monkeypatch.setattr(oracle, "LISTING_BUDGET", 27)
+        with pytest.raises(ListingTooLarge, match="n=9: .* more than 27 vectors"):
+            _walk(9, s, add, tail, steps, math.inf)
 
     def test_alphabet_cap(self):
         brute_force_optimal(validate_pmf([1.0 / 18] * 18), Objective.avg())
@@ -459,14 +540,15 @@ class TestLevelDP:
                 def least(nodes, left):
                     if nodes == left:
                         return -math.inf
-                    return min(add(tail[r], s + least(m, r)) for _, m, r in _children(nodes, left))
+                    return min(add(tail[r], s + least(m, r))
+                               for _, m, r in state_children(nodes, left))
 
                 seen = set()
 
                 def reach(nodes, left):
                     if nodes < left and (nodes, left) not in seen:
                         seen.add((nodes, left))
-                        for _, m, r in _children(nodes, left):
+                        for _, m, r in state_children(nodes, left):
                             reach(m, r)
 
                 reach(1, n)
@@ -549,12 +631,12 @@ class TestLevelDP:
         rng = np.random.default_rng(n)
         rule = CombineRule.for_objective(obj)
         for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n),
-                  validate_pmf([2.0 ** (-i / 5) for i in range(1, n + 1)], normalize=True)):
+                  geometric_pmf(n)):
             res = brute_force_optimal(p, obj, max_n=n)
             engine = generalized_huffman(p, rule)
             assert abs(engine.objective_value - res.min_value) <= 1e-12, p.probs
             assert engine.lengths.lengths in res.argmin_lengths(), p.probs
-            assert res.evaluated_count == _completions(1, n)
+            assert res.evaluated_count == state_completions(1, n)
             x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
             if obj._family and abs(s) < 1 / 16:
                 tail, steps = _table(x, s, add)
