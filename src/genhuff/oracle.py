@@ -54,12 +54,17 @@ facts are covered by self-tests rather than assumed.
 * **The argmin set.**  The table's root holds the least lg D, L.  A walk
   then descends from the root into each child whose least completion,
   the lg D of the levels above it plus q^t times the child's C, lies under
-  a line, and lists the vectors it completes there.  Each of them is
+  a line, and lists the vectors it completes there.  Each listed vector is
   scored with ``Objective.evaluate``, and the least float and those within
   ``ARGMIN_TOL`` of it are the result.  The line is L plus the width
   ``_line`` gives, which keeps every vector whose ``evaluate`` float
   is within ``ARGMIN_TOL`` of the least one, so the result is the one
-  scoring every vector with ``evaluate`` gives.
+  scoring every vector with ``evaluate`` gives.  The walk is a loop over
+  an explicit stack: each state pushes its children under the line least
+  j first, so the most j pops first and the listing keeps level-profile
+  order.  No function refers to itself, so a call leaves nothing for the
+  cycle collector; its table and listing go by reference count as it
+  returns or raises.
 * **The line's width.**  Let u = 2^-53, G the largest |a lg p_i| and
   T = G + |s| (n - 1), which bounds every term ``evaluate`` forms.
   ``evaluate``'s float is within e of the exact value of the same floats
@@ -285,20 +290,27 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
           line: float) -> list[tuple[float, LengthVector]]:
     """(lg D, vector) of each vector the walk completes under ``line``, in
     level-profile order, each made with its runs (module docstring); past
-    ``LISTING_BUDGET`` of them it raises ``ListingTooLarge``."""
-    found: list[tuple[float, LengthVector]] = []
+    ``LISTING_BUDGET`` of them it raises ``ListingTooLarge``.
 
-    def descend(nodes: int, e: int, depth: int, above: float,
-                ks: tuple[int, ...], cs: tuple[int, ...]) -> None:
+    A loop over an explicit stack of states (nodes, e, depth, lg D above,
+    runs): a state pushes its children under the line least j first, so the
+    child with the most internal nodes pops first and the listing keeps
+    level-profile order.  No function here refers to itself, so a call
+    leaves nothing for the cycle collector."""
+    found: list[tuple[float, LengthVector]] = []
+    stack: list[tuple[int, int, int, float, tuple[int, ...], tuple[int, ...]]] = [
+        (1, n - 1, 0, -math.inf, (), ())]
+    while stack:
+        nodes, e, depth, above, ks, cs = stack.pop()
         if not e:
             if len(found) == LISTING_BUDGET:
                 raise ListingTooLarge(f"n={n}: the walk lists more than {LISTING_BUDGET} vectors")
             runs = ks + (depth,), cs + (nodes,)
             found.append((above, LengthVector._checked(tuple(_spread(*runs)), runs)))
-            return
+            continue
         shift = s * depth
         row = steps[e]
-        for j in range(nodes if nodes < e else e, 0, -1):
+        for j in range(1, (nodes if nodes < e else e) + 1):
             # v, the table's least lg D this level and those below it add
             # through the child; the bound adds the levels above, and an lg-sum
             # is at least its larger term, so the first test is the second's
@@ -308,9 +320,7 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
                 # the levels above the child's, this one's deeper weight included
                 here = add(above, shift + tail[e + j])
                 runs = (ks + (depth,), cs + (nodes - j,)) if j < nodes else (ks, cs)
-                descend(2 * j, e - j, depth + 1, here, *runs)
-
-    descend(1, n - 1, 0, -math.inf, (), ())
+                stack.append((2 * j, e - j, depth + 1, here, *runs))
     return found
 
 

@@ -26,6 +26,7 @@ from genhuff.coder import CodeResult, canonical_codewords
 from genhuff.core import (BoundKind, BoundReport, CodingError, LengthVector, Objective,
                           ObjectiveKind, Pmf, alpha_of_q, renyi_entropy)
 from test_core import lg_mean_reference, renyi_reference
+from test_oracle import cyclic_garbage
 
 BENFORD_LINES = "\n".join(
     f"{math.log10(i + 1) - math.log10(i)!r}" for i in range(1, 10))
@@ -742,6 +743,11 @@ class TestVerify:
     def test_campaign_runs_at_the_oracle_cap(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "18", "--trials", "4")
         assert (code, err) == (0, "") and out.endswith("result: ok\n")
+
+    def test_campaign_leaves_no_cyclic_garbage(self):
+        # the whole path verify walks, engine, bounds, witnesses and oracle,
+        # frees what it makes by reference count
+        assert cyclic_garbage(lambda: verify._run_campaign(16, 20, 42)) == 0
 
     def test_family_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mmpr-upper-high",

@@ -1,6 +1,7 @@
 """Enumeration correctness and the oracle's own soundness arguments."""
 
 import functools
+import gc
 import itertools
 import math
 import random
@@ -121,6 +122,20 @@ def state_completions(nodes, left):
 def geometric_pmf(n):
     """p_i proportional to 2^(-i/5): a deep code, ~n/5 bits at its deepest."""
     return validate_pmf([2.0 ** (-i / 5) for i in range(1, n + 1)], normalize=True)
+
+
+def cyclic_garbage(calls):
+    """What the cycle collector finds after ``calls()`` runs with it off:
+    objects that reference counting alone never frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        calls()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestEnumeration:
@@ -271,6 +286,23 @@ class TestBruteForce:
         monkeypatch.setattr(oracle, "LISTING_BUDGET", 27)
         with pytest.raises(ListingTooLarge, match="n=9: .* more than 27 vectors"):
             _walk(9, s, add, tail, steps, math.inf)
+
+    def test_a_call_leaves_no_cyclic_garbage(self, monkeypatch):
+        # the walk runs on an explicit stack, so no closure refers to itself
+        # and a call's table, listing and refusal all go by reference count
+        mmpr_ties = validate_pmf([0.4, 0.3, 0.2, 0.1])
+        assert len(brute_force_optimal(mmpr_ties, Objective.max_pointwise()).argmin) > 1
+
+        def calls():
+            for obj in BENCH_OBJECTIVES:
+                for n in (1, 2, 16, 18):
+                    brute_force_optimal(validate_pmf([1.0 / n] * n), obj)
+                brute_force_optimal(geometric_pmf(128), obj, max_n=128)
+            monkeypatch.setattr(oracle, "LISTING_BUDGET", 1)
+            with pytest.raises(ListingTooLarge, match="n=4: .* more than 1 vectors"):
+                brute_force_optimal(mmpr_ties, Objective.max_pointwise())
+
+        assert cyclic_garbage(calls) == 0
 
     def test_alphabet_cap(self):
         brute_force_optimal(validate_pmf([1.0 / 18] * 18), Objective.avg())
