@@ -248,8 +248,8 @@ class CombineRule(_Record):
     log-domain combiner of the exponential rules does not: one ulp more on
     y can lower it, and the module docstring bounds the merge inversions
     that allows.  The parameter is validated by the ``Objective`` the rule
-    minimizes, whose exponential family (a, s, q) the rule keeps as
-    ``_family``, not a field.
+    minimizes, which the rule keeps as ``_objective`` and its exponential
+    family (a, s, q) as ``_family``, neither of them a field.
     """
 
     kind: RuleKind
@@ -258,8 +258,9 @@ class CombineRule(_Record):
     def __init__(self, kind: RuleKind, param: float | None = None):
         _set(self, "kind", kind)
         _set(self, "param", param)
-        # the Objective checks the parameter; its (a, s, q) is not a field either
-        _set(self, "_family", self.objective()._family)
+        # the Objective checks the parameter; it and its (a, s, q) are not fields
+        _set(self, "_objective", Objective(_OBJECTIVE_OF[kind], param))
+        _set(self, "_family", self._objective._family)
 
     @staticmethod
     def sum() -> "CombineRule":
@@ -282,7 +283,7 @@ class CombineRule(_Record):
         return CombineRule(_RULE_OF[obj.kind], obj.param)
 
     def objective(self) -> Objective:
-        return Objective(_OBJECTIVE_OF[self.kind], self.param)
+        return self._objective
 
     def _shift(self, p: Pmf) -> int | None:
         """k of the linear leaves (p_i 2^k)^a: 0 where p_n^a is a normal float, as under
@@ -531,7 +532,7 @@ def generalized_huffman(p: Pmf, rule: CombineRule) -> CodeResult:
     lengths = LengthVector._checked(tuple(_spread(*runs)), runs)
     value = rule._root_value(root, shift)
     if value is None:
-        value = rule.objective().evaluate(p, lengths)
+        value = rule._objective.evaluate(p, lengths)
     if rule.kind is RuleKind.DTH_EXP:
         # a complete code's exact d-th value is at least 0: a value below it
         # is all rounding, and max(0.0, -0.0) is 0.0

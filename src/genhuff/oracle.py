@@ -20,10 +20,14 @@ facts are covered by self-tests rather than assumed.
   symbol and the vector is complete.  A choice reads one coordinate, the
   excess e = left - nodes, and its j = nodes - k internal nodes: the child
   is (2j, e + j), with excess e - j, and j runs over 1..min(nodes, e), most
-  first for level-profile order.  So every reader indexes (e, j): the
-  table and the walk (next bullets), ``_unrank``, and ``_counts``, whose
-  count below a state with t = min(nodes, e) is a prefix sum over j <= t
-  of its children's, where the table takes a prefix minimum.
+  first for level-profile order.  So every reader indexes (e, j), and
+  all but the walk read one cached per-n plan, ``_plan``: row e lists,
+  for each j, the tail index e + j of the choice's deeper weight and the
+  child's (e - j, t), t = min(nodes, excess) of the child.  The table
+  (next bullet) and ``_unrank`` iterate its rows; its counts, the vectors
+  below a state with t = min(nodes, e), are each a prefix sum over j <= t
+  of a row's children's, where the table takes a prefix minimum.  The
+  walk keeps its own j loop over the table's steps.
 * **The recurrence** (Golin & Rote, IEEE Trans. IT 44(5), 1998).  With
   weights w_i = p_i^a and q = 2^s, every objective but MMPR is a monotone
   function of D = sum_i w_i (q^l_i - 1)/(q - 1) = sum over depths t of
@@ -38,10 +42,12 @@ facts are covered by self-tests rather than assumed.
   C = min_k [W(k) + q C'], W(k) the weight of the left - k symbols its
   choice k sends deeper and C' the child's own; C = 0 where the vector is
   complete.  W(k) is the weight of the last e + j symbols, so a step reads
-  only (e, j): the table keeps one step per (e, j), and a state's C is the
-  least step of row e over j <= min(nodes, e), a prefix minimum.  Since
-  e + j <= n, j runs over 1..min(e, n - e): floor(n^2/4) steps, and
-  n + floor(n^2/4) lg-adds with the tail weights.  MMPR,
+  only (e, j): the table keeps one step per (e, j), read off the plan's
+  row e, and a state's C is the least step of row e over
+  j <= min(nodes, e), a prefix minimum.  Since e + j <= n, j runs over
+  1..min(e, n - e): floor(n^2/4) steps, and n + floor(n^2/4) lg-adds with
+  the tail weights; the plan's index arithmetic is done once per n, not
+  per call.  MMPR,
   max_i (l_i + lg p_i) = 1 + max over depths t of (t + lg p of the first
   symbol deeper than t), is the max-plus limit of the same recurrence:
   C = min_k max(lg p of the first symbol choice k sends deeper, 1 + C').
@@ -130,7 +136,7 @@ facts are covered by self-tests rather than assumed.
   q = 1, where e is ~3e-13 at n = 40, it admits one to three vectors on
   the tests' pmfs.
 
-``evaluated_count`` is the size of the space, ``_counts(n)[n - 1][1]``,
+``evaluated_count`` is the size of the space, the plan's root count,
 O(n^2) ints counted once per n, though the walk lists only the vectors
 under its line, and refuses with ``ListingTooLarge`` to list more than
 ``LISTING_BUDGET``.  The oracle never seeds its bound from the engine, so
@@ -143,6 +149,7 @@ import math
 import random
 from collections.abc import Callable, Iterator
 from functools import cache
+from itertools import accumulate
 
 from .core import (_SMALL_SCALE, CodingError, LengthVector, Objective, ObjectiveKind, Pmf,
                    _lg_add, _Record, _set, _spread)
@@ -191,37 +198,50 @@ class OracleResult(_Record):
 
 
 @cache
-def _counts(n: int) -> list[list[int]]:
-    """counts[e][t], the complete vectors below a level with excess e and
-    min(nodes, e) = t: a prefix sum over j <= t of the child's, as the
-    table's least is a prefix minimum (module docstring).  counts[0] is
+def _plan(n: int) -> tuple[list[tuple[tuple[int, int, int], ...]], list[list[int]]]:
+    """(rows, counts), the level structure of n symbols that the table,
+    ``_unrank`` and the space's count read (module docstring).  rows[e]
+    holds, for j = 1..min(e, n - e) internal nodes at a level with excess
+    e, the tail index e + j of the weight the choice sends deeper and the
+    child's (excess, t), with 2j nodes, excess e - j and t = min(nodes,
+    excess).  counts[e][t] is the number of complete vectors below a state
+    with excess e and t, the prefix sum over row e of its children's
+    counts, as the table's least is the prefix minimum; counts[0] is
     [1, 1], so the space is counts[n - 1][1] for every n >= 1."""
     if n < 1:
         raise CodingError(f"alphabet size must be >= 1, got {n}")
+    rows: list[tuple[tuple[int, int, int], ...]] = [()]
     counts = [[1, 1]]
     for e in range(1, n):
-        row = [0]
-        for j in range(1, min(e, n - e) + 1):
-            row.append(row[-1] + counts[e - j][min(2 * j, e - j)])
-        counts.append(row)
-    return counts
+        row = tuple((e + j, e - j, min(2 * j, e - j)) for j in range(1, min(e, n - e) + 1))
+        rows.append(row)
+        counts.append(list(accumulate([counts[c][t] for _, c, t in row], initial=0)))
+    return rows, counts
+
+
+def _space(n: int) -> int:
+    """The number of vectors in the space, ``_plan(n)``'s root count."""
+    return _plan(n)[1][n - 1][1]
 
 
 def _unrank(n: int, index: int) -> tuple[int, ...]:
     """The vector at ``index`` of the level-profile order, 0 <= index <
-    ``_counts(n)[n - 1][1]``: fewest leaves at depth 0 first, then at depth 1,
-    and so on.  It is found level by level without listing the ones before
-    it: each choice of j internal nodes holds its child's count."""
-    counts = _counts(n)
+    ``_space(n)``: fewest leaves at depth 0 first, then at depth 1, and so
+    on.  It is found level by level without listing the ones before it:
+    each choice of j internal nodes, read from the plan's row most j first,
+    holds its child's count."""
+    rows, counts = _plan(n)
     lengths: list[int] = []
     depth, nodes, e = 0, 1, n - 1
     while e:
+        row = rows[e]
         for j in range(min(nodes, e), 0, -1):
-            if index < (below := counts[e - j][min(2 * j, e - j)]):
+            _, c, t = row[j - 1]
+            if index < (below := counts[c][t]):
                 break
             index -= below
         lengths += [depth] * (nodes - j)
-        depth, nodes, e = depth + 1, 2 * j, e - j
+        depth, nodes, e = depth + 1, 2 * j, c
     return tuple(lengths + [depth] * nodes)
 
 
@@ -231,13 +251,13 @@ def kraft_length_tuples(n: int) -> Iterator[tuple[int, ...]]:
     Vectors come in level-profile order: by how many leaves sit at depth 0
     of a full binary tree, then at depth 1, and so on, fewest first.
     """
-    return (_unrank(n, index) for index in range(_counts(n)[n - 1][1]))
+    return (_unrank(n, index) for index in range(_space(n)))
 
 
 def random_complete_lengths(n: int, rng: random.Random) -> LengthVector:
     """A uniform draw from the ``kraft_length_tuples(n)`` vectors, made by
     unranking one ``rng.randrange`` index rather than listing them."""
-    return LengthVector(_unrank(n, rng.randrange(_counts(n)[n - 1][1])))
+    return LengthVector(_unrank(n, rng.randrange(_space(n))))
 
 
 def _lg_expm1(s: float, k: float = 1.0) -> float:
@@ -261,9 +281,9 @@ def _recurrence(obj: Objective, lgp: list[float]) -> tuple[list[float], float, C
 def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[list[float]]]:
     """(tail, steps): tail[r] the lg weight of the last r symbols, summed from
     the tail, and steps[e][j - 1] the least lg C through a choice of j internal
-    nodes at a level with excess e = left - nodes (module docstring).  A
-    state's least lg C is the minimum of steps[e][:min(nodes, e)], and
-    steps[-1][0] the root's."""
+    nodes at a level with excess e = left - nodes, one per entry of the
+    cached plan's row e (module docstring).  A state's least lg C is the
+    minimum of steps[e][:min(nodes, e)], and steps[-1][0] the root's."""
     n = len(x)
     tail = [-math.inf]
     for xi in reversed(x):
@@ -272,12 +292,11 @@ def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[l
     # = t, a prefix minimum of row c; a state with no excess is complete
     steps: list[list[float]] = [[]]
     least = [[-math.inf]]
-    for e in range(1, n):
+    for choices in _plan(n)[0][1:]:
         row: list[float] = []
         mins, best = [math.inf], math.inf
-        for j in range(1, min(e, n - e) + 1):
-            c = e - j
-            v = add(tail[e + j], s + least[c][2 * j if 2 * j < c else c])
+        for r, c, t in choices:
+            v = add(tail[r], s + least[c][t])
             row.append(v)
             best = v if v < best else best
             mins.append(best)
@@ -368,10 +387,11 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     vectors under a line above it, widened by the rounding error of
     ``evaluate`` and of the table, each then scored with ``evaluate``
     (module docstring).  ``evaluated_count`` is the size of the space,
-    which grows like 1.794^n; the table takes n + floor(n^2/4) lg-adds,
-    so raising ``max_n`` costs little.  Where more than ``LISTING_BUDGET``
-    vectors lie under the line, it raises ``ListingTooLarge`` rather than
-    list them.
+    which grows like 1.794^n; the table takes n + floor(n^2/4) lg-adds
+    over one cached per-n plan, which the count and the unranking read
+    too, so raising ``max_n`` costs little.  Where more than
+    ``LISTING_BUDGET`` vectors lie under the line, it raises
+    ``ListingTooLarge`` rather than list them.
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
@@ -382,4 +402,4 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     best = min(v for v, _ in scored)
     argmin = sorted((lv for v, lv in scored if v <= best + ARGMIN_TOL),
                     key=lambda lv: lv.lengths)
-    return OracleResult(best, tuple(argmin), _counts(p.n)[p.n - 1][1])
+    return OracleResult(best, tuple(argmin), _space(p.n))

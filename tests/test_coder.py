@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -463,6 +464,38 @@ class TestCombineRule:
     def test_objective_round_trip(self):
         for rule in RULES:
             assert CombineRule.for_objective(rule.objective()) == rule
+
+    def test_objective_is_kept_and_not_a_field(self):
+        # the rule keeps the Objective that checked its parameter, next to its
+        # _family; equality, hash, repr and a pickle read kind and param alone
+        for rule in RULES:
+            assert rule.objective() is rule.objective()
+            assert rule.objective() == Objective(coder._OBJECTIVE_OF[rule.kind], rule.param)
+            twin = CombineRule(rule.kind, rule.param)
+            assert twin == rule and hash(twin) == hash(rule)
+            assert repr(rule) == f"CombineRule(kind={rule.kind!r}, param={rule.param!r})"
+            assert hash(rule) == hash((rule.kind, rule.param))
+            back = pickle.loads(pickle.dumps(rule))
+            assert back == rule and back.objective() == rule.objective()
+
+    def test_engine_scores_with_the_rule_objective(self, monkeypatch):
+        # avg, MMPR and |s| < 1/16 are scored by evaluate on the rule's own
+        # Objective, so a call builds and checks none
+        p = validate_pmf([0.5, 0.3, 0.2])
+        rules = (CombineRule.sum(), CombineRule.max_double(), CombineRule.dth_exp(1e-3),
+                 CombineRule.exp_base(1.01))
+        made = []
+        init = Objective.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Objective, "__init__", counted)
+        for rule in rules:
+            res = generalized_huffman(p, rule)
+            assert res.objective_value == rule.objective().evaluate(p, res.lengths)
+        assert made == []
 
 
 class TestGeneralizedHuffman:

@@ -29,7 +29,7 @@ from genhuff import (
 )
 from genhuff import oracle
 from genhuff.core import _lg_add
-from genhuff.oracle import (ARGMIN_TOL, LISTING_BUDGET, _counts, _errors, _lg_expm1, _line,
+from genhuff.oracle import (ARGMIN_TOL, LISTING_BUDGET, _errors, _lg_expm1, _line, _plan,
                             _recurrence, _table, _walk)
 from genhuff.witness import FamilyKind, WitnessFamily, generate
 from test_core import lg_mean_reference
@@ -184,16 +184,16 @@ class TestEnumeration:
 
     def test_counts_from_the_root_count_the_space(self):
         for n, expected in enumerate(TREE_SHAPE_COUNTS, start=1):
-            assert _counts(n)[n - 1][1] == expected
+            assert _plan(n)[1][n - 1][1] == expected
         for n in (17, 18):
-            assert _counts(n)[n - 1][1] == sum(1 for _ in kraft_length_tuples(n))
+            assert _plan(n)[1][n - 1][1] == sum(1 for _ in kraft_length_tuples(n))
 
     def test_counts_hold_every_state_count_of_the_child_lists(self):
         # counts[e][min(nodes, e)], e = left - nodes, is the number of vectors
         # below the state (nodes, left) by the per-state recursion, for every
         # state with left <= n; the root's is counts[n - 1][1], n = 1 included
         for n in range(1, 81):
-            counts = _counts(n)
+            counts = _plan(n)[1]
             assert len(counts) == n
             for left in range(1, n + 1):
                 for nodes in range(1, left + 1):
@@ -202,16 +202,38 @@ class TestEnumeration:
                         (n, nodes, left)
             assert counts[n - 1][1] == state_completions(1, n)
 
+    def test_plan_rows_hold_every_state_child_list(self):
+        # the plan's entry for j internal nodes at excess e is the child of the
+        # per-state list, (e + j, e - j, min(nodes, excess) of the child), for
+        # every state with left <= n; the list runs fewest leaves, most j, first
+        for n in range(1, 41):
+            rows = _plan(n)[0]
+            assert len(rows) == n and rows[0] == ()
+            for left in range(1, n + 1):
+                for nodes in range(1, left):
+                    e = left - nodes
+                    want = tuple((r, r - m, min(m, r - m))
+                                 for _, m, r in reversed(state_children(nodes, left)))
+                    assert rows[e][:min(nodes, e)] == want, (n, nodes, left)
+
     def test_first_draw_at_128_counts_in_quadratic_memory(self):
-        # the counts are O(n^2) ints, ~0.2 MB at n = 128; a count per
-        # (nodes, left) state over a cached child list per state peaks at ~7 MB
-        _counts.cache_clear()
-        tracemalloc.start()
-        try:
-            random_complete_lengths(128, random.Random(128))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # the plan is O(n^2) small tuples and ints, ~0.5 MB at n = 128; a
+        # count per (nodes, left) state over a cached child list per state
+        # peaks at ~7 MB.  A first brute_force_optimal builds the plan and its
+        # table from nothing cached
+        def first_peak(call):
+            _plan.cache_clear()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = first_peak(lambda: random_complete_lengths(128, random.Random(128)))
+        assert peak < 2 << 20, peak
+        p = geometric_pmf(128)
+        peak = first_peak(lambda: brute_force_optimal(p, Objective.dth_exp(0.5), max_n=128))
         assert peak < 2 << 20, peak
 
     def test_walk_with_no_line_lists_the_space_in_level_profile_order(self):
