@@ -284,7 +284,8 @@ def add_common_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...],
     sp.add_argument("--out", default=None, help="write output to this path")
     if needs_input:
         sp.add_argument("--normalize", action="store_true",
-                        help="rescale input to sum to 1 instead of rejecting")
+                        help="rescale input to sum to 1 instead of rejecting it; a sum "
+                             "within 1e-9 of 1 is divided out with or without this flag")
         sp.add_argument("--assume-sorted", action="store_true",
                         help="verify nonincreasing order instead of sorting")
 

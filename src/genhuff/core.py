@@ -181,7 +181,10 @@ def lg_sum_exp2(exponents: Sequence[float]) -> float:
 def _lg_add(a: float, b: float) -> float:
     """lg(2^a + 2^b), shifted by the larger so that neither power overflows:
     ``lg_sum_exp2`` on two terms, without the list and the ``fsum`` that make
-    that 3-5x slower in the oracle's table and the engine's log-domain merge."""
+    that 3-5x slower.  The engine's log-domain merge and the oracle's line
+    call it.  The oracle's table, its tail sums included, and its walk form
+    this very expression inline, larger term first, which saves a call on
+    each of their lg-adds and gives the same floats."""
     if a < b:
         a, b = b, a
     return a + math.log2(1.0 + 2.0 ** (b - a))
@@ -258,7 +261,10 @@ def _check_sum(vals: Sequence[float], plain: float) -> None:
 
 
 class Pmf(_Record):
-    """Probability mass function, strictly positive and sorted nonincreasing."""
+    """Probability mass function, strictly positive and sorted nonincreasing.
+
+    ``Pmf(probs)`` checks ``probs`` and stores them as given, a sum off 1
+    within PMF_SUM_TOL included; ``validate_pmf`` divides such a sum out."""
 
     probs: tuple[float, ...]
 
@@ -298,18 +304,24 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
 
     Sorts into nonincreasing order unless ``assume_sorted`` (then the order
     is verified instead).  ``normalize=False`` means an off-by-more-than-1e-9
-    total raises SumNotOne; renormalization never happens silently.  With
-    ``normalize=True``, values whose sum passes the float range are first
-    divided by the largest, and an entry that underflows to 0 on the way
-    raises NonPositiveProbability.  Error messages quote n and the first
-    offending entry, never the whole vector.
+    total raises SumNotOne.  A total within PMF_SUM_TOL of 1 is divided out
+    at the door: where S = fsum of the entries is not 1.0, the Pmf holds
+    p_i / S, so every value and bound reads one pmf, and a pmf whose fsum is
+    1.0 keeps its floats.  With ``normalize=True``, values whose sum passes
+    the float range are first divided by the largest, and an entry that
+    underflows to 0 on the way raises NonPositiveProbability.  Error
+    messages quote n and the first offending entry, never the whole vector.
+    ``Pmf(...)`` itself divides nothing: it stores the entries it is given.
 
     Each check runs once: the list this function has checked and sorted
     itself is not handed to ``Pmf``'s own checks again.  An
     ``assume_sorted`` list goes through them, as a direct ``Pmf(...)`` does.
     Positivity is read off the sorted list: with no NaN, which one sum
     catches, its last entry is the least and its first the largest.  Any
-    failure is reported by the check over ``raw`` in its own order.
+    failure is reported by the check over ``raw`` in its own order, and every
+    check reads the entries as given, before the division: ``fsum`` raises
+    on inf - inf and past the float range, so it runs only on entries found
+    finite, positive and summing to 1 within PMF_SUM_TOL.
     """
     vals = list(map(float, raw))
     if not vals:
@@ -332,14 +344,22 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
                 f"when normalised")
         vals = normed
     if assume_sorted:
-        return Pmf(tuple(vals))
+        return Pmf._checked(_divided(Pmf(tuple(vals)).probs))
     vals.sort(reverse=True)
     total = sum(vals)
     if not (0.0 < vals[-1] and vals[0] < math.inf and not math.isnan(total)):
         # only a refusal reads ``raw`` again, for the entry's place in it
         _check_positive(list(map(float, raw)))
     _check_sum(vals, total)
-    return Pmf._checked(tuple(vals))
+    return Pmf._checked(_divided(tuple(vals)))
+
+
+def _divided(probs: tuple[float, ...]) -> tuple[float, ...]:
+    """``probs`` over S = fsum(probs) where S != 1.0, and ``probs`` itself where
+    S is 1.0.  Each quotient rounds once, so the order stays nonincreasing and,
+    with S within PMF_SUM_TOL of 1, no positive entry becomes 0."""
+    total = math.fsum(probs)
+    return probs if total == 1.0 else tuple(v / total for v in probs)
 
 
 def benford() -> Pmf:

@@ -54,9 +54,12 @@ facts are covered by self-tests rather than assumed.
 * **The lg domain.**  The table holds lg C, so that q^t W overflows
   nowhere, as at q = 1.7e308 or d = 1e6: a step is
   lg C = min_k lg(2^lg W(k) + 2^(s + lg C')), each sum shifted by its
-  larger exponent (``_lg_add``); under MMPR it is ``max`` with s = 1.  The
-  weights lg W are summed from the tail, one symbol at a time, since a
-  difference of prefix sums cancels once p_1^a dominates.
+  larger exponent; under MMPR it is ``max`` with s = 1.  The table and the
+  walk form each such lg-add inline, as the very expression ``_lg_add``
+  evaluates, larger term first, and pick the lg-sum or the max-plus form
+  once per call, so each float is the one a call to ``_lg_add`` or ``max``
+  would give.  The weights lg W are summed from the tail, one symbol at a
+  time, since a difference of prefix sums cancels once p_1^a dominates.
 * **The argmin set.**  The table's root holds the least lg D, L.  A walk
   then descends from the root into each child whose least completion,
   the lg D of the levels above it plus q^t times the child's C, lies under
@@ -106,9 +109,9 @@ facts are covered by self-tests rather than assumed.
     ~709, which needs n past 15,000 here.
 
   The table and the walk round too.  Every quantity they form is at most
-  T_L = G + |s| n + 2 lg n + 2 in size (s = 1 under MMPR).  Each
-  ``_lg_add`` is within u (T_L + 6) of the exact lg-sum of its inputs,
-  and exact, as ``max``, under MMPR: the rounding of its exponent
+  T_L = G + |s| n + 2 lg n + 2 in size (s = 1 under MMPR).  Each lg-add,
+  as ``_lg_add`` forms it, is within u (T_L + 6) of the exact lg-sum of
+  its inputs, and exact, as ``max``, under MMPR: the rounding of its exponent
   z = b - a <= 0, at most u |z|, moves lg(1 + 2^z) by at most u |z| 2^z,
   below 0.6u.  Each shift by s or s t adds u T_L, and an lg-sum moves by
   no more than the larger error of its inputs.  The tail weights take n
@@ -116,7 +119,15 @@ facts are covered by self-tests rather than assumed.
   n u (3 T_L + 12) of the exact least lg C below its state, and a walk's
   bound, which adds its own n steps, within twice that: both within
   delta = 8 u (n + 1) (T_L + 4).  Under avg delta also covers the
-  weights 2^(lg p_i) against p_i.
+  weights 2^(lg p_i) against p_i.  The walk's bound lg(2^above + 2^v), the
+  lg D above a child and the least below it, is not itself formed: the walk
+  tests v against the state's room lg(2^line - 2^above), which is the same
+  test in exact arithmetic.  The room is 2^line - 2^above to a few u
+  relative, and its lg and its sum with the line round by u (|lg| + |room|);
+  near the test, where 2^v is a share 2^(room - line) of 2^line, that moves
+  the bound it stands for by at most u (|line| + 8).  The line exceeds T_L
+  by no more than its width, so this is a few u (T_L + 4), inside the
+  (2n + 8) u (T_L + 4) that delta leaves over the walk's 6 n u (T_L + 4).
 
   Take a vector whose ``evaluate`` float is within ``ARGMIN_TOL`` of the
   least float.  Its exact value is at most Delta = ARGMIN_TOL + 2e above
@@ -167,6 +178,7 @@ DEFAULT_MAX_N = 18
 ARGMIN_TOL = 1e-12
 LISTING_BUDGET = 10_000
 _U = 2.0 ** -53
+_LN2 = math.log(2.0)
 
 
 class AlphabetTooLarge(CodingError):
@@ -271,7 +283,8 @@ def _lg_expm1(s: float, k: float = 1.0) -> float:
 
 def _recurrence(obj: Objective, lgp: list[float]) -> tuple[list[float], float, Callable]:
     """(x, s, add): each symbol's lg weight a lg p_i, the step s and the sum
-    in the lg domain, ``_lg_add``, or ``max`` for MMPR's max-plus limit."""
+    in the lg domain, ``_lg_add``, or ``max`` for MMPR's max-plus limit; the
+    table and the walk form that sum inline and read ``add`` to pick which."""
     if obj.kind is ObjectiveKind.MAX_POINTWISE:
         return lgp, 1.0, max
     a, s = obj._family[:2] if obj._family else (1.0, 0.0)
@@ -283,23 +296,49 @@ def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[l
     the tail, and steps[e][j - 1] the least lg C through a choice of j internal
     nodes at a level with excess e = left - nodes, one per entry of the
     cached plan's row e (module docstring).  A state's least lg C is the
-    minimum of steps[e][:min(nodes, e)], and steps[-1][0] the root's."""
+    minimum of steps[e][:min(nodes, e)], and steps[-1][0] the root's.
+
+    ``add``, ``_lg_add`` or MMPR's ``max``, picks the row loop once per call
+    and is never called: each of the n + floor(n^2/4) lg-adds is formed
+    inline as the very expression ``_lg_add`` evaluates, larger term first,
+    and each ``max`` as ``max`` picks, so every float is the one the calls
+    would give."""
     n = len(x)
+    rows = _plan(n)[0]
+    log2 = math.log2
+    lg_sum = add is not max
     tail = [-math.inf]
-    for xi in reversed(x):
-        tail.append(add(tail[-1], xi))
+    for b in reversed(x):
+        a = tail[-1]
+        if lg_sum:
+            if a < b:
+                a, b = b, a
+            tail.append(a + log2(1.0 + 2.0 ** (b - a)))
+        else:
+            tail.append(b if a < b else a)
     # least[c][t], the least lg C of a state with excess c and min(nodes, c)
     # = t, a prefix minimum of row c; a state with no excess is complete
     steps: list[list[float]] = [[]]
     least = [[-math.inf]]
-    for choices in _plan(n)[0][1:]:
+    for choices in rows[1:]:
         row: list[float] = []
         mins, best = [math.inf], math.inf
-        for r, c, t in choices:
-            v = add(tail[r], s + least[c][t])
-            row.append(v)
-            best = v if v < best else best
-            mins.append(best)
+        if lg_sum:
+            for r, c, t in choices:
+                a, b = tail[r], s + least[c][t]
+                if a < b:
+                    a, b = b, a
+                v = a + log2(1.0 + 2.0 ** (b - a))
+                row.append(v)
+                best = v if v < best else best
+                mins.append(best)
+        else:
+            for r, c, t in choices:
+                a, b = tail[r], s + least[c][t]
+                v = b if a < b else a
+                row.append(v)
+                best = v if v < best else best
+                mins.append(best)
         steps.append(row)
         least.append(mins)
     return tail, steps
@@ -315,7 +354,25 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
     runs): a state pushes its children under the line least j first, so the
     child with the most internal nodes pops first and the listing keeps
     level-profile order.  No function here refers to itself, so a call
-    leaves nothing for the cycle collector."""
+    leaves nothing for the cycle collector.
+
+    A child's bound is lg(2^above + 2^v), v the table's least lg D of this
+    level and those below it through the child, and it lies under the line
+    exactly where v <= room = lg(2^line - 2^above), the lg D the line leaves
+    below the state.  So each state forms its room once, as line +
+    lg(-expm1((above - line) ln 2)), and each child costs one compare; under
+    MMPR's ``max`` the room is the line itself.  A state whose ``above`` is
+    at or over the line (under ``max``, over it) has no room, and nothing
+    below it is listed; in the lg form its room would be lg 0.  The room's
+    own rounding, a few u relative on 2^line - 2^above, moves the test it
+    stands for, lg(2^above + 2^v) <= line, by at most u (|line| + 8), about
+    as much as the one lg-add that bound took, and within the 2 delta slack
+    the line keeps for the walk's bounds (module docstring).  So every
+    vector within ``ARGMIN_TOL`` of the least float is still listed, and the
+    results do not change.  ``add`` picks the form; each pushed child's lg D
+    above it is formed inline as ``_lg_add`` or ``max`` gives it."""
+    log2, expm1 = math.log2, math.expm1
+    lg_sum = add is not max
     found: list[tuple[float, LengthVector]] = []
     stack: list[tuple[int, int, int, float, tuple[int, ...], tuple[int, ...]]] = [
         (1, n - 1, 0, -math.inf, (), ())]
@@ -327,19 +384,31 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
             runs = ks + (depth,), cs + (nodes,)
             found.append((above, LengthVector._checked(tuple(_spread(*runs)), runs)))
             continue
+        if lg_sum:
+            if above >= line:
+                continue
+            room = line + log2(-expm1((above - line) * _LN2))
+        elif above > line:
+            continue
+        else:
+            room = line
         shift = s * depth
         row = steps[e]
+        kd = ks + (depth,)
         for j in range(1, (nodes if nodes < e else e) + 1):
-            # v, the table's least lg D this level and those below it add
-            # through the child; the bound adds the levels above, and an lg-sum
-            # is at least its larger term, so the first test is the second's
-            # cheap half
-            v = shift + row[j - 1]
-            if v <= line and add(above, v) <= line:
+            if shift + row[j - 1] <= room:
                 # the levels above the child's, this one's deeper weight included
-                here = add(above, shift + tail[e + j])
-                runs = (ks + (depth,), cs + (nodes - j,)) if j < nodes else (ks, cs)
-                stack.append((2 * j, e - j, depth + 1, here, *runs))
+                a, b = above, shift + tail[e + j]
+                if lg_sum:
+                    if a < b:
+                        a, b = b, a
+                    here = a + log2(1.0 + 2.0 ** (b - a))
+                else:
+                    here = b if a < b else a
+                if j < nodes:
+                    stack.append((2 * j, e - j, depth + 1, here, kd, cs + (nodes - j,)))
+                else:
+                    stack.append((2 * j, e - j, depth + 1, here, ks, cs))
     return found
 
 

@@ -38,7 +38,7 @@ from genhuff import (
     validate_pmf,
 )
 import genhuff.coder as coder
-from genhuff.core import D_MAX, ceil_neg_lg
+from genhuff.core import D_MAX, Pmf, ceil_neg_lg
 from genhuff.coder import _level_runs, _merge_two_queues
 from test_oracle import EXTREME_OBJECTIVES, OBJECTIVES
 
@@ -1545,8 +1545,13 @@ class TestShannonAboveUnitSum:
             assert j_shannon_code(p, j).is_valid
 
     def test_pinned_p1_of_one(self):
-        # 1 - p_1 was 0: a ZeroDivisionError
-        assert j_shannon_code(validate_pmf([1.0, 1e-10]), 1).lengths == (1, 1)
+        # 1 - p_1 was 0: a ZeroDivisionError.  validate_pmf divides the sum out,
+        # so only a Pmf built directly keeps p_1 = 1.0; the divided pmf's p_1 is
+        # below 1.0 and its code that of its own floats
+        assert j_shannon_code(Pmf((1.0, 1e-10)), 1).lengths == (1, 1)
+        p = validate_pmf([1.0, 1e-10])
+        assert p.probs[0] < 1.0
+        assert j_shannon_code(p, 1).lengths == (1, 2)
 
     @pytest.mark.parametrize("raw,j,lengths", [
         # 1 - 2^-54 rounded to 1.0, so p_1 scaled to 1.0 and took length 0

@@ -1,5 +1,6 @@
 """Enumeration correctness and the oracle's own soundness arguments."""
 
+import collections
 import functools
 import gc
 import itertools
@@ -7,6 +8,7 @@ import math
 import random
 import time
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -531,6 +533,25 @@ def exact_scores(obj, p, x, s):
         w / total * mpmath.power(2, s * (l + g)) for w, l, g in zip(ps, ls, gs)), 2) / s)
 
 
+def reference_walk(n, s, add, tail, steps, line):
+    """(lg D, lengths) of each vector under ``line``, in level-profile order, by
+    the walk that tests each child twice, its table bound first and then
+    ``add(above, v)``, the bound with the levels above it, against the line."""
+    found = []
+    stack = [(1, n - 1, 0, -math.inf, ())]
+    while stack:
+        nodes, e, depth, above, lengths = stack.pop()
+        if not e:
+            found.append((above, lengths + (depth,) * nodes))
+            continue
+        for j in range(1, min(nodes, e) + 1):
+            v = s * depth + steps[e][j - 1]
+            if v <= line and add(above, v) <= line:
+                here = add(above, s * depth + tail[e + j])
+                stack.append((2 * j, e - j, depth + 1, here, lengths + (depth,) * (nodes - j)))
+    return found
+
+
 class TestLevelDP:
     """The table, the walk and the line they take, against exact arithmetic."""
 
@@ -613,25 +634,59 @@ class TestLevelDP:
                 if n > 1:
                     assert steps[-1][0].hex() == least(1, n).hex(), (n, p.probs)
 
-    def test_table_takes_n_plus_a_quarter_n_squared_lg_adds(self):
-        # n tail weights and one step per (e, j), 1 <= j <= min(e, n - e); the
-        # walk's first test reads the table, so a line under every step costs
-        # the walk no lg-add
-        calls = 0
+    def test_table_takes_n_plus_a_quarter_n_squared_lg_adds(self, monkeypatch):
+        # n tail weights and one step per (e, j), 1 <= j <= min(e, n - e), each an
+        # lg-add formed inline with one log2, counted through the module's math;
+        # a walk under a line below every step forms no room and no lg D above
+        # a child, so it takes no lg operation, and under MMPR's max neither the
+        # table nor a walk with no line takes any
+        calls = collections.Counter()
 
-        def add(a, b):
-            nonlocal calls
-            calls += 1
-            return _lg_add(a, b)
+        def counted(name):
+            f = getattr(math, name)
 
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(oracle, "math", types.SimpleNamespace(
+            **{**vars(math), **{name: counted(name) for name in ("log2", "expm1", "exp", "log")}}))
         for n in range(1, 65):
-            x, s, _ = _recurrence(Objective.dth_exp(0.5), [-math.log2(n)] * n)
-            calls = 0
+            x, s, add = _recurrence(Objective.dth_exp(0.5), [-math.log2(n)] * n)
+            calls.clear()
             tail, steps = _table(x, s, add)
-            assert calls == n + n * n // 4, n
-            calls = 0
-            _walk(n, s, add, tail, steps, -math.inf)
-            assert calls == 0, n
+            assert calls == {"log2": n + n * n // 4}, n
+            calls.clear()
+            assert len(_walk(n, s, add, tail, steps, -math.inf)) == (n == 1)
+            assert not calls, n
+            x, s, add = _recurrence(Objective.max_pointwise(), [-math.log2(n)] * n)
+            tail, steps = _table(x, s, add)
+            if n <= 12:
+                _walk(n, s, add, tail, steps, math.inf)
+            assert not calls, n
+
+    @pytest.mark.parametrize("obj", BENCH_OBJECTIVES + (
+        Objective.dth_exp(-0.999), Objective.exp_average(0.3), Objective.dth_exp(1e-12),
+        Objective.exp_average(1e200)), ids=lambda o: f"{o.kind.value}-{o.param}")
+    def test_walk_lists_what_two_tests_per_child_list(self, obj):
+        # one compare per child against the state's room lists the very vectors,
+        # lg D floats and order of the walk that tested each child twice, with
+        # the line the oracle takes and with none
+        rng = np.random.default_rng(51)
+        for n in range(1, 19):
+            for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
+                x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
+                tail, steps = _table(x, s, add)
+                lines = [math.inf]
+                if n > 1:
+                    lines.append(_line(obj, s, tail[-1], steps[-1][0], *_errors(obj, x, s)))
+                for line in lines:
+                    got = [(v.hex(), lv.lengths) for v, lv in
+                           _walk(n, s, add, tail, steps, line)]
+                    want = [(v.hex(), lengths) for v, lengths in
+                            reference_walk(n, s, add, tail, steps, line)]
+                    assert got == want, (n, p.probs, line)
 
     def test_lg_add_within_its_error_bound(self):
         # lg(2^a + 2^b) within u (T + 6), T the larger |input| plus 1, in
