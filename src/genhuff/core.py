@@ -183,8 +183,9 @@ def _lg_add(a: float, b: float) -> float:
     ``lg_sum_exp2`` on two terms, without the list and the ``fsum`` that make
     that 3-5x slower.  The engine's log-domain merge and the oracle's line
     call it.  The oracle's table, its tail sums included, and its walk form
-    this very expression inline, larger term first, which saves a call on
-    each of their lg-adds and gives the same floats."""
+    this very expression inline, larger term first, in the one loop that
+    takes the larger term alone under MMPR; that saves a call on each of
+    their lg-adds and gives the same floats."""
     if a < b:
         a, b = b, a
     return a + math.log2(1.0 + 2.0 ** (b - a))
@@ -219,38 +220,21 @@ def cmp_ratio(p: float, num: int, den: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _check_positive(vals: Sequence[float]) -> float:
-    """Return the plain ``sum`` of ``vals`` where every entry is finite and > 0, and
-    raise NonPositiveProbability, quoting n and the first bad entry only, otherwise.
-    ``min`` and ``max`` skip a NaN past the first entry; the sum, which any NaN
-    makes NaN, catches it."""
-    total = sum(vals)
-    if 0.0 < min(vals) and max(vals) < math.inf and not math.isnan(total):
-        return total
+def _check_positive(vals: Sequence[float]) -> None:
+    """Raise NonPositiveProbability, quoting n and the first bad entry only, unless
+    every entry of ``vals`` is finite and > 0.  ``min`` and ``max`` skip a NaN past
+    the first entry; the plain sum, which any NaN makes NaN, catches it."""
+    if 0.0 < min(vals) and max(vals) < math.inf and not math.isnan(sum(vals)):
+        return
     k = next(i for i, v in enumerate(vals) if not (0.0 < v < math.inf))
     raise NonPositiveProbability(f"all probabilities must be finite and > 0: "
                                  f"entry {k + 1} of {len(vals)} is {vals[k]!r}")
 
 
-def _check_sum(vals: Sequence[float], plain: float) -> None:
-    """Raise SumNotOne unless fsum(vals), the exact sum S of ``vals`` rounded once,
-    is within PMF_SUM_TOL of 1.
-
-    ``plain`` is ``sum(vals)`` of the positive entries, taken for the NaN
-    check, and most pmfs are decided from it alone.  The entries are
-    positive, so summed in order, as ``sum`` does up to Python 3.11, it is
-    within gamma_(n-1) S of S, with gamma_k = ku/(1 - ku) and u = 2^-53;
-    compensated, as from 3.12, within 2u S + O(n u^2) S (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 4).  Both are below
-    e = n 2^-52 plain for any n up to 10^13.  So where |plain - 1| <=
-    PMF_SUM_TOL - e - 2^-50, |S - 1| is below PMF_SUM_TOL by more than
-    2^-50 - 2^-53, which covers the comparison's own roundings; S is near 1,
-    where fsum rounds it by at most 2^-53 and fsum(vals) - 1.0 is exact,
-    so fsum accepts too.  Every other sum pays for fsum, and its decision
-    and message are fsum's.
-    """
-    if abs(plain - 1.0) <= PMF_SUM_TOL - (len(vals) * 2.0 ** -52 * plain + 2.0 ** -50):
-        return
+def _check_sum(vals: Sequence[float]) -> float:
+    """Return S = fsum(vals), the exact sum of the finite, positive ``vals``
+    rounded once, and raise SumNotOne unless S is within PMF_SUM_TOL of 1.
+    This is the one fsum a pmf takes at the door: ``_divided`` divides by it."""
     try:
         total = math.fsum(vals)
     except OverflowError:
@@ -258,6 +242,21 @@ def _check_sum(vals: Sequence[float], plain: float) -> None:
         total = math.inf
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise SumNotOne(f"{len(vals)} probabilities sum to {total!r}, not 1")
+    return total
+
+
+def _check_pmf(probs: tuple[float, ...]) -> float:
+    """Run ``Pmf(probs)``'s checks, in its order, and return ``_check_sum``'s S."""
+    if not probs:
+        raise EmptyInput("pmf needs at least one symbol")
+    _check_positive(probs)
+    total = _check_sum(probs)
+    if any(map(operator.lt, probs, islice(probs, 1, None))):
+        k = next(i for i in range(1, len(probs)) if probs[i - 1] < probs[i])
+        raise CodingError(
+            f"probabilities must be sorted nonincreasing: of {len(probs)}, entry {k} "
+            f"({probs[k - 1]!r}) < entry {k + 1} ({probs[k]!r})")
+    return total
 
 
 class Pmf(_Record):
@@ -270,19 +269,14 @@ class Pmf(_Record):
 
     def __init__(self, probs: tuple[float, ...]):
         _set(self, "probs", probs)
-        if not self.probs:
-            raise EmptyInput("pmf needs at least one symbol")
-        _check_sum(self.probs, _check_positive(self.probs))
-        if any(map(operator.lt, self.probs, islice(self.probs, 1, None))):
-            k = next(i for i in range(1, self.n) if self.probs[i - 1] < self.probs[i])
-            raise CodingError(
-                f"probabilities must be sorted nonincreasing: of {self.n}, entry {k} "
-                f"({self.probs[k - 1]!r}) < entry {k + 1} ({self.probs[k]!r})")
+        _check_pmf(self.probs)
 
     @classmethod
     def _checked(cls, probs: tuple[float, ...]) -> "Pmf":
         """A Pmf from ``probs`` that the caller has already found nonempty,
-        finite, positive, sorted nonincreasing and summing to 1."""
+        finite, positive, sorted nonincreasing and summing to 1 within
+        PMF_SUM_TOL; ``validate_pmf``'s p_i / S, whose exact sum may still
+        miss 1 by a few ulps, passes the same check."""
         p = object.__new__(cls)
         _set(p, "probs", probs)
         return p
@@ -319,9 +313,10 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
     Positivity is read off the sorted list: with no NaN, which one sum
     catches, its last entry is the least and its first the largest.  Any
     failure is reported by the check over ``raw`` in its own order, and every
-    check reads the entries as given, before the division: ``fsum`` raises
-    on inf - inf and past the float range, so it runs only on entries found
-    finite, positive and summing to 1 within PMF_SUM_TOL.
+    check reads the entries as given, before the division.  Each path takes
+    one ``fsum``, whose S both decides the sum check and is divided out;
+    ``fsum`` raises on inf - inf, so it runs only on entries found finite
+    and positive.
     """
     vals = list(map(float, raw))
     if not vals:
@@ -344,21 +339,20 @@ def validate_pmf(raw: Sequence[float], assume_sorted: bool = False,
                 f"when normalised")
         vals = normed
     if assume_sorted:
-        return Pmf._checked(_divided(Pmf(tuple(vals)).probs))
+        vals = tuple(vals)
+        return Pmf._checked(_divided(vals, _check_pmf(vals)))
     vals.sort(reverse=True)
-    total = sum(vals)
-    if not (0.0 < vals[-1] and vals[0] < math.inf and not math.isnan(total)):
+    if not (0.0 < vals[-1] and vals[0] < math.inf and not math.isnan(sum(vals))):
         # only a refusal reads ``raw`` again, for the entry's place in it
         _check_positive(list(map(float, raw)))
-    _check_sum(vals, total)
-    return Pmf._checked(_divided(tuple(vals)))
+    return Pmf._checked(_divided(tuple(vals), _check_sum(vals)))
 
 
-def _divided(probs: tuple[float, ...]) -> tuple[float, ...]:
-    """``probs`` over S = fsum(probs) where S != 1.0, and ``probs`` itself where
-    S is 1.0.  Each quotient rounds once, so the order stays nonincreasing and,
-    with S within PMF_SUM_TOL of 1, no positive entry becomes 0."""
-    total = math.fsum(probs)
+def _divided(probs: tuple[float, ...], total: float) -> tuple[float, ...]:
+    """``probs`` over their S = fsum(probs), ``total``, where S != 1.0, and
+    ``probs`` itself where S is 1.0.  Each quotient rounds once, so the order
+    stays nonincreasing and, with S within PMF_SUM_TOL of 1, no positive
+    entry becomes 0."""
     return probs if total == 1.0 else tuple(v / total for v in probs)
 
 

@@ -55,10 +55,11 @@ facts are covered by self-tests rather than assumed.
   nowhere, as at q = 1.7e308 or d = 1e6: a step is
   lg C = min_k lg(2^lg W(k) + 2^(s + lg C')), each sum shifted by its
   larger exponent; under MMPR it is ``max`` with s = 1.  The table and the
-  walk form each such lg-add inline, as the very expression ``_lg_add``
-  evaluates, larger term first, and pick the lg-sum or the max-plus form
-  once per call, so each float is the one a call to ``_lg_add`` or ``max``
-  would give.  The weights lg W are summed from the tail, one symbol at a
+  walk form each such sum inline, one loop for both semirings: they put
+  the larger term first, then take the very expression ``_lg_add``
+  evaluates, or under MMPR the larger term itself.  So each float is the
+  one a call to ``_lg_add`` or ``max`` would give, and MMPR takes no
+  ``log2``.  The weights lg W are summed from the tail, one symbol at a
   time, since a difference of prefix sums cancels once p_1^a dominates.
 * **The argmin set.**  The table's root holds the least lg D, L.  A walk
   then descends from the root into each child whose least completion,
@@ -158,7 +159,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from functools import cache
 from itertools import accumulate
 
@@ -281,41 +282,37 @@ def _lg_expm1(s: float, k: float = 1.0) -> float:
     return max(z, 0.0) + math.log2(-math.expm1(-abs(z) * math.log(2.0)))
 
 
-def _recurrence(obj: Objective, lgp: list[float]) -> tuple[list[float], float, Callable]:
-    """(x, s, add): each symbol's lg weight a lg p_i, the step s and the sum
-    in the lg domain, ``_lg_add``, or ``max`` for MMPR's max-plus limit; the
-    table and the walk form that sum inline and read ``add`` to pick which."""
+def _recurrence(obj: Objective, lgp: list[float]) -> tuple[list[float], float, bool]:
+    """(x, s, lg_sum): each symbol's lg weight a lg p_i, the step s and whether
+    the table and the walk add in the lg domain, as ``_lg_add`` does, or take
+    MMPR's max-plus limit, ``max``."""
     if obj.kind is ObjectiveKind.MAX_POINTWISE:
-        return lgp, 1.0, max
+        return lgp, 1.0, False
     a, s = obj._family[:2] if obj._family else (1.0, 0.0)
-    return (lgp if a == 1.0 else [a * g for g in lgp]), s, _lg_add
+    return (lgp if a == 1.0 else [a * g for g in lgp]), s, True
 
 
-def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[list[float]]]:
+def _table(x: list[float], s: float, lg_sum: bool) -> tuple[list[float], list[list[float]]]:
     """(tail, steps): tail[r] the lg weight of the last r symbols, summed from
     the tail, and steps[e][j - 1] the least lg C through a choice of j internal
     nodes at a level with excess e = left - nodes, one per entry of the
     cached plan's row e (module docstring).  A state's least lg C is the
     minimum of steps[e][:min(nodes, e)], and steps[-1][0] the root's.
 
-    ``add``, ``_lg_add`` or MMPR's ``max``, picks the row loop once per call
-    and is never called: each of the n + floor(n^2/4) lg-adds is formed
-    inline as the very expression ``_lg_add`` evaluates, larger term first,
-    and each ``max`` as ``max`` picks, so every float is the one the calls
-    would give."""
+    One loop serves both semirings: each of the n + floor(n^2/4) sums puts
+    the larger term first, then takes ``_lg_add``'s very expression where
+    ``lg_sum`` and the larger term itself, as ``max`` picks it, under MMPR,
+    so every float is the one those calls would give and MMPR takes no
+    ``log2``."""
     n = len(x)
     rows = _plan(n)[0]
     log2 = math.log2
-    lg_sum = add is not max
     tail = [-math.inf]
     for b in reversed(x):
         a = tail[-1]
-        if lg_sum:
-            if a < b:
-                a, b = b, a
-            tail.append(a + log2(1.0 + 2.0 ** (b - a)))
-        else:
-            tail.append(b if a < b else a)
+        if a < b:
+            a, b = b, a
+        tail.append(a + log2(1.0 + 2.0 ** (b - a)) if lg_sum else a)
     # least[c][t], the least lg C of a state with excess c and min(nodes, c)
     # = t, a prefix minimum of row c; a state with no excess is complete
     steps: list[list[float]] = [[]]
@@ -323,28 +320,20 @@ def _table(x: list[float], s: float, add: Callable) -> tuple[list[float], list[l
     for choices in rows[1:]:
         row: list[float] = []
         mins, best = [math.inf], math.inf
-        if lg_sum:
-            for r, c, t in choices:
-                a, b = tail[r], s + least[c][t]
-                if a < b:
-                    a, b = b, a
-                v = a + log2(1.0 + 2.0 ** (b - a))
-                row.append(v)
-                best = v if v < best else best
-                mins.append(best)
-        else:
-            for r, c, t in choices:
-                a, b = tail[r], s + least[c][t]
-                v = b if a < b else a
-                row.append(v)
-                best = v if v < best else best
-                mins.append(best)
+        for r, c, t in choices:
+            a, b = tail[r], s + least[c][t]
+            if a < b:
+                a, b = b, a
+            v = a + log2(1.0 + 2.0 ** (b - a)) if lg_sum else a
+            row.append(v)
+            best = v if v < best else best
+            mins.append(best)
         steps.append(row)
         least.append(mins)
     return tail, steps
 
 
-def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[float]],
+def _walk(n: int, s: float, lg_sum: bool, tail: list[float], steps: list[list[float]],
           line: float) -> list[tuple[float, LengthVector]]:
     """(lg D, vector) of each vector the walk completes under ``line``, in
     level-profile order, each made with its runs (module docstring); past
@@ -360,19 +349,20 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
     level and those below it through the child, and it lies under the line
     exactly where v <= room = lg(2^line - 2^above), the lg D the line leaves
     below the state.  So each state forms its room once, as line +
-    lg(-expm1((above - line) ln 2)), and each child costs one compare; under
-    MMPR's ``max`` the room is the line itself.  A state whose ``above`` is
-    at or over the line (under ``max``, over it) has no room, and nothing
-    below it is listed; in the lg form its room would be lg 0.  The room's
+    lg(-expm1((above - line) ln 2)), and each child costs one compare.  A
+    state has no room, and nothing below it is listed, where ``above`` is
+    over the line, or at it where ``lg_sum``: there the room would be lg 0.
+    Under MMPR's max the bound is max(above, v), so the room is the line
+    itself, and a state at the line still lists what lies at it.  The room's
     own rounding, a few u relative on 2^line - 2^above, moves the test it
     stands for, lg(2^above + 2^v) <= line, by at most u (|line| + 8), about
     as much as the one lg-add that bound took, and within the 2 delta slack
     the line keeps for the walk's bounds (module docstring).  So every
     vector within ``ARGMIN_TOL`` of the least float is still listed, and the
-    results do not change.  ``add`` picks the form; each pushed child's lg D
-    above it is formed inline as ``_lg_add`` or ``max`` gives it."""
+    results do not change.  Each pushed child's lg D above it is formed as
+    ``_table`` forms its sums, the one the ``_lg_add`` or ``max`` call would
+    give."""
     log2, expm1 = math.log2, math.expm1
-    lg_sum = add is not max
     found: list[tuple[float, LengthVector]] = []
     stack: list[tuple[int, int, int, float, tuple[int, ...], tuple[int, ...]]] = [
         (1, n - 1, 0, -math.inf, (), ())]
@@ -384,14 +374,9 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
             runs = ks + (depth,), cs + (nodes,)
             found.append((above, LengthVector._checked(tuple(_spread(*runs)), runs)))
             continue
-        if lg_sum:
-            if above >= line:
-                continue
-            room = line + log2(-expm1((above - line) * _LN2))
-        elif above > line:
+        if above > line or lg_sum and above == line:
             continue
-        else:
-            room = line
+        room = line + log2(-expm1((above - line) * _LN2)) if lg_sum else line
         shift = s * depth
         row = steps[e]
         kd = ks + (depth,)
@@ -399,12 +384,9 @@ def _walk(n: int, s: float, add: Callable, tail: list[float], steps: list[list[f
             if shift + row[j - 1] <= room:
                 # the levels above the child's, this one's deeper weight included
                 a, b = above, shift + tail[e + j]
-                if lg_sum:
-                    if a < b:
-                        a, b = b, a
-                    here = a + log2(1.0 + 2.0 ** (b - a))
-                else:
-                    here = b if a < b else a
+                if a < b:
+                    a, b = b, a
+                here = a + log2(1.0 + 2.0 ** (b - a)) if lg_sum else a
                 if j < nodes:
                     stack.append((2 * j, e - j, depth + 1, here, kd, cs + (nodes - j,)))
                 else:
@@ -464,10 +446,10 @@ def brute_force_optimal(p: Pmf, obj: Objective, max_n: int = DEFAULT_MAX_N) -> O
     """
     if p.n > max_n:
         raise AlphabetTooLarge(f"n={p.n} exceeds the oracle cap {max_n}")
-    x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
-    tail, steps = _table(x, s, add)
+    x, s, lg_sum = _recurrence(obj, list(map(math.log2, p.probs)))
+    tail, steps = _table(x, s, lg_sum)
     line = _line(obj, s, tail[-1], steps[-1][0], *_errors(obj, x, s)) if p.n > 1 else math.inf
-    scored = [(obj.evaluate(p, lv), lv) for _, lv in _walk(p.n, s, add, tail, steps, line)]
+    scored = [(obj.evaluate(p, lv), lv) for _, lv in _walk(p.n, s, lg_sum, tail, steps, line)]
     best = min(v for v, _ in scored)
     argmin = sorted((lv for v, lv in scored if v <= best + ARGMIN_TOL),
                     key=lambda lv: lv.lengths)

@@ -13,6 +13,7 @@ import pprint
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,33 @@ class TestSumCheck:
         assert abs(math.fsum(vals) - 1.0) > PMF_SUM_TOL > abs(x - 1.0)
         for build in self.BUILDS.values():
             assert sum_refusal(build, vals) == fsum_refusal(vals) is not None
+
+
+class TestOneFsumAtTheDoor:
+    """``validate_pmf`` takes one fsum a pmf: its S decides the sum check and
+    is the S divided out."""
+
+    @pytest.mark.parametrize("assume_sorted", [False, True])
+    def test_each_path_takes_one_fsum(self, monkeypatch, assume_sorted):
+        # a unit sum, a sum off 1 within PMF_SUM_TOL and the least sum the
+        # check accepts, which a plain-sum shortcut cannot decide; counted
+        # through the module's math, as the oracle's log2 count is
+        calls = []
+
+        def fsum(vals):
+            calls.append(1)
+            return math.fsum(vals)
+
+        monkeypatch.setattr(genhuff.core, "math", types.SimpleNamespace(**{**vars(math),
+                                                                           "fsum": fsum}))
+        edge = min(x for x in edge_sums() if 1.0 - x <= PMF_SUM_TOL)
+        for total in (1.0, 1.0 + 3e-10, edge):
+            vals = summing_to(total, 1000)
+            raw = vals if assume_sorted else random.Random(3).sample(vals, len(vals))
+            calls.clear()
+            p = validate_pmf(raw, assume_sorted=assume_sorted)
+            assert len(calls) == 1, total.hex()
+            assert p.probs == tuple(vals if total == 1.0 else [v / total for v in vals])
 
 
 class TestLengthVector:

@@ -241,9 +241,9 @@ class TestEnumeration:
     def test_walk_with_no_line_lists_the_space_in_level_profile_order(self):
         # the minimizer's walk and the unranking share only the child lists
         for n in range(1, 13):
-            x, s, add = _recurrence(Objective.avg(), [-math.log2(n)] * n)
-            tail, steps = _table(x, s, add)
-            walked = [lv.lengths for _, lv in _walk(n, s, add, tail, steps, math.inf)]
+            x, s, lg_sum = _recurrence(Objective.avg(), [-math.log2(n)] * n)
+            tail, steps = _table(x, s, lg_sum)
+            walked = [lv.lengths for _, lv in _walk(n, s, lg_sum, tail, steps, math.inf)]
             assert walked == list(kraft_length_tuples(n))
 
     def test_random_draw_is_the_listed_vector_at_one_randrange(self):
@@ -303,13 +303,13 @@ class TestBruteForce:
     def test_walk_lists_exactly_its_budget(self, monkeypatch):
         # with no line the walk lists the whole space, 28 vectors at n = 9:
         # a budget of 28 lists them all, and one of 27 refuses the 28th
-        x, s, add = _recurrence(Objective.avg(), [-math.log2(9)] * 9)
-        tail, steps = _table(x, s, add)
+        x, s, lg_sum = _recurrence(Objective.avg(), [-math.log2(9)] * 9)
+        tail, steps = _table(x, s, lg_sum)
         monkeypatch.setattr(oracle, "LISTING_BUDGET", 28)
-        assert len(_walk(9, s, add, tail, steps, math.inf)) == 28
+        assert len(_walk(9, s, lg_sum, tail, steps, math.inf)) == 28
         monkeypatch.setattr(oracle, "LISTING_BUDGET", 27)
         with pytest.raises(ListingTooLarge, match="n=9: .* more than 27 vectors"):
-            _walk(9, s, add, tail, steps, math.inf)
+            _walk(9, s, lg_sum, tail, steps, math.inf)
 
     def test_a_call_leaves_no_cyclic_garbage(self, monkeypatch):
         # the walk runs on an explicit stack, so no closure refers to itself
@@ -573,10 +573,10 @@ class TestLevelDP:
         with mpmath.workprec(200 + max(0, -math.frexp(scale)[1])):
             for n in range(2, 12):
                 for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
-                    x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
-                    tail, steps = _table(x, s, add)
+                    x, s, lg_sum = _recurrence(obj, list(map(math.log2, p.probs)))
+                    tail, steps = _table(x, s, lg_sum)
                     e, delta = _errors(obj, x, s)
-                    walked = _walk(n, s, add, tail, steps, math.inf)
+                    walked = _walk(n, s, lg_sum, tail, steps, math.inf)
                     scores = exact_scores(obj, p, x, s)
                     exact, floats = [], []
                     for v, lv in walked:
@@ -608,8 +608,9 @@ class TestLevelDP:
         rng = np.random.default_rng(47)
         for n in range(1, 25):
             for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
-                x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
-                tail, steps = _table(x, s, add)
+                x, s, lg_sum = _recurrence(obj, list(map(math.log2, p.probs)))
+                tail, steps = _table(x, s, lg_sum)
+                add = _lg_add if lg_sum else max
 
                 @functools.cache
                 def least(nodes, left):
@@ -653,17 +654,17 @@ class TestLevelDP:
         monkeypatch.setattr(oracle, "math", types.SimpleNamespace(
             **{**vars(math), **{name: counted(name) for name in ("log2", "expm1", "exp", "log")}}))
         for n in range(1, 65):
-            x, s, add = _recurrence(Objective.dth_exp(0.5), [-math.log2(n)] * n)
+            x, s, lg_sum = _recurrence(Objective.dth_exp(0.5), [-math.log2(n)] * n)
             calls.clear()
-            tail, steps = _table(x, s, add)
+            tail, steps = _table(x, s, lg_sum)
             assert calls == {"log2": n + n * n // 4}, n
             calls.clear()
-            assert len(_walk(n, s, add, tail, steps, -math.inf)) == (n == 1)
+            assert len(_walk(n, s, lg_sum, tail, steps, -math.inf)) == (n == 1)
             assert not calls, n
-            x, s, add = _recurrence(Objective.max_pointwise(), [-math.log2(n)] * n)
-            tail, steps = _table(x, s, add)
+            x, s, lg_sum = _recurrence(Objective.max_pointwise(), [-math.log2(n)] * n)
+            tail, steps = _table(x, s, lg_sum)
             if n <= 12:
-                _walk(n, s, add, tail, steps, math.inf)
+                _walk(n, s, lg_sum, tail, steps, math.inf)
             assert not calls, n
 
     @pytest.mark.parametrize("obj", BENCH_OBJECTIVES + (
@@ -676,17 +677,37 @@ class TestLevelDP:
         rng = np.random.default_rng(51)
         for n in range(1, 19):
             for p in (random_pmf(rng, n), tie_heavy_pmf(rng, n)):
-                x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
-                tail, steps = _table(x, s, add)
+                x, s, lg_sum = _recurrence(obj, list(map(math.log2, p.probs)))
+                tail, steps = _table(x, s, lg_sum)
+                add = _lg_add if lg_sum else max
                 lines = [math.inf]
                 if n > 1:
                     lines.append(_line(obj, s, tail[-1], steps[-1][0], *_errors(obj, x, s)))
                 for line in lines:
                     got = [(v.hex(), lv.lengths) for v, lv in
-                           _walk(n, s, add, tail, steps, line)]
+                           _walk(n, s, lg_sum, tail, steps, line)]
                     want = [(v.hex(), lengths) for v, lengths in
                             reference_walk(n, s, add, tail, steps, line)]
                     assert got == want, (n, p.probs, line)
+
+    def test_mmpr_walk_at_its_line_lists_what_max_lists(self):
+        # under MMPR a bound is max(above, v), exact, so a state whose lg D
+        # above it is the root's least has no room in the lg-sum sense and
+        # still lists what lies at the line: with the line at that least, the
+        # walk must list what the walk that tests max(above, v) lists, and
+        # that is at least the root's own vector
+        rng = np.random.default_rng(52)
+        obj = Objective.max_pointwise()
+        for n in range(2, 13):
+            for _ in range(4):
+                p = random_pmf(rng, n)
+                x, s, lg_sum = _recurrence(obj, list(map(math.log2, p.probs)))
+                tail, steps = _table(x, s, lg_sum)
+                line = steps[-1][0]
+                got = [(v.hex(), lv.lengths) for v, lv in _walk(n, s, lg_sum, tail, steps, line)]
+                want = [(v.hex(), lengths) for v, lengths in
+                        reference_walk(n, s, max, tail, steps, line)]
+                assert got and got == want, (n, p.probs)
 
     def test_lg_add_within_its_error_bound(self):
         # lg(2^a + 2^b) within u (T + 6), T the larger |input| plus 1, in
@@ -746,11 +767,11 @@ class TestLevelDP:
             assert abs(engine.objective_value - res.min_value) <= 1e-12, p.probs
             assert engine.lengths.lengths in res.argmin_lengths(), p.probs
             assert res.evaluated_count == state_completions(1, n)
-            x, s, add = _recurrence(obj, list(map(math.log2, p.probs)))
+            x, s, lg_sum = _recurrence(obj, list(map(math.log2, p.probs)))
             if obj._family and abs(s) < 1 / 16:
-                tail, steps = _table(x, s, add)
+                tail, steps = _table(x, s, lg_sum)
                 line = _line(obj, s, tail[-1], steps[-1][0], *_errors(obj, x, s))
-                assert len(_walk(n, s, add, tail, steps, line)) <= 3, p.probs
+                assert len(_walk(n, s, lg_sum, tail, steps, line)) <= 3, p.probs
 
 
 class TestSoundnessArguments:
