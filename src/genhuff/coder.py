@@ -92,12 +92,11 @@ consecutive integers from a first code that one count per length fixes,
 so each length's words are built as one block, and the blocks go into
 one list, shortest length first.  An engine code's lengths are
 nondecreasing in symbol index, one run per distinct length, so that list
-is already in symbol order and is the result.  Any other vector hands
-the words out run by run, the runs of equal lengths in symbol order that
-the vector carries: a run of c symbols of length k takes the next c
-words of block k, which is each symbol taking the next word of its
-length's block in index order.  The counts per length come from the runs
-too.
+is already in symbol order and is the result.  Any other vector is coded
+as its lengths sorted, one run per length, shortest first, and each
+symbol is handed back the word of its place in that sort.  The sort is
+stable, so that is each symbol taking the next word of its length's
+block in index order.
 
 The Kraft check reads a count of free words.  Length k's first code is
 sum_{j<k} c_j 2^(k-j) over the counts c_j, and free = 2^k less that code
@@ -191,7 +190,7 @@ import math
 import operator
 import sys
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 from .core import (
     CodingError,
@@ -618,12 +617,14 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     are built as one block, with no sort, onto one list ``words``, shortest
     length first.  When ``l._runs`` has one run per length, shortest
     first, as every engine code does, ``words`` is in symbol order and is
-    returned as it is.  Otherwise each run, c symbols of length k, takes
-    the next c words of block k, so that the symbols of one length take
-    them in index order.  The result is prefix-free for every Kraft-valid
-    input.  KraftViolation is raised for any other, at the first length k
-    whose words run past 2^k, before any of them is built; the message
-    quotes the vector's whole Kraft sum.
+    returned as it is.  Any other vector is coded as its lengths sorted,
+    shortest first and then by symbol index, and each symbol gets back the
+    word of its place in that order, so that the symbols of one length
+    take their block's words in index order.  The result is prefix-free
+    for every Kraft-valid input.  KraftViolation is raised for any other,
+    at the first length k whose words run past 2^k, before any of them is
+    built; the message quotes the vector's whole Kraft sum, which the
+    sorted lengths share.
 
     Past 8 bits the next word is carried as a string: ``high``, its first
     k - 8 bits, and ``low``, the index of its last 8 in ``_WORDS[8]``.
@@ -634,17 +635,13 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
     256-word edge, where ``high`` gains one in place, and then for each x
     of the next window.
     """
-    run_ks, run_cs = l._runs
-    # one run per length, shortest first: the words come out in symbol order
-    in_order = all(map(operator.lt, run_ks, run_ks[1:]))
-    if in_order:
-        ks, cs = run_ks, run_cs
-    else:
-        counts: dict[int, int] = {}
-        for k, c in zip(run_ks, run_cs):
-            counts[k] = counts.get(k, 0) + c
-        ks = sorted(counts)
-        cs = list(map(counts.__getitem__, ks))
+    ks, cs = l._runs
+    if not all(map(operator.lt, ks, ks[1:])):
+        # not one run per length, shortest first: code the sorted lengths, which
+        # are, and hand each symbol the word of its place in the stable sort
+        order = sorted(range(l.n), key=l.lengths.__getitem__)
+        ranked = LengthVector._checked(tuple(map(l.lengths.__getitem__, order)))
+        return tuple(map(dict(zip(order, canonical_codewords(ranked))).__getitem__, range(l.n)))
     low_words = _WORDS[_LOW_BITS]
     window = len(low_words)
     words: list[str] = []
@@ -684,12 +681,4 @@ def canonical_codewords(l: LengthVector) -> tuple[str, ...]:
             low = end
         free -= c
         prev = k
-    if in_order:
-        return tuple(words)
-    # each run of c symbols of length k takes the next c words of k's block
-    blocks = {}
-    start = 0
-    for k, c in zip(ks, cs):
-        blocks[k] = iter(words[start:start + c])
-        start += c
-    return tuple(chain.from_iterable(map(islice, map(blocks.__getitem__, run_ks), run_cs)))
+    return tuple(words)

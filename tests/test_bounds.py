@@ -766,6 +766,12 @@ class TestL1Region:
             with pytest.raises(PreconditionUnmet):
                 exp_avg_bounds_l1(p, 0.75)
 
+    @pytest.mark.parametrize("p1", [0.0, -0.5, math.nextafter(1.0, 2.0), math.nan])
+    def test_p1_outside_the_half_open_unit_interval_is_refused(self, p1):
+        with pytest.raises(POutOfRange) as info:
+            l1_region(0.9, p1)
+        assert str(info.value) == f"probability must be in (0, 1], got {p1}"
+
     def test_consistency_with_coder(self):
         rng = np.random.default_rng(58)
         for _ in range(150):

@@ -1091,6 +1091,9 @@ LOWER_TIGHT_FOUND = "optimal l_1 = 1 or 2"
           ("exp_avg_bounds", None, "exp-average sandwich"),
           ("symbol_bounds", "avg", "avg sandwich"),
           ("exp_avg_bounds_l1", None, "one-bit-l1 sandwich"))),
+    # the exp-average row checks the unit bounds before the per-symbol ones
+    pytest.param(_report_moves_up("exp_avg_unit_bounds"), CAMPAIGN, "exp-average sandwich",
+                 "unit bounds violated", id="exp-average-unit-2-bits-high"),
     pytest.param(_lambda_rounds_down, CAMPAIGN, "length conformance", "",
                  id="lambda-rounds-down"),
     pytest.param(_lg_sum_at_small_scale, CAMPAIGN, "limit continuity", "at param=",
@@ -1355,8 +1358,14 @@ class TestUsage:
         (("verify", "--family", "l1-boundary", "--q", "0.9", "--eps", "-1e-12"), None,
          "needs eps", False),
         (("sweep", "--figure", "mmpr", "--step", "-1e-3"), None, "step must", False),
+        (("code", "--objective", "dexp", "{file}"), None, "--objective dexp requires --d",
+         False),
+        (("code", "--objective", "expavg", "{file}"), None, "--objective expavg requires --q",
+         False),
+        (("bounds", "--objective", "avg"), None, "--objective avg bounds need --p", False),
+        (("code", "{file}"), b"[0.5, 0.5\n", "invalid JSON array", False),
     ], ids=["json-bool", "json-huge-int", "not-utf8", "code-out", "verify-out", "d", "q", "p",
-            "p1", "eps", "step"])
+            "p1", "eps", "step", "no-d", "no-q", "bounds-no-p", "json-invalid"])
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, content, message,
                                          child):
         # a child interpreter too where an escaping exception would show as

@@ -1625,6 +1625,12 @@ class TestJShannon:
     def test_degenerate_single_symbol(self):
         assert j_shannon_code(validate_pmf([1.0]), 1).lengths == (0,)
 
+    @pytest.mark.parametrize("j", [0, -1, 4])
+    def test_j_outside_the_symbols_is_refused(self, j):
+        with pytest.raises(CodingError) as info:
+            j_shannon_code(validate_pmf([0.5, 0.25, 0.25]), j)
+        assert str(info.value) == f"j must be in 1..3, got {j}"
+
     def test_non_pinned_redundancy_bound(self):
         # symbols other than j stay strictly below the scaled unit bound
         b = benford()
@@ -1651,6 +1657,11 @@ class TestUnary:
         assert unary_code(2).lengths == (1, 1)
         assert unary_code(1).lengths == (0,)
         assert unary_code(6).is_complete
+
+    def test_an_empty_alphabet_is_refused(self):
+        with pytest.raises(CodingError) as info:
+            unary_code(0)
+        assert str(info.value) == "alphabet size must be >= 1, got 0"
 
     def test_optimal_for_decaying_base(self):
         rng = np.random.default_rng(31)
@@ -1898,6 +1909,28 @@ class TestCanonicalCodewords:
             lengths = generalized_huffman(p, rule).lengths
             assert canonical_codewords(lengths) == sorted_canonical_codewords(lengths.lengths)
         assert max(lengths) > 1000
+
+    def test_equals_sort_reference_on_shuffled_engine_codes_and_j_shannon_codes(self):
+        # a shuffled code is coded as its sorted lengths and handed back in
+        # symbol order, as is a j-Shannon code whose pinned l_j breaks the
+        # length order: l_1 = 2 at p_1 = 0.49 scales the rest by 0.75/0.51
+        rng = np.random.default_rng(54)
+        shuffled = random.Random(54)
+        for n in (1, 2, 3, 17, 300, 3000):
+            p = random_pmf(rng, n)
+            for rule in SIX_RULES:
+                lengths = list(generalized_huffman(p, rule).lengths)
+                shuffled.shuffle(lengths)
+                assert canonical_codewords(LengthVector(tuple(lengths))) \
+                    == sorted_canonical_codewords(lengths)
+            for j in sorted({1, 2, n // 2 + 1, n} & set(range(1, n + 1))):
+                lengths = j_shannon_code(p, j)
+                assert canonical_codewords(lengths) == sorted_canonical_codewords(lengths.lengths)
+            if n >= 3:
+                skewed = validate_pmf([0.49, 0.48] + [0.03 / (n - 2)] * (n - 2), normalize=True)
+                lengths = j_shannon_code(skewed, 1)
+                assert lengths.lengths[:2] == (2, 1)
+                assert canonical_codewords(lengths) == sorted_canonical_codewords(lengths.lengths)
 
     def test_prefix_free_exhaustive_small(self):
         for n in range(1, 11):

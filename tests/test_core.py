@@ -45,7 +45,8 @@ from genhuff import (
     success_probability,
     validate_pmf,
 )
-from genhuff.core import BOUND_TOL, PMF_SUM_TOL, BoundKind, BoundReport, _floor_lg, cmp_ratio
+from genhuff.core import (BOUND_TOL, PMF_SUM_TOL, BoundKind, BoundReport, _floor_lg,
+                          binary_entropy, cmp_ratio, lg_sum_exp2)
 
 # frozen by direct 40-digit evaluation of the defining formulas
 BENFORD = (0.3010299956639812, 0.17609125905568124, 0.12493873660829995,
@@ -299,7 +300,8 @@ def fsum_refusal(vals):
 
 
 class TestSumCheck:
-    """The sum check decides as fsum does, from the plain sum where that is far from the edge."""
+    """The sum check decides as fsum does, also where a plain sum reads the
+    other side of the edge."""
 
     BUILDS = {
         "sorted": lambda vals: validate_pmf(random.Random(len(vals)).sample(vals, len(vals))),
@@ -322,7 +324,7 @@ class TestSumCheck:
                 == fsum_refusal(sorted(normed, reverse=True))
         assert verdicts == {True, False}
 
-    def test_plain_sum_off_the_edge_defers_to_fsum(self):
+    def test_fsum_decides_where_a_rounded_plain_sum_reads_past_the_edge(self):
         # the least float that 1 - PMF_SUM_TOL accepts, less one ulp, plus half an
         # ulp and a little: the plain sum, in order or compensated, rounds the half
         # ulp to even and reads the float below the edge; fsum reads the edge
@@ -343,11 +345,11 @@ class TestSumCheck:
         for build in self.BUILDS.values():
             assert sum_refusal(build, vals) == f"4 probabilities sum to {total!r}, not 1"
 
-    def test_plain_sum_within_its_error_bound_of_the_edge_defers_to_fsum(self):
+    def test_fsum_decides_where_a_plain_sum_that_loses_terms_reads_inside_the_edge(self):
         # 99,999 entries 2^-54 after one x in [1, 2): summed in order, each is
         # below half an ulp of x and lost, so the plain sum reads x, inside the
-        # edge by 2.5e-12, while the exact sum is outside it by ~3e-12; the
-        # plain sum's error bound, n 2^-52 ~ 2.2e-11, leaves the call to fsum
+        # edge by 2.5e-12, while the exact sum, which fsum reads, is outside it
+        # by ~3e-12
         n = 100_000
         x = 1.0 + PMF_SUM_TOL - 2.5e-12
         vals = [x] + [2.0 ** -54] * (n - 1)
@@ -595,6 +597,21 @@ class TestEntropies:
         with pytest.raises(AlphaOutOfRange):
             renyi_entropy(benford(), 0.0)
 
+    def test_binary_entropy_is_0_at_both_endpoints(self):
+        assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
+        assert binary_entropy(0.5) == 1.0
+
+    @pytest.mark.parametrize("x", [-1e-300, math.nextafter(1.0, 2.0), math.nan])
+    def test_binary_entropy_outside_the_unit_interval_is_refused(self, x):
+        with pytest.raises(CodingError) as info:
+            binary_entropy(x)
+        assert str(info.value) == f"binary entropy argument must be in [0,1], got {x}"
+
+    @pytest.mark.parametrize("exponents", [(math.inf, 0.0), (0.0, math.inf),
+                                           (-math.inf, -math.inf)])
+    def test_lg_sum_exp2_returns_an_infinite_largest_exponent_as_is(self, exponents):
+        assert lg_sum_exp2(exponents) == max(exponents)
+
 
 class TestAlphaOfQ:
     def test_values(self):
@@ -698,6 +715,22 @@ class TestBoundReportContains:
         assert not r.contains(0.25 - 2 * BOUND_TOL) and not r.contains(0.75 + 2 * BOUND_TOL)
         with pytest.raises(TypeError):
             r.contains(0.5, tol=0.0)
+
+
+class TestBoundReportRefusals:
+    def test_an_empty_interval_is_refused(self):
+        BoundReport(0.5 + 1e-12, 0.5, BoundKind.ACHIEVABLE, BoundKind.ACHIEVABLE)
+        with pytest.raises(CodingError) as info:
+            BoundReport(0.75, 0.25, BoundKind.ACHIEVABLE, BoundKind.APPROACHABLE)
+        assert str(info.value) == "bound interval is empty: [0.75, 0.25]"
+
+    @pytest.mark.parametrize("lower,upper,exact", [(0.5, 0.5, 0.25), (0.25, 0.75, 0.25),
+                                                   (0.5, 0.5 + 1e-13, 0.5)])
+    def test_an_exact_value_off_either_endpoint_is_refused(self, lower, upper, exact):
+        BoundReport(exact, exact, BoundKind.ACHIEVABLE, BoundKind.ACHIEVABLE, exact)
+        with pytest.raises(CodingError) as info:
+            BoundReport(lower, upper, BoundKind.ACHIEVABLE, BoundKind.ACHIEVABLE, exact)
+        assert str(info.value) == "exact bound must equal both endpoints"
 
 
 class TestCrossObjectiveProperties:

@@ -44,6 +44,12 @@ class TestConstructions:
         assert p.n == 17
         assert p.probs == pytest.approx((0.5,) + (1 / 32,) * 16)
 
+    def test_a_kind_that_is_not_a_family_kind_is_refused(self):
+        # the family's value string is not the FamilyKind itself
+        with pytest.raises(CodingError) as info:
+            generate(WitnessFamily("mmpr-upper-high", p1=0.7))
+        assert str(info.value) == "unknown witness family 'mmpr-upper-high'"
+
     def test_every_family_emits_valid_pmf(self):
         cases = [
             WitnessFamily(FamilyKind.MMPR_UPPER_HIGH, p1=0.8),
